@@ -1,23 +1,20 @@
-"""E37 — static verifier overhead at the E36 fleet spec.
+"""E37 — static verifier overhead at a 512-array fleet spec.
 
-Not a paper figure — the cost accounting for the PR-10 verification
-gate. ``FleetService.run`` now passes every campaign through
-``verify_fleet_spec`` (shard-plan cover and race proofs, window bound,
-RNG stream discipline, per-cohort config checks) before calibrating or
-stepping a single day, so the gate's cost must be pinned: a fresh
-verification of the 512-array E36 spec, the memoized re-check the
-service actually pays on every run, and both as a fraction of one
-campaign day's work.
+Not a paper figure — the cost accounting for the fleet verification
+gate. ``FleetService.run`` passes every campaign through
+``verify_fleet_spec`` (RNG stream discipline, per-cohort config checks)
+before calibrating or stepping a single day, so the gate's cost must be
+pinned: a fresh verification of the 512-array spec (the E33 population
+shape under Poisson traffic) and the memoized re-check the service
+actually pays on every run.
 
-Asserted structurally (CI-safe, timing-free): the E36 spec verifies
-with zero diagnostics at every worker count, the verdict is memoized
-(identical report object on a second call), and the static access
-model scales linearly in the shard count. The timing numbers are
-recorded in ``BENCH_E37.json`` for the trajectory, with only a very
-generous absolute ceiling asserted.
+Asserted structurally (CI-safe, timing-free): the spec verifies with
+zero diagnostics and the verdict is memoized (identical report object
+on a second call). The timing numbers are recorded in
+``BENCH_E37.json`` for the trajectory, with only a very generous
+absolute ceiling asserted.
 """
 
-import dataclasses
 import json
 import time
 
@@ -26,35 +23,29 @@ from repro.fleet import (
     CohortSpec,
     FleetSpec,
     PopulationSpec,
-    ShardPlan,
     TrafficSpec,
 )
-from repro.verify import executor_access_plan, verify_fleet_spec
+from repro.verify import verify_fleet_spec
 
 N_ARRAYS = 512
 DAYS = 365
-WORKER_COUNTS = (1, 2, 4, 8)
 #: Absolute ceiling on one cold verification of the 512-array spec —
 #: generous enough for any CI runner; the real numbers land in the
 #: payload.
 MAX_FRESH_VERIFY_S = 5.0
 
 
-def _population() -> PopulationSpec:
-    return PopulationSpec(
-        n_arrays=N_ARRAYS,
-        technology_mix=(("MRAM", 1.0), ("PCM", 1.0)),
-        cohorts=(
-            CohortSpec("add", weight=1.0),
-            CohortSpec("conv", weight=1.0),
+def _spec() -> FleetSpec:
+    return FleetSpec(
+        population=PopulationSpec(
+            n_arrays=N_ARRAYS,
+            technology_mix=(("MRAM", 1.0), ("PCM", 1.0)),
+            cohorts=(
+                CohortSpec("add", weight=1.0),
+                CohortSpec("conv", weight=1.0),
+            ),
+            endurance_sigma=0.3,
         ),
-        endurance_sigma=0.3,
-    )
-
-
-def _e36_spec(**overrides) -> FleetSpec:
-    base = dict(
-        population=_population(),
         traffic=TrafficSpec(model="poisson", rate=4e6),
         days=DAYS,
         seed=7,
@@ -62,71 +53,35 @@ def _e36_spec(**overrides) -> FleetSpec:
         cols=128,
         cohort_iterations=max(bench_iterations(2_000), 500),
     )
-    base.update(overrides)
-    return FleetSpec(**base)
 
 
 def test_bench_e37_verifier_clean_and_memoized():
-    """The CI gate: zero diagnostics, memoized verdict, linear model."""
-    for workers in WORKER_COUNTS:
-        spec = _e36_spec(fleet_workers=workers, window=3650)
-        report = verify_fleet_spec(spec, use_cache=False)
-        assert report.ok and len(report) == 0, report.render_text()
+    """The CI gate: zero diagnostics and a memoized verdict."""
+    spec = _spec()
+    report = verify_fleet_spec(spec, use_cache=False)
+    assert report.ok and len(report) == 0, report.render_text()
 
-    spec = _e36_spec(fleet_workers=8, window=3650)
     first = verify_fleet_spec(spec)
     assert verify_fleet_spec(spec) is first
     assert verify_fleet_spec(spec, use_cache=False) is not first
 
-    # The access model is linear in the shard count: a fixed number of
-    # interval accesses per worker (3 steps of reads+writes) plus one
-    # fold read per shard.
-    for shards in (1, 2, 4, 8):
-        plan = ShardPlan.build(N_ARRAYS, shards)
-        accesses = executor_access_plan(plan)
-        per_worker = len(accesses) // shards
-        assert len(accesses) == per_worker * shards
-
 
 def test_bench_e37_verifier_overhead(record, results_dir):
-    base = _e36_spec(fleet_workers=8, window=3650)
+    spec = _spec()
 
-    # -- fresh (cold) verification per worker count ------------------------
-    fresh = []
-    for workers in WORKER_COUNTS:
-        spec = _e36_spec(fleet_workers=workers, window=3650)
-        start = time.perf_counter()
-        report = verify_fleet_spec(spec, use_cache=False)
-        seconds = time.perf_counter() - start
-        assert report.ok and len(report) == 0
-        fresh.append(
-            {
-                "workers": workers,
-                "seconds": round(seconds, 6),
-                "accesses_modeled": len(
-                    executor_access_plan(ShardPlan.build(N_ARRAYS, workers))
-                ),
-            }
-        )
-    fresh_s = max(row["seconds"] for row in fresh)
+    # -- fresh (cold) verification -----------------------------------------
+    start = time.perf_counter()
+    report = verify_fleet_spec(spec, use_cache=False)
+    fresh_s = time.perf_counter() - start
+    assert report.ok and len(report) == 0
 
     # -- memoized re-check (what every FleetService.run actually pays) ----
-    verify_fleet_spec(base)  # prime
+    verify_fleet_spec(spec)  # prime
     start = time.perf_counter()
     repeats = 1000
     for _ in range(repeats):
-        verify_fleet_spec(base)
+        verify_fleet_spec(spec)
     memo_s = (time.perf_counter() - start) / repeats
-
-    # -- one serial campaign day, for scale --------------------------------
-    # A 365-day campaign amortizes one gate check; express the gate as
-    # array-days of verification cost so the trajectory can compare it
-    # to E36's array-days/s throughput without re-running a campaign.
-    day_equivalent = {
-        "fresh_verify_vs_campaign_days": round(fresh_s, 6),
-        "memoized_verify_s": round(memo_s, 9),
-        "memoized_checks_per_second": round(1.0 / memo_s, 1),
-    }
 
     payload = {
         "experiment": "E37_verifier_overhead",
@@ -135,12 +90,14 @@ def test_bench_e37_verifier_overhead(record, results_dir):
             "cohorts": ["add-StxSt", "conv-StxSt"],
             "technology_mix": ["MRAM", "PCM"],
             "endurance_sigma": 0.3,
-            "cohort_iterations": base.cohort_iterations,
+            "cohort_iterations": spec.cohort_iterations,
             "seed": 7,
-            "window": 3650,
         },
-        "fresh_verify": fresh,
-        "memoized": day_equivalent,
+        "fresh_verify": {"seconds": round(fresh_s, 6)},
+        "memoized": {
+            "memoized_verify_s": round(memo_s, 9),
+            "memoized_checks_per_second": round(1.0 / memo_s, 1),
+        },
         "diagnostics": 0,
         "bit_identical": True,
     }
@@ -149,16 +106,9 @@ def test_bench_e37_verifier_overhead(record, results_dir):
     )
 
     lines = [
-        f"E37 static verifier overhead, {N_ARRAYS}-array E36 spec "
-        "(poisson traffic, window 3650)",
-        "  fresh verification (cold cache):",
-    ]
-    for row in fresh:
-        lines.append(
-            f"    workers={row['workers']}  {row['seconds'] * 1e3:8.2f} ms  "
-            f"({row['accesses_modeled']} interval accesses modeled)"
-        )
-    lines += [
+        f"E37 static verifier overhead, {N_ARRAYS}-array fleet spec "
+        "(poisson traffic)",
+        f"  fresh verification  {fresh_s * 1e3:8.2f} ms  (cold cache)",
         f"  memoized re-check   {memo_s * 1e6:8.2f} us  "
         f"({1.0 / memo_s:10.0f} checks/s)",
         "  diagnostics on the shipped spec: 0",
@@ -170,7 +120,7 @@ def test_bench_e37_verifier_overhead(record, results_dir):
     )
     assert memo_s < fresh_s, "memoized re-check slower than a cold pass"
 
-    # The gate must never change the campaign itself: verifying twice
-    # (cold) yields identical findings, i.e. the pass is deterministic.
-    again = verify_fleet_spec(base, use_cache=False)
+    # Verifying twice (cold) yields identical findings: the pass is
+    # deterministic.
+    again = verify_fleet_spec(spec, use_cache=False)
     assert again.codes() == []

@@ -482,8 +482,6 @@ def cmd_fleet(args) -> int:
         chunk_size=settings.chunk_size,
         backend=settings.backend,
         fastforward=settings.fastforward,
-        fleet_workers=args.fleet_workers,
-        window=args.window,
     )
     cache_dir = getattr(args, "cache_dir", None)
     service = FleetService(
@@ -511,22 +509,12 @@ def cmd_fleet(args) -> int:
 def _cmd_verify_fleet(args) -> int:
     """Whole-system static passes behind ``verify --fleet/--self``.
 
-    Composes any combination of the three campaign-level verifiers —
-    :func:`repro.verify.verify_fleet_spec` over an E36-equivalent fleet
-    spec built from the flags (``--fleet``), the RPR012/RPR013 shard
-    checks over a JSON plan fixture (``--shard-plan``), and the repo
-    self-lint (``--self``) — into one merged report with the same
-    text/JSON render and exit-code contract as the workload sweep.
+    Composes :func:`repro.verify.verify_fleet_spec` over an E33-shaped
+    fleet spec built from the flags (``--fleet``) and the repo self-lint
+    (``--self``) into one merged report with the same text/JSON render
+    and exit-code contract as the workload sweep.
     """
-    import json as json_module
-
-    from repro.verify import (
-        VerifyReport,
-        check_shard_plan,
-        check_shard_races,
-        verify_fleet_spec,
-        verify_self,
-    )
+    from repro.verify import VerifyReport, verify_fleet_spec, verify_self
 
     report = VerifyReport()
     checked = []
@@ -553,35 +541,11 @@ def _cmd_verify_fleet(args) -> int:
             seed=args.seed,
             rows=args.rows,
             cols=args.cols,
-            fleet_workers=args.fleet_workers,
-            window=args.window,
         )
         report = report.merged(verify_fleet_spec(spec, use_cache=False))
         checked.append(
-            f"fleet spec ({args.arrays} arrays, {args.fleet_workers} "
-            f"workers, window {args.window}, {args.traffic} traffic)"
+            f"fleet spec ({args.arrays} arrays, {args.traffic} traffic)"
         )
-    if args.shard_plan:
-        from repro.fleet import ShardPlan
-
-        with open(args.shard_plan, "r", encoding="utf-8") as handle:
-            payload = json_module.load(handle)
-        try:
-            plan = ShardPlan(
-                n_arrays=int(payload["n_arrays"]),
-                bounds=tuple(
-                    (int(lo), int(hi)) for lo, hi in payload["bounds"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemExit(
-                f"bad shard-plan fixture {args.shard_plan!r}: expected "
-                f'{{"n_arrays": N, "bounds": [[lo, hi], ...]}} ({exc})'
-            ) from None
-        report = report.merged(VerifyReport(
-            list(check_shard_plan(plan)) + list(check_shard_races(plan))
-        ))
-        checked.append(f"shard plan {args.shard_plan!r}")
     if args.self_lint:
         report = report.merged(verify_self())
         checked.append("repo self-lint")
@@ -600,8 +564,8 @@ def cmd_verify(args) -> int:
     :func:`repro.verify.verify_mapping` without running a single epoch,
     merges every report, and exits with the merged report's code
     (0 clean / 1 errors / 2 warnings only) — the CI smoke contract.
-    With ``--fleet``, ``--self``, or ``--shard-plan`` the sweep is
-    replaced by the whole-system passes (RPR012-RPR018); see
+    With ``--fleet`` or ``--self`` the sweep is replaced by the
+    whole-system passes (RPR015, RPR018); see
     :func:`_cmd_verify_fleet`.
     """
     from dataclasses import replace as dc_replace
@@ -615,7 +579,7 @@ def cmd_verify(args) -> int:
         verify_mapping,
     )
 
-    if args.fleet or args.self_lint or args.shard_plan:
+    if args.fleet or args.self_lint:
         return _cmd_verify_fleet(args)
 
     workloads = (
@@ -960,16 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rerun to resume",
     )
     p.add_argument(
-        "--fleet-workers", type=int, default=1,
-        help="worker processes for the day loop itself (sharded over "
-             "shared memory; bit-identical to serial for any count)",
-    )
-    p.add_argument(
-        "--window", type=int, default=0,
-        help="max no-death window in days (0 = per-day stepping); "
-             "batches death-free day spans without changing results",
-    )
-    p.add_argument(
         "--json", action="store_true", default=False,
         help="emit the fleet report as JSON",
     )
@@ -1004,9 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fleet", action="store_true", default=False,
-        help="verify a fleet campaign spec statically (shard plan "
-             "disjointness and races, window bound, RNG stream "
-             "discipline; RPR012-RPR016) instead of the workload sweep",
+        help="verify a fleet campaign spec statically (RNG stream "
+             "discipline, RPR015; cohort configs) instead of the "
+             "workload sweep",
     )
     p.add_argument(
         "--self", dest="self_lint", action="store_true", default=False,
@@ -1014,22 +968,8 @@ def build_parser() -> argparse.ArgumentParser:
              "telemetry event/counter vocabulary, __all__ consistency",
     )
     p.add_argument(
-        "--shard-plan", default=None, metavar="FILE",
-        help="verify a shard plan from a JSON file "
-             '({"n_arrays": N, "bounds": [[lo, hi], ...]}) '
-             "against RPR012/RPR013",
-    )
-    p.add_argument(
         "--arrays", type=int, default=512,
-        help="population size for --fleet (default: the E36 spec's 512)",
-    )
-    p.add_argument(
-        "--fleet-workers", type=int, default=8,
-        help="worker count whose shard plan --fleet verifies",
-    )
-    p.add_argument(
-        "--window", type=int, default=3650,
-        help="declared no-death window --fleet verifies",
+        help="population size for --fleet (default: the E33 spec's 512)",
     )
     p.add_argument(
         "--traffic", choices=("deterministic", "poisson", "bursty"),

@@ -21,6 +21,7 @@ from typing import List
 from repro.array.architecture import PIMArchitecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import LifetimeEstimate, lifetime_from_result
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.workloads.base import Phase, Workload, WorkloadMapping
 from repro.workloads.dotproduct import DotProduct
@@ -187,14 +188,16 @@ class PartitionedDotProduct:
         aggregator = self.aggregator_workload()
         slice_workload = self.slice_workload()
         results: List[SimulationResult] = []
+
+        def simulator(index: int) -> EnduranceSimulator:
+            settings = SimulationSettings(seed=seed + index, track_reads=False)
+            return EnduranceSimulator(architecture, settings)
+
         if not rotate_aggregator:
             for index in range(self.n_arrays):
-                simulator = EnduranceSimulator(architecture, seed=seed + index)
                 workload = aggregator if index == 0 else slice_workload
                 results.append(
-                    simulator.run(
-                        workload, config, iterations, track_reads=False
-                    )
+                    simulator(index).run(workload, config, iterations)
                 )
             return ClusterResult(results=results, rotated=False)
 
@@ -207,16 +210,9 @@ class PartitionedDotProduct:
         for index in range(self.n_arrays):
             # Every array spends one share as aggregator and the rest as a
             # slice; wear accumulates in one state via two runs.
-            simulator = EnduranceSimulator(architecture, seed=seed + index)
-            as_aggregator = simulator.run(
-                aggregator, config, share, track_reads=False
-            )
-            as_slice = simulator.run(
-                slice_workload,
-                config,
-                iterations - share,
-                track_reads=False,
-            )
+            array = simulator(index)
+            as_aggregator = array.run(aggregator, config, share)
+            as_slice = array.run(slice_workload, config, iterations - share)
             as_aggregator.state.write_counts += as_slice.state.write_counts
             combined = SimulationResult(
                 workload_name=self.name,

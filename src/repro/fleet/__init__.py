@@ -10,12 +10,6 @@ demands. See ``docs/fleet.md`` for the model and the checkpoint format.
 """
 
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointManager
-from repro.fleet.parallel import (
-    CampaignSharedMemory,
-    ParallelDayExecutor,
-    ShardPlan,
-    no_death_window,
-)
 from repro.fleet.population import (
     BUDGET_STREAM,
     TRAFFIC_STREAM,
@@ -48,26 +42,20 @@ from repro.fleet.traffic import (
     TrafficState,
     capacity_iterations,
     draw_day,
-    draw_window,
     split_requests,
-    split_requests_window,
-    window_draw_plan,
 )
 
 __all__ = [
     "BUDGET_STREAM",
     "CHECKPOINT_VERSION",
-    "CampaignSharedMemory",
     "CheckpointManager",
     "CohortSpec",
     "DISPATCH_POLICIES",
     "FleetReport",
     "FleetService",
     "FleetSpec",
-    "ParallelDayExecutor",
     "Population",
     "PopulationSpec",
-    "ShardPlan",
     "SurvivalCurve",
     "TRAFFIC_MODELS",
     "TRAFFIC_STREAM",
@@ -80,15 +68,11 @@ __all__ = [
     "capacity_headroom",
     "capacity_iterations",
     "draw_day",
-    "draw_window",
     "format_report",
     "interleaved_assignment",
     "kaplan_meier",
-    "no_death_window",
     "proportional_counts",
     "required_fleet_size",
     "run_campaign",
     "split_requests",
-    "split_requests_window",
-    "window_draw_plan",
 ]

@@ -45,13 +45,6 @@ from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
 from repro.fleet.checkpoint import CheckpointManager
-from repro.fleet.parallel import (
-    EVEN,
-    WORN,
-    WORN_FALLBACK,
-    ParallelDayExecutor,
-    no_death_window,
-)
 from repro.fleet.population import Population, PopulationSpec
 from repro.fleet.report import FleetReport
 from repro.fleet.survival import (
@@ -65,13 +58,10 @@ from repro.fleet.traffic import (
     TrafficState,
     capacity_iterations,
     draw_day,
-    draw_window,
     rng_state_from_json,
     rng_state_to_json,
     split_requests,
-    split_requests_window,
     traffic_rng,
-    window_draw_plan,
 )
 from repro.telemetry import get_telemetry
 from repro.verify import VerificationError, verify_fleet_spec
@@ -111,21 +101,6 @@ class FleetSpec:
         fastforward: Calibrate cohorts through the analytic steady-state
             fast-forward when their configs are eligible (hash-excluded;
             bit-identical where accepted, refused via RPR011 otherwise).
-        fleet_workers: Worker processes for the day loop itself
-            (hash-excluded). Above 1, the loop runs through
-            :class:`~repro.fleet.parallel.ParallelDayExecutor` —
-            contiguous per-array shards over shared memory, with the
-            floating-point reductions folded in fixed shard order so the
-            report hash is bit-identical to the serial loop for any
-            worker count.
-        window: Maximum no-death window size in days (hash-excluded;
-            0 disables window stepping). When a conservative bound
-            proves no array can die for the next N ≥ 2 days, the loop
-            advances the whole window with batched arithmetic and
-            batched (stream-order-identical) traffic draws instead of
-            day-at-a-time bookkeeping. Per-day ``fleet_day`` telemetry
-            events collapse into per-window ``fleet_window`` events for
-            the days so covered; results are unchanged.
     """
 
     population: PopulationSpec = PopulationSpec()
@@ -142,8 +117,6 @@ class FleetSpec:
     chunk_size: Optional[int] = None
     backend: str = "numpy"
     fastforward: bool = False
-    fleet_workers: int = 1
-    window: int = 0
 
     def __post_init__(self) -> None:
         if self.days < 1:
@@ -164,10 +137,6 @@ class FleetSpec:
                 f"backend must be 'numpy', 'cupy', or 'numba', "
                 f"got {self.backend!r}"
             )
-        if self.fleet_workers < 1:
-            raise ValueError("fleet_workers must be positive")
-        if self.window < 0:
-            raise ValueError("window must be non-negative")
 
     def identity(self) -> dict:
         """The canonical JSON-able dict the content hash covers."""
@@ -382,29 +351,13 @@ class FleetService:
         state.cumulative[alive] += self.backend.to_numpy(allocation)
         return float(allocation.sum())
 
-    def _per_day_max(self, capacities: np.ndarray) -> np.ndarray:
-        """Per-array upper bound on iterations accumulated in one day.
-
-        Allocations are always capped by capacity; under deterministic
-        traffic the day's total demand is known too, tightening the
-        bound per cohort. Feeds :func:`no_death_window`.
-        """
-        per_day = capacities.copy()
-        if self.spec.traffic.model == "deterministic":
-            requests = int(round(self.spec.traffic.rate))
-            for index, cohort in enumerate(self.spec.population.cohorts):
-                members = self.population.arrays_in_cohort(index)
-                cap = float(requests * cohort.iterations_per_request)
-                per_day[members] = np.minimum(per_day[members], cap)
-        return per_day
-
     def _advance_day_serial(
         self,
         state: _CampaignState,
         thresholds: np.ndarray,
         capacities: np.ndarray,
     ) -> int:
-        """One virtual day, in-process (the reference arithmetic)."""
+        """Advance the campaign through virtual day ``state.day``."""
         spec = self.spec
         day_served = 0
         requests = draw_day(spec.traffic, state.traffic_state, state.rng)
@@ -436,221 +389,6 @@ class FleetService:
             state.death_day[crossed] = state.day
         return day_served
 
-    def _advance_day_parallel(
-        self, state: _CampaignState, executor: ParallelDayExecutor
-    ) -> int:
-        """One virtual day through the shard workers.
-
-        Even dispatch is a single phase (the parent already knows each
-        cohort's live count); ``least_worn`` first gathers the exact
-        shard-ordered headroom reduction, then advances with the two
-        scalars (live count, total headroom) the serial arithmetic
-        needs. Traffic draws, request bookkeeping, and the decision
-        structure (zero-request skip, extinct-cohort drop) stay in the
-        parent, mirroring the serial loop branch for branch.
-        """
-        spec = self.spec
-        cohorts = spec.population.cohorts
-        day_served = 0
-        requests = draw_day(spec.traffic, state.traffic_state, state.rng)
-        per_cohort = split_requests(
-            requests, spec.population.cohort_weights, state.rng
-        )
-        pending: Dict[int, int] = {}
-        for index in range(len(cohorts)):
-            cohort_requests = int(per_cohort[index])
-            if cohort_requests == 0:
-                continue
-            members = self.population.arrays_in_cohort(index)
-            if not (state.death_day[members] < 0).any():
-                state.dropped += cohort_requests
-                continue
-            pending[index] = cohort_requests
-        if not pending:
-            return 0
-        dispatches: Dict[int, tuple] = {}
-        if spec.dispatch == "least_worn":
-            gathered = executor.gather_headroom(tuple(pending))
-            for index, cohort_requests in pending.items():
-                total, n_alive = gathered[index]
-                demand = float(
-                    cohort_requests * cohorts[index].iterations_per_request
-                )
-                mode = WORN_FALLBACK if total <= 0 else WORN
-                dispatches[index] = (mode, demand, n_alive, total)
-        else:
-            for index, cohort_requests in pending.items():
-                members = self.population.arrays_in_cohort(index)
-                n_alive = int((state.death_day[members] < 0).sum())
-                demand = float(
-                    cohort_requests * cohorts[index].iterations_per_request
-                )
-                dispatches[index] = (EVEN, demand, n_alive, 0.0)
-        results = executor.advance_day(state.day, dispatches)
-        for index, cohort_requests in pending.items():
-            served_iters, _deaths = results[index]
-            ipr = cohorts[index].iterations_per_request
-            served_requests = min(
-                cohort_requests, int(served_iters // ipr)
-            )
-            state.served += served_requests
-            state.dropped += cohort_requests - served_requests
-            day_served += served_requests
-        return day_served
-
-    def _advance_window_serial(
-        self,
-        state: _CampaignState,
-        window: int,
-        thresholds: np.ndarray,
-        capacities: np.ndarray,
-    ) -> int:
-        """Advance ``window`` guaranteed-death-free days in one batch.
-
-        Traffic draws stay stream-identical to per-day stepping: when
-        either half of the per-day (draw, split) pair consumes no RNG —
-        deterministic traffic, or a single cohort — the other half
-        batches into one vectorized call; otherwise the pair interleaves
-        per day exactly as the per-day loop would. Live sets are static
-        by the no-death guarantee, so per-cohort state is gathered once,
-        accumulated compactly (the same elementwise additions the
-        per-day loop applies, so bitwise the same values), and scattered
-        back once; threshold-crossing checks are provably skippable
-        inside the window.
-        """
-        spec = self.spec
-        cohorts = spec.population.cohorts
-        weights = spec.population.cohort_weights
-        # The batching decision is the declared, statically-checkable
-        # plan of repro.fleet.traffic.window_draw_plan — the same
-        # procedure repro.verify.check_draw_plan (RPR016) re-proves
-        # stream-exact, so the verifier checks the path actually taken.
-        plan = window_draw_plan(spec.traffic.model, len(weights))
-        if plan["draw"] != "interleaved":
-            totals = draw_window(
-                spec.traffic, state.traffic_state, state.rng, window
-            )
-            splits = split_requests_window(totals, weights, state.rng)
-        else:
-            # Stochastic multi-cohort: the draw and the split alternate
-            # on the same generator each day, so batching either one
-            # would reorder the stream — interleave exactly as per-day.
-            splits = np.empty((window, len(weights)), dtype=np.int64)
-            for offset in range(window):
-                total = draw_day(spec.traffic, state.traffic_state, state.rng)
-                splits[offset] = split_requests(total, weights, state.rng)
-        compact: Dict[int, Optional[list]] = {}
-        for index in range(len(cohorts)):
-            members = self.population.arrays_in_cohort(index)
-            alive = members[state.death_day[members] < 0]
-            compact[index] = (
-                None
-                if len(alive) == 0
-                else [
-                    alive,
-                    state.cumulative[alive],
-                    capacities[alive],
-                    thresholds[alive],
-                ]
-            )
-        window_served = 0
-        constant = (
-            spec.traffic.model == "deterministic"
-            and len(cohorts) == 1
-            and spec.dispatch == "even"
-            and compact[0] is not None
-            and int(splits[0, 0]) > 0
-        )
-        if constant:
-            # Deterministic single-cohort even dispatch: the allocation
-            # vector is the same every day of the window, so hoist it
-            # and apply `window` repeated in-place additions — bitwise
-            # the per-day accumulation, with no per-day bookkeeping.
-            cohort_requests = int(splits[0, 0])
-            entry = compact[0]
-            assert entry is not None
-            alive, cumulative, caps, _ = entry
-            ipr = cohorts[0].iterations_per_request
-            demand = float(cohort_requests * ipr)
-            allocation = np.minimum(demand / len(alive), caps)
-            for _ in range(window):
-                cumulative += allocation
-            served_iters = float(allocation.sum())
-            served_requests = min(cohort_requests, int(served_iters // ipr))
-            state.served += served_requests * window
-            state.dropped += (cohort_requests - served_requests) * window
-            window_served = served_requests * window
-        else:
-            for offset in range(window):
-                for index, cohort in enumerate(cohorts):
-                    cohort_requests = int(splits[offset, index])
-                    if cohort_requests == 0:
-                        continue
-                    entry = compact[index]
-                    if entry is None:
-                        state.dropped += cohort_requests
-                        continue
-                    alive, cumulative, caps, thr = entry
-                    demand = float(
-                        cohort_requests * cohort.iterations_per_request
-                    )
-                    if spec.dispatch == "even":
-                        allocation = np.minimum(demand / len(alive), caps)
-                    else:  # least_worn
-                        headroom = np.maximum(thr - cumulative, 0.0)
-                        total = headroom.sum()
-                        if total <= 0:
-                            share = np.full(len(alive), 1.0 / len(alive))
-                        else:
-                            share = headroom / total
-                        allocation = np.minimum(demand * share, caps)
-                    cumulative += allocation
-                    served_iters = float(allocation.sum())
-                    served_requests = min(
-                        cohort_requests,
-                        int(served_iters // cohort.iterations_per_request),
-                    )
-                    state.served += served_requests
-                    state.dropped += cohort_requests - served_requests
-                    window_served += served_requests
-        for entry in compact.values():
-            if entry is not None:
-                state.cumulative[entry[0]] = entry[1]
-        state.day += window
-        return window_served
-
-    def _advance_window_parallel(
-        self,
-        state: _CampaignState,
-        window: int,
-        executor: ParallelDayExecutor,
-    ) -> int:
-        """A constant-allocation window through the shard workers.
-
-        Only reached for deterministic single-cohort even dispatch (no
-        RNG is consumed), where the whole window is one worker command:
-        each shard applies ``window`` repeated compact additions and the
-        parent folds the constant per-day allocation total once.
-        """
-        spec = self.spec
-        cohort = spec.population.cohorts[0]
-        cohort_requests = int(round(spec.traffic.rate))
-        members = self.population.arrays_in_cohort(0)
-        n_alive = int((state.death_day[members] < 0).sum())
-        state.day += window
-        if cohort_requests == 0:
-            return 0
-        if n_alive == 0:
-            state.dropped += cohort_requests * window
-            return 0
-        ipr = cohort.iterations_per_request
-        demand = float(cohort_requests * ipr)
-        served_iters = executor.advance_window(window, {0: (demand, n_alive)})[0]
-        served_requests = min(cohort_requests, int(served_iters // ipr))
-        state.served += served_requests * window
-        state.dropped += (cohort_requests - served_requests) * window
-        return served_requests * window
-
     def run(
         self,
         stop_after_day: Optional[int] = None,
@@ -681,9 +419,8 @@ class FleetService:
         start_wall = time.perf_counter()
         tele = get_telemetry()
 
-        # Static whole-campaign verification before any day runs: shard
-        # disjointness and race freedom, window-bound soundness, RNG
-        # stream discipline, cohort config validity. Memoized per
+        # Static whole-campaign verification before any day runs: RNG
+        # stream discipline and cohort config validity. Memoized per
         # campaign shape, so resumed/repeated runs pay it once.
         verification = verify_fleet_spec(spec)
         if verification.errors:
@@ -729,133 +466,30 @@ class FleetService:
             cohorts=len(cohorts),
             start_day=state.day,
         )
-        numpy_math = self._xp is np
-        if spec.fleet_workers > 1 and not numpy_math:
-            raise ValueError(
-                "fleet_workers > 1 requires numpy day-loop math; backend "
-                f"{spec.backend!r} is active and not delegating to numpy"
-            )
-        executor: Optional[ParallelDayExecutor] = None
-        worker_timers: List[Dict] = []
-        shards = 1
-        windows = 0
-        window_days = 0
         checkpoints_written = 0
-        # The only window shape the parallel protocol batches is the
-        # constant-allocation one (deterministic traffic, one cohort,
-        # even dispatch); other shapes step per-day under parallel
-        # execution, windowed or not.
-        constant_eligible = (
-            spec.traffic.model == "deterministic"
-            and len(cohorts) == 1
-            and spec.dispatch == "even"
-        )
-        per_day_max = self._per_day_max(capacities)
-        try:
-            if spec.fleet_workers > 1 and self.population.n_arrays > 1:
-                executor = ParallelDayExecutor(
-                    cohort_index=self.population.cohort_index,
-                    thresholds=thresholds,
-                    capacities=capacities,
-                    cumulative=state.cumulative,
-                    death_day=state.death_day,
-                    workers=spec.fleet_workers,
+        with tele.timed_phase("fleet.advance"):
+            while state.day < last_day:
+                state.day += 1
+                day_served = self._advance_day_serial(
+                    state, thresholds, capacities
                 )
-                # The campaign state now *is* the shared block: workers
-                # mutate it in place, and checkpoints/reports read it
-                # through these views with no copy-out step.
-                state.cumulative = executor.cumulative
-                state.death_day = executor.death_day
-                shards = executor.n_shards
-                tele.gauge("fleet.shards", executor.n_shards)
-            with tele.timed_phase("fleet.advance"):
-                while state.day < last_day:
-                    bound = 0
-                    if spec.window >= 2 and numpy_math and (
-                        executor is None or constant_eligible
-                    ):
-                        bound = no_death_window(
-                            thresholds,
-                            state.cumulative,
-                            state.death_day,
-                            per_day_max,
-                            last_day - state.day,
-                        )
-                        bound = min(bound, spec.window)
-                        if (
-                            self.checkpoints is not None
-                            and self.checkpoint_every
-                        ):
-                            # A window never crosses a checkpoint
-                            # boundary, so cadenced checkpoints land on
-                            # the same days as per-day stepping.
-                            bound = min(
-                                bound,
-                                self.checkpoint_every
-                                - state.day % self.checkpoint_every,
-                            )
-                    if bound >= 2:
-                        if executor is not None:
-                            day_served = self._advance_window_parallel(
-                                state, bound, executor
-                            )
-                        else:
-                            day_served = self._advance_window_serial(
-                                state, bound, thresholds, capacities
-                            )
-                        windows += 1
-                        window_days += bound
-                        alive_now = int((state.death_day < 0).sum())
-                        tele.count("fleet.days", bound)
-                        tele.count("fleet.windows")
-                        tele.count("fleet.window_days", bound)
-                        tele.emit(
-                            "fleet_window",
-                            day=state.day,
-                            days=bound,
-                            alive=alive_now,
-                            served=day_served,
-                        )
-                    else:
-                        state.day += 1
-                        if executor is not None:
-                            day_served = self._advance_day_parallel(
-                                state, executor
-                            )
-                        else:
-                            day_served = self._advance_day_serial(
-                                state, thresholds, capacities
-                            )
-                        alive_now = int((state.death_day < 0).sum())
-                        tele.count("fleet.days")
-                        tele.emit(
-                            "fleet_day",
-                            day=state.day,
-                            alive=alive_now,
-                            served=day_served,
-                        )
-                    at_boundary = (
-                        self.checkpoint_every
-                        and state.day % self.checkpoint_every == 0
-                    )
-                    at_stop = (
-                        stop_after_day is not None and state.day == last_day
-                    )
-                    if self.checkpoints is not None and (
-                        at_boundary or at_stop
-                    ):
-                        self.checkpoints.save(state.day, state.to_json())
-                        checkpoints_written += 1
-                        tele.count("fleet.checkpoints")
-                        tele.emit("fleet_checkpoint", day=state.day)
-        finally:
-            if executor is not None:
-                # Detach the campaign state from the shared block before
-                # the workers and the memory go away.
-                state.cumulative = state.cumulative.copy()
-                state.death_day = state.death_day.copy()
-                executor.close()
-                worker_timers = executor.worker_timers
+                tele.count("fleet.days")
+                tele.emit(
+                    "fleet_day",
+                    day=state.day,
+                    alive=int((state.death_day < 0).sum()),
+                    served=day_served,
+                )
+                at_boundary = (
+                    self.checkpoint_every
+                    and state.day % self.checkpoint_every == 0
+                )
+                at_stop = stop_after_day is not None and state.day == last_day
+                if self.checkpoints is not None and (at_boundary or at_stop):
+                    self.checkpoints.save(state.day, state.to_json())
+                    checkpoints_written += 1
+                    tele.count("fleet.checkpoints")
+                    tele.emit("fleet_checkpoint", day=state.day)
 
         if stop_after_day is not None and state.day < spec.days:
             return None
@@ -867,11 +501,6 @@ class FleetService:
             resumed_from_day=resumed_from,
             checkpoints_written=checkpoints_written,
             calibration_statuses=calibration["statuses"],
-            fleet_workers=spec.fleet_workers,
-            shards=shards,
-            windows=windows,
-            window_days=window_days,
-            worker_timers=worker_timers,
         )
         report = replace(report, runtime=runtime)
         tele.count("fleet.deaths", report.n_deaths)

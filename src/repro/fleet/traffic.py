@@ -144,49 +144,6 @@ def draw_day(
     return count
 
 
-def draw_window(
-    spec: TrafficSpec,
-    state: TrafficState,
-    rng: np.random.Generator,
-    days: int,
-) -> np.ndarray:
-    """Request counts for ``days`` consecutive virtual days (batched).
-
-    Bit-compatible with calling :func:`draw_day` ``days`` times: the
-    generator consumes the exact same stream, in the same order, so a
-    campaign may freely mix windowed and per-day stepping (and a
-    checkpoint taken at any window boundary resumes identically under
-    either). Per model:
-
-    ``deterministic``
-        A constant vector; zero RNG draws, same as the per-day path.
-
-    ``poisson``
-        One vectorized ``rng.poisson(rate, size=days)`` call. NumPy
-        fills the output by running the scalar sampler sequentially off
-        the same bit stream, so the drawn sequence is identical to
-        ``days`` scalar calls (pinned by ``tests/test_fleet_traffic.py``).
-
-    ``bursty``
-        The MMPP interleaves a Poisson draw and a state-flip uniform
-        *per day*, and the Poisson sampler consumes a data-dependent
-        number of raw draws — so a single batched call cannot reproduce
-        the stream. The window path instead loops :func:`draw_day`
-        (trivially stream-identical); the batching win for MMPP is the
-        single traffic call per window at the service layer, not a
-        vectorized kernel.
-    """
-    if days < 1:
-        raise ValueError("days must be positive")
-    if spec.model == "deterministic":
-        return np.full(days, int(round(spec.rate)), dtype=np.int64)
-    if spec.model == "poisson":
-        return rng.poisson(spec.rate, size=days).astype(np.int64)
-    return np.array(
-        [draw_day(spec, state, rng) for _ in range(days)], dtype=np.int64
-    )
-
-
 def split_requests(
     total: int,
     weights: np.ndarray,
@@ -203,77 +160,6 @@ def split_requests(
     if total == 0:
         return np.zeros(len(weights), dtype=np.int64)
     return rng.multinomial(total, weights).astype(np.int64)
-
-
-def split_requests_window(
-    totals: np.ndarray,
-    weights: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-cohort splits for a whole day window at once.
-
-    Returns a ``(days, cohorts)`` int64 matrix whose rows are exactly
-    what :func:`split_requests` would have produced day by day, off the
-    same generator stream: NumPy's array-``n`` multinomial runs the
-    scalar kernel per row in order, and zero-request days are masked
-    out before drawing because the per-day path never touches the RNG
-    for them (both facts pinned by ``tests/test_fleet_traffic.py``).
-    """
-    totals = np.asarray(totals, dtype=np.int64)
-    if len(weights) == 1:
-        return totals[:, None].copy()
-    out = np.zeros((len(totals), len(weights)), dtype=np.int64)
-    nonzero = np.flatnonzero(totals)
-    if len(nonzero):
-        out[nonzero] = rng.multinomial(totals[nonzero], weights)
-    return out
-
-
-def window_draw_plan(model: str, n_cohorts: int) -> Dict[str, str]:
-    """The declared RNG-consumption plan for a window of traffic draws.
-
-    This is the *decision procedure* the service's windowed path uses
-    (and :func:`repro.verify.check_draw_plan` statically re-checks): for
-    each of the two per-day RNG touchpoints — the arrival ``draw`` and
-    the cohort ``split`` — it names how a window may batch the calls
-    without diverging from the serial per-day stream:
-
-    ``"batched"``
-        One vectorized call for the whole window is stream-identical to
-        the per-day loop (or the path consumes no RNG at all).
-
-    ``"looped"``
-        The window must loop the scalar per-day call; a single batched
-        call could consume a different raw-draw sequence.
-
-    ``"interleaved"``
-        The two touchpoints interleave on the same generator per day,
-        so the window must run full per-day iterations — neither half
-        may be hoisted into its own batch.
-
-    Rules: the ``deterministic`` model draws nothing (``batched`` by
-    vacuity), and a single cohort splits without the RNG — so with one
-    cohort the split is ``batched`` and the draw is ``batched`` for
-    ``poisson`` (NumPy's vectorized sampler walks the same bit stream)
-    but ``looped`` for ``bursty`` (data-dependent raw-draw counts plus
-    a state-flip uniform per day). With multiple cohorts and a stochastic
-    model, draw and split alternate on the same stream every day, so
-    both come back ``interleaved``.
-    """
-    if model not in TRAFFIC_MODELS:
-        raise ValueError(
-            f"unknown traffic model {model!r}; choose from {TRAFFIC_MODELS}"
-        )
-    if n_cohorts < 1:
-        raise ValueError("n_cohorts must be positive")
-    if model == "deterministic":
-        return {"draw": "batched", "split": "batched"}
-    if n_cohorts == 1:
-        return {
-            "draw": "batched" if model == "poisson" else "looped",
-            "split": "batched",
-        }
-    return {"draw": "interleaved", "split": "interleaved"}
 
 
 def capacity_iterations(

@@ -38,7 +38,6 @@ EVENT_FIELDS: Dict[str, frozenset] = {
     "grid_progress": frozenset({"done", "total", "label"}),
     "fleet_start": frozenset({"arrays", "days", "cohorts"}),
     "fleet_day": frozenset({"day", "alive", "served"}),
-    "fleet_window": frozenset({"day", "days", "alive", "served"}),
     "fleet_checkpoint": frozenset({"day"}),
     "fleet_end": frozenset({"days", "alive", "deaths"}),
     "counters": frozenset({"counters"}),
@@ -73,9 +72,6 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.days",
         "fleet.deaths",
         "fleet.rejected",
-        "fleet.shards",
-        "fleet.window_days",
-        "fleet.windows",
         "kernel.chunk_size",
         "kernel.chunks",
         "kernel.gemms",
@@ -154,9 +150,9 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
         (event -> count), ``phases`` (name -> calls/total_s/mean_s),
         ``jobs`` (status -> count, plus ``attempts`` and ``wall_s``
         totals), ``cache`` (hits/misses), ``retries``, ``timeouts``,
-        ``fleet`` (virtual days — windowed days included — checkpoints,
-        windows), ``counters`` (the merged telemetry counter snapshots
-        from ``counters`` events, last write wins per key),
+        ``fleet`` (virtual days, checkpoints), ``counters`` (the merged
+        telemetry counter snapshots from ``counters`` events, last write
+        wins per key),
         ``diagnostics`` (verifier code -> occurrence count, folded from
         ``verify_report`` and ``job_rejected`` events), and
         ``simulations`` (count, iterations, epochs).
@@ -174,7 +170,6 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
     timeouts = 0
     fleet_days = 0
     fleet_checkpoints = 0
-    fleet_windows = 0
     counters: Dict[str, Union[int, float]] = {}
     diagnostics: Dict[str, int] = {}
     sim_count = 0
@@ -209,9 +204,6 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
             timeouts += 1
         elif event == "fleet_day":
             fleet_days += 1
-        elif event == "fleet_window":
-            fleet_days += int(record["days"])
-            fleet_windows += 1
         elif event == "fleet_checkpoint":
             fleet_checkpoints += 1
         elif event == "counters":
@@ -251,7 +243,6 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
         "fleet": {
             "days": fleet_days,
             "checkpoints": fleet_checkpoints,
-            "windows": fleet_windows,
         },
         "counters": dict(sorted(counters.items())),
         "diagnostics": dict(sorted(diagnostics.items())),
@@ -301,13 +292,10 @@ def format_stats(summary: Dict) -> str:
     fleet = summary.get("fleet", {})
     if fleet.get("days"):
         lines.append("")
-        line = (
+        lines.append(
             f"fleet: {fleet['days']} virtual day(s), "
             f"{fleet['checkpoints']} checkpoint(s)"
         )
-        if fleet.get("windows"):
-            line += f", {fleet['windows']} window(s)"
-        lines.append(line)
     counters = summary.get("counters", {})
     if counters:
         lines.append("")

@@ -3,10 +3,8 @@
 Checks programs, configurations, and now whole campaigns without
 executing them: an IR dataflow pass over the lane-program instruction
 stream, a hazard pass over the compiled gate levels, a wear-invariant
-pass over profiles, permutations, and schedules, a concurrency pass
-proving the parallel fleet's shard plan race-free
-(:mod:`~repro.verify.concurrency`), an RNG stream-discipline pass
-(:mod:`~repro.verify.streams`), versioned artifact schema validation
+pass over profiles, permutations, and schedules, an RNG
+stream-discipline pass (:mod:`~repro.verify.streams`), versioned artifact schema validation
 (:mod:`~repro.verify.schemas`), and an AST self-lint over the repo's
 own invariants (:mod:`~repro.verify.lint`). Findings carry stable
 ``RPR0xx`` codes and render as text or JSON; the ``repro-endurance
@@ -23,13 +21,6 @@ from repro.verify.api import (
     verify_program,
     verify_self,
     verify_spec,
-)
-from repro.verify.concurrency import (
-    RegionAccess,
-    check_shard_plan,
-    check_shard_races,
-    check_window_bound,
-    executor_access_plan,
 )
 from repro.verify.dataflow import (
     check_bounds,
@@ -51,7 +42,6 @@ from repro.verify.schemas import (
     check_trace,
 )
 from repro.verify.streams import (
-    check_draw_plan,
     check_stream_keys,
     check_streams,
     derive_stream_keys,
@@ -69,7 +59,6 @@ __all__ = [
     "Diagnostic",
     "FUNCTIONAL_CODES",
     "Location",
-    "RegionAccess",
     "Severity",
     "VerificationError",
     "VerifyReport",
@@ -77,7 +66,6 @@ __all__ = [
     "check_checkpoint",
     "check_config",
     "check_dataflow",
-    "check_draw_plan",
     "check_fastforward",
     "check_level_segments",
     "check_levels",
@@ -85,14 +73,10 @@ __all__ = [
     "check_permutation_rows",
     "check_profile_conservation",
     "check_schedule",
-    "check_shard_plan",
-    "check_shard_races",
     "check_stream_keys",
     "check_streams",
     "check_trace",
-    "check_window_bound",
     "derive_stream_keys",
-    "executor_access_plan",
     "self_lint",
     "verify_fleet_spec",
     "verify_mapping",

@@ -26,11 +26,6 @@ import numpy as np
 
 from repro.synth.program import ExternalBit, LaneProgram, ReadInstr, WriteInstr
 from repro.telemetry import get_telemetry
-from repro.verify.concurrency import (
-    check_shard_plan,
-    check_shard_races,
-    check_window_bound,
-)
 from repro.verify.dataflow import check_bounds, check_dataflow, check_levels
 from repro.verify.diagnostics import (
     Diagnostic,
@@ -304,8 +299,8 @@ def verify_spec(spec) -> VerifyReport:
 
 #: Memo for :func:`verify_fleet_spec`, keyed on the facts the passes
 #: actually consume. The fleet service verifies on every ``run()``;
-#: repeated runs of one campaign (resume, benchmarks, worker sweeps)
-#: should pay the analysis once.
+#: repeated runs of one campaign (resume, benchmarks) should pay the
+#: analysis once.
 _FLEET_VERIFY_CACHE: dict = {}
 
 
@@ -316,50 +311,29 @@ def verify_fleet_spec(spec, use_cache: bool = True) -> VerifyReport:
     :class:`~repro.fleet.service.FleetSpec`. Composes the whole-system
     passes:
 
-    * the shard plan the campaign would execute under
-      (``ShardPlan.build(n_arrays, fleet_workers)``) must be a disjoint
-      exact cover (RPR012) and race-free under the executor's access
-      model (RPR013) — :mod:`repro.verify.concurrency`;
-    * the declared no-death window bound must be sound (RPR014);
     * every seeded substream derivation must be collision-free (RPR015)
-      and the windowed traffic path's declared draw order stream-exact
-      (RPR016) — :mod:`repro.verify.streams`;
+      — :mod:`repro.verify.streams`;
     * every cohort's balance configuration must validate (RPR007/010),
       plus RPR011 fast-forward eligibility when the spec asks for it.
 
-    Results are memoized on ``(content_hash, fleet_workers, window,
-    fastforward)`` — the campaign identity plus the hash-excluded
-    execution knobs the passes read — so gating every
-    :meth:`FleetService.run` costs one analysis per distinct campaign
-    shape. Pass ``use_cache=False`` to force a fresh run (benchmarks
-    measuring analysis cost do).
+    Results are memoized on ``(content_hash, fastforward)`` — the
+    campaign identity plus the one hash-excluded knob the passes read —
+    so gating every :meth:`FleetService.run` costs one analysis per
+    distinct campaign. Pass ``use_cache=False`` to force a fresh run
+    (benchmarks measuring analysis cost do).
     """
     from repro.array.architecture import default_architecture
     from repro.balance.config import BalanceConfig
-    from repro.fleet.parallel import ShardPlan
 
     key = None
     if use_cache:
-        key = (
-            spec.content_hash,
-            int(spec.fleet_workers),
-            int(spec.window),
-            bool(spec.fastforward),
-        )
+        key = (spec.content_hash, bool(spec.fastforward))
         cached = _FLEET_VERIFY_CACHE.get(key)
         if cached is not None:
             return cached
-    cohorts = spec.population.cohorts
-    plan = ShardPlan.build(
-        spec.population.n_arrays, int(spec.fleet_workers)
-    )
-    diagnostics: List[Diagnostic] = []
-    diagnostics.extend(check_shard_plan(plan))
-    diagnostics.extend(check_shard_races(plan, n_cohorts=len(cohorts)))
-    diagnostics.extend(check_window_bound(int(spec.window)))
-    diagnostics.extend(check_streams(spec))
+    diagnostics: List[Diagnostic] = list(check_streams(spec))
     architecture = default_architecture(spec.rows, spec.cols)
-    for cohort in cohorts:
+    for cohort in spec.population.cohorts:
         config = BalanceConfig.from_label(cohort.config)
         cohort_findings = check_config(
             config,

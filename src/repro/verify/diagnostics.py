@@ -36,6 +36,8 @@ class Severity(Enum):
 
 #: Registry of stable diagnostic codes. Codes are append-only: a code's
 #: meaning never changes, and retired codes are never reused.
+#: A retired code stays listed (its message unchanged) with a comment
+#: saying why no pass emits it any more.
 CODES: Dict[str, str] = {
     "RPR001": "read of an uninitialized cell",
     "RPR002": "dead write (overwritten or never read)",
@@ -48,11 +50,14 @@ CODES: Dict[str, str] = {
     "RPR009": "hardware re-mapping has no spare bit",
     "RPR010": "invalid balance configuration",
     "RPR011": "configuration not eligible for steady-state fast-forward",
+    # RPR012-RPR014 and RPR016 are retired: they guarded the sharded
+    # parallel day loop and the no-death window stepping, both removed.
     "RPR012": "shard plan is not a disjoint exact cover of the population",
     "RPR013": "plan-level race: overlapping worker write regions or a "
     "parent reduction reading outside fixed shard offsets",
     "RPR014": "no-death window bound is unsound for this spec",
     "RPR015": "seeded RNG substream key collision or reuse",
+    # RPR016 is retired too (see above).
     "RPR016": "window-batched draw order can diverge from the serial stream",
     "RPR017": "versioned artifact schema violation",
     "RPR018": "repo invariant violated (self-lint)",

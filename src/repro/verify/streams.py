@@ -3,10 +3,9 @@
 Reproducibility at fleet scale rests on a seeding discipline: every
 random draw comes from a substream derived from the campaign's base seed
 through a distinct spawn key (``np.random.default_rng([seed, TAG,
-...])``), so no two consumers ever share a generator, and batched
-("windowed") draws are only allowed where they provably walk the same
-bit stream as the serial per-day loop. These rules lived in docstrings
-and in tests that run campaigns; this pass checks them statically.
+...])``), so no two consumers ever share a generator. That rule lived in
+docstrings and in tests that run campaigns; this pass checks it
+statically.
 
 * :func:`derive_stream_keys` — walk every seeded substream derivation a
   :class:`~repro.fleet.service.FleetSpec` or
@@ -16,12 +15,7 @@ and in tests that run campaigns; this pass checks them statically.
   simulation job.
 * :func:`check_stream_keys` — flag any spawn-key collision or reuse
   across the derived consumers (``RPR015``).
-* :func:`check_draw_plan` — check a declared window draw plan
-  (:func:`repro.fleet.traffic.window_draw_plan`) against the per-model
-  stream rules: a batched draw is only sound where the vectorized call
-  is stream-identical to the scalar loop, and a stochastic multi-cohort
-  window must interleave draw and split per day (``RPR016``).
-* :func:`check_streams` — the spec-level composition of the above.
+* :func:`check_streams` — the spec-level composition of the two.
 
 Cohort-calibration simulations each own an isolated generator universe
 (``default_rng(seed)`` inside one process), so sharing the base seed
@@ -31,12 +25,11 @@ consumers of the *campaign's* shared stream space.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 
 __all__ = [
-    "check_draw_plan",
     "check_stream_keys",
     "check_streams",
     "derive_stream_keys",
@@ -108,102 +101,12 @@ def check_stream_keys(keys: Sequence[StreamKey]) -> List[Diagnostic]:
     return diagnostics
 
 
-def check_draw_plan(
-    model: str, n_cohorts: int, plan: Optional[Dict[str, str]] = None
-) -> List[Diagnostic]:
-    """RPR016: a window draw plan must match the serial stream order.
-
-    The per-day loop consumes, per day: the arrival ``draw`` (no RNG
-    for ``deterministic``, one Poisson for ``poisson``, a Poisson plus
-    a state-flip uniform for ``bursty``), then the cohort ``split`` (no
-    RNG for one cohort, a multinomial otherwise). A windowed execution
-    declaring how it batches those calls
-    (:func:`repro.fleet.traffic.window_draw_plan`) is only sound when
-    the declared consumption order provably equals the serial stream:
-
-    * a ``bursty`` draw can never be ``"batched"`` — its sampler
-      consumes a data-dependent number of raw draws and interleaves the
-      state-flip uniform per day;
-    * with a stochastic model *and* multiple cohorts, draw and split
-      alternate on one generator every day, so **both** must be
-      ``"interleaved"`` — hoisting either into its own batch reorders
-      the stream;
-    * a split that consumes RNG (multiple cohorts) may only be
-      ``"batched"`` when the draw consumes none (``deterministic``).
-
-    Args:
-        model: A :data:`repro.fleet.traffic.TRAFFIC_MODELS` entry.
-        n_cohorts: Cohort count (the split consumes RNG above 1).
-        plan: The declared ``{"draw": ..., "split": ...}`` plan;
-            defaults to the live decision procedure
-            :func:`~repro.fleet.traffic.window_draw_plan`, which makes
-            this a check of the service's real windowed path.
-    """
-    from repro.fleet.traffic import TRAFFIC_MODELS, window_draw_plan
-
-    if model not in TRAFFIC_MODELS:
-        raise ValueError(
-            f"unknown traffic model {model!r}; choose from {TRAFFIC_MODELS}"
-        )
-    if n_cohorts < 1:
-        raise ValueError("n_cohorts must be positive")
-    if plan is None:
-        plan = window_draw_plan(model, n_cohorts)
-    diagnostics: List[Diagnostic] = []
-    valid = {"batched", "looped", "interleaved"}
-    for half in ("draw", "split"):
-        if plan.get(half) not in valid:
-            diagnostics.append(
-                Diagnostic(
-                    "RPR016",
-                    Severity.ERROR,
-                    f"window plan declares no valid {half!r} mode "
-                    f"(got {plan.get(half)!r})",
-                    Location(place=f"traffic {model!r}, {half}"),
-                )
-            )
-    if diagnostics:
-        return diagnostics
-    rng_draw = model != "deterministic"
-    rng_split = n_cohorts > 1
-    if model == "bursty" and plan["draw"] == "batched":
-        diagnostics.append(
-            Diagnostic(
-                "RPR016",
-                Severity.ERROR,
-                "bursty arrival draws cannot batch: the MMPP consumes a "
-                "data-dependent raw-draw count plus a state-flip uniform "
-                "per day",
-                Location(place=f"traffic {model!r}, draw"),
-                hint="loop draw_day per day (or interleave with the split)",
-            )
-        )
-    if rng_draw and rng_split:
-        for half in ("draw", "split"):
-            if plan[half] != "interleaved":
-                diagnostics.append(
-                    Diagnostic(
-                        "RPR016",
-                        Severity.ERROR,
-                        f"stochastic {model!r} traffic over {n_cohorts} "
-                        f"cohorts alternates draw and split on one "
-                        f"generator per day, but the plan batches the "
-                        f"{half} ({plan[half]!r})",
-                        Location(place=f"traffic {model!r}, {half}"),
-                        hint="run full per-day iterations inside the window",
-                    )
-                )
-    return diagnostics
-
-
 def check_streams(spec) -> List[Diagnostic]:
-    """The spec-level stream pass: key discipline plus window draws.
+    """The spec-level stream pass: key discipline (RPR015).
 
     Composes :func:`check_stream_keys` over
-    :func:`derive_stream_keys` (RPR015) with — for fleet specs — a
-    sanity check that the stream *tags* themselves are distinct and a
-    :func:`check_draw_plan` re-derivation of the windowed path's
-    declared consumption order (RPR016).
+    :func:`derive_stream_keys` with — for fleet specs — a sanity check
+    that the stream *tags* themselves are distinct.
     """
     diagnostics = check_stream_keys(derive_stream_keys(spec))
     if hasattr(spec, "population") and hasattr(spec, "traffic"):
@@ -219,9 +122,4 @@ def check_streams(spec) -> List[Diagnostic]:
                     hint="spawn-key tags must be pairwise distinct",
                 )
             )
-        diagnostics.extend(
-            check_draw_plan(
-                spec.traffic.model, len(spec.population.cohorts)
-            )
-        )
     return diagnostics

@@ -219,34 +219,6 @@ class TestFleetCommand:
             == json.loads(straight)["report_hash"]
         )
 
-    def test_fleet_execution_knobs_preserve_output(self, capsys, tmp_path):
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        assert main(FLEET_ARGS + ["--json"] + cache) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(
-                FLEET_ARGS
-                + ["--json", "--fleet-workers", "2", "--window", "2"]
-                + cache
-            )
-            == 0
-        )
-        tuned = capsys.readouterr().out
-
-        import json
-
-        assert (
-            json.loads(tuned)["report_hash"]
-            == json.loads(serial)["report_hash"]
-        )
-        assert json.loads(tuned)["runtime"]["fleet_workers"] == 2
-
-    def test_fleet_bad_execution_knobs_rejected(self):
-        with pytest.raises(ValueError, match="fleet_workers"):
-            main(FLEET_ARGS + ["--fleet-workers", "0"])
-        with pytest.raises(ValueError, match="window"):
-            main(FLEET_ARGS + ["--window", "-1"])
-
     def test_fleet_bad_mix_token_rejected(self):
         with pytest.raises(SystemExit):
             main(["fleet", "--technology-mix", "MRAM:heavy"])
@@ -451,8 +423,8 @@ class TestTelemetryFlags:
 
 
 class TestVerifyWholeSystem:
-    """``verify --fleet/--self/--shard-plan``: the static whole-system
-    passes behind the workload-sweep subcommand (RPR012-RPR018)."""
+    """``verify --fleet/--self``: the static whole-system passes behind
+    the workload-sweep subcommand (RPR015, RPR018)."""
 
     def test_fleet_and_self_clean_json(self, capsys):
         import json
@@ -465,28 +437,6 @@ class TestVerifyWholeSystem:
         assert payload["summary"] == {
             "errors": 0, "warnings": 0, "total": 0, "exit_code": 0,
         }
-
-    def test_overlapping_shard_plan_exits_one(self, capsys, tmp_path):
-        fixture = tmp_path / "bad-plan.json"
-        fixture.write_text('{"n_arrays": 8, "bounds": [[0, 5], [4, 8]]}')
-        assert main(["verify", "--shard-plan", str(fixture)]) == 1
-        out = capsys.readouterr().out
-        assert "RPR012" in out
-        assert "RPR013" in out
-
-    def test_unsound_window_exits_one(self, capsys):
-        code = main([
-            "verify", "--fleet", "--arrays", "16",
-            "--window", "2000000",
-        ])
-        assert code == 1
-        assert "RPR014" in capsys.readouterr().out
-
-    def test_malformed_fixture_is_a_usage_error(self, tmp_path):
-        fixture = tmp_path / "nonsense.json"
-        fixture.write_text('{"bounds": "not-a-list"}')
-        with pytest.raises(SystemExit, match="bad shard-plan fixture"):
-            main(["verify", "--shard-plan", str(fixture)])
 
     def test_self_lint_alone(self, capsys):
         assert main(["verify", "--self"]) == 0

@@ -1,9 +1,12 @@
 """Tests for repro.core.cluster: partitioned dot-products across arrays."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core import settings as settings_module
 from repro.core.cluster import PartitionedDotProduct
 from repro.gates.library import NAND_LIBRARY
 
@@ -86,6 +89,24 @@ class TestClusterRuns:
     def test_invalid_iterations(self, small_arch, cluster):
         with pytest.raises(ValueError):
             cluster.run(small_arch, BalanceConfig(), iterations=0)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_run_passes_no_legacy_kwargs(
+        self, small_arch, cluster, rotate, monkeypatch
+    ):
+        # The cluster drives its simulators through SimulationSettings,
+        # so the library never trips its own legacy-kwarg warning. The
+        # once-per-process latch is re-armed for this test only.
+        monkeypatch.setattr(settings_module, "_warned_legacy", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = cluster.run(
+                small_arch, BalanceConfig(), iterations=100,
+                rotate_aggregator=rotate,
+            )
+        assert result.rotated is rotate
+        # Reads stay untracked, as the legacy track_reads=False asked.
+        assert all(not r.state.read_counts.any() for r in result.results)
 
 
 class TestFunctionalSanity:

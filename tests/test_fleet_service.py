@@ -1,5 +1,6 @@
-"""FleetService campaigns: the degenerate closed-form pin, checkpoint
-kill/resume determinism, store sharding, and dispatch policies."""
+"""FleetService campaigns: the degenerate closed-form pin, pinned
+campaign hashes, checkpoint kill/resume determinism, store sharding,
+and dispatch policies."""
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def small_fleet_spec(**overrides):
     return FleetSpec(**defaults)
 
 
+def ineligible_fastforward_spec():
+    """Fast-forward asked for on a random-shift cohort (RPR011)."""
+    return small_fleet_spec(
+        population=PopulationSpec(
+            n_arrays=4,
+            technology_mix=(("PCM", 1.0),),
+            cohorts=(CohortSpec("add", config="RaxRa"),),
+        ),
+        fastforward=True,
+    )
+
+
 class TestDegenerateClosedFormPin:
     """One array + deterministic traffic must reproduce failure_timeline."""
 
@@ -116,6 +129,64 @@ class TestDegenerateClosedFormPin:
         b = FleetService(one_array_spec(), jobs=1).run()
         assert a.runtime["wall_s"] != b.runtime["wall_s"] or True
         assert a.content_hash() == b.content_hash()
+
+
+class TestPinnedCampaigns:
+    """Report hashes pinned for a deterministic and a stochastic fleet.
+
+    The day loop's arithmetic (dispatch order, float accumulation, RNG
+    consumption) is the campaign's identity: any change to it shows up
+    here as a moved hash.
+    """
+
+    def test_smoke_fleet_hashes(self):
+        spec = FleetSpec(
+            population=PopulationSpec(
+                n_arrays=8,
+                technology_mix=(("MRAM", 1.0), ("PCM", 1.0)),
+                cohorts=(CohortSpec("add"), CohortSpec("conv")),
+                endurance_sigma=0.3,
+            ),
+            traffic=TrafficSpec(model="deterministic", rate=8e6),
+            days=3,
+            seed=7,
+            rows=128,
+            cols=128,
+            cohort_iterations=200,
+        )
+        report = FleetService(spec).run()
+        assert report.curve.content_hash() == (
+            "6d8cb0f505121c54fc432b6090a0f8448df35f1864b9d9bebbf51d14db7ca618"
+        )
+        assert report.content_hash() == (
+            "9145cf1504821158deb7cd8e6938cbd84bc824df00d9063d354cbd2eee006195"
+        )
+        assert report.curve.survival == [0.5]
+
+    def test_stochastic_least_worn_fleet_hashes(self):
+        spec = FleetSpec(
+            population=PopulationSpec(
+                n_arrays=12,
+                technology_mix=(("PCM", 1.0),),
+                cohorts=(CohortSpec("add"), CohortSpec("conv")),
+                endurance_sigma=0.5,
+            ),
+            traffic=TrafficSpec(model="poisson", rate=8e5),
+            days=25,
+            seed=3,
+            dispatch="least_worn",
+            rows=128,
+            cols=128,
+            cohort_iterations=200,
+        )
+        report = FleetService(spec).run()
+        assert report.curve.content_hash() == (
+            "d9a2e61b3964bc0d2fefcdcc79db0a81081144156ee22630ea812e176825f6b1"
+        )
+        assert report.content_hash() == (
+            "b2c012179da4c0923da09cc4ff2748d6f0c8bdb2ec904e84de6831fd4df1037e"
+        )
+        assert report.n_deaths == 12
 
 
 class TestCheckpointResume:
@@ -269,6 +340,13 @@ class TestTelemetry:
             ).run()
         assert [r["day"] for r in sink.of("fleet_checkpoint")] == [2, 4]
 
+    def test_counters_event_carries_fleet_counters(self):
+        spec = small_fleet_spec()
+        with capture() as sink:
+            FleetService(spec).run()
+        [counters] = sink.of("counters")[-1:]
+        assert counters["counters"]["fleet.days"] >= spec.days
+
 
 class TestReportShape:
     def test_census_and_json_are_consistent(self):
@@ -291,20 +369,20 @@ class TestVerificationGate:
     """Every campaign passes through verify_fleet_spec before a single
     day runs: a statically unsound spec is rejected up front."""
 
-    def test_unsound_window_rejected_before_running(self):
+    def test_ineligible_fastforward_rejected_before_running(self):
         from repro.verify import VerificationError
 
-        spec = small_fleet_spec(window=2_000_000)  # > MAX_WINDOW
+        spec = ineligible_fastforward_spec()
         with capture() as sink:
             with pytest.raises(VerificationError) as err:
                 FleetService(spec).run()
-        assert "RPR014" in err.value.report.codes()
+        assert "RPR011" in err.value.report.codes()
         # rejection happened statically: no fleet day ever started
         assert sink.of("fleet_start") == []
         assert sink.of("fleet_day") == []
         # the findings were published for the stats census
         [event] = sink.of("verify_report")
-        assert "RPR014" in event["codes"]
+        assert "RPR011" in event["codes"]
 
     def test_rejection_is_counted(self):
         from repro.telemetry import get_telemetry
@@ -313,7 +391,7 @@ class TestVerificationGate:
         tele = get_telemetry()
         before = tele.counters.get("fleet.rejected", 0)
         with pytest.raises(VerificationError):
-            FleetService(small_fleet_spec(window=2_000_000)).run()
+            FleetService(ineligible_fastforward_spec()).run()
         assert tele.counters.get("fleet.rejected", 0) == before + 1
 
     def test_clean_spec_verifies_quietly_and_runs(self):

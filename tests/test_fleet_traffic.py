@@ -7,9 +7,7 @@ from repro.fleet import (
     TrafficSpec,
     TrafficState,
     draw_day,
-    draw_window,
     split_requests,
-    split_requests_window,
 )
 from repro.fleet.traffic import (
     BURST,
@@ -93,69 +91,6 @@ class TestSplitRequests:
         rng = np.random.default_rng(3)
         out = split_requests(1000, np.array([0.2, 0.3, 0.5]), rng)
         assert out.sum() == 1000
-
-
-class TestDrawWindow:
-    """The batched draws must be stream-identical to per-day draws."""
-
-    @pytest.mark.parametrize("model", ["deterministic", "poisson", "bursty"])
-    def test_window_pins_per_day_sequence_and_rng_state(self, model):
-        spec = TrafficSpec(
-            model=model, rate=100.0, burst_factor=8.0,
-            p_burst=0.3, p_calm=0.4,
-        )
-        days = 23
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        state_a, state_b = TrafficState(), TrafficState()
-        per_day = [draw_day(spec, state_a, rng_a) for _ in range(days)]
-        window = draw_window(spec, state_b, rng_b, days)
-        assert window.tolist() == per_day
-        # Same bit-generator state afterwards: mixing windowed and
-        # per-day stepping mid-campaign cannot perturb later draws.
-        assert rng_state_to_json(rng_a) == rng_state_to_json(rng_b)
-        assert state_a.state == state_b.state
-
-    def test_poisson_window_is_one_vectorized_call(self):
-        # The pin behind the batching: numpy's sized poisson fills the
-        # output with sequential scalar draws off the same bit stream.
-        rng_a = np.random.default_rng(11)
-        rng_b = np.random.default_rng(11)
-        scalar = [int(rng_a.poisson(42.5)) for _ in range(50)]
-        assert rng_b.poisson(42.5, size=50).tolist() == scalar
-
-    def test_invalid_days_rejected(self):
-        spec = TrafficSpec(model="poisson", rate=10.0)
-        with pytest.raises(ValueError, match="days must be positive"):
-            draw_window(spec, TrafficState(), np.random.default_rng(0), 0)
-
-
-class TestSplitRequestsWindow:
-    def test_rows_pin_per_day_splits_and_rng_state(self):
-        weights = np.array([0.2, 0.3, 0.5])
-        totals = [0, 120, 0, 77, 1000, 0, 3]
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        per_day = [split_requests(t, weights, rng_a) for t in totals]
-        window = split_requests_window(np.array(totals), weights, rng_b)
-        assert window.tolist() == [row.tolist() for row in per_day]
-        assert rng_state_to_json(rng_a) == rng_state_to_json(rng_b)
-
-    def test_single_cohort_consumes_no_rng(self):
-        rng = np.random.default_rng(0)
-        before = rng_state_to_json(rng)
-        out = split_requests_window(
-            np.array([5, 0, 9]), np.array([1.0]), rng
-        )
-        assert out.tolist() == [[5], [0], [9]]
-        assert rng_state_to_json(rng) == before
-
-    def test_rows_conserve_totals(self):
-        totals = np.array([10, 0, 500])
-        out = split_requests_window(
-            totals, np.array([0.5, 0.5]), np.random.default_rng(3)
-        )
-        assert out.sum(axis=1).tolist() == totals.tolist()
 
 
 class TestCapacity:

@@ -46,18 +46,15 @@ REPRO_ALL = {
 }
 
 VERIFY_ALL = {
-    "CODES", "Diagnostic", "FUNCTIONAL_CODES", "Location", "RegionAccess",
-    "Severity",
+    "CODES", "Diagnostic", "FUNCTIONAL_CODES", "Location", "Severity",
     "VerificationError", "VerifyReport", "check_bounds", "check_checkpoint",
-    "check_config",
-    "check_dataflow", "check_draw_plan", "check_fastforward",
+    "check_config", "check_dataflow", "check_fastforward",
     "check_level_segments", "check_levels", "check_manifest",
     "check_permutation_rows", "check_profile_conservation",
-    "check_schedule", "check_shard_plan", "check_shard_races",
-    "check_stream_keys", "check_streams", "check_trace",
-    "check_window_bound", "derive_stream_keys", "executor_access_plan",
-    "self_lint", "verify_fleet_spec", "verify_mapping", "verify_network",
-    "verify_program", "verify_self", "verify_spec",
+    "check_schedule", "check_stream_keys", "check_streams", "check_trace",
+    "derive_stream_keys", "self_lint", "verify_fleet_spec",
+    "verify_mapping", "verify_network", "verify_program", "verify_self",
+    "verify_spec",
 }
 
 ENGINE_ALL = {
@@ -68,17 +65,15 @@ ENGINE_ALL = {
 }
 
 FLEET_ALL = {
-    "BUDGET_STREAM", "CHECKPOINT_VERSION", "CampaignSharedMemory",
-    "CheckpointManager", "CohortSpec", "DISPATCH_POLICIES", "FleetReport",
-    "FleetService", "FleetSpec", "ParallelDayExecutor", "Population",
-    "PopulationSpec", "ShardPlan", "SurvivalCurve", "TRAFFIC_MODELS",
-    "TRAFFIC_STREAM", "TrafficSpec", "TrafficState", "WORKLOAD_FACTORIES",
-    "annual_replacement_rate", "binomial_tail", "canonical_hash",
-    "capacity_headroom", "capacity_iterations", "draw_day", "draw_window",
-    "format_report", "interleaved_assignment", "kaplan_meier",
-    "no_death_window", "proportional_counts", "required_fleet_size",
-    "run_campaign", "split_requests", "split_requests_window",
-    "window_draw_plan",
+    "BUDGET_STREAM", "CHECKPOINT_VERSION", "CheckpointManager",
+    "CohortSpec", "DISPATCH_POLICIES", "FleetReport", "FleetService",
+    "FleetSpec", "Population", "PopulationSpec", "SurvivalCurve",
+    "TRAFFIC_MODELS", "TRAFFIC_STREAM", "TrafficSpec", "TrafficState",
+    "WORKLOAD_FACTORIES", "annual_replacement_rate", "binomial_tail",
+    "canonical_hash", "capacity_headroom", "capacity_iterations",
+    "draw_day", "format_report", "interleaved_assignment", "kaplan_meier",
+    "proportional_counts", "required_fleet_size", "run_campaign",
+    "split_requests",
 }
 
 WORKLOADS_ALL = {

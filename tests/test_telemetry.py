@@ -238,22 +238,26 @@ class TestSummaries:
         assert "1 record(s)" in text
         assert "phases:" in text
 
-    def test_summarize_folds_windows_into_fleet_days(self):
+    def test_summarize_counts_fleet_days_and_checkpoints(self):
         records = [
             {"ts": 1.0, "event": "fleet_day", "day": 1, "alive": 4,
              "served": 10},
-            {"ts": 2.0, "event": "fleet_window", "day": 9, "days": 8,
-             "alive": 4, "served": 80},
-            {"ts": 3.0, "event": "fleet_window", "day": 15, "days": 6,
-             "alive": 3, "served": 55},
-            {"ts": 4.0, "event": "fleet_checkpoint", "day": 15},
+            {"ts": 2.0, "event": "fleet_day", "day": 2, "alive": 4,
+             "served": 12},
+            {"ts": 3.0, "event": "fleet_checkpoint", "day": 2},
         ]
         summary = summarize_trace(records)
-        assert summary["fleet"] == {
-            "days": 15,
-            "checkpoints": 1,
-            "windows": 2,
-        }
+        assert summary["fleet"] == {"days": 2, "checkpoints": 1}
+
+    def test_retired_fleet_window_events_still_parse(self):
+        # Older traces carry per-window events; they validate like any
+        # unknown event and are censused, not folded into fleet days.
+        record = {"ts": 1.0, "event": "fleet_window", "day": 9, "days": 8,
+                  "alive": 4, "served": 80}
+        validate_record(record)
+        summary = summarize_trace([record])
+        assert summary["events"] == {"fleet_window": 1}
+        assert summary["fleet"] == {"days": 0, "checkpoints": 0}
 
     def test_summarize_merges_counters_last_write_wins(self):
         records = [
@@ -268,20 +272,20 @@ class TestSummaries:
             "fleet.days": 25,
         }
 
-    def test_format_stats_renders_windows_and_counters(self):
+    def test_format_stats_renders_fleet_days_and_counters(self):
         summary = summarize_trace(
             [
-                {"ts": 1.0, "event": "fleet_window", "day": 8, "days": 8,
-                 "alive": 2, "served": 16},
+                {"ts": 1.0, "event": "fleet_day", "day": 1, "alive": 2,
+                 "served": 16},
                 {"ts": 2.0, "event": "counters",
-                 "counters": {"fleet.windows": 1, "backend.pool.hits": 7}},
+                 "counters": {"fleet.days": 1, "backend.pool.hits": 7}},
             ]
         )
         text = format_stats(summary)
-        assert "fleet: 8 virtual day(s), 0 checkpoint(s), 1 window(s)" in text
+        assert "fleet: 1 virtual day(s), 0 checkpoint(s)" in text
         assert "counters:" in text
         assert "backend.pool.hits" in text
-        assert "fleet.windows" in text
+        assert "fleet.days" in text
 
     def test_summarize_censuses_diagnostic_codes(self):
         records = [

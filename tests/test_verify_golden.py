@@ -6,7 +6,6 @@ are asserted exactly — the codes are append-only public contract.
 """
 
 import numpy as np
-import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.gates.library import NAND_LIBRARY
@@ -29,18 +28,14 @@ from repro.verify import (
     check_checkpoint,
     check_config,
     check_dataflow,
-    check_draw_plan,
     check_level_segments,
     check_levels,
     check_manifest,
     check_permutation_rows,
     check_profile_conservation,
     check_schedule,
-    check_shard_plan,
-    check_shard_races,
     check_stream_keys,
     check_trace,
-    check_window_bound,
     derive_stream_keys,
     self_lint,
     verify_network,
@@ -423,106 +418,6 @@ class TestRegistryAppendOnly:
         ]
 
 
-class TestRPR012ShardPlan:
-    def _plan(self, n, bounds):
-        from repro.fleet import ShardPlan
-
-        return ShardPlan(n_arrays=n, bounds=tuple(bounds))
-
-    def test_gap_between_shards(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 3), (5, 8)]))
-        (d,) = diagnostics
-        assert d.code == "RPR012"
-        assert d.severity is Severity.ERROR
-        assert "arrays [3, 5) are covered by no shard" in d.message
-
-    def test_overlap_between_shards(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 5), (4, 8)]))
-        (d,) = diagnostics
-        assert d.code == "RPR012"
-        assert "covered by more than one shard" in d.message
-
-    def test_out_of_range_bounds(self):
-        diagnostics = check_shard_plan(self._plan(8, [(0, 4), (4, 9)]))
-        codes = [d.code for d in diagnostics]
-        # the bad bound itself, plus the trailing [4, 8) left uncovered
-        assert codes == ["RPR012", "RPR012"]
-
-    def test_trailing_gap(self):
-        (d,) = check_shard_plan(self._plan(8, [(0, 6)]))
-        assert d.code == "RPR012"
-        assert "arrays [6, 8)" in d.message
-
-    def test_built_plans_are_exact_covers(self):
-        from repro.fleet import ShardPlan
-
-        for n, workers in [(1, 1), (8, 3), (512, 8), (7, 16)]:
-            assert check_shard_plan(ShardPlan.build(n, workers)) == []
-
-
-class TestRPR013ShardRaces:
-    def _plan(self, n, bounds):
-        from repro.fleet import ShardPlan
-
-        return ShardPlan(n_arrays=n, bounds=tuple(bounds))
-
-    def test_overlapping_writes_race_every_written_region(self):
-        diagnostics = check_shard_races(self._plan(8, [(0, 5), (4, 8)]))
-        assert diagnostics
-        assert all(d.code == "RPR013" for d in diagnostics)
-        # cumulative is written in both the advance and window steps
-        places = {d.location.place for d in diagnostics}
-        assert "step 'advance', region 'cumulative'" in places
-
-    def test_gap_plan_has_no_race(self):
-        # A gap is a coverage bug (RPR012) but races nothing: the
-        # intervals stay disjoint, so the race detector must stay quiet.
-        assert check_shard_races(self._plan(8, [(0, 3), (5, 8)])) == []
-
-    def test_unsorted_bounds_break_fold_order(self):
-        diagnostics = check_shard_races(self._plan(8, [(4, 8), (0, 4)]))
-        (d,) = diagnostics
-        assert d.code == "RPR013"
-        assert "out of ascending order" in d.message
-        assert d.location.place == "fold, shard 1"
-
-    def test_balanced_plan_is_race_free(self):
-        from repro.fleet import ShardPlan
-
-        assert check_shard_races(ShardPlan.build(512, 8), n_cohorts=2) == []
-
-
-class TestRPR014WindowBound:
-    def test_window_above_hard_cap(self):
-        (d,) = check_window_bound(2_000_000)
-        assert d.code == "RPR014"
-        assert "MAX_WINDOW" in d.message
-
-    def test_campaign_vectors_can_reach_a_threshold(self):
-        (d,) = check_window_bound(
-            10,
-            per_day_max=[5.0, 1.0],
-            thresholds=[100.0, 200.0],
-            cumulative=[60.0, 0.0],
-        )
-        assert d.code == "RPR014"
-        assert d.location.address == 0  # the worst-offending array
-
-    def test_partial_vectors_rejected(self):
-        with pytest.raises(ValueError, match="supplied together"):
-            check_window_bound(10, per_day_max=[1.0])
-
-    def test_sound_windows_are_clean(self):
-        assert check_window_bound(0) == []
-        assert check_window_bound(3650) == []
-        assert check_window_bound(
-            10,
-            per_day_max=[1.0],
-            thresholds=[1000.0],
-            cumulative=[0.0],
-        ) == []
-
-
 class TestRPR015StreamKeys:
     def test_collision_across_consumers(self):
         (d,) = check_stream_keys([("a", (7, 1)), ("b", (7, 1))])
@@ -557,38 +452,6 @@ class TestRPR015StreamKeys:
         assert check_stream_keys(keys) == []
         # traffic plus one budget stream per array
         assert len(keys) == 1 + spec.population.n_arrays
-
-
-class TestRPR016DrawPlans:
-    def test_bursty_batched_draw_rejected(self):
-        diagnostics = check_draw_plan(
-            "bursty", 1, {"draw": "batched", "split": "batched"}
-        )
-        (d,) = diagnostics
-        assert d.code == "RPR016"
-        assert "data-dependent" in d.message
-
-    def test_stochastic_multi_cohort_must_interleave(self):
-        diagnostics = check_draw_plan(
-            "poisson", 2, {"draw": "batched", "split": "interleaved"}
-        )
-        (d,) = diagnostics
-        assert d.code == "RPR016"
-        assert "alternates draw and split" in d.message
-
-    def test_invalid_mode_rejected(self):
-        (d,) = check_draw_plan(
-            "poisson", 1, {"draw": "vectorised", "split": "batched"}
-        )
-        assert d.code == "RPR016"
-        assert "no valid 'draw' mode" in d.message
-
-    def test_live_decision_procedure_is_sound(self):
-        # plan=None checks window_draw_plan itself — the service's
-        # actual windowed path — for every model x cohort-count shape.
-        for model in ("deterministic", "poisson", "bursty"):
-            for n_cohorts in (1, 2, 3):
-                assert check_draw_plan(model, n_cohorts) == []
 
 
 class TestRPR017Schemas:
