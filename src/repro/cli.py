@@ -56,7 +56,6 @@ from repro.core.report import (
     format_table2,
     format_table3,
 )
-from repro.core.backend import BACKENDS
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.verify import VerificationError
@@ -89,14 +88,8 @@ from repro.workloads.registry import (
     UnknownWorkloadError,
     available_workloads,
     get_workload,
-    workload_factories,
 )
 from repro.workloads.trace import MAPPING_POLICIES
-
-#: Back-compat alias: the private dict of earlier releases is now a live
-#: view of the public registry (:mod:`repro.workloads.registry`), so
-#: anything registered there is immediately visible to every subcommand.
-_WORKLOADS = workload_factories
 
 _LOG_LEVEL_CHOICES = ("debug", "info", "warning", "error", "critical")
 
@@ -121,7 +114,6 @@ def _make_settings(args) -> SimulationSettings:
         seed=args.seed,
         kernel=getattr(args, "kernel", "batched"),
         chunk_size=getattr(args, "chunk_size", None),
-        backend=getattr(args, "backend", "numpy"),
         fastforward=getattr(args, "fast_forward", False),
         log_level=getattr(args, "log_level", None),
         trace_path=getattr(args, "trace", None),
@@ -189,11 +181,6 @@ def _add_sim_flags(parser) -> None:
     parser.add_argument(
         "--chunk-size", type=int, default=argparse.SUPPRESS,
         help="epochs per GEMM for the batched kernel",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=argparse.SUPPRESS,
-        help="array backend for the hot paths (falls back to numpy "
-             "when the optional backend is not installed)",
     )
     parser.add_argument(
         "--fast-forward", action="store_true", default=argparse.SUPPRESS,
@@ -480,7 +467,6 @@ def cmd_fleet(args) -> int:
         cohort_iterations=args.cohort_iterations,
         kernel=settings.kernel,
         chunk_size=settings.chunk_size,
-        backend=settings.backend,
         fastforward=settings.fastforward,
     )
     cache_dir = getattr(args, "cache_dir", None)
@@ -730,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=None,
         help="epochs per GEMM for the batched kernel (speed/memory knob; "
              "never changes results)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="numpy",
-        help="array backend for the hot paths: numpy (default), cupy, "
-             "or numba; optional backends fall back to numpy (with a "
-             "telemetry event) when not installed",
     )
     parser.add_argument(
         "--fast-forward", action="store_true", default=False,

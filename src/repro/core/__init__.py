@@ -10,9 +10,8 @@
   and improvement factors (Fig. 17, Table 3);
 * :mod:`repro.core.sweep` — configuration grids and the recompile-
   frequency sweep (Section 5);
-* :mod:`repro.core.backend` — the pluggable array-backend seam the hot
-  paths route through (numpy default; cupy/numba optional with graceful
-  fallback) plus the per-shape scratch-buffer pool;
+* :mod:`repro.core.scratch` — the process-wide scratch-buffer pool the
+  hot paths draw their per-chunk workspaces from;
 * :mod:`repro.core.fastforward` — the analytic steady-state
   fast-forward: periodic configs extrapolate wear in O(period) instead
   of O(iterations), bit-identically;
@@ -20,14 +19,7 @@
   figure.
 """
 
-from repro.core.backend import (
-    BACKENDS,
-    Backend,
-    BufferPool,
-    blas_implementation,
-    get_backend,
-    reset_backend_cache,
-)
+from repro.core.scratch import BufferPool
 from repro.core.fastforward import (
     PERIODIC_KINDS,
     fastforward_eligible,
@@ -96,12 +88,7 @@ __all__ = [
     "AccuracyReport",
     "measure_fault_accuracy",
     "EVALUATORS",
-    "BACKENDS",
-    "Backend",
     "BufferPool",
-    "blas_implementation",
-    "get_backend",
-    "reset_backend_cache",
     "PERIODIC_KINDS",
     "fastforward_eligible",
     "fastforward_period",

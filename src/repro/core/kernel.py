@@ -50,7 +50,7 @@ from repro.balance.software import (
     make_permutations,
     wear_aware_permutation,
 )
-from repro.core.backend import Backend, get_backend
+from repro.core.scratch import POOL
 from repro.synth.program import LaneProgram
 from repro.telemetry import get_telemetry
 
@@ -147,7 +147,6 @@ def run_batched_epochs(
     lane_loads: Optional[np.ndarray] = None,
     track_reads: bool = True,
     chunk_size: Optional[int] = None,
-    backend: Optional[Backend] = None,
 ) -> int:
     """Accumulate a whole run into ``state``, chunked across epochs.
 
@@ -167,16 +166,11 @@ def run_batched_epochs(
         chunk_size: Epochs per GEMM (default
             :data:`DEFAULT_CHUNK_SIZE`); affects memory and speed only,
             never results.
-        backend: Array backend providing the scratch pool and hot ops
-            (default numpy). The numpy backend is pure delegation, so
-            results are backend-independent by construction.
 
     Returns:
         The number of epochs simulated.
     """
     chunk = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-    backend = backend if backend is not None else get_backend()
-    pool = backend.pool
     if chunk < 1:
         raise ValueError("chunk_size must be positive")
     lane_size = architecture.lane_size
@@ -246,7 +240,7 @@ def run_batched_epochs(
             # O(lane_count) incremental update suffices and the cell-level
             # accumulation still happens in the chunk-end GEMM.
             with tele.timed_phase("wear_aware"):
-                between_maps = pool.get(
+                between_maps = POOL.get(
                     "kernel.between_maps", (count, lane_count), np.int64
                 )
                 for e in range(count):
@@ -271,19 +265,19 @@ def run_batched_epochs(
                 # Pooled scratch: the scatter covers every column of
                 # every row (within_maps rows are permutations), so no
                 # zero-fill is needed between reuses.
-                profile_writes = pool.get(
+                profile_writes = POOL.get(
                     "kernel.profile_writes", (count, lane_size)
                 )
                 profile_writes[rows, within_maps] = write_profiles[key]
                 if track_reads:
-                    profile_reads = pool.get(
+                    profile_reads = POOL.get(
                         "kernel.profile_reads", (count, lane_size)
                     )
                     profile_reads[rows, within_maps] = read_profiles[key]
                 weight_values = float_lengths
             # Rows of between_maps are permutations and the group's lanes
             # are distinct, so scattered columns never collide.
-            lane_weights = pool.get(
+            lane_weights = POOL.get(
                 "kernel.lane_weights", (count, lane_count), zero=True
             )
             lane_weights[rows, between_maps[:, lanes]] = weight_values

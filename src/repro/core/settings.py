@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.accuracy import EVALUATORS
-from repro.core.backend import BACKENDS
 from repro.core.kernel import KERNELS
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -45,11 +44,6 @@ class SimulationSettings:
             bitplane batches) or ``"interpreted"`` (per-instruction
             loop). Bit-identical results; a pure speed knob, so it is
             excluded from job content hashes like the kernel knobs.
-        backend: Array backend for the hot paths — ``"numpy"``
-            (default), ``"cupy"``, or ``"numba"``. Optional backends
-            fall back to numpy semantics (with a telemetry event) when
-            their import is missing; results are backend-independent,
-            so this is hash-excluded like the kernel knobs.
         fastforward: Use the analytic steady-state fast-forward
             (:mod:`repro.core.fastforward`) instead of simulating every
             epoch. Bit-identical on eligible (periodic St/Bs/B1)
@@ -67,7 +61,6 @@ class SimulationSettings:
     kernel: str = "batched"
     chunk_size: Optional[int] = None
     evaluator: str = "compiled"
-    backend: str = "numpy"
     fastforward: bool = False
     track_reads: bool = True
     log_level: Optional[str] = None
@@ -83,10 +76,6 @@ class SimulationSettings:
             raise ValueError(
                 f"evaluator must be one of {EVALUATORS}, "
                 f"got {self.evaluator!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
         if (
             self.log_level is not None

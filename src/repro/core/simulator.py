@@ -35,7 +35,6 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind, wear_aware_permutation
-from repro.core.backend import get_backend
 from repro.core.fastforward import run_fastforward_epochs
 from repro.core.kernel import make_epoch_maps, run_batched_epochs
 from repro.core.settings import SimulationSettings
@@ -216,9 +215,7 @@ class EnduranceSimulator:
             if report.errors:
                 raise VerificationError(report)
         architecture = self.architecture
-        backend = get_backend(effective.backend)
         state = ArrayState(architecture.geometry)
-        state.set_backend(backend)
         rng = np.random.default_rng(effective.seed)
 
         remappers: Dict[int, HardwareRemapper] = {}
@@ -244,7 +241,6 @@ class EnduranceSimulator:
                     iterations,
                     remappers=remappers if config.hardware else None,
                     track_reads=effective.track_reads,
-                    backend=backend,
                 )
             elif effective.kernel == "batched":
                 epochs = run_batched_epochs(
@@ -258,7 +254,6 @@ class EnduranceSimulator:
                     lane_loads=lane_loads,
                     track_reads=effective.track_reads,
                     chunk_size=effective.chunk_size,
-                    backend=backend,
                 )
             else:
                 epochs = self._run_epoch_loop(

@@ -49,9 +49,6 @@ class JobSpec:
             cached result answers either.
         chunk_size: Batched kernel epochs-per-GEMM (``None`` = default).
             Also hash-excluded — it affects speed and memory only.
-        backend: Array backend for the hot paths (``"numpy"``/``"cupy"``/
-            ``"numba"``). Hash-excluded: results are backend-independent
-            (optional backends fall back to numpy when unavailable).
         fastforward: Run the analytic steady-state fast-forward instead
             of simulating every epoch. Hash-excluded: on eligible
             configs it is bit-identical, and ineligible configs are
@@ -66,7 +63,6 @@ class JobSpec:
     track_reads: bool = False
     kernel: str = "batched"
     chunk_size: Optional[int] = None
-    backend: str = "numpy"
     fastforward: bool = False
 
     def __post_init__(self) -> None:
@@ -75,11 +71,6 @@ class JobSpec:
         if self.kernel not in ("batched", "epoch"):
             raise ValueError(
                 f"kernel must be 'batched' or 'epoch', got {self.kernel!r}"
-            )
-        if self.backend not in ("numpy", "cupy", "numba"):
-            raise ValueError(
-                f"backend must be 'numpy', 'cupy', or 'numba', "
-                f"got {self.backend!r}"
             )
 
     @classmethod
@@ -108,7 +99,6 @@ class JobSpec:
             track_reads=settings.track_reads,
             kernel=settings.kernel,
             chunk_size=settings.chunk_size,
-            backend=settings.backend,
             fastforward=settings.fastforward,
         )
 
@@ -119,7 +109,6 @@ class JobSpec:
             seed=self.seed,
             kernel=self.kernel,
             chunk_size=self.chunk_size,
-            backend=self.backend,
             fastforward=self.fastforward,
             track_reads=self.track_reads,
         )

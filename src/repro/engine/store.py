@@ -19,11 +19,42 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import blas_implementation, flush_pool_counters
 from repro.core.io import LoadedResult, load_result, save_result
+from repro.core.scratch import flush_pool_counters
 from repro.core.simulator import SimulationResult
 from repro.engine.spec import JobSpec
 from repro.telemetry import get_telemetry
+
+
+def blas_implementation() -> str:
+    """A short label for the BLAS numpy was built against.
+
+    Recorded in per-run manifests so performance regressions are
+    attributable across machines. Best-effort: returns ``"unknown"``
+    when numpy's build metadata is not introspectable.
+    """
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 has no mode= parameter
+        info = None
+    if isinstance(info, dict):
+        blas = info.get("Build Dependencies", {}).get("blas", {})
+        name = blas.get("name")
+        if name:
+            version = blas.get("version")
+            return f"{name} {version}" if version else str(name)
+    config = getattr(np, "__config__", None)
+    if config is not None:
+        for key in (
+            "openblas64__info",
+            "openblas_info",
+            "blas_mkl_info",
+            "blis_info",
+            "blas_opt_info",
+        ):
+            if getattr(config, key, None):
+                return key[: -len("_info")]
+    return "unknown"
 
 
 class ResultStore:
@@ -117,20 +148,19 @@ class ResultStore:
         """Write the run manifest next to the entry (atomic, best-effort).
 
         The manifest records how the result was produced — spec hash,
-        seed, kernel, chunk size, backend, numpy/BLAS provenance, wall
+        seed, kernel, chunk size, numpy/BLAS provenance, wall
         time — plus a snapshot of the producing process's telemetry
         aggregates. In pool mode that is the worker's own registry, so
         the snapshot describes (at least) exactly the runs that worker
         performed.
         """
-        flush_pool_counters()  # backend.pool.* current before the snapshot
+        flush_pool_counters()  # pool.* current before the snapshot
         manifest = {
             "content_hash": spec.content_hash,
             "label": spec.label,
             "seed": spec.seed,
             "kernel": spec.kernel,
             "chunk_size": spec.chunk_size,
-            "backend": getattr(spec, "backend", "numpy"),
             "fastforward": getattr(spec, "fastforward", False),
             "numpy_version": np.__version__,
             "blas": blas_implementation(),

@@ -13,7 +13,6 @@ from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointManager
 from repro.fleet.population import (
     BUDGET_STREAM,
     TRAFFIC_STREAM,
-    WORKLOAD_FACTORIES,
     CohortSpec,
     Population,
     PopulationSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "TRAFFIC_STREAM",
     "TrafficSpec",
     "TrafficState",
-    "WORKLOAD_FACTORIES",
     "annual_replacement_rate",
     "binomial_tail",
     "canonical_hash",

@@ -42,15 +42,7 @@ from repro.workloads.registry import (
     UnknownWorkloadError,
     get_workload,
     get_workload_factory,
-    workload_factories,
 )
-
-#: Workload factories a cohort spec may name. Since the registry became
-#: the single resolution path this is a live, read-only view of
-#: :data:`repro.workloads.registry.workload_factories` — anything
-#: registered there (built-ins, trace workloads, user plugins) can serve
-#: fleet traffic. The name survives as the stable public alias.
-WORKLOAD_FACTORIES = workload_factories
 
 #: Spawn-key tags for the independent RNG streams a campaign derives from
 #: its base seed (``np.random.default_rng([seed, TAG, ...])``). Keeping
@@ -65,7 +57,9 @@ class CohortSpec:
     """One homogeneous slice of the fleet.
 
     Attributes:
-        workload: Kernel name (a :data:`WORKLOAD_FACTORIES` key).
+        workload: Kernel name, resolved through
+            :mod:`repro.workloads.registry` — any registered built-in,
+            trace workload, or user plug-in can serve fleet traffic.
         config: Balance-configuration label (``BalanceConfig.from_label``).
         weight: Relative share of arrays *and* of request traffic.
         iterations_per_request: Workload iterations one request costs.

@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
-from repro.core.backend import flush_pool_counters, get_backend
 from repro.core.failure import minimum_footprint
+from repro.core.scratch import flush_pool_counters
 from repro.engine.runner import ExperimentEngine, require_ok
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
@@ -95,9 +95,6 @@ class FleetSpec:
         cohort_iterations: Iterations for each cohort's wear simulation.
         kernel: Simulation kernel (hash-excluded).
         chunk_size: Batched-kernel chunk size (hash-excluded).
-        backend: Array backend for cohort calibration and the day loop's
-            vector math (hash-excluded; falls back to numpy when the
-            optional backend is unavailable).
         fastforward: Calibrate cohorts through the analytic steady-state
             fast-forward when their configs are eligible (hash-excluded;
             bit-identical where accepted, refused via RPR011 otherwise).
@@ -115,7 +112,6 @@ class FleetSpec:
     cohort_iterations: int = 2000
     kernel: str = "batched"
     chunk_size: Optional[int] = None
-    backend: str = "numpy"
     fastforward: bool = False
 
     def __post_init__(self) -> None:
@@ -132,11 +128,6 @@ class FleetSpec:
             raise ValueError("slo must be in (0, 1)")
         if self.cohort_iterations < 1:
             raise ValueError("cohort_iterations must be positive")
-        if self.backend not in ("numpy", "cupy", "numba"):
-            raise ValueError(
-                f"backend must be 'numpy', 'cupy', or 'numba', "
-                f"got {self.backend!r}"
-            )
 
     def identity(self) -> dict:
         """The canonical JSON-able dict the content hash covers."""
@@ -235,11 +226,6 @@ class FleetService:
         self.jobs = jobs
         self.population = Population.build(spec.population)
         self.architecture = default_architecture(spec.rows, spec.cols)
-        # The day loop's vector math runs on the selected backend's
-        # array namespace (numpy itself unless an optional backend is
-        # installed); campaign state stays host-side either way.
-        self.backend = get_backend(spec.backend)
-        self._xp = self.backend.xp
 
     # -- phase 1: cohort calibration ------------------------------------
 
@@ -254,7 +240,6 @@ class FleetService:
                 seed=self.spec.seed,
                 kernel=self.spec.kernel,
                 chunk_size=self.spec.chunk_size,
-                backend=self.spec.backend,
                 fastforward=self.spec.fastforward,
             )
             for cohort in self.spec.population.cohorts
@@ -331,24 +316,21 @@ class FleetService:
         capacities: np.ndarray,
     ) -> float:
         """Allocate one cohort-day of demand; returns iterations served."""
-        xp = self._xp
-        # asarray is a no-copy pass-through on numpy and the host-to-
-        # device transfer on an installed device backend.
-        caps = xp.asarray(capacities[alive])
+        caps = capacities[alive]
         if self.spec.dispatch == "even":
-            allocation = xp.minimum(demand_iterations / len(alive), caps)
+            allocation = np.minimum(demand_iterations / len(alive), caps)
         else:  # least_worn
-            headroom = xp.maximum(
-                xp.asarray(thresholds[alive] - state.cumulative[alive]), 0.0
+            headroom = np.maximum(
+                thresholds[alive] - state.cumulative[alive], 0.0
             )
             total = headroom.sum()
             if total <= 0:
                 # Everyone is at the brink; fall back to an even split.
-                share = xp.full(len(alive), 1.0 / len(alive))
+                share = np.full(len(alive), 1.0 / len(alive))
             else:
                 share = headroom / total
-            allocation = xp.minimum(demand_iterations * share, caps)
-        state.cumulative[alive] += self.backend.to_numpy(allocation)
+            allocation = np.minimum(demand_iterations * share, caps)
+        state.cumulative[alive] += allocation
         return float(allocation.sum())
 
     def _advance_day_serial(
@@ -504,7 +486,7 @@ class FleetService:
         )
         report = replace(report, runtime=runtime)
         tele.count("fleet.deaths", report.n_deaths)
-        # Publish the aggregate counters (fleet.*, backend.pool.*, ...)
+        # Publish the aggregate counters (fleet.*, pool.*, ...)
         # into the trace so `repro-endurance stats` can render them.
         flush_pool_counters()
         tele.emit("counters", counters=tele.snapshot()["counters"])

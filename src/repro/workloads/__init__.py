@@ -41,13 +41,11 @@ from repro.workloads.registry import (
     WorkloadEntry,
     WorkloadRegistrationError,
     available_workloads,
-    deprecate_workload,
     get_workload,
     get_workload_factory,
     register,
     unregister,
     workload_entries,
-    workload_factories,
 )
 from repro.workloads.trace import (
     AddressMapping,
@@ -74,13 +72,11 @@ __all__ = [
     "WorkloadEntry",
     "WorkloadRegistrationError",
     "available_workloads",
-    "deprecate_workload",
     "get_workload",
     "get_workload_factory",
     "register",
     "unregister",
     "workload_entries",
-    "workload_factories",
     # trace frontend
     "AddressMapping",
     "TraceLoweringError",

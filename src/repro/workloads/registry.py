@@ -8,12 +8,6 @@ name with a zero-argument **factory** (each call builds a fresh
 string saying where the entry came from, so error messages can tell a
 built-in paper kernel from a bundled trace fixture from a user plug-in.
 
-The historical lookup dicts — ``repro.cli._WORKLOADS`` and
-``repro.fleet.population.WORKLOAD_FACTORIES`` — remain importable as
-thin read-only views over this registry (see :data:`workload_factories`),
-so downstream code keyed on them keeps working and keeps hashing the
-same workload instances.
-
 Registering is open to callers::
 
     from repro.workloads import register, get_workload
@@ -23,18 +17,14 @@ Registering is open to callers::
 
 Names must be non-empty, contain no whitespace, and may not be ``all``
 (reserved by the ``verify`` sweep). Re-registering a taken name raises
-unless ``replace=True``. :func:`deprecate_workload` keeps an old name
-resolvable (with a :class:`DeprecationWarning`) while pointing users at
-its replacement; deprecated names resolve but are not listed by
-:func:`available_workloads`.
+unless ``replace=True``.
 """
 
 from __future__ import annotations
 
 import difflib
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.workloads.base import Workload
 
@@ -71,14 +61,11 @@ class WorkloadEntry:
         name: The registered lookup key.
         factory: Zero-argument callable returning a fresh workload.
         provenance: Where the entry came from (shown in error listings).
-        deprecated_for: When set, the name is a deprecated alias for
-            this replacement name.
     """
 
     name: str
     factory: Callable[[], Workload]
     provenance: str = "user-registered"
-    deprecated_for: Optional[str] = None
 
 
 _REGISTRY: Dict[str, WorkloadEntry] = {}
@@ -132,40 +119,10 @@ def unregister(name: str) -> None:
     del _REGISTRY[name]
 
 
-def deprecate_workload(name: str, *, use: str) -> WorkloadEntry:
-    """Keep ``name`` resolvable as a deprecated alias for ``use``.
-
-    Looking the alias up emits a :class:`DeprecationWarning` and builds
-    the replacement's workload; the alias is hidden from
-    :func:`available_workloads`.
-    """
-    if use not in _REGISTRY:
-        raise UnknownWorkloadError(use, _unknown_message(use))
-    if name in RESERVED_NAMES:
-        raise WorkloadRegistrationError(f"workload name {name!r} is reserved")
-    target = _REGISTRY[use]
-    entry = WorkloadEntry(
-        name=name,
-        factory=target.factory,
-        provenance=f"deprecated alias for {use!r} ({target.provenance})",
-        deprecated_for=use,
-    )
-    _REGISTRY[name] = entry
-    return entry
-
-
 def _resolve(name: str) -> WorkloadEntry:
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownWorkloadError(name, _unknown_message(name))
-    if entry.deprecated_for is not None:
-        warnings.warn(
-            f"workload name {name!r} is deprecated; use "
-            f"{entry.deprecated_for!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return _REGISTRY[entry.deprecated_for]
     return entry
 
 
@@ -185,18 +142,12 @@ def get_workload_factory(name: str) -> Callable[[], Workload]:
 
 
 def available_workloads() -> Tuple[str, ...]:
-    """Sorted, non-deprecated registered names."""
-    return tuple(
-        sorted(
-            name
-            for name, entry in _REGISTRY.items()
-            if entry.deprecated_for is None
-        )
-    )
+    """Sorted registered names."""
+    return tuple(sorted(_REGISTRY))
 
 
 def workload_entries() -> Tuple[WorkloadEntry, ...]:
-    """Every entry (including deprecated aliases), sorted by name."""
+    """Every entry, sorted by name."""
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
@@ -210,39 +161,6 @@ def _unknown_message(name: str) -> str:
         for entry in workload_entries():
             lines.append(f"  {entry.name:<12s} {entry.provenance}")
     return "\n".join(lines)
-
-
-class _FactoryView(Mapping):
-    """Live read-only ``name -> factory`` view over the registry.
-
-    This is what the legacy lookup dicts (``repro.cli._WORKLOADS``,
-    ``repro.fleet.population.WORKLOAD_FACTORIES``) alias: item access
-    returns the registered factory object itself (so instance signatures
-    and content hashes are unchanged), iteration lists the sorted
-    non-deprecated names, and unknown keys raise the registry's rich
-    :class:`UnknownWorkloadError`.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, name: str) -> Callable[[], Workload]:
-        return get_workload_factory(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_workloads())
-
-    def __len__(self) -> int:
-        return len(available_workloads())
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __repr__(self) -> str:
-        return f"<workload registry view: {', '.join(self) or '(empty)'}>"
-
-
-#: The shared view instance every legacy alias points at.
-workload_factories: Mapping[str, Callable[[], Workload]] = _FactoryView()
 
 
 def _gemv_trace_factory() -> Workload:

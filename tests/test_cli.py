@@ -319,7 +319,7 @@ class TestFlagAudit:
             command,
             "--jobs", "2", "--cache-dir", "x",
             "--seed", "9", "--kernel", "epoch", "--chunk-size", "64",
-            "--backend", "numpy", "--fast-forward",
+            "--fast-forward",
             "--log-level", "info", "--trace", "t.jsonl", "--progress",
         ])
         assert args.jobs == 2
@@ -327,7 +327,6 @@ class TestFlagAudit:
         assert args.seed == 9
         assert args.kernel == "epoch"
         assert args.chunk_size == 64
-        assert args.backend == "numpy"
         assert args.fast_forward is True
         assert args.log_level == "info"
         assert args.trace == "t.jsonl"
@@ -339,12 +338,11 @@ class TestFlagAudit:
         parser = build_parser()
         args = parser.parse_args(
             ["--seed", "9", "--kernel", "epoch", "--trace", "t.jsonl",
-             "--backend", "numba", "--fast-forward", command]
+             "--fast-forward", command]
         )
         assert args.seed == 9
         assert args.kernel == "epoch"
         assert args.trace == "t.jsonl"
-        assert args.backend == "numba"
         assert args.fast_forward is True
 
 

@@ -26,6 +26,7 @@ from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.verify import VerificationError, verify_spec
+from repro.verify.wear import _FASTFORWARD_KINDS
 from repro.workloads.multiply import ParallelMultiplication
 
 ARCH = default_architecture(64, 16)
@@ -284,3 +285,9 @@ class TestEngineIntegration:
             campaign(True).content_hash()
             == campaign(False).content_hash()
         )
+
+
+def test_verify_periodic_kinds_pinned_to_core():
+    """repro.verify duplicates the periodic-kind set (no core import);
+    this pin keeps the two definitions from drifting apart."""
+    assert _FASTFORWARD_KINDS == PERIODIC_KINDS

@@ -32,6 +32,9 @@ class TestValidation:
         assert s.chunk_size is None
         assert s.track_reads is True
 
+    def test_fastforward_defaults_off(self):
+        assert SimulationSettings().fastforward is False
+
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
             SimulationSettings(kernel="magic")

@@ -9,6 +9,8 @@ from repro.balance.config import BalanceConfig
 from repro.core.io import restore_result, result_metadata
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
+from repro.engine.store import blas_implementation
+from repro.verify import check_manifest
 from repro.workloads.multiply import ParallelMultiplication
 
 
@@ -166,21 +168,32 @@ class TestManifestReadApi:
         assert manifest["wall_s"] == 0.5
         assert "telemetry" in manifest
 
-    def test_manifest_records_backend_provenance(
+    def test_manifest_records_numpy_provenance(
         self, tmp_path, spec, result
     ):
-        import numpy as np
-
-        from repro.core.backend import blas_implementation
-
         store = ResultStore(tmp_path)
         store.save(spec, result)
         manifest = store.load_manifest(spec)
-        assert manifest["backend"] == spec.backend
+        assert "backend" not in manifest
         assert manifest["fastforward"] == spec.fastforward
         assert manifest["numpy_version"] == np.__version__
         assert manifest["blas"] == blas_implementation()
-        assert isinstance(manifest["blas"], str) and manifest["blas"]
+
+    def test_blas_implementation_is_nonempty_string(self):
+        label = blas_implementation()
+        assert isinstance(label, str) and label
+
+    def test_manifest_with_retired_backend_key_still_checks(
+        self, tmp_path, spec, result
+    ):
+        """Manifests from releases that recorded the array backend keep
+        loading and keep passing the RPR017 schema check."""
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        old = {**store.load_manifest(spec), "backend": "numpy"}
+        store.manifest_for(spec).write_text(json.dumps(old))
+        assert store.load_manifest(spec) == old
+        assert check_manifest(old) == []
 
     def test_load_manifest_missing_is_none(self, tmp_path, spec):
         store = ResultStore(tmp_path)

@@ -69,7 +69,7 @@ FLEET_ALL = {
     "CohortSpec", "DISPATCH_POLICIES", "FleetReport", "FleetService",
     "FleetSpec", "Population", "PopulationSpec", "SurvivalCurve",
     "TRAFFIC_MODELS", "TRAFFIC_STREAM", "TrafficSpec", "TrafficState",
-    "WORKLOAD_FACTORIES", "annual_replacement_rate", "binomial_tail",
+    "annual_replacement_rate", "binomial_tail",
     "canonical_hash", "capacity_headroom", "capacity_iterations",
     "draw_day", "format_report", "interleaved_assignment", "kaplan_meier",
     "proportional_counts", "required_fleet_size", "run_campaign",
@@ -83,9 +83,8 @@ WORKLOADS_ALL = {
     "MatrixVectorProduct",
     # registry
     "UnknownWorkloadError", "WorkloadEntry", "WorkloadRegistrationError",
-    "available_workloads", "deprecate_workload", "get_workload",
-    "get_workload_factory", "register", "unregister", "workload_entries",
-    "workload_factories",
+    "available_workloads", "get_workload", "get_workload_factory",
+    "register", "unregister", "workload_entries",
     # trace frontend
     "AddressMapping", "TraceLoweringError", "TraceParseError",
     "TraceWorkload",
@@ -143,16 +142,6 @@ class TestCrossExports:
 
         assert repro.SimulationSettings is repro.core.SimulationSettings
         assert repro.SimulationSettings is repro.engine.SimulationSettings
-
-    def test_registry_view_is_the_same_object_everywhere(self):
-        import repro.cli
-        import repro.fleet.population
-        from repro.workloads.registry import workload_factories
-
-        assert repro.cli._WORKLOADS is workload_factories
-        assert (
-            repro.fleet.population.WORKLOAD_FACTORIES is workload_factories
-        )
 
     def test_telemetry_is_the_same_object_everywhere(self):
         import repro

@@ -1,7 +1,5 @@
 """Tests for the first-class workload registry."""
 
-import warnings
-
 import pytest
 
 from repro.workloads import VectorAdd, Workload
@@ -10,13 +8,10 @@ from repro.workloads.registry import (
     UnknownWorkloadError,
     WorkloadRegistrationError,
     available_workloads,
-    deprecate_workload,
     get_workload,
     get_workload_factory,
     register,
     unregister,
-    workload_entries,
-    workload_factories,
 )
 
 BUILTINS = ("add", "bnn", "conv", "dot", "gemv-trace", "matvec", "mult")
@@ -27,11 +22,10 @@ def scratch_name():
     """A throwaway registration name, unregistered on teardown."""
     name = "pytest-scratch"
     yield name
-    for candidate in (name, name + "-alias"):
-        try:
-            unregister(candidate)
-        except UnknownWorkloadError:
-            pass
+    try:
+        unregister(name)
+    except UnknownWorkloadError:
+        pass
 
 
 class TestResolution:
@@ -105,63 +99,6 @@ class TestRegistration:
             unregister("never-registered")
 
 
-class TestDeprecation:
-    def test_alias_resolves_with_warning_and_is_hidden(self, scratch_name):
-        register(scratch_name, lambda: VectorAdd(bits=8))
-        alias = scratch_name + "-alias"
-        deprecate_workload(alias, use=scratch_name)
-        assert alias not in available_workloads()
-        assert alias in workload_factories  # still resolvable
-        with pytest.warns(DeprecationWarning, match=scratch_name):
-            workload = get_workload(alias)
-        assert workload.signature == VectorAdd(bits=8).signature
-
-    def test_alias_target_must_exist(self):
-        with pytest.raises(UnknownWorkloadError):
-            deprecate_workload("old-name", use="never-registered")
-
-    def test_entries_expose_deprecation(self, scratch_name):
-        register(scratch_name, lambda: VectorAdd(bits=8))
-        alias = scratch_name + "-alias"
-        deprecate_workload(alias, use=scratch_name)
-        by_name = {entry.name: entry for entry in workload_entries()}
-        assert by_name[alias].deprecated_for == scratch_name
-        assert by_name[scratch_name].deprecated_for is None
-
-
-class TestFactoryView:
-    """The legacy dicts are live read-only views over the registry."""
-
-    def test_item_access_returns_registered_factory(self):
-        assert workload_factories["mult"] is get_workload_factory("mult")
-
-    def test_iteration_matches_available(self):
-        assert tuple(workload_factories) == available_workloads()
-        assert len(workload_factories) == len(available_workloads())
-
-    def test_membership(self):
-        assert "mult" in workload_factories
-        assert "no-such-kernel" not in workload_factories
-
-    def test_unknown_key_raises_rich_error(self):
-        with pytest.raises(UnknownWorkloadError):
-            workload_factories["no-such-kernel"]
-
-    def test_view_sees_new_registrations(self, scratch_name):
-        assert scratch_name not in workload_factories
-        register(scratch_name, lambda: VectorAdd(bits=8))
-        assert scratch_name in workload_factories
-
-    def test_legacy_aliases_point_at_the_view(self):
-        import repro.cli
-        import repro.fleet.population
-
-        assert repro.cli._WORKLOADS is workload_factories
-        assert (
-            repro.fleet.population.WORKLOAD_FACTORIES is workload_factories
-        )
-
-
 class TestFleetIntegration:
     def test_cohort_spec_resolves_registered_names(self, scratch_name):
         from repro.fleet import CohortSpec
@@ -175,15 +112,3 @@ class TestFleetIntegration:
 
         with pytest.raises(ValueError, match="did you mean"):
             CohortSpec("mutl")
-
-    def test_cohort_spec_accepts_deprecated_alias(self, scratch_name):
-        from repro.fleet import CohortSpec
-
-        register(scratch_name, lambda: VectorAdd(bits=8))
-        alias = scratch_name + "-alias"
-        deprecate_workload(alias, use=scratch_name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            spec = CohortSpec(alias)
-            workload = spec.build_workload()
-        assert workload.signature == VectorAdd(bits=8).signature
