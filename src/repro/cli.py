@@ -57,7 +57,7 @@ from repro.core.report import (
     format_table3,
 )
 from repro.core.settings import SimulationSettings
-from repro.core.simulator import EnduranceSimulator
+from repro.core.simulator import EnduranceSimulator, mapping_for
 from repro.verify import VerificationError
 from repro.core.sweep import (
     best_improvement,
@@ -647,8 +647,9 @@ def cmd_trace(args) -> int:
     sim = _make_simulator(args)
     arch = sim.architecture
     # build() statically checks the lowered network; static errors raise
-    # VerificationError, which main() renders as a report.
-    mapping = workload.build(arch)
+    # VerificationError, which main() renders as a report. The simulated
+    # runs below reuse this mapping.
+    mapping = mapping_for(workload, arch)
     say(workload.describe())
     say(
         f"lowered onto {len(mapping.assignment)}/{arch.lane_count} lanes, "
@@ -1020,6 +1021,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     sinks = _configure_telemetry(args)
     tele = get_telemetry()
+    before = tele.snapshot()["counters"]
     try:
         try:
             status = args.func(args)
@@ -1030,6 +1032,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(error.report.render_text(), file=sys.stderr)
             return 1
     finally:
+        if sinks:
+            # Close the trace with this command's counters, so `stats`
+            # can show what ran and what was reused.
+            counters = {
+                name: value - before.get(name, 0)
+                for name, value in tele.snapshot()["counters"].items()
+                if value != before.get(name, 0)
+            }
+            tele.emit("counters", counters=counters)
         for sink in sinks:
             if sink in tele.sinks:
                 tele.sinks.remove(sink)

@@ -24,6 +24,7 @@ the new software mapping. Configurations without any software re-mapping
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -47,6 +48,47 @@ from repro.verify import (
     verify_mapping,
 )
 from repro.workloads.base import Workload, WorkloadMapping
+
+#: Bound on :func:`mapping_for`'s memo: enough for a grid over a few
+#: workloads on a few architectures, small enough that a long sweep
+#: over many workloads keeps only its recent mappings alive.
+MAPPING_MEMO_SIZE = 8
+
+_MAPPINGS: "OrderedDict[tuple, WorkloadMapping]" = OrderedDict()
+
+
+def mapping_for(
+    workload: Workload, architecture: PIMArchitecture
+) -> WorkloadMapping:
+    """The :class:`WorkloadMapping` of ``workload`` on ``architecture``.
+
+    The one place a mapping is built for simulation. Builds are memoized
+    process-wide in a least-recently-used table of
+    :data:`MAPPING_MEMO_SIZE` entries, keyed on content rather than
+    object identity: the workload's parameter ``signature`` (two
+    instances sharing a name may build different mappings), its display
+    ``name`` (the mapping carries it as ``workload_name``), and the
+    architecture by value. Every sweep cell, engine job and fresh
+    simulator over the same content therefore shares one lowering, and
+    the ``mapping_compile`` phase times only the builds that happen.
+
+    Mappings are treated as immutable once built; callers must not
+    modify the returned object.
+    """
+    key = (workload.signature, workload.name, architecture)
+    tele = get_telemetry()
+    mapping = _MAPPINGS.get(key)
+    if mapping is not None:
+        _MAPPINGS.move_to_end(key)
+        tele.count("mapping.memo_hits")
+        return mapping
+    tele.count("mapping.memo_misses")
+    with tele.timed_phase("mapping_compile", workload=workload.name):
+        mapping = workload.build(architecture)
+    _MAPPINGS[key] = mapping
+    while len(_MAPPINGS) > MAPPING_MEMO_SIZE:
+        _MAPPINGS.popitem(last=False)
+    return mapping
 
 
 @dataclass
@@ -142,8 +184,6 @@ class EnduranceSimulator:
             chunk_size=chunk_size,
         )
         self.architecture = architecture
-        self._mapping_cache: Dict[str, WorkloadMapping] = {}
-        self._verified: set = set()
 
     # -- settings convenience views ------------------------------------
 
@@ -206,7 +246,7 @@ class EnduranceSimulator:
         )
         tele = get_telemetry()
         start = time.perf_counter()
-        mapping = self._mapping_for(workload)
+        mapping = mapping_for(workload, self.architecture)
         self._verify(mapping, config)
         if effective.fastforward:
             # Refuse, never approximate: non-periodic configs (Ra, Wa)
@@ -372,35 +412,20 @@ class EnduranceSimulator:
 
         Runs :func:`repro.verify.verify_mapping` in wear-only mode (value
         semantics are warnings — a wear simulation never executes gate
-        values) and rejects the run on any error. Memoized per
-        (mapping, config-label) pair, so repeated runs pay nothing.
+        values) and rejects the run on any error. Every run verifies;
+        the expensive per-program passes are memoized on the programs
+        themselves, so a repeat pays only the cheap bounds, schedule and
+        configuration checks.
 
         Raises:
             VerificationError: if the static checks report errors.
         """
-        key = (id(mapping), config.label)
-        if key in self._verified:
-            return
         with get_telemetry().timed_phase(
             "verify", workload=mapping.workload_name
         ):
             report = verify_mapping(mapping, config, functional=False)
         if report.errors:
             raise VerificationError(report)
-        self._verified.add(key)
-
-    def _mapping_for(self, workload: Workload) -> WorkloadMapping:
-        # Keyed by the full parameter signature, not the display name: two
-        # instances may share a name yet build different mappings.
-        key = workload.signature
-        cached = self._mapping_cache.get(key)
-        if cached is None or cached.architecture is not self.architecture:
-            with get_telemetry().timed_phase(
-                "mapping_compile", workload=workload.name
-            ):
-                cached = workload.build(self.architecture)
-            self._mapping_cache[key] = cached
-        return cached
 
     def _lane_loads(self, mapping: WorkloadMapping) -> np.ndarray:
         """Per-logical-lane writes per iteration (the Wa sorting signal)."""

@@ -69,7 +69,9 @@ def simulate_configs(
     ``cache_dir``, the batch routes through :mod:`repro.engine` —
     parallel workers, disk-cached results, resumable after interruption —
     and is bit-identical to the in-process path because every job runs on
-    a fresh simulator carrying the same settings.
+    a fresh simulator carrying the same settings, drawing a fresh RNG
+    stream. Either path builds the workload once per process: cells
+    share the mapping through :func:`repro.core.simulator.mapping_for`.
 
     Args:
         settings: Simulation settings for every cell; defaults to the

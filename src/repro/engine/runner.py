@@ -9,9 +9,13 @@ proceeds. Because every completed job lands in the store before its
 outcome is reported, an interrupted batch is a checkpoint: re-running the
 same specs re-simulates only the jobs that had not finished.
 
-Each job builds a **fresh** :class:`EnduranceSimulator` seeded from its
+Each job runs on a **fresh** :class:`EnduranceSimulator` seeded from its
 spec, and the simulator draws a fresh RNG stream per run, so results are
-bit-identical regardless of worker count or execution order.
+bit-identical regardless of worker count or execution order. What jobs
+share within one process is only immutable, content-keyed work: the
+built mapping (:func:`repro.core.simulator.mapping_for`) and its
+programs' verification findings, which pre-dispatch verification and
+the in-process run reuse instead of rebuilding.
 """
 
 from __future__ import annotations

@@ -125,6 +125,9 @@ class LaneProgram:
         self.outputs = dict(outputs)
         self._counts_cache: Dict[Tuple[str, int, bool], np.ndarray] = {}
         self._compiled = None
+        # Static-verification findings per (lane_size, writes_per_gate),
+        # filled by repro.verify.api.
+        self._findings: Dict[tuple, tuple] = {}
         self._validate()
 
     def _validate(self) -> None:

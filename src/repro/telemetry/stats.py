@@ -71,6 +71,8 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "kernel.chunk_size",
         "kernel.chunks",
         "kernel.gemms",
+        "mapping.memo_hits",
+        "mapping.memo_misses",
         "pool.hits",
         "pool.misses",
         "sim.epochs",
@@ -79,6 +81,7 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "sim.runs",
         "verify.diagnostics",
         "verify.errors",
+        "verify.program_memo_hits",
         "verify.runs",
     }
 )

@@ -114,13 +114,35 @@ def _check_program(
     writes_per_gate: int,
     spare_bit: bool,
 ) -> List[Diagnostic]:
-    diagnostics = list(check_dataflow(program))
+    """The per-program passes, the expensive ones memoized on the program.
+
+    A :class:`LaneProgram` is immutable, and the dataflow, level-hazard
+    and conservation passes read nothing but the program, ``lane_size``
+    and ``writes_per_gate``. Their findings are kept on the program (as
+    :func:`~repro.synth.compiled.compile_program` keeps its compiled
+    form), so every mapping, run and engine job sharing the program
+    object pays them once. The bounds pass, the only one reading
+    ``spare_bit``, is a cheap address scan and runs on every call.
+    """
+    key = (lane_size, writes_per_gate)
+    findings = program._findings.get(key)
+    if findings is None:
+        findings = program._findings[key] = (
+            tuple(check_dataflow(program)),
+            tuple(check_levels(program))
+            + tuple(
+                check_profile_conservation(
+                    program, writes_per_gate, lane_size
+                )
+            ),
+        )
+    else:
+        get_telemetry().count("verify.program_memo_hits")
+    dataflow, structural = findings
+    diagnostics = list(dataflow)
     if lane_size is not None:
         diagnostics.extend(check_bounds(program, lane_size, spare_bit))
-    diagnostics.extend(check_levels(program))
-    diagnostics.extend(
-        check_profile_conservation(program, writes_per_gate, lane_size)
-    )
+    diagnostics.extend(structural)
     return diagnostics
 
 
@@ -280,11 +302,16 @@ def verify_spec(spec) -> VerifyReport:
 
     Duck-typed over anything exposing ``workload``, ``architecture``,
     and (optionally) ``config`` — in practice a
-    :class:`~repro.engine.spec.JobSpec`. Builds the workload mapping
-    and runs :func:`verify_mapping` in wear-only mode, since the engine
-    simulates wear rather than values.
+    :class:`~repro.engine.spec.JobSpec`. Gets the workload mapping
+    from :func:`~repro.core.simulator.mapping_for` (so the job that
+    later simulates the spec in this process reuses it) and runs
+    :func:`verify_mapping` in wear-only mode, since the engine simulates
+    wear rather than values.
     """
-    mapping = spec.workload.build(spec.architecture)
+    # Imported lazily: repro.core.simulator depends on this package.
+    from repro.core.simulator import mapping_for
+
+    mapping = mapping_for(spec.workload, spec.architecture)
     report = verify_mapping(
         mapping, getattr(spec, "config", None), functional=False
     )

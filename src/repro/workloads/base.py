@@ -217,7 +217,7 @@ class Workload(ABC):
         Two workloads with equal signatures build identical mappings on a
         given architecture; two instances sharing a ``name`` but differing
         in any constructor parameter get distinct signatures. Used for
-        mapping caches and experiment-engine content hashes.
+        the mapping memo and experiment-engine content hashes.
         """
         cls = type(self)
         params = ", ".join(

@@ -10,6 +10,7 @@ from repro.balance.software import (
     wear_aware_permutation,
 )
 from repro.core.lifetime import lifetime_improvement
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
@@ -40,7 +41,9 @@ class TestPermutation:
 
 class TestSimulatorIntegration:
     def test_wear_aware_levels_the_dot_product(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        )
         workload = DotProduct(n_elements=64, bits=8)
         base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
         adaptive = sim.run(
@@ -52,7 +55,9 @@ class TestSimulatorIntegration:
         assert lifetime_improvement(adaptive, base) > 1.2
 
     def test_wear_aware_at_least_matches_random(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        )
         workload = DotProduct(n_elements=64, bits=8)
         base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
         random = sim.run(
@@ -70,7 +75,9 @@ class TestSimulatorIntegration:
         )
 
     def test_conserves_total_writes(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        )
         workload = DotProduct(n_elements=64, bits=8)
         base = sim.run(workload, BalanceConfig(), 500, track_reads=False)
         adaptive = sim.run(
@@ -86,7 +93,9 @@ class TestSimulatorIntegration:
     def test_noop_for_uniform_workload(self, small_arch):
         # All lanes carry identical loads: wear-aware degenerates to a
         # fixed assignment and changes nothing versus static.
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        )
         workload = ParallelMultiplication(bits=8)
         base = sim.run(workload, BalanceConfig(), 300, track_reads=False)
         adaptive = sim.run(
@@ -98,7 +107,9 @@ class TestSimulatorIntegration:
         assert lifetime_improvement(adaptive, base) == pytest.approx(1.0)
 
     def test_wear_aware_within_lane_rejected(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=1)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        )
         with pytest.raises(ValueError, match="between lanes only"):
             sim.run(
                 ParallelMultiplication(bits=8),

@@ -400,6 +400,29 @@ class TestTelemetryFlags:
         assert "cache: 1 hit(s), 0 miss(es)" in out
         assert "cached" in out
 
+    def test_traced_cold_sweep_builds_once(self, capsys, tmp_path):
+        # A geometry no other test uses keeps the process-wide memo cold.
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "--rows", "136", "--cols", "40", "--trace", str(trace),
+            "fig17", "--workload", "add", "--iterations", "20",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "cache: 0 hit(s), 18 miss(es)" in out
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in out.splitlines() if line.startswith("  ")
+        }
+        assert rows["mapping_compile"] == "1"  # the phase's call count
+        # Each of the 18 cells asks for the mapping twice (pre-dispatch
+        # verification, then the run); only the first builds it.
+        assert rows["mapping.memo_misses"] == "1"
+        assert rows["mapping.memo_hits"] == "35"
+        assert int(rows["verify.program_memo_hits"]) >= 35
+
     def test_progress_flag_renders_lines_on_stderr(self, capsys):
         main([
             "--rows", "256", "--cols", "64",

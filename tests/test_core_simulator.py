@@ -1,5 +1,8 @@
 """Tests for repro.core.simulator."""
 
+import collections
+import uuid
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,24 @@ from repro.array.executor import replay_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
-from repro.core.simulator import EnduranceSimulator
+from repro.core.settings import SimulationSettings
+from repro.core.simulator import (
+    MAPPING_MEMO_SIZE,
+    EnduranceSimulator,
+    mapping_for,
+)
+from repro.core.sweep import configuration_grid
+from repro.telemetry import Telemetry, set_telemetry
+from repro.workloads.base import Workload
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
+from repro.workloads.trace import TraceWorkload, gemv_trace_lines
+from repro.workloads.vectoradd import VectorAdd
 
 
 @pytest.fixture
 def sim(small_arch):
-    return EnduranceSimulator(small_arch, seed=11)
+    return EnduranceSimulator(small_arch, settings=SimulationSettings(seed=11))
 
 
 @pytest.fixture
@@ -55,7 +68,7 @@ class TestConservation:
 class TestAgainstReplay:
     def test_static_run_matches_instruction_replay(self, workload):
         arch = default_architecture(64, 16)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=0))
         result = sim.run(workload, BalanceConfig(), iterations=7)
         expected = ArrayState(arch.geometry)
         mapping = workload.build(arch)
@@ -69,7 +82,7 @@ class TestAgainstReplay:
         from repro.balance.mapping import byte_shift_permutation
 
         arch = default_architecture(64, 16)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=0))
         config = BalanceConfig(
             within=StrategyKind.BYTE_SHIFT, recompile_interval=3
         )
@@ -108,22 +121,23 @@ class TestEpochSemantics:
 
     def test_seed_reproducibility(self, small_arch, workload):
         config = BalanceConfig.from_label("RaxRa")
-        a = EnduranceSimulator(small_arch, seed=5).run(
+        settings = SimulationSettings(seed=5)
+        a = EnduranceSimulator(small_arch, settings=settings).run(
             workload, config, iterations=300
         )
-        b = EnduranceSimulator(small_arch, seed=5).run(
+        b = EnduranceSimulator(small_arch, settings=settings).run(
             workload, config, iterations=300
         )
         assert np.allclose(a.state.write_counts, b.state.write_counts)
 
     def test_different_seeds_differ(self, small_arch, workload):
         config = BalanceConfig.from_label("RaxRa")
-        a = EnduranceSimulator(small_arch, seed=1).run(
-            workload, config, iterations=300
-        )
-        b = EnduranceSimulator(small_arch, seed=2).run(
-            workload, config, iterations=300
-        )
+        a = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=1)
+        ).run(workload, config, iterations=300)
+        b = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=2)
+        ).run(workload, config, iterations=300)
         assert not np.allclose(a.state.write_counts, b.state.write_counts)
 
     def test_invalid_iterations_rejected(self, sim, workload):
@@ -138,7 +152,7 @@ class TestHardwarePath:
         from repro.balance.hardware import HardwareRemapper
 
         arch = default_architecture(64, 8)
-        sim = EnduranceSimulator(arch, seed=0)
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=0))
         result = sim.run(
             workload, BalanceConfig(hardware=True), iterations=5
         )
@@ -149,7 +163,9 @@ class TestHardwarePath:
         assert np.allclose(result.state.write_counts, expected_writes)
 
     def test_hardware_spreads_multi_role_workload(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=3)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=3)
+        )
         workload = DotProduct(n_elements=32, bits=8)
         static = sim.run(workload, BalanceConfig(), iterations=200)
         hardware = sim.run(
@@ -173,7 +189,7 @@ class TestHardwarePath:
 
 
 class TestMappingCache:
-    """Regression: the mapping cache must key on parameters, not name."""
+    """Regression: the mapping memo must key on parameters, not name."""
 
     def test_same_name_different_params_do_not_collide(self, sim):
         from repro.synth.bits import AllocationPolicy
@@ -192,19 +208,133 @@ class TestMappingCache:
             first.state.write_counts, second.state.write_counts
         )
 
-    def test_equal_params_reuse_one_mapping(self, sim, workload):
-        sim.run(workload, BalanceConfig(), iterations=20)
-        cached = dict(sim._mapping_cache)
-        sim.run(ParallelMultiplication(bits=8), BalanceConfig(), iterations=20)
-        assert dict(sim._mapping_cache) == cached
-        assert len(cached) == 1
-
     def test_signature_covers_class_and_params(self):
         ring = ParallelMultiplication(bits=8)
         wide = ParallelMultiplication(bits=16)
         assert ring.signature != wide.signature
         assert "ParallelMultiplication" in ring.signature
         assert "bits=8" in ring.signature
+
+
+#: Builds per :class:`SpyWorkload` token. Kept outside the instances so
+#: counting does not change the workload's signature.
+_BUILDS = collections.Counter()
+
+
+class SpyWorkload(Workload):
+    """An 8-bit vector add that counts its builds.
+
+    Each instance carries a fresh ``token``, so its entry in the
+    process-wide mapping memo is cold whatever other tests built.
+    """
+
+    name = "spy-add"
+
+    def __init__(self):
+        self.token = uuid.uuid4().hex
+
+    def build(self, architecture):
+        _BUILDS[self.token] += 1
+        return VectorAdd(bits=8).build(architecture)
+
+    @property
+    def builds(self):
+        return _BUILDS[self.token]
+
+
+class TestMappingMemo:
+    """Every simulator and engine job shares one build per content."""
+
+    def test_two_fresh_simulators_build_once(self, small_arch):
+        workload = SpyWorkload()
+        first = EnduranceSimulator(small_arch).run(
+            workload, BalanceConfig(), iterations=20
+        )
+        second = EnduranceSimulator(small_arch).run(
+            workload, BalanceConfig.from_label("RaxRa"), iterations=20
+        )
+        assert workload.builds == 1
+        assert first.mapping is second.mapping
+
+    def test_equal_params_share_one_build(self, small_arch):
+        workload = SpyWorkload()
+        twin = SpyWorkload()
+        twin.token = workload.token  # same class, same parameters
+        EnduranceSimulator(small_arch).run(workload, BalanceConfig(), 20)
+        EnduranceSimulator(small_arch).run(twin, BalanceConfig(), 20)
+        assert workload.builds == 1
+
+    def test_cold_engine_grid_builds_once(self, small_arch, tmp_path):
+        workload = SpyWorkload()
+        configs = [
+            BalanceConfig.from_label(label)
+            for label in ("StxSt", "RaxRa", "BsxBs+Hw")
+        ]
+        grid = configuration_grid(
+            EnduranceSimulator(small_arch),
+            workload,
+            iterations=30,
+            configs=configs,
+            cache_dir=str(tmp_path),
+        )
+        assert len(grid) == 3
+        # verify_spec and execute_spec, for every cell, share the build.
+        assert workload.builds == 1
+
+    def test_equal_architecture_values_share_a_build(self):
+        workload = SpyWorkload()
+        for _ in range(2):
+            EnduranceSimulator(default_architecture(128, 128)).run(
+                workload, BalanceConfig(), iterations=10
+            )
+        assert workload.builds == 1
+        EnduranceSimulator(default_architecture(128, 64)).run(
+            workload, BalanceConfig(), iterations=10
+        )
+        assert workload.builds == 2
+
+    def test_equal_traces_keep_their_own_names(self, small_arch):
+        text = "\n".join(gemv_trace_lines(rows=2, cols=2))
+        first = TraceWorkload.from_text(text, name="first")
+        second = TraceWorkload.from_text(text, name="second")
+        assert first.signature == second.signature  # names aside
+        sim = EnduranceSimulator(small_arch)
+        results = [
+            sim.run(workload, BalanceConfig(), iterations=10)
+            for workload in (first, second, first)
+        ]
+        assert [r.workload_name for r in results] == [
+            "first", "second", "first"
+        ]
+        assert [r.mapping.workload_name for r in results] == [
+            "first", "second", "first"
+        ]
+        assert np.array_equal(
+            results[0].state.write_counts, results[1].state.write_counts
+        )
+
+    def test_memo_stays_at_its_bound(self, small_arch):
+        first = SpyWorkload()
+        mapping = mapping_for(first, small_arch)
+        assert mapping_for(first, small_arch) is mapping
+        for _ in range(MAPPING_MEMO_SIZE):
+            mapping_for(SpyWorkload(), small_arch)
+        # The least recently used entry was evicted: it builds again.
+        assert mapping_for(first, small_arch) is not mapping
+        assert first.builds == 2
+
+    def test_reuse_counted_in_telemetry(self, small_arch):
+        fresh = Telemetry()
+        previous = set_telemetry(fresh)
+        try:
+            workload = SpyWorkload()
+            for _ in range(3):
+                mapping_for(workload, small_arch)
+        finally:
+            set_telemetry(previous)
+        assert fresh.counters["mapping.memo_misses"] == 1
+        assert fresh.counters["mapping.memo_hits"] == 2
+        assert fresh.phases["mapping_compile"][1] == 1
 
 
 class TestResultSurface:

@@ -13,18 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.balance.config import BalanceConfig
+from repro.array.architecture import default_architecture
+from repro.balance.config import BalanceConfig, all_configurations
 from repro.cli import main
-from repro.core.simulator import EnduranceSimulator
+from repro.core.simulator import EnduranceSimulator, mapping_for
 from repro.engine import ExperimentEngine, JobSpec, JobStatus
 from repro.gates.library import MINIMAL_LIBRARY, NAND_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
-from repro.synth.program import LaneProgramBuilder
+from repro.synth.program import (
+    ConstBit,
+    LaneProgram,
+    LaneProgramBuilder,
+    ReadInstr,
+    WriteInstr,
+)
 from repro.telemetry import Telemetry, set_telemetry
 from repro.verify import VerificationError, verify_mapping, verify_spec
-from repro.workloads.base import Phase, Workload
+from repro.workloads.base import Phase, Workload, WorkloadMapping
+from repro.workloads.registry import available_workloads, get_workload
 from repro.workloads.multiply import ParallelMultiplication
+from repro.workloads.trace import load_gemv_fixture
 from repro.workloads.vectoradd import VectorAdd
 
 
@@ -71,14 +80,30 @@ class TestSimulatorHook:
         assert "RPR008" in excinfo.value.report.codes()
         assert "verification failed" not in str(excinfo.value)  # raw report
 
-    def test_clean_run_passes_and_memoizes(self, tiny_arch):
-        sim = EnduranceSimulator(tiny_arch)
+    def test_broken_workload_rejected_on_every_run(self, tiny_arch):
+        workload = BrokenSchedule()
         config = BalanceConfig.from_label("StxSt")
-        workload = VectorAdd(bits=8)
-        sim.run(workload, config, iterations=5)
-        assert len(sim._verified) == 1
-        sim.run(workload, config, iterations=5)  # memoized, no re-verify
-        assert len(sim._verified) == 1
+        sim = EnduranceSimulator(tiny_arch)
+        for simulator in (sim, sim, EnduranceSimulator(tiny_arch)):
+            with pytest.raises(VerificationError) as excinfo:
+                simulator.run(workload, config, iterations=5)
+            assert "RPR008" in excinfo.value.report.codes()
+
+    def test_every_run_verifies_and_repeats_reuse_program_findings(
+        self, tiny_arch
+    ):
+        fresh = Telemetry()
+        previous = set_telemetry(fresh)
+        try:
+            workload = VectorAdd(bits=8)
+            config = BalanceConfig.from_label("StxSt")
+            for _ in range(3):
+                EnduranceSimulator(tiny_arch).run(workload, config, 5)
+        finally:
+            set_telemetry(previous)
+        assert fresh.counters["verify.runs"] == 3
+        assert fresh.phases["verify"][1] == 3
+        assert fresh.counters["verify.program_memo_hits"] >= 2
 
     def test_verify_phase_counted_in_telemetry(self, tiny_arch):
         fresh = Telemetry()
@@ -92,6 +117,106 @@ class TestSimulatorHook:
             assert fresh.counters.get("verify.runs", 0) >= 1
         finally:
             set_telemetry(previous)
+
+
+class Defective(Workload):
+    """One lane whose program trips a finding in every memoized pass
+    family: an uninitialized read (RPR001, an error only in functional
+    mode), a dead write (RPR002), and a footprint filling the lane, so
+    only +Hw configs lack their spare bit (RPR009)."""
+
+    name = "defective"
+
+    def build(self, architecture):
+        size = architecture.lane_size
+        program = LaneProgram(
+            "defective",
+            [
+                WriteInstr(0, ConstBit(1)),
+                WriteInstr(0, ConstBit(0)),
+                ReadInstr(0),
+                ReadInstr(size - 1),
+            ],
+            size,
+            {},
+            {},
+        )
+        return WorkloadMapping(
+            self.name, architecture, {0: program}, [Phase("all", 4, 1)]
+        )
+
+
+def _oracle_workloads():
+    """Every registry workload (``gemv-trace`` is the bundled GEMV trace),
+    each on a small array it fits (``dot`` needs 1024 lanes), plus one
+    whose reports are not empty."""
+    cases = [
+        pytest.param(
+            lambda name=name: get_workload(name),
+            (256, 1024) if name == "dot" else (512, 64),
+            id=name,
+        )
+        for name in available_workloads()
+    ]
+    return cases + [pytest.param(Defective, (64, 64), id="defective")]
+
+
+def _findings(report):
+    return [(d.code, d.severity, d.message) for d in report.diagnostics]
+
+
+class TestProgramVerifyMemo:
+    """The memoized verifier against the same passes on fresh builds."""
+
+    def test_registry_gemv_is_the_bundled_trace(self):
+        bundled = load_gemv_fixture()
+        registered = get_workload("gemv-trace")
+        assert registered.signature == bundled.signature
+        assert registered.name == bundled.name
+
+    def test_defective_reports_differ_by_config_and_mode(self, tiny_arch):
+        mapping = mapping_for(Defective(), tiny_arch)
+        plain = BalanceConfig.from_label("StxSt")
+        hardware = BalanceConfig.from_label("StxSt+Hw")
+        assert set(verify_mapping(mapping, plain).codes()) == {
+            "RPR001", "RPR002"
+        }
+        assert "RPR009" in verify_mapping(mapping, hardware).codes()
+        relaxed = verify_mapping(mapping, plain, functional=False)
+        assert not relaxed.errors and "RPR001" in relaxed.codes()
+
+    @pytest.mark.parametrize("make, geometry", _oracle_workloads())
+    def test_memoized_reports_match_fresh_builds(self, make, geometry):
+        architecture = default_architecture(*geometry)
+        workload = make()
+        configs = all_configurations()
+        # The memoized side: the process-wide mapping, verified with the
+        # spare bit switching on every call (plain and +Hw interleaved);
+        # every call but perhaps the first reuses program findings.
+        mapping = mapping_for(workload, architecture)
+        interleaved = [
+            config for pair in zip(configs[:9], configs[9:])
+            for config in pair
+        ]
+        assert {c.hardware for c in interleaved[:2]} == {False, True}
+        memoized = {
+            (config, functional): _findings(
+                verify_mapping(mapping, config, functional=functional)
+            )
+            for config in interleaved
+            for functional in (False, True)
+        }
+        # The oracle: a fresh build no other call has verified, checked
+        # in the opposite order (+Hw configs and functional mode first).
+        # A memo missing part of its key then fills differently on the
+        # two sides and the reports part.
+        fresh = workload.build(architecture)
+        for config in reversed(configs):
+            for functional in (True, False):
+                report = verify_mapping(fresh, config, functional=functional)
+                assert memoized[config, functional] == _findings(report), (
+                    config.label, functional
+                )
 
 
 class TestEngineHook:
