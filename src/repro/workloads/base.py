@@ -217,11 +217,15 @@ class Workload(ABC):
         Two workloads with equal signatures build identical mappings on a
         given architecture; two instances sharing a ``name`` but differing
         in any constructor parameter get distinct signatures. Used for
-        the mapping memo and experiment-engine content hashes.
+        the mapping memo and experiment-engine content hashes, so it must
+        not depend on the process: a nested workload contributes its own
+        signature, never its default ``repr`` (an object address).
         """
         cls = type(self)
         params = ", ".join(
-            f"{key}={value!r}" for key, value in sorted(vars(self).items())
+            f"{key}="
+            + (value.signature if isinstance(value, Workload) else repr(value))
+            for key, value in sorted(vars(self).items())
         )
         return f"{cls.__module__}.{cls.__qualname__}({params})"
 

@@ -1,10 +1,16 @@
 """Tests for the BNN-neuron and matrix-vector workloads."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.simulator import EnduranceSimulator
+from repro.core.simulator import EnduranceSimulator, mapping_for
+from repro.telemetry import Telemetry, set_telemetry
 from repro.gates.library import NAND_LIBRARY
 from repro.workloads.base import evaluate_networked
 from repro.workloads.bnn import BinaryNeuron
@@ -108,3 +114,56 @@ class TestMatrixVectorProduct:
 
     def test_describe(self):
         assert "dot-product" in MatrixVectorProduct().describe()
+
+
+class TestMatrixVectorSignature:
+    """The content hash of ``matvec`` is the same in every process."""
+
+    def test_signature_nests_the_dot_product_signature(self):
+        matvec = MatrixVectorProduct(elements_per_row=16, bits=4)
+        assert matvec._dot.signature in matvec.signature
+        assert " at 0x" not in matvec.signature
+
+    def test_signature_is_equal_across_processes(self):
+        code = (
+            "from repro.workloads.matvec import MatrixVectorProduct\n"
+            "print(MatrixVectorProduct(elements_per_row=16, bits=4)"
+            ".signature)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].strip() == (
+            MatrixVectorProduct(elements_per_row=16, bits=4).signature
+        )
+
+    def test_equal_instances_share_one_mapping(self, small_arch):
+        fresh = Telemetry()
+        previous = set_telemetry(fresh)
+        try:
+            first = mapping_for(
+                MatrixVectorProduct(elements_per_row=16, bits=4), small_arch
+            )
+            second = mapping_for(
+                MatrixVectorProduct(elements_per_row=16, bits=4), small_arch
+            )
+        finally:
+            set_telemetry(previous)
+        assert first is second
+        assert fresh.counters["mapping.memo_hits"] >= 1
+
+    def test_different_parameters_keep_distinct_signatures(self):
+        assert (
+            MatrixVectorProduct(elements_per_row=16, bits=4).signature
+            != MatrixVectorProduct(elements_per_row=16, bits=8).signature
+        )
