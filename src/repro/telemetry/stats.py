@@ -68,6 +68,7 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.days",
         "fleet.deaths",
         "fleet.rejected",
+        "fleet.threshold_draws",
         "kernel.chunk_size",
         "kernel.chunks",
         "kernel.gemms",

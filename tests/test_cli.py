@@ -423,6 +423,26 @@ class TestTelemetryFlags:
         assert rows["mapping.memo_hits"] == "35"
         assert int(rows["verify.program_memo_hits"]) >= 35
 
+    def test_traced_fleet_reports_threshold_layer(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "--rows", "128", "--cols", "128", "--seed", "7",
+            "--trace", str(trace),
+            "fleet", "--arrays", "8", "--days", "3",
+            "--workloads", "add", "conv", "--technology-mix", "MRAM", "PCM",
+            "--sigma", "0.3", "--traffic", "deterministic", "--rate", "8e6",
+            "--cohort-iterations", "200",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        out = capsys.readouterr().out
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in out.splitlines() if line.startswith("  ")
+        }
+        assert rows["fleet.thresholds"] == "1"  # the phase's call count
+        assert rows["fleet.threshold_draws"] == "8"
+
     def test_progress_flag_renders_lines_on_stderr(self, capsys):
         main([
             "--rows", "256", "--cols", "64",
