@@ -44,6 +44,7 @@ from repro.workloads.trace.parser import (
     TraceInstr,
     TraceOp,
     parse_trace,
+    split_lines,
 )
 
 
@@ -527,7 +528,7 @@ class TraceWorkload(Workload):
     def from_text(cls, text: str, **kwargs) -> "TraceWorkload":
         """Parse trace text and wrap it (forwards keyword arguments)."""
         address_format = kwargs.get("address_format", PIMULATOR_FORMAT)
-        instructions = parse_trace(text.splitlines(), address_format)
+        instructions = parse_trace(split_lines(text), address_format)
         return cls(instructions, **kwargs)
 
     def _content_hash(self) -> str:
