@@ -14,9 +14,9 @@ ways:
 All three must produce bit-identical fleet reports — that is the
 resume-determinism claim at benchmark scale — and the resumed pass must
 beat the cold pass by at least 1.3x (it skips calibration *and* most
-of the day loop; recomputing the per-array closed-form thresholds is a
-fixed cost every pass, which bounds the ratio well below the skipped
-fraction). Beyond the plain-text artifact the benchmark writes a
+of the day loop; verifying the spec, drawing the death thresholds and
+building the report are fixed costs every pass, which bound the ratio
+well below the skipped fraction). Beyond the plain-text artifact the benchmark writes a
 machine-readable ``BENCH_E33.json`` (fleet shape, simulated
 array-days/second, warm and resumed speedups) so downstream tooling can
 track fleet-layer throughput over time.
