@@ -1,11 +1,13 @@
-"""E34 — analytic steady-state fast-forward and the warm scratch pool.
+"""E34 — the kernel's steady-state fast-forward and the warm scratch pool.
 
-Not a paper figure — the infrastructure benchmark for the fast-forward
-(``repro.core.fastforward``) and the process-wide scratch pool
-(``repro.core.scratch``), extending the E30 (batched kernel) and E32
-(compiled evaluator) speed trajectory. The experiment id keeps its
-historical ``backend`` name; the array-backend seam it was introduced
-beside has since been retired in favour of direct numpy calls.
+Not a paper figure — the infrastructure benchmark for the epoch
+kernel's fast-forward branch (``repro.core.kernel``, taken
+automatically on every config periodic on both axes) and the
+process-wide scratch pool (``repro.core.scratch``), extending the E30
+(epoch kernel) and E32 (compiled evaluator) speed trajectory. The
+experiment id keeps its historical ``backend`` name; the array-backend
+seam it was introduced beside has since been retired in favour of
+direct numpy calls.
 
 Three claims are measured:
 
@@ -13,8 +15,10 @@ Three claims are measured:
    at ``recompile_interval=1``) the per-lane wear delta repeats with
    period ``lcm(lane period, between period)``, so a >= 1M-iteration
    horizon collapses to one weighted GEMM over one period block. The
-   answer must be bit-identical to the batched kernel and >= 100x
-   faster.
+   production answer must be bit-identical to the per-epoch oracle
+   (``EnduranceSimulator._run_epoch_loop``) and >= 100x faster. Before
+   fast-forward became automatic this claim was measured against the
+   chunked GEMM over every epoch (7.23 s, 209x; ``docs/performance.md``).
 2. **Bitlet-style throughput cross-check.** The closed-form operation
    model predicts total writes = iterations x writes/iteration; the
    fast-forwarded counters must conserve exactly that total (the same
@@ -36,15 +40,15 @@ import numpy as np
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
-from repro.core.fastforward import fastforward_period
+from repro.core.kernel import fastforward_period
 from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
 
 #: The acceptance criterion demands the 100x claim at a >= 1M-iteration
-#: horizon; a smaller horizon would understate the batched kernel's cost
-#: and overstate setup overhead on the fast-forward side.
+#: horizon; a smaller horizon would understate the oracle's cost and
+#: overstate setup overhead on the fast-forward side.
 MIN_ITERATIONS = 1_000_000
 
 ROWS, COLS = 256, 64
@@ -54,23 +58,23 @@ def _iterations() -> int:
     return max(bench_iterations(MIN_ITERATIONS), MIN_ITERATIONS)
 
 
-def _run(iterations, *, fastforward):
-    simulator = EnduranceSimulator(default_architecture(ROWS, COLS))
+def _run(iterations, *, oracle):
+    simulator = EnduranceSimulator(
+        default_architecture(ROWS, COLS), SimulationSettings(seed=7)
+    )
+    path = simulator._run_epoch_loop if oracle else simulator.run
     workload = ParallelMultiplication(bits=8)
     config = BalanceConfig.from_label("BsxBs", recompile_interval=1)
-    settings = SimulationSettings(seed=7, fastforward=fastforward)
     start = time.perf_counter()
-    result = simulator.run(
-        workload, config, iterations=iterations, settings=settings
-    )
+    result = path(workload, config, iterations)
     return result, time.perf_counter() - start
 
 
 def test_bench_e34_fastforward_identity():
-    """Timing-free CI gate: fast-forward == batched, bit for bit."""
+    """Timing-free CI gate: fast-forward == per-epoch oracle, bit for bit."""
     iterations = 5_000
-    fast, _ = _run(iterations, fastforward=True)
-    slow, _ = _run(iterations, fastforward=False)
+    fast, _ = _run(iterations, oracle=False)
+    slow, _ = _run(iterations, oracle=True)
     assert np.array_equal(fast.state.write_counts, slow.state.write_counts)
     assert np.array_equal(fast.state.read_counts, slow.state.read_counts)
     assert fast.epochs == slow.epochs == iterations
@@ -78,8 +82,8 @@ def test_bench_e34_fastforward_identity():
 
 def test_bench_e34_backend_fastforward(record, results_dir):
     iterations = _iterations()
-    fast, fast_s = _run(iterations, fastforward=True)
-    slow, slow_s = _run(iterations, fastforward=False)
+    fast, fast_s = _run(iterations, oracle=False)
+    slow, slow_s = _run(iterations, oracle=True)
 
     assert np.array_equal(fast.state.write_counts, slow.state.write_counts)
     assert np.array_equal(fast.state.read_counts, slow.state.read_counts)
@@ -104,13 +108,13 @@ def test_bench_e34_backend_fastforward(record, results_dir):
 
     period = fastforward_period(config, arch.lane_size, arch.lane_count)
 
-    # Warm-path micro-benchmark: the second batched run reuses pooled
-    # scratch instead of allocating per chunk.
+    # Warm-path micro-benchmark: the second run reuses pooled scratch
+    # instead of allocating.
     warm_iterations = 20_000
-    _run(warm_iterations, fastforward=False)  # populate the pool
+    _run(warm_iterations, oracle=False)  # populate the pool
     hits_before, misses_before = POOL.hits, POOL.misses
     start = time.perf_counter()
-    _run(warm_iterations, fastforward=False)
+    _run(warm_iterations, oracle=False)
     warm_s = time.perf_counter() - start
     warm_hits = POOL.hits - hits_before
     assert warm_hits > 0, "second run should serve scratch from the pool"
@@ -126,7 +130,7 @@ def test_bench_e34_backend_fastforward(record, results_dir):
         "seed": 7,
         "period": int(period),
         "epochs_collapsed": int(iterations - period),
-        "batched_kernel": {
+        "epoch_oracle": {
             "seconds": round(slow_s, 4),
             "iterations_per_second": round(iterations / slow_s, 1),
         },
@@ -152,7 +156,7 @@ def test_bench_e34_backend_fastforward(record, results_dir):
         f"E34 steady-state fast-forward + warm scratch pool, mult-8b BsxBs "
         f"interval=1 ({iterations} iterations, {ROWS}x{COLS})",
         f"  joint wear period          {period:8d} epochs",
-        f"  batched GEMM     {slow_s:8.2f} s  "
+        f"  per-epoch oracle {slow_s:8.2f} s  "
         f"({iterations / slow_s:12.0f} iter/s)",
         f"  fast-forward     {fast_s:8.2f} s  "
         f"({iterations / fast_s:12.0f} iter/s)",
@@ -166,6 +170,6 @@ def test_bench_e34_backend_fastforward(record, results_dir):
     record("E34_backend_fastforward", "\n".join(lines))
 
     assert speedup >= 100.0, (
-        f"fast-forward only {speedup:.1f}x faster than the batched "
-        f"kernel ({fast_s:.3f}s vs {slow_s:.3f}s)"
+        f"fast-forward only {speedup:.1f}x faster than the per-epoch "
+        f"oracle ({fast_s:.3f}s vs {slow_s:.3f}s)"
     )

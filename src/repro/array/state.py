@@ -30,20 +30,21 @@ class ArrayState:
         self.write_counts = np.zeros(shape, dtype=np.float64)
         self.read_counts = np.zeros(shape, dtype=np.float64)
         self.failed = np.zeros(shape, dtype=bool)
-        self._scratch: "np.ndarray | None" = None
 
     def _scratch_buffer(self) -> np.ndarray:
-        """A reusable full-array float64 workspace.
+        """The process pool's full-array float64 workspace.
 
         Bulk accumulation lands products here before adding them into the
         counters, so repeated calls stop allocating a rows x cols
-        temporary (8 MB at the paper's 1024 x 1024) per call.
+        temporary (8 MB at the paper's 1024 x 1024) per call. One slot
+        serves every state of a geometry, so retained results hold no
+        scratch; callers consume it before the next request.
         """
-        if self._scratch is None:
-            self._scratch = np.empty(
-                (self.geometry.rows, self.geometry.cols), dtype=np.float64
-            )
-        return self._scratch
+        from repro.core.scratch import POOL  # repro.core imports this module
+
+        return POOL.get(
+            "state.scratch", (self.geometry.rows, self.geometry.cols)
+        )
 
     @classmethod
     def from_counts(
@@ -80,7 +81,6 @@ class ArrayState:
         state.write_counts = write_counts
         state.read_counts = read_counts
         state.failed = np.broadcast_to(np.bool_(False), shape)
-        state._scratch = None
         return state
 
     # -- single-cell events (exact replay path) -------------------------

@@ -22,11 +22,10 @@ Examples::
     repro-endurance heatmap --trace trace.jsonl --progress
     repro-endurance stats trace.jsonl
 
-Every simulation-backed subcommand accepts the full settings flag set
-(``--seed`` / ``--kernel`` / ``--chunk-size``), the engine flags
-(``--jobs`` / ``--cache-dir``), and the telemetry flags (``--log-level``
-/ ``--trace FILE`` / ``--progress``) — both before and after the
-subcommand name.
+Every simulation-backed subcommand accepts the settings flag
+(``--seed``), the engine flags (``--jobs`` / ``--cache-dir``), and the
+telemetry flags (``--log-level`` / ``--trace FILE`` / ``--progress``) —
+both before and after the subcommand name.
 """
 
 from __future__ import annotations
@@ -112,9 +111,6 @@ def _make_settings(args) -> SimulationSettings:
     """The :class:`SimulationSettings` described by the parsed flags."""
     return SimulationSettings(
         seed=args.seed,
-        kernel=getattr(args, "kernel", "batched"),
-        chunk_size=getattr(args, "chunk_size", None),
-        fastforward=getattr(args, "fast_forward", False),
         log_level=getattr(args, "log_level", None),
         trace_path=getattr(args, "trace", None),
         progress=getattr(args, "progress", False),
@@ -173,19 +169,6 @@ def _add_sim_flags(parser) -> None:
     """
     parser.add_argument(
         "--seed", type=int, default=argparse.SUPPRESS, help="RNG seed"
-    )
-    parser.add_argument(
-        "--kernel", choices=("batched", "epoch"),
-        default=argparse.SUPPRESS, help="simulation kernel",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=argparse.SUPPRESS,
-        help="epochs per GEMM for the batched kernel",
-    )
-    parser.add_argument(
-        "--fast-forward", action="store_true", default=argparse.SUPPRESS,
-        help="use the analytic steady-state fast-forward on eligible "
-             "(St/Bs/B1) configs; ineligible configs are refused (RPR011)",
     )
     parser.add_argument(
         "--log-level", choices=_LOG_LEVEL_CHOICES,
@@ -465,9 +448,6 @@ def cmd_fleet(args) -> int:
         rows=args.rows,
         cols=args.cols,
         cohort_iterations=args.cohort_iterations,
-        kernel=settings.kernel,
-        chunk_size=settings.chunk_size,
-        fastforward=settings.fastforward,
     )
     cache_dir = getattr(args, "cache_dir", None)
     service = FleetService(
@@ -707,23 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rows", type=int, default=1024, help="array rows")
     parser.add_argument("--cols", type=int, default=1024, help="array columns")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--kernel", choices=("batched", "epoch"), default="batched",
-        help="simulation kernel: chunked GEMM accumulation across epochs "
-             "(batched, default) or the per-epoch loop (epoch); "
-             "bit-identical results",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="epochs per GEMM for the batched kernel (speed/memory knob; "
-             "never changes results)",
-    )
-    parser.add_argument(
-        "--fast-forward", action="store_true", default=False,
-        help="extrapolate steady-state wear analytically instead of "
-             "simulating every epoch; bit-identical on eligible "
-             "(St/Bs/B1) configs, refused (RPR011) otherwise",
-    )
     parser.add_argument(
         "--log-level", choices=_LOG_LEVEL_CHOICES, default=None,
         help="bridge telemetry events to stdlib logging at this level",
@@ -1026,8 +989,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             status = args.func(args)
         except VerificationError as error:
-            # Pre-dispatch verification failures (e.g. RPR011: a config
-            # the fast-forward must refuse) are user errors, not bugs —
+            # Pre-dispatch verification failures (e.g. RPR019: a horizon
+            # past float64's exact integers) are user errors, not bugs —
             # render the report, not a traceback.
             print(error.report.render_text(), file=sys.stderr)
             return 1

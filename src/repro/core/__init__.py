@@ -12,19 +12,18 @@
   frequency sweep (Section 5);
 * :mod:`repro.core.scratch` — the process-wide scratch-buffer pool the
   hot paths draw their per-chunk workspaces from;
-* :mod:`repro.core.fastforward` — the analytic steady-state
-  fast-forward: periodic configs extrapolate wear in O(period) instead
-  of O(iterations), bit-identically;
+* :mod:`repro.core.kernel` — the one epoch kernel: configs periodic on
+  both axes fast-forward in O(period) instead of O(iterations), and a
+  single periodic axis folds before the GEMM, bit-identically;
 * :mod:`repro.core.report` — plain-text renderings of every table and
   figure.
 """
 
 from repro.core.scratch import BufferPool
-from repro.core.fastforward import (
+from repro.core.kernel import (
     PERIODIC_KINDS,
     fastforward_eligible,
     fastforward_period,
-    run_fastforward_epochs,
     strategy_period,
 )
 from repro.core.writedist import WriteDistribution
@@ -92,6 +91,5 @@ __all__ = [
     "PERIODIC_KINDS",
     "fastforward_eligible",
     "fastforward_period",
-    "run_fastforward_epochs",
     "strategy_period",
 ]

@@ -1,42 +1,60 @@
-"""Batched epoch kernel: chunked GEMM accumulation across recompile epochs.
+"""The epoch kernel: every simulation's wear, folded along periodic axes.
 
-The per-epoch simulation loop pays, for every epoch, a permutation
-generation, a permutation validation, and one full-array outer product per
-program group. At the paper's extremes (``remap_frequency_sweep`` goes
-down to ``recompile_interval=1``, i.e. 100,000 epochs for the Section 4
-horizon) that is 100,000 Python-level trips over an 8 MB temporary.
+Between software recompiles the logical wear profile is constant, so a
+run is a sum of per-epoch outer products,
 
-This module collapses the loop across epochs:
+``sum_e outer(profile[e], weights[e])``,
 
-* **permutation batch** — all within/between maps for a chunk of ``E``
-  epochs come from one call (:func:`make_epoch_maps`): a single
-  ``rng.random((E, k)).argsort`` for random shuffling, closed-form index
-  arithmetic for byte-/bit-shifting, a broadcast view for static;
-* **profile batch** — each program's per-offset profile is scattered
-  through all ``E`` within-maps with one advanced-indexing assignment
-  into an ``(E, lane_size)`` matrix (the hardware path rides
-  :meth:`HardwareRemapper.profile_many`, which shares the per-length
-  domain-count cache);
-* **GEMM reduction** — the chunk's contribution,
-  ``sum_e outer(profile[e], weights[e])``, is one
-  ``profiles.T @ weights`` matrix product
-  (:meth:`ArrayState.add_lane_profiles`) instead of ``E`` outer products.
+where ``profile[e]`` is each program's per-offset write (or read)
+profile scattered through epoch ``e``'s within-lane map and
+``weights[e]`` marks the lanes its between-lane map assigns, scaled by
+the epoch length. :func:`run_batched_epochs` evaluates that sum as
+``profiles.T @ weights`` GEMMs (:meth:`ArrayState.add_lane_profiles`)
+and shrinks the GEMM's inner dimension wherever an axis is periodic.
+The deterministic strategies are pure functions of the epoch index
+with short periods (:func:`strategy_period`):
 
-Everything stays **exact**: profiles, epoch lengths and lane weights are
-integer-valued float64, so the GEMM reduction equals the sequential sum
-bit for bit, in any chunking. The stateful wear-aware (``Wa``)
+* ``St`` — identity every epoch: period 1;
+* ``Bs`` — shift by ``8 * epoch mod size``: period ``size / gcd(8, size)``;
+* ``B1`` — shift by ``epoch mod size``: period ``size``.
+
+Three cases follow.
+
+* **Both axes periodic (fast-forward).** The per-epoch delta of full
+  epochs repeats with period ``P = lcm(P_within, P_between)`` —
+  hardware re-mapping included, because renaming restarts from the
+  software mapping at every recompile and its profile depends only on
+  ``(epoch length, within map)``. ``E = q * P + r`` full epochs
+  collapse to one GEMM over the first ``min(P, E)`` epochs with integer
+  multiplicities ``q`` or ``q + 1``, plus the final short epoch. Cost is
+  O(period), however long the horizon.
+* **One axis periodic.** Random shuffling (``Ra``) and wear-aware
+  mapping (``Wa``) never repeat, so every epoch's maps are still drawn,
+  in chunks of :data:`CHUNK_EPOCHS`, consuming the random stream
+  exactly as the per-epoch loop does. Before each GEMM the periodic
+  side's equal rows are merged: with a periodic *between* axis the
+  profile rows of each between phase are summed (weighted by epoch
+  length); with a periodic *within* axis the lane-weight rows of each
+  within phase are summed — keyed on ``(phase, epoch length)`` under
+  hardware re-mapping, whose profiles depend on the length.
+* **Neither axis periodic** (``Ra x Ra``, ``Ra x Wa``): one GEMM per
+  chunk over every epoch.
+
+Everything stays **exact**: profiles, epoch lengths, multiplicities and
+lane weights are integer-valued float64, and every partial sum is
+bounded by the run's total writes, which ``verify_mapping`` keeps below
+2^53 (RPR019). So each reduction equals the sequential per-epoch sum
+bit for bit, in any order; ``EnduranceSimulator._run_epoch_loop`` is
+the slow oracle the tests pin this kernel to. The stateful ``Wa``
 between-lane strategy is the one part that must observe epoch order; it
-keeps an O(lane_count)-per-epoch incremental wear vector (per-lane totals
-are invariant under within-lane permutation, so cell-level accumulation
-still defers to the chunk-end GEMM).
-
-``EnduranceSimulator.run`` uses this kernel by default; the per-epoch
-loop survives as the property-test oracle (``kernel="epoch"``), driven by
-the same permutation stream so the two are bit-identical.
+keeps an O(lane_count)-per-epoch incremental wear vector (per-lane
+totals are invariant under within-lane permutation, so cell-level
+accumulation still defers to the GEMM).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,6 +63,7 @@ from repro.array.architecture import PIMArchitecture
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
+from repro.balance.mapping import BITS_PER_BYTE
 from repro.balance.software import (
     StrategyKind,
     make_permutations,
@@ -54,13 +73,65 @@ from repro.core.scratch import POOL
 from repro.synth.program import LaneProgram
 from repro.telemetry import get_telemetry
 
-#: Epochs accumulated per GEMM. Bounds the working set to a few
-#: ``chunk x lane_size`` matrices (~8 MB each at the paper's geometry)
-#: while amortizing permutation generation and the BLAS call.
-DEFAULT_CHUNK_SIZE = 1024
+#: Strategies whose per-epoch permutation is a pure periodic function of
+#: the epoch index. Ra (fresh randomness per epoch) and Wa (wear-state
+#: feedback) are excluded by construction.
+PERIODIC_KINDS = frozenset(
+    {StrategyKind.STATIC, StrategyKind.BYTE_SHIFT, StrategyKind.BIT_SHIFT}
+)
 
-#: The simulator's two execution paths.
-KERNELS = ("batched", "epoch")
+#: Epochs drawn and accumulated per chunk on the non-periodic paths.
+#: Bounds the working set to a few ``chunk x lane_size`` matrices
+#: (~8 MB each at the paper's geometry); never changes results.
+CHUNK_EPOCHS = 1024
+
+
+def strategy_period(kind: StrategyKind, size: int) -> Optional[int]:
+    """The epoch period of a software strategy over ``size`` addresses.
+
+    Returns ``None`` for non-periodic strategies (``Ra``, ``Wa``).
+    """
+    if size < 1:
+        raise ValueError("size must be positive")
+    if kind is StrategyKind.STATIC:
+        return 1
+    if kind is StrategyKind.BYTE_SHIFT:
+        return size // gcd(BITS_PER_BYTE, size)
+    if kind is StrategyKind.BIT_SHIFT:
+        return size
+    return None
+
+
+def fastforward_period(
+    config: BalanceConfig, lane_size: int, lane_count: int
+) -> Optional[int]:
+    """The joint epoch period of ``config``, or ``None`` if either axis
+    is not periodic.
+
+    The combined within/between mapping repeats when both component
+    streams do: ``lcm(P_within, P_between)``. Hardware re-mapping does
+    not enter the period — it restarts at every recompile boundary, so
+    its epoch profile is a function of the (periodic) within map alone.
+    """
+    within = strategy_period(config.within, lane_size)
+    between = strategy_period(config.between, lane_count)
+    if within is None or between is None:
+        return None
+    return within * between // gcd(within, between)
+
+
+def fastforward_eligible(config: BalanceConfig) -> bool:
+    """Whether both of ``config``'s axes are periodic, so the whole run
+    collapses to one period block."""
+    return (
+        config.within in PERIODIC_KINDS and config.between in PERIODIC_KINDS
+    )
+
+
+def kernel_path(config: BalanceConfig) -> str:
+    """Which branch :func:`run_batched_epochs` takes for ``config``:
+    ``"fastforward"`` (both axes periodic) or ``"batched"``."""
+    return "fastforward" if fastforward_eligible(config) else "batched"
 
 
 def epoch_lengths(config: BalanceConfig, iterations: int) -> np.ndarray:
@@ -93,12 +164,13 @@ def make_epoch_maps(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Within/between permutation matrices for ``count`` epochs.
 
-    This is the canonical permutation source for both simulator kernels.
-    When either side uses random shuffling, the uniforms for the whole
-    chunk are drawn as **one** ``(count, k)`` block whose row ``e`` holds
-    epoch ``e``'s within-draws followed by its between-draws. Row-major
-    filling makes the stream identical whether the chunk is generated in
-    one call or epoch by epoch, so results are independent of chunking.
+    This is the canonical permutation source for the kernel and its
+    oracle. When either side uses random shuffling, the uniforms for
+    the whole chunk are drawn as **one** ``(count, k)`` block whose row
+    ``e`` holds epoch ``e``'s within-draws followed by its
+    between-draws. Row-major filling makes the stream identical whether
+    the chunk is generated in one call or epoch by epoch, so results are
+    independent of chunking.
 
     Returns:
         ``(within_maps, between_maps)`` of shapes ``(count, lane_size)``
@@ -135,6 +207,128 @@ def make_epoch_maps(
     return within_maps, between_maps
 
 
+def _fold(rows: np.ndarray, period: int) -> np.ndarray:
+    """Sum ``rows`` by phase: output row ``j`` is the sum of every input
+    row ``e`` with ``e % period == j`` (a no-op when nothing repeats)."""
+    count, width = rows.shape
+    if count <= period:
+        return rows
+    whole = count - count % period
+    folded = rows[:whole].reshape(-1, period, width).sum(axis=0)
+    folded[: count - whole] += rows[whole:]
+    return folded
+
+
+class _Accumulator:
+    """Per-group profile rows, lane-weight rows and the GEMMs over them.
+
+    Without hardware re-mapping a profile row is the program's static
+    per-iteration profile scattered through a within map, and the epoch
+    length rides on the lane weight. The hardware remapper's profile
+    rows already carry the epoch length, so their lane weights are bare
+    multiplicities.
+    """
+
+    def __init__(
+        self,
+        architecture: PIMArchitecture,
+        config: BalanceConfig,
+        state: ArrayState,
+        groups: Dict[int, Tuple[LaneProgram, List[int]]],
+        remappers: Optional[Dict[int, HardwareRemapper]],
+        track_reads: bool,
+    ) -> None:
+        self.lane_size = architecture.lane_size
+        self.lane_count = architecture.lane_count
+        self.orientation = architecture.orientation
+        self.state = state
+        self.hardware = config.hardware
+        self.remappers = remappers
+        self.track_reads = track_reads
+        self.gemms = 0
+        self.lanes: Dict[int, np.ndarray] = {}
+        self.writes: Dict[int, np.ndarray] = {}
+        self.reads: Dict[int, np.ndarray] = {}
+        for key, (program, lanes) in groups.items():
+            self.lanes[key] = np.asarray(lanes, dtype=np.int64)
+            if self.hardware:
+                continue
+            if program.footprint > self.lane_size:
+                raise ValueError(
+                    f"program {program.name!r} needs {program.footprint} "
+                    f"bits, lane has {self.lane_size}"
+                )
+            self.writes[key] = program.write_profile(
+                self.lane_size, include_presets=architecture.presets_output
+            )
+            if track_reads:
+                self.reads[key] = program.read_profile(self.lane_size)
+
+    def lane_writes(self, key: int) -> float:
+        """Writes one iteration deposits on each of the group's lanes."""
+        if self.hardware:
+            return self.remappers[key].writes_per_iteration
+        return float(self.writes[key].sum())
+
+    def profiles(
+        self, key: int, within_maps: np.ndarray, lengths: np.ndarray
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(writes, reads)`` profile rows, one per within map."""
+        if self.hardware:
+            writes, reads = self.remappers[key].profile_many(
+                lengths, within_maps
+            )
+            return writes, reads if self.track_reads else None
+        # Pooled scratch: the scatter covers every column of every row
+        # (within_maps rows are permutations), so no zero-fill is needed.
+        rows = np.arange(len(within_maps))[:, None]
+        writes = POOL.get("kernel.profile_writes", within_maps.shape)
+        writes[rows, within_maps] = self.writes[key]
+        reads = None
+        if self.track_reads:
+            reads = POOL.get("kernel.profile_reads", within_maps.shape)
+            reads[rows, within_maps] = self.reads[key]
+        return writes, reads
+
+    def scale(self, lengths: np.ndarray) -> "np.ndarray | float":
+        """The per-epoch factor a lane weight carries (see class doc)."""
+        if self.hardware:
+            return 1.0
+        return lengths.astype(np.float64)[:, None]
+
+    def weights(
+        self, key: int, between_maps: np.ndarray, values
+    ) -> np.ndarray:
+        """Lane-weight rows: ``values`` at each epoch's assigned lanes."""
+        # Rows of between_maps are permutations and the group's lanes
+        # are distinct, so scattered columns never collide.
+        weights = POOL.get(
+            "kernel.lane_weights",
+            (len(between_maps), self.lane_count),
+            zero=True,
+        )
+        rows = np.arange(len(between_maps))[:, None]
+        weights[rows, between_maps[:, self.lanes[key]]] = values
+        return weights
+
+    def gemm(
+        self,
+        writes: np.ndarray,
+        reads: Optional[np.ndarray],
+        weights: np.ndarray,
+    ) -> None:
+        """Add ``sum_e outer(profile[e], weights[e])`` into the state."""
+        self.state.add_lane_profiles(
+            writes, weights, self.orientation, "write"
+        )
+        self.gemms += 1
+        if self.track_reads:
+            self.state.add_lane_profiles(
+                reads, weights, self.orientation, "read"
+            )
+            self.gemms += 1
+
+
 def run_batched_epochs(
     architecture: PIMArchitecture,
     config: BalanceConfig,
@@ -146,15 +340,15 @@ def run_batched_epochs(
     remappers: Optional[Dict[int, HardwareRemapper]] = None,
     lane_loads: Optional[np.ndarray] = None,
     track_reads: bool = True,
-    chunk_size: Optional[int] = None,
 ) -> int:
-    """Accumulate a whole run into ``state``, chunked across epochs.
+    """Accumulate a whole run into ``state``, folding periodic axes.
 
     Args:
         architecture: The PIM design (geometry, orientation, pre-sets).
         config: Load-balancing configuration driving the epoch schedule.
         state: Counters to update.
-        rng: The run's random stream (shared with the epoch-loop oracle).
+        rng: The run's random stream (shared with the epoch-loop oracle;
+            periodic strategies draw nothing from it).
         groups: ``id(program) -> (program, logical_lanes)`` — lanes
             grouped by canonical program object.
         iterations: Total repetitions to simulate.
@@ -163,134 +357,187 @@ def run_batched_epochs(
         lane_loads: Per-logical-lane writes/iteration, required when the
             between strategy is wear-aware.
         track_reads: Also accumulate the read distribution.
-        chunk_size: Epochs per GEMM (default
-            :data:`DEFAULT_CHUNK_SIZE`); affects memory and speed only,
-            never results.
 
     Returns:
-        The number of epochs simulated.
+        The number of logical epochs the run covers, however few were
+        materialized.
     """
-    chunk = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-    if chunk < 1:
-        raise ValueError("chunk_size must be positive")
-    lane_size = architecture.lane_size
-    lane_count = architecture.lane_count
-    orientation = architecture.orientation
-    wear_between = config.between is StrategyKind.WEAR_AWARE
     if config.hardware and remappers is None:
         raise ValueError("hardware re-mapping requires remappers")
-    if wear_between and lane_loads is None:
+    if config.between is StrategyKind.WEAR_AWARE and lane_loads is None:
         raise ValueError("wear-aware between-lane mapping requires lane_loads")
-
-    # Static per-group data, computed once for the whole run.
-    lane_arrays: Dict[int, np.ndarray] = {}
-    write_profiles: Dict[int, np.ndarray] = {}
-    read_profiles: Dict[int, np.ndarray] = {}
-    epoch_lane_writes: Dict[int, float] = {}
-    for key, (program, lanes) in groups.items():
-        lane_arrays[key] = np.asarray(lanes, dtype=np.int64)
-        if config.hardware:
-            # Profiles come per-chunk from the remapper; wear updates need
-            # only the per-iteration total, which renaming preserves.
-            epoch_lane_writes[key] = remappers[key].writes_per_iteration
-            continue
-        if program.footprint > lane_size:
-            raise ValueError(
-                f"program {program.name!r} needs {program.footprint} bits, "
-                f"lane has {lane_size}"
-            )
-        writes = program.write_profile(
-            lane_size, include_presets=architecture.presets_output
-        )
-        write_profiles[key] = writes
-        epoch_lane_writes[key] = float(writes.sum())
-        if track_reads:
-            read_profiles[key] = program.read_profile(lane_size)
-
-    wear = (
-        state.lane_view(state.write_counts, orientation)
-        .sum(axis=0)
-        .astype(np.float64)
-        if wear_between
-        else None
+    accumulator = _Accumulator(
+        architecture, config, state, groups, remappers, track_reads
     )
-
-    tele = get_telemetry()
-    gemms = 0
     lengths = epoch_lengths(config, iterations)
     total_epochs = int(lengths.size)
-    start = 0
-    while start < total_epochs:
-        count = min(chunk, total_epochs - start)
+    tele = get_telemetry()
+    period = fastforward_period(
+        config, architecture.lane_size, architecture.lane_count
+    )
+    if period is None:
+        _run_chunks(accumulator, config, rng, lengths, lane_loads)
+    else:
+        with tele.timed_phase("fastforward", period=period):
+            materialized = _fastforward(accumulator, config, iterations, period)
+        tele.count("fastforward.runs")
+        tele.gauge("fastforward.period", period)
+        tele.count("fastforward.epochs_collapsed", total_epochs - materialized)
+    tele.count("kernel.gemms", accumulator.gemms)
+    return total_epochs
+
+
+def _fastforward(
+    acc: _Accumulator, config: BalanceConfig, iterations: int, period: int
+) -> int:
+    """Both axes periodic: one period block plus the remainder epoch.
+
+    Epoch ``e`` (mod ``period``) occurs ``q`` times, plus once more for
+    the first ``r`` phase positions — integer multiplicities, exact in
+    float64. Returns the number of epochs materialized.
+    """
+    if config.needs_recompilation:
+        interval = config.recompile_interval
+        full_epochs, remainder = divmod(iterations, interval)
+    else:
+        # St x St (+Hw): a single continuous epoch; period 1 by definition.
+        interval, full_epochs, remainder = iterations, 1, 0
+    q, r = divmod(full_epochs, period)
+    block = min(period, full_epochs)
+    multiplicity = q + (np.arange(block, dtype=np.int64) < r)
+    for count, epoch_start, length, repeats in (
+        (block, 0, interval, multiplicity.astype(np.float64)[:, None]),
+        (1 if remainder else 0, full_epochs, remainder, 1.0),
+    ):
+        if not count:
+            continue
+        within_maps, between_maps = make_epoch_maps(
+            config.within,
+            config.between,
+            acc.lane_size,
+            acc.lane_count,
+            count,
+            epoch_start=epoch_start,
+        )
+        chunk_lengths = np.full(count, length, dtype=np.int64)
+        values = np.multiply(repeats, acc.scale(chunk_lengths))
+        for key in acc.lanes:
+            writes, reads = acc.profiles(key, within_maps, chunk_lengths)
+            acc.gemm(writes, reads, acc.weights(key, between_maps, values))
+    return block + (1 if remainder else 0)
+
+
+def _run_chunks(
+    acc: _Accumulator,
+    config: BalanceConfig,
+    rng: np.random.Generator,
+    lengths: np.ndarray,
+    lane_loads: Optional[np.ndarray],
+) -> None:
+    """At most one axis periodic: draw every epoch, fold before the GEMM."""
+    within_period = strategy_period(config.within, acc.lane_size)
+    between_period = strategy_period(config.between, acc.lane_count)
+    wear = None
+    if config.between is StrategyKind.WEAR_AWARE:
+        wear = (
+            acc.state.lane_view(acc.state.write_counts, acc.orientation)
+            .sum(axis=0)
+            .astype(np.float64)
+        )
+        lane_writes = {key: acc.lane_writes(key) for key in acc.lanes}
+    tele = get_telemetry()
+    total_epochs = int(lengths.size)
+    for start in range(0, total_epochs, CHUNK_EPOCHS):
+        count = min(CHUNK_EPOCHS, total_epochs - start)
         tele.count("kernel.chunks")
         chunk_lengths = lengths[start : start + count]
         within_maps, between_maps = make_epoch_maps(
             config.within,
             config.between,
-            lane_size,
-            lane_count,
+            acc.lane_size,
+            acc.lane_count,
             count,
             rng,
             epoch_start=start,
         )
-        if wear_between:
+        if wear is not None:
             # The one genuinely sequential piece: each epoch's assignment
             # depends on wear accrued by all earlier epochs. Per-lane wear
             # is invariant under within-lane permutation, so an
             # O(lane_count) incremental update suffices and the cell-level
-            # accumulation still happens in the chunk-end GEMM.
+            # accumulation still happens in the GEMM.
             with tele.timed_phase("wear_aware"):
                 between_maps = POOL.get(
-                    "kernel.between_maps", (count, lane_count), np.int64
+                    "kernel.between_maps", (count, acc.lane_count), np.int64
                 )
                 for e in range(count):
                     permutation = wear_aware_permutation(lane_loads, wear)
                     between_maps[e] = permutation
                     length = int(chunk_lengths[e])
-                    for key in groups:
-                        wear[permutation[lane_arrays[key]]] += (
-                            epoch_lane_writes[key] * length
-                        )
-        rows = np.arange(count)[:, None]
-        float_lengths = chunk_lengths.astype(np.float64)[:, None]
-        for key, (program, _) in groups.items():
-            lanes = lane_arrays[key]
-            if config.hardware:
-                profile_writes, profile_reads = remappers[key].profile_many(
-                    chunk_lengths, within_maps
+                    for key, lanes in acc.lanes.items():
+                        wear[permutation[lanes]] += lane_writes[key] * length
+        values = acc.scale(chunk_lengths)
+        for key in acc.lanes:
+            if within_period is not None:
+                _within_folded(
+                    acc, key, within_period, within_maps, between_maps,
+                    chunk_lengths, values,
                 )
-                # The remapper's profiles already carry the epoch length.
-                weight_values: "np.ndarray | float" = 1.0
+            elif between_period is not None:
+                _between_folded(
+                    acc, key, between_period, within_maps, between_maps,
+                    chunk_lengths, values,
+                )
             else:
-                # Pooled scratch: the scatter covers every column of
-                # every row (within_maps rows are permutations), so no
-                # zero-fill is needed between reuses.
-                profile_writes = POOL.get(
-                    "kernel.profile_writes", (count, lane_size)
-                )
-                profile_writes[rows, within_maps] = write_profiles[key]
-                if track_reads:
-                    profile_reads = POOL.get(
-                        "kernel.profile_reads", (count, lane_size)
-                    )
-                    profile_reads[rows, within_maps] = read_profiles[key]
-                weight_values = float_lengths
-            # Rows of between_maps are permutations and the group's lanes
-            # are distinct, so scattered columns never collide.
-            lane_weights = POOL.get(
-                "kernel.lane_weights", (count, lane_count), zero=True
-            )
-            lane_weights[rows, between_maps[:, lanes]] = weight_values
-            state.add_lane_profiles(
-                profile_writes, lane_weights, orientation, "write"
-            )
-            gemms += 1
-            if track_reads:
-                state.add_lane_profiles(
-                    profile_reads, lane_weights, orientation, "read"
-                )
-                gemms += 1
-        start += count
-    tele.count("kernel.gemms", gemms)
-    tele.gauge("kernel.chunk_size", chunk)
-    return total_epochs
+                writes, reads = acc.profiles(key, within_maps, chunk_lengths)
+                acc.gemm(writes, reads, acc.weights(key, between_maps, values))
+
+
+def _within_folded(
+    acc: _Accumulator,
+    key: int,
+    period: int,
+    within_maps: np.ndarray,
+    between_maps: np.ndarray,
+    lengths: np.ndarray,
+    values: "np.ndarray | float",
+) -> None:
+    """Periodic within axis: sum lane-weight rows by within phase.
+
+    Only the first occurrence of each phase needs a profile row. Under
+    hardware re-mapping the profile also depends on the epoch length, so
+    a short final epoch keeps its own row.
+    """
+    split = len(lengths)
+    if acc.hardware and lengths[-1] != lengths[0]:
+        split -= 1
+    weights = acc.weights(key, between_maps, values)
+    folded = _fold(weights[:split], period)
+    phases = len(folded)
+    if split < len(lengths):
+        folded = np.concatenate([folded, weights[split:]])
+    keep = np.r_[0:phases, split : len(lengths)]
+    writes, reads = acc.profiles(key, within_maps[keep], lengths[keep])
+    acc.gemm(writes, reads, folded)
+
+
+def _between_folded(
+    acc: _Accumulator,
+    key: int,
+    period: int,
+    within_maps: np.ndarray,
+    between_maps: np.ndarray,
+    lengths: np.ndarray,
+    values: "np.ndarray | float",
+) -> None:
+    """Periodic between axis: sum profile rows by between phase, each
+    weighted by its lane-weight factor, against one 0/1 row per phase."""
+    writes, reads = acc.profiles(key, within_maps, lengths)
+    if not acc.hardware:
+        np.multiply(writes, values, out=writes)
+        if reads is not None:
+            np.multiply(reads, values, out=reads)
+    writes = _fold(writes, period)
+    if reads is not None:
+        reads = _fold(reads, period)
+    acc.gemm(writes, reads, acc.weights(key, between_maps[: len(writes)], 1.0))

@@ -1,13 +1,13 @@
 """The process-wide scratch-buffer pool for the hot simulation paths.
 
-The batched epoch kernel (chunked GEMM, E30), the steady-state
-fast-forward, the compiled SWAR evaluator (uint64 bitplanes, E32), and
+The epoch kernel (chunked GEMM and fast-forward, E30/E34), the
+compiled SWAR evaluator (uint64 bitplanes, E32), and
 :meth:`ArrayState.add_lane_profiles` all need per-chunk or per-batch
 workspaces of a few recurring shapes. They take them from
 :data:`POOL`, one :class:`BufferPool` shared by the whole process, so a
-grid of runs on the same geometry allocates each workspace once. On the
-paper's 1024x1024 grid that holds peak RSS about 76 MiB (7%) below
-allocating fresh scratch per chunk (``docs/performance.md``).
+grid of runs on the same geometry allocates each workspace once, and a
+retained result holds no scratch (``docs/performance.md`` has the peak
+RSS this saves on the paper's 1024x1024 grid).
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """The unified :class:`SimulationSettings` API.
 
-PR 2 threaded ``kernel`` / ``chunk_size`` kwargs through every layer
-that touches a simulation (simulator, sweeps, job specs, engine, CLI).
-This module ends that per-call threading: one frozen dataclass carries
-every knob that shapes *how* a simulation runs — seed, kernel,
-chunk size, read tracking, and telemetry options — and is passed down
-whole. The legacy kwargs survive everywhere as deprecated aliases that
-warn **once per process** (:func:`warn_legacy_kwargs`) and produce
-bit-identical behavior, including identical ``JobSpec.content_hash``
-values.
+One frozen dataclass carries every knob that shapes *how* a simulation
+runs — seed, evaluator, read tracking, and telemetry options — and is
+passed down whole through the simulator, sweeps, job specs, engine and
+CLI. The legacy ``seed`` / ``track_reads`` kwargs survive as deprecated
+aliases that warn **once per process** (:func:`warn_legacy_kwargs`) and
+produce bit-identical behavior, including identical
+``JobSpec.content_hash`` values. There is no kernel knob: every run
+takes the one epoch kernel (:mod:`repro.core.kernel`).
 
 Telemetry options (``log_level`` / ``trace_path`` / ``progress``) ride
 along for the CLI's benefit; they never influence results and are
@@ -22,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.accuracy import EVALUATORS
-from repro.core.kernel import KERNELS
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
@@ -36,19 +34,10 @@ class SimulationSettings:
 
     Attributes:
         seed: Base RNG seed; all random streams derive from it.
-        kernel: Execution path — ``"batched"`` (chunked GEMM) or
-            ``"epoch"`` (per-epoch oracle loop). Bit-identical results.
-        chunk_size: Batched-kernel epochs per GEMM (``None`` = default);
-            a pure speed/memory knob, validated where it is consumed.
         evaluator: Functional-evaluation backend — ``"compiled"`` (SWAR
             bitplane batches) or ``"interpreted"`` (per-instruction
             loop). Bit-identical results; a pure speed knob, so it is
-            excluded from job content hashes like the kernel knobs.
-        fastforward: Use the analytic steady-state fast-forward
-            (:mod:`repro.core.fastforward`) instead of simulating every
-            epoch. Bit-identical on eligible (periodic St/Bs/B1)
-            configs; ineligible configs are refused via diagnostic
-            RPR011. Hash-excluded — it can never change results.
+            excluded from job content hashes.
         track_reads: Accumulate the read distribution too (disable to
             halve accumulation cost on large sweeps).
         log_level: Telemetry: stdlib-logging level name to bridge events
@@ -58,20 +47,13 @@ class SimulationSettings:
     """
 
     seed: int = 0
-    kernel: str = "batched"
-    chunk_size: Optional[int] = None
     evaluator: str = "compiled"
-    fastforward: bool = False
     track_reads: bool = True
     log_level: Optional[str] = None
     trace_path: Optional[str] = None
     progress: bool = False
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
         if self.evaluator not in EVALUATORS:
             raise ValueError(
                 f"evaluator must be one of {EVALUATORS}, "
@@ -94,8 +76,6 @@ class SimulationSettings:
         self,
         context: str,
         seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         track_reads: Optional[bool] = None,
     ) -> "SimulationSettings":
         """Overlay deprecated per-kwarg overrides onto these settings.
@@ -108,8 +88,6 @@ class SimulationSettings:
             name: value
             for name, value in (
                 ("seed", seed),
-                ("kernel", kernel),
-                ("chunk_size", chunk_size),
                 ("track_reads", track_reads),
             )
             if value is not None

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,17 +36,16 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
 from repro.balance.software import StrategyKind, wear_aware_permutation
-from repro.core.fastforward import run_fastforward_epochs
-from repro.core.kernel import make_epoch_maps, run_batched_epochs
+from repro.core.kernel import (
+    epoch_lengths,
+    kernel_path,
+    make_epoch_maps,
+    run_batched_epochs,
+)
 from repro.core.settings import SimulationSettings
 from repro.core.writedist import WriteDistribution
 from repro.telemetry import get_telemetry
-from repro.verify import (
-    VerificationError,
-    VerifyReport,
-    check_fastforward,
-    verify_mapping,
-)
+from repro.verify import VerificationError, verify_mapping
 from repro.workloads.base import Workload, WorkloadMapping
 
 #: Bound on :func:`mapping_for`'s memo: enough for a grid over a few
@@ -152,20 +151,41 @@ class SimulationResult:
         return self.mapping.lane_utilization
 
 
+@dataclass
+class _PreparedRun:
+    """A verified run's inputs: mapping, fresh counters and streams."""
+
+    architecture: PIMArchitecture
+    mapping: WorkloadMapping
+    state: ArrayState
+    rng: np.random.Generator
+    groups: Dict[int, Tuple[object, List[int]]]
+    remappers: Optional[Dict[int, HardwareRemapper]]
+    lane_loads: Optional[np.ndarray]
+
+    def result(
+        self, config: BalanceConfig, iterations: int, epochs: int
+    ) -> SimulationResult:
+        """Wrap the accumulated counters as a :class:`SimulationResult`."""
+        return SimulationResult(
+            workload_name=self.mapping.workload_name,
+            config=config,
+            architecture=self.architecture,
+            iterations=iterations,
+            state=self.state,
+            mapping=self.mapping,
+            epochs=epochs,
+        )
+
+
 class EnduranceSimulator:
     """Drives workloads through balance configurations on one architecture.
 
     Args:
         architecture: The PIM array design under test.
         settings: The unified knob set (:class:`SimulationSettings`) —
-            seed, kernel, chunk size, read tracking, telemetry options.
+            seed, read tracking, telemetry options.
         seed: Deprecated alias for ``settings.seed`` (warns once).
-        kernel: Deprecated alias for ``settings.kernel`` — ``"batched"``
-            (chunked GEMM accumulation, :mod:`repro.core.kernel`) or
-            ``"epoch"`` (the per-epoch loop); bit-identical, the epoch
-            loop is kept as the property-test oracle.
-        chunk_size: Deprecated alias for ``settings.chunk_size``
-            (epochs per GEMM; affects memory and speed only).
     """
 
     def __init__(
@@ -173,36 +193,15 @@ class EnduranceSimulator:
         architecture: PIMArchitecture,
         settings: Optional[SimulationSettings] = None,
         seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         base = settings if settings is not None else SimulationSettings()
-        self.settings = base.merge_legacy(
-            "EnduranceSimulator()",
-            seed=seed,
-            kernel=kernel,
-            chunk_size=chunk_size,
-        )
+        self.settings = base.merge_legacy("EnduranceSimulator()", seed=seed)
         self.architecture = architecture
-
-    # -- settings convenience views ------------------------------------
 
     @property
     def seed(self) -> int:
         """The settings' base RNG seed."""
         return self.settings.seed
-
-    @property
-    def kernel(self) -> str:
-        """The settings' default execution path."""
-        return self.settings.kernel
-
-    @property
-    def chunk_size(self) -> "int | None":
-        """The settings' batched-kernel epochs-per-GEMM."""
-        return self.settings.chunk_size
-
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -210,11 +209,13 @@ class EnduranceSimulator:
         config: BalanceConfig,
         iterations: int = 100_000,
         track_reads: Optional[bool] = None,
-        kernel: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         settings: Optional[SimulationSettings] = None,
     ) -> SimulationResult:
         """Simulate ``iterations`` repetitions under ``config``.
+
+        Every run goes through :func:`repro.core.kernel.run_batched_epochs`,
+        which fast-forwards configs periodic on both axes and folds a
+        config's one periodic axis before each GEMM.
 
         Args:
             workload: The benchmark kernel.
@@ -224,89 +225,29 @@ class EnduranceSimulator:
                 repeats", Section 4).
             track_reads: Deprecated alias for ``settings.track_reads``
                 (disable to halve the accumulation cost of large sweeps).
-            kernel: Deprecated alias for ``settings.kernel``.
-            chunk_size: Deprecated alias for ``settings.chunk_size``.
             settings: Per-call settings override; defaults to the
                 simulator's own :class:`SimulationSettings`.
         """
-        if iterations <= 0:
-            raise ValueError("iterations must be positive")
-        if config.within is StrategyKind.WEAR_AWARE:
-            raise ValueError(
-                "wear-aware mapping applies between lanes only (within-lane "
-                "roles are identical across a lane, so there is no load "
-                "signal to sort by)"
-            )
         effective = settings if settings is not None else self.settings
         effective = effective.merge_legacy(
-            "EnduranceSimulator.run()",
-            kernel=kernel,
-            chunk_size=chunk_size,
-            track_reads=track_reads,
+            "EnduranceSimulator.run()", track_reads=track_reads
         )
         tele = get_telemetry()
         start = time.perf_counter()
-        mapping = mapping_for(workload, self.architecture)
-        self._verify(mapping, config)
-        if effective.fastforward:
-            # Refuse, never approximate: non-periodic configs (Ra, Wa)
-            # have no steady state to extrapolate (diagnostic RPR011).
-            report = VerifyReport(check_fastforward(config))
-            if report.errors:
-                raise VerificationError(report)
-        architecture = self.architecture
-        state = ArrayState(architecture.geometry)
-        rng = np.random.default_rng(effective.seed)
-
-        remappers: Dict[int, HardwareRemapper] = {}
-        groups = self._groups(mapping)
-        if config.hardware:
-            for key, (program, _) in groups.items():
-                remappers[key] = HardwareRemapper(
-                    program, architecture.lane_size, architecture.presets_output
-                )
-
-        lane_loads = (
-            self._lane_loads(mapping)
-            if config.between is StrategyKind.WEAR_AWARE
-            else None
-        )
-        with tele.timed_phase("kernel", kernel=effective.kernel):
-            if effective.fastforward:
-                epochs = run_fastforward_epochs(
-                    architecture,
-                    config,
-                    state,
-                    groups,
-                    iterations,
-                    remappers=remappers if config.hardware else None,
-                    track_reads=effective.track_reads,
-                )
-            elif effective.kernel == "batched":
-                epochs = run_batched_epochs(
-                    architecture,
-                    config,
-                    state,
-                    rng,
-                    groups,
-                    iterations,
-                    remappers=remappers if config.hardware else None,
-                    lane_loads=lane_loads,
-                    track_reads=effective.track_reads,
-                    chunk_size=effective.chunk_size,
-                )
-            else:
-                epochs = self._run_epoch_loop(
-                    mapping,
-                    config,
-                    state,
-                    rng,
-                    groups,
-                    remappers,
-                    lane_loads,
-                    iterations,
-                    effective.track_reads,
-                )
+        run = self._prepare(workload, config, iterations, effective)
+        path = kernel_path(config)
+        with tele.timed_phase("kernel", kernel=path):
+            epochs = run_batched_epochs(
+                self.architecture,
+                config,
+                run.state,
+                run.rng,
+                run.groups,
+                iterations,
+                remappers=run.remappers,
+                lane_loads=run.lane_loads,
+                track_reads=effective.track_reads,
+            )
 
         elapsed = time.perf_counter() - start
         tele.count("sim.runs")
@@ -318,63 +259,100 @@ class EnduranceSimulator:
             # event is actually going somewhere.
             tele.emit(
                 "simulation",
-                workload=mapping.workload_name,
+                workload=run.mapping.workload_name,
                 config=config.label,
                 iterations=iterations,
                 epochs=epochs,
-                kernel=effective.kernel,
+                kernel=path,
                 seed=effective.seed,
                 seconds=round(elapsed, 6),
                 epochs_per_s=round(epochs / elapsed, 2) if elapsed > 0 else 0.0,
-                writes=float(state.write_counts.sum()),
-                reads=float(state.read_counts.sum()),
+                writes=float(run.state.write_counts.sum()),
+                reads=float(run.state.read_counts.sum()),
             )
-        return SimulationResult(
-            workload_name=mapping.workload_name,
-            config=config,
-            architecture=architecture,
-            iterations=iterations,
-            state=state,
-            mapping=mapping,
-            epochs=epochs,
-        )
+        return run.result(config, iterations, epochs)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
+    def _prepare(
+        self,
+        workload: Workload,
+        config: BalanceConfig,
+        iterations: int,
+        settings: SimulationSettings,
+    ) -> "_PreparedRun":
+        """Validate, map and verify a run; set up its state and streams."""
+        if iterations <= 0:
+            raise ValueError("iterations must be positive")
+        if config.within is StrategyKind.WEAR_AWARE:
+            raise ValueError(
+                "wear-aware mapping applies between lanes only (within-lane "
+                "roles are identical across a lane, so there is no load "
+                "signal to sort by)"
+            )
+        architecture = self.architecture
+        mapping = mapping_for(workload, architecture)
+        self._verify(mapping, config, iterations)
+        groups = self._groups(mapping)
+        remappers = None
+        if config.hardware:
+            remappers = {
+                key: HardwareRemapper(
+                    program, architecture.lane_size, architecture.presets_output
+                )
+                for key, (program, _) in groups.items()
+            }
+        lane_loads = (
+            self._lane_loads(mapping)
+            if config.between is StrategyKind.WEAR_AWARE
+            else None
+        )
+        return _PreparedRun(
+            architecture=architecture,
+            mapping=mapping,
+            state=ArrayState(architecture.geometry),
+            rng=np.random.default_rng(settings.seed),
+            groups=groups,
+            remappers=remappers,
+            lane_loads=lane_loads,
+        )
+
     def _run_epoch_loop(
         self,
-        mapping: WorkloadMapping,
+        workload: Workload,
         config: BalanceConfig,
-        state: ArrayState,
-        rng: np.random.Generator,
-        groups: Dict[int, Tuple[object, List[int]]],
-        remappers: Dict[int, HardwareRemapper],
-        lane_loads: "np.ndarray | None",
         iterations: int,
-        track_reads: bool,
-    ) -> int:
-        """The sequential per-epoch path — the batched kernel's oracle.
+        settings: Optional[SimulationSettings] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> SimulationResult:
+        """The sequential per-epoch simulation — the kernel's slow oracle.
 
-        Permutations come from :func:`make_epoch_maps` one epoch at a
-        time, which consumes the random stream exactly as the batched
-        kernel's chunked draws do, so both paths are bit-identical.
+        Reached only from tests, which pin :meth:`run` to it bit for
+        bit. Every epoch is simulated on its own: permutations come from
+        :func:`make_epoch_maps` one epoch at a time (consuming the random
+        stream exactly as the kernel's chunked draws do), wear-aware
+        assignments are resolved against the full state, and each epoch
+        lands as outer products. ``rng`` overrides the stream seeded
+        from ``settings.seed``, so a test can inspect what is left of it.
         """
+        settings = settings if settings is not None else self.settings
+        run = self._prepare(workload, config, iterations, settings)
+        if rng is not None:
+            run.rng = rng
         architecture = self.architecture
-        lane_size = architecture.lane_size
-        lane_count = architecture.lane_count
         orientation = architecture.orientation
-        epochs = 0
-        for epoch, length in self._epochs(config, iterations):
-            epochs += 1
+        state = run.state
+        lengths = epoch_lengths(config, iterations)
+        for epoch, length in enumerate(lengths.tolist()):
             within_maps, between_maps = make_epoch_maps(
                 config.within,
                 config.between,
-                lane_size,
-                lane_count,
+                architecture.lane_size,
+                architecture.lane_count,
                 1,
-                rng,
+                run.rng,
                 epoch_start=epoch,
             )
             within = within_maps[0]
@@ -382,37 +360,43 @@ class EnduranceSimulator:
                 wear = state.lane_view(state.write_counts, orientation).sum(
                     axis=0
                 )
-                between = wear_aware_permutation(lane_loads, wear)
+                between = wear_aware_permutation(run.lane_loads, wear)
             else:
                 between = between_maps[0]
             if config.hardware:
-                self._accumulate_hardware_epoch(
-                    state,
-                    groups,
-                    remappers,
-                    within,
-                    between,
-                    length,
-                    track_reads,
-                )
+                for key, (_, lanes) in run.groups.items():
+                    writes, reads = run.remappers[key].profile(length, within)
+                    lane_weights = np.zeros(architecture.lane_count)
+                    np.add.at(lane_weights, between[np.asarray(lanes)], 1.0)
+                    state.add_lane_profile(
+                        writes, lane_weights, orientation, "write"
+                    )
+                    if settings.track_reads:
+                        state.add_lane_profile(
+                            reads, lane_weights, orientation, "read"
+                        )
             else:
                 accumulate_assignment(
                     architecture,
-                    mapping.assignment,
+                    run.mapping.assignment,
                     state,
                     within_map=within,
                     between_map=between,
                     repetitions=float(length),
-                    track_reads=track_reads,
+                    track_reads=settings.track_reads,
                 )
-        return epochs
+        return run.result(config, iterations, int(lengths.size))
 
-    def _verify(self, mapping: WorkloadMapping, config: BalanceConfig) -> None:
+    def _verify(
+        self, mapping: WorkloadMapping, config: BalanceConfig, iterations: int
+    ) -> None:
         """Statically check the mapping/config pair before simulating.
 
         Runs :func:`repro.verify.verify_mapping` in wear-only mode (value
         semantics are warnings — a wear simulation never executes gate
-        values) and rejects the run on any error. Every run verifies;
+        values) over the run's horizon (RPR019 refuses one whose counters
+        would leave float64's exact integers) and rejects the run on any
+        error. Every run verifies;
         the expensive per-program passes are memoized on the programs
         themselves, so a repeat pays only the cheap bounds, schedule and
         configuration checks.
@@ -423,7 +407,9 @@ class EnduranceSimulator:
         with get_telemetry().timed_phase(
             "verify", workload=mapping.workload_name
         ):
-            report = verify_mapping(mapping, config, functional=False)
+            report = verify_mapping(
+                mapping, config, functional=False, iterations=iterations
+            )
         if report.errors:
             raise VerificationError(report)
 
@@ -444,36 +430,3 @@ class EnduranceSimulator:
             entry = groups.setdefault(id(program), (program, []))
             entry[1].append(lane)
         return groups
-
-    @staticmethod
-    def _epochs(config: BalanceConfig, iterations: int) -> Iterator[Tuple[int, int]]:
-        """Yield ``(epoch_index, epoch_length)`` pairs covering the run."""
-        if not config.needs_recompilation:
-            yield 0, iterations
-            return
-        interval = config.recompile_interval
-        full, remainder = divmod(iterations, interval)
-        for epoch in range(full):
-            yield epoch, interval
-        if remainder:
-            yield full, remainder
-
-    def _accumulate_hardware_epoch(
-        self,
-        state: ArrayState,
-        groups: Dict[int, Tuple[object, List[int]]],
-        remappers: Dict[int, HardwareRemapper],
-        within: np.ndarray,
-        between: np.ndarray,
-        length: int,
-        track_reads: bool,
-    ) -> None:
-        orientation = self.architecture.orientation
-        lane_count = self.architecture.lane_count
-        for key, (program, lanes) in groups.items():
-            writes, reads = remappers[key].profile(length, within)
-            lane_weights = np.zeros(lane_count)
-            np.add.at(lane_weights, between[np.asarray(lanes)], 1.0)
-            state.add_lane_profile(writes, lane_weights, orientation, "write")
-            if track_reads:
-                state.add_lane_profile(reads, lane_weights, orientation, "read")

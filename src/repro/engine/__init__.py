@@ -59,8 +59,6 @@ def run_simulation(
     jobs=1,
     cache_dir=None,
     hooks=None,
-    kernel=None,
-    chunk_size=None,
     settings=None,
 ):
     """Resolve one simulation through the engine (cache-aware).
@@ -68,10 +66,10 @@ def run_simulation(
     The single-run counterpart of the sweep entry points: builds the spec,
     consults/populates ``cache_dir`` when given, and returns the result.
     Execution knobs come from ``settings`` (a
-    :class:`repro.SimulationSettings`); ``seed`` / ``track_reads`` /
-    ``kernel`` / ``chunk_size`` remain as deprecated aliases. The
-    historical default tracked reads, so with neither ``settings`` nor
-    ``track_reads`` given, reads are tracked.
+    :class:`repro.SimulationSettings`); ``seed`` / ``track_reads``
+    remain as deprecated aliases. The historical default tracked reads,
+    so with neither ``settings`` nor ``track_reads`` given, reads are
+    tracked.
 
     Raises:
         EngineError: if the job fails after its retries.
@@ -80,8 +78,6 @@ def run_simulation(
     base = base.merge_legacy(
         "run_simulation()",
         seed=seed,
-        kernel=kernel,
-        chunk_size=chunk_size,
         track_reads=track_reads,
     )
     spec = JobSpec.from_settings(

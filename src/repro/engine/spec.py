@@ -44,15 +44,6 @@ class JobSpec:
         iterations: Repetitions to simulate.
         seed: Base RNG seed (the simulator derives all streams from it).
         track_reads: Whether the read distribution is accumulated.
-        kernel: Execution path (``"batched"``/``"epoch"``). Excluded
-            from the content hash: both kernels are bit-identical, so a
-            cached result answers either.
-        chunk_size: Batched kernel epochs-per-GEMM (``None`` = default).
-            Also hash-excluded — it affects speed and memory only.
-        fastforward: Run the analytic steady-state fast-forward instead
-            of simulating every epoch. Hash-excluded: on eligible
-            configs it is bit-identical, and ineligible configs are
-            refused (RPR011) rather than approximated.
     """
 
     workload: Workload
@@ -61,17 +52,10 @@ class JobSpec:
     iterations: int = 100_000
     seed: int = 0
     track_reads: bool = False
-    kernel: str = "batched"
-    chunk_size: Optional[int] = None
-    fastforward: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.kernel not in ("batched", "epoch"):
-            raise ValueError(
-                f"kernel must be 'batched' or 'epoch', got {self.kernel!r}"
-            )
 
     @classmethod
     def from_settings(
@@ -97,20 +81,13 @@ class JobSpec:
             iterations=iterations,
             seed=settings.seed,
             track_reads=settings.track_reads,
-            kernel=settings.kernel,
-            chunk_size=settings.chunk_size,
-            fastforward=settings.fastforward,
         )
 
     @property
     def settings(self) -> SimulationSettings:
         """The spec's execution knobs as a :class:`SimulationSettings`."""
         return SimulationSettings(
-            seed=self.seed,
-            kernel=self.kernel,
-            chunk_size=self.chunk_size,
-            fastforward=self.fastforward,
-            track_reads=self.track_reads,
+            seed=self.seed, track_reads=self.track_reads
         )
 
     def identity(self) -> dict:

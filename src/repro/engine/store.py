@@ -148,7 +148,7 @@ class ResultStore:
         """Write the run manifest next to the entry (atomic, best-effort).
 
         The manifest records how the result was produced — spec hash,
-        seed, kernel, chunk size, numpy/BLAS provenance, wall
+        seed, numpy/BLAS provenance, wall
         time — plus a snapshot of the producing process's telemetry
         aggregates. In pool mode that is the worker's own registry, so
         the snapshot describes (at least) exactly the runs that worker
@@ -159,9 +159,6 @@ class ResultStore:
             "content_hash": spec.content_hash,
             "label": spec.label,
             "seed": spec.seed,
-            "kernel": spec.kernel,
-            "chunk_size": spec.chunk_size,
-            "fastforward": getattr(spec, "fastforward", False),
             "numpy_version": np.__version__,
             "blas": blas_implementation(),
             "iterations": spec.iterations,

@@ -76,11 +76,6 @@ DISPATCH_POLICIES = ("even", "least_worn")
 class FleetSpec:
     """Everything that determines a fleet campaign's outcome.
 
-    Like :class:`~repro.engine.spec.JobSpec`, execution knobs that
-    cannot change results (``kernel``, ``chunk_size``) are carried for
-    convenience but excluded from the content hash, so a campaign keeps
-    its identity — and its checkpoints — across kernel switches.
-
     Attributes:
         population: The fleet's makeup.
         traffic: The arrival process.
@@ -95,11 +90,6 @@ class FleetSpec:
         rows: Cohort-calibration array rows.
         cols: Cohort-calibration array cols.
         cohort_iterations: Iterations for each cohort's wear simulation.
-        kernel: Simulation kernel (hash-excluded).
-        chunk_size: Batched-kernel chunk size (hash-excluded).
-        fastforward: Calibrate cohorts through the analytic steady-state
-            fast-forward when their configs are eligible (hash-excluded;
-            bit-identical where accepted, refused via RPR011 otherwise).
     """
 
     population: PopulationSpec = PopulationSpec()
@@ -112,9 +102,6 @@ class FleetSpec:
     rows: int = 1024
     cols: int = 1024
     cohort_iterations: int = 2000
-    kernel: str = "batched"
-    chunk_size: Optional[int] = None
-    fastforward: bool = False
 
     def __post_init__(self) -> None:
         if self.days < 1:
@@ -240,9 +227,6 @@ class FleetService:
                 config=BalanceConfig.from_label(cohort.config),
                 iterations=self.spec.cohort_iterations,
                 seed=self.spec.seed,
-                kernel=self.spec.kernel,
-                chunk_size=self.spec.chunk_size,
-                fastforward=self.spec.fastforward,
             )
             for cohort in self.spec.population.cohorts
         ]

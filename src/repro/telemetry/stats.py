@@ -69,7 +69,6 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.deaths",
         "fleet.rejected",
         "fleet.threshold_draws",
-        "kernel.chunk_size",
         "kernel.chunks",
         "kernel.gemms",
         "mapping.memo_hits",
@@ -157,7 +156,10 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
         wins per key),
         ``diagnostics`` (verifier code -> occurrence count, folded from
         ``verify_report`` and ``job_rejected`` events), and
-        ``simulations`` (count, iterations, epochs).
+        ``simulations`` (count, iterations, epochs, and ``by_kernel``:
+        runs per kernel branch — ``fastforward`` or ``batched``; traces
+        written before fast-forward became automatic also say
+        ``epoch``).
     """
     if isinstance(records, str):
         records = iter_trace(records)
@@ -177,6 +179,7 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
     sim_count = 0
     sim_iterations = 0
     sim_epochs = 0
+    sim_kernels: Dict[str, int] = {}
     first_ts = None
     last_ts = None
     total = 0
@@ -222,6 +225,8 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
             sim_count += 1
             sim_iterations += int(record["iterations"])
             sim_epochs += int(record["epochs"])
+            kernel = str(record["kernel"])
+            sim_kernels[kernel] = sim_kernels.get(kernel, 0) + 1
     return {
         "records": total,
         "span_s": round((last_ts - first_ts), 6) if total else 0.0,
@@ -252,6 +257,7 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
             "count": sim_count,
             "iterations": sim_iterations,
             "epochs": sim_epochs,
+            "by_kernel": dict(sorted(sim_kernels.items())),
         },
     }
 
@@ -317,4 +323,6 @@ def format_stats(summary: Dict) -> str:
             f"simulations: {sims['count']} run(s), "
             f"{sims['iterations']} iterations, {sims['epochs']} epochs"
         )
+        for kernel, count in sims.get("by_kernel", {}).items():
+            lines.append(f"  {kernel:<16} {count}")
     return "\n".join(lines)

@@ -48,7 +48,6 @@ from repro.verify.streams import (
 )
 from repro.verify.wear import (
     check_config,
-    check_fastforward,
     check_permutation_rows,
     check_profile_conservation,
     check_schedule,
@@ -66,7 +65,6 @@ __all__ = [
     "check_checkpoint",
     "check_config",
     "check_dataflow",
-    "check_fastforward",
     "check_level_segments",
     "check_levels",
     "check_manifest",

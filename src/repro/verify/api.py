@@ -20,6 +20,7 @@ corrupt wear accounting no matter the execution mode.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ from repro.verify.lint import self_lint
 from repro.verify.streams import check_streams
 from repro.verify.wear import (
     check_config,
-    check_fastforward,
     check_profile_conservation,
     check_schedule,
 )
@@ -54,6 +54,10 @@ __all__ = [
 
 #: Codes that assert value semantics rather than wear accounting.
 FUNCTIONAL_CODES = frozenset({"RPR001", "RPR002", "RPR004"})
+
+#: float64 holds every integer below this exactly; the wear counters,
+#: epoch weights and the conservation sum are integer-valued float64.
+EXACT_FLOAT_LIMIT = 2**53
 
 
 class VerificationError(ValueError):
@@ -167,6 +171,7 @@ def verify_mapping(
     mapping,
     config=None,
     functional: bool = True,
+    iterations: Optional[int] = None,
 ) -> VerifyReport:
     """Statically check a built workload mapping.
 
@@ -179,6 +184,9 @@ def verify_mapping(
         functional: When False, the value-semantics codes (RPR001/002/
             004) are reported as warnings — a wear-only simulation never
             executes gate values.
+        iterations: Optional run horizon; when given, a run whose total
+            writes reach 2^53 is refused (RPR019), since past that the
+            float64 counters and the conservation sum round silently.
     """
     architecture = mapping.architecture
     lane_size = architecture.lane_size
@@ -192,13 +200,17 @@ def verify_mapping(
     if not functional:
         diagnostics = _relax_functional(diagnostics)
     diagnostics.extend(check_schedule(mapping))
+    # Per-lane writes per iteration: the Wa sorting signal and, summed,
+    # the horizon bound's rate. One profile sum per distinct program.
+    include = architecture.presets_output
+    program_writes = {
+        id(program): program.write_counts(include_presets=include).sum()
+        for program in mapping.distinct_programs()
+    }
+    lane_loads = np.zeros(architecture.lane_count)
+    for lane, program in mapping.assignment.items():
+        lane_loads[lane] = program_writes[id(program)]
     if config is not None:
-        lane_loads = np.zeros(architecture.lane_count)
-        include = architecture.presets_output
-        for lane, program in mapping.assignment.items():
-            lane_loads[lane] = program.write_counts(
-                include_presets=include
-            ).sum()
         diagnostics.extend(
             check_config(
                 config,
@@ -207,7 +219,39 @@ def verify_mapping(
                 lane_loads=lane_loads,
             )
         )
+    if iterations is not None:
+        diagnostics.extend(
+            _check_horizon(
+                mapping.workload_name, float(lane_loads.sum()), iterations
+            )
+        )
     return _finish(diagnostics)
+
+
+def _check_horizon(
+    workload_name: str, writes_per_iteration: float, iterations: int
+) -> List[Diagnostic]:
+    """RPR019: the run's total writes must stay below 2^53.
+
+    Every cell count, lane weight and partial sum is bounded by the
+    total, so this one bound keeps the whole accumulation exact.
+    """
+    per_iteration = math.ceil(writes_per_iteration)
+    total = int(iterations) * per_iteration  # exact: Python ints
+    if total < EXACT_FLOAT_LIMIT:
+        return []
+    return [
+        Diagnostic(
+            "RPR019",
+            Severity.ERROR,
+            f"{iterations} iterations x {per_iteration} writes/iteration "
+            f"= {total} writes reaches 2^53; float64 counters would "
+            "round silently",
+            Location(place=f"workload {workload_name}"),
+            hint="shorten the horizon to fewer than "
+            f"{-(-EXACT_FLOAT_LIMIT // per_iteration)} iterations",
+        )
+    ]
 
 
 def verify_network(
@@ -312,16 +356,12 @@ def verify_spec(spec) -> VerifyReport:
     from repro.core.simulator import mapping_for
 
     mapping = mapping_for(spec.workload, spec.architecture)
-    report = verify_mapping(
-        mapping, getattr(spec, "config", None), functional=False
+    return verify_mapping(
+        mapping,
+        getattr(spec, "config", None),
+        functional=False,
+        iterations=getattr(spec, "iterations", None),
     )
-    config = getattr(spec, "config", None)
-    if config is not None and getattr(spec, "fastforward", False):
-        # A spec that asks for the analytic fast-forward must also pass
-        # the RPR011 eligibility gate — the engine rejects it up front
-        # instead of failing (or worse, approximating) mid-dispatch.
-        report = report.merged(VerifyReport(check_fastforward(config)))
-    return report
 
 
 #: Memo for :func:`verify_fleet_spec`, keyed on the facts the passes
@@ -340,13 +380,11 @@ def verify_fleet_spec(spec, use_cache: bool = True) -> VerifyReport:
 
     * every seeded substream derivation must be collision-free (RPR015)
       — :mod:`repro.verify.streams`;
-    * every cohort's balance configuration must validate (RPR007/010),
-      plus RPR011 fast-forward eligibility when the spec asks for it.
+    * every cohort's balance configuration must validate (RPR007/010).
 
-    Results are memoized on ``(content_hash, fastforward)`` — the
-    campaign identity plus the one hash-excluded knob the passes read —
-    so gating every :meth:`FleetService.run` costs one analysis per
-    distinct campaign. Pass ``use_cache=False`` to force a fresh run
+    Results are memoized on the campaign's ``content_hash``, so gating
+    every :meth:`FleetService.run` costs one analysis per distinct
+    campaign. Pass ``use_cache=False`` to force a fresh run
     (benchmarks measuring analysis cost do).
     """
     from repro.array.architecture import default_architecture
@@ -354,7 +392,7 @@ def verify_fleet_spec(spec, use_cache: bool = True) -> VerifyReport:
 
     key = None
     if use_cache:
-        key = (spec.content_hash, bool(spec.fastforward))
+        key = spec.content_hash
         cached = _FLEET_VERIFY_CACHE.get(key)
         if cached is not None:
             return cached
@@ -368,10 +406,6 @@ def verify_fleet_spec(spec, use_cache: bool = True) -> VerifyReport:
             architecture.lane_count,
             seed=spec.seed,
         )
-        if spec.fastforward:
-            cohort_findings = list(cohort_findings) + list(
-                check_fastforward(config)
-            )
         for diagnostic in cohort_findings:
             location = diagnostic.location
             if location.place is None:

@@ -49,6 +49,8 @@ CODES: Dict[str, str] = {
     "RPR008": "schedule violates the lane-load bounds",
     "RPR009": "hardware re-mapping has no spare bit",
     "RPR010": "invalid balance configuration",
+    # RPR011 is retired: fast-forward is automatic on every periodic
+    # config, so no run asks for it on a config that cannot take it.
     "RPR011": "configuration not eligible for steady-state fast-forward",
     # RPR012-RPR014 and RPR016 are retired: they guarded the sharded
     # parallel day loop and the no-death window stepping, both removed.
@@ -61,6 +63,7 @@ CODES: Dict[str, str] = {
     "RPR016": "window-batched draw order can diverge from the serial stream",
     "RPR017": "versioned artifact schema violation",
     "RPR018": "repo invariant violated (self-lint)",
+    "RPR019": "run horizon leaves float64's exact integer range (2^53)",
 }
 
 

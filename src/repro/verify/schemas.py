@@ -53,15 +53,15 @@ CHECKPOINT_STATE_KEYS = frozenset(
 )
 
 #: Keys every per-run store manifest carries
-#: (:meth:`repro.engine.store.ResultStore._write_manifest`).
+#: (:meth:`repro.engine.store.ResultStore._write_manifest`). Manifests
+#: written before the kernel knobs were removed also carry ``kernel``,
+#: ``chunk_size`` and ``fastforward``; extra keys are accepted, so they
+#: still validate.
 MANIFEST_KEYS = frozenset(
     {
         "content_hash",
         "label",
         "seed",
-        "kernel",
-        "chunk_size",
-        "fastforward",
         "numpy_version",
         "blas",
         "iterations",

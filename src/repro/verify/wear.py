@@ -39,17 +39,8 @@ __all__ = [
     "check_profile_conservation",
     "check_permutation_rows",
     "check_config",
-    "check_fastforward",
     "check_schedule",
 ]
-
-#: Strategies whose per-epoch permutation is a pure periodic function
-#: of the epoch index — the precondition of the analytic fast-forward.
-#: Kept in sync with :data:`repro.core.fastforward.PERIODIC_KINDS` by a
-#: pin in the test suite (verify must not import core).
-_FASTFORWARD_KINDS = frozenset(
-    {StrategyKind.STATIC, StrategyKind.BYTE_SHIFT, StrategyKind.BIT_SHIFT}
-)
 
 #: Epochs sampled per strategy when validating permutation streams.
 PERMUTATION_SAMPLE_EPOCHS = 4
@@ -224,48 +215,6 @@ def check_config(
         diagnostics.extend(
             check_permutation_rows(
                 rows, size, f"{config.label} {axis} ({kind.label})"
-            )
-        )
-    return diagnostics
-
-
-def check_fastforward(config: BalanceConfig) -> List[Diagnostic]:
-    """RPR011: is ``config`` eligible for steady-state fast-forward?
-
-    The analytic fast-forward (:mod:`repro.core.fastforward`)
-    extrapolates wear across epochs whose deltas repeat with a provable
-    period. Deterministic strategies (``St``/``Bs``/``B1``) qualify;
-    random shuffling draws fresh permutations every epoch and wear-aware
-    mapping couples each epoch's assignment to accumulated state, so
-    neither has a steady state to extrapolate — such configs must be
-    refused, never silently approximated.
-    """
-    diagnostics: List[Diagnostic] = []
-    reasons = {
-        StrategyKind.RANDOM: (
-            "draws a fresh random permutation every epoch, so epoch "
-            "deltas never repeat"
-        ),
-        StrategyKind.WEAR_AWARE: (
-            "feeds accumulated wear state back into each epoch's "
-            "assignment, so epoch deltas are state-coupled"
-        ),
-    }
-    for kind, axis in (
-        (config.within, "within-lane"),
-        (config.between, "between-lane"),
-    ):
-        if kind in _FASTFORWARD_KINDS:
-            continue
-        diagnostics.append(
-            Diagnostic(
-                "RPR011",
-                Severity.ERROR,
-                f"{axis} strategy {kind.label} "
-                f"{reasons.get(kind, 'is not a periodic function of the epoch index')}",
-                Location(place=f"config {config.label}"),
-                hint="fast-forward needs St/Bs/B1 on both axes; run the "
-                "simulated kernel for this config instead",
             )
         )
     return diagnostics

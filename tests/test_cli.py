@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.array.architecture import default_architecture
+from repro.balance.config import BalanceConfig
 from repro.cli import build_parser, main
+from repro.core.simulator import EnduranceSimulator
 
 
 class TestParser:
@@ -318,16 +321,12 @@ class TestFlagAudit:
         args = parser.parse_args([
             command,
             "--jobs", "2", "--cache-dir", "x",
-            "--seed", "9", "--kernel", "epoch", "--chunk-size", "64",
-            "--fast-forward",
+            "--seed", "9",
             "--log-level", "info", "--trace", "t.jsonl", "--progress",
         ])
         assert args.jobs == 2
         assert args.cache_dir == "x"
         assert args.seed == 9
-        assert args.kernel == "epoch"
-        assert args.chunk_size == 64
-        assert args.fast_forward is True
         assert args.log_level == "info"
         assert args.trace == "t.jsonl"
         assert args.progress is True
@@ -337,35 +336,58 @@ class TestFlagAudit:
         """Subcommand duplicates must not clobber main-parser values."""
         parser = build_parser()
         args = parser.parse_args(
-            ["--seed", "9", "--kernel", "epoch", "--trace", "t.jsonl",
-             "--fast-forward", command]
+            ["--seed", "9", "--trace", "t.jsonl", command]
         )
         assert args.seed == 9
-        assert args.kernel == "epoch"
         assert args.trace == "t.jsonl"
-        assert args.fast_forward is True
+
+    @pytest.mark.parametrize(
+        "flag", [["--kernel", "epoch"], ["--chunk-size", "64"],
+                 ["--fast-forward"]],
+    )
+    def test_removed_kernel_flags_are_rejected(self, flag, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([*flag, "heatmap"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["heatmap", *flag])
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestFastForwardFlag:
+    """There is no flag any more: periodic configs fast-forward on their
+    own, and the only run-time refusal left is a clean one."""
+
     def test_eligible_config_renders_identically(self, capsys):
-        args = ["--rows", "256", "--cols", "64", "heatmap",
-                "--workload", "mult", "--config", "BsxBs",
-                "--iterations", "40"]
-        assert main(args) == 0
-        slow = capsys.readouterr().out
-        assert main(["--fast-forward", *args[:4], *args[4:]]) == 0
-        fast = capsys.readouterr().out
-        assert fast == slow
+        from repro.workloads.registry import get_workload
+
+        assert main([
+            "--rows", "256", "--cols", "64", "heatmap",
+            "--workload", "mult", "--config", "BsxBs",
+            "--iterations", "40",
+        ]) == 0
+        rendered = capsys.readouterr().out
+        oracle = EnduranceSimulator(
+            default_architecture(256, 64)
+        )._run_epoch_loop(
+            get_workload("mult"), BalanceConfig.from_label("BsxBs"), 40
+        ).write_distribution
+        assert rendered == (
+            oracle.ascii_heatmap(blocks=(256 // 32, 64 // 16))
+            + "\n\n" + oracle.summary() + "\n"
+        )
 
     def test_ineligible_config_refused_cleanly(self, capsys):
+        # A horizon whose writes reach 2^53 cannot be counted exactly in
+        # float64: refused with RPR019 before anything runs.
         status = main([
-            "--rows", "256", "--cols", "64", "--fast-forward",
+            "--rows", "256", "--cols", "64",
             "heatmap", "--workload", "mult", "--config", "RaxRa",
-            "--iterations", "40",
+            "--iterations", str(2**53),
         ])
         captured = capsys.readouterr()
         assert status == 1
-        assert "RPR011" in captured.err
+        assert "RPR019" in captured.err
         assert "Traceback" not in captured.err
 
 

@@ -1,32 +1,36 @@
-"""The analytic fast-forward IS the simulated path (where eligible).
+"""The kernel's fast-forward branch IS the simulated path.
 
-Fast-forward's contract has two halves: on periodic (``St``/``Bs``/
-``B1``) configurations every counter — and therefore every downstream
-lifetime and failure-timeline answer — is bit-identical to simulating
-each epoch; on non-periodic configurations (``Ra``, ``Wa``) it refuses
-with diagnostic RPR011 instead of approximating. These tests pin both
-halves across the strategy grid, recompile intervals, hardware
-re-mapping, and both entry points (simulator settings and engine spec).
+Fast-forward is automatic: :func:`repro.core.kernel.run_batched_epochs`
+collapses every configuration periodic on both axes (``St``/``Bs``/
+``B1``) to one period block. Its contract is that every counter — and
+therefore every downstream lifetime and failure-timeline answer — is
+bit-identical to simulating each epoch. These tests pin the branch to
+the per-epoch oracle (``EnduranceSimulator._run_epoch_loop``) and to the
+kernel's own chunked branch across the strategy grid, recompile
+intervals, hardware re-mapping, and both entry points (simulator and
+engine spec). Configurations it cannot take (``Ra``, ``Wa``) are no
+longer refused (RPR011 is retired); they take the chunked branch.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.kernel as kernel
 from repro.array.architecture import CRAM_ROW, default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.software import StrategyKind
 from repro.core.failure import failure_timeline, minimum_footprint
-from repro.core.fastforward import (
+from repro.core.kernel import (
     PERIODIC_KINDS,
     fastforward_eligible,
     fastforward_period,
+    kernel_path,
     strategy_period,
 )
 from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
-from repro.verify import VerificationError, verify_spec
-from repro.verify.wear import _FASTFORWARD_KINDS
+from repro.verify import verify_spec
 from repro.workloads.multiply import ParallelMultiplication
 
 ARCH = default_architecture(64, 16)
@@ -42,15 +46,27 @@ ELIGIBLE = [
 INELIGIBLE_LABELS = ["RaxRa", "StxRa", "RaxSt", "StxWa", "RaxBs+Hw"]
 
 
-def _run(arch, config, iterations, *, fastforward, seed=3, kernel="batched"):
-    sim = EnduranceSimulator(arch)
-    return sim.run(
+def _settings(seed=3, track_reads=True):
+    return SimulationSettings(seed=seed, track_reads=track_reads)
+
+
+def _run(arch, config, iterations, *, seed=3, track_reads=True):
+    """The production path."""
+    return EnduranceSimulator(arch).run(
         ParallelMultiplication(bits=8),
         config,
         iterations=iterations,
-        settings=SimulationSettings(
-            seed=seed, kernel=kernel, fastforward=fastforward
-        ),
+        settings=_settings(seed, track_reads),
+    )
+
+
+def _oracle(arch, config, iterations, *, seed=3, track_reads=True):
+    """The per-epoch loop."""
+    return EnduranceSimulator(arch)._run_epoch_loop(
+        ParallelMultiplication(bits=8),
+        config,
+        iterations,
+        settings=_settings(seed, track_reads),
     )
 
 
@@ -103,66 +119,53 @@ class TestPeriods:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("config", ELIGIBLE, ids=lambda c: c.label)
-    def test_eligible_grid_matches_batched(self, config):
-        fast = _run(ARCH, config, 40, fastforward=True)
-        slow = _run(ARCH, config, 40, fastforward=False)
-        _assert_identical(fast, slow)
+    def test_eligible_grid_matches_batched(self, config, monkeypatch):
+        fast = _run(ARCH, config, 40)
+        # Without a joint period the kernel takes its chunked branch,
+        # drawing and accumulating every epoch.
+        monkeypatch.setattr(kernel, "fastforward_period", lambda *_: None)
+        batched = _run(ARCH, config, 40)
+        _assert_identical(fast, batched)
 
     @pytest.mark.parametrize("config", ELIGIBLE[:4], ids=lambda c: c.label)
     def test_eligible_grid_matches_epoch_oracle(self, config):
-        fast = _run(ARCH, config, 40, fastforward=True)
-        oracle = _run(ARCH, config, 40, fastforward=False, kernel="epoch")
-        _assert_identical(fast, oracle)
+        assert kernel_path(config) == "fastforward"
+        _assert_identical(_run(ARCH, config, 40), _oracle(ARCH, config, 40))
 
     @pytest.mark.parametrize("interval", [1, 7, 100])
     @pytest.mark.parametrize("label", ["BsxBs", "B1xB1", "BsxB1+Hw"])
     def test_interval_grid(self, label, interval):
         config = BalanceConfig.from_label(label).with_interval(interval)
         for iterations in (3, 40, 203):
-            fast = _run(ARCH, config, iterations, fastforward=True)
-            slow = _run(ARCH, config, iterations, fastforward=False)
-            _assert_identical(fast, slow)
+            _assert_identical(
+                _run(ARCH, config, iterations),
+                _oracle(ARCH, config, iterations),
+            )
 
     def test_iterations_shorter_than_interval(self):
         # full_epochs == 0: only the remainder epoch materializes.
         config = BalanceConfig.from_label("BsxBs").with_interval(50)
-        fast = _run(ARCH, config, 7, fastforward=True)
-        slow = _run(ARCH, config, 7, fastforward=False)
-        _assert_identical(fast, slow)
+        _assert_identical(_run(ARCH, config, 7), _oracle(ARCH, config, 7))
 
     def test_horizon_far_past_the_period(self):
-        # Millions of epochs collapse into one period block.
-        config = BalanceConfig.from_label("BsxBs").with_interval(1)
-        fast = _run(ARCH, config, 100_000, fastforward=True)
-        slow = _run(ARCH, config, 100_000, fastforward=False)
-        _assert_identical(fast, slow)
+        # 5,003 epochs against a period of 8: 625 whole periods plus a
+        # partial one collapse into one period block.
+        config = BalanceConfig.from_label("BsxBs+Hw").with_interval(1)
+        assert fastforward_period(config, ARCH.lane_size, ARCH.lane_count) == 8
+        _assert_identical(
+            _run(ARCH, config, 5_003), _oracle(ARCH, config, 5_003)
+        )
 
     def test_row_parallel_orientation(self):
         arch = CRAM_ROW.resized(64, 64)
         config = BalanceConfig.from_label("BsxBs")
-        fast = _run(arch, config, 40, fastforward=True)
-        slow = _run(arch, config, 40, fastforward=False)
-        _assert_identical(fast, slow)
+        _assert_identical(_run(arch, config, 40), _oracle(arch, config, 40))
 
     def test_reads_untracked_parity(self):
         config = BalanceConfig.from_label("B1xBs")
-        sim = EnduranceSimulator(ARCH)
-        kwargs = dict(iterations=40)
-        fast = sim.run(
-            ParallelMultiplication(bits=8),
-            config,
-            settings=SimulationSettings(fastforward=True, track_reads=False),
-            **kwargs,
-        )
-        slow = sim.run(
-            ParallelMultiplication(bits=8),
-            config,
-            settings=SimulationSettings(track_reads=False),
-            **kwargs,
-        )
-        assert np.array_equal(
-            fast.state.write_counts, slow.state.write_counts
-        )
+        fast = _run(ARCH, config, 40, track_reads=False)
+        slow = _oracle(ARCH, config, 40, track_reads=False)
+        _assert_identical(fast, slow)
         assert fast.state.read_counts.sum() == 0
 
 
@@ -171,8 +174,8 @@ class TestDownstreamAnswers:
 
     def test_lifetime_identical(self):
         config = BalanceConfig.from_label("BsxBs")
-        fast = _run(ARCH, config, 40, fastforward=True)
-        slow = _run(ARCH, config, 40, fastforward=False)
+        fast = _run(ARCH, config, 40)
+        slow = _oracle(ARCH, config, 40)
         assert (
             lifetime_from_result(fast).iterations_to_failure
             == lifetime_from_result(slow).iterations_to_failure
@@ -182,10 +185,8 @@ class TestDownstreamAnswers:
         config = BalanceConfig.from_label("BsxBs")
         workload = ParallelMultiplication(bits=8)
         required = minimum_footprint(workload, ARCH)
-        fast = _run(ARCH, config, 40, fastforward=True)
-        slow = _run(ARCH, config, 40, fastforward=False)
-        t_fast = failure_timeline(fast, required)
-        t_slow = failure_timeline(slow, required)
+        t_fast = failure_timeline(_run(ARCH, config, 40), required)
+        t_slow = failure_timeline(_oracle(ARCH, config, 40), required)
         assert (
             t_fast.first_failure_iterations
             == t_slow.first_failure_iterations
@@ -194,43 +195,30 @@ class TestDownstreamAnswers:
 
 
 class TestRefusal:
-    @pytest.mark.parametrize("label", INELIGIBLE_LABELS)
-    def test_simulator_refuses_with_rpr011(self, label):
-        config = BalanceConfig.from_label(label)
-        with pytest.raises(VerificationError) as err:
-            _run(ARCH, config, 10, fastforward=True)
-        assert "RPR011" in str(err.value)
+    """RPR011 is retired: nothing asks for fast-forward any more, so
+    nothing is refused; configs it cannot take run the chunked branch."""
 
     @pytest.mark.parametrize("label", INELIGIBLE_LABELS)
     def test_ineligible_runs_fine_without_fastforward(self, label):
         config = BalanceConfig.from_label(label)
-        result = _run(ARCH, config, 10, fastforward=False)
+        assert kernel_path(config) == "batched"
+        result = _run(ARCH, config, 10)
         assert result.state.write_counts.sum() > 0
-
-    def test_verify_spec_reports_rpr011(self):
-        from repro.engine import JobSpec
-
-        spec = JobSpec(
-            workload=ParallelMultiplication(bits=8),
-            architecture=ARCH,
-            config=BalanceConfig.from_label("RaxRa"),
-            iterations=10,
-            fastforward=True,
-        )
-        report = verify_spec(spec)
-        assert "RPR011" in report.codes()
+        _assert_identical(result, _oracle(ARCH, config, 10))
 
     def test_verify_spec_clean_on_eligible(self):
         from repro.engine import JobSpec
 
-        spec = JobSpec(
-            workload=ParallelMultiplication(bits=8),
-            architecture=ARCH,
-            config=BalanceConfig.from_label("BsxBs"),
-            iterations=10,
-            fastforward=True,
-        )
-        assert "RPR011" not in verify_spec(spec).codes()
+        for label in ("BsxBs", "RaxRa"):
+            spec = JobSpec(
+                workload=ParallelMultiplication(bits=8),
+                architecture=ARCH,
+                config=BalanceConfig.from_label(label),
+                iterations=10,
+            )
+            report = verify_spec(spec)
+            assert not report.errors
+            assert "RPR011" not in report.codes()
 
     def test_fastforward_eligible_predicate(self):
         assert fastforward_eligible(BalanceConfig.from_label("BsxBs+Hw"))
@@ -238,56 +226,44 @@ class TestRefusal:
 
 
 class TestEngineIntegration:
-    def test_engine_runs_fastforward_spec(self, tmp_path):
+    def test_engine_runs_fastforward_spec(self):
         from repro.engine import ExperimentEngine, JobSpec, require_ok
 
-        def make(fastforward):
-            return JobSpec(
-                workload=ParallelMultiplication(bits=8),
-                architecture=ARCH,
-                config=BalanceConfig.from_label("BsxBs"),
-                iterations=40,
-                seed=3,
-                fastforward=fastforward,
-            )
-
-        engine = ExperimentEngine()
-        fast = require_ok([engine.run_one(make(True))])[0].result
-        slow = require_ok([engine.run_one(make(False))])[0].result
-        assert np.array_equal(
-            fast.state.write_counts, slow.state.write_counts
+        config = BalanceConfig.from_label("BsxBs")
+        spec = JobSpec(
+            workload=ParallelMultiplication(bits=8),
+            architecture=ARCH,
+            config=config,
+            iterations=40,
+            seed=3,
+            track_reads=True,
         )
+        engine = ExperimentEngine()
+        fast = require_ok([engine.run_one(spec)])[0].result
+        _assert_identical(fast, _oracle(ARCH, config, 40))
 
     def test_fleet_calibration_with_fastforward(self):
-        from repro.fleet import FleetSpec, run_campaign
+        from repro.fleet import FleetService, FleetSpec
         from repro.fleet.population import CohortSpec, PopulationSpec
         from repro.fleet.traffic import TrafficSpec
 
-        def campaign(fastforward):
-            return run_campaign(
-                FleetSpec(
-                    population=PopulationSpec(
-                        n_arrays=4,
-                        cohorts=(
-                            CohortSpec(workload="mult", config="BsxBs"),
-                        ),
-                    ),
-                    traffic=TrafficSpec(model="deterministic", rate=50.0),
-                    days=10,
-                    rows=256,
-                    cols=64,
-                    cohort_iterations=40,
-                    fastforward=fastforward,
-                )
-            )
-
-        assert (
-            campaign(True).content_hash()
-            == campaign(False).content_hash()
+        spec = FleetSpec(
+            population=PopulationSpec(
+                n_arrays=4,
+                cohorts=(CohortSpec(workload="mult", config="BsxBs"),),
+            ),
+            traffic=TrafficSpec(model="deterministic", rate=50.0),
+            days=10,
+            rows=256,
+            cols=64,
+            cohort_iterations=40,
         )
-
-
-def test_verify_periodic_kinds_pinned_to_core():
-    """repro.verify duplicates the periodic-kind set (no core import);
-    this pin keeps the two definitions from drifting apart."""
-    assert _FASTFORWARD_KINDS == PERIODIC_KINDS
+        service = FleetService(spec)
+        [calibrated] = service.calibrate()["results"]
+        [job] = service.cohort_specs()
+        oracle = EnduranceSimulator(job.architecture)._run_epoch_loop(
+            job.workload, job.config, job.iterations, settings=job.settings
+        )
+        assert np.array_equal(
+            calibrated.state.write_counts, oracle.state.write_counts
+        )

@@ -1,17 +1,23 @@
-"""Tests for repro.core.kernel: the batched path IS the epoch path.
+"""Tests for repro.core.kernel: the one kernel IS the epoch path.
 
-The batched kernel's whole contract is bit-identity with the sequential
-per-epoch loop — same permutation stream, same wear-aware decisions, same
-counters to the last bit — under any chunking. These tests pin that for
-the full strategy grid (including the stateful ``Wa`` path and hardware
-re-mapping), both pre-set accounting modes, and both lane orientations.
+The kernel's whole contract is bit-identity with the sequential
+per-epoch oracle (``EnduranceSimulator._run_epoch_loop``) — same
+permutation stream, same wear-aware decisions, same counters to the last
+bit — however its chunks fall and whichever periodic axis it folds.
+These tests pin that for the full strategy grid (including the stateful
+``Wa`` path and hardware re-mapping), both pre-set accounting modes,
+both lane orientations, recompile intervals with and without a
+remainder epoch, and the random stream left after a run.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernel as kernel
 from repro.array.architecture import CRAM_ROW, PINATUBO, default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.software import (
@@ -20,6 +26,7 @@ from repro.balance.software import (
     make_permutations,
 )
 from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
@@ -27,17 +34,22 @@ from repro.workloads.multiply import ParallelMultiplication
 
 ARCH = default_architecture(64, 16)
 
+#: Configs beyond the paper's 18: a periodic within axis against the
+#: stateful between axis, and the bit-shift strategy on either side.
+EXTRA_LABELS = ["StxWa", "BsxWa", "BsxWa+Hw", "B1xRa", "RaxB1+Hw", "B1xB1"]
 
-def _run(arch, config, *, kernel, seed=3, iterations=40, chunk_size=None,
-         workload=None, track_reads=True):
-    sim = EnduranceSimulator(arch, seed=seed, kernel=kernel,
-                             chunk_size=chunk_size)
-    return sim.run(
-        workload or ParallelMultiplication(bits=8),
-        config,
-        iterations=iterations,
-        track_reads=track_reads,
+
+def _pair(arch, config, *, seed=3, iterations=40, workload=None,
+          track_reads=True):
+    """``(production, oracle)`` results of one run."""
+    workload = workload or ParallelMultiplication(bits=8)
+    run_settings = SimulationSettings(seed=seed, track_reads=track_reads)
+    sim = EnduranceSimulator(arch)
+    production = sim.run(workload, config, iterations, settings=run_settings)
+    oracle = sim._run_epoch_loop(
+        workload, config, iterations, settings=run_settings
     )
+    return production, oracle
 
 
 def _assert_identical(a, b):
@@ -46,28 +58,32 @@ def _assert_identical(a, b):
     assert a.epochs == b.epochs
 
 
+def _workload_for(config):
+    # Wa needs lanes with different loads to have anything to sort.
+    if config.between is StrategyKind.WEAR_AWARE:
+        return DotProduct(n_elements=16, bits=8)
+    return ParallelMultiplication(bits=8)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "config", all_configurations(recompile_interval=7),
         ids=lambda c: c.label,
     )
     def test_all_18_configurations(self, config):
-        batched = _run(ARCH, config, kernel="batched", chunk_size=13)
-        sequential = _run(ARCH, config, kernel="epoch")
-        _assert_identical(batched, sequential)
+        _assert_identical(*_pair(ARCH, config))
 
     @pytest.mark.parametrize("interval", [1, 7, 50])
     @pytest.mark.parametrize("chunk_size", [1, 13, 1024])
-    def test_interval_chunk_grid(self, interval, chunk_size):
-        config = BalanceConfig.from_label(
-            "RaxRa", recompile_interval=interval
-        )
-        batched = _run(
-            ARCH, config, kernel="batched", chunk_size=chunk_size,
-            iterations=60,
-        )
-        sequential = _run(ARCH, config, kernel="epoch", iterations=60)
-        _assert_identical(batched, sequential)
+    def test_interval_chunk_grid(self, interval, chunk_size, monkeypatch):
+        # Chunk boundaries cut through fold phases and remainder epochs;
+        # none of it may show in the counters.
+        monkeypatch.setattr(kernel, "CHUNK_EPOCHS", chunk_size)
+        for label in ("RaxRa", "StxRa+Hw", "RaxBs"):
+            config = BalanceConfig.from_label(
+                label, recompile_interval=interval
+            )
+            _assert_identical(*_pair(ARCH, config, iterations=60))
 
     @given(
         within=st.sampled_from(
@@ -76,7 +92,8 @@ class TestBitIdentity:
         ),
         between=st.sampled_from(
             [StrategyKind.STATIC, StrategyKind.RANDOM,
-             StrategyKind.BYTE_SHIFT, StrategyKind.WEAR_AWARE]
+             StrategyKind.BYTE_SHIFT, StrategyKind.BIT_SHIFT,
+             StrategyKind.WEAR_AWARE]
         ),
         hardware=st.booleans(),
         presets=st.booleans(),
@@ -93,61 +110,120 @@ class TestBitIdentity:
             within=within, between=between, hardware=hardware,
             recompile_interval=interval,
         )
-        batched = _run(
-            arch, config, kernel="batched", seed=seed, iterations=55,
-            chunk_size=chunk_size,
-        )
-        sequential = _run(arch, config, kernel="epoch", seed=seed,
-                          iterations=55)
-        _assert_identical(batched, sequential)
+        with mock.patch.object(kernel, "CHUNK_EPOCHS", chunk_size):
+            production, oracle = _pair(
+                arch, config, seed=seed, iterations=55,
+                workload=_workload_for(config),
+            )
+        _assert_identical(production, oracle)
 
-    def test_wear_aware_incremental_wear_multi_group(self):
+    def test_wear_aware_incremental_wear_multi_group(self, monkeypatch):
         # Wa is the stateful path: every epoch's assignment depends on all
         # earlier epochs' wear. A multi-role workload at interval 1
         # maximizes the chances for the incremental wear vector to drift
         # from the state-derived one — it must not, even with hardware
-        # re-mapping layered on top.
+        # re-mapping layered on top or a periodic within axis folded.
+        monkeypatch.setattr(kernel, "CHUNK_EPOCHS", 7)
         workload = DotProduct(n_elements=16, bits=8)
-        for hardware in (False, True):
-            config = BalanceConfig(
-                within=StrategyKind.RANDOM,
-                between=StrategyKind.WEAR_AWARE,
-                hardware=hardware,
-                recompile_interval=1,
-            )
-            batched = _run(
-                ARCH, config, kernel="batched", chunk_size=7,
-                iterations=30, workload=workload,
-            )
-            sequential = _run(
-                ARCH, config, kernel="epoch", iterations=30,
-                workload=workload,
-            )
-            _assert_identical(batched, sequential)
+        for within in (StrategyKind.RANDOM, StrategyKind.BYTE_SHIFT):
+            for hardware in (False, True):
+                config = BalanceConfig(
+                    within=within,
+                    between=StrategyKind.WEAR_AWARE,
+                    hardware=hardware,
+                    recompile_interval=1,
+                )
+                _assert_identical(
+                    *_pair(ARCH, config, iterations=30, workload=workload)
+                )
 
     def test_row_parallel_orientation(self):
         arch = CRAM_ROW.resized(16, 64)
-        config = BalanceConfig.from_label("RaxBs+Hw", recompile_interval=5)
-        batched = _run(arch, config, kernel="batched", chunk_size=3)
-        sequential = _run(arch, config, kernel="epoch")
-        _assert_identical(batched, sequential)
+        for label in ("RaxBs+Hw", "BsxRa+Hw", "RaxRa"):
+            config = BalanceConfig.from_label(label, recompile_interval=5)
+            _assert_identical(*_pair(arch, config))
 
     def test_reads_untracked_parity(self):
-        config = BalanceConfig.from_label("RaxRa", recompile_interval=3)
-        batched = _run(ARCH, config, kernel="batched", track_reads=False)
-        sequential = _run(ARCH, config, kernel="epoch", track_reads=False)
-        _assert_identical(batched, sequential)
-        assert batched.state.total_reads == 0
+        for label in ("RaxRa", "StxRa+Hw", "RaxSt"):
+            config = BalanceConfig.from_label(label, recompile_interval=3)
+            production, oracle = _pair(ARCH, config, track_reads=False)
+            _assert_identical(production, oracle)
+            assert production.state.total_reads == 0
 
-    def test_chunking_never_changes_results(self):
-        config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
-        reference = _run(ARCH, config, kernel="batched", iterations=50)
+    def test_chunking_never_changes_results(self, monkeypatch):
+        config = BalanceConfig.from_label("BsxRa+Hw", recompile_interval=1)
+        reference = _pair(ARCH, config, iterations=50)[0]
         for chunk_size in (1, 13, 1024):
-            other = _run(
-                ARCH, config, kernel="batched", chunk_size=chunk_size,
-                iterations=50,
-            )
+            monkeypatch.setattr(kernel, "CHUNK_EPOCHS", chunk_size)
+            other = _pair(ARCH, config, iterations=50)[0]
             _assert_identical(reference, other)
+
+
+class TestOracleGrid:
+    """Production against the per-epoch oracle, config by config."""
+
+    @pytest.mark.parametrize(
+        "config",
+        all_configurations(recompile_interval=7)
+        + [BalanceConfig.from_label(label, recompile_interval=7)
+           for label in EXTRA_LABELS],
+        ids=lambda c: c.label,
+    )
+    @pytest.mark.parametrize("presets", [True, False], ids=["presets",
+                                                           "no-presets"])
+    def test_every_config_both_preset_modes(self, config, presets):
+        arch = ARCH if presets else PINATUBO.resized(64, 16)
+        _assert_identical(
+            *_pair(arch, config, iterations=61, workload=_workload_for(config))
+        )
+
+    @pytest.mark.parametrize("interval", [1, 7, 100])
+    @pytest.mark.parametrize(
+        "label", ["StxRa+Hw", "BsxRa", "RaxSt", "RaxBs+Hw", "BsxWa+Hw",
+                  "BsxBs+Hw"],
+    )
+    def test_intervals_with_remainder_epochs(self, label, interval):
+        config = BalanceConfig.from_label(label, recompile_interval=interval)
+        workload = _workload_for(config)
+        # At intervals 7 and 100 every horizon ends in a short epoch.
+        for iterations in (3, 250, 1_007):
+            _assert_identical(
+                *_pair(ARCH, config, iterations=iterations, workload=workload)
+            )
+
+    @pytest.mark.parametrize("label", ["BsxBs", "BsxRa+Hw", "RaxBs"])
+    def test_horizon_far_past_the_period(self, label):
+        config = BalanceConfig.from_label(label, recompile_interval=1)
+        _assert_identical(*_pair(ARCH, config, iterations=4_099))
+
+    @pytest.mark.parametrize("track_reads", [True, False])
+    @pytest.mark.parametrize("label", ["StxRa", "RaxBs+Hw", "B1xWa"])
+    def test_both_orientations(self, label, track_reads):
+        config = BalanceConfig.from_label(label, recompile_interval=3)
+        workload = _workload_for(config)
+        for arch in (ARCH, CRAM_ROW.resized(16, 64)):
+            _assert_identical(
+                *_pair(arch, config, iterations=50, workload=workload,
+                       track_reads=track_reads)
+            )
+
+    @pytest.mark.parametrize(
+        "label", ["RaxRa", "StxRa+Hw", "RaxBs", "BsxWa", "BsxBs"]
+    )
+    def test_random_stream_consumed_like_the_oracle(self, label):
+        # The fold skips work, never draws: after a run, the next draw
+        # from the run's stream is the same on both paths.
+        config = BalanceConfig.from_label(label, recompile_interval=3)
+        workload = _workload_for(config)
+        sim = EnduranceSimulator(ARCH)
+        run = sim._prepare(workload, config, 100, SimulationSettings(seed=5))
+        kernel.run_batched_epochs(
+            ARCH, config, run.state, run.rng, run.groups, 100,
+            remappers=run.remappers, lane_loads=run.lane_loads,
+        )
+        oracle_rng = np.random.default_rng(5)
+        sim._run_epoch_loop(workload, config, 100, rng=oracle_rng)
+        assert run.rng.random() == oracle_rng.random()
 
 
 class TestBatchedPermutations:
@@ -181,7 +257,7 @@ class TestBatchedPermutations:
             make_permutations(StrategyKind.STATIC, 8, -1)
 
     def test_chunked_draws_equal_per_epoch_draws(self):
-        # The contract that makes chunk_size a pure performance knob: one
+        # The contract that keeps chunk boundaries out of the counters: one
         # (E, k) block consumes the stream exactly like E per-epoch draws.
         whole_w, whole_b = make_epoch_maps(
             StrategyKind.RANDOM, StrategyKind.RANDOM, 24, 8, 5,
@@ -224,33 +300,32 @@ class TestEpochLengths:
 
 
 class TestKernelKnob:
+    """The kernel knobs are gone; passing one is a ``TypeError``."""
+
     def test_unknown_kernel_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="kernel"):
-            EnduranceSimulator(ARCH, kernel="magic")
+        with pytest.raises(TypeError, match="kernel"):
+            EnduranceSimulator(ARCH, kernel="epoch")
 
     def test_unknown_kernel_rejected_at_run(self):
         sim = EnduranceSimulator(ARCH)
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             sim.run(
                 ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=5, kernel="magic",
+                iterations=5, kernel="batched",
             )
 
     def test_non_positive_chunk_rejected(self):
-        sim = EnduranceSimulator(ARCH, chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            sim.run(
-                ParallelMultiplication(bits=8),
-                BalanceConfig.from_label("RaxRa"),
-                iterations=5,
-            )
+        with pytest.raises(TypeError, match="chunk_size"):
+            EnduranceSimulator(ARCH, chunk_size=0)
 
     def test_run_override_beats_simulator_default(self):
-        sim = EnduranceSimulator(ARCH, seed=9, kernel="epoch")
+        sim = EnduranceSimulator(ARCH, SimulationSettings(seed=1))
         config = BalanceConfig.from_label("RaxRa", recompile_interval=4)
-        a = sim.run(ParallelMultiplication(bits=8), config, iterations=20)
+        a = EnduranceSimulator(ARCH, SimulationSettings(seed=9)).run(
+            ParallelMultiplication(bits=8), config, iterations=20
+        )
         b = sim.run(
             ParallelMultiplication(bits=8), config, iterations=20,
-            kernel="batched",
+            settings=SimulationSettings(seed=9),
         )
         _assert_identical(a, b)

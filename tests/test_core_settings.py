@@ -28,16 +28,14 @@ class TestValidation:
     def test_defaults(self):
         s = SimulationSettings()
         assert s.seed == 0
-        assert s.kernel == "batched"
-        assert s.chunk_size is None
         assert s.track_reads is True
 
-    def test_fastforward_defaults_off(self):
-        assert SimulationSettings().fastforward is False
-
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            SimulationSettings(kernel="magic")
+        # The kernel knobs are gone: every run takes the one epoch
+        # kernel, so naming one is an error, not a silent no-op.
+        for knob in ("kernel", "chunk_size", "fastforward"):
+            with pytest.raises(TypeError, match=knob):
+                SimulationSettings(**{knob: None})
 
     def test_unknown_log_level_rejected(self):
         with pytest.raises(ValueError, match="log_level"):
@@ -52,11 +50,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="evaluator"):
             SimulationSettings(evaluator="magic")
 
-    def test_chunk_size_not_validated_here(self):
-        # chunk_size is validated where it is consumed (the kernel), so a
-        # nonsensical value constructs fine and fails only at run().
-        SimulationSettings(chunk_size=0)
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             SimulationSettings().seed = 1
@@ -64,8 +57,8 @@ class TestValidation:
     def test_replace_revalidates(self):
         s = SimulationSettings()
         assert s.replace(seed=3).seed == 3
-        with pytest.raises(ValueError, match="kernel"):
-            s.replace(kernel="magic")
+        with pytest.raises(ValueError, match="evaluator"):
+            s.replace(evaluator="magic")
 
 
 class TestDeprecationWarning:
@@ -93,7 +86,28 @@ class TestDeprecationWarning:
         with pytest.warns(DeprecationWarning, match="EnduranceSimulator.run"):
             sim.run(
                 ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=50, kernel="epoch",
+                iterations=50, track_reads=False,
+            )
+
+    @pytest.mark.parametrize("knob", ["kernel", "chunk_size"])
+    def test_removed_kernel_kwargs_are_type_errors(self, tiny_arch, knob):
+        sim = EnduranceSimulator(tiny_arch)
+        with pytest.raises(TypeError, match=knob):
+            EnduranceSimulator(tiny_arch, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            sim.run(
+                ParallelMultiplication(bits=8), BalanceConfig(),
+                iterations=5, **{knob: None},
+            )
+        with pytest.raises(TypeError, match=knob):
+            run_simulation(
+                ParallelMultiplication(bits=8), BalanceConfig(), tiny_arch,
+                5, **{knob: None},
+            )
+        with pytest.raises(TypeError, match=knob):
+            simulate_configs(
+                sim, ParallelMultiplication(bits=8), [BalanceConfig()], 5,
+                **{knob: None},
             )
 
 
@@ -114,13 +128,9 @@ class TestEquivalence:
         )
 
     def test_simulator_properties_delegate_to_settings(self, tiny_arch):
-        sim = EnduranceSimulator(
-            tiny_arch,
-            SimulationSettings(seed=5, kernel="epoch", chunk_size=None),
-        )
+        sim = EnduranceSimulator(tiny_arch, SimulationSettings(seed=5))
         assert sim.seed == 5
-        assert sim.kernel == "epoch"
-        assert sim.chunk_size is None
+        assert sim.settings.track_reads is True
 
     def test_run_settings_override_simulator_settings(self, tiny_arch):
         workload = ParallelMultiplication(bits=8)
@@ -168,13 +178,10 @@ class TestHashStability:
         legacy = JobSpec(
             workload=workload, architecture=tiny_arch, config=config,
             iterations=500, seed=9, track_reads=True,
-            kernel="epoch", chunk_size=64,
         )
         modern = JobSpec.from_settings(
             workload, tiny_arch, config=config, iterations=500,
-            settings=SimulationSettings(
-                seed=9, track_reads=True, kernel="epoch", chunk_size=64
-            ),
+            settings=SimulationSettings(seed=9, track_reads=True),
         )
         assert legacy.content_hash == modern.content_hash
 
@@ -192,7 +199,7 @@ class TestHashStability:
         assert quiet.content_hash == loud.content_hash
 
     def test_evaluator_never_reaches_the_hash(self, tiny_arch):
-        # Like kernel/chunk_size, the evaluator is a pure speed knob:
+        # The evaluator is a pure speed knob:
         # results are bit-identical, so caches must not split on it.
         workload = ParallelMultiplication(bits=8)
         compiled = JobSpec.from_settings(
@@ -207,7 +214,6 @@ class TestHashStability:
     def test_spec_settings_round_trip(self, tiny_arch):
         spec = JobSpec.from_settings(
             ParallelMultiplication(bits=8), tiny_arch,
-            settings=SimulationSettings(seed=2, kernel="epoch"),
+            settings=SimulationSettings(seed=2, track_reads=True),
         )
-        assert spec.settings.seed == 2
-        assert spec.settings.kernel == "epoch"
+        assert spec.settings == SimulationSettings(seed=2, track_reads=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
 from repro.engine import JobSpec
 from repro.synth.bits import AllocationPolicy
 from repro.workloads.multiply import ParallelMultiplication
@@ -93,24 +94,40 @@ class TestHashSensitivity:
 
 
 class TestHashExclusions:
-    """Pure-speed knobs must not change the content hash."""
+    """The kernel path is chosen per config and never reaches the hash.
+
+    The hashes below were computed before the ``kernel`` /
+    ``chunk_size`` / ``fastforward`` knobs were removed, with every
+    value of those knobs; cached results and checkpoints keyed by them
+    stay valid.
+    """
 
     def test_kernel_hash_excluded(self, tiny_arch):
-        assert (
-            spec(tiny_arch, kernel="epoch").content_hash
-            == spec(tiny_arch).content_hash
+        # RaxBs takes the kernel's chunked ("batched") branch.
+        assert "kernel" not in spec(tiny_arch).identity()
+        assert spec(tiny_arch).content_hash == (
+            "47a20fab50226eec0b1e88f5c9ffce4688446033b028edeb3983a17534bf6275"
         )
 
     def test_fastforward_hash_excluded(self, tiny_arch):
-        assert (
-            spec(tiny_arch, fastforward=True).content_hash
-            == spec(tiny_arch).content_hash
+        # BsxBs takes the fast-forward branch.
+        bsxbs = spec(tiny_arch, config=BalanceConfig.from_label("BsxBs"))
+        assert "fastforward" not in bsxbs.identity()
+        assert bsxbs.content_hash == (
+            "ee867116f369f91ff7b42497de6621c69fd83ba5a088e5f20193966d3b9d8343"
         )
 
     def test_settings_round_trip_carries_speed_knobs(self, tiny_arch):
-        s = spec(tiny_arch, fastforward=True, kernel="epoch").settings
-        assert s.fastforward is True
-        assert s.kernel == "epoch"
+        """No speed knob is left to carry: the settings round trip holds
+        exactly seed and read tracking, and the old knobs are refused."""
+        settings = SimulationSettings(seed=7, track_reads=True)
+        round_trip = JobSpec.from_settings(
+            ParallelMultiplication(bits=8), tiny_arch, settings=settings
+        ).settings
+        assert round_trip == settings
+        for knob in ("kernel", "chunk_size", "fastforward"):
+            with pytest.raises(TypeError, match=knob):
+                spec(tiny_arch, **{knob: None})
 
 
 class TestValidation:

@@ -175,7 +175,7 @@ class TestManifestReadApi:
         store.save(spec, result)
         manifest = store.load_manifest(spec)
         assert "backend" not in manifest
-        assert manifest["fastforward"] == spec.fastforward
+        assert "fastforward" not in manifest
         assert manifest["numpy_version"] == np.__version__
         assert manifest["blas"] == blas_implementation()
 
@@ -194,6 +194,29 @@ class TestManifestReadApi:
         store.manifest_for(spec).write_text(json.dumps(old))
         assert store.load_manifest(spec) == old
         assert check_manifest(old) == []
+
+    def test_manifest_with_retired_kernel_keys_still_checks(
+        self, tmp_path, spec, result
+    ):
+        """Manifests written while the kernel knobs existed carry
+        ``kernel``/``chunk_size``/``fastforward``; they keep loading,
+        keep passing RPR017, and their entries stay cache hits."""
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        assert not {"kernel", "chunk_size", "fastforward"} & set(
+            store.load_manifest(spec)
+        )
+        old = {
+            **store.load_manifest(spec),
+            "kernel": "epoch",
+            "chunk_size": 64,
+            "fastforward": False,
+        }
+        store.manifest_for(spec).write_text(json.dumps(old))
+        assert store.load_manifest(spec) == old
+        assert check_manifest(old) == []
+        assert dict(store.iter_manifests())[spec.content_hash] == old
+        assert store.load(spec) is not None
 
     def test_load_manifest_missing_is_none(self, tmp_path, spec):
         store = ResultStore(tmp_path)

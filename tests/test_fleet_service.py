@@ -62,15 +62,14 @@ def small_fleet_spec(**overrides):
     return FleetSpec(**defaults)
 
 
-def ineligible_fastforward_spec():
-    """Fast-forward asked for on a random-shift cohort (RPR011)."""
+def unsound_config_spec():
+    """A cohort whose within-lane strategy is wear-aware (RPR010)."""
     return small_fleet_spec(
         population=PopulationSpec(
             n_arrays=4,
             technology_mix=(("PCM", 1.0),),
-            cohorts=(CohortSpec("add", config="RaxRa"),),
+            cohorts=(CohortSpec("add", config="WaxSt"),),
         ),
-        fastforward=True,
     )
 
 
@@ -242,6 +241,37 @@ class TestCheckpointResume:
         assert report.runtime["resumed_from_day"] is None
 
 
+    def test_checkpoint_from_before_the_knob_removal_resumes(self, tmp_path):
+        # Written verbatim by a paused run of this spec built with
+        # kernel="epoch", chunk_size=64, fastforward=True, before those
+        # knobs were removed. They never entered the campaign hash, so
+        # the checkpoint is found and resumes to the straight run's
+        # report, pinned from the same release.
+        spec = small_fleet_spec(
+            traffic=TrafficSpec(model="poisson", rate=6e4), days=10
+        )
+        campaign = (
+            "f493a9181f1aaec2d3479842b5556f7d1ddbcb03418bb5565645004a6476b0b3"
+        )
+        assert spec.content_hash == campaign
+        (tmp_path / "fleet-f493a9181f1a-day000004.json").write_text(
+            '{"campaign_hash": "' + campaign + '", "day": 4, "state": '
+            '{"cumulative": [60001.75, 60001.75, 60001.75, 60001.75], '
+            '"day": 4, "death_day": [-1, -1, -1, -1], "dropped": 0, '
+            '"rng_state": {"bit_generator": "PCG64", "has_uint32": 0, '
+            '"state": {"inc": 180057942716375760114678310360467455973, '
+            '"state": 327102480610105737419010852224278321496}, '
+            '"uinteger": 0}, "served": 240007, '
+            '"traffic_state": {"state": 0}}, "version": 1}',
+            encoding="utf-8",
+        )
+        report = FleetService(spec, checkpoint_dir=tmp_path).run()
+        assert report.runtime["resumed_from_day"] == 4
+        assert report.n_deaths == 4
+        assert report.content_hash() == (
+            "23f206443f4697af6c0c2f6034d931970ad7b4365b89b8edcce8f7678fe2b59c"
+        )
+
     def test_version_one_checkpoint_is_ignored(self, tmp_path):
         # fleet_version 2 marks the move to inverse-survival thresholds:
         # a checkpoint of the same campaign written under version 1
@@ -262,9 +292,14 @@ class TestCheckpointResume:
 
 class TestSpecIdentity:
     def test_execution_knobs_excluded_from_hash(self):
-        base = one_array_spec()
-        assert base.content_hash == one_array_spec(kernel="python").content_hash
-        assert base.content_hash == one_array_spec(chunk_size=64).content_hash
+        # Pinned before the kernel knobs were removed (they never
+        # entered the hash); naming one now is a TypeError.
+        assert one_array_spec().content_hash == (
+            "e3e3063a4ecbabac973f91b9a9a0322bb9774b05bdc70ff3e62b69aace400f46"
+        )
+        for knob in ("kernel", "chunk_size", "fastforward"):
+            with pytest.raises(TypeError, match=knob):
+                one_array_spec(**{knob: None})
 
     def test_result_changing_knobs_change_hash(self):
         base = one_array_spec()
@@ -405,20 +440,20 @@ class TestVerificationGate:
     """Every campaign passes through verify_fleet_spec before a single
     day runs: a statically unsound spec is rejected up front."""
 
-    def test_ineligible_fastforward_rejected_before_running(self):
+    def test_unsound_config_rejected_before_running(self):
         from repro.verify import VerificationError
 
-        spec = ineligible_fastforward_spec()
+        spec = unsound_config_spec()
         with capture() as sink:
             with pytest.raises(VerificationError) as err:
                 FleetService(spec).run()
-        assert "RPR011" in err.value.report.codes()
+        assert "RPR010" in err.value.report.codes()
         # rejection happened statically: no fleet day ever started
         assert sink.of("fleet_start") == []
         assert sink.of("fleet_day") == []
         # the findings were published for the stats census
         [event] = sink.of("verify_report")
-        assert "RPR011" in event["codes"]
+        assert "RPR010" in event["codes"]
 
     def test_rejection_is_counted(self):
         from repro.telemetry import get_telemetry
@@ -427,7 +462,7 @@ class TestVerificationGate:
         tele = get_telemetry()
         before = tele.counters.get("fleet.rejected", 0)
         with pytest.raises(VerificationError):
-            FleetService(ineligible_fastforward_spec()).run()
+            FleetService(unsound_config_spec()).run()
         assert tele.counters.get("fleet.rejected", 0) == before + 1
 
     def test_clean_spec_verifies_quietly_and_runs(self):

@@ -48,7 +48,7 @@ REPRO_ALL = {
 VERIFY_ALL = {
     "CODES", "Diagnostic", "FUNCTIONAL_CODES", "Location", "Severity",
     "VerificationError", "VerifyReport", "check_bounds", "check_checkpoint",
-    "check_config", "check_dataflow", "check_fastforward",
+    "check_config", "check_dataflow",
     "check_level_segments", "check_levels", "check_manifest",
     "check_permutation_rows", "check_profile_conservation",
     "check_schedule", "check_stream_keys", "check_streams", "check_trace",

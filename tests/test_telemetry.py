@@ -224,6 +224,29 @@ class TestSummaries:
         assert summary["retries"] == 1
         assert summary["timeouts"] == 1
         assert summary["simulations"]["iterations"] == 100
+        assert summary["simulations"]["by_kernel"] == {"batched": 1}
+
+    def test_simulation_kernel_census_reads_old_traces(self):
+        # The event's kernel field names the branch that ran; traces
+        # from when the per-epoch loop was selectable say "epoch" and
+        # still validate.
+        records = [
+            validate_record(
+                {"ts": float(i), "event": "simulation", "workload": "m",
+                 "config": config, "iterations": 10, "epochs": 10,
+                 "kernel": kernel, "seconds": 0.1}
+            )
+            for i, (config, kernel) in enumerate(
+                [("BsxBs", "fastforward"), ("RaxRa", "batched"),
+                 ("RaxRa", "epoch"), ("StxRa", "batched")]
+            )
+        ]
+        summary = summarize_trace(records)
+        assert summary["simulations"]["by_kernel"] == {
+            "batched": 2, "epoch": 1, "fastforward": 1,
+        }
+        text = format_stats(summary)
+        assert "fastforward      1" in text
 
     def test_summarize_accepts_a_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -344,14 +367,22 @@ class TestSimulatorInstrumentation:
                     ParallelMultiplication(bits=8), BalanceConfig(),
                     iterations=100,
                 )
-            (event,) = sink.of("simulation")
-            assert event["iterations"] == 100
-            assert event["kernel"] == "batched"
-            assert event["writes"] > 0
+                sim.run(
+                    ParallelMultiplication(bits=8),
+                    BalanceConfig.from_label("RaxRa"),
+                    iterations=100,
+                )
+            # The event records the kernel branch that actually ran.
+            static, shuffled = sink.of("simulation")
+            assert static["iterations"] == 100
+            assert static["kernel"] == "fastforward"
+            assert shuffled["kernel"] == "batched"
+            assert static["writes"] > 0
             assert sink.of("phase")  # mapping_compile and kernel spans
-            assert fresh.counters["sim.runs"] == 1
-            assert fresh.counters["sim.iterations"] == 100
+            assert fresh.counters["sim.runs"] == 2
+            assert fresh.counters["sim.iterations"] == 200
+            assert fresh.counters["fastforward.runs"] == 1
             assert fresh.counters["kernel.chunks"] >= 1
-            assert fresh.counters["kernel.gemms"] >= 1
+            assert fresh.counters["kernel.gemms"] >= 2
         finally:
             set_telemetry(previous)

@@ -6,6 +6,7 @@ are asserted exactly — the codes are append-only public contract.
 """
 
 import numpy as np
+import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.gates.library import NAND_LIBRARY
@@ -407,6 +408,7 @@ class TestRegistryAppendOnly:
         ),
         ("RPR017", "versioned artifact schema violation"),
         ("RPR018", "repo invariant violated (self-lint)"),
+        ("RPR019", "run horizon leaves float64's exact integer range (2^53)"),
     )
 
     def test_registry_matches_baseline_exactly(self):
@@ -452,6 +454,60 @@ class TestRPR015StreamKeys:
         assert check_stream_keys(keys) == []
         # traffic plus one budget stream per array
         assert len(keys) == 1 + spec.population.n_arrays
+
+
+class TestRPR019Horizon:
+    """Past 2^53 total writes the float64 counters round silently."""
+
+    def test_boundary_both_ways(self):
+        from repro.verify.api import _check_horizon
+
+        assert _check_horizon("w", 1.0, 2**53 - 1) == []
+        (d,) = _check_horizon("w", 1.0, 2**53)
+        assert d.code == "RPR019"
+        assert d.severity is Severity.ERROR
+        assert d.location.place == "workload w"
+        # The product is exact, not a float64 that rounds onto 2^53.
+        assert _check_horizon("w", 3.0, (2**53 - 2) // 3) == []
+        assert _check_horizon("w", 3.0, (2**53 + 1) // 3)
+
+    def test_paper_horizon_passes_and_the_bound_is_tight(self):
+        from repro.array.architecture import default_architecture
+        from repro.core.simulator import mapping_for
+        from repro.verify import verify_mapping
+        from repro.workloads.registry import get_workload
+
+        mapping = mapping_for(get_workload("mult"), default_architecture())
+        config = BalanceConfig.from_label("BsxBs")
+        assert verify_mapping(
+            mapping, config, functional=False, iterations=100_000
+        ).ok
+        per_iteration = int(mapping.writes_per_iteration)
+        assert per_iteration == mapping.writes_per_iteration
+        first_refused = -(-(2**53) // per_iteration)
+        assert "RPR019" not in verify_mapping(
+            mapping, config, functional=False, iterations=first_refused - 1
+        ).codes()
+        assert "RPR019" in verify_mapping(
+            mapping, config, functional=False, iterations=first_refused
+        ).codes()
+
+    def test_simulator_and_engine_refuse_before_running(self, tiny_arch):
+        from repro.core.simulator import EnduranceSimulator
+        from repro.engine import JobSpec
+        from repro.verify import VerificationError, verify_spec
+        from repro.workloads.multiply import ParallelMultiplication
+
+        workload = ParallelMultiplication(bits=8)
+        config = BalanceConfig.from_label("BsxBs")
+        with pytest.raises(VerificationError) as err:
+            EnduranceSimulator(tiny_arch).run(workload, config, 2**53)
+        assert err.value.report.codes() == ["RPR019"]
+        spec = JobSpec(
+            workload=workload, architecture=tiny_arch, config=config,
+            iterations=2**53,
+        )
+        assert verify_spec(spec).codes() == ["RPR019"]
 
 
 class TestRPR017Schemas:
