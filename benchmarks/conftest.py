@@ -44,6 +44,7 @@ def grid_cache():
     all consume the same simulations, so they are run once per workload.
     """
     from repro.array.architecture import default_architecture
+    from repro.core.settings import SimulationSettings
     from repro.core.simulator import EnduranceSimulator
     from repro.core.sweep import configuration_grid
     from repro.workloads.convolution import Convolution
@@ -59,7 +60,9 @@ def grid_cache():
 
     def get(key: str):
         if key not in cache:
-            simulator = EnduranceSimulator(default_architecture(), seed=7)
+            simulator = EnduranceSimulator(
+                default_architecture(), settings=SimulationSettings(seed=7)
+            )
             cache[key] = configuration_grid(
                 simulator, workloads[key](), iterations=bench_iterations()
             )

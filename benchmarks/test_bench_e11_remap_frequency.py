@@ -9,6 +9,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
 from repro.core.report import format_remap_frequency
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import remap_frequency_sweep
 from repro.workloads.dotproduct import DotProduct
@@ -19,7 +20,9 @@ INTERVALS = (10_000, 1_000, 500, 100, 50, 10)
 
 
 def test_bench_e11_remap_frequency(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(), settings=SimulationSettings(seed=7)
+    )
     workload = DotProduct(n_elements=1024, bits=32)
     iterations = max(bench_iterations(5_000), 10_000)
 

@@ -14,6 +14,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance
 from repro.devices.technology import MRAM
@@ -25,12 +26,14 @@ SIGMAS = (0.0, 0.1, 0.3, 0.5, 0.8)
 
 
 def test_bench_e14_endurance_variation(benchmark, record):
-    simulator = EnduranceSimulator(default_architecture(), seed=7)
+    simulator = EnduranceSimulator(
+        default_architecture(),
+        settings=SimulationSettings(seed=7, track_reads=False),
+    )
     result = simulator.run(
         ParallelMultiplication(bits=32),
         BalanceConfig.from_label("RaxSt+Hw"),
         iterations=bench_iterations(1_000),
-        track_reads=False,
     )
     uniform = lifetime_from_result(result)
 

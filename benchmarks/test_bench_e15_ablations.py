@@ -17,6 +17,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result, lifetime_improvement
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.synth.bits import AllocationPolicy
 from repro.workloads.multiply import ParallelMultiplication
@@ -25,15 +26,15 @@ from conftest import bench_iterations
 
 
 def _improvement(workload, iterations, label="RaxSt+Hw", seed=7):
-    simulator = EnduranceSimulator(default_architecture(), seed=seed)
-    base = simulator.run(
-        workload, BalanceConfig(), iterations=iterations, track_reads=False
+    simulator = EnduranceSimulator(
+        default_architecture(),
+        settings=SimulationSettings(seed=seed, track_reads=False),
     )
+    base = simulator.run(workload, BalanceConfig(), iterations=iterations)
     balanced = simulator.run(
         workload,
         BalanceConfig.from_label(label).with_interval(50),
         iterations=iterations,
-        track_reads=False,
     )
     return lifetime_improvement(balanced, base)
 
@@ -109,12 +110,13 @@ def test_bench_e15_workspace_size(benchmark, record):
 @pytest.mark.parametrize("size", [256, 512, 1024])
 def test_bench_e15_array_size(benchmark, record, size):
     simulator = EnduranceSimulator(
-        default_architecture(size, size), seed=7
+        default_architecture(size, size),
+        settings=SimulationSettings(seed=7, track_reads=False),
     )
     result = benchmark.pedantic(
         simulator.run,
         args=(ParallelMultiplication(bits=32), BalanceConfig()),
-        kwargs={"iterations": bench_iterations(500), "track_reads": False},
+        kwargs={"iterations": bench_iterations(500)},
         rounds=1,
         iterations=1,
     )

@@ -11,6 +11,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.failure import failure_timeline, minimum_footprint
 from repro.core.report import format_table
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance, UniformEndurance
 from repro.devices.technology import MRAM
@@ -24,12 +25,13 @@ SIGMAS = (0.0, 0.2, 0.4, 0.6)
 def test_bench_e16_progressive_failure(benchmark, record):
     architecture = default_architecture()
     workload = ParallelMultiplication(bits=32)
-    simulator = EnduranceSimulator(architecture, seed=7)
+    simulator = EnduranceSimulator(
+        architecture, settings=SimulationSettings(seed=7, track_reads=False)
+    )
     result = simulator.run(
         workload,
         BalanceConfig.from_label("RaxSt+Hw"),
         iterations=bench_iterations(1_000),
-        track_reads=False,
     )
     required = minimum_footprint(workload, architecture)
 

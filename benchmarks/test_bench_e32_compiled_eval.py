@@ -1,4 +1,4 @@
-"""E32 — compiled SWAR evaluator vs the per-instruction interpreter.
+"""E32 — compiled SWAR evaluator vs its per-instruction interpreter oracle.
 
 Not a paper figure — an infrastructure benchmark for the compiled
 functional evaluator (``repro.synth.compiled``). The fault-accuracy
@@ -8,7 +8,10 @@ for the paper's 32-bit DADDA multiplication means ~48k instructions per
 draw. The compiled path packs all samples into uint64 bitplanes and
 executes each fused gate group as one numpy bitwise op over the whole
 batch, with stuck-at faults applied as per-draw masks — bit-identical
-reports, orders of magnitude fewer interpreter round-trips.
+reports, orders of magnitude fewer interpreter round-trips. The compiled
+path is the only public one (``measure_fault_accuracy``); the
+interpreter survives as its private oracle,
+``_measure_fault_accuracy_interpreted``, which draws the same samples.
 
 Two tests: a fast bit-identity check (run in CI) and the timed speedup
 gate, which writes ``BENCH_E32.json`` alongside the plain-text artifact.
@@ -19,7 +22,10 @@ import time
 
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
-from repro.core.accuracy import measure_fault_accuracy
+from repro.core.accuracy import (
+    _measure_fault_accuracy_interpreted,
+    measure_fault_accuracy,
+)
 from repro.workloads.multiply import ParallelMultiplication
 
 #: Samples for the timed comparison. Floored so the one-time program
@@ -38,15 +44,14 @@ def _program(bits: int = 32):
     )
 
 
-def _measure(program, evaluator: str, samples: int):
+def _measure(measure, program, samples: int):
     start = time.perf_counter()
-    report = measure_fault_accuracy(
+    report = measure(
         program,
         lambda a, b: a * b,
         n_faults=1,
         samples=samples,
         rng=7,
-        evaluator=evaluator,
     )
     return report, time.perf_counter() - start
 
@@ -61,11 +66,11 @@ def test_bench_e32_bit_identity():
     for n_faults in (0, 1, 3):
         compiled = measure_fault_accuracy(
             program, lambda a, b: a * b, n_faults=n_faults, samples=48,
-            rng=3, evaluator="compiled",
+            rng=3,
         )
-        interpreted = measure_fault_accuracy(
+        interpreted = _measure_fault_accuracy_interpreted(
             program, lambda a, b: a * b, n_faults=n_faults, samples=48,
-            rng=3, evaluator="interpreted",
+            rng=3,
         )
         assert compiled == interpreted
 
@@ -73,9 +78,11 @@ def test_bench_e32_bit_identity():
 def test_bench_e32_compiled_speedup(record, results_dir):
     samples = _samples()
     program = _program()
-    compiled_report, compiled_s = _measure(program, "compiled", samples)
+    compiled_report, compiled_s = _measure(
+        measure_fault_accuracy, program, samples
+    )
     interpreted_report, interpreted_s = _measure(
-        program, "interpreted", samples
+        _measure_fault_accuracy_interpreted, program, samples
     )
 
     assert compiled_report == interpreted_report

@@ -13,6 +13,7 @@ from repro import (
     BalanceConfig,
     EnduranceSimulator,
     ParallelMultiplication,
+    SimulationSettings,
     default_architecture,
     lifetime_from_result,
     lifetime_improvement,
@@ -23,7 +24,9 @@ ITERATIONS = 2_000
 
 def main() -> None:
     architecture = default_architecture()  # 1024x1024, CRAM-style, MTJ 1e12
-    simulator = EnduranceSimulator(architecture, seed=42)
+    simulator = EnduranceSimulator(
+        architecture, settings=SimulationSettings(seed=42)
+    )
     workload = ParallelMultiplication(bits=32)
 
     print(f"architecture: {architecture.name}, "

@@ -20,6 +20,7 @@ import tempfile
 from repro import (
     EnduranceSimulator,
     ParallelMultiplication,
+    SimulationSettings,
     default_architecture,
 )
 from repro.balance.config import all_configurations
@@ -59,7 +60,7 @@ def main() -> None:
     # --- resume: the full grid re-simulates only the misses ------------
     print("\npass 2: full grid resumes from the store")
     entries = configuration_grid(
-        EnduranceSimulator(architecture, seed=7),
+        EnduranceSimulator(architecture, settings=SimulationSettings(seed=7)),
         workload,
         iterations=ITERATIONS,
         cache_dir=cache_dir,

@@ -35,7 +35,7 @@ def main() -> None:
     else:
         trace_path = tempfile.mktemp(suffix=".jsonl", prefix="repro-trace-")
 
-    settings = SimulationSettings(seed=7, trace_path=trace_path)
+    settings = SimulationSettings(seed=7)
     simulator = EnduranceSimulator(
         default_architecture(rows=256, cols=256), settings
     )

@@ -2,15 +2,10 @@
 
 Two equivalent execution paths feed the endurance counters:
 
-* :func:`replay_assignment` counts each cell event of every lane — the
-  paper's "instruction-level accurate" semantics. The default
-  ``method="compiled"`` derives per-address event counts from the
-  program's compiled address arrays with :func:`np.bincount` and lands
-  them in one vectorized add per program group, which keeps the exactness
-  oracle affordable at real array sizes; ``method="interpreted"`` walks
-  every instruction in Python and records events one
-  ``state.record_*`` call at a time (the reference the vectorized path
-  is property-tested against);
+* :func:`replay_assignment` walks every instruction of every lane and
+  records each cell event one ``state.record_*`` call at a time — the
+  paper's "instruction-level accurate" semantics, kept as the slow
+  oracle the fast path is property-tested against;
 * :func:`accumulate_assignment` exploits that all lanes running the same
   program under the same logical-to-physical mapping wear identically, so
   one epoch's contribution is an outer product of a per-offset profile and
@@ -67,7 +62,6 @@ def replay_assignment(
     within_map: Optional[np.ndarray] = None,
     between_map: Optional[np.ndarray] = None,
     repetitions: int = 1,
-    method: str = "compiled",
 ) -> None:
     """Count every cell event of every lane, instruction-level exactly.
 
@@ -81,21 +75,9 @@ def replay_assignment(
         between_map: Logical lane -> physical lane permutation (identity
             if omitted).
         repetitions: Number of identical iterations to count.
-        method: ``"compiled"`` (default) bin-counts the compiled
-            programs' event address arrays and adds whole lane profiles
-            at once; ``"interpreted"`` replays instruction by
-            instruction with one Python call per cell event. Counters
-            come out bit-identical (all quantities are exact integers in
-            float64) — the interpreter survives as the semantics
-            reference for the property suite.
     """
     if state.geometry != architecture.geometry:
         raise ValueError("state geometry does not match architecture")
-    if method not in ("compiled", "interpreted"):
-        raise ValueError(
-            "method must be 'compiled' or 'interpreted', "
-            f"got {method!r}"
-        )
     orientation = architecture.orientation
     lane_size = architecture.lane_size
     lane_count = architecture.lane_count
@@ -115,11 +97,6 @@ def replay_assignment(
                 f"program {program.name!r} needs {program.footprint} bits, "
                 f"lane has {lane_size}"
             )
-    if method == "compiled":
-        _replay_compiled(
-            architecture, assignment, state, within, between, repetitions
-        )
-        return
     for _ in range(repetitions):
         for logical_lane, program in assignment.items():
             lane = int(between[logical_lane])
@@ -137,61 +114,6 @@ def replay_assignment(
                     state.record_write(lane, physical_out, orientation)
                 else:
                     raise TypeError(f"unknown instruction {instr!r}")
-
-
-def _replay_compiled(
-    architecture: PIMArchitecture,
-    assignment: Mapping[int, LaneProgram],
-    state: ArrayState,
-    within: np.ndarray,
-    between: np.ndarray,
-    repetitions: int,
-) -> None:
-    """The vectorized replay body: bincount events, add lane profiles.
-
-    Per program group, the per-physical-offset event counts are one
-    ``np.bincount`` over the compiled program's permuted address arrays
-    (gate outputs weighted by the architecture's writes-per-gate), and
-    the group's lanes receive ``counts * repetitions`` in a single
-    indexed add on the lane view. Every quantity is an integer far below
-    2^53, so float64 accumulation matches the one-event-at-a-time
-    interpreter bit for bit.
-    """
-    orientation = architecture.orientation
-    lane_size = architecture.lane_size
-    writes_per_gate = 2 if architecture.presets_output else 1
-
-    groups: Dict[int, list] = {}
-    programs: Dict[int, LaneProgram] = {}
-    for logical_lane, program in assignment.items():
-        groups.setdefault(id(program), []).append(logical_lane)
-        programs[id(program)] = program
-
-    write_view = state.lane_view(state.write_counts, orientation)
-    read_view = state.lane_view(state.read_counts, orientation)
-    for key, logical_lanes in groups.items():
-        compiled = programs[key].compiled()
-        lanes = between[np.asarray(logical_lanes, dtype=np.int64)]
-        write_events = np.bincount(
-            within[compiled.write_addresses], minlength=lane_size
-        )
-        if compiled.gate_outputs.size:
-            write_events = write_events + writes_per_gate * np.bincount(
-                within[compiled.gate_outputs], minlength=lane_size
-            )
-        read_events = np.bincount(
-            within[compiled.read_addresses], minlength=lane_size
-        )
-        if compiled.gate_inputs.size:
-            read_events = read_events + np.bincount(
-                within[compiled.gate_inputs], minlength=lane_size
-            )
-        write_view[:, lanes] += (
-            write_events.astype(np.float64) * float(repetitions)
-        )[:, None]
-        read_view[:, lanes] += (
-            read_events.astype(np.float64) * float(repetitions)
-        )[:, None]
 
 
 def accumulate_assignment(

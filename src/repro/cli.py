@@ -108,13 +108,12 @@ def _make_workload(name: str):
 
 
 def _make_settings(args) -> SimulationSettings:
-    """The :class:`SimulationSettings` described by the parsed flags."""
-    return SimulationSettings(
-        seed=args.seed,
-        log_level=getattr(args, "log_level", None),
-        trace_path=getattr(args, "trace", None),
-        progress=getattr(args, "progress", False),
-    )
+    """The :class:`SimulationSettings` described by the parsed flags.
+
+    Only ``--seed`` shapes a run; the telemetry flags attach sinks
+    (:func:`_configure_telemetry`) and never reach the settings.
+    """
+    return SimulationSettings(seed=args.seed)
 
 
 def _make_simulator(args) -> EnduranceSimulator:
@@ -352,12 +351,7 @@ def cmd_switching(args) -> None:
 
     arch = default_architecture(args.rows, args.cols)
     program = ParallelMultiplication(bits=args.bits).build_program(arch)
-    profile = measure_switching(
-        program,
-        samples=args.samples,
-        rng=args.seed,
-        evaluator=args.evaluator,
-    )
+    profile = measure_switching(program, samples=args.samples, rng=args.seed)
     say(
         f"{args.bits}-bit multiply, {args.samples} random-operand samples:\n"
         f"  writes/iteration:   {int(profile.writes.sum())}\n"
@@ -771,12 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switching", help="data-dependent switching wear")
     p.add_argument("--bits", type=int, default=16)
     p.add_argument("--samples", type=int, default=32)
-    p.add_argument(
-        "--evaluator",
-        default="compiled",
-        choices=("compiled", "interpreted"),
-        help="functional backend (identical results; compiled is faster)",
-    )
     p.set_defaults(func=cmd_switching)
 
     p = sub.add_parser("deployment", help="duty-cycle / array-farm lifetimes")

@@ -52,11 +52,7 @@ from repro.core.failure import (
 from repro.core.system import ArrayFarm, FarmLifetime, lifetime_at_duty_cycle
 from repro.core.switching import SwitchingProfile, measure_switching
 from repro.core.cluster import ClusterResult, PartitionedDotProduct
-from repro.core.accuracy import (
-    EVALUATORS,
-    AccuracyReport,
-    measure_fault_accuracy,
-)
+from repro.core.accuracy import AccuracyReport, measure_fault_accuracy
 
 __all__ = [
     "WriteDistribution",
@@ -86,7 +82,6 @@ __all__ = [
     "PartitionedDotProduct",
     "AccuracyReport",
     "measure_fault_accuracy",
-    "EVALUATORS",
     "BufferPool",
     "PERIODIC_KINDS",
     "fastforward_eligible",

@@ -22,11 +22,6 @@ import numpy as np
 
 from repro.synth.program import LaneProgram
 
-#: Functional-evaluation backends: the SWAR batch evaluator (default) and
-#: the per-instruction interpreter it is property-tested against.
-EVALUATORS = ("compiled", "interpreted")
-
-
 @dataclass(frozen=True)
 class AccuracyReport:
     """Error statistics of a faulted program on sampled operands.
@@ -53,13 +48,13 @@ def measure_fault_accuracy(
     rng: "np.random.Generator | int | None" = None,
     output: Optional[str] = None,
     fault_addresses: Optional[Sequence[int]] = None,
-    evaluator: str = "compiled",
 ) -> AccuracyReport:
     """Measure a program's output accuracy with stuck-at faults injected.
 
     For each sample, random operands are drawn, the program is evaluated
     with the faulted cells, and the named output is compared against
-    ``reference(**operands)``.
+    ``reference(**operands)``. Every sample is evaluated in one SWAR
+    batch (:meth:`CompiledProgram.evaluate_batch`).
 
     Args:
         program: The lane program under test.
@@ -72,84 +67,125 @@ def measure_fault_accuracy(
         output: Output name (defaults to the program's only output).
         fault_addresses: Restrict fault positions to these addresses
             (e.g. only workspace cells); default is the whole footprint.
-        evaluator: ``"compiled"`` evaluates every sample in one SWAR
-            batch (:meth:`CompiledProgram.evaluate_batch`);
-            ``"interpreted"`` walks the per-instruction interpreter per
-            sample. Both draw the identical RNG stream and return
-            bit-identical reports — the interpreter survives as the
-            reference the compiled path is tested against.
     """
-    if n_faults < 0:
-        raise ValueError("n_faults must be non-negative")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if evaluator not in EVALUATORS:
-        raise ValueError(
-            f"evaluator must be one of {EVALUATORS}, got {evaluator!r}"
-        )
-    if output is None:
-        if len(program.outputs) != 1:
-            raise ValueError(
-                "program has multiple outputs; pass `output` explicitly"
-            )
-        output = next(iter(program.outputs))
-    generator = np.random.default_rng(rng)
-    positions = (
-        np.asarray(fault_addresses, dtype=np.int64)
-        if fault_addresses is not None
-        else np.arange(program.footprint, dtype=np.int64)
+    draws = _FaultDraws.draw(
+        program, reference, n_faults, samples, rng, output, fault_addresses
     )
-    if n_faults > positions.size:
-        raise ValueError("more faults than candidate addresses")
-
-    widths = {name: len(addrs) for name, addrs in program.inputs.items()}
-    # Both evaluators consume the exact same RNG call sequence: per
-    # sample, one integer draw per operand, then the fault positions and
-    # stuck values — so reports are identical regardless of backend.
-    operand_draws: Dict[str, List[int]] = {name: [] for name in widths}
-    expected_values: List[int] = []
-    stuck_maps: List[Dict[int, int]] = []
-    for _ in range(samples):
-        operands = {}
-        for name, width in widths.items():
-            value = int(generator.integers(0, 2**width))
-            operands[name] = value
-            operand_draws[name].append(value)
-        expected_values.append(reference(**operands))
-        stuck: Dict[int, int] = {}
-        if n_faults:
-            chosen = generator.choice(positions, size=n_faults, replace=False)
-            for address in chosen:
-                stuck[int(address)] = int(generator.integers(0, 2))
-        stuck_maps.append(stuck)
-
-    if evaluator == "compiled":
-        batch_outputs, _ = program.compiled().evaluate_batch(
-            operand_draws, stuck=stuck_maps if n_faults else None
-        )
-        actual_values = [int(v) for v in batch_outputs[output]]
-    else:
-        actual_values = []
-        for index in range(samples):
-            outputs, _ = program.evaluate(
-                {name: operand_draws[name][index] for name in widths},
-                stuck=stuck_maps[index],
-            )
-            actual_values.append(outputs[output])
-
-    errors = 0
-    relative_errors = []
-    for actual, expected in zip(actual_values, expected_values):
-        if actual != expected:
-            errors += 1
-            relative_errors.append(
-                abs(actual - expected) / max(expected, 1)
-            )
-    return AccuracyReport(
-        n_faults=n_faults,
-        samples=samples,
-        error_rate=errors / samples,
-        mean_relative_error=(
-            float(np.mean(relative_errors)) if relative_errors else 0.0
-        ),
+    batch_outputs, _ = program.compiled().evaluate_batch(
+        draws.operands, stuck=draws.stuck if n_faults else None
     )
+    return draws.report([int(v) for v in batch_outputs[draws.output]])
+
+
+def _measure_fault_accuracy_interpreted(
+    program: LaneProgram,
+    reference: "callable",
+    n_faults: int = 1,
+    samples: int = 32,
+    rng: "np.random.Generator | int | None" = None,
+    output: Optional[str] = None,
+    fault_addresses: Optional[Sequence[int]] = None,
+) -> AccuracyReport:
+    """:func:`measure_fault_accuracy`'s slow oracle (tests only).
+
+    Draws the same samples through the same code, then walks the
+    per-instruction interpreter (:meth:`LaneProgram.evaluate`) once per
+    sample; tests pin the two reports equal.
+    """
+    draws = _FaultDraws.draw(
+        program, reference, n_faults, samples, rng, output, fault_addresses
+    )
+    actual_values = []
+    for index in range(samples):
+        outputs, _ = program.evaluate(
+            {name: values[index] for name, values in draws.operands.items()},
+            stuck=draws.stuck[index],
+        )
+        actual_values.append(outputs[draws.output])
+    return draws.report(actual_values)
+
+
+@dataclass(frozen=True)
+class _FaultDraws:
+    """One accuracy measurement's sampled operands, faults and answers."""
+
+    n_faults: int
+    output: str
+    operands: Dict[str, List[int]]
+    expected: List[int]
+    stuck: List[Dict[int, int]]
+
+    @classmethod
+    def draw(
+        cls,
+        program: LaneProgram,
+        reference: "callable",
+        n_faults: int,
+        samples: int,
+        rng: "np.random.Generator | int | None",
+        output: Optional[str],
+        fault_addresses: Optional[Sequence[int]],
+    ) -> "_FaultDraws":
+        """Validate the arguments and draw every sample.
+
+        Per sample: one integer draw per operand, then the fault
+        positions and stuck values. Both evaluators call this, so they
+        consume the identical RNG stream.
+        """
+        if n_faults < 0:
+            raise ValueError("n_faults must be non-negative")
+        if samples < 1:
+            raise ValueError("samples must be positive")
+        if output is None:
+            if len(program.outputs) != 1:
+                raise ValueError(
+                    "program has multiple outputs; pass `output` explicitly"
+                )
+            output = next(iter(program.outputs))
+        generator = np.random.default_rng(rng)
+        positions = (
+            np.asarray(fault_addresses, dtype=np.int64)
+            if fault_addresses is not None
+            else np.arange(program.footprint, dtype=np.int64)
+        )
+        if n_faults > positions.size:
+            raise ValueError("more faults than candidate addresses")
+
+        widths = {name: len(addrs) for name, addrs in program.inputs.items()}
+        operand_draws: Dict[str, List[int]] = {name: [] for name in widths}
+        expected_values: List[int] = []
+        stuck_maps: List[Dict[int, int]] = []
+        for _ in range(samples):
+            operands = {}
+            for name, width in widths.items():
+                value = int(generator.integers(0, 2**width))
+                operands[name] = value
+                operand_draws[name].append(value)
+            expected_values.append(reference(**operands))
+            stuck: Dict[int, int] = {}
+            if n_faults:
+                chosen = generator.choice(
+                    positions, size=n_faults, replace=False
+                )
+                for address in chosen:
+                    stuck[int(address)] = int(generator.integers(0, 2))
+            stuck_maps.append(stuck)
+        return cls(
+            n_faults, output, operand_draws, expected_values, stuck_maps
+        )
+
+    def report(self, actual_values: Sequence[int]) -> AccuracyReport:
+        """Score ``actual_values`` against the reference answers."""
+        relative_errors = [
+            abs(actual - expected) / max(expected, 1)
+            for actual, expected in zip(actual_values, self.expected)
+            if actual != expected
+        ]
+        return AccuracyReport(
+            n_faults=self.n_faults,
+            samples=len(self.expected),
+            error_rate=len(relative_errors) / len(self.expected),
+            mean_relative_error=(
+                float(np.mean(relative_errors)) if relative_errors else 0.0
+            ),
+        )

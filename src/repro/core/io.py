@@ -4,11 +4,14 @@ Long-horizon sweeps are worth caching: this module saves a
 :class:`~repro.core.simulator.SimulationResult`'s counters and metadata to
 a single ``.npz`` file and restores them into a summary object that
 supports every downstream analysis (distributions, lifetimes, failure
-timelines) without re-simulation.
+timelines) without re-simulation. It also seals the JSON records that
+a run resumes or reports from (fleet checkpoints, store manifests), so a
+damaged file reads as absent instead of as different data.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import List, Optional
@@ -23,6 +26,45 @@ from repro.core.simulator import SimulationResult
 from repro.core.writedist import WriteDistribution
 
 _FORMAT_VERSION = 1
+
+#: The key :func:`dump_sealed` stores a record's content digest under.
+_SEAL_KEY = "sha256"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def dump_sealed(record: dict) -> str:
+    """``record`` as one-line JSON text, plus a SHA-256 digest of it.
+
+    The digest covers the record's canonical text (``json.dumps`` with
+    sorted keys), which is also the text written, so sealing costs one
+    serialization. ``record`` must be a non-empty, JSON-native object
+    (string keys) without a ``"sha256"`` key, so that
+    :func:`load_sealed` recomputes the same digest from the parsed text.
+    """
+    text = json.dumps(record, sort_keys=True)
+    return f'{text[:-1]}, "{_SEAL_KEY}": "{_digest(text)}"}}'
+
+
+def load_sealed(text: str) -> Optional[dict]:
+    """The record :func:`dump_sealed` wrote, or ``None`` if it is damaged.
+
+    ``None`` means the text is not JSON, not a JSON object, or does not
+    match its digest. An object without a digest (written before records
+    were sealed) is returned as it is.
+    """
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    seal = record.pop(_SEAL_KEY, None)
+    if seal is None or seal == _digest(json.dumps(record, sort_keys=True)):
+        return record
+    return None
 
 
 def result_metadata(result: SimulationResult) -> dict:

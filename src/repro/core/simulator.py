@@ -183,19 +183,18 @@ class EnduranceSimulator:
 
     Args:
         architecture: The PIM array design under test.
-        settings: The unified knob set (:class:`SimulationSettings`) —
-            seed, read tracking, telemetry options.
-        seed: Deprecated alias for ``settings.seed`` (warns once).
+        settings: The run's :class:`SimulationSettings` (seed and read
+            tracking); defaults to ``SimulationSettings()``.
     """
 
     def __init__(
         self,
         architecture: PIMArchitecture,
         settings: Optional[SimulationSettings] = None,
-        seed: Optional[int] = None,
     ) -> None:
-        base = settings if settings is not None else SimulationSettings()
-        self.settings = base.merge_legacy("EnduranceSimulator()", seed=seed)
+        self.settings = (
+            settings if settings is not None else SimulationSettings()
+        )
         self.architecture = architecture
 
     @property
@@ -208,7 +207,6 @@ class EnduranceSimulator:
         workload: Workload,
         config: BalanceConfig,
         iterations: int = 100_000,
-        track_reads: Optional[bool] = None,
         settings: Optional[SimulationSettings] = None,
     ) -> SimulationResult:
         """Simulate ``iterations`` repetitions under ``config``.
@@ -223,15 +221,10 @@ class EnduranceSimulator:
             iterations: Repetitions ("as soon as it computes the final
                 results a new set of inputs is loaded and the process
                 repeats", Section 4).
-            track_reads: Deprecated alias for ``settings.track_reads``
-                (disable to halve the accumulation cost of large sweeps).
             settings: Per-call settings override; defaults to the
                 simulator's own :class:`SimulationSettings`.
         """
         effective = settings if settings is not None else self.settings
-        effective = effective.merge_legacy(
-            "EnduranceSimulator.run()", track_reads=track_reads
-        )
         tele = get_telemetry()
         start = time.perf_counter()
         run = self._prepare(workload, config, iterations, effective)

@@ -17,7 +17,7 @@ conservative accounting, not a change to its conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,14 +76,15 @@ def measure_switching(
     samples: int = 64,
     rng: "np.random.Generator | int | None" = None,
     externals_width: Optional[Dict[str, int]] = None,
-    evaluator: str = "compiled",
 ) -> SwitchingProfile:
     """Evaluate ``program`` on random operands, counting actual switches.
 
     Cells start in the 0 state (a fresh/erased array); each write compares
     the new value with the cell's current content and counts a switch only
     on change. State persists across iterations (samples), as it would in
-    hardware.
+    hardware. All iterations are counted at once on uint64 bitplanes
+    (:meth:`CompiledProgram.switch_counts_batch`, with the
+    cross-iteration carry as a draw-axis shift).
 
     Args:
         program: The lane program to measure.
@@ -91,51 +92,41 @@ def measure_switching(
         rng: Seed or generator.
         externals_width: Widths of any external transfer streams the
             program consumes (random bits are supplied per iteration).
-        evaluator: ``"compiled"`` counts all iterations at once on uint64
-            bitplanes (:meth:`CompiledProgram.switch_counts_batch`, with
-            the cross-iteration carry as a draw-axis shift);
-            ``"interpreted"`` walks the per-instruction loop. Identical
-            RNG stream, bit-identical profiles.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if evaluator not in ("compiled", "interpreted"):
-        raise ValueError(
-            "evaluator must be one of ('compiled', 'interpreted'), "
-            f"got {evaluator!r}"
-        )
-    generator = np.random.default_rng(rng)
+    operand_draws, external_rows = _draw_samples(
+        program, samples, rng, externals_width
+    )
+    counts = program.compiled().switch_counts_batch(
+        operand_draws,
+        externals={
+            tag: np.asarray(rows) for tag, rows in external_rows.items()
+        }
+        or None,
+        draws=samples,
+    )
+    return SwitchingProfile(
+        writes=program.write_counts().astype(float),
+        switches=counts.astype(np.float64) / samples,
+        samples=samples,
+    )
+
+
+def _measure_switching_interpreted(
+    program: LaneProgram,
+    samples: int = 64,
+    rng: "np.random.Generator | int | None" = None,
+    externals_width: Optional[Dict[str, int]] = None,
+) -> SwitchingProfile:
+    """:func:`measure_switching`'s slow oracle (tests only).
+
+    Draws the same samples through the same code, then walks the
+    per-instruction loop one iteration at a time; tests pin the two
+    profiles equal.
+    """
+    operand_draws, external_rows = _draw_samples(
+        program, samples, rng, externals_width
+    )
     widths = {name: len(addrs) for name, addrs in program.inputs.items()}
-    external_widths = dict(externals_width or {})
-
-    writes = program.write_counts().astype(float)
-
-    if evaluator == "compiled":
-        operand_draws = {name: [] for name in widths}
-        external_rows = {tag: [] for tag in external_widths}
-        for _ in range(samples):
-            for name, width in widths.items():
-                operand_draws[name].append(
-                    int(generator.integers(0, 2**width))
-                )
-            for tag, width in external_widths.items():
-                external_rows[tag].append(
-                    generator.integers(0, 2, size=width)
-                )
-        counts = program.compiled().switch_counts_batch(
-            operand_draws,
-            externals={
-                tag: np.asarray(rows) for tag, rows in external_rows.items()
-            }
-            or None,
-            draws=samples,
-        )
-        return SwitchingProfile(
-            writes=writes,
-            switches=counts.astype(np.float64) / samples,
-            samples=samples,
-        )
-
     switches = np.zeros(program.footprint)
     memory: Dict[int, int] = {}
 
@@ -144,16 +135,14 @@ def measure_switching(
             switches[address] += 1
         memory[address] = value
 
-    for _ in range(samples):
+    for index in range(samples):
         operand_bits = {
-            name: BitVector.value_bits(
-                int(generator.integers(0, 2**width)), width
-            )
+            name: BitVector.value_bits(operand_draws[name][index], width)
             for name, width in widths.items()
         }
         externals = {
-            tag: [int(b) for b in generator.integers(0, 2, size=width)]
-            for tag, width in external_widths.items()
+            tag: [int(b) for b in rows[index]]
+            for tag, rows in external_rows.items()
         }
         for instr in program.instructions:
             if isinstance(instr, WriteInstr):
@@ -178,7 +167,36 @@ def measure_switching(
                 raise TypeError(f"unknown instruction {instr!r}")
 
     return SwitchingProfile(
-        writes=writes,
+        writes=program.write_counts().astype(float),
         switches=switches / samples,
         samples=samples,
     )
+
+
+def _draw_samples(
+    program: LaneProgram,
+    samples: int,
+    rng: "np.random.Generator | int | None",
+    externals_width: Optional[Dict[str, int]],
+) -> Tuple[Dict[str, List[int]], Dict[str, List[np.ndarray]]]:
+    """Every iteration's operands and external bits, in stream order.
+
+    Per iteration: one integer per operand, then one bit row per
+    external stream. Both evaluators call this, so they consume the
+    identical RNG stream.
+    """
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    generator = np.random.default_rng(rng)
+    widths = {name: len(addrs) for name, addrs in program.inputs.items()}
+    external_widths = dict(externals_width or {})
+    operand_draws: Dict[str, List[int]] = {name: [] for name in widths}
+    external_rows: Dict[str, List[np.ndarray]] = {
+        tag: [] for tag in external_widths
+    }
+    for _ in range(samples):
+        for name, width in widths.items():
+            operand_draws[name].append(int(generator.integers(0, 2**width)))
+        for tag, width in external_widths.items():
+            external_rows[tag].append(generator.integers(0, 2, size=width))
+    return operand_draws, external_rows

@@ -68,10 +68,9 @@ class JobSpec:
     ) -> "JobSpec":
         """Build a spec from a :class:`SimulationSettings`.
 
-        The settings' telemetry options are sink configuration, not
-        simulation identity, so they do not appear on the spec (and thus
-        never reach the content hash). A spec built this way hashes
-        identically to one built with the legacy per-field kwargs.
+        Both settings fields, ``seed`` and ``track_reads``, become spec
+        fields, so a spec built this way hashes identically to one built
+        field by field. ``settings=None`` means ``SimulationSettings()``.
         """
         settings = settings if settings is not None else SimulationSettings()
         return cls(

@@ -1,11 +1,13 @@
 """Disk-backed, content-addressed storage for simulation results.
 
-Each completed job is stored under its spec's content hash as a
-compressed ``.npz`` (the counter arrays plus result metadata, via
+Each completed job is stored under its spec's content hash as an
+uncompressed ``.npz`` (the counter arrays plus result metadata, via
 :mod:`repro.core.io`) next to a JSON sidecar recording the spec identity
 and timing. Entries are written atomically (temp file + rename, array
 payload before sidecar), so a store left behind by a killed run contains
-only complete entries — re-running the batch resumes from them.
+only complete entries — re-running the batch resumes from them. Every
+temp file carries the writing process's pid, so concurrent saves of one
+key never share a temp file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.io import LoadedResult, load_result, save_result
+from repro.core.io import (
+    LoadedResult,
+    dump_sealed,
+    load_result,
+    load_sealed,
+    save_result,
+)
 from repro.core.scratch import flush_pool_counters
 from repro.core.simulator import SimulationResult
 from repro.engine.spec import JobSpec
@@ -63,14 +71,13 @@ class ResultStore:
     Args:
         root: Directory to keep entries in (created if missing). Entries
             shard into two-character subdirectories to keep listings flat.
-        compress: Deflate entry payloads. Off by default — the store is a
-            throughput-critical cache and raw ``.npz`` loads several times
-            faster; turn on to trade wall clock for disk on huge grids.
+            Payloads are stored raw: the store is a throughput-critical
+            cache and a raw ``.npz`` loads several times faster than a
+            deflated one.
     """
 
-    def __init__(self, root: Union[str, Path], compress: bool = False) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.compress = compress
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- paths ----------------------------------------------------------
@@ -125,22 +132,20 @@ class ResultStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp.npz"
         try:
-            save_result(result, str(tmp), compress=self.compress)
+            save_result(result, str(tmp), compress=False)
             os.replace(tmp, path)
         finally:
             if tmp.exists():
                 tmp.unlink()
-        sidecar = self.sidecar_for(spec)
         record = {
             "spec": spec.identity(),
             "content_hash": spec.content_hash,
             "wall_s": wall_s,
         }
-        tmp_sidecar = sidecar.with_suffix(".tmp.json")
-        tmp_sidecar.write_text(
-            json.dumps(record, indent=2, sort_keys=True), encoding="utf-8"
+        _write_text(
+            self.sidecar_for(spec),
+            json.dumps(record, indent=2, sort_keys=True),
         )
-        os.replace(tmp_sidecar, sidecar)
         self._write_manifest(spec, wall_s)
         return path
 
@@ -166,21 +171,20 @@ class ResultStore:
             "wall_s": wall_s,
             "telemetry": get_telemetry().snapshot(),
         }
-        path = self.manifest_for(spec)
-        tmp = path.with_suffix(".tmp.json")
-        tmp.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        _write_text(self.manifest_for(spec), dump_sealed(manifest))
 
     def load_manifest(self, key: Union[JobSpec, str]) -> Optional[dict]:
-        """The per-run manifest for ``key``, or ``None`` when absent."""
-        path = self.manifest_for(key)
-        if not path.exists():
-            return None
+        """The per-run manifest for ``key``, or ``None`` when absent.
+
+        A manifest that is unreadable, not a JSON object, or does not
+        match its digest (:func:`repro.core.io.load_sealed`) reads as
+        absent.
+        """
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            return load_sealed(
+                self.manifest_for(key).read_text(encoding="utf-8")
+            )
+        except (OSError, ValueError):  # unreadable, or not UTF-8
             return None
 
     def iter_manifests(self) -> Iterator[Tuple[str, dict]]:
@@ -194,10 +198,11 @@ class ResultStore:
         """
         for path in sorted(self.root.rglob("*.manifest.json")):
             try:
-                manifest = json.loads(path.read_text(encoding="utf-8"))
+                manifest = load_sealed(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
                 continue
-            yield path.name[: -len(".manifest.json")], manifest
+            if manifest is not None:
+                yield path.name[: -len(".manifest.json")], manifest
 
     # -- sharding -------------------------------------------------------
 
@@ -213,9 +218,7 @@ class ResultStore:
         slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", name.strip()).strip("_")
         if not slug:
             raise ValueError(f"shard name {name!r} has no usable characters")
-        return ResultStore(
-            self.root / "shards" / slug, compress=self.compress
-        )
+        return ResultStore(self.root / "shards" / slug)
 
     # -- introspection --------------------------------------------------
 
@@ -239,3 +242,14 @@ class ResultStore:
             self.manifest_for(digest).unlink(missing_ok=True)
             removed += 1
         return removed
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Atomically write ``text`` to ``path`` via a per-process temp file."""
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()

@@ -7,7 +7,11 @@ generator's full PCG64 state. Writes are atomic (temp file + rename),
 so a campaign killed mid-write leaves only complete checkpoints behind;
 resuming from the latest one replays the remaining days bit-identically
 (Python's JSON round-trips both doubles and arbitrary-precision ints
-exactly, and the RNG state restores the arrival stream in place).
+exactly, and the RNG state restores the arrival stream in place). Each
+file also carries a SHA-256 digest of its content
+(:func:`repro.core.io.dump_sealed`), so a truncated or corrupted file
+reads as absent rather than resuming from damaged state; files written
+before the digest was added still load.
 
 File names carry the campaign's spec hash —
 ``fleet-<hash12>-day<N>.json`` — so checkpoints from different campaigns
@@ -17,11 +21,12 @@ invalidates old checkpoints rather than corrupting a resume.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.core.io import dump_sealed, load_sealed
 
 #: Bumped whenever the checkpoint payload shape changes; a mismatch is
 #: treated as "no checkpoint" rather than a best-effort parse.
@@ -66,9 +71,7 @@ class CheckpointManager:
         }
         path = self.path_for(day)
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
+        tmp.write_text(dump_sealed(payload), encoding="utf-8")
         os.replace(tmp, path)
         return path
 
@@ -78,16 +81,17 @@ class CheckpointManager:
 
     def _read(self, path: Path) -> Optional[Dict]:
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            payload = load_sealed(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # unreadable, or not UTF-8
             return None
         if (
-            not isinstance(payload, dict)
+            payload is None
             or payload.get("version") != CHECKPOINT_VERSION
             or payload.get("campaign_hash") != self.campaign_hash
         ):
             return None
-        return payload.get("state")
+        state = payload.get("state")
+        return state if isinstance(state, dict) else None
 
     def days(self) -> List[int]:
         """Completed days with a readable checkpoint, ascending."""

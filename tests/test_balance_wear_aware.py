@@ -42,33 +42,28 @@ class TestPermutation:
 class TestSimulatorIntegration:
     def test_wear_aware_levels_the_dot_product(self, small_arch):
         sim = EnduranceSimulator(
-            small_arch, settings=SimulationSettings(seed=1)
+            small_arch, settings=SimulationSettings(seed=1, track_reads=False)
         )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 1000)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             1000,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) > 1.2
 
     def test_wear_aware_at_least_matches_random(self, small_arch):
         sim = EnduranceSimulator(
-            small_arch, settings=SimulationSettings(seed=1)
+            small_arch, settings=SimulationSettings(seed=1, track_reads=False)
         )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 1000, track_reads=False)
-        random = sim.run(
-            workload, BalanceConfig.from_label("StxRa"), 1000,
-            track_reads=False,
-        )
+        base = sim.run(workload, BalanceConfig(), 1000)
+        random = sim.run(workload, BalanceConfig.from_label("StxRa"), 1000)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             1000,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) >= (
             0.97 * lifetime_improvement(random, base)
@@ -76,15 +71,14 @@ class TestSimulatorIntegration:
 
     def test_conserves_total_writes(self, small_arch):
         sim = EnduranceSimulator(
-            small_arch, settings=SimulationSettings(seed=1)
+            small_arch, settings=SimulationSettings(seed=1, track_reads=False)
         )
         workload = DotProduct(n_elements=64, bits=8)
-        base = sim.run(workload, BalanceConfig(), 500, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 500)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             500,
-            track_reads=False,
         )
         assert adaptive.state.total_writes == pytest.approx(
             base.state.total_writes
@@ -94,15 +88,14 @@ class TestSimulatorIntegration:
         # All lanes carry identical loads: wear-aware degenerates to a
         # fixed assignment and changes nothing versus static.
         sim = EnduranceSimulator(
-            small_arch, settings=SimulationSettings(seed=1)
+            small_arch, settings=SimulationSettings(seed=1, track_reads=False)
         )
         workload = ParallelMultiplication(bits=8)
-        base = sim.run(workload, BalanceConfig(), 300, track_reads=False)
+        base = sim.run(workload, BalanceConfig(), 300)
         adaptive = sim.run(
             workload,
             BalanceConfig(between=StrategyKind.WEAR_AWARE),
             300,
-            track_reads=False,
         )
         assert lifetime_improvement(adaptive, base) == pytest.approx(1.0)
 

@@ -6,6 +6,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.cli import build_parser, main
 from repro.core.simulator import EnduranceSimulator
+from repro.workloads.multiply import ParallelMultiplication
 
 
 class TestParser:
@@ -101,15 +102,22 @@ class TestCommands:
         assert "switch fraction" in out
 
     def test_switching_evaluators_agree(self, capsys):
-        argv = [
-            "--rows", "256", "--cols", "64",
+        # The command takes the compiled path; its figures must be the
+        # interpreted oracle's.
+        from repro.core.switching import _measure_switching_interpreted
+
+        main([
+            "--rows", "256", "--cols", "64", "--seed", "5",
             "switching", "--bits", "6", "--samples", "8",
-        ]
-        main(argv + ["--evaluator", "compiled"])
-        compiled = capsys.readouterr().out
-        main(argv + ["--evaluator", "interpreted"])
-        interpreted = capsys.readouterr().out
-        assert compiled == interpreted
+        ])
+        out = capsys.readouterr().out
+        program = ParallelMultiplication(bits=6).build_program(
+            default_architecture(256, 64)
+        )
+        oracle = _measure_switching_interpreted(program, samples=8, rng=5)
+        assert f"switches/iteration: {oracle.switches.sum():.1f}" in out
+        assert f"switch fraction:    {oracle.switch_fraction:.2%}" in out
+        assert "--evaluator" not in build_parser().format_help()
 
     def test_deployment(self, capsys):
         main([

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.array.architecture import default_architecture
-from repro.core.accuracy import measure_fault_accuracy
+from repro.core.accuracy import (
+    _measure_fault_accuracy_interpreted,
+    measure_fault_accuracy,
+)
 from repro.gates.library import MINIMAL_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
@@ -116,27 +119,27 @@ class TestAccuracyReport:
             )
 
     def test_unknown_evaluator_rejected(self, mult_program):
-        with pytest.raises(ValueError, match="evaluator"):
+        # No backend knob: the compiled path is the only public one.
+        with pytest.raises(TypeError, match="evaluator"):
             measure_fault_accuracy(
-                mult_program, lambda a, b: a * b, evaluator="magic"
+                mult_program, lambda a, b: a * b, evaluator="interpreted"
             )
 
     @pytest.mark.parametrize("n_faults", [0, 1, 4])
     def test_evaluators_produce_identical_reports(
         self, mult_program, n_faults
     ):
-        # Same seed, same RNG call order -> bit-identical statistics.
+        # Same seed, same draw code -> bit-identical statistics from the
+        # compiled path and its interpreted oracle.
         kwargs = dict(
             reference=lambda a, b: a * b,
             n_faults=n_faults,
             samples=24,
             rng=11,
         )
-        compiled = measure_fault_accuracy(
-            mult_program, evaluator="compiled", **kwargs
-        )
-        interpreted = measure_fault_accuracy(
-            mult_program, evaluator="interpreted", **kwargs
+        compiled = measure_fault_accuracy(mult_program, **kwargs)
+        interpreted = _measure_fault_accuracy_interpreted(
+            mult_program, **kwargs
         )
         assert compiled == interpreted
 

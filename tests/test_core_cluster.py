@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core import settings as settings_module
 from repro.core.cluster import PartitionedDotProduct
 from repro.gates.library import NAND_LIBRARY
 
@@ -91,13 +90,9 @@ class TestClusterRuns:
             cluster.run(small_arch, BalanceConfig(), iterations=0)
 
     @pytest.mark.parametrize("rotate", [False, True])
-    def test_run_passes_no_legacy_kwargs(
-        self, small_arch, cluster, rotate, monkeypatch
-    ):
-        # The cluster drives its simulators through SimulationSettings,
-        # so the library never trips its own legacy-kwarg warning. The
-        # once-per-process latch is re-armed for this test only.
-        monkeypatch.setattr(settings_module, "_warned_legacy", False)
+    def test_run_passes_no_legacy_kwargs(self, small_arch, cluster, rotate):
+        # The cluster drives its simulators through SimulationSettings
+        # and emits no deprecation warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             result = cluster.run(
@@ -105,7 +100,7 @@ class TestClusterRuns:
                 rotate_aggregator=rotate,
             )
         assert result.rotated is rotate
-        # Reads stay untracked, as the legacy track_reads=False asked.
+        # Reads stay untracked: the cluster's settings are writes-only.
         assert all(not r.state.read_counts.any() for r in result.results)
 
 

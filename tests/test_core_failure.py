@@ -11,6 +11,7 @@ from repro.core.failure import (
     minimum_footprint,
     offset_death_times,
 )
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance, UniformEndurance
 from repro.workloads.multiply import ParallelMultiplication
@@ -50,12 +51,13 @@ class TestOffsetDeathTimes:
 class TestFailureTimeline:
     @pytest.fixture
     def result(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0, track_reads=False)
+        )
         return sim.run(
             ParallelMultiplication(bits=8),
             BalanceConfig.from_label("RaxSt+Hw"),
             iterations=500,
-            track_reads=False,
         )
 
     def test_uniform_endurance_gives_no_extension_when_level(self, result):

@@ -6,13 +6,14 @@ import pytest
 from repro.balance.config import BalanceConfig
 from repro.core.io import load_result, save_result, save_distributions_csv
 from repro.core.lifetime import lifetime_from_result
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.multiply import ParallelMultiplication
 
 
 @pytest.fixture
 def result(small_arch):
-    sim = EnduranceSimulator(small_arch, seed=5)
+    sim = EnduranceSimulator(small_arch, settings=SimulationSettings(seed=5))
     return sim.run(
         ParallelMultiplication(bits=8),
         BalanceConfig.from_label("RaxSt+Hw"),

@@ -11,6 +11,7 @@ from repro.core.lifetime import (
     lifetime_from_result,
     lifetime_improvement,
 )
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.devices.endurance import LognormalEndurance
 from repro.devices.technology import MRAM, RRAM
@@ -52,7 +53,9 @@ class TestAnalyticBounds:
 class TestEquation4:
     @pytest.fixture
     def result(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0)
+        )
         return sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), iterations=100
         )
@@ -99,14 +102,18 @@ class TestEquation4:
 
 class TestImprovement:
     def test_improvement_vs_self_is_one(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0)
+        )
         result = sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), iterations=100
         )
         assert lifetime_improvement(result, result) == pytest.approx(1.0)
 
     def test_balancing_improves_lifetime(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0)
+        )
         workload = ParallelMultiplication(bits=8)
         baseline = sim.run(workload, BalanceConfig(), iterations=500)
         balanced = sim.run(
@@ -115,7 +122,9 @@ class TestImprovement:
         assert lifetime_improvement(balanced, baseline) >= 1.0
 
     def test_cross_workload_comparison_rejected(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0)
+        )
         a = sim.run(ParallelMultiplication(bits=8), BalanceConfig(), iterations=10)
         b = sim.run(ParallelMultiplication(bits=4), BalanceConfig(), iterations=10)
         with pytest.raises(ValueError, match="same workload"):

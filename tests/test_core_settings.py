@@ -1,27 +1,38 @@
-"""SimulationSettings: validation, legacy aliases, hash stability."""
+"""SimulationSettings: the one configuration path, hash stability."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.array.executor import replay_assignment
+from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
-from repro.core.settings import (
-    SimulationSettings,
-    reset_deprecation_latch,
-)
+from repro.cli import _make_settings, build_parser
+from repro.core.accuracy import measure_fault_accuracy
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import simulate_configs
-from repro.engine import JobSpec, run_simulation
+from repro.core.switching import measure_switching
+from repro.engine import JobSpec, ResultStore, run_simulation
 from repro.workloads.multiply import ParallelMultiplication
 
 
-@pytest.fixture(autouse=True)
-def rearmed_latch():
-    """Each test sees the once-per-process warning fresh."""
-    reset_deprecation_latch()
-    yield
-    reset_deprecation_latch()
+_SIMULATION_ENTRY_POINTS = (
+    "EnduranceSimulator", "run", "run_simulation", "simulate_configs",
+)
+
+#: Every removed keyword, and the entry points that used to take it.
+#: The sweeps keep their own ``track_reads=`` (the writes-only default).
+_REMOVED_KWARGS = {
+    "kernel": _SIMULATION_ENTRY_POINTS,
+    "chunk_size": _SIMULATION_ENTRY_POINTS,
+    "seed": ("EnduranceSimulator", "run_simulation"),
+    "track_reads": ("EnduranceSimulator", "run", "run_simulation"),
+    "evaluator": ("measure_fault_accuracy", "measure_switching"),
+    "method": ("replay_assignment",),
+    "compress": ("ResultStore",),
+}
 
 
 class TestValidation:
@@ -38,17 +49,17 @@ class TestValidation:
                 SimulationSettings(**{knob: None})
 
     def test_unknown_log_level_rejected(self):
-        with pytest.raises(ValueError, match="log_level"):
-            SimulationSettings(log_level="loud")
+        # Telemetry options configure sinks, not runs: the settings
+        # carry none of them.
+        for knob in ("log_level", "trace_path", "progress"):
+            with pytest.raises(TypeError, match=knob):
+                SimulationSettings(**{knob: None})
 
     def test_unknown_evaluator_rejected(self):
-        assert SimulationSettings().evaluator == "compiled"
-        assert (
-            SimulationSettings(evaluator="interpreted").evaluator
-            == "interpreted"
-        )
-        with pytest.raises(ValueError, match="evaluator"):
-            SimulationSettings(evaluator="magic")
+        # There is no backend knob: evaluation always takes the
+        # compiled path.
+        with pytest.raises(TypeError, match="evaluator"):
+            SimulationSettings(evaluator="compiled")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -57,22 +68,11 @@ class TestValidation:
     def test_replace_revalidates(self):
         s = SimulationSettings()
         assert s.replace(seed=3).seed == 3
-        with pytest.raises(ValueError, match="evaluator"):
+        with pytest.raises(TypeError, match="evaluator"):
             s.replace(evaluator="magic")
 
 
 class TestDeprecationWarning:
-    def test_legacy_kwarg_warns_once_per_process(self, tiny_arch):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EnduranceSimulator(tiny_arch, seed=1)
-            EnduranceSimulator(tiny_arch, seed=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "settings=" in str(deprecations[0].message)
-
     def test_settings_path_never_warns(self, tiny_arch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -81,52 +81,46 @@ class TestDeprecationWarning:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_run_legacy_kwargs_warn(self, tiny_arch):
+    @pytest.mark.parametrize("knob", sorted(_REMOVED_KWARGS))
+    def test_removed_kernel_kwargs_are_type_errors(
+        self, tiny_arch, tmp_path, knob
+    ):
+        # The kernel knobs, the per-field settings aliases, the backend
+        # switches and the store's compression switch are gone: each
+        # entry point that took one now rejects it.
         sim = EnduranceSimulator(tiny_arch)
-        with pytest.warns(DeprecationWarning, match="EnduranceSimulator.run"):
-            sim.run(
-                ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=50, track_reads=False,
-            )
-
-    @pytest.mark.parametrize("knob", ["kernel", "chunk_size"])
-    def test_removed_kernel_kwargs_are_type_errors(self, tiny_arch, knob):
-        sim = EnduranceSimulator(tiny_arch)
-        with pytest.raises(TypeError, match=knob):
-            EnduranceSimulator(tiny_arch, **{knob: None})
-        with pytest.raises(TypeError, match=knob):
-            sim.run(
-                ParallelMultiplication(bits=8), BalanceConfig(),
-                iterations=5, **{knob: None},
-            )
-        with pytest.raises(TypeError, match=knob):
-            run_simulation(
-                ParallelMultiplication(bits=8), BalanceConfig(), tiny_arch,
-                5, **{knob: None},
-            )
-        with pytest.raises(TypeError, match=knob):
-            simulate_configs(
-                sim, ParallelMultiplication(bits=8), [BalanceConfig()], 5,
-                **{knob: None},
-            )
+        workload = ParallelMultiplication(bits=8)
+        program = ParallelMultiplication(bits=4).build_program(tiny_arch)
+        entry_points = {
+            "EnduranceSimulator": lambda **kw: EnduranceSimulator(
+                tiny_arch, **kw
+            ),
+            "run": lambda **kw: sim.run(
+                workload, BalanceConfig(), iterations=5, **kw
+            ),
+            "run_simulation": lambda **kw: run_simulation(
+                workload, BalanceConfig(), tiny_arch, 5, **kw
+            ),
+            "simulate_configs": lambda **kw: simulate_configs(
+                sim, workload, [BalanceConfig()], 5, **kw
+            ),
+            "measure_fault_accuracy": lambda **kw: measure_fault_accuracy(
+                program, lambda a, b: a * b, samples=1, **kw
+            ),
+            "measure_switching": lambda **kw: measure_switching(
+                program, samples=1, **kw
+            ),
+            "replay_assignment": lambda **kw: replay_assignment(
+                tiny_arch, {0: program}, ArrayState(tiny_arch.geometry), **kw
+            ),
+            "ResultStore": lambda **kw: ResultStore(tmp_path, **kw),
+        }
+        for name in _REMOVED_KWARGS[knob]:
+            with pytest.raises(TypeError, match=knob):
+                entry_points[name](**{knob: None})
 
 
 class TestEquivalence:
-    def test_legacy_and_settings_paths_agree_bitwise(self, tiny_arch):
-        workload = ParallelMultiplication(bits=8)
-        config = BalanceConfig.from_label("RaxRa")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = EnduranceSimulator(tiny_arch, seed=11).run(
-                workload, config, iterations=200
-            )
-        modern = EnduranceSimulator(
-            tiny_arch, SimulationSettings(seed=11)
-        ).run(workload, config, iterations=200)
-        assert np.array_equal(
-            legacy.state.write_counts, modern.state.write_counts
-        )
-
     def test_simulator_properties_delegate_to_settings(self, tiny_arch):
         sim = EnduranceSimulator(tiny_arch, SimulationSettings(seed=5))
         assert sim.seed == 5
@@ -186,30 +180,24 @@ class TestHashStability:
         assert legacy.content_hash == modern.content_hash
 
     def test_telemetry_options_never_reach_the_hash(self, tiny_arch):
+        # The CLI's telemetry flags attach sinks; the settings (and so
+        # the job hash) see only --seed.
+        parser = build_parser()
+        quiet = _make_settings(parser.parse_args(["--seed", "1", "fig5"]))
+        loud = _make_settings(
+            parser.parse_args(
+                ["--seed", "1", "--log-level", "debug", "--trace", "t.jsonl",
+                 "--progress", "fig5"]
+            )
+        )
+        assert quiet == loud == SimulationSettings(seed=1)
         workload = ParallelMultiplication(bits=8)
-        quiet = JobSpec.from_settings(
-            workload, tiny_arch, settings=SimulationSettings(seed=1)
+        assert (
+            JobSpec.from_settings(workload, tiny_arch, settings=quiet)
+            .content_hash
+            == JobSpec.from_settings(workload, tiny_arch, settings=loud)
+            .content_hash
         )
-        loud = JobSpec.from_settings(
-            workload, tiny_arch,
-            settings=SimulationSettings(
-                seed=1, log_level="debug", trace_path="t.jsonl", progress=True
-            ),
-        )
-        assert quiet.content_hash == loud.content_hash
-
-    def test_evaluator_never_reaches_the_hash(self, tiny_arch):
-        # The evaluator is a pure speed knob:
-        # results are bit-identical, so caches must not split on it.
-        workload = ParallelMultiplication(bits=8)
-        compiled = JobSpec.from_settings(
-            workload, tiny_arch, settings=SimulationSettings(seed=1)
-        )
-        interpreted = JobSpec.from_settings(
-            workload, tiny_arch,
-            settings=SimulationSettings(seed=1, evaluator="interpreted"),
-        )
-        assert compiled.content_hash == interpreted.content_hash
 
     def test_spec_settings_round_trip(self, tiny_arch):
         spec = JobSpec.from_settings(

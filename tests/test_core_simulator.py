@@ -60,7 +60,8 @@ class TestConservation:
 
     def test_track_reads_off_zeroes_reads(self, sim, workload):
         result = sim.run(
-            workload, BalanceConfig(), iterations=50, track_reads=False
+            workload, BalanceConfig(), iterations=50,
+            settings=sim.settings.replace(track_reads=False),
         )
         assert result.state.total_reads == 0
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.switching import measure_switching
+from repro.core.switching import (
+    _measure_switching_interpreted,
+    measure_switching,
+)
 from repro.gates.library import MINIMAL_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
@@ -83,16 +86,14 @@ class TestMultiplierSwitching:
         program = _copy_chain_program()
         with pytest.raises(ValueError):
             measure_switching(program, samples=0)
-        with pytest.raises(ValueError, match="evaluator"):
-            measure_switching(program, samples=1, evaluator="magic")
+        with pytest.raises(ValueError):
+            _measure_switching_interpreted(program, samples=0)
 
     def test_evaluators_produce_identical_profiles(self):
         program = ParallelMultiplication(bits=6).build_program(_small_arch())
-        compiled = measure_switching(
-            program, samples=40, rng=3, evaluator="compiled"
-        )
-        interpreted = measure_switching(
-            program, samples=40, rng=3, evaluator="interpreted"
+        compiled = measure_switching(program, samples=40, rng=3)
+        interpreted = _measure_switching_interpreted(
+            program, samples=40, rng=3
         )
         assert np.array_equal(compiled.switches, interpreted.switches)
         assert np.array_equal(compiled.writes, interpreted.writes)

@@ -1,0 +1,156 @@
+"""Damaged fleet checkpoints and store manifests read as absent.
+
+A real checkpoint and a real manifest are truncated or have one byte
+replaced. Every damaged file must read as absent, or, when the damage
+left the recorded content intact (it hit only the name of the digest
+key), as exactly what was written: never as different data, never as a
+crash. ``CheckpointManager.latest()`` then falls back to the
+next-newest checkpoint.
+"""
+
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.array.architecture import default_architecture
+from repro.balance.config import BalanceConfig
+from repro.core.simulator import EnduranceSimulator
+from repro.engine import JobSpec, ResultStore
+from repro.fleet import (
+    CheckpointManager,
+    CohortSpec,
+    FleetService,
+    FleetSpec,
+    PopulationSpec,
+    TrafficSpec,
+)
+from repro.workloads.multiply import ParallelMultiplication
+
+
+@st.composite
+def damaged(draw, raw: bytes):
+    """``(damaged bytes, truncated?)``: a proper prefix or one new byte."""
+    if draw(st.booleans()):
+        return raw[: draw(st.integers(0, len(raw) - 1))], True
+    index = draw(st.integers(0, len(raw) - 1))
+    byte = draw(st.integers(0, 255).filter(lambda b: b != raw[index]))
+    return raw[:index] + bytes([byte]) + raw[index + 1:], False
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """A paused 4-array campaign's day-2 and day-4 checkpoints."""
+    spec = FleetSpec(
+        population=PopulationSpec(
+            n_arrays=4,
+            technology_mix=(("PCM", 1.0),),
+            cohorts=(CohortSpec("add"),),
+            endurance_sigma=0.5,
+        ),
+        traffic=TrafficSpec(model="poisson", rate=2e5),
+        days=12,
+        seed=3,
+        rows=128,
+        cols=128,
+        cohort_iterations=200,
+    )
+    service = FleetService(
+        spec,
+        checkpoint_dir=tmp_path_factory.mktemp("checkpoints"),
+        checkpoint_every=2,
+    )
+    service.run(stop_after_day=4)
+    manager = service.checkpoints
+    files = {
+        day: (manager.path_for(day).read_bytes(), manager.load(day))
+        for day in (2, 4)
+    }
+    assert all(state is not None for _, state in files.values())
+    return spec.content_hash, files
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    """A real store entry's spec, raw manifest bytes and parsed manifest."""
+    arch = default_architecture(64, 64)
+    spec = JobSpec(
+        workload=ParallelMultiplication(bits=8),
+        architecture=arch,
+        config=BalanceConfig.from_label("RaxRa"),
+        iterations=50,
+        seed=3,
+    )
+    result = EnduranceSimulator(arch, settings=spec.settings).run(
+        spec.workload, spec.config, spec.iterations
+    )
+    store = ResultStore(tmp_path_factory.mktemp("store"))
+    store.save(spec, result, wall_s=0.5)
+    loaded = store.load_manifest(spec)
+    assert loaded is not None
+    return spec, store.manifest_for(spec).read_bytes(), loaded
+
+
+class TestDamagedCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_absent_and_latest_falls_back(self, checkpoints, data):
+        campaign, files = checkpoints
+        newest, state = files[4]
+        bad, truncated = data.draw(damaged(newest))
+        with tempfile.TemporaryDirectory() as directory:
+            manager = CheckpointManager(directory, campaign)
+            manager.path_for(2).write_bytes(files[2][0])
+            manager.path_for(4).write_bytes(bad)
+            loaded = manager.load(4)
+            if truncated:
+                assert loaded is None
+            assert loaded is None or loaded == state
+            if loaded is None:
+                assert manager.latest() == (2, files[2][1])
+            else:
+                assert manager.latest() == (4, state)
+
+    @pytest.mark.parametrize("state", ["[1]", "1", "null", '"x"'])
+    def test_non_object_state_reads_as_absent(self, tmp_path, state):
+        manager = CheckpointManager(tmp_path, "c" * 64)
+        manager.path_for(1).write_text(
+            '{"campaign_hash": "' + "c" * 64 + '", "day": 1, '
+            '"state": ' + state + ', "version": 1}',
+            encoding="utf-8",
+        )
+        assert manager.load(1) is None
+        assert manager.latest() is None
+
+
+class TestDamagedManifest:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_absent(self, manifest, data):
+        spec, raw, original = manifest
+        bad, truncated = data.draw(damaged(raw))
+        with tempfile.TemporaryDirectory() as root:
+            store = ResultStore(root)
+            path = store.manifest_for(spec)
+            path.parent.mkdir(parents=True)
+            path.write_bytes(bad)
+            loaded = store.load_manifest(spec)
+            if truncated:
+                assert loaded is None
+            assert loaded is None or all(
+                key in loaded and loaded[key] == value
+                for key, value in original.items()
+            )
+            streamed = [entry for _, entry in store.iter_manifests()]
+            assert streamed == ([] if loaded is None else [loaded])
+
+    @pytest.mark.parametrize("text", ["[1]", "1", "null", '"x"'])
+    def test_non_object_manifest_reads_as_absent(self, tmp_path, text):
+        store = ResultStore(tmp_path)
+        path = store.manifest_for("ab" * 32)
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        assert store.load_manifest("ab" * 32) is None
+        assert list(store.iter_manifests()) == []
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import (
     configuration_grid,
@@ -20,7 +21,7 @@ def workload():
 
 
 def fresh_sim(arch, seed=7):
-    return EnduranceSimulator(arch, seed=seed)
+    return EnduranceSimulator(arch, settings=SimulationSettings(seed=seed))
 
 
 class TestGridDeterminism:

@@ -1,6 +1,7 @@
 """ResultStore round-trips: the engine's transport format must be exact."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -33,10 +34,8 @@ def spec(small_arch, workload):
 
 @pytest.fixture
 def result(small_arch, spec):
-    simulator = EnduranceSimulator(small_arch, seed=spec.seed)
-    return simulator.run(
-        spec.workload, spec.config, spec.iterations, track_reads=True
-    )
+    simulator = EnduranceSimulator(small_arch, settings=spec.settings)
+    return simulator.run(spec.workload, spec.config, spec.iterations)
 
 
 class TestRoundTrip:
@@ -154,6 +153,42 @@ class TestStoreSemantics:
             p for p in tmp_path.rglob("*") if "tmp" in p.name
         ]
         assert leftovers == []
+
+    def test_concurrent_saves_of_one_key_leave_one_entry(
+        self, tmp_path, spec, result
+    ):
+        # Every temp file is per process, so two processes saving the
+        # same key never replace each other's temp file away.
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(2)
+        workers = [
+            context.Process(
+                target=_save_repeatedly,
+                args=(tmp_path, spec, result, start, 150),
+            )
+            for _ in range(2)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        store = ResultStore(tmp_path)
+        assert list(store.hashes()) == [spec.content_hash]
+        loaded = store.load(spec)
+        assert np.array_equal(
+            loaded.state.write_counts, result.state.write_counts
+        )
+        assert store.load_manifest(spec)["content_hash"] == spec.content_hash
+        assert [p for p in tmp_path.rglob("*") if "tmp" in p.name] == []
+
+
+def _save_repeatedly(root, spec, result, start, times):
+    store = ResultStore(root)
+    start.wait()
+    for _ in range(times):
+        store.save(spec, result)
 
 
 class TestManifestReadApi:
@@ -279,7 +314,3 @@ class TestSharding:
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError, match="no usable characters"):
             store.shard("///")
-
-    def test_shard_inherits_compression(self, tmp_path):
-        store = ResultStore(tmp_path, compress=True)
-        assert store.shard("a").compress is True

@@ -38,7 +38,7 @@ from repro.workloads.vectoradd import VectorAdd
 def add_result():
     arch_module = pytest.importorskip("repro.array.architecture")
     arch = arch_module.default_architecture(128, 128)
-    sim = EnduranceSimulator(arch, seed=0)
+    sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=0))
     return sim.run(VectorAdd(bits=32), BalanceConfig(), 200)
 
 

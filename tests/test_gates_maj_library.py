@@ -116,20 +116,22 @@ class TestMajEndurancePayoff:
 
         from repro.balance.config import BalanceConfig
         from repro.core.lifetime import lifetime_from_result
+        from repro.core.settings import SimulationSettings
         from repro.core.simulator import EnduranceSimulator
         from repro.workloads.multiply import ParallelMultiplication
 
         nand_arch = small_arch
         maj_arch = replace(small_arch, library=MAJ_LIBRARY, name="CRAM-MAJ")
         workload = ParallelMultiplication(bits=8)
+        writes_only = SimulationSettings(seed=0, track_reads=False)
         nand_life = lifetime_from_result(
-            EnduranceSimulator(nand_arch, seed=0).run(
-                workload, BalanceConfig(), 200, track_reads=False
+            EnduranceSimulator(nand_arch, writes_only).run(
+                workload, BalanceConfig(), 200
             )
         )
         maj_life = lifetime_from_result(
-            EnduranceSimulator(maj_arch, seed=0).run(
-                workload, BalanceConfig(), 200, track_reads=False
+            EnduranceSimulator(maj_arch, writes_only).run(
+                workload, BalanceConfig(), 200
             )
         )
         assert maj_life.iterations_to_failure > 1.5 * nand_life.iterations_to_failure

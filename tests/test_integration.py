@@ -13,6 +13,7 @@ from repro import (
     lifetime_from_result,
     lifetime_improvement,
 )
+from repro.core.settings import SimulationSettings
 from repro.core.sweep import configuration_grid
 
 
@@ -23,7 +24,7 @@ def arch():
 
 @pytest.fixture(scope="module")
 def sim(arch):
-    return EnduranceSimulator(arch, seed=2024)
+    return EnduranceSimulator(arch, settings=SimulationSettings(seed=2024))
 
 
 class TestPaperStructure:
@@ -138,10 +139,14 @@ class TestLifetimeRealism:
         workload = ParallelMultiplication(bits=16)
         configs = [BalanceConfig.from_label(l) for l in ("StxSt", "RaxRa")]
         grid1 = configuration_grid(
-            EnduranceSimulator(arch, seed=3), workload, 500, configs=configs
+            EnduranceSimulator(
+                arch, settings=SimulationSettings(seed=3)
+            ), workload, 500, configs=configs
         )
         grid2 = configuration_grid(
-            EnduranceSimulator(arch, seed=3), workload, 500, configs=configs
+            EnduranceSimulator(
+                arch, settings=SimulationSettings(seed=3)
+            ), workload, 500, configs=configs
         )
         for a, b in zip(grid1, grid2):
             assert a.improvement == pytest.approx(b.improvement)

@@ -12,9 +12,17 @@ import pytest
 from repro.array.architecture import CRAM_COLUMN, CRAM_ROW
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import lifetime_from_result
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
+
+
+def _writes_only(arch, seed):
+    """A simulator that tracks writes only."""
+    return EnduranceSimulator(
+        arch, settings=SimulationSettings(seed=seed, track_reads=False)
+    )
 
 
 @pytest.fixture
@@ -31,12 +39,8 @@ class TestOrientationEquivalence:
     def test_wear_pattern_is_transposed(self, row_arch, col_arch):
         workload = ParallelMultiplication(bits=8)
         config = BalanceConfig()
-        row = EnduranceSimulator(row_arch, seed=0).run(
-            workload, config, 50, track_reads=False
-        )
-        col = EnduranceSimulator(col_arch, seed=0).run(
-            workload, config, 50, track_reads=False
-        )
+        row = _writes_only(row_arch, 0).run(workload, config, 50)
+        col = _writes_only(col_arch, 0).run(workload, config, 50)
         assert np.allclose(
             row.state.write_counts, col.state.write_counts.T
         )
@@ -44,12 +48,8 @@ class TestOrientationEquivalence:
     def test_lifetimes_identical(self, row_arch, col_arch):
         workload = DotProduct(n_elements=32, bits=8)
         config = BalanceConfig.from_label("RaxRa")
-        row = EnduranceSimulator(row_arch, seed=3).run(
-            workload, config, 200, track_reads=False
-        )
-        col = EnduranceSimulator(col_arch, seed=3).run(
-            workload, config, 200, track_reads=False
-        )
+        row = _writes_only(row_arch, 3).run(workload, config, 200)
+        col = _writes_only(col_arch, 3).run(workload, config, 200)
         assert lifetime_from_result(row).iterations_to_failure == (
             pytest.approx(
                 lifetime_from_result(col).iterations_to_failure, rel=1e-9
@@ -58,11 +58,9 @@ class TestOrientationEquivalence:
 
     def test_hardware_remapping_works_row_parallel(self, row_arch):
         workload = ParallelMultiplication(bits=8)
-        static = EnduranceSimulator(row_arch, seed=0).run(
-            workload, BalanceConfig(), 100, track_reads=False
-        )
-        hardware = EnduranceSimulator(row_arch, seed=0).run(
-            workload, BalanceConfig(hardware=True), 100, track_reads=False
+        static = _writes_only(row_arch, 0).run(workload, BalanceConfig(), 100)
+        hardware = _writes_only(row_arch, 0).run(
+            workload, BalanceConfig(hardware=True), 100
         )
         assert hardware.state.max_writes <= static.state.max_writes
         assert hardware.state.total_writes == pytest.approx(
@@ -73,9 +71,7 @@ class TestOrientationEquivalence:
         # In a row-parallel array lanes are rows: the reduction's hot
         # stripe appears across rows instead of columns.
         workload = DotProduct(n_elements=32, bits=8)
-        result = EnduranceSimulator(row_arch, seed=0).run(
-            workload, BalanceConfig(), 50, track_reads=False
-        )
+        result = _writes_only(row_arch, 0).run(workload, BalanceConfig(), 50)
         row_sums = result.state.write_counts.sum(axis=1)
         assert row_sums[0] == row_sums.max()
 
@@ -86,9 +82,7 @@ class TestOrientationEquivalence:
 
     def test_distribution_orientation_views(self, row_arch):
         workload = ParallelMultiplication(bits=8)
-        result = EnduranceSimulator(row_arch, seed=0).run(
-            workload, BalanceConfig(), 20, track_reads=False
-        )
+        result = _writes_only(row_arch, 0).run(workload, BalanceConfig(), 20)
         dist = result.write_distribution
         # offset_profile is per lane-offset: identical across lanes here.
         lanes = dist.lane_profile()

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.switching import measure_switching
+from repro.core.switching import (
+    _measure_switching_interpreted,
+    measure_switching,
+)
 from repro.gates.library import (
     MAJ_LIBRARY,
     MINIMAL_LIBRARY,
@@ -221,12 +224,10 @@ class TestSwitchCountsBatch:
         program, widths, ext_width = spec
         ext = {"net": ext_width} if ext_width else None
         compiled = measure_switching(
-            program, samples=samples, rng=seed, externals_width=ext,
-            evaluator="compiled",
+            program, samples=samples, rng=seed, externals_width=ext
         )
-        interpreted = measure_switching(
-            program, samples=samples, rng=seed, externals_width=ext,
-            evaluator="interpreted",
+        interpreted = _measure_switching_interpreted(
+            program, samples=samples, rng=seed, externals_width=ext
         )
         assert np.array_equal(compiled.switches, interpreted.switches)
         assert np.array_equal(compiled.writes, interpreted.writes)

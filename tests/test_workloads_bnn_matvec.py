@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, mapping_for
 from repro.telemetry import Telemetry, set_telemetry
 from repro.gates.library import NAND_LIBRARY
@@ -89,9 +90,11 @@ class TestMatrixVectorProduct:
         assert len(mapping.distinct_programs()) == 5
 
     def test_leader_stripe_has_group_period(self, small_arch):
-        sim = EnduranceSimulator(small_arch, seed=0)
+        sim = EnduranceSimulator(
+            small_arch, settings=SimulationSettings(seed=0, track_reads=False)
+        )
         workload = MatrixVectorProduct(elements_per_row=16, bits=8)
-        result = sim.run(workload, BalanceConfig(), 50, track_reads=False)
+        result = sim.run(workload, BalanceConfig(), 50)
         lanes = result.write_distribution.lane_profile()
         assert np.allclose(lanes[:16], lanes[16:32])
         assert lanes[0] > lanes[8]
