@@ -11,13 +11,17 @@ results stay bit-identical.
 
 The production path (``EnduranceSimulator.run``) is timed against the
 per-epoch oracle (``EnduranceSimulator._run_epoch_loop``, reachable only
-from tests and benchmarks) on the same configuration; it must be at
-least 10x faster and produce the exact same counters. A timing-free
-identity check (``test_bench_e30_epoch_kernel_identity``) runs the same
-equivalence at a CI-sized horizon. Beyond the plain-text artifact this
-benchmark writes a machine-readable ``BENCH_E30.json`` (configuration,
-iterations/second on each path, speedup) so downstream tooling can track
-the ratio over time.
+from tests and benchmarks) on two lane layouts: ``mult`` runs one
+program on every lane, so the kernel's reference-set GEMV covers the
+whole array and no GEMM runs; ``conv`` runs two programs, so its smaller
+lane set pays one signed GEMM per chunk. Each must be at least 10x
+faster than the oracle and produce the exact same counters. A
+timing-free identity check (``test_bench_e30_epoch_kernel_identity``)
+runs the same equivalence on both layouts at a CI-sized horizon. Beyond
+the plain-text artifact this benchmark writes a machine-readable
+``BENCH_E30.json`` (configuration, iterations/second on each path,
+speedup, GEMMs per run) so downstream tooling can track the ratio over
+time.
 """
 
 import json
@@ -30,6 +34,8 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
+from repro.telemetry import Telemetry, set_telemetry
+from repro.workloads.convolution import Convolution
 from repro.workloads.multiply import ParallelMultiplication
 
 #: Floored like E29: the speedup is an asymptotic claim about per-epoch
@@ -41,37 +47,25 @@ def _iterations() -> int:
     return max(bench_iterations(MIN_ITERATIONS), MIN_ITERATIONS)
 
 
-def _run(iterations, *, oracle, arch=None, bits=32):
+def _run(iterations, workload, *, oracle, arch=None):
+    """``(result, seconds, kernel.gemms)`` of one ``RaxRa`` run."""
     simulator = EnduranceSimulator(
         arch or default_architecture(), SimulationSettings(seed=7)
     )
     path = simulator._run_epoch_loop if oracle else simulator.run
-    workload = ParallelMultiplication(bits=bits)
     config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
-    start = time.perf_counter()
-    result = path(workload, config, iterations)
-    return result, time.perf_counter() - start
+    fresh = Telemetry()
+    previous = set_telemetry(fresh)
+    try:
+        start = time.perf_counter()
+        result = path(workload, config, iterations)
+        seconds = time.perf_counter() - start
+    finally:
+        set_telemetry(previous)
+    return result, seconds, fresh.counters.get("kernel.gemms", 0)
 
 
-def test_bench_e30_epoch_kernel_identity():
-    """Timing-free CI gate: kernel == per-epoch oracle, bit for bit."""
-    arch = default_architecture(256, 64)
-    batched, _ = _run(2_000, oracle=False, arch=arch, bits=8)
-    sequential, _ = _run(2_000, oracle=True, arch=arch, bits=8)
-    assert np.array_equal(
-        batched.state.write_counts, sequential.state.write_counts
-    )
-    assert np.array_equal(
-        batched.state.read_counts, sequential.state.read_counts
-    )
-    assert batched.epochs == sequential.epochs == 2_000
-
-
-def test_bench_e30_epoch_kernel_speedup(record, results_dir):
-    iterations = _iterations()
-    batched, batched_s = _run(iterations, oracle=False)
-    sequential, sequential_s = _run(iterations, oracle=True)
-
+def _assert_identical(batched, sequential, iterations):
     assert np.array_equal(
         batched.state.write_counts, sequential.state.write_counts
     )
@@ -80,8 +74,48 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
     )
     assert batched.epochs == sequential.epochs == iterations
 
-    speedup = sequential_s / batched_s
+
+def test_bench_e30_epoch_kernel_identity():
+    """Timing-free CI gate: kernel == per-epoch oracle, bit for bit, with
+    one program on every lane (no GEMM) and with two (signed GEMMs)."""
+    arch = default_architecture(256, 64)
+    for workload, gemms in (
+        (ParallelMultiplication(bits=8), 0),
+        (Convolution(), 2 * 2),  # 2 chunks x (writes, reads)
+    ):
+        batched, _, batched_gemms = _run(
+            2_000, workload, oracle=False, arch=arch
+        )
+        sequential, _, _ = _run(2_000, workload, oracle=True, arch=arch)
+        _assert_identical(batched, sequential, 2_000)
+        assert batched_gemms == gemms
+
+
+def test_bench_e30_epoch_kernel_speedup(record, results_dir):
+    iterations = _iterations()
     arch = default_architecture()
+    rows = {}
+    for name, workload in (
+        ("mult-32b", ParallelMultiplication(bits=32)),
+        ("conv", Convolution()),
+    ):
+        batched, batched_s, gemms = _run(iterations, workload, oracle=False)
+        sequential, sequential_s, _ = _run(iterations, workload, oracle=True)
+        _assert_identical(batched, sequential, iterations)
+        rows[name] = {
+            "epoch_kernel": {
+                "seconds": round(sequential_s, 4),
+                "iterations_per_second": round(iterations / sequential_s, 1),
+            },
+            "batched_kernel": {
+                "seconds": round(batched_s, 4),
+                "iterations_per_second": round(iterations / batched_s, 1),
+            },
+            "speedup": round(sequential_s / batched_s, 2),
+            "kernel_gemms": gemms,
+        }
+
+    mult = rows["mult-32b"]
     payload = {
         "experiment": "E30_epoch_kernel",
         "workload": "mult-32b",
@@ -94,15 +128,8 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
             "cols": arch.geometry.cols,
         },
         "seed": 7,
-        "epoch_kernel": {
-            "seconds": round(sequential_s, 4),
-            "iterations_per_second": round(iterations / sequential_s, 1),
-        },
-        "batched_kernel": {
-            "seconds": round(batched_s, 4),
-            "iterations_per_second": round(iterations / batched_s, 1),
-        },
-        "speedup": round(speedup, 2),
+        **mult,
+        "conv": {"workload": "conv", **rows["conv"]},
         "bit_identical": True,
     }
     (results_dir / "BENCH_E30.json").write_text(
@@ -110,19 +137,27 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
     )
 
     lines = [
-        f"E30 epoch kernel, mult-32b RaxRa interval=1 "
-        f"({iterations} iterations, {arch.geometry.rows}x"
-        f"{arch.geometry.cols})",
-        f"  per-epoch oracle {sequential_s:8.2f} s  "
-        f"({iterations / sequential_s:10.0f} iter/s)",
-        f"  epoch kernel     {batched_s:8.2f} s  "
-        f"({iterations / batched_s:10.0f} iter/s)",
-        f"  speedup          {speedup:8.1f}x",
-        "  results bit-identical: yes",
+        f"E30 epoch kernel, RaxRa interval=1 ({iterations} iterations, "
+        f"{arch.geometry.rows}x{arch.geometry.cols})"
     ]
+    for name, row in rows.items():
+        oracle_s = row["epoch_kernel"]["seconds"]
+        kernel_s = row["batched_kernel"]["seconds"]
+        lines += [
+            f"  {name}",
+            f"    per-epoch oracle {oracle_s:8.2f} s  "
+            f"({iterations / oracle_s:10.0f} iter/s)",
+            f"    epoch kernel     {kernel_s:8.2f} s  "
+            f"({iterations / kernel_s:10.0f} iter/s, "
+            f"{row['kernel_gemms']} GEMMs)",
+            f"    speedup          {row['speedup']:8.1f}x",
+        ]
+    lines.append("  results bit-identical: yes")
     record("E30_epoch_kernel", "\n".join(lines))
 
-    assert speedup >= 10.0, (
-        f"epoch kernel only {speedup:.2f}x faster than the per-epoch "
-        f"oracle ({batched_s:.2f}s vs {sequential_s:.2f}s)"
-    )
+    for name, row in rows.items():
+        assert row["speedup"] >= 10.0, (
+            f"{name}: epoch kernel only {row['speedup']:.2f}x faster than "
+            f"the per-epoch oracle ({row['batched_kernel']['seconds']:.2f}s "
+            f"vs {row['epoch_kernel']['seconds']:.2f}s)"
+        )

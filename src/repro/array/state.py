@@ -139,6 +139,26 @@ class ArrayState:
             np.multiply.outer(lane_weights, offset_counts, out=scratch)
         target += scratch
 
+    def add_every_lane(
+        self,
+        offset_counts: np.ndarray,
+        orientation: Orientation,
+        kind: str = "write",
+    ) -> None:
+        """Add the same per-offset counts to every lane.
+
+        :meth:`add_lane_profile` with an all-ones lane weight, as one
+        broadcast add instead of an outer product.
+        """
+        offset_counts = np.asarray(offset_counts, dtype=np.float64)
+        if offset_counts.shape != (self.geometry.lane_size(orientation),):
+            raise ValueError(
+                f"offset_counts length {offset_counts.shape} != lane size "
+                f"{self.geometry.lane_size(orientation)}"
+            )
+        target = self.lane_view(self._target(kind), orientation)
+        target += offset_counts[:, None]
+
     def add_lane_profiles(
         self,
         offset_profiles: np.ndarray,

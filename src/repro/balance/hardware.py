@@ -26,29 +26,59 @@ a *domain-side* transposition, independent of ``pi``'s values. Hence after
 one iteration of a fixed program, ``pi_1 = pi_0 ∘ tau`` for a fixed
 permutation ``tau``, and after ``k`` iterations ``pi_k = pi_0 ∘ tau^k``.
 The i-th write of iteration ``k`` lands on ``pi_0(tau^k(d_i))`` where
-``d_i`` is a fixed domain element recorded from one symbolic pass. Summing
-over ``k`` reduces to counting visits along the cycles of ``tau`` — an
-``O(writes + N * (K mod L))`` computation that is *bit-exact* with the
-naive replay (property-tested in the test suite).
+``d_i`` is a fixed domain element recorded from one symbolic pass, which
+keeps only their per-element weights (an ``N``-vector each for writes and
+reads). Summing over ``k`` reduces to counting visits along the cycles of
+``tau`` — an ``O(N)`` computation per horizon that is *bit-exact* with the
+naive replay (property-tested in the test suite). :func:`remapper_for`
+memoizes one remapper per program and geometry, so the simulator and the
+verifier share its symbolic pass.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.gates.gate import Gate
 from repro.synth.program import LaneProgram, ReadInstr, WriteInstr
 
+#: Horizons whose domain-count vectors one remapper keeps, least recently
+#: used dropped first. A run needs at most two (the recompile interval and
+#: a short final epoch); the bound keeps a remapper memoized on its
+#: program at O(lane_size) however many horizons a process runs.
+DOMAIN_CACHE_SIZE = 8
+
+
+def remapper_for(
+    program: LaneProgram, lane_size: int, include_presets: bool
+) -> "HardwareRemapper":
+    """The one :class:`HardwareRemapper` of ``program`` at this geometry.
+
+    Memoized on the immutable program, keyed on ``(lane_size,
+    include_presets)``, as its static-verification findings are: every
+    run, engine job and verify pass over the same program object shares
+    one symbolic domain trace.
+    """
+    key = (int(lane_size), bool(include_presets))
+    remapper = program._remappers.get(key)
+    if remapper is None:
+        remapper = HardwareRemapper(program, lane_size, include_presets)
+        program._remappers[key] = remapper
+    return remapper
+
 
 class HardwareRemapper:
     """Exact wear profile of one lane program under hardware re-mapping.
 
-    One instance is built per (program, lane size, preset accounting)
-    triple; it precomputes the per-iteration domain trace and the renaming
-    permutation ``tau``, after which profiles for any horizon and any
-    initial software mapping are cheap.
+    Build one per (program, lane size, preset accounting) triple through
+    :func:`remapper_for`. Construction runs the symbolic single-iteration
+    pass once and keeps only O(lane_size) arrays — the cycles of the
+    renaming permutation ``tau`` that carry events, and the
+    per-domain-element write and read weights — after which profiles
+    for any horizon and any initial software mapping are cheap.
 
     Args:
         program: The lane program whose writes get renamed.
@@ -66,56 +96,65 @@ class HardwareRemapper:
                 f"hardware re-mapping needs a spare bit: program footprint "
                 f"{program.footprint} must be < lane size {lane_size}"
             )
-        self.program = program
+        # The instruction tuple, not the program: the program holds its
+        # memoized remappers, and this keeps the pair free of a cycle.
+        self._instructions = program.instructions
         self.lane_size = int(lane_size)
         self.include_presets = bool(include_presets)
         self._free_slot = self.lane_size - 1  # domain index of the FREE slot
-        self._tau, self._write_events, self._read_events = self._domain_trace()
-        self._cycles = _cycles_of(self._tau)
+        tau, self._write_weights, self._read_weights = self._domain_trace()
+        # Only cycles that carry an event contribute; dropping the rest
+        # (every untouched address is a fixed point) keeps a remapper of
+        # a small-footprint program in a wide lane small.
+        self._cycles = [
+            cycle
+            for cycle in _cycles_of(tau)
+            if self._write_weights[cycle].any()
+            or self._read_weights[cycle].any()
+        ]
         # Epochs of equal length share their domain-count vectors: the
         # renaming dynamics depend only on the horizon, not on the software
-        # mapping installed at epoch start.
-        self._domain_cache: dict = {}
+        # mapping installed at epoch start. Values are [writes, reads]; the
+        # reads fill in on first demand.
+        self._domain_cache: "OrderedDict[int, list]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Symbolic single-iteration pass
     # ------------------------------------------------------------------
 
-    def _domain_trace(
-        self,
-    ) -> Tuple[np.ndarray, List[Tuple[int, int]], List[int]]:
+    def _domain_trace(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One iteration in domain coordinates, starting from identity.
 
-        Returns ``(tau, write_events, read_events)``: the per-iteration
-        domain permutation, the ``(domain_element, write_weight)`` of each
-        renaming event, and the domain element of each read.
+        Returns ``(tau, write_weights, read_weights)``: the per-iteration
+        domain permutation, and per domain element the write weight of
+        the renaming events it takes and the number of reads it serves.
         """
         n = self.lane_size
         free = self._free_slot
-        sigma = np.arange(n, dtype=np.int64)  # current domain permutation
-        write_events: List[Tuple[int, int]] = []
-        read_events: List[int] = []
+        sigma = list(range(n))  # current domain permutation
+        writes = [0] * n
+        reads = [0] * n
         gate_weight = 2 if self.include_presets else 1
-        for instr in self.program.instructions:
+        for instr in self._instructions:
             if isinstance(instr, WriteInstr):
-                write_events.append((int(sigma[free]), 1))
-                sigma[free], sigma[instr.address] = (
-                    sigma[instr.address],
-                    sigma[free],
-                )
+                writes[sigma[free]] += 1
+                address = instr.address
+                sigma[free], sigma[address] = sigma[address], sigma[free]
             elif isinstance(instr, ReadInstr):
-                read_events.append(int(sigma[instr.address]))
+                reads[sigma[instr.address]] += 1
             elif isinstance(instr, Gate):
                 for address in instr.inputs:
-                    read_events.append(int(sigma[address]))
-                write_events.append((int(sigma[free]), gate_weight))
-                sigma[free], sigma[instr.output] = (
-                    sigma[instr.output],
-                    sigma[free],
-                )
+                    reads[sigma[address]] += 1
+                writes[sigma[free]] += gate_weight
+                address = instr.output
+                sigma[free], sigma[address] = sigma[address], sigma[free]
             else:
                 raise TypeError(f"unknown instruction {instr!r}")
-        return sigma, write_events, read_events
+        return (
+            np.asarray(sigma, dtype=np.int64),
+            np.asarray(writes, dtype=np.float64),
+            np.asarray(reads, dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------
     # Exact multi-iteration profiles
@@ -157,7 +196,8 @@ class HardwareRemapper:
         self,
         lengths: np.ndarray,
         within_maps: "np.ndarray | None" = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        reads: bool = True,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Batched :meth:`profile`: one epoch per row.
 
         Row ``e`` equals ``profile(lengths[e], within_maps[e])``. The
@@ -169,9 +209,12 @@ class HardwareRemapper:
             lengths: Per-epoch iteration counts, shape ``(E,)``.
             within_maps: Per-epoch initial logical-to-physical maps,
                 shape ``(E, lane_size)`` (identity rows if omitted).
+            reads: Also build the read rows; without it the second
+                result is ``None`` and no read counts are computed.
 
         Returns:
-            Two ``(E, lane_size)`` float arrays in physical offsets.
+            Two ``(E, lane_size)`` float arrays in physical offsets (the
+            second ``None`` when ``reads`` is false).
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1:
@@ -181,26 +224,24 @@ class HardwareRemapper:
         n = self.lane_size
         count = lengths.size
         unique, inverse = np.unique(lengths, return_inverse=True)
-        write_table = np.empty((unique.size, n))
-        read_table = np.empty((unique.size, n))
+        tables = [np.empty((unique.size, n)) for _ in range(1 + reads)]
         for i, length in enumerate(unique):
-            write_table[i], read_table[i] = self._domain_profiles(int(length))
-        domain_writes = write_table[inverse]
-        domain_reads = read_table[inverse]
-        if within_maps is None:
-            return domain_writes, domain_reads
-        within_maps = np.asarray(within_maps, dtype=np.int64)
-        if within_maps.shape != (count, n):
-            raise ValueError(
-                f"within_maps must have shape {(count, n)}, "
-                f"got {within_maps.shape}"
-            )
-        rows = np.arange(count)[:, None]
-        physical_writes = np.empty((count, n))
-        physical_writes[rows, within_maps] = domain_writes
-        physical_reads = np.empty((count, n))
-        physical_reads[rows, within_maps] = domain_reads
-        return physical_writes, physical_reads
+            domain = self._domain_profiles(int(length), reads)
+            for table, row in zip(tables, domain):
+                table[i] = row
+        profiles = [table[inverse] for table in tables]
+        if within_maps is not None:
+            within_maps = np.asarray(within_maps, dtype=np.int64)
+            if within_maps.shape != (count, n):
+                raise ValueError(
+                    f"within_maps must have shape {(count, n)}, "
+                    f"got {within_maps.shape}"
+                )
+            rows = np.arange(count)[:, None]
+            for i, domain_rows in enumerate(profiles):
+                profiles[i] = np.empty((count, n))
+                profiles[i][rows, within_maps] = domain_rows
+        return profiles[0], profiles[1] if reads else None
 
     @property
     def writes_per_iteration(self) -> float:
@@ -210,38 +251,43 @@ class HardwareRemapper:
         is the per-iteration wear any lane running the program accrues —
         the signal wear-aware between-lane mapping sorts by.
         """
-        return float(sum(weight for _, weight in self._write_events))
+        return float(self._write_weights.sum())
 
-    def _domain_profiles(self, iterations: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(domain_writes, domain_reads)`` for one horizon."""
-        cached = self._domain_cache.get(iterations)
-        if cached is None:
-            cached = (
-                self._domain_counts(self._write_events, iterations),
-                self._domain_counts(
-                    [(e, 1) for e in self._read_events], iterations
-                ),
-            )
-            self._domain_cache[iterations] = cached
-        return cached
+    def _domain_profiles(
+        self, iterations: int, reads: bool = True
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Cached ``(domain_writes, domain_reads)`` for one horizon
+        (``domain_reads`` is ``None`` unless ``reads`` asks for it)."""
+        cache = self._domain_cache
+        entry = cache.get(iterations)
+        if entry is None:
+            entry = cache[iterations] = [
+                self._domain_counts(self._write_weights, iterations),
+                None,
+            ]
+            if len(cache) > DOMAIN_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(iterations)
+        if reads and entry[1] is None:
+            entry[1] = self._domain_counts(self._read_weights, iterations)
+        return entry[0], entry[1] if reads else None
 
     def _domain_counts(
-        self, events: List[Tuple[int, int]], iterations: int
+        self, weights: np.ndarray, iterations: int
     ) -> np.ndarray:
         """Accumulated event counts per domain element over ``iterations``.
 
-        Event ``(d, w)`` contributes weight ``w`` to element
-        ``tau^k(d)`` for every iteration ``k``; elements on a ``tau``-cycle
-        of length ``L`` are visited ``K // L`` times plus once more for the
-        first ``K mod L`` phase offsets.
+        ``weights[d]`` is the event weight element ``d`` takes in one
+        iteration from the identity; it moves to ``tau^k(d)`` in
+        iteration ``k``. Elements on a ``tau``-cycle of length ``L`` are
+        visited ``K // L`` times plus once more for the first ``K mod L``
+        phase offsets.
         """
         n = self.lane_size
         counts = np.zeros(n)
-        if iterations == 0 or not events:
+        if iterations == 0 or not weights.any():
             return counts
-        weights = np.zeros(n)
-        for domain_element, weight in events:
-            weights[domain_element] += weight
         for cycle in self._cycles:
             length = cycle.size
             m = weights[cycle]  # event weight by cycle position
@@ -292,7 +338,7 @@ class HardwareRemapper:
             free, l2p[address] = int(l2p[address]), free
 
         for _ in range(iterations):
-            for instr in self.program.instructions:
+            for instr in self._instructions:
                 if isinstance(instr, WriteInstr):
                     renamed_write(instr.address, 1)
                 elif isinstance(instr, ReadInstr):

@@ -9,8 +9,9 @@ where ``profile[e]`` is each program's per-offset write (or read)
 profile scattered through epoch ``e``'s within-lane map and
 ``weights[e]`` marks the lanes its between-lane map assigns, scaled by
 the epoch length. :func:`run_batched_epochs` evaluates that sum as
-``profiles.T @ weights`` GEMMs (:meth:`ArrayState.add_lane_profiles`)
-and shrinks the GEMM's inner dimension wherever an axis is periodic.
+``profiles.T @ weights`` GEMMs (:meth:`ArrayState.add_lane_profiles`),
+shrinks the GEMM's inner dimension wherever an axis is periodic, and
+skips the GEMM of the largest lane set altogether (see below).
 The deterministic strategies are pure functions of the epoch index
 with short periods (:func:`strategy_period`):
 
@@ -40,12 +41,33 @@ Three cases follow.
 * **Neither axis periodic** (``Ra x Ra``, ``Ra x Wa``): one GEMM per
   chunk over every epoch.
 
+On every branch, GEMMs are paid only where the between-lane map
+matters (**complement accumulation**). The lanes split into one set per
+program plus the set no program occupies, whose profile is zero. Each
+epoch's between map is a permutation, so the lane-weight rows of all
+sets sum to the epoch's weight ``v[e]`` on every lane; with ``r`` the
+largest set,
+
+``sum_g P_g.T @ W_g = outer(P_r.T @ v, 1) + sum_{g != r} (P_g - P_r).T @ W_g``.
+
+The reference set costs one GEMV and a broadcast add; every other set
+pays a signed GEMM. When one program runs on every lane (``mult``) no
+GEMM runs and no between map is built — its uniforms are still drawn,
+so the random stream moves on exactly as before. When the unassigned
+set is the largest (trace workloads) ``P_r`` is zero and each program
+pays its own plain GEMM, as without the rule.
+
 Everything stays **exact**: profiles, epoch lengths, multiplicities and
 lane weights are integer-valued float64, and every partial sum is
-bounded by the run's total writes, which ``verify_mapping`` keeps below
-2^53 (RPR019). So each reduction equals the sequential per-epoch sum
-bit for bit, in any order; ``EnduranceSimulator._run_epoch_loop`` is
-the slow oracle the tests pin this kernel to. The stateful ``Wa``
+bounded by the run's total of its kind, which ``verify_mapping`` keeps
+below 2^53 (RPR019; reads too when they are tracked). For a signed
+GEMM the bound takes one more step: at a cell of physical lane ``l``,
+the terms' magnitudes sum to what ``l`` accrues while running ``g``
+plus what a reference lane accrues over those same epochs on other
+lanes — two lanes' run totals, together at most the run's total. So
+each reduction equals the sequential per-epoch sum bit for bit, in any
+order; ``EnduranceSimulator._run_epoch_loop`` is the slow oracle the
+tests pin this kernel to. The stateful ``Wa``
 between-lane strategy is the one part that must observe epoch order; it
 keeps an O(lane_count)-per-epoch incremental wear vector (per-lane
 totals are invariant under within-lane permutation, so cell-level
@@ -161,6 +183,7 @@ def make_epoch_maps(
     count: int,
     rng: "np.random.Generator | None" = None,
     epoch_start: int = 0,
+    with_between: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Within/between permutation matrices for ``count`` epochs.
 
@@ -170,13 +193,15 @@ def make_epoch_maps(
     ``e`` holds epoch ``e``'s within-draws followed by its
     between-draws. Row-major filling makes the stream identical whether
     the chunk is generated in one call or epoch by epoch, so results are
-    independent of chunking.
+    independent of chunking. ``with_between=False`` skips building the
+    between maps but still draws their uniforms, so the stream is
+    consumed the same either way.
 
     Returns:
         ``(within_maps, between_maps)`` of shapes ``(count, lane_size)``
-        and ``(count, lane_count)``. ``between_maps`` is ``None`` for the
-        stateful wear-aware strategy, which the caller must resolve in
-        epoch order against accumulated wear.
+        and ``(count, lane_count)``. ``between_maps`` is ``None`` when
+        skipped, and for the stateful wear-aware strategy, which the
+        caller must resolve in epoch order against accumulated wear.
     """
     within_random = within is StrategyKind.RANDOM
     between_random = between is StrategyKind.RANDOM
@@ -194,7 +219,7 @@ def make_epoch_maps(
         within_maps = make_permutations(
             within, lane_size, count, epoch_start=epoch_start
         )
-    if between is StrategyKind.WEAR_AWARE:
+    if between is StrategyKind.WEAR_AWARE or not with_between:
         between_maps: Optional[np.ndarray] = None
     elif between_random:
         between_maps = np.argsort(draws[:, -lane_count:], axis=1).astype(
@@ -219,8 +244,24 @@ def _fold(rows: np.ndarray, period: int) -> np.ndarray:
     return folded
 
 
+#: Key of the lane set no program occupies (its profile is zero).
+_UNASSIGNED = "unassigned"
+
+
 class _Accumulator:
-    """Per-group profile rows, lane-weight rows and the GEMMs over them.
+    """Per-set profile rows, lane-weight rows and the products over them.
+
+    The lanes split into one set per program plus the set no program
+    occupies. Each epoch's between map is a permutation, so the
+    lane-weight rows of all sets sum to the epoch's weight ``v[e]`` on
+    every lane. With the largest set ``r`` as the reference,
+
+    ``sum_g P_g.T @ W_g = outer(P_r.T @ v, 1) + sum_{g != r} (P_g - P_r).T @ W_g``
+
+    (the unassigned set's ``P`` is zero), so ``r`` costs one GEMV and
+    only the other sets pay a GEMM — none at all when one program runs
+    on every lane. When the unassigned set is the largest, ``P_r`` is
+    zero and every program set pays its own plain GEMM.
 
     Without hardware re-mapping a profile row is the program's static
     per-iteration profile scattered through a within map, and the epoch
@@ -246,11 +287,11 @@ class _Accumulator:
         self.remappers = remappers
         self.track_reads = track_reads
         self.gemms = 0
-        self.lanes: Dict[int, np.ndarray] = {}
+        self.programs: Dict[int, np.ndarray] = {}
         self.writes: Dict[int, np.ndarray] = {}
         self.reads: Dict[int, np.ndarray] = {}
         for key, (program, lanes) in groups.items():
-            self.lanes[key] = np.asarray(lanes, dtype=np.int64)
+            self.programs[key] = np.asarray(lanes, dtype=np.int64)
             if self.hardware:
                 continue
             if program.footprint > self.lane_size:
@@ -263,30 +304,56 @@ class _Accumulator:
             )
             if track_reads:
                 self.reads[key] = program.read_profile(self.lane_size)
+        assigned = np.zeros(self.lane_count, dtype=bool)
+        for lanes in self.programs.values():
+            assigned[lanes] = True
+        unassigned = np.flatnonzero(~assigned)
+        #: The reference set's key; ``None`` when it is the unassigned set.
+        self.reference: Optional[int] = max(
+            self.programs, key=lambda key: self.programs[key].size,
+            default=None,
+        )
+        if (
+            self.reference is not None
+            and unassigned.size >= self.programs[self.reference].size
+        ):
+            self.reference = None
+        #: Every set that pays a GEMM: all but the reference.
+        self.lanes: Dict[object, np.ndarray] = {
+            key: lanes
+            for key, lanes in self.programs.items()
+            if key != self.reference
+        }
+        if self.reference is not None and unassigned.size:
+            self.lanes[_UNASSIGNED] = unassigned
 
     def lane_writes(self, key: int) -> float:
-        """Writes one iteration deposits on each of the group's lanes."""
+        """Writes one iteration deposits on each of the program's lanes."""
         if self.hardware:
             return self.remappers[key].writes_per_iteration
         return float(self.writes[key].sum())
 
     def profiles(
-        self, key: int, within_maps: np.ndarray, lengths: np.ndarray
+        self,
+        key: int,
+        within_maps: np.ndarray,
+        lengths: np.ndarray,
+        slot: str,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(writes, reads)`` profile rows, one per within map."""
+        """``(writes, reads)`` profile rows, one per within map; without
+        hardware re-mapping they live in the pooled ``slot``."""
         if self.hardware:
-            writes, reads = self.remappers[key].profile_many(
-                lengths, within_maps
+            return self.remappers[key].profile_many(
+                lengths, within_maps, reads=self.track_reads
             )
-            return writes, reads if self.track_reads else None
         # Pooled scratch: the scatter covers every column of every row
         # (within_maps rows are permutations), so no zero-fill is needed.
         rows = np.arange(len(within_maps))[:, None]
-        writes = POOL.get("kernel.profile_writes", within_maps.shape)
+        writes = POOL.get(slot + "_writes", within_maps.shape)
         writes[rows, within_maps] = self.writes[key]
         reads = None
         if self.track_reads:
-            reads = POOL.get("kernel.profile_reads", within_maps.shape)
+            reads = POOL.get(slot + "_reads", within_maps.shape)
             reads[rows, within_maps] = self.reads[key]
         return writes, reads
 
@@ -297,10 +364,10 @@ class _Accumulator:
         return lengths.astype(np.float64)[:, None]
 
     def weights(
-        self, key: int, between_maps: np.ndarray, values
+        self, key: object, between_maps: np.ndarray, values
     ) -> np.ndarray:
         """Lane-weight rows: ``values`` at each epoch's assigned lanes."""
-        # Rows of between_maps are permutations and the group's lanes
+        # Rows of between_maps are permutations and the set's lanes
         # are distinct, so scattered columns never collide.
         weights = POOL.get(
             "kernel.lane_weights",
@@ -310,6 +377,37 @@ class _Accumulator:
         rows = np.arange(len(between_maps))[:, None]
         weights[rows, between_maps[:, self.lanes[key]]] = values
         return weights
+
+    def accumulate(self, rows, weights, values) -> None:
+        """Add ``sum_g rows(g).T @ weights(g)`` over every lane set.
+
+        ``rows(key, slot)`` gives a program set's ``(writes, reads)``
+        profile rows, ``weights(key)`` a set's lane-weight rows, and
+        ``values`` (a scalar or a column, one entry per row) the weight
+        all sets' rows sum to on every lane.
+        """
+        reference = (None, None)
+        if self.reference is not None:
+            reference = rows(self.reference, "kernel.profile")
+            count = len(reference[0])
+            column = np.broadcast_to(values, (count, 1))[:, 0]
+            for profile, kind in zip(reference, ("write", "read")):
+                if profile is not None:
+                    self.state.add_every_lane(
+                        column @ profile, self.orientation, kind
+                    )
+        for key in self.lanes:
+            if key is _UNASSIGNED:
+                signed = [
+                    None if profile is None else np.negative(profile)
+                    for profile in reference
+                ]
+            else:
+                signed = list(rows(key, "kernel.signed"))
+                for profile, base in zip(signed, reference):
+                    if base is not None:
+                        profile -= base
+            self.gemm(*signed, weights(key))
 
     def gemm(
         self,
@@ -418,12 +516,17 @@ def _fastforward(
             acc.lane_count,
             count,
             epoch_start=epoch_start,
+            with_between=bool(acc.lanes),
         )
         chunk_lengths = np.full(count, length, dtype=np.int64)
         values = np.multiply(repeats, acc.scale(chunk_lengths))
-        for key in acc.lanes:
-            writes, reads = acc.profiles(key, within_maps, chunk_lengths)
-            acc.gemm(writes, reads, acc.weights(key, between_maps, values))
+        acc.accumulate(
+            lambda key, slot: acc.profiles(
+                key, within_maps, chunk_lengths, slot
+            ),
+            lambda key: acc.weights(key, between_maps, values),
+            values,
+        )
     return block + (1 if remainder else 0)
 
 
@@ -434,17 +537,21 @@ def _run_chunks(
     lengths: np.ndarray,
     lane_loads: Optional[np.ndarray],
 ) -> None:
-    """At most one axis periodic: draw every epoch, fold before the GEMM."""
+    """At most one axis periodic: draw every epoch, fold before the GEMM.
+
+    Between maps are drawn only when some set pays a GEMM; without one
+    the random block is still drawn, so the stream moves on as usual.
+    """
     within_period = strategy_period(config.within, acc.lane_size)
     between_period = strategy_period(config.between, acc.lane_count)
     wear = None
-    if config.between is StrategyKind.WEAR_AWARE:
+    if config.between is StrategyKind.WEAR_AWARE and acc.lanes:
         wear = (
             acc.state.lane_view(acc.state.write_counts, acc.orientation)
             .sum(axis=0)
             .astype(np.float64)
         )
-        lane_writes = {key: acc.lane_writes(key) for key in acc.lanes}
+        lane_writes = {key: acc.lane_writes(key) for key in acc.programs}
     tele = get_telemetry()
     total_epochs = int(lengths.size)
     for start in range(0, total_epochs, CHUNK_EPOCHS):
@@ -459,6 +566,7 @@ def _run_chunks(
             count,
             rng,
             epoch_start=start,
+            with_between=bool(acc.lanes),
         )
         if wear is not None:
             # The one genuinely sequential piece: each epoch's assignment
@@ -474,31 +582,34 @@ def _run_chunks(
                     permutation = wear_aware_permutation(lane_loads, wear)
                     between_maps[e] = permutation
                     length = int(chunk_lengths[e])
-                    for key, lanes in acc.lanes.items():
+                    for key, lanes in acc.programs.items():
                         wear[permutation[lanes]] += lane_writes[key] * length
         values = acc.scale(chunk_lengths)
-        for key in acc.lanes:
-            if within_period is not None:
-                _within_folded(
-                    acc, key, within_period, within_maps, between_maps,
-                    chunk_lengths, values,
-                )
-            elif between_period is not None:
-                _between_folded(
-                    acc, key, between_period, within_maps, between_maps,
-                    chunk_lengths, values,
-                )
-            else:
-                writes, reads = acc.profiles(key, within_maps, chunk_lengths)
-                acc.gemm(writes, reads, acc.weights(key, between_maps, values))
+        if within_period is not None:
+            _within_folded(
+                acc, within_period, within_maps, between_maps,
+                chunk_lengths, values,
+            )
+        elif between_period is not None and acc.lanes:
+            _between_folded(
+                acc, between_period, within_maps, between_maps,
+                chunk_lengths, values,
+            )
+        else:
+            acc.accumulate(
+                lambda key, slot: acc.profiles(
+                    key, within_maps, chunk_lengths, slot
+                ),
+                lambda key: acc.weights(key, between_maps, values),
+                values,
+            )
 
 
 def _within_folded(
     acc: _Accumulator,
-    key: int,
     period: int,
     within_maps: np.ndarray,
-    between_maps: np.ndarray,
+    between_maps: Optional[np.ndarray],
     lengths: np.ndarray,
     values: "np.ndarray | float",
 ) -> None:
@@ -508,22 +619,30 @@ def _within_folded(
     hardware re-mapping the profile also depends on the epoch length, so
     a short final epoch keeps its own row.
     """
-    split = len(lengths)
+    count = len(lengths)
+    split = count
     if acc.hardware and lengths[-1] != lengths[0]:
         split -= 1
-    weights = acc.weights(key, between_maps, values)
-    folded = _fold(weights[:split], period)
-    phases = len(folded)
-    if split < len(lengths):
-        folded = np.concatenate([folded, weights[split:]])
-    keep = np.r_[0:phases, split : len(lengths)]
-    writes, reads = acc.profiles(key, within_maps[keep], lengths[keep])
-    acc.gemm(writes, reads, folded)
+
+    def fold(rows: np.ndarray) -> np.ndarray:
+        folded = _fold(rows[:split], period)
+        if split < count:
+            folded = np.concatenate([folded, rows[split:]])
+        return folded
+
+    phases = min(split, period)
+    keep = np.r_[0:phases, split:count]
+    acc.accumulate(
+        lambda key, slot: acc.profiles(
+            key, within_maps[keep], lengths[keep], slot
+        ),
+        lambda key: fold(acc.weights(key, between_maps, values)),
+        fold(np.broadcast_to(values, (count, 1))),
+    )
 
 
 def _between_folded(
     acc: _Accumulator,
-    key: int,
     period: int,
     within_maps: np.ndarray,
     between_maps: np.ndarray,
@@ -532,12 +651,20 @@ def _between_folded(
 ) -> None:
     """Periodic between axis: sum profile rows by between phase, each
     weighted by its lane-weight factor, against one 0/1 row per phase."""
-    writes, reads = acc.profiles(key, within_maps, lengths)
-    if not acc.hardware:
-        np.multiply(writes, values, out=writes)
-        if reads is not None:
-            np.multiply(reads, values, out=reads)
-    writes = _fold(writes, period)
-    if reads is not None:
-        reads = _fold(reads, period)
-    acc.gemm(writes, reads, acc.weights(key, between_maps[: len(writes)], 1.0))
+
+    def rows(key, slot):
+        writes, reads = acc.profiles(key, within_maps, lengths, slot)
+        if not acc.hardware:
+            np.multiply(writes, values, out=writes)
+            if reads is not None:
+                np.multiply(reads, values, out=reads)
+        return _fold(writes, period), (
+            None if reads is None else _fold(reads, period)
+        )
+
+    phases = min(len(lengths), period)
+    acc.accumulate(
+        rows,
+        lambda key: acc.weights(key, between_maps[:phases], 1.0),
+        1.0,
+    )

@@ -34,7 +34,7 @@ from repro.array.architecture import PIMArchitecture
 from repro.array.executor import accumulate_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
-from repro.balance.hardware import HardwareRemapper
+from repro.balance.hardware import HardwareRemapper, remapper_for
 from repro.balance.software import StrategyKind, wear_aware_permutation
 from repro.core.kernel import (
     epoch_lengths,
@@ -287,12 +287,12 @@ class EnduranceSimulator:
             )
         architecture = self.architecture
         mapping = mapping_for(workload, architecture)
-        self._verify(mapping, config, iterations)
+        self._verify(mapping, config, iterations, settings.track_reads)
         groups = self._groups(mapping)
         remappers = None
         if config.hardware:
             remappers = {
-                key: HardwareRemapper(
+                key: remapper_for(
                     program, architecture.lane_size, architecture.presets_output
                 )
                 for key, (program, _) in groups.items()
@@ -381,15 +381,20 @@ class EnduranceSimulator:
         return run.result(config, iterations, int(lengths.size))
 
     def _verify(
-        self, mapping: WorkloadMapping, config: BalanceConfig, iterations: int
+        self,
+        mapping: WorkloadMapping,
+        config: BalanceConfig,
+        iterations: int,
+        track_reads: bool,
     ) -> None:
         """Statically check the mapping/config pair before simulating.
 
         Runs :func:`repro.verify.verify_mapping` in wear-only mode (value
         semantics are warnings — a wear simulation never executes gate
-        values) over the run's horizon (RPR019 refuses one whose counters
-        would leave float64's exact integers) and rejects the run on any
-        error. Every run verifies;
+        values) over the run's horizon (RPR019 refuses one whose write
+        counters, or read counters when ``track_reads``, would leave
+        float64's exact integers) and rejects the run on any error.
+        Every run verifies;
         the expensive per-program passes are memoized on the programs
         themselves, so a repeat pays only the cheap bounds, schedule and
         configuration checks.
@@ -401,7 +406,11 @@ class EnduranceSimulator:
             "verify", workload=mapping.workload_name
         ):
             report = verify_mapping(
-                mapping, config, functional=False, iterations=iterations
+                mapping,
+                config,
+                functional=False,
+                iterations=iterations,
+                track_reads=track_reads,
             )
         if report.errors:
             raise VerificationError(report)

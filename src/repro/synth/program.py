@@ -128,10 +128,21 @@ class LaneProgram:
         # Static-verification findings per (lane_size, writes_per_gate),
         # filled by repro.verify.api.
         self._findings: Dict[tuple, tuple] = {}
+        # Hardware remappers per (lane_size, include_presets), filled by
+        # repro.balance.hardware.remapper_for.
+        self._remappers: Dict[tuple, object] = {}
         self._validate()
 
     def _validate(self) -> None:
+        # The op-type counts ride on the one pass every program pays.
+        gates = loads = readouts = 0
         for instr in self.instructions:
+            if isinstance(instr, Gate):
+                gates += 1
+            elif isinstance(instr, WriteInstr):
+                loads += 1
+            elif isinstance(instr, ReadInstr):
+                readouts += 1
             addresses = self._addresses_of(instr)
             for address in addresses:
                 if address >= self.footprint:
@@ -164,6 +175,9 @@ class LaneProgram:
                         f"declared vector {name!r} uses bit {address} outside "
                         f"footprint {self.footprint}"
                     )
+        self._gate_count = gates
+        self._load_ops = loads
+        self._readout_ops = readouts
 
     @staticmethod
     def _addresses_of(instr: Instruction) -> Tuple[int, ...]:
@@ -182,7 +196,7 @@ class LaneProgram:
     @property
     def gate_count(self) -> int:
         """Number of logic gates."""
-        return sum(1 for i in self.instructions if isinstance(i, Gate))
+        return self._gate_count
 
     @property
     def load_ops(self) -> int:
@@ -192,12 +206,12 @@ class LaneProgram:
         majority-library synthesis writes shared constant cells that a
         closed-form operand count misses (caught by RPR008).
         """
-        return sum(1 for i in self.instructions if isinstance(i, WriteInstr))
+        return self._load_ops
 
     @property
     def readout_ops(self) -> int:
         """Number of read-out instructions."""
-        return sum(1 for i in self.instructions if isinstance(i, ReadInstr))
+        return self._readout_ops
 
     @property
     def sequential_ops(self) -> int:

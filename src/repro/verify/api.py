@@ -172,6 +172,7 @@ def verify_mapping(
     config=None,
     functional: bool = True,
     iterations: Optional[int] = None,
+    track_reads: bool = False,
 ) -> VerifyReport:
     """Statically check a built workload mapping.
 
@@ -187,6 +188,9 @@ def verify_mapping(
         iterations: Optional run horizon; when given, a run whose total
             writes reach 2^53 is refused (RPR019), since past that the
             float64 counters and the conservation sum round silently.
+        track_reads: Whether the run accumulates reads too; the horizon
+            bound then covers its total reads as well, which can
+            outnumber the writes.
     """
     architecture = mapping.architecture
     lane_size = architecture.lane_size
@@ -222,21 +226,33 @@ def verify_mapping(
     if iterations is not None:
         diagnostics.extend(
             _check_horizon(
-                mapping.workload_name, float(lane_loads.sum()), iterations
+                mapping.workload_name,
+                float(lane_loads.sum()),
+                iterations,
+                mapping.reads_per_iteration if track_reads else None,
             )
         )
     return _finish(diagnostics)
 
 
 def _check_horizon(
-    workload_name: str, writes_per_iteration: float, iterations: int
+    workload_name: str,
+    writes_per_iteration: float,
+    iterations: int,
+    reads_per_iteration: Optional[float] = None,
 ) -> List[Diagnostic]:
-    """RPR019: the run's total writes must stay below 2^53.
+    """RPR019: the run's total writes, and its total reads when they are
+    tracked, must stay below 2^53.
 
-    Every cell count, lane weight and partial sum is bounded by the
-    total, so this one bound keeps the whole accumulation exact.
+    Every cell count, lane weight and partial sum of one counter matrix
+    is bounded by that matrix's total, so this one bound per tracked
+    kind keeps the whole accumulation exact. A refused horizon gets one
+    diagnostic, naming the kind that reaches the limit first.
     """
-    per_iteration = math.ceil(writes_per_iteration)
+    kind, rate = "writes", writes_per_iteration
+    if reads_per_iteration is not None and reads_per_iteration > rate:
+        kind, rate = "reads", reads_per_iteration
+    per_iteration = math.ceil(rate)
     total = int(iterations) * per_iteration  # exact: Python ints
     if total < EXACT_FLOAT_LIMIT:
         return []
@@ -244,8 +260,8 @@ def _check_horizon(
         Diagnostic(
             "RPR019",
             Severity.ERROR,
-            f"{iterations} iterations x {per_iteration} writes/iteration "
-            f"= {total} writes reaches 2^53; float64 counters would "
+            f"{iterations} iterations x {per_iteration} {kind}/iteration "
+            f"= {total} {kind} reaches 2^53; float64 counters would "
             "round silently",
             Location(place=f"workload {workload_name}"),
             hint="shorten the horizon to fewer than "
@@ -361,6 +377,7 @@ def verify_spec(spec) -> VerifyReport:
         getattr(spec, "config", None),
         functional=False,
         iterations=getattr(spec, "iterations", None),
+        track_reads=getattr(spec, "track_reads", False),
     )
 
 

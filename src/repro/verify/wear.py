@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.balance.config import BalanceConfig
-from repro.balance.hardware import HardwareRemapper
+from repro.balance.hardware import remapper_for
 from repro.balance.software import (
     StrategyKind,
     make_permutations,
@@ -101,7 +101,7 @@ def check_profile_conservation(
             )
         )
     if lane_size is not None and program.footprint <= lane_size - 1:
-        remapper = HardwareRemapper(program, lane_size, include_presets)
+        remapper = remapper_for(program, lane_size, include_presets)
         writes, reads = remapper.profile(1)
         expected_writes = float(interpreter_writes.sum())
         expected_reads = float(interpreter_reads.sum())
@@ -245,16 +245,10 @@ def check_schedule(mapping) -> List[Diagnostic]:
                 "models assume these agree",
             )
         )
-    slots = architecture.writes_per_gate
+    extra = architecture.writes_per_gate - 1
     budget = mapping.sequential_ops
-    per_program: dict = {}
     for lane, program in sorted(mapping.assignment.items()):
-        lane_ops = per_program.get(id(program))
-        if lane_ops is None:
-            gates = program.gate_count
-            lane_ops = per_program[id(program)] = (
-                program.sequential_ops - gates + gates * slots
-            )
+        lane_ops = program.sequential_ops + program.gate_count * extra
         if lane_ops > budget:
             diagnostics.append(
                 Diagnostic(

@@ -119,20 +119,13 @@ class WorkloadMapping:
         ``writes_per_gate`` slots on pre-setting architectures). This is
         the wear view's own op count, summed over lanes.
         """
-        slots = self.architecture.writes_per_gate
-        # Instruction-count properties are O(program); compute them once
-        # per canonical program object, not once per lane.
-        per_program: Dict[int, int] = {}
-        total = 0
-        for program in self.assignment.values():
-            key = id(program)
-            ops = per_program.get(key)
-            if ops is None:
-                gates = program.gate_count
-                serial = program.sequential_ops - gates  # reads + writes
-                ops = per_program[key] = serial + gates * slots
-            total += ops
-        return float(total)
+        extra = self.architecture.writes_per_gate - 1
+        return float(
+            sum(
+                program.sequential_ops + program.gate_count * extra
+                for program in self.assignment.values()
+            )
+        )
 
     def validate_schedule(self, tolerance: float = 0.0) -> None:
         """Cross-check the phase schedule against the lane programs.

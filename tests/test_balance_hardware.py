@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.balance.hardware import HardwareRemapper, _cycles_of
+import repro.core.simulator as simulator
+from repro.array.architecture import default_architecture
+from repro.balance.config import all_configurations
+from repro.balance.hardware import (
+    DOMAIN_CACHE_SIZE,
+    HardwareRemapper,
+    _cycles_of,
+    remapper_for,
+)
+from repro.core.settings import SimulationSettings
+from repro.core.simulator import EnduranceSimulator
 from repro.gates.library import NAND_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
 from repro.synth.program import LaneProgramBuilder
+from repro.workloads.dotproduct import DotProduct
 
 
 def _program(width=2):
@@ -172,15 +183,12 @@ class TestDomainCountRemainder:
     """
 
     @staticmethod
-    def _roll_loop_counts(remapper, events, iterations):
-        # The pre-optimization implementation, kept verbatim as the oracle.
+    def _roll_loop_counts(remapper, weights, iterations):
+        # The pre-optimization implementation, kept as the oracle.
         n = remapper.lane_size
         counts = np.zeros(n)
-        if iterations == 0 or not events:
+        if iterations == 0 or not weights.any():
             return counts
-        weights = np.zeros(n)
-        for domain_element, weight in events:
-            weights[domain_element] += weight
         for cycle in remapper._cycles:
             length = cycle.size
             m = weights[cycle]
@@ -204,12 +212,9 @@ class TestDomainCountRemainder:
     ):
         program = _hammer_program(reuses)
         remapper = HardwareRemapper(program, program.footprint + 8, presets)
-        for events in (
-            remapper._write_events,
-            [(e, 1) for e in remapper._read_events],
-        ):
-            fast = remapper._domain_counts(events, iterations)
-            slow = self._roll_loop_counts(remapper, events, iterations)
+        for weights in (remapper._write_weights, remapper._read_weights):
+            fast = remapper._domain_counts(weights, iterations)
+            slow = self._roll_loop_counts(remapper, weights, iterations)
             assert np.array_equal(fast, slow)
 
     def test_every_remainder_phase_of_one_cycle(self):
@@ -218,9 +223,9 @@ class TestDomainCountRemainder:
         remapper = HardwareRemapper(_hammer_program(12), 24, False)
         longest = max(cycle.size for cycle in remapper._cycles)
         for iterations in range(2 * longest + 1):
-            fast = remapper._domain_counts(remapper._write_events, iterations)
+            fast = remapper._domain_counts(remapper._write_weights, iterations)
             slow = self._roll_loop_counts(
-                remapper, remapper._write_events, iterations
+                remapper, remapper._write_weights, iterations
             )
             assert np.array_equal(fast, slow)
 
@@ -260,6 +265,19 @@ class TestProfileMany:
         remapper.profile_many(np.array([6, 6]), maps)
         assert np.array_equal(remapper.profile(6)[0], expected)
 
+    def test_writes_only_rows_equal_the_rows_with_reads(self):
+        remapper = HardwareRemapper(_hammer_program(9), 24, True)
+        rng = np.random.default_rng(2)
+        lengths = np.array([4, 11, 4, 0, 30])
+        maps = np.stack([rng.permutation(24) for _ in lengths])
+        both_w, both_r = remapper.profile_many(lengths, maps)
+        fresh = HardwareRemapper(_hammer_program(9), 24, True)
+        only_w, only_r = fresh.profile_many(lengths, maps, reads=False)
+        assert only_r is None
+        assert np.array_equal(only_w, both_w)
+        # A later call with reads fills them in from the same cache.
+        assert np.array_equal(fresh.profile_many(lengths, maps)[1], both_r)
+
     def test_shape_validation(self):
         remapper = HardwareRemapper(_program(), 16, False)
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -270,3 +288,69 @@ class TestProfileMany:
             remapper.profile_many(
                 np.array([3, 4]), np.zeros((2, 15), dtype=np.int64)
             )
+
+
+class TestCompactState:
+    """A memoized remapper keeps O(lane_size) arrays, not event lists."""
+
+    @pytest.mark.parametrize("presets", [False, True])
+    def test_weights_total_the_program_counts(self, presets):
+        program = _hammer_program(7)
+        remapper = HardwareRemapper(program, program.footprint + 4, presets)
+        assert remapper._write_weights.shape == (remapper.lane_size,)
+        assert remapper._write_weights.sum() == program.write_counts(
+            include_presets=presets
+        ).sum()
+        assert remapper._read_weights.sum() == program.read_counts().sum()
+        assert remapper.writes_per_iteration == remapper._write_weights.sum()
+
+    def test_domain_cache_is_bounded(self):
+        remapper = HardwareRemapper(_hammer_program(12), 24, False)
+        horizons = range(1, DOMAIN_CACHE_SIZE + 6)
+        for iterations in horizons:
+            remapper.profile(iterations)
+        assert len(remapper._domain_cache) == DOMAIN_CACHE_SIZE
+        for iterations in horizons:  # evicted horizons recompute exactly
+            fast = remapper.profile(iterations)
+            slow = remapper.simulate_explicit(iterations)
+            assert np.array_equal(fast[0], slow[0])
+            assert np.array_equal(fast[1], slow[1])
+
+
+class TestOneRemapperPerProgram:
+    def test_memoized_on_the_program(self):
+        program = _program()
+        remapper = remapper_for(program, 16, True)
+        assert remapper_for(program, 16, True) is remapper
+        assert remapper_for(program, 16, False) is not remapper
+        assert remapper_for(program, 17, True) is not remapper
+
+    def test_hw_grid_builds_one_per_program_shared_with_verify(
+        self, monkeypatch
+    ):
+        # A fresh mapping memo, so every program starts without remappers.
+        monkeypatch.setattr(simulator, "_MAPPINGS", type(simulator._MAPPINGS)())
+        built = []
+        original = HardwareRemapper.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HardwareRemapper, "__init__", counting)
+        arch = default_architecture(64, 16)
+        workload = DotProduct(n_elements=16, bits=8)
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=1))
+        configs = [c for c in all_configurations(recompile_interval=7)
+                   if c.hardware]
+        assert len(configs) == 9
+        for config in configs:
+            sim.run(workload, config, 30)
+        programs = simulator.mapping_for(workload, arch).distinct_programs()
+        assert len(built) == len(programs) == 5
+        run = sim._prepare(workload, configs[0], 30, sim.settings)
+        for key, (program, _) in run.groups.items():
+            shared = remapper_for(program, arch.lane_size, True)
+            assert run.remappers[key] is shared
+            assert shared in built
+        assert len(built) == 5

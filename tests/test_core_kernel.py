@@ -27,7 +27,9 @@ from repro.balance.software import (
 )
 from repro.core.kernel import epoch_lengths, make_epoch_maps
 from repro.core.settings import SimulationSettings
-from repro.core.simulator import EnduranceSimulator
+from repro.core.simulator import EnduranceSimulator, mapping_for
+from repro.telemetry import Telemetry, set_telemetry
+from repro.verify import VerificationError, verify_mapping
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -226,6 +228,142 @@ class TestOracleGrid:
         assert run.rng.random() == oracle_rng.random()
 
 
+#: Lane layouts on ``ARCH``'s 16 lanes, by which set is the largest.
+#: ``(workload, GEMMs per chunk with reads untracked)``: every set but
+#: the largest pays one.
+LAYOUTS = {
+    # One program on all 16 lanes: the reference GEMV is everything.
+    "one-program": (ParallelMultiplication(bits=8), 0),
+    # Five programs covering every lane; the 8-lane set is the reference.
+    "covering": (DotProduct(n_elements=16, bits=8), 4),
+    # One program on 12 lanes: it is the reference, and the 4 idle
+    # lanes pay the signed GEMM of a zero profile.
+    "idle-minority": (ParallelMultiplication(bits=8, lanes=12), 1),
+    # Three programs on 4 lanes: the 12 idle lanes are the reference
+    # (zero profile), so every program pays its own plain GEMM.
+    "idle-majority": (DotProduct(n_elements=4, bits=8), 3),
+}
+
+ALL_CONFIGS = all_configurations(recompile_interval=7) + [
+    BalanceConfig.from_label(label, recompile_interval=7)
+    for label in EXTRA_LABELS
+]
+
+
+def _gemms(config, workload, track_reads):
+    """``kernel.gemms`` of one production run."""
+    fresh = Telemetry()
+    previous = set_telemetry(fresh)
+    try:
+        EnduranceSimulator(ARCH).run(
+            workload, config, 61,
+            settings=SimulationSettings(seed=3, track_reads=track_reads),
+        )
+    finally:
+        set_telemetry(previous)
+    return fresh.counters["kernel.gemms"]
+
+
+class TestLaneLayouts:
+    """Complement accumulation against the oracle, layout by layout."""
+
+    @pytest.mark.parametrize("track_reads", [True, False],
+                             ids=["reads", "writes-only"])
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_every_config(self, layout, config, track_reads):
+        workload, _ = LAYOUTS[layout]
+        _assert_identical(
+            *_pair(ARCH, config, iterations=61, workload=workload,
+                   track_reads=track_reads)
+        )
+
+    def test_row_parallel_layouts(self):
+        arch = CRAM_ROW.resized(16, 64)
+        for layout in sorted(LAYOUTS):
+            for label in ("RaxRa", "BsxRa+Hw", "RaxBs", "StxSt"):
+                config = BalanceConfig.from_label(label, recompile_interval=5)
+                _assert_identical(
+                    *_pair(arch, config, workload=LAYOUTS[layout][0])
+                )
+
+    @pytest.mark.parametrize("track_reads", [True, False])
+    @pytest.mark.parametrize("label", ["RaxRa", "StxSt", "BsxRa+Hw",
+                                       "RaxBs", "RaxWa"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_gemm_count(self, layout, label, track_reads):
+        # 61 iterations at interval 7 fit in one chunk, and every branch
+        # (fast-forward, within fold, between fold, plain, Wa) pays one
+        # GEMM per non-reference set, doubled when reads are tracked.
+        workload, per_chunk = LAYOUTS[layout]
+        config = BalanceConfig.from_label(label, recompile_interval=7)
+        expected = per_chunk * (2 if track_reads else 1)
+        assert _gemms(config, workload, track_reads) == expected
+
+    def test_fastforward_remainder_epoch_pays_its_own_gemm(self):
+        # BsxBs at 61 iterations: the period block plus the short final
+        # epoch, each one product per non-reference set.
+        workload, per_chunk = LAYOUTS["covering"]
+        config = BalanceConfig.from_label("BsxBs", recompile_interval=7)
+        assert _gemms(config, workload, False) == 2 * per_chunk
+
+    @pytest.mark.parametrize("label", ["RaxRa", "StxRa+Hw", "BsxRa",
+                                       "RaxWa", "RaxBs"])
+    def test_between_maps_skipped_stream_unchanged(self, label):
+        # With one program on every lane no between map is built, but
+        # its uniforms are still drawn: the stream left after the run is
+        # the oracle's.
+        workload = LAYOUTS["one-program"][0]
+        config = BalanceConfig.from_label(label, recompile_interval=3)
+        sim = EnduranceSimulator(ARCH)
+        run = sim._prepare(workload, config, 100, SimulationSettings(seed=5))
+        with mock.patch.object(
+            kernel, "make_epoch_maps", wraps=kernel.make_epoch_maps
+        ) as maps:
+            kernel.run_batched_epochs(
+                ARCH, config, run.state, run.rng, run.groups, 100,
+                remappers=run.remappers, lane_loads=run.lane_loads,
+            )
+        assert maps.call_count >= 1
+        for call in maps.call_args_list:
+            assert call.kwargs["with_between"] is False
+        oracle_rng = np.random.default_rng(5)
+        oracle = sim._run_epoch_loop(workload, config, 100, rng=oracle_rng)
+        assert run.rng.random() == oracle_rng.random()
+        assert np.array_equal(run.state.write_counts,
+                              oracle.state.write_counts)
+
+    @pytest.mark.parametrize("track_reads", [True, False])
+    @pytest.mark.parametrize("label", ["StxSt", "StxSt+Hw"])
+    def test_edge_of_rpr019_horizon(self, label, track_reads):
+        # The longest horizon RPR019 accepts on a multi-program layout:
+        # the signed GEMMs' partial sums stay below 2^53, so production
+        # still equals the oracle bit for bit and conserves every write.
+        workload = LAYOUTS["covering"][0]
+        config = BalanceConfig.from_label(label)
+        mapping = mapping_for(workload, ARCH)
+        rate = mapping.writes_per_iteration
+        if track_reads:
+            rate = max(rate, mapping.reads_per_iteration)
+        horizon = -(-(2**53) // int(rate)) - 1
+        for iterations, ok in ((horizon, True), (horizon + 1, False)):
+            report = verify_mapping(
+                mapping, config, functional=False, iterations=iterations,
+                track_reads=track_reads,
+            )
+            assert ("RPR019" not in report.codes()) is ok
+        production, oracle = _pair(ARCH, config, iterations=horizon,
+                                   workload=workload, track_reads=track_reads)
+        _assert_identical(production, oracle)
+        assert production.state.write_counts.sum() == (
+            horizon * mapping.writes_per_iteration
+        )
+        assert production.state.write_counts.max() < 2**53
+        with pytest.raises(VerificationError):
+            _pair(ARCH, config, iterations=horizon + 1, workload=workload,
+                  track_reads=track_reads)
+
+
 class TestBatchedPermutations:
     @pytest.mark.parametrize(
         "kind",
@@ -271,6 +409,21 @@ class TestBatchedPermutations:
             )
             assert np.array_equal(whole_w[epoch], one_w[0])
             assert np.array_equal(whole_b[epoch], one_b[0])
+
+    def test_skipped_between_maps_draw_the_same_block(self):
+        # with_between=False builds no between map but consumes the
+        # stream exactly like a call that builds one.
+        kept_rng, skipped_rng = (np.random.default_rng(8) for _ in "ab")
+        kept_w, kept_b = make_epoch_maps(
+            StrategyKind.RANDOM, StrategyKind.RANDOM, 24, 8, 5, kept_rng,
+        )
+        skipped_w, skipped_b = make_epoch_maps(
+            StrategyKind.RANDOM, StrategyKind.RANDOM, 24, 8, 5, skipped_rng,
+            with_between=False,
+        )
+        assert kept_b is not None and skipped_b is None
+        assert np.array_equal(kept_w, skipped_w)
+        assert kept_rng.random() == skipped_rng.random()
 
     def test_wear_aware_between_maps_are_none(self):
         _, between = make_epoch_maps(

@@ -383,6 +383,8 @@ class TestSimulatorInstrumentation:
             assert fresh.counters["sim.iterations"] == 200
             assert fresh.counters["fastforward.runs"] == 1
             assert fresh.counters["kernel.chunks"] >= 1
-            assert fresh.counters["kernel.gemms"] >= 2
+            # One program on every lane: the reference set's GEMV covers
+            # the whole array, so neither run pays a GEMM.
+            assert fresh.counters["kernel.gemms"] == 0
         finally:
             set_telemetry(previous)

@@ -510,6 +510,64 @@ class TestRPR019Horizon:
         assert verify_spec(spec).codes() == ["RPR019"]
 
 
+    def test_tracked_reads_bound_the_horizon_too(self):
+        # Without pre-sets every NAND reads two cells and writes one, so
+        # a multiply's reads outnumber its writes: a horizon past the
+        # read bound but inside the write bound is refused only when the
+        # run tracks reads.
+        from repro.array.architecture import PINATUBO
+        from repro.core.settings import SimulationSettings
+        from repro.core.simulator import EnduranceSimulator, mapping_for
+        from repro.engine import JobSpec
+        from repro.verify import VerificationError, verify_mapping, verify_spec
+        from repro.workloads.multiply import ParallelMultiplication
+
+        arch = PINATUBO.resized(64, 16)
+        workload = ParallelMultiplication(bits=8)
+        mapping = mapping_for(workload, arch)
+        writes = int(mapping.writes_per_iteration)
+        reads = int(mapping.reads_per_iteration)
+        assert reads > writes
+        horizon = -(-(2**53) // reads)  # first horizon past the read bound
+        assert horizon * writes < 2**53
+        config = BalanceConfig.from_label("StxSt")
+
+        def codes(track_reads):
+            return verify_mapping(
+                mapping, config, functional=False, iterations=horizon,
+                track_reads=track_reads,
+            ).codes()
+
+        assert codes(False) == []
+        assert codes(True) == ["RPR019"]
+        (diagnostic,) = verify_mapping(
+            mapping, config, functional=False, iterations=horizon,
+            track_reads=True,
+        ).errors
+        assert f"{reads} reads/iteration" in diagnostic.message
+        assert "RPR019" not in verify_mapping(
+            mapping, config, functional=False, iterations=horizon - 1,
+            track_reads=True,
+        ).codes()
+
+        writes_only = SimulationSettings(track_reads=False)
+        result = EnduranceSimulator(arch, writes_only).run(
+            workload, config, horizon
+        )
+        assert result.state.write_counts.sum() == horizon * writes
+        with pytest.raises(VerificationError) as err:
+            EnduranceSimulator(arch, SimulationSettings()).run(
+                workload, config, horizon
+            )
+        assert err.value.report.codes() == ["RPR019"]
+        for track_reads, expected in ((False, []), (True, ["RPR019"])):
+            spec = JobSpec(
+                workload=workload, architecture=arch, config=config,
+                iterations=horizon, track_reads=track_reads,
+            )
+            assert verify_spec(spec).codes() == expected
+
+
 class TestRPR017Schemas:
     def _checkpoint(self, **overrides):
         payload = {
