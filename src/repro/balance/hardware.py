@@ -106,12 +106,9 @@ class HardwareRemapper:
         # Only cycles that carry an event contribute; dropping the rest
         # (every untouched address is a fixed point) keeps a remapper of
         # a small-footprint program in a wide lane small.
-        self._cycles = [
-            cycle
-            for cycle in _cycles_of(tau)
-            if self._write_weights[cycle].any()
-            or self._read_weights[cycle].any()
-        ]
+        self._cycles = _weighted_cycles(
+            tau, (self._write_weights != 0) | (self._read_weights != 0)
+        )
         # Epochs of equal length share their domain-count vectors: the
         # renaming dynamics depend only on the horizon, not on the software
         # mapping installed at epoch start. Values are [writes, reads]; the
@@ -351,7 +348,9 @@ class HardwareRemapper:
 
 
 def _cycles_of(permutation: np.ndarray) -> List[np.ndarray]:
-    """Cycle decomposition; each cycle lists elements in tau-orbit order."""
+    """Cycle decomposition; each cycle lists elements in tau-orbit order,
+    starting from its smallest. The oracle of :func:`_weighted_cycles`
+    (tests only)."""
     n = permutation.size
     visited = np.zeros(n, dtype=bool)
     cycles: List[np.ndarray] = []
@@ -366,4 +365,35 @@ def _cycles_of(permutation: np.ndarray) -> List[np.ndarray]:
             visited[current] = True
             current = int(permutation[current])
         cycles.append(np.asarray(cycle, dtype=np.int64))
+    return cycles
+
+
+def _weighted_cycles(
+    permutation: np.ndarray, weighted: np.ndarray
+) -> List[np.ndarray]:
+    """The cycles of ``permutation`` holding a ``weighted`` element.
+
+    Equals filtering :func:`_cycles_of` (the oracle) by ``weighted``,
+    same arrays in the same order (by smallest element), but walks only
+    the points the permutation moves: a weighted fixed point is a
+    singleton cycle, found by one mask.
+    """
+    n = permutation.size
+    moved = permutation != np.arange(n)
+    successor = permutation.tolist()
+    visited = [False] * n
+    cycles: List[np.ndarray] = []
+    for start in np.flatnonzero(moved | weighted).tolist():
+        if visited[start]:
+            continue
+        cycle = [start]
+        visited[start] = True
+        current = successor[start]
+        while current != start:
+            cycle.append(current)
+            visited[current] = True
+            current = successor[current]
+        members = np.asarray(cycle, dtype=np.int64)
+        if weighted[members].any():
+            cycles.append(members)
     return cycles

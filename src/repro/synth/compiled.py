@@ -2,10 +2,12 @@
 
 :meth:`LaneProgram.evaluate` is a per-instruction Python interpreter —
 perfect as an executable specification, hopeless as the inner loop of a
-Monte Carlo. This module flattens a program once into
-:class:`CompiledProgram`: flat numpy arrays (opcodes, input/output
-addresses, write-source descriptors) plus a hazard-free *level* schedule
-for its gates, built lazily and cached on the program object.
+Monte Carlo. This module turns a program's flat integer columns
+(:class:`~repro.synth.program.ProgramColumns`) once into
+:class:`CompiledProgram`: per-kind address and write-source arrays plus
+a hazard-free *level* schedule for its gates (:func:`gate_levels`, one
+sort and one integer scan), built lazily and cached on the program
+object.
 
 On top of that representation, :meth:`CompiledProgram.evaluate_batch`
 evaluates N independent operand draws simultaneously using the classic
@@ -19,9 +21,8 @@ dead cell is lost in exactly the draws where that cell is stuck. The
 result is bit-identical to running ``evaluate`` N times (property-tested
 in ``tests/test_synth_compiled.py``); E32 benchmarks the speedup.
 
-The compiled address arrays also back the vectorized exact-replay path in
-:mod:`repro.array.executor` and the read-out stream preallocation in the
-interpreter itself.
+The compiled event arrays also back the profile-conservation check
+(RPR006), and its level ids the race-freedom check (RPR005).
 """
 
 from __future__ import annotations
@@ -34,22 +35,18 @@ import numpy as np
 from repro.gates.gate import Gate
 from repro.gates.ops import GateOp
 from repro.synth.program import (
-    ConstBit,
-    ExternalBit,
+    GATE_OPS,
+    KIND_GATE,
+    KIND_READ,
+    KIND_WRITE,
+    SRC_CONST,
+    SRC_OPERAND,
+    SRC_SCRATCH,
     LaneProgram,
-    OperandBit,
-    ReadInstr,
-    WriteInstr,
+    ProgramColumns,
 )
 from repro.telemetry import get_telemetry
 
-#: Write-source kinds in the flattened write table.
-SRC_SCRATCH = 0  #: ``source=None`` — the stored value is always 0
-SRC_CONST = 1  #: :class:`ConstBit` — ``arg`` holds the 0/1 value
-SRC_OPERAND = 2  #: :class:`OperandBit` — ``arg``/``bit`` = operand id, index
-SRC_EXTERNAL = 3  #: :class:`ExternalBit` — ``arg``/``bit`` = tag id, index
-
-_OP_IDS: Dict[GateOp, int] = {op: i for i, op in enumerate(GateOp)}
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -93,66 +90,122 @@ def _plane_words(draws: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Execution segments
+# The level schedule
 # ----------------------------------------------------------------------
 
 
-class _WriteSegment:
-    """A run of consecutive standard writes, in structure-of-arrays form."""
+def _exclusive_last(
+    addresses: np.ndarray, positions: np.ndarray, counted: np.ndarray
+) -> np.ndarray:
+    """Per event, the last earlier ``counted`` position at its address.
 
-    __slots__ = ("addresses", "kinds", "args", "bits")
-
-    def __init__(self, writes: Sequence[Tuple[int, int, int, int]]) -> None:
-        table = np.asarray(writes, dtype=np.int64).reshape(len(writes), 4)
-        self.addresses = table[:, 0].copy()
-        self.kinds = table[:, 1].copy()
-        self.args = table[:, 2].copy()
-        self.bits = table[:, 3].copy()
-
-
-class _ReadSegment:
-    """A run of consecutive standard reads; ``tags < 0`` are untagged."""
-
-    __slots__ = ("addresses", "tags", "indices")
-
-    def __init__(self, reads: Sequence[Tuple[int, int, int]]) -> None:
-        table = np.asarray(reads, dtype=np.int64).reshape(len(reads), 3)
-        self.addresses = table[:, 0].copy()
-        self.tags = table[:, 1].copy()
-        self.indices = table[:, 2].copy()
-
-
-class _GateLevel:
-    """One hazard-free rank of gates, grouped by opcode.
-
-    Every gate in a level reads only bits produced *before* the level and
-    writes a bit no other gate in the level touches, so the groups may
-    execute in any order — which lets same-opcode gates fuse into one
-    vectorized gather/compute/scatter.
+    The events must be sorted by (address, position). Returns ``-1``
+    where no earlier counted event touches the address: a running max of
+    ``address * span + position + 1`` floored at the event's own
+    ``address * span`` is a max segmented by address.
     """
+    span = np.int64(positions.max()) + 2
+    base = addresses.astype(np.int64) * span
+    values = base + np.where(counted, positions + 1, 0)
+    running = np.empty_like(values)
+    running[0] = base[0]
+    np.maximum.accumulate(values[:-1], out=running[1:])
+    return np.maximum(running, base) - base - 1
 
-    __slots__ = ("groups", "input_addresses", "output_addresses")
 
-    def __init__(self, gates: Sequence[Gate]) -> None:
-        by_op: Dict[GateOp, List[Gate]] = {}
-        for gate in gates:
-            by_op.setdefault(gate.op, []).append(gate)
-        self.groups: List[Tuple[GateOp, np.ndarray, np.ndarray]] = []
-        inputs: List[int] = []
-        outputs: List[int] = []
-        for op, members in by_op.items():
-            ins = np.asarray(
-                [gate.inputs for gate in members], dtype=np.int64
-            )
-            outs = np.asarray(
-                [gate.output for gate in members], dtype=np.int64
-            )
-            self.groups.append((op, ins, outs))
-            for gate in members:
-                inputs.extend(gate.inputs)
-            outputs.extend(int(o) for o in outs)
-        self.input_addresses = np.asarray(inputs, dtype=np.int64)
-        self.output_addresses = np.asarray(outputs, dtype=np.int64)
+def gate_levels(columns: ProgramColumns) -> np.ndarray:
+    """Hazard-free level id per gate, gates in program order.
+
+    A level is a maximal run of consecutive gates no two of which
+    conflict: none reads (RAW) or rewrites (WAW) a cell an earlier gate
+    of the level writes, and none writes a cell an earlier gate of the
+    level reads (WAR). Writes and reads between gates close the level.
+    One lexsort of every gate access by (address, position) gives each
+    gate its last conflicting earlier gate; one integer scan then opens a
+    level wherever that conflict lies inside the current level — the
+    greedy :func:`_object_levels` applies gate by gate.
+    """
+    gates = np.flatnonzero(columns.kind == KIND_GATE)
+    count = gates.size
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    positions = np.arange(count, dtype=np.int64)
+    # Access slots: three input slots per gate, then the outputs.
+    slot_addresses = np.concatenate(
+        [columns.inputs[gates].ravel(), columns.address[gates]]
+    )
+    slot_positions = np.concatenate([np.repeat(positions, 3), positions])
+    used = np.flatnonzero(slot_addresses >= 0)
+    order = np.lexsort((slot_positions[used], slot_addresses[used]))
+    events = used[order]
+    addresses = slot_addresses[events]
+    at = slot_positions[events]
+    is_write = events >= 3 * count
+    # A read conflicts with the last earlier write of its cell; a write
+    # with the last earlier access of either kind.
+    conflict = np.where(
+        is_write,
+        _exclusive_last(addresses, at, np.ones_like(is_write)),
+        _exclusive_last(addresses, at, is_write),
+    )
+    by_slot = np.full(4 * count, -1, dtype=np.int64)
+    by_slot[events] = conflict
+    last = np.maximum(
+        by_slot[: 3 * count].reshape(count, 3).max(axis=1),
+        by_slot[3 * count:],
+    )
+    # A gate right after a write or read opens a level unconditionally.
+    run_start = np.ones(count, dtype=bool)
+    run_start[1:] = gates[1:] != gates[:-1] + 1
+    last[run_start] = count
+    run_first = np.maximum.accumulate(np.where(run_start, positions, 0))
+    starts = np.zeros(count, dtype=bool)
+    candidates = np.flatnonzero(last >= run_first)
+    level_start = 0
+    for gate, conflict_at in zip(
+        candidates.tolist(), last[candidates].tolist()
+    ):
+        if conflict_at >= level_start:
+            level_start = gate
+            starts[gate] = True
+    return np.cumsum(starts) - 1
+
+
+def _object_levels(program: LaneProgram) -> List[Dict[GateOp, List[Gate]]]:
+    """The gate-by-gate level scheduler over instruction objects.
+
+    The oracle of :func:`gate_levels` (tests only): one dict per level,
+    opcode -> its gates in program order, opcodes in order of first
+    appearance in the level.
+    """
+    levels: List[Dict[GateOp, List[Gate]]] = []
+    current: Dict[GateOp, List[Gate]] = {}
+    written: set = set()
+    read: set = set()
+
+    def close() -> None:
+        nonlocal current
+        if current:
+            levels.append(current)
+            current = {}
+        written.clear()
+        read.clear()
+
+    for instr in program.instructions:
+        if not isinstance(instr, Gate):
+            close()
+            continue
+        if (
+            any(a in written for a in instr.inputs)
+            or instr.output in written
+            or instr.output in read
+        ):
+            close()
+        current.setdefault(instr.op, []).append(instr)
+        written.add(instr.output)
+        read.update(instr.inputs)
+    close()
+    return levels
 
 
 class CompiledProgram:
@@ -166,10 +219,18 @@ class CompiledProgram:
             order (one entry per :class:`ReadInstr`).
         gate_outputs: Gate output addresses, in program order.
         gate_inputs: Gate input addresses, flattened in program order.
+        gate_levels: Hazard-free level id per gate, in program order
+            (:func:`gate_levels`).
         readout_sizes: Read-out tag -> stream length (max index + 1).
         external_tags: Transfer tags the program consumes via
             :class:`ExternalBit` writes.
-        levels: Number of hazard-free gate ranks the schedule found.
+        levels: Number of hazard-free gate levels the schedule found.
+
+    Everything is read off ``program.columns`` by masks and sorts; no
+    per-instruction or per-level Python object is built. Execution walks
+    offset arrays: segments (a run of writes, a run of reads, or one
+    gate level) in program order, and within a level its same-opcode
+    groups, sorted by (level, opcode).
 
     Build via :func:`compile_program` (or ``program.compiled()``), which
     caches one instance per program object.
@@ -177,119 +238,85 @@ class CompiledProgram:
 
     def __init__(self, program: LaneProgram) -> None:
         self.program = program
-        self._operand_ids = {
-            name: i for i, name in enumerate(program.inputs)
-        }
-        self._tag_ids: Dict[str, int] = {}
-        self.readout_sizes: Dict[str, int] = {}
-        self.external_tags: frozenset = frozenset()
+        columns = program.columns
+        kind = columns.kind
+        writes = kind == KIND_WRITE
+        reads = kind == KIND_READ
+        gates = kind == KIND_GATE
+        self.write_addresses = columns.address[writes].astype(np.int64)
+        self.read_addresses = columns.address[reads].astype(np.int64)
+        self.gate_outputs = columns.address[gates].astype(np.int64)
+        gate_inputs = columns.inputs[gates].astype(np.int64)
+        self.gate_inputs = gate_inputs[gate_inputs >= 0]
+        self.readout_sizes = columns.readout_sizes()
+        self.external_tags = columns.external_tags()
+        self._tag_names = columns.tags
+        self._write_sources = columns.source[writes]
+        self._write_args = columns.arg[writes].astype(np.int64)
+        self._write_bits = columns.bit[writes].astype(np.int64)
+        self._read_tags = columns.arg[reads].astype(np.int64)
+        self._read_indices = columns.bit[reads].astype(np.int64)
 
-        segments: List[object] = []
-        write_buf: List[Tuple[int, int, int, int]] = []
-        read_buf: List[Tuple[int, int, int]] = []
-        gate_buf: List[Gate] = []
-        level_written: set = set()
-        level_read: set = set()
-
-        write_events: List[int] = []
-        read_events: List[int] = []
-        gate_outs: List[int] = []
-        gate_ins: List[int] = []
-
-        def flush_writes() -> None:
-            if write_buf:
-                segments.append(_WriteSegment(write_buf))
-                write_buf.clear()
-
-        def flush_reads() -> None:
-            if read_buf:
-                segments.append(_ReadSegment(read_buf))
-                read_buf.clear()
-
-        def flush_gates() -> None:
-            if gate_buf:
-                segments.append(_GateLevel(gate_buf))
-                gate_buf.clear()
-            level_written.clear()
-            level_read.clear()
-
-        for instr in program.instructions:
-            if isinstance(instr, WriteInstr):
-                flush_reads()
-                flush_gates()
-                write_buf.append(self._flatten_write(instr))
-                write_events.append(instr.address)
-            elif isinstance(instr, ReadInstr):
-                flush_writes()
-                flush_gates()
-                if instr.tag is None:
-                    tag_id = -1
-                else:
-                    tag_id = self._tag_ids.setdefault(
-                        instr.tag, len(self._tag_ids)
-                    )
-                    self.readout_sizes[instr.tag] = max(
-                        self.readout_sizes.get(instr.tag, 0),
-                        instr.index + 1,
-                    )
-                read_buf.append((instr.address, tag_id, instr.index))
-                read_events.append(instr.address)
-            elif isinstance(instr, Gate):
-                flush_writes()
-                flush_reads()
-                hazard = (
-                    any(a in level_written for a in instr.inputs)
-                    or instr.output in level_written
-                    or instr.output in level_read
-                )
-                if hazard:
-                    flush_gates()
-                gate_buf.append(instr)
-                level_written.add(instr.output)
-                level_read.update(instr.inputs)
-                gate_outs.append(instr.output)
-                gate_ins.extend(instr.inputs)
-            else:  # pragma: no cover - LaneProgram validates types
-                raise TypeError(f"unknown instruction {instr!r}")
-        flush_writes()
-        flush_reads()
-        flush_gates()
-
-        self._segments = segments
-        self.write_addresses = np.asarray(write_events, dtype=np.int64)
-        self.read_addresses = np.asarray(read_events, dtype=np.int64)
-        self.gate_outputs = np.asarray(gate_outs, dtype=np.int64)
-        self.gate_inputs = np.asarray(gate_ins, dtype=np.int64)
-        self.levels = sum(
-            1 for seg in segments if isinstance(seg, _GateLevel)
+        level = gate_levels(columns)
+        self.gate_levels = level
+        self.levels = int(level[-1]) + 1 if level.size else 0
+        # Same-opcode groups: gates sorted by (level, opcode), stable so
+        # each group keeps program order.
+        ops = columns.op[gates]
+        order = np.lexsort((ops, level))
+        self._group_inputs = gate_inputs[order]
+        self._group_outputs = self.gate_outputs[order]
+        sorted_level, sorted_op = level[order], ops[order]
+        opens = np.ones(order.size, dtype=bool)
+        opens[1:] = (sorted_level[1:] != sorted_level[:-1]) | (
+            sorted_op[1:] != sorted_op[:-1]
         )
+        group_first = np.flatnonzero(opens)
+        self._group_ops = sorted_op[group_first]
+        self._group_bounds = np.append(group_first, order.size)
+        # Flat gate_inputs offset of each gate, for a level's reads.
+        self._input_bounds = np.concatenate(
+            [[0], np.cumsum((gate_inputs >= 0).sum(axis=1))]
+        )
+
+        # Segments: runs of one kind, gate runs cut at level starts.
+        # Bounds index the per-kind tables; a level's bounds index its
+        # groups.
+        count = kind.size
+        cut = np.ones(count, dtype=bool)
+        cut[1:] = kind[1:] != kind[:-1]
+        level_by_row = np.full(count, -1, dtype=np.int64)
+        level_by_row[gates] = level
+        cut[1:] |= gates[1:] & (level_by_row[1:] != level_by_row[:-1])
+        starts = np.flatnonzero(cut)
+        ends = np.append(starts[1:], count)
+        ordinal = np.zeros(count, dtype=np.int64)
+        for mask in (writes, reads, gates):
+            ordinal[mask] = np.arange(int(mask.sum()))
+        self._seg_kinds = kind[starts]
+        lows = ordinal[starts]
+        highs = lows + (ends - starts)
+        level_groups = np.searchsorted(
+            sorted_level[group_first], np.arange(self.levels + 1)
+        )
+        is_level = self._seg_kinds == KIND_GATE
+        segment_levels = level_by_row[starts[is_level]]
+        lows[is_level] = level_groups[segment_levels]
+        highs[is_level] = level_groups[segment_levels + 1]
+        self._seg_lows = lows
+        self._seg_highs = highs
         get_telemetry().count("compile.programs")
 
-    def _flatten_write(
-        self, instr: WriteInstr
-    ) -> Tuple[int, int, int, int]:
-        source = instr.source
-        if source is None:
-            return (instr.address, SRC_SCRATCH, 0, 0)
-        if isinstance(source, ConstBit):
-            return (instr.address, SRC_CONST, source.value, 0)
-        if isinstance(source, OperandBit):
-            return (
-                instr.address,
-                SRC_OPERAND,
-                self._operand_ids[source.name],
-                source.index,
-            )
-        if isinstance(source, ExternalBit):
-            tag_id = self._tag_ids.setdefault(
-                source.tag, len(self._tag_ids)
-            )
-            self.external_tags = self.external_tags | {source.tag}
-            return (instr.address, SRC_EXTERNAL, tag_id, source.index)
-        raise TypeError(f"unknown write source {source!r}")
+    def _segments(self):
+        """``(kind, low, high)`` per segment, as Python ints."""
+        return zip(
+            self._seg_kinds.tolist(),
+            self._seg_lows.tolist(),
+            self._seg_highs.tolist(),
+        )
 
     # ------------------------------------------------------------------
-    # Event counting (backs the vectorized exact replay)
+    # Event counting (backs the RPR006 conservation check)
     # ------------------------------------------------------------------
 
     def write_event_counts(
@@ -396,46 +423,56 @@ class CompiledProgram:
             )
             for tag, size in self.readout_sizes.items()
         }
-        tag_names = {tid: tag for tag, tid in self._tag_ids.items()}
-
-        for segment in self._segments:
-            if isinstance(segment, _WriteSegment):
+        group_bounds = self._group_bounds.tolist()
+        group_ops = self._group_ops.tolist()
+        for kind, low, high in self._segments():
+            if kind == KIND_WRITE:
+                addresses = self.write_addresses[low:high]
                 values = self._write_values(
-                    segment,
+                    low,
+                    high,
                     operand_planes,
                     external_planes,
                     external_widths,
-                    tag_names,
                     words,
                     out=pool.get(
                         "eval.values",
-                        (segment.addresses.size, words),
+                        (high - low, words),
                         np.uint64,
                         zero=True,
                     ),
                 )
                 self._store(
-                    memory, segment.addresses, values,
-                    stuck_mask, stuck_bits,
+                    memory, addresses, values, stuck_mask, stuck_bits,
                 )
-                ready[segment.addresses] = True
-            elif isinstance(segment, _ReadSegment):
-                self._check_ready(ready, segment.addresses)
-                tagged = segment.tags >= 0
+                ready[addresses] = True
+            elif kind == KIND_READ:
+                addresses = self.read_addresses[low:high]
+                self._check_ready(ready, addresses)
+                tags = self._read_tags[low:high]
+                tagged = tags >= 0
                 if tagged.any():
-                    for tag_id in np.unique(segment.tags[tagged]):
-                        sel = segment.tags == tag_id
-                        readout_planes[tag_names[int(tag_id)]][
-                            segment.indices[sel]
-                        ] = memory[segment.addresses[sel]]
-            else:  # _GateLevel
-                self._check_ready(ready, segment.input_addresses)
-                for op, ins, outs in segment.groups:
-                    result = _apply_op(op, memory, ins)
+                    indices = self._read_indices[low:high]
+                    for tag_id in np.unique(tags[tagged]).tolist():
+                        sel = tags == tag_id
+                        readout_planes[self._tag_names[tag_id]][
+                            indices[sel]
+                        ] = memory[addresses[sel]]
+            else:
+                first, stop = group_bounds[low], group_bounds[high]
+                self._check_ready(ready, self._level_inputs(first, stop))
+                for group in range(low, high):
+                    begin, end = group_bounds[group], group_bounds[group + 1]
+                    outs = self._group_outputs[begin:end]
+                    result = _apply_op(
+                        GATE_OPS[group_ops[group]],
+                        memory,
+                        self._group_inputs[begin:end],
+                    )
                     self._store(
                         memory, outs, result, stuck_mask, stuck_bits
                     )
-                ready[segment.output_addresses] = True
+                ready[self.gate_outputs[first:stop]] = True
 
         outputs = {}
         for name, addresses in program.outputs.items():
@@ -487,8 +524,6 @@ class CompiledProgram:
         external_planes, external_widths = self._external_planes(
             externals, n
         )
-        tag_names = {tid: tag for tag, tid in self._tag_ids.items()}
-
         from repro.core.scratch import POOL as pool
 
         memory = pool.get(
@@ -508,25 +543,35 @@ class CompiledProgram:
                     values[row]
                 )
 
-        for segment in self._segments:
-            if isinstance(segment, _WriteSegment):
+        group_bounds = self._group_bounds.tolist()
+        group_ops = self._group_ops.tolist()
+        for kind, low, high in self._segments():
+            if kind == KIND_WRITE:
+                addresses = self.write_addresses[low:high]
                 values = self._write_values(
-                    segment, operand_planes, external_planes,
-                    external_widths, tag_names, words,
+                    low, high, operand_planes, external_planes,
+                    external_widths, words,
                 )
-                record(segment.addresses, values)
-                memory[segment.addresses] = values
-                ready[segment.addresses] = True
-            elif isinstance(segment, _ReadSegment):
-                self._check_ready(ready, segment.addresses)
-            else:  # _GateLevel — outputs are disjoint within a level, so
+                record(addresses, values)
+                memory[addresses] = values
+                ready[addresses] = True
+            elif kind == KIND_READ:
+                self._check_ready(ready, self.read_addresses[low:high])
+            else:  # a level — outputs are disjoint within a level, so
                 # the per-address event order is still program order.
-                self._check_ready(ready, segment.input_addresses)
-                for op, ins, outs in segment.groups:
-                    result = _apply_op(op, memory, ins)
+                first, stop = group_bounds[low], group_bounds[high]
+                self._check_ready(ready, self._level_inputs(first, stop))
+                for group in range(low, high):
+                    begin, end = group_bounds[group], group_bounds[group + 1]
+                    outs = self._group_outputs[begin:end]
+                    result = _apply_op(
+                        GATE_OPS[group_ops[group]],
+                        memory,
+                        self._group_inputs[begin:end],
+                    )
                     record(outs, result)
                     memory[outs] = result
-                ready[segment.output_addresses] = True
+                ready[self.gate_outputs[first:stop]] = True
 
         switches = np.zeros(program.footprint, dtype=np.int64)
         for address, planes in events_by_address.items():
@@ -645,43 +690,53 @@ class CompiledProgram:
         return mask, bits, counts == n
 
     def _write_values(
-        self, segment, operand_planes, external_planes,
-        external_widths, tag_names, words, out=None,
+        self, low, high, operand_planes, external_planes,
+        external_widths, words, out=None,
     ) -> np.ndarray:
-        # ``out`` must be zero-filled by the caller; rows the loop skips
-        # (scratch writes, zero constants) are meant to stay 0. Callers
-        # that retain row references across calls (switch_counts_batch's
-        # event log) must leave ``out=None`` so each call gets a fresh
-        # buffer.
+        """Value planes of write events ``low:high``.
+
+        ``out`` must be zero-filled by the caller; rows the loop skips
+        (scratch writes, zero constants) are meant to stay 0. Callers
+        that retain row references across calls (switch_counts_batch's
+        event log) must leave ``out=None`` so each call gets a fresh
+        buffer.
+        """
         operand_names = list(self.program.inputs)
         values = (
             out
             if out is not None
-            else np.zeros((segment.addresses.size, words), dtype=np.uint64)
+            else np.zeros((high - low, words), dtype=np.uint64)
         )
-        for row in range(segment.addresses.size):
-            kind = segment.kinds[row]
+        rows = zip(
+            self._write_sources[low:high].tolist(),
+            self._write_args[low:high].tolist(),
+            self._write_bits[low:high].tolist(),
+        )
+        for row, (kind, arg, bit) in enumerate(rows):
             if kind == SRC_SCRATCH:
                 continue
             if kind == SRC_CONST:
-                if segment.args[row]:
+                if arg:
                     values[row] = _ALL_ONES
                 continue
             if kind == SRC_OPERAND:
-                name = operand_names[segment.args[row]]
-                values[row] = operand_planes[name][segment.bits[row]]
+                values[row] = operand_planes[operand_names[arg]][bit]
                 continue
-            tag = tag_names[int(segment.args[row])]
+            tag = self._tag_names[arg]
             if tag not in external_planes:
                 raise KeyError(f"missing external stream {tag!r}")
-            index = int(segment.bits[row])
-            if index >= external_widths[tag]:
+            if bit >= external_widths[tag]:
                 raise ValueError(
                     f"external stream {tag!r} has "
-                    f"{external_widths[tag]} bits, needs index {index}"
+                    f"{external_widths[tag]} bits, needs index {bit}"
                 )
-            values[row] = external_planes[tag][index]
+            values[row] = external_planes[tag][bit]
         return values
+
+    def _level_inputs(self, first: int, stop: int) -> np.ndarray:
+        """Input addresses of gates ``first:stop``, in program order."""
+        bounds = self._input_bounds
+        return self.gate_inputs[bounds[first]:bounds[stop]]
 
     @staticmethod
     def _store(memory, addresses, values, stuck_mask, stuck_bits) -> None:
@@ -728,10 +783,10 @@ def _apply_op(op: GateOp, memory: np.ndarray, ins: np.ndarray) -> np.ndarray:
 def compile_program(program: LaneProgram) -> CompiledProgram:
     """The cached :class:`CompiledProgram` for ``program``.
 
-    Compilation is one O(instructions) pass; the instance is memoized on
-    the (immutable) program object, so repeated callers — Monte Carlo
-    sweeps, the vectorized replay, the interpreter's read-out
-    preallocation — share one build.
+    Compilation is a few masks and sorts over ``program.columns``; the
+    instance is memoized on the (immutable) program object, so repeated
+    callers — Monte Carlo sweeps, switching measurements, the level
+    hazard check — share one build.
     """
     cached = getattr(program, "_compiled", None)
     if cached is None:

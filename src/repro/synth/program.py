@@ -97,6 +97,85 @@ class ReadInstr:
 
 Instruction = Union[WriteInstr, ReadInstr, Gate]
 
+#: Instruction kinds in :class:`ProgramColumns`.
+KIND_WRITE = 0
+KIND_READ = 1
+KIND_GATE = 2
+
+#: Write-source kinds in :class:`ProgramColumns` (``-1`` for non-writes).
+SRC_SCRATCH = 0  #: ``source=None`` — the stored value is always 0
+SRC_CONST = 1  #: :class:`ConstBit` — ``arg`` holds the 0/1 value
+SRC_OPERAND = 2  #: :class:`OperandBit` — ``arg``/``bit`` = operand id, index
+SRC_EXTERNAL = 3  #: :class:`ExternalBit` — ``arg``/``bit`` = tag id, index
+
+#: Gate opcode ids: an opcode's position in :class:`GateOp`.
+GATE_OPS: Tuple[GateOp, ...] = tuple(GateOp)
+_OP_IDS: Dict[GateOp, int] = {op: i for i, op in enumerate(GATE_OPS)}
+#: A gate row's unused input slots and its source/arg/bit, by arity.
+_GATE_TAILS = {k: (-1,) * (3 - k) + (-1, -1, 0) for k in (1, 2, 3)}
+
+
+class ProgramColumns:
+    """A lane program's instructions as flat integer columns.
+
+    Row ``i`` describes instruction ``i``:
+
+    * ``kind`` — :data:`KIND_WRITE`, :data:`KIND_READ` or
+      :data:`KIND_GATE`;
+    * ``op`` — a gate's opcode id (its index in :data:`GATE_OPS`), ``-1``
+      otherwise;
+    * ``address`` — the written or read address, or a gate's output;
+    * ``inputs`` — shape ``(n, 3)``, a gate's input addresses with ``-1``
+      in unused slots (all ``-1`` for writes and reads);
+    * ``source`` — a write's source kind (``SRC_*``), ``-1`` otherwise;
+    * ``arg``/``bit`` — a write's const value, operand id (its position
+      in ``program.inputs``) or tag id, and its operand/stream index; a
+      read's tag id (``-1`` untagged) and stream index.
+
+    ``kind``/``op``/``source`` are int8, the rest int32 (int64 only when
+    a value does not fit). ``tags`` names the tag ids, in order of first
+    appearance. Built by :class:`LaneProgram` in its validation pass; the
+    compiler, the level schedule and the static checks read these
+    columns instead of the instruction objects.
+    """
+
+    __slots__ = (
+        "kind", "op", "address", "inputs", "source", "arg", "bit", "tags",
+    )
+
+    def __init__(self, table: np.ndarray, tags: Tuple[str, ...]) -> None:
+        wide = np.int32
+        if table.size and table[:, 2:].max() > np.iinfo(np.int32).max:
+            wide = np.int64
+        self.kind = table[:, 0].astype(np.int8)
+        self.op = table[:, 1].astype(np.int8)
+        self.address = table[:, 2].astype(wide)
+        self.inputs = table[:, 3:6].astype(wide)
+        self.source = table[:, 6].astype(np.int8)
+        self.arg = table[:, 7].astype(wide)
+        self.bit = table[:, 8].astype(wide)
+        self.tags = tags
+
+    def readout_sizes(self) -> Dict[str, int]:
+        """Read-out tag -> stream length (max index + 1), in order of
+        each tag's first tagged read."""
+        tagged = (self.kind == KIND_READ) & (self.arg >= 0)
+        tags = self.arg[tagged]
+        if not tags.size:
+            return {}
+        ids, first = np.unique(tags, return_index=True)
+        sizes = np.zeros(len(self.tags), dtype=np.int64)
+        np.maximum.at(sizes, tags, self.bit[tagged].astype(np.int64) + 1)
+        return {
+            self.tags[tag]: int(sizes[tag])
+            for tag in ids[np.argsort(first)].tolist()
+        }
+
+    def external_tags(self) -> frozenset:
+        """Transfer tags consumed by :class:`ExternalBit` writes."""
+        ids = np.unique(self.arg[self.source == SRC_EXTERNAL])
+        return frozenset(self.tags[tag] for tag in ids.tolist())
+
 
 class LaneProgram:
     """An immutable sequence of lane instructions plus operand metadata.
@@ -108,6 +187,8 @@ class LaneProgram:
             minimum lane height required to run the program.
         inputs: Operand name -> logical addresses (LSB first).
         outputs: Result name -> logical addresses (LSB first).
+        columns: The instructions as flat integer columns
+            (:class:`ProgramColumns`), recorded by the validation pass.
     """
 
     def __init__(
@@ -134,40 +215,71 @@ class LaneProgram:
         self._validate()
 
     def _validate(self) -> None:
-        # The op-type counts ride on the one pass every program pays.
-        gates = loads = readouts = 0
+        # The one pass every program pays: type dispatch, operand checks
+        # and the flat columns, nine integers per instruction. Footprint
+        # bounds are checked on the columns afterwards; an earlier
+        # failure stops the walk so the first bad instruction is named.
+        operand_ids = {name: i for i, name in enumerate(self.inputs)}
+        tag_ids: Dict[str, int] = {}
+        flat: List[int] = []
+        failure: Optional[Exception] = None
         for instr in self.instructions:
             if isinstance(instr, Gate):
-                gates += 1
+                ins = instr.inputs
+                flat.extend(
+                    (KIND_GATE, _OP_IDS[instr.op], instr.output)
+                    + ins
+                    + _GATE_TAILS[len(ins)]
+                )
             elif isinstance(instr, WriteInstr):
-                loads += 1
+                source = instr.source
+                if source is None:
+                    tail = (SRC_SCRATCH, 0, 0)
+                elif isinstance(source, OperandBit):
+                    operand = operand_ids.get(source.name)
+                    tail = (SRC_OPERAND, -1 if operand is None else operand,
+                            source.index)
+                    failure = self._operand_failure(instr, source)
+                elif isinstance(source, ExternalBit):
+                    tag = tag_ids.setdefault(source.tag, len(tag_ids))
+                    tail = (SRC_EXTERNAL, tag, source.index)
+                elif isinstance(source, ConstBit):
+                    tail = (SRC_CONST, source.value, 0)
+                else:
+                    failure = TypeError(f"unknown write source {source!r}")
+                    break
+                flat.extend((KIND_WRITE, -1, instr.address, -1, -1, -1) + tail)
+                if failure is not None:
+                    break
             elif isinstance(instr, ReadInstr):
-                readouts += 1
-            addresses = self._addresses_of(instr)
-            for address in addresses:
-                if address >= self.footprint:
-                    raise ValueError(
-                        f"instruction {instr} addresses bit {address} outside "
-                        f"footprint {self.footprint}"
-                    )
-            # Operand-sourced writes must reference a declared operand and
-            # stay inside its width — otherwise the mistake only surfaces
-            # as a KeyError/IndexError deep inside the executor.
-            if isinstance(instr, WriteInstr) and isinstance(
-                instr.source, OperandBit
-            ):
-                declared = self.inputs.get(instr.source.name)
-                if declared is None:
-                    raise ValueError(
-                        f"instruction {instr} reads undeclared operand "
-                        f"{instr.source.name!r}"
-                    )
-                if instr.source.index >= len(declared):
-                    raise ValueError(
-                        f"instruction {instr} reads bit {instr.source.index} "
-                        f"of operand {instr.source.name!r}, which is only "
-                        f"{len(declared)} bits wide"
-                    )
+                tag = (
+                    -1
+                    if instr.tag is None
+                    else tag_ids.setdefault(instr.tag, len(tag_ids))
+                )
+                flat.extend(
+                    (KIND_READ, -1, instr.address, -1, -1, -1, -1, tag,
+                     instr.index)
+                )
+            else:
+                failure = TypeError(
+                    f"unknown instruction type {type(instr)!r}"
+                )
+                break
+        table = np.array(flat, dtype=np.int64).reshape(-1, 9)
+        addressed = table[:, 2:6]
+        outside = (addressed >= self.footprint).any(axis=1)
+        if outside.any():
+            instr = self.instructions[int(np.argmax(outside))]
+            address = next(
+                a for a in self._addresses_of(instr) if a >= self.footprint
+            )
+            raise ValueError(
+                f"instruction {instr} addresses bit {address} outside "
+                f"footprint {self.footprint}"
+            )
+        if failure is not None:
+            raise failure
         for name, addresses in {**self.inputs, **self.outputs}.items():
             for address in addresses:
                 if not 0 <= address < self.footprint:
@@ -175,9 +287,33 @@ class LaneProgram:
                         f"declared vector {name!r} uses bit {address} outside "
                         f"footprint {self.footprint}"
                     )
-        self._gate_count = gates
-        self._load_ops = loads
-        self._readout_ops = readouts
+        self.columns = ProgramColumns(table, tuple(tag_ids))
+        self._gate_count, self._load_ops, self._readout_ops = (
+            int(count)
+            for count in np.bincount(self.columns.kind, minlength=3)[
+                [KIND_GATE, KIND_WRITE, KIND_READ]
+            ]
+        )
+
+    def _operand_failure(
+        self, instr: "WriteInstr", source: "OperandBit"
+    ) -> Optional[ValueError]:
+        # Operand-sourced writes must reference a declared operand and
+        # stay inside its width — otherwise the mistake only surfaces
+        # as a KeyError/IndexError deep inside the executor.
+        declared = self.inputs.get(source.name)
+        if declared is None:
+            return ValueError(
+                f"instruction {instr} reads undeclared operand "
+                f"{source.name!r}"
+            )
+        if source.index >= len(declared):
+            return ValueError(
+                f"instruction {instr} reads bit {source.index} "
+                f"of operand {source.name!r}, which is only "
+                f"{len(declared)} bits wide"
+            )
+        return None
 
     @staticmethod
     def _addresses_of(instr: Instruction) -> Tuple[int, ...]:
@@ -245,14 +381,18 @@ class LaneProgram:
         key = ("write", n, include_presets)
         cached = self._counts_cache.get(key)
         if cached is None:
-            counts = np.zeros(n, dtype=np.int64)
+            # An instruction walk, independent of the columns: RPR006
+            # compares it against the compiled arrays.
+            counts = [0] * n
             per_gate_writes = 2 if include_presets else 1
             for instr in self.instructions:
-                if isinstance(instr, WriteInstr):
-                    counts[instr.address] += 1
-                elif isinstance(instr, Gate):
+                if isinstance(instr, Gate):
                     counts[instr.output] += per_gate_writes
-            cached = self._counts_cache[key] = counts
+                elif isinstance(instr, WriteInstr):
+                    counts[instr.address] += 1
+            cached = self._counts_cache[key] = np.array(
+                counts, dtype=np.int64
+            )
         return cached.copy()
 
     def read_counts(self, size: Optional[int] = None) -> np.ndarray:
@@ -263,14 +403,16 @@ class LaneProgram:
         key = ("read", n, False)
         cached = self._counts_cache.get(key)
         if cached is None:
-            counts = np.zeros(n, dtype=np.int64)
+            counts = [0] * n
             for instr in self.instructions:
-                if isinstance(instr, ReadInstr):
-                    counts[instr.address] += 1
-                elif isinstance(instr, Gate):
+                if isinstance(instr, Gate):
                     for address in instr.inputs:
                         counts[address] += 1
-            cached = self._counts_cache[key] = counts
+                elif isinstance(instr, ReadInstr):
+                    counts[instr.address] += 1
+            cached = self._counts_cache[key] = np.array(
+                counts, dtype=np.int64
+            )
         return cached.copy()
 
     def write_profile(
@@ -339,8 +481,8 @@ class LaneProgram:
         """The cached structure-of-arrays compilation of this program.
 
         See :func:`repro.synth.compiled.compile_program`; built lazily on
-        first use and shared by every caller of the batch evaluator, the
-        vectorized replay, and the interpreter's read-out preallocation.
+        first use from :attr:`columns` and shared by every caller of the
+        batch evaluators and the static checks that need its schedule.
         """
         from repro.synth.compiled import compile_program
 
@@ -390,10 +532,10 @@ class LaneProgram:
                 operands[name], len(addresses)
             )
         memory: Dict[int, int] = dict(stuck)
-        # Streams are preallocated at their final length (the compiled
-        # program knows each tag's max index), not grown with a per-bit
-        # append loop — that pad was quadratic in stream length.
-        readout_sizes = self.compiled().readout_sizes
+        # Streams are preallocated at their final length (the columns
+        # know each tag's max index), not grown with a per-bit append
+        # loop — that pad was quadratic in stream length.
+        readout_sizes = self.columns.readout_sizes()
         readouts: Dict[str, List[int]] = {}
 
         def store(address: int, value: int) -> None:

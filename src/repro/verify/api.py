@@ -25,7 +25,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.synth.program import ExternalBit, LaneProgram, ReadInstr, WriteInstr
+from repro.synth.program import SRC_EXTERNAL, LaneProgram
 from repro.telemetry import get_telemetry
 from repro.verify.dataflow import check_bounds, check_dataflow, check_levels
 from repro.verify.diagnostics import (
@@ -302,44 +302,41 @@ def verify_network(
     produced = {tag: -1 for tag in externals}  # tag -> width (-1: unknown)
     for lane in order:
         program = programs[lane]
-        for index, instr in enumerate(program.instructions):
-            if isinstance(instr, WriteInstr) and isinstance(
-                instr.source, ExternalBit
-            ):
-                tag = instr.source.tag
-                if tag not in produced:
-                    diagnostics.append(
-                        Diagnostic(
-                            "RPR004",
-                            Severity.ERROR,
-                            f"lane {lane} consumes transfer tag {tag!r}, "
-                            "which no earlier lane produces",
-                            Location(program.name, index, place=f"lane {lane}"),
-                            hint="senders must precede their receivers in "
-                            "the evaluation order",
-                        )
+        columns = program.columns
+        consumers = np.flatnonzero(columns.source == SRC_EXTERNAL)
+        for index, tag_id, slot in zip(
+            consumers.tolist(),
+            columns.arg[consumers].tolist(),
+            columns.bit[consumers].tolist(),
+        ):
+            tag = columns.tags[tag_id]
+            if tag not in produced:
+                diagnostics.append(
+                    Diagnostic(
+                        "RPR004",
+                        Severity.ERROR,
+                        f"lane {lane} consumes transfer tag {tag!r}, "
+                        "which no earlier lane produces",
+                        Location(program.name, index, place=f"lane {lane}"),
+                        hint="senders must precede their receivers in "
+                        "the evaluation order",
                     )
-                    produced[tag] = -1  # report once per tag
-                elif 0 <= produced[tag] <= instr.source.index:
-                    diagnostics.append(
-                        Diagnostic(
-                            "RPR004",
-                            Severity.ERROR,
-                            f"lane {lane} reads slot {instr.source.index} of "
-                            f"transfer tag {tag!r}, which carries only "
-                            f"{produced[tag]} bit(s)",
-                            Location(program.name, index, place=f"lane {lane}"),
-                            hint="widen the producer's tagged read-out or "
-                            "narrow the consumer",
-                        )
-                    )
-        tags_here = {}
-        for instr in program.instructions:
-            if isinstance(instr, ReadInstr) and instr.tag is not None:
-                tags_here[instr.tag] = (
-                    max(tags_here.get(instr.tag, -1), instr.index)
                 )
-        for tag, top in tags_here.items():
+                produced[tag] = -1  # report once per tag
+            elif 0 <= produced[tag] <= slot:
+                diagnostics.append(
+                    Diagnostic(
+                        "RPR004",
+                        Severity.ERROR,
+                        f"lane {lane} reads slot {slot} of "
+                        f"transfer tag {tag!r}, which carries only "
+                        f"{produced[tag]} bit(s)",
+                        Location(program.name, index, place=f"lane {lane}"),
+                        hint="widen the producer's tagged read-out or "
+                        "narrow the consumer",
+                    )
+                )
+        for tag, width in columns.readout_sizes().items():
             if tag in produced and produced[tag] != -1:
                 diagnostics.append(
                     Diagnostic(
@@ -353,7 +350,7 @@ def verify_network(
                     )
                 )
             else:
-                produced[tag] = top + 1
+                produced[tag] = width
     return _finish(diagnostics)
 
 

@@ -1,7 +1,7 @@
 """IR dataflow checks over :class:`~repro.synth.program.LaneProgram`.
 
-One linear pass over the instruction stream proves, without executing a
-single gate:
+Proved over the program's flat columns, without executing a single
+gate:
 
 * **RPR001** — every read (gate input, ``ReadInstr``) sees a cell some
   earlier instruction wrote;
@@ -16,28 +16,125 @@ single gate:
 * **RPR005** — the compiled SoA form's fused gate levels are race-free
   *by construction*: within a level, gate outputs are pairwise distinct
   and no gate reads what another gate in the level writes. This re-proves
-  the hazard property :mod:`repro.synth.compiled` relies on, instead of
-  trusting the compiler that enforced it.
+  the hazard property :mod:`repro.synth.compiled` relies on, over the
+  flat level ids, instead of trusting the scheduler that built them.
+
+Each proof has a per-object reporter that runs only when the proof
+fails: the per-instruction walk for RPR001/002/004
+(:func:`_walk_dataflow`) and :func:`check_level_segments` for RPR005.
+Reports therefore come from the reporters alone.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.gates.gate import Gate
-from repro.synth.program import LaneProgram, ReadInstr, WriteInstr
+import numpy as np
+
+from repro.synth.program import (
+    KIND_GATE,
+    KIND_READ,
+    SRC_SCRATCH,
+    LaneProgram,
+    ReadInstr,
+    WriteInstr,
+)
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 
 __all__ = [
     "check_dataflow",
     "check_bounds",
     "check_levels",
+    "check_level_columns",
     "check_level_segments",
 ]
 
 
 def check_dataflow(program: LaneProgram) -> List[Diagnostic]:
-    """RPR001/RPR002/RPR004 over one program's instruction stream."""
+    """RPR001/RPR002/RPR004 over one program's instruction stream.
+
+    Proves the program clean over its flat columns first
+    (:func:`_dataflow_is_clean`); only a program with a finding pays the
+    per-instruction walk, which writes the report.
+    """
+    if _dataflow_is_clean(program):
+        return []
+    return _walk_dataflow(program)
+
+
+def _dataflow_is_clean(program: LaneProgram) -> bool:
+    """Whether :func:`_walk_dataflow` would report nothing.
+
+    Every cell access becomes an event sorted by (address, position).
+    The walk finds nothing exactly when each address's first event is a
+    write (RPR001), no meaningful write is followed by another write of
+    its cell or, as the cell's last event, left unread outside the
+    declared outputs (RPR002), every declared output cell is written,
+    and each tagged stream's slots are distinct and cover 0..max
+    (RPR004).
+    """
+    columns = program.columns
+    kind = columns.kind
+    positions = np.arange(kind.size)
+    gates = kind == KIND_GATE
+    reads = kind == KIND_READ
+    inputs = columns.inputs[gates]
+    used = inputs >= 0
+    writes = ~reads  # standard writes and gate outputs
+    addresses = np.concatenate(
+        [columns.address[writes], columns.address[reads], inputs[used]]
+    )
+    at = np.concatenate(
+        [
+            positions[writes],
+            positions[reads],
+            np.broadcast_to(positions[gates][:, None], inputs.shape)[used],
+        ]
+    )
+    written = writes.sum()
+    is_write = np.zeros(addresses.size, dtype=bool)
+    is_write[:written] = True
+    meaningful = np.zeros(addresses.size, dtype=bool)
+    meaningful[:written] = columns.source[writes] != SRC_SCRATCH
+    order = np.lexsort((at, addresses))
+    addresses = addresses[order]
+    is_write = is_write[order]
+    meaningful = meaningful[order]
+    declared = np.array(
+        [a for vector in program.outputs.values() for a in vector],
+        dtype=np.int64,
+    )
+    if not np.isin(declared, addresses).all():
+        return False
+    if addresses.size:
+        first = np.ones(addresses.size, dtype=bool)
+        first[1:] = addresses[1:] != addresses[:-1]
+        last = np.append(first[1:], True)
+        if not is_write[first].all():
+            return False
+        if (meaningful[:-1] & is_write[1:] & ~first[1:]).any():
+            return False
+        if (meaningful & last & ~np.isin(addresses, declared)).any():
+            return False
+    tagged = reads & (columns.arg >= 0)
+    if tagged.any():
+        tags = columns.arg[tagged].astype(np.int64)
+        slots = columns.bit[tagged].astype(np.int64)
+        span = int(slots.max()) + 1
+        if np.unique(tags * span + slots).size != tags.size:
+            return False
+        top = np.zeros(len(columns.tags), dtype=np.int64)
+        np.maximum.at(top, tags, slots + 1)
+        if not np.array_equal(
+            np.bincount(tags, minlength=top.size), top
+        ):
+            return False
+    return True
+
+
+def _walk_dataflow(program: LaneProgram) -> List[Diagnostic]:
+    """The per-instruction dataflow walk: the reporter, and the oracle of
+    :func:`_dataflow_is_clean`."""
     diagnostics: List[Diagnostic] = []
     initialized: Set[int] = set()
     # address -> (instruction index, counts-for-dead-write) of the last
@@ -190,14 +287,65 @@ def check_bounds(
 
 def check_levels(program: LaneProgram) -> List[Diagnostic]:
     """RPR005: re-prove the compiled gate levels are race-free."""
-    from repro.synth.compiled import _GateLevel
+    gates = program.columns.kind == KIND_GATE
+    return check_level_columns(
+        program.compiled().gate_levels,
+        program.columns.address[gates],
+        program.columns.inputs[gates],
+        program.name,
+    )
 
-    segments = [
-        segment
-        for segment in program.compiled()._segments
-        if isinstance(segment, _GateLevel)
+
+class _LevelView:
+    """One level's input and output addresses, for the reporter."""
+
+    __slots__ = ("input_addresses", "output_addresses")
+
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray) -> None:
+        self.input_addresses = inputs[inputs >= 0]
+        self.output_addresses = outputs
+
+
+def check_level_columns(
+    levels: np.ndarray,
+    outputs: np.ndarray,
+    inputs: np.ndarray,
+    program_name: str,
+) -> List[Diagnostic]:
+    """RPR005 over flat per-gate arrays, gates in program order.
+
+    Args:
+        levels: Level id per gate (non-decreasing).
+        outputs: Output address per gate.
+        inputs: ``(gates, 3)`` input addresses, ``-1`` in unused slots.
+        program_name: For the diagnostics' locations.
+
+    A race is a repeated (level, output) pair or an input address that
+    is also an output of its level. Only a racy schedule is cut into
+    per-level views and reported by :func:`check_level_segments`.
+    """
+    levels = np.asarray(levels, dtype=np.int64)
+    outputs = np.asarray(outputs, dtype=np.int64)
+    inputs = np.asarray(inputs, dtype=np.int64).reshape(-1, 3)
+    if not levels.size:
+        return []
+    span = int(max(outputs.max(), inputs.max())) + 1
+    written = np.sort(levels * span + outputs)
+    used = inputs >= 0
+    read = np.broadcast_to(levels[:, None], inputs.shape)[used] * span
+    read = read + inputs[used]
+    if not (written[1:] == written[:-1]).any() and not np.isin(
+        read, written
+    ).any():
+        return []
+    bounds = np.flatnonzero(np.diff(levels)) + 1
+    views = [
+        _LevelView(level_inputs.ravel(), level_outputs)
+        for level_inputs, level_outputs in zip(
+            np.split(inputs, bounds), np.split(outputs, bounds)
+        )
     ]
-    return check_level_segments(segments, program.name)
+    return check_level_segments(views, program_name)
 
 
 def check_level_segments(segments, program_name: str) -> List[Diagnostic]:

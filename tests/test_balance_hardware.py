@@ -12,6 +12,7 @@ from repro.balance.hardware import (
     DOMAIN_CACHE_SIZE,
     HardwareRemapper,
     _cycles_of,
+    _weighted_cycles,
     remapper_for,
 )
 from repro.core.settings import SimulationSettings
@@ -50,6 +51,58 @@ class TestCycles:
         tau = np.array([2, 0, 1])  # 0 -> 2 -> 1 -> 0
         cycles = _cycles_of(tau)
         assert cycles[0].tolist() == [0, 2, 1]
+
+
+def _filtered_oracle(tau, weighted):
+    return [cycle for cycle in _cycles_of(tau) if weighted[cycle].any()]
+
+
+def _assert_same_cycles(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype
+        assert a.tolist() == b.tolist()
+
+
+class TestWeightedCycles:
+    """The moved-points decomposition against the full walk, filtered."""
+
+    @given(
+        n=st.integers(1, 80),
+        moved=st.floats(0.0, 1.0),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_filtered_decomposition(self, n, moved, density, seed):
+        rng = np.random.default_rng(seed)
+        tau = np.arange(n)
+        # Permute a random subset, leaving the rest fixed points.
+        subset = np.flatnonzero(rng.random(n) < moved)
+        tau[subset] = rng.permutation(subset)
+        weighted = rng.random(n) < density
+        _assert_same_cycles(
+            _weighted_cycles(tau, weighted), _filtered_oracle(tau, weighted)
+        )
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_identity(self, density):
+        n = 64
+        weighted = np.random.default_rng(7).random(n) < density
+        tau = np.arange(n)
+        got = _weighted_cycles(tau, weighted)
+        _assert_same_cycles(got, _filtered_oracle(tau, weighted))
+        assert [c.tolist() for c in got] == [
+            [i] for i in np.flatnonzero(weighted).tolist()
+        ]
+
+    def test_remapper_cycles_match_the_oracle(self):
+        remapper = HardwareRemapper(_program(), 64, include_presets=True)
+        tau, writes, reads = remapper._domain_trace()
+        _assert_same_cycles(
+            remapper._cycles,
+            _filtered_oracle(tau, (writes != 0) | (reads != 0)),
+        )
 
 
 class TestAlgebraMatchesExplicit:

@@ -28,11 +28,16 @@ from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
 from repro.synth.compiled import (
     CompiledProgram,
+    _object_levels,
     compile_program,
+    gate_levels,
     pack_bitplanes,
     unpack_bitplanes,
 )
+from repro.synth.multiplier import multiply
 from repro.synth.program import (
+    GATE_OPS,
+    ConstBit,
     LaneProgram,
     LaneProgramBuilder,
     OperandBit,
@@ -302,3 +307,100 @@ class TestCompiledStructure:
         builder.mark_output("out", BitVector([y]))
         program = builder.finish()
         assert program.compiled().levels == 2
+
+
+@st.composite
+def interleaved_streams(draw):
+    """Raw instruction streams: gates over any cells, with writes and
+    (tagged) reads interleaved — every RAW, WAW and WAR hazard shape,
+    including gates that read one cell twice."""
+    library = draw(st.sampled_from(LIBRARIES))
+    ops = sorted(library.native_ops, key=lambda op: op.value)
+    footprint = draw(st.integers(4, 9))
+    cells = st.integers(0, footprint - 1)
+    instructions = []
+    for _ in range(draw(st.integers(1, 40))):
+        step = draw(st.sampled_from(["gate"] * 6 + ["write", "read"]))
+        if step == "write":
+            instructions.append(
+                WriteInstr(draw(cells), ConstBit(draw(st.integers(0, 1))))
+            )
+        elif step == "read":
+            instructions.append(
+                ReadInstr(draw(cells), tag=draw(st.sampled_from([None, "t"])))
+            )
+        else:
+            op = draw(st.sampled_from(ops))
+            output = draw(cells)
+            others = st.integers(0, footprint - 1).filter(
+                lambda a: a != output
+            )
+            inputs = tuple(draw(others) for _ in range(op.arity))
+            instructions.append(Gate(op, inputs, output))
+    return LaneProgram("levels", instructions, footprint, {}, {})
+
+
+def _array_groups(compiled):
+    """Per level, opcode -> gate outputs, from the compiled offsets."""
+    bounds = compiled._group_bounds
+    groups = [{} for _ in range(compiled.levels)]
+    for group, op_id in enumerate(compiled._group_ops.tolist()):
+        begin, end = bounds[group], bounds[group + 1]
+        level = int(compiled.gate_levels[begin])
+        groups[level][GATE_OPS[op_id]] = (
+            compiled._group_outputs[begin:end].tolist()
+        )
+    return groups
+
+
+def _assert_schedule_matches_oracle(program):
+    oracle = _object_levels(program)
+    compiled = program.compiled()
+    sizes = [sum(len(gates) for gates in level.values()) for level in oracle]
+    assert compiled.gate_levels.tolist() == np.repeat(
+        np.arange(len(oracle)), sizes
+    ).tolist()
+    assert compiled.levels == len(oracle)
+    assert _array_groups(compiled) == [
+        {op: [gate.output for gate in gates] for op, gates in level.items()}
+        for level in oracle
+    ]
+
+
+class TestArrayLevelSchedule:
+    """The array-built schedule against the gate-by-gate scheduler."""
+
+    @given(program=interleaved_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_object_scheduler(self, program):
+        _assert_schedule_matches_oracle(program)
+
+    @given(spec=random_programs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_object_scheduler_on_built_programs(self, spec):
+        _assert_schedule_matches_oracle(spec[0])
+
+    @pytest.mark.parametrize(
+        "library", LIBRARIES, ids=lambda library: library.name
+    )
+    def test_matches_on_an_8bit_multiply(self, library):
+        builder = LaneProgramBuilder(library, name="mult8")
+        a = builder.input_vector("a", 8)
+        b = builder.input_vector("b", 8)
+        builder.mark_output("p", multiply(builder, a, b))
+        _assert_schedule_matches_oracle(builder.finish())
+
+    def test_empty_and_gateless_programs(self):
+        empty = LaneProgram("empty", [], 1, {}, {})
+        assert gate_levels(empty.columns).size == 0
+        assert empty.compiled().levels == 0
+        loads = LaneProgram(
+            "loads",
+            [WriteInstr(0, ConstBit(1)), ReadInstr(0, tag="s")],
+            1,
+            {},
+            {},
+        )
+        assert loads.compiled().levels == 0
+        _, readouts = loads.compiled().evaluate_batch(draws=3)
+        assert readouts["s"].tolist() == [[1], [1], [1]]
