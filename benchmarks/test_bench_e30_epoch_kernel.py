@@ -17,7 +17,10 @@ whole array and no GEMM runs; ``conv`` runs two programs, so its smaller
 lane set pays one signed GEMM per chunk. Each must be at least 10x
 faster than the oracle and produce the exact same counters. A
 timing-free identity check (``test_bench_e30_epoch_kernel_identity``)
-runs the same equivalence on both layouts at a CI-sized horizon. Beyond
+runs the same equivalence on both layouts at a CI-sized horizon, plus a
+trace-like layout — three programs on 4 of 1,024 lanes under
+``trace-sweep``'s ``StxSt``, ``RaxRa`` and ``BsxBs`` — whose every GEMM
+runs lane-compact, over only the lanes its set touches. Beyond
 the plain-text artifact this benchmark writes a machine-readable
 ``BENCH_E30.json`` (configuration, iterations/second on each path,
 speedup, GEMMs per run) so downstream tooling can track the ratio over
@@ -32,10 +35,12 @@ import numpy as np
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
+from repro.core.kernel import epoch_lengths
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.telemetry import Telemetry, set_telemetry
 from repro.workloads.convolution import Convolution
+from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
 
 #: Floored like E29: the speedup is an asymptotic claim about per-epoch
@@ -47,13 +52,14 @@ def _iterations() -> int:
     return max(bench_iterations(MIN_ITERATIONS), MIN_ITERATIONS)
 
 
-def _run(iterations, workload, *, oracle, arch=None):
-    """``(result, seconds, kernel.gemms)`` of one ``RaxRa`` run."""
+def _run(iterations, workload, *, oracle, arch=None, config=None):
+    """``(result, seconds, kernel.gemms, kernel.compact_gemms)`` of one
+    run (``RaxRa`` at interval 1 unless ``config`` says otherwise)."""
     simulator = EnduranceSimulator(
         arch or default_architecture(), SimulationSettings(seed=7)
     )
     path = simulator._run_epoch_loop if oracle else simulator.run
-    config = BalanceConfig.from_label("RaxRa", recompile_interval=1)
+    config = config or BalanceConfig.from_label("RaxRa", recompile_interval=1)
     fresh = Telemetry()
     previous = set_telemetry(fresh)
     try:
@@ -62,7 +68,9 @@ def _run(iterations, workload, *, oracle, arch=None):
         seconds = time.perf_counter() - start
     finally:
         set_telemetry(previous)
-    return result, seconds, fresh.counters.get("kernel.gemms", 0)
+    return result, seconds, fresh.counters.get("kernel.gemms", 0), (
+        fresh.counters.get("kernel.compact_gemms", 0)
+    )
 
 
 def _assert_identical(batched, sequential, iterations):
@@ -77,18 +85,35 @@ def _assert_identical(batched, sequential, iterations):
 
 def test_bench_e30_epoch_kernel_identity():
     """Timing-free CI gate: kernel == per-epoch oracle, bit for bit, with
-    one program on every lane (no GEMM) and with two (signed GEMMs)."""
+    one program on every lane (no GEMM), with two (signed GEMMs), and
+    with a trace-like few-lane layout (lane-compact GEMMs)."""
     arch = default_architecture(256, 64)
     for workload, gemms in (
         (ParallelMultiplication(bits=8), 0),
         (Convolution(), 2 * 2),  # 2 chunks x (writes, reads)
     ):
-        batched, _, batched_gemms = _run(
+        batched, _, batched_gemms, compact = _run(
             2_000, workload, oracle=False, arch=arch
         )
-        sequential, _, _ = _run(2_000, workload, oracle=True, arch=arch)
+        sequential, *_ = _run(2_000, workload, oracle=True, arch=arch)
         _assert_identical(batched, sequential, 2_000)
-        assert batched_gemms == gemms
+        assert (batched_gemms, compact) == (gemms, 0)
+    few_lanes = default_architecture(64, 1024)
+    for label in ("StxSt", "RaxRa", "BsxBs"):
+        config = BalanceConfig.from_label(label)
+        batched, _, batched_gemms, compact = _run(
+            2_000, DotProduct(n_elements=4, bits=8), oracle=False,
+            arch=few_lanes, config=config,
+        )
+        sequential, *_ = _run(
+            2_000, DotProduct(n_elements=4, bits=8), oracle=True,
+            arch=few_lanes, config=config,
+        )
+        _assert_identical(
+            batched, sequential, epoch_lengths(config, 2_000).size
+        )
+        # Three program sets x (writes, reads), every one compact.
+        assert batched_gemms == compact == 3 * 2, label
 
 
 def test_bench_e30_epoch_kernel_speedup(record, results_dir):
@@ -99,8 +124,12 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
         ("mult-32b", ParallelMultiplication(bits=32)),
         ("conv", Convolution()),
     ):
-        batched, batched_s, gemms = _run(iterations, workload, oracle=False)
-        sequential, sequential_s, _ = _run(iterations, workload, oracle=True)
+        batched, batched_s, gemms, _ = _run(
+            iterations, workload, oracle=False
+        )
+        sequential, sequential_s, *_ = _run(
+            iterations, workload, oracle=True
+        )
         _assert_identical(batched, sequential, iterations)
         rows[name] = {
             "epoch_kernel": {

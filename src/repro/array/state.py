@@ -165,6 +165,7 @@ class ArrayState:
         lane_weights: np.ndarray,
         orientation: Orientation,
         kind: str = "write",
+        lanes: "np.ndarray | None" = None,
     ) -> None:
         """Add a whole chunk of epoch outer products with one GEMM.
 
@@ -178,12 +179,21 @@ class ArrayState:
         integer-valued float64, so the reduction is exact in any order
         and the result is bit-identical to the per-epoch loop.
 
+        With ``lanes`` given, column ``j`` of ``lane_weights`` stands
+        for physical lane ``lanes[j]`` and every other lane's weight is
+        zero: the product is ``lane_size x len(lanes)`` and only those
+        lanes' counters change. The sums are the same, so the result is
+        bit-identical to the full-width form with zero columns.
+
         Args:
             offset_profiles: ``(epochs, lane_size)`` per-offset counts.
             lane_weights: ``(epochs, lane_count)`` per-lane multiplicity
-                (membership scaled by epoch length).
+                (membership scaled by epoch length), or
+                ``(epochs, len(lanes))`` when ``lanes`` is given.
             orientation: Lane orientation.
             kind: ``"write"`` or ``"read"``.
+            lanes: Distinct physical lanes the weight columns stand
+                for; ``None`` means every lane, in order.
         """
         offset_profiles = np.asarray(offset_profiles, dtype=np.float64)
         lane_weights = np.asarray(lane_weights, dtype=np.float64)
@@ -201,12 +211,20 @@ class ArrayState:
                 f"offset_profiles width {offset_profiles.shape[1]} != lane "
                 f"size {self.geometry.lane_size(orientation)}"
             )
-        if lane_weights.shape[1] != self.geometry.lane_count(orientation):
+        width = (
+            self.geometry.lane_count(orientation) if lanes is None
+            else len(lanes)
+        )
+        if lane_weights.shape[1] != width:
             raise ValueError(
-                f"lane_weights width {lane_weights.shape[1]} != lane count "
-                f"{self.geometry.lane_count(orientation)}"
+                f"lane_weights width {lane_weights.shape[1]} != "
+                f"{'lane count' if lanes is None else 'len(lanes)'} {width}"
             )
         target = self._target(kind)
+        if lanes is not None:
+            view = self.lane_view(target, orientation)
+            view[:, lanes] += offset_profiles.T @ lane_weights
+            return
         if orientation is Orientation.COLUMN_PARALLEL:
             a, b = offset_profiles.T, lane_weights
         else:

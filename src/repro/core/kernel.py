@@ -57,6 +57,17 @@ so the random stream moves on exactly as before. When the unassigned
 set is the largest (trace workloads) ``P_r`` is zero and each program
 pays its own plain GEMM, as without the rule.
 
+A GEMM is paid only over the lanes its set touches (**lane-compact
+products**). A set whose between maps land on at most ``lane_count //
+COMPACT_DIVISOR`` distinct lanes in a chunk — a trace's programs on a
+few of 1,024 lanes under ``St`` or ``Bs`` between maps — builds its
+lane-weight rows over just those ``m`` lanes, runs a ``lane_size x m``
+product and adds it into just their counters. The distinct lanes come
+from a boolean mark, not a sort; a set wider than the cutoff skips even
+that, since each epoch alone puts it on as many lanes as it has. Every
+other set pays the full-width GEMM. The sums are the same, so the
+result is too.
+
 Everything stays **exact**: profiles, epoch lengths, multiplicities and
 lane weights are integer-valued float64, and every partial sum is
 bounded by the run's total of its kind, which ``verify_mapping`` keeps
@@ -247,6 +258,14 @@ def _fold(rows: np.ndarray, period: int) -> np.ndarray:
 #: Key of the lane set no program occupies (its profile is zero).
 _UNASSIGNED = "unassigned"
 
+#: A lane set whose between maps touch at most ``lane_count //
+#: COMPACT_DIVISOR`` distinct lanes in a chunk pays a lane-compact GEMM.
+#: Measured crossover at 1,024 lanes with one BLAS thread: the compact
+#: product plus its column scatter beat the full-width product plus add
+#: at up to 64 touched lanes for 1 to 1,000 epochs, and lost from 256
+#: (5.3 ms vs 2.2 ms at 20 epochs).
+COMPACT_DIVISOR = 16
+
 
 class _Accumulator:
     """Per-set profile rows, lane-weight rows and the products over them.
@@ -262,6 +281,12 @@ class _Accumulator:
     only the other sets pay a GEMM — none at all when one program runs
     on every lane. When the unassigned set is the largest, ``P_r`` is
     zero and every program set pays its own plain GEMM.
+
+    A set pays only for the lanes it touches. When its between maps
+    land on at most ``lane_count // COMPACT_DIVISOR`` distinct lanes in
+    a chunk (a trace's few programs under ``St`` or ``Bs``), its
+    lane-weight rows span just those lanes and its product adds into
+    just their counters; every other set pays the full-width GEMM.
 
     Without hardware re-mapping a profile row is the program's static
     per-iteration profile scattered through a within map, and the epoch
@@ -286,7 +311,9 @@ class _Accumulator:
         self.hardware = config.hardware
         self.remappers = remappers
         self.track_reads = track_reads
+        self.compact_limit = self.lane_count // COMPACT_DIVISOR
         self.gemms = 0
+        self.compact_gemms = 0
         self.programs: Dict[int, np.ndarray] = {}
         self.writes: Dict[int, np.ndarray] = {}
         self.reads: Dict[int, np.ndarray] = {}
@@ -365,24 +392,48 @@ class _Accumulator:
 
     def weights(
         self, key: object, between_maps: np.ndarray, values
-    ) -> np.ndarray:
-        """Lane-weight rows: ``values`` at each epoch's assigned lanes."""
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Lane-weight rows — ``values`` at each epoch's assigned lanes —
+        and the physical lanes their columns stand for (``None``: all).
+        """
+        assigned = between_maps[:, self.lanes[key]]
+        touched = self._touched(assigned)
+        if touched is None:
+            weights = POOL.get(
+                "kernel.lane_weights",
+                (len(between_maps), self.lane_count),
+                zero=True,
+            )
+            columns = assigned
+        else:
+            # Fresh, not pooled: the width varies from set to set.
+            weights = np.zeros((len(between_maps), touched.size))
+            column_of = np.empty(self.lane_count, dtype=np.intp)
+            column_of[touched] = np.arange(touched.size)
+            columns = column_of[assigned]
         # Rows of between_maps are permutations and the set's lanes
         # are distinct, so scattered columns never collide.
-        weights = POOL.get(
-            "kernel.lane_weights",
-            (len(between_maps), self.lane_count),
-            zero=True,
-        )
         rows = np.arange(len(between_maps))[:, None]
-        weights[rows, between_maps[:, self.lanes[key]]] = values
-        return weights
+        weights[rows, columns] = values
+        return weights, touched
+
+    def _touched(self, assigned: np.ndarray) -> Optional[np.ndarray]:
+        """The distinct lanes in ``assigned``, ascending, when there are
+        at most :attr:`compact_limit` of them; otherwise ``None``."""
+        # Each row alone holds one distinct lane per column.
+        if assigned.shape[1] > self.compact_limit:
+            return None
+        mark = np.zeros(self.lane_count, dtype=bool)
+        mark[assigned] = True
+        touched = np.flatnonzero(mark)
+        return touched if touched.size <= self.compact_limit else None
 
     def accumulate(self, rows, weights, values) -> None:
         """Add ``sum_g rows(g).T @ weights(g)`` over every lane set.
 
         ``rows(key, slot)`` gives a program set's ``(writes, reads)``
-        profile rows, ``weights(key)`` a set's lane-weight rows, and
+        profile rows, ``weights(key)`` a set's lane-weight rows and the
+        lanes they span (as :meth:`weights` returns them), and
         ``values`` (a scalar or a column, one entry per row) the weight
         all sets' rows sum to on every lane.
         """
@@ -407,24 +458,25 @@ class _Accumulator:
                 for profile, base in zip(signed, reference):
                     if base is not None:
                         profile -= base
-            self.gemm(*signed, weights(key))
+            self.gemm(*signed, *weights(key))
 
     def gemm(
         self,
         writes: np.ndarray,
         reads: Optional[np.ndarray],
         weights: np.ndarray,
+        lanes: Optional[np.ndarray],
     ) -> None:
-        """Add ``sum_e outer(profile[e], weights[e])`` into the state."""
-        self.state.add_lane_profiles(
-            writes, weights, self.orientation, "write"
-        )
-        self.gemms += 1
-        if self.track_reads:
+        """Add ``sum_e outer(profile[e], weights[e])`` into the state;
+        ``lanes`` as in :meth:`ArrayState.add_lane_profiles`."""
+        kinds = ("write", "read") if self.track_reads else ("write",)
+        for profile, kind in zip((writes, reads), kinds):
             self.state.add_lane_profiles(
-                reads, weights, self.orientation, "read"
+                profile, weights, self.orientation, kind, lanes
             )
-            self.gemms += 1
+        self.gemms += len(kinds)
+        if lanes is not None:
+            self.compact_gemms += len(kinds)
 
 
 def run_batched_epochs(
@@ -482,6 +534,7 @@ def run_batched_epochs(
         tele.gauge("fastforward.period", period)
         tele.count("fastforward.epochs_collapsed", total_epochs - materialized)
     tele.count("kernel.gemms", accumulator.gemms)
+    tele.count("kernel.compact_gemms", accumulator.compact_gemms)
     return total_epochs
 
 
@@ -630,13 +683,17 @@ def _within_folded(
             folded = np.concatenate([folded, rows[split:]])
         return folded
 
+    def weights(key):
+        rows, lanes = acc.weights(key, between_maps, values)
+        return fold(rows), lanes
+
     phases = min(split, period)
     keep = np.r_[0:phases, split:count]
     acc.accumulate(
         lambda key, slot: acc.profiles(
             key, within_maps[keep], lengths[keep], slot
         ),
-        lambda key: fold(acc.weights(key, between_maps, values)),
+        weights,
         fold(np.broadcast_to(values, (count, 1))),
     )
 

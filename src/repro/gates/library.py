@@ -44,6 +44,9 @@ class GateLibrary:
         and_gate_cost: Gates per two-input AND (1 when native; a NOR-only
             fabric pays 3: two NOTs plus a NOR).
         has_native_copy: Whether COPY is a single gate; otherwise two NOTs.
+        native_mask: Whether each opcode is native, by
+            :attr:`GateOp.index` — the per-library table builders read
+            once per gate instead of hashing the opcode.
     """
 
     name: str
@@ -54,9 +57,16 @@ class GateLibrary:
     and_gate_cost: int
     has_native_copy: bool
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "native_mask",
+            tuple(op in self.native_ops for op in GateOp),
+        )
+
     def supports(self, op: GateOp) -> bool:
         """Whether ``op`` executes natively (one step) in this library."""
-        return op in self.native_ops
+        return self.native_mask[op.index]
 
     @property
     def copy_gate_cost(self) -> int:

@@ -14,7 +14,13 @@ from typing import Sequence
 
 
 class GateOp(Enum):
-    """Opcode of an in-memory logic gate."""
+    """Opcode of an in-memory logic gate.
+
+    Attributes:
+        arity: Number of input cells the gate reads.
+        index: Position in definition order; indexes per-op tables such
+            as :attr:`~repro.gates.library.GateLibrary.native_mask`.
+    """
 
     NOT = "not"
     COPY = "copy"
@@ -26,14 +32,8 @@ class GateOp(Enum):
     XNOR = "xnor"
     MAJ = "maj"
 
-    @property
-    def arity(self) -> int:
-        """Number of input cells the gate reads."""
-        if self in ONE_INPUT_OPS:
-            return 1
-        if self is GateOp.MAJ:
-            return 3
-        return 2
+    arity: int
+    index: int
 
 
 #: Gates reading a single input cell.
@@ -43,6 +43,13 @@ ONE_INPUT_OPS = frozenset({GateOp.NOT, GateOp.COPY})
 TWO_INPUT_OPS = frozenset(
     {GateOp.AND, GateOp.NAND, GateOp.OR, GateOp.NOR, GateOp.XOR, GateOp.XNOR}
 )
+
+# The per-op table, built once: plain attributes, so the builder's one
+# lookup per gate hashes no enum member.
+for _index, _op in enumerate(GateOp):
+    _op.index = _index
+    _op.arity = 1 if _op in ONE_INPUT_OPS else 3 if _op is GateOp.MAJ else 2
+del _index, _op
 
 
 def evaluate_op(op: GateOp, inputs: Sequence[int]) -> int:

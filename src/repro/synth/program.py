@@ -108,9 +108,9 @@ SRC_CONST = 1  #: :class:`ConstBit` — ``arg`` holds the 0/1 value
 SRC_OPERAND = 2  #: :class:`OperandBit` — ``arg``/``bit`` = operand id, index
 SRC_EXTERNAL = 3  #: :class:`ExternalBit` — ``arg``/``bit`` = tag id, index
 
-#: Gate opcode ids: an opcode's position in :class:`GateOp`.
+#: Gate opcode ids: an opcode's position in :class:`GateOp`
+#: (``GATE_OPS[op.index] is op``).
 GATE_OPS: Tuple[GateOp, ...] = tuple(GateOp)
-_OP_IDS: Dict[GateOp, int] = {op: i for i, op in enumerate(GATE_OPS)}
 #: A gate row's unused input slots and its source/arg/bit, by arity.
 _GATE_TAILS = {k: (-1,) * (3 - k) + (-1, -1, 0) for k in (1, 2, 3)}
 
@@ -206,8 +206,9 @@ class LaneProgram:
         self.outputs = dict(outputs)
         self._counts_cache: Dict[Tuple[str, int, bool], np.ndarray] = {}
         self._compiled = None
-        # Static-verification findings per (lane_size, writes_per_gate),
-        # filled by repro.verify.api.
+        # Static-verification findings, filled by repro.verify.api:
+        # "dataflow", (lane_size, writes_per_gate) and the remapper leg's
+        # ("remapper", lane_size, writes_per_gate).
         self._findings: Dict[tuple, tuple] = {}
         # Hardware remappers per (lane_size, include_presets), filled by
         # repro.balance.hardware.remapper_for.
@@ -227,7 +228,7 @@ class LaneProgram:
             if isinstance(instr, Gate):
                 ins = instr.inputs
                 flat.extend(
-                    (KIND_GATE, _OP_IDS[instr.op], instr.output)
+                    (KIND_GATE, instr.op.index, instr.output)
                     + ins
                     + _GATE_TAILS[len(ins)]
                 )
@@ -673,6 +674,7 @@ class LaneProgramBuilder:
         policy: AllocationPolicy = AllocationPolicy.LOWEST_FIRST,
     ) -> None:
         self.library = library
+        self._native = library.native_mask
         self.name = name
         self._allocator = BitAllocator(capacity, policy)
         self._instructions: List[Instruction] = []
@@ -757,7 +759,7 @@ class LaneProgramBuilder:
         Raises:
             ValueError: if ``op`` is not native to the builder's library.
         """
-        if not self.library.supports(op):
+        if not self._native[op.index]:
             raise ValueError(
                 f"{op.name} is not native to the {self.library.name!r} library"
             )
@@ -772,7 +774,7 @@ class LaneProgramBuilder:
         (e.g., un-shuffling a result back to its expected location,
         Section 3.2 / Fig. 10).
         """
-        if not self.library.supports(op):
+        if not self._native[op.index]:
             raise ValueError(
                 f"{op.name} is not native to the {self.library.name!r} library"
             )

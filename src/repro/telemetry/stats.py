@@ -70,6 +70,7 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.rejected",
         "fleet.threshold_draws",
         "kernel.chunks",
+        "kernel.compact_gemms",
         "kernel.gemms",
         "mapping.memo_hits",
         "mapping.memo_misses",

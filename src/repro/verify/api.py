@@ -39,6 +39,7 @@ from repro.verify.streams import check_streams
 from repro.verify.wear import (
     check_config,
     check_profile_conservation,
+    check_remapper_conservation,
     check_schedule,
 )
 
@@ -112,6 +113,21 @@ def _finish(diagnostics: List[Diagnostic]) -> VerifyReport:
     return report
 
 
+def _memoized(program: LaneProgram, key, check) -> tuple:
+    """``check()``'s findings, kept on ``program`` under ``key``."""
+    findings = program._findings.get(key)
+    if findings is None:
+        findings = program._findings[key] = tuple(check())
+    return findings
+
+
+def _dataflow(program: LaneProgram) -> tuple:
+    """RPR001/002/004 findings of ``program``, proved once per program:
+    :func:`verify_network` and every :func:`verify_mapping` share the
+    memo, so a trace lowered and then verified pays the pass once."""
+    return _memoized(program, "dataflow", lambda: check_dataflow(program))
+
+
 def _check_program(
     program: LaneProgram,
     lane_size: Optional[int],
@@ -125,28 +141,34 @@ def _check_program(
     and ``writes_per_gate``. Their findings are kept on the program (as
     :func:`~repro.synth.compiled.compile_program` keeps its compiled
     form), so every mapping, run and engine job sharing the program
-    object pays them once. The bounds pass, the only one reading
-    ``spare_bit``, is a cheap address scan and runs on every call.
+    object pays them once. The bounds pass is a cheap address scan and
+    runs on every call. ``spare_bit`` (hardware re-mapping is active)
+    also runs RPR006's remapper leg, memoized on its own: only a ``+Hw``
+    run builds a :class:`~repro.balance.hardware.HardwareRemapper`.
     """
     key = (lane_size, writes_per_gate)
-    findings = program._findings.get(key)
-    if findings is None:
-        findings = program._findings[key] = (
-            tuple(check_dataflow(program)),
-            tuple(check_levels(program))
-            + tuple(
-                check_profile_conservation(
-                    program, writes_per_gate, lane_size
-                )
-            ),
-        )
-    else:
+    if key in program._findings:
         get_telemetry().count("verify.program_memo_hits")
-    dataflow, structural = findings
-    diagnostics = list(dataflow)
+    structural = _memoized(
+        program,
+        key,
+        lambda: check_levels(program)
+        + check_profile_conservation(program, writes_per_gate),
+    )
+    diagnostics = list(_dataflow(program))
     if lane_size is not None:
         diagnostics.extend(check_bounds(program, lane_size, spare_bit))
     diagnostics.extend(structural)
+    if spare_bit and lane_size is not None:
+        diagnostics.extend(
+            _memoized(
+                program,
+                ("remapper", lane_size, writes_per_gate),
+                lambda: check_remapper_conservation(
+                    program, writes_per_gate, lane_size
+                ),
+            )
+        )
     return diagnostics
 
 
@@ -160,7 +182,9 @@ def verify_program(
 
     Runs the dataflow pass (RPR001/002/004), the bounds pass when a
     ``lane_size`` is given (RPR003/009), the compiled-level hazard pass
-    (RPR005), and profile conservation (RPR006).
+    (RPR005), and profile conservation (RPR006) — including the hardware
+    remapper's when ``spare_bit`` says re-mapping is active and a
+    ``lane_size`` is given.
     """
     return _finish(
         _check_program(program, lane_size, writes_per_gate, spare_bit)
@@ -298,7 +322,7 @@ def verify_network(
         )
         return _finish(diagnostics)
     for lane in order:
-        diagnostics.extend(check_dataflow(programs[lane]))
+        diagnostics.extend(_dataflow(programs[lane]))
     produced = {tag: -1 for tag in externals}  # tag -> width (-1: unknown)
     for lane in order:
         program = programs[lane]

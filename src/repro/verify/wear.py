@@ -37,6 +37,7 @@ from repro.verify.diagnostics import Diagnostic, Location, Severity
 
 __all__ = [
     "check_profile_conservation",
+    "check_remapper_conservation",
     "check_permutation_rows",
     "check_config",
     "check_schedule",
@@ -56,9 +57,8 @@ def check_profile_conservation(
     Args:
         program: The lane program.
         writes_per_gate: 2 on pre-setting architectures, else 1.
-        lane_size: When given (and a spare bit fits), also check the
-            hardware-re-mapping algebra conserves the per-iteration
-            totals.
+        lane_size: When given, also run
+            :func:`check_remapper_conservation`.
     """
     diagnostics: List[Diagnostic] = []
     include_presets = writes_per_gate > 1
@@ -100,11 +100,35 @@ def check_profile_conservation(
                 "instruction stream",
             )
         )
-    if lane_size is not None and program.footprint <= lane_size - 1:
+    if lane_size is not None:
+        diagnostics.extend(
+            check_remapper_conservation(program, writes_per_gate, lane_size)
+        )
+    return diagnostics
+
+
+def check_remapper_conservation(
+    program: LaneProgram, writes_per_gate: int, lane_size: int
+) -> List[Diagnostic]:
+    """RPR006's hardware leg: when a spare bit fits, the re-mapping
+    algebra (:class:`HardwareRemapper`) conserves the interpreter's
+    per-iteration write and read totals.
+
+    Building the remapper is the costly part of RPR006, so
+    :func:`~repro.verify.api.verify_mapping` runs this leg only for a
+    configuration with hardware re-mapping.
+    """
+    diagnostics: List[Diagnostic] = []
+    if program.footprint <= lane_size - 1:
+        include_presets = writes_per_gate > 1
         remapper = remapper_for(program, lane_size, include_presets)
         writes, reads = remapper.profile(1)
-        expected_writes = float(interpreter_writes.sum())
-        expected_reads = float(interpreter_reads.sum())
+        expected_writes = float(
+            program.write_counts(
+                program.footprint, include_presets=include_presets
+            ).sum()
+        )
+        expected_reads = float(program.read_counts(program.footprint).sum())
         if writes.sum() != expected_writes or (
             remapper.writes_per_iteration != expected_writes
         ):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import repro.core.simulator as simulator
 from repro.array.architecture import default_architecture
-from repro.balance.config import all_configurations
+from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.hardware import (
     DOMAIN_CACHE_SIZE,
     HardwareRemapper,
@@ -21,7 +21,9 @@ from repro.gates.library import NAND_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
 from repro.synth.program import LaneProgramBuilder
+from repro.verify import verify_mapping, verify_program
 from repro.workloads.dotproduct import DotProduct
+from repro.workloads.trace import TraceWorkload, write_gemv_trace
 
 
 def _program(width=2):
@@ -407,3 +409,61 @@ class TestOneRemapperPerProgram:
             assert run.remappers[key] is shared
             assert shared in built
         assert len(built) == 5
+
+    def test_non_hw_trace_grid_builds_no_remapper(self, monkeypatch,
+                                                   tmp_path):
+        # RPR006's remapper leg runs only for +Hw configurations, so a
+        # trace grid without one (trace-sweep's StxSt, RaxRa, BsxBs)
+        # builds no remapper in verification or simulation.
+        monkeypatch.setattr(simulator, "_MAPPINGS", type(simulator._MAPPINGS)())
+        built = []
+        original = HardwareRemapper.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HardwareRemapper, "__init__", counting)
+        arch = default_architecture(256, 64)
+        workload = TraceWorkload.from_file(
+            write_gemv_trace(tmp_path / "g.trace", rows=4, cols=4)
+        )
+        sim = EnduranceSimulator(arch, SimulationSettings(seed=1))
+        for label in ("StxSt", "RaxRa", "BsxBs"):
+            sim.run(workload, BalanceConfig.from_label(label), 30)
+        assert built == []
+        sim.run(workload, BalanceConfig.from_label("BsxBs+Hw"), 30)
+        programs = simulator.mapping_for(workload, arch).distinct_programs()
+        assert len(built) == len(programs) > 0
+
+
+class TestRemapperConservationCheck:
+    """RPR006's remapper leg: run for +Hw, and still catching a broken
+    remapper there."""
+
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        original = HardwareRemapper.profile
+
+        def leaky(self, *args, **kwargs):
+            writes, reads = original(self, *args, **kwargs)
+            return writes * 2, reads
+
+        monkeypatch.setattr(HardwareRemapper, "profile", leaky)
+
+    def test_broken_remapper_caught_under_hw(self, broken):
+        arch = default_architecture(64, 16)
+        # A fresh build: programs carry no memoized findings or remappers.
+        mapping = DotProduct(n_elements=4, bits=8).build(arch)
+        plain = verify_mapping(mapping, BalanceConfig.from_label("RaxRa"))
+        assert "RPR006" not in plain.codes()
+        report = verify_mapping(mapping, BalanceConfig.from_label("RaxRa+Hw"))
+        messages = [d.message for d in report if d.code == "RPR006"]
+        assert len(messages) == len(mapping.distinct_programs())
+        assert all("does not conserve writes" in m for m in messages)
+
+    def test_verify_program_runs_the_leg_when_asked(self, broken):
+        program = _program()
+        assert "RPR006" not in verify_program(program, 16).codes()
+        report = verify_program(program, 16, spare_bit=True)
+        assert report.codes() == ["RPR006"]

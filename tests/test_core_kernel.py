@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.core.kernel as kernel
 from repro.array.architecture import CRAM_ROW, PINATUBO, default_architecture
+from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.balance.software import (
     StrategyKind,
@@ -26,6 +27,7 @@ from repro.balance.software import (
     make_permutations,
 )
 from repro.core.kernel import epoch_lengths, make_epoch_maps
+from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, mapping_for
 from repro.telemetry import Telemetry, set_telemetry
@@ -250,18 +252,20 @@ ALL_CONFIGS = all_configurations(recompile_interval=7) + [
 ]
 
 
-def _gemms(config, workload, track_reads):
-    """``kernel.gemms`` of one production run."""
+def _kernel_counters(arch, config, workload, track_reads=False,
+                     iterations=61):
+    """``(kernel.gemms, kernel.compact_gemms)`` of one production run."""
     fresh = Telemetry()
     previous = set_telemetry(fresh)
     try:
-        EnduranceSimulator(ARCH).run(
-            workload, config, 61,
+        EnduranceSimulator(arch).run(
+            workload, config, iterations,
             settings=SimulationSettings(seed=3, track_reads=track_reads),
         )
     finally:
         set_telemetry(previous)
-    return fresh.counters["kernel.gemms"]
+    return (fresh.counters["kernel.gemms"],
+            fresh.counters["kernel.compact_gemms"])
 
 
 class TestLaneLayouts:
@@ -298,14 +302,16 @@ class TestLaneLayouts:
         workload, per_chunk = LAYOUTS[layout]
         config = BalanceConfig.from_label(label, recompile_interval=7)
         expected = per_chunk * (2 if track_reads else 1)
-        assert _gemms(config, workload, track_reads) == expected
+        assert _kernel_counters(
+            ARCH, config, workload, track_reads
+        )[0] == expected
 
     def test_fastforward_remainder_epoch_pays_its_own_gemm(self):
         # BsxBs at 61 iterations: the period block plus the short final
         # epoch, each one product per non-reference set.
         workload, per_chunk = LAYOUTS["covering"]
         config = BalanceConfig.from_label("BsxBs", recompile_interval=7)
-        assert _gemms(config, workload, False) == 2 * per_chunk
+        assert _kernel_counters(ARCH, config, workload)[0] == 2 * per_chunk
 
     @pytest.mark.parametrize("label", ["RaxRa", "StxRa+Hw", "BsxRa",
                                        "RaxWa", "RaxBs"])
@@ -362,6 +368,152 @@ class TestLaneLayouts:
         with pytest.raises(VerificationError):
             _pair(ARCH, config, iterations=horizon + 1, workload=workload,
                   track_reads=track_reads)
+
+
+#: 256 lanes: the compact cutoff is 256 // 16 = 16 touched lanes.
+WIDE = default_architecture(128, 256)
+
+#: Lane layouts on ``WIDE`` on either side of the compact cutoff, with
+#: ``(GEMMs, lane-compact GEMMs)`` of one ``StxSt`` run, reads untracked.
+#: The idle lanes are the reference set, so every program pays a GEMM.
+COMPACT_LAYOUTS = {
+    # A trace-like layout: three programs on 4 of 256 lanes.
+    "few-lanes": (DotProduct(n_elements=4, bits=8), (3, 3)),
+    # One program on 40 lanes: over the cutoff, the full-width GEMM.
+    "wide-set": (ParallelMultiplication(bits=8, lanes=40), (1, 0)),
+    # Sets of 1, 1, 2, 4, 8, 16 and 32 lanes: only the 32-lane set is
+    # over the cutoff.
+    "mixed": (DotProduct(n_elements=64, bits=8), (7, 6)),
+}
+
+
+def _state(arch, seed):
+    """A state with nonzero counters, so an add that misses or doubles
+    a lane shows."""
+    state = ArrayState(arch.geometry)
+    rng = np.random.default_rng(seed)
+    state.write_counts[:] = rng.integers(0, 50, state.write_counts.shape)
+    state.read_counts[:] = rng.integers(0, 50, state.read_counts.shape)
+    return state
+
+
+class TestLaneCompact:
+    """GEMMs over only the lanes a set touches, against the full width
+    and against the oracle."""
+
+    @given(
+        row_parallel=st.booleans(),
+        kind=st.sampled_from(["write", "read"]),
+        epochs=st.integers(1, 6),
+        lanes=st.lists(st.integers(0, 15), min_size=1, max_size=16,
+                       unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lane_subset_equals_the_dense_form(
+        self, row_parallel, kind, epochs, lanes, seed
+    ):
+        arch = CRAM_ROW.resized(16, 24) if row_parallel else ARCH.resized(24, 16)
+        orientation = arch.orientation
+        rng = np.random.default_rng(seed)
+        profiles = rng.integers(-9, 10, (epochs, arch.lane_size)).astype(
+            np.float64
+        )
+        lanes = np.array(lanes)
+        compact = rng.integers(0, 7, (epochs, lanes.size)).astype(np.float64)
+        dense = np.zeros((epochs, arch.lane_count))
+        dense[:, lanes] = compact
+        a, b = _state(arch, seed), _state(arch, seed)
+        a.add_lane_profiles(profiles, compact, orientation, kind, lanes)
+        b.add_lane_profiles(profiles, dense, orientation, kind)
+        assert np.array_equal(a.write_counts, b.write_counts)
+        assert np.array_equal(a.read_counts, b.read_counts)
+
+    def test_lane_subset_width_is_checked(self):
+        state = ArrayState(ARCH.geometry)
+        with pytest.raises(ValueError, match="len\\(lanes\\)"):
+            state.add_lane_profiles(
+                np.ones((2, ARCH.lane_size)), np.ones((2, 3)),
+                ARCH.orientation, "write", np.array([0, 5]),
+            )
+
+    @pytest.mark.parametrize("track_reads", [True, False],
+                             ids=["reads", "writes-only"])
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.label)
+    @pytest.mark.parametrize("layout", sorted(COMPACT_LAYOUTS))
+    def test_every_config_on_both_sides_of_the_cutoff(
+        self, layout, config, track_reads
+    ):
+        workload, _ = COMPACT_LAYOUTS[layout]
+        _assert_identical(
+            *_pair(WIDE, config, iterations=61, workload=workload,
+                   track_reads=track_reads)
+        )
+
+    def test_row_parallel_layouts(self):
+        arch = CRAM_ROW.resized(256, 128)
+        for layout in sorted(COMPACT_LAYOUTS):
+            for label in ("StxSt", "RaxBs", "BsxRa+Hw", "StxWa"):
+                config = BalanceConfig.from_label(label, recompile_interval=5)
+                _assert_identical(
+                    *_pair(arch, config, iterations=61,
+                           workload=COMPACT_LAYOUTS[layout][0])
+                )
+
+    @pytest.mark.parametrize("layout", sorted(COMPACT_LAYOUTS))
+    def test_compact_counter_pins_the_branch(self, layout):
+        workload, expected = COMPACT_LAYOUTS[layout]
+        config = BalanceConfig.from_label("StxSt")
+        assert _kernel_counters(WIDE, config, workload) == expected
+        # Tracked reads double both; kernel.gemms still counts every GEMM.
+        assert _kernel_counters(WIDE, config, workload, True) == tuple(
+            2 * count for count in expected
+        )
+
+    def test_touched_lanes_decide_not_the_set_size(self):
+        # Under Bs between maps a one-lane set moves 8 lanes an epoch,
+        # over a 32-epoch period on 256 lanes: a 9-epoch block touches 9
+        # lanes and stays compact, a full period touches 32.
+        workload = ParallelMultiplication(bits=8, lanes=1)
+        config = BalanceConfig.from_label("StxBs", recompile_interval=7)
+        assert _kernel_counters(
+            WIDE, config, workload, iterations=7 * 9
+        ) == (1, 1)
+        assert _kernel_counters(
+            WIDE, config, workload, iterations=7 * 40
+        ) == (1, 0)
+
+    def test_compact_runs_leave_the_full_width_slots_alone(self):
+        POOL.clear()
+        for label in ("StxSt", "RaxSt", "StxBs+Hw"):
+            _kernel_counters(
+                WIDE, BalanceConfig.from_label(label, recompile_interval=7),
+                COMPACT_LAYOUTS["few-lanes"][0], track_reads=True,
+            )
+        names = {key[0] for key in POOL._slots}
+        assert "kernel.lane_weights" not in names
+        assert "state.scratch" not in names
+
+    def test_pool_stays_bounded_as_touched_lanes_vary(self):
+        # Compact weights are not pooled per width: once a grid has run
+        # both branches, sets touching other numbers of lanes add no
+        # slot, and every pooled row spans a lane or the lane count.
+        first = [ParallelMultiplication(bits=8, lanes=lanes)
+                 for lanes in (1, 2, 3)]
+        later = [ParallelMultiplication(bits=8, lanes=lanes)
+                 for lanes in (5, 8, 13, 16)]
+        later.append(DotProduct(n_elements=4, bits=8))
+        for label in ("StxSt", "RaxSt", "StxRa", "RaxBs"):
+            config = BalanceConfig.from_label(label, recompile_interval=7)
+            POOL.clear()
+            for workload in first:
+                _kernel_counters(WIDE, config, workload, track_reads=True)
+            size = len(POOL)
+            for workload in later:
+                _kernel_counters(WIDE, config, workload, track_reads=True)
+            assert len(POOL) == size, label
+            widths = {key[1][-1] for key in POOL._slots}
+            assert widths <= {WIDE.lane_size, WIDE.lane_count}, label
 
 
 class TestBatchedPermutations:

@@ -84,3 +84,17 @@ class TestLookupAndValidation:
 
     def test_libraries_are_hashable(self):
         assert len({NAND_LIBRARY, MINIMAL_LIBRARY, NOR_LIBRARY}) == 3
+
+    @pytest.mark.parametrize("name", ["nand", "minimal", "nor", "maj"])
+    def test_native_mask_is_native_ops_by_index(self, name):
+        library = library_by_name(name)
+        for op in GateOp:
+            assert library.native_mask[op.index] is (op in library.native_ops)
+            assert library.supports(op) is (op in library.native_ops)
+
+    def test_native_mask_stays_out_of_equality_and_repr(self):
+        from dataclasses import replace
+
+        copy = replace(NAND_LIBRARY)
+        assert copy == NAND_LIBRARY and hash(copy) == hash(NAND_LIBRARY)
+        assert "native_mask" not in repr(NAND_LIBRARY)

@@ -23,6 +23,9 @@ class TestArity:
         covered = ONE_INPUT_OPS | TWO_INPUT_OPS | {GateOp.MAJ}
         assert covered == set(GateOp)
 
+    def test_index_is_definition_order(self):
+        assert [op.index for op in GateOp] == list(range(len(GateOp)))
+
 
 class TestTruthTables:
     @pytest.mark.parametrize("a", [0, 1])

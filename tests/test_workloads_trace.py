@@ -385,6 +385,30 @@ class TestTraceWorkload:
         assert 0 < footprint <= arch.lane_size
 
 
+def test_dataflow_proved_once_per_program(tmp_path, monkeypatch):
+    # The build's verify_network and every later verify_mapping share
+    # one dataflow memo on each program.
+    import repro.verify.api as api
+
+    proved = []
+    original = api.check_dataflow
+
+    def counting(program):
+        proved.append(program)
+        return original(program)
+
+    monkeypatch.setattr(api, "check_dataflow", counting)
+    mapping = small_gemv(tmp_path).build(default_architecture(256, 64))
+    programs = mapping.distinct_programs()
+    assert len(proved) == len(programs)
+    for label in ("StxSt", "RaxRa+Hw"):
+        for functional in (True, False):
+            assert not verify_mapping(
+                mapping, BalanceConfig.from_label(label), functional
+            ).errors
+    assert sorted(map(id, proved)) == sorted(map(id, programs))
+
+
 class TestDeterminism:
     """Same seed, same trace => bit-identical wear, per balance config."""
 
