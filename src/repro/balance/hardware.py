@@ -42,8 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.gates.gate import Gate
-from repro.synth.program import LaneProgram, ReadInstr, WriteInstr
+from repro.synth.program import KIND_GATE, KIND_READ, KIND_WRITE, LaneProgram
 
 #: Horizons whose domain-count vectors one remapper keeps, least recently
 #: used dropped first. A run needs at most two (the recompile interval and
@@ -96,9 +95,9 @@ class HardwareRemapper:
                 f"hardware re-mapping needs a spare bit: program footprint "
                 f"{program.footprint} must be < lane size {lane_size}"
             )
-        # The instruction tuple, not the program: the program holds its
-        # memoized remappers, and this keeps the pair free of a cycle.
-        self._instructions = program.instructions
+        # The columns, not the program: the program holds its memoized
+        # remappers, and this keeps the pair free of a cycle.
+        self._columns = program.columns
         self.lane_size = int(lane_size)
         self.include_presets = bool(include_presets)
         self._free_slot = self.lane_size - 1  # domain index of the FREE slot
@@ -132,21 +131,23 @@ class HardwareRemapper:
         writes = [0] * n
         reads = [0] * n
         gate_weight = 2 if self.include_presets else 1
-        for instr in self._instructions:
-            if isinstance(instr, WriteInstr):
-                writes[sigma[free]] += 1
-                address = instr.address
-                sigma[free], sigma[address] = sigma[address], sigma[free]
-            elif isinstance(instr, ReadInstr):
-                reads[sigma[instr.address]] += 1
-            elif isinstance(instr, Gate):
-                for address in instr.inputs:
-                    reads[sigma[address]] += 1
+        columns = self._columns
+        for kind, address, inputs in zip(
+            columns.kind.tolist(),
+            columns.address.tolist(),
+            columns.inputs.tolist(),
+        ):
+            if kind == KIND_READ:
+                reads[sigma[address]] += 1
+                continue
+            if kind == KIND_GATE:
+                for source in inputs:
+                    if source >= 0:
+                        reads[sigma[source]] += 1
                 writes[sigma[free]] += gate_weight
-                address = instr.output
-                sigma[free], sigma[address] = sigma[address], sigma[free]
             else:
-                raise TypeError(f"unknown instruction {instr!r}")
+                writes[sigma[free]] += 1
+            sigma[free], sigma[address] = sigma[address], sigma[free]
         return (
             np.asarray(sigma, dtype=np.int64),
             np.asarray(writes, dtype=np.float64),
@@ -334,16 +335,23 @@ class HardwareRemapper:
             writes[free] += weight
             free, l2p[address] = int(l2p[address]), free
 
+        columns = self._columns
+        rows = list(zip(
+            columns.kind.tolist(),
+            columns.address.tolist(),
+            columns.inputs.tolist(),
+        ))
         for _ in range(iterations):
-            for instr in self._instructions:
-                if isinstance(instr, WriteInstr):
-                    renamed_write(instr.address, 1)
-                elif isinstance(instr, ReadInstr):
-                    reads[l2p[instr.address]] += 1
-                elif isinstance(instr, Gate):
-                    for address in instr.inputs:
-                        reads[l2p[address]] += 1
-                    renamed_write(instr.output, gate_weight)
+            for kind, address, inputs in rows:
+                if kind == KIND_WRITE:
+                    renamed_write(address, 1)
+                elif kind == KIND_READ:
+                    reads[l2p[address]] += 1
+                else:
+                    for source in inputs:
+                        if source >= 0:
+                            reads[l2p[source]] += 1
+                    renamed_write(address, gate_weight)
         return writes, reads
 
 

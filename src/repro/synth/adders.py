@@ -117,6 +117,18 @@ def ripple_carry_add(
         )
     if a.width == 0:
         raise ValueError("cannot add zero-width vectors")
+    if free_inputs:
+        return _ripple_carry_add(builder, a, b, free_inputs=True)
+    return builder.templated(_ripple_carry_add, a, b)
+
+
+def _ripple_carry_add(
+    builder: LaneProgramBuilder,
+    a: BitVector,
+    b: BitVector,
+    free_inputs: bool = False,
+) -> BitVector:
+    """The gate-by-gate synthesis behind :func:`ripple_carry_add`."""
     sum_bits = []
     s, carry = half_adder(builder, a[0], b[0])
     sum_bits.append(s)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class AllocationPolicy(Enum):
@@ -99,7 +101,8 @@ class BitAllocator:
         else:
             address = self._alloc_lowest()
         self._live.add(address)
-        self._next_fresh = max(self._next_fresh, address + 1)
+        if address >= self._next_fresh:
+            self._next_fresh = address + 1
         return address
 
     def _alloc_lowest(self) -> int:
@@ -129,6 +132,38 @@ class BitAllocator:
         if count < 0:
             raise ValueError("count must be non-negative")
         return [self.alloc() for _ in range(count)]
+
+    def ring_run(self, count: int) -> Optional[np.ndarray]:
+        """The addresses ``count`` ring allocations would take, provided
+        no bit live now is freed before they are all made.
+
+        These are the first ``count`` free addresses in ring order from
+        the cursor: bits freed in between (which were free at the start)
+        sit behind the cursor and are only reached by wrapping. ``None``
+        when fewer than ``count`` bits are free, since the run would
+        wrap. Nothing is allocated; see :meth:`claim_run`.
+        """
+        if self._policy is not AllocationPolicy.RING:
+            raise ValueError("ring_run needs the ring policy")
+        free = np.ones(self._capacity, dtype=bool)
+        free[np.fromiter(self._live, dtype=np.intp, count=len(self._live))] = (
+            False
+        )
+        free = np.flatnonzero(free)
+        if free.size < count:
+            return None
+        start = int(np.searchsorted(free, self._cursor))
+        return np.concatenate((free[start:], free[:start]))[:count]
+
+    def claim_run(self, run: np.ndarray, live: Iterable[int]) -> None:
+        """Commit a :meth:`ring_run` as ``len(run)`` allocations of which
+        only ``live`` are still allocated: the cursor, live set and
+        high-water mark end where the single allocations and frees would
+        leave them."""
+        if run.size:
+            self._cursor = (int(run[-1]) + 1) % self._capacity
+            self._next_fresh = max(self._next_fresh, int(run.max()) + 1)
+        self._live.update(live)
 
     def free(self, address: int) -> None:
         """Return a logical bit to the pool.

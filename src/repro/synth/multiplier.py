@@ -50,6 +50,19 @@ def multiply(
         raise ValueError(f"multiply requires equal widths, got {n} and {b.width}")
     if n < 2:
         raise ValueError("multiply requires at least 2-bit operands")
+    if free_inputs:
+        return _multiply(builder, a, b, free_inputs=True)
+    return builder.templated(_multiply, a, b)
+
+
+def _multiply(
+    builder: LaneProgramBuilder,
+    a: BitVector,
+    b: BitVector,
+    free_inputs: bool = False,
+) -> BitVector:
+    """The gate-by-gate synthesis behind :func:`multiply`."""
+    n = a.width
 
     def pp_row(i: int) -> List[int]:
         """Partial products a[j] & b[i] for all j (weight i + j)."""

@@ -15,7 +15,7 @@ Python integer arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -134,9 +134,10 @@ class ProgramColumns:
 
     ``kind``/``op``/``source`` are int8, the rest int32 (int64 only when
     a value does not fit). ``tags`` names the tag ids, in order of first
-    appearance. Built by :class:`LaneProgram` in its validation pass; the
-    compiler, the level schedule and the static checks read these
-    columns instead of the instruction objects.
+    appearance. :class:`LaneProgramBuilder` emits these rows directly;
+    a program constructed from instruction objects encodes them. The
+    counts, the compiler, the level schedule, the static checks and the
+    hardware remapper read these columns instead of the objects.
     """
 
     __slots__ = (
@@ -182,13 +183,18 @@ class LaneProgram:
 
     Attributes:
         name: Program label (used in reports).
-        instructions: The instruction sequence.
         footprint: Number of distinct logical bit addresses used; the
             minimum lane height required to run the program.
         inputs: Operand name -> logical addresses (LSB first).
         outputs: Result name -> logical addresses (LSB first).
         columns: The instructions as flat integer columns
-            (:class:`ProgramColumns`), recorded by the validation pass.
+            (:class:`ProgramColumns`). Every count, the compiler and the
+            static checks read these.
+
+    :attr:`instructions` is the object view of the same program. A
+    program built by :class:`LaneProgramBuilder` starts from its columns
+    and decodes the view on first use; one constructed from instruction
+    objects encodes them to columns and keeps the objects.
     """
 
     def __init__(
@@ -199,8 +205,39 @@ class LaneProgram:
         inputs: Dict[str, Tuple[int, ...]],
         outputs: Dict[str, Tuple[int, ...]],
     ) -> None:
+        self._setup(name, footprint, inputs, outputs)
+        self._instructions: Optional[Tuple[Instruction, ...]] = tuple(
+            instructions
+        )
+        table, tags, failure = self._encode()
+        self._check_columns(table, tags, failure)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        name: str,
+        table: np.ndarray,
+        tags: Tuple[str, ...],
+        footprint: int,
+        inputs: Dict[str, Tuple[int, ...]],
+        outputs: Dict[str, Tuple[int, ...]],
+    ) -> "LaneProgram":
+        """A program from its ``(n, 9)`` row table (the builder's path);
+        the object view is decoded on demand."""
+        program = cls.__new__(cls)
+        program._setup(name, footprint, inputs, outputs)
+        program._instructions = None
+        program._check_columns(table, tags, None)
+        return program
+
+    def _setup(
+        self,
+        name: str,
+        footprint: int,
+        inputs: Dict[str, Tuple[int, ...]],
+        outputs: Dict[str, Tuple[int, ...]],
+    ) -> None:
         self.name = name
-        self.instructions: Tuple[Instruction, ...] = tuple(instructions)
         self.footprint = int(footprint)
         self.inputs = dict(inputs)
         self.outputs = dict(outputs)
@@ -213,18 +250,25 @@ class LaneProgram:
         # Hardware remappers per (lane_size, include_presets), filled by
         # repro.balance.hardware.remapper_for.
         self._remappers: Dict[tuple, object] = {}
-        self._validate()
 
-    def _validate(self) -> None:
-        # The one pass every program pays: type dispatch, operand checks
-        # and the flat columns, nine integers per instruction. Footprint
-        # bounds are checked on the columns afterwards; an earlier
-        # failure stops the walk so the first bad instruction is named.
+    @property
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """The instruction sequence as objects, decoded from
+        :attr:`columns` on first use and cached."""
+        if self._instructions is None:
+            self._instructions = self._decode()
+        return self._instructions
+
+    def _encode(self) -> Tuple[np.ndarray, Tuple[str, ...], Optional[Exception]]:
+        # Type dispatch and operand checks over the instruction objects,
+        # nine integers per instruction. An invalid instruction stops the
+        # walk and is returned, so the footprint check on the rows before
+        # it still runs first and the first bad instruction is named.
         operand_ids = {name: i for i, name in enumerate(self.inputs)}
         tag_ids: Dict[str, int] = {}
         flat: List[int] = []
         failure: Optional[Exception] = None
-        for instr in self.instructions:
+        for instr in self._instructions:
             if isinstance(instr, Gate):
                 ins = instr.inputs
                 flat.extend(
@@ -268,8 +312,18 @@ class LaneProgram:
                 )
                 break
         table = np.array(flat, dtype=np.int64).reshape(-1, 9)
-        addressed = table[:, 2:6]
-        outside = (addressed >= self.footprint).any(axis=1)
+        return table, tuple(tag_ids), failure
+
+    def _check_columns(
+        self,
+        table: np.ndarray,
+        tags: Tuple[str, ...],
+        failure: Optional[Exception],
+    ) -> None:
+        # The checks every program pays, on the row table: addresses
+        # inside the footprint, then any encoding failure, then the
+        # declared vectors.
+        outside = (table[:, 2:6] >= self.footprint).any(axis=1)
         if outside.any():
             instr = self.instructions[int(np.argmax(outside))]
             address = next(
@@ -288,13 +342,51 @@ class LaneProgram:
                         f"declared vector {name!r} uses bit {address} outside "
                         f"footprint {self.footprint}"
                     )
-        self.columns = ProgramColumns(table, tuple(tag_ids))
+        self.columns = ProgramColumns(table, tags)
         self._gate_count, self._load_ops, self._readout_ops = (
             int(count)
             for count in np.bincount(self.columns.kind, minlength=3)[
                 [KIND_GATE, KIND_WRITE, KIND_READ]
             ]
         )
+
+    def _decode(self) -> Tuple[Instruction, ...]:
+        """The instruction objects the columns encode."""
+        columns = self.columns
+        operands = list(self.inputs)
+        tags = columns.tags
+        decoded: List[Instruction] = []
+        for kind, op, address, ins, source, arg, bit in zip(
+            columns.kind.tolist(),
+            columns.op.tolist(),
+            columns.address.tolist(),
+            columns.inputs.tolist(),
+            columns.source.tolist(),
+            columns.arg.tolist(),
+            columns.bit.tolist(),
+        ):
+            if kind == KIND_GATE:
+                gate_op = GATE_OPS[op]
+                decoded.append(
+                    Gate(gate_op, tuple(ins[: gate_op.arity]), address)
+                )
+            elif kind == KIND_READ:
+                decoded.append(
+                    ReadInstr(address, None if arg < 0 else tags[arg], bit)
+                )
+            elif source == SRC_SCRATCH:
+                decoded.append(WriteInstr(address))
+            elif source == SRC_CONST:
+                decoded.append(WriteInstr(address, ConstBit(arg)))
+            elif source == SRC_OPERAND:
+                decoded.append(
+                    WriteInstr(address, OperandBit(operands[arg], bit))
+                )
+            else:
+                decoded.append(
+                    WriteInstr(address, ExternalBit(tags[arg], bit))
+                )
+        return tuple(decoded)
 
     def _operand_failure(
         self, instr: "WriteInstr", source: "OperandBit"
@@ -360,7 +452,7 @@ class LaneProgram:
         performed sequentially"). The paper's 3 ns/op latency multiplies
         this count.
         """
-        return len(self.instructions)
+        return len(self.columns.kind)
 
     def write_counts(
         self, size: Optional[int] = None, include_presets: bool = False
@@ -382,18 +474,17 @@ class LaneProgram:
         key = ("write", n, include_presets)
         cached = self._counts_cache.get(key)
         if cached is None:
-            # An instruction walk, independent of the columns: RPR006
-            # compares it against the compiled arrays.
-            counts = [0] * n
-            per_gate_writes = 2 if include_presets else 1
-            for instr in self.instructions:
-                if isinstance(instr, Gate):
-                    counts[instr.output] += per_gate_writes
-                elif isinstance(instr, WriteInstr):
-                    counts[instr.address] += 1
-            cached = self._counts_cache[key] = np.array(
-                counts, dtype=np.int64
+            # Histograms of the columns' event kinds, independent of the
+            # compiled event arrays: RPR006 compares the two.
+            columns = self.columns
+            address = columns.address
+            gates = np.bincount(
+                address[columns.kind == KIND_GATE], minlength=n
             )
+            cached = self._counts_cache[key] = (
+                np.bincount(address[columns.kind == KIND_WRITE], minlength=n)
+                + gates * (2 if include_presets else 1)
+            ).astype(np.int64)
         return cached.copy()
 
     def read_counts(self, size: Optional[int] = None) -> np.ndarray:
@@ -404,16 +495,14 @@ class LaneProgram:
         key = ("read", n, False)
         cached = self._counts_cache.get(key)
         if cached is None:
-            counts = [0] * n
-            for instr in self.instructions:
-                if isinstance(instr, Gate):
-                    for address in instr.inputs:
-                        counts[address] += 1
-                elif isinstance(instr, ReadInstr):
-                    counts[instr.address] += 1
-            cached = self._counts_cache[key] = np.array(
-                counts, dtype=np.int64
-            )
+            columns = self.columns
+            inputs = columns.inputs[columns.kind == KIND_GATE]
+            cached = self._counts_cache[key] = (
+                np.bincount(inputs[inputs >= 0], minlength=n)
+                + np.bincount(
+                    columns.address[columns.kind == KIND_READ], minlength=n
+                )
+            ).astype(np.int64)
         return cached.copy()
 
     def write_profile(
@@ -456,23 +545,6 @@ class LaneProgram:
     def total_reads(self) -> int:
         """Total cell reads in one run."""
         return int(self.read_counts().sum())
-
-    def write_addresses(self, include_presets: bool = False) -> List[int]:
-        """The ordered sequence of logical addresses written.
-
-        This is the stream hardware re-mapping (Section 3.2) renames; a
-        preset, when modelled, is a write to the same output immediately
-        before the gate's own write.
-        """
-        sequence: List[int] = []
-        for instr in self.instructions:
-            if isinstance(instr, WriteInstr):
-                sequence.append(instr.address)
-            elif isinstance(instr, Gate):
-                if include_presets:
-                    sequence.append(instr.output)
-                sequence.append(instr.output)
-        return sequence
 
     # ------------------------------------------------------------------
     # Functional evaluation
@@ -650,13 +722,43 @@ class LaneProgram:
         )
 
 
+def _object_write_counts(
+    program: LaneProgram, size: int, include_presets: bool = False
+) -> np.ndarray:
+    """The instruction-object walk behind :meth:`LaneProgram.write_counts`,
+    its oracle (tests only)."""
+    counts = [0] * size
+    per_gate_writes = 2 if include_presets else 1
+    for instr in program.instructions:
+        if isinstance(instr, Gate):
+            counts[instr.output] += per_gate_writes
+        elif isinstance(instr, WriteInstr):
+            counts[instr.address] += 1
+    return np.array(counts, dtype=np.int64)
+
+
+def _object_read_counts(program: LaneProgram, size: int) -> np.ndarray:
+    """The instruction-object walk behind :meth:`LaneProgram.read_counts`,
+    its oracle (tests only)."""
+    counts = [0] * size
+    for instr in program.instructions:
+        if isinstance(instr, Gate):
+            for address in instr.inputs:
+                counts[address] += 1
+        elif isinstance(instr, ReadInstr):
+            counts[instr.address] += 1
+    return np.array(counts, dtype=np.int64)
+
+
 class LaneProgramBuilder:
     """Incrementally builds a :class:`LaneProgram`.
 
     The builder owns a :class:`~repro.synth.bits.BitAllocator` and enforces
     the target architecture's gate library: gates outside the library's
     native set are rejected, so a program built for a NAND-only fabric can
-    never contain an OR.
+    never contain an OR. It appends each instruction as one nine-integer
+    :class:`ProgramColumns` row; :meth:`finish` builds the program from
+    those rows without creating instruction objects.
 
     Args:
         library: Native gate set of the target architecture.
@@ -677,7 +779,9 @@ class LaneProgramBuilder:
         self._native = library.native_mask
         self.name = name
         self._allocator = BitAllocator(capacity, policy)
-        self._instructions: List[Instruction] = []
+        self._rows: List[int] = []  # flat rows not yet in a chunk
+        self._chunks: List[np.ndarray] = []  # (n, 9) int64 row blocks
+        self._tag_ids: Dict[str, int] = {}
         self._inputs: Dict[str, Tuple[int, ...]] = {}
         self._outputs: Dict[str, Tuple[int, ...]] = {}
         self._zero_bit: "int | None" = None
@@ -699,9 +803,11 @@ class LaneProgramBuilder:
         if operand in self._inputs:
             raise ValueError(f"operand {operand!r} already declared")
         addresses = self._allocator.alloc_many(width)
+        operand_id = len(self._inputs)
         for index, address in enumerate(addresses):
-            self._instructions.append(
-                WriteInstr(address, OperandBit(operand, index))
+            self._rows.extend(
+                (KIND_WRITE, -1, address, -1, -1, -1, SRC_OPERAND,
+                 operand_id, index)
             )
         self._inputs[operand] = tuple(addresses)
         return BitVector(addresses)
@@ -714,16 +820,22 @@ class LaneProgramBuilder:
         products into the same lanes", Section 3.2).
         """
         addresses = self._allocator.alloc_many(width)
+        tag_id = self._tag_ids.setdefault(tag, len(self._tag_ids))
         for index, address in enumerate(addresses):
-            self._instructions.append(
-                WriteInstr(address, ExternalBit(tag, index))
+            self._rows.extend(
+                (KIND_WRITE, -1, address, -1, -1, -1, SRC_EXTERNAL, tag_id,
+                 index)
             )
         return BitVector(addresses)
 
     def const_bit(self, value: int) -> int:
         """Allocate a bit holding a compile-time constant (one write)."""
         address = self._allocator.alloc()
-        self._instructions.append(WriteInstr(address, ConstBit(value)))
+        if value not in (0, 1):
+            ConstBit(value)  # raises its ValueError
+        self._rows.extend(
+            (KIND_WRITE, -1, address, -1, -1, -1, SRC_CONST, value, 0)
+        )
         return address
 
     def zero_bit(self) -> int:
@@ -738,8 +850,11 @@ class LaneProgramBuilder:
 
     def send_vector(self, vector: BitVector, tag: str) -> None:
         """Read ``vector`` out of the lane into transfer stream ``tag``."""
+        tag_id = self._tag_ids.setdefault(tag, len(self._tag_ids))
         for index, address in enumerate(vector):
-            self._instructions.append(ReadInstr(address, tag=tag, index=index))
+            self._rows.extend(
+                (KIND_READ, -1, address, -1, -1, -1, -1, tag_id, index)
+            )
 
     def read_out(self, vector: BitVector, tag: str) -> None:
         """Read a result vector out of the array (tagged for evaluation)."""
@@ -757,14 +872,19 @@ class LaneProgramBuilder:
         """Append a native gate; returns the freshly-allocated output bit.
 
         Raises:
-            ValueError: if ``op`` is not native to the builder's library.
+            ValueError: if ``op`` is not native to the builder's library,
+                or the gate is malformed (the :class:`Gate` checks).
         """
         if not self._native[op.index]:
             raise ValueError(
                 f"{op.name} is not native to the {self.library.name!r} library"
             )
         output = self._allocator.alloc()
-        self._instructions.append(Gate(op, tuple(inputs), output))
+        if len(inputs) != op.arity or output in inputs or min(inputs) < 0:
+            Gate(op, inputs, output)  # raises the record's own ValueError
+        self._rows.extend(
+            (KIND_GATE, op.index, output) + inputs + _GATE_TAILS[len(inputs)]
+        )
         return output
 
     def gate_into(self, op: GateOp, target: int, *inputs: int) -> int:
@@ -780,7 +900,11 @@ class LaneProgramBuilder:
             )
         if not self._allocator.is_live(target):
             raise ValueError(f"target bit {target} is not allocated")
-        self._instructions.append(Gate(op, tuple(inputs), target))
+        if len(inputs) != op.arity or target in inputs or min(inputs) < 0:
+            Gate(op, inputs, target)
+        self._rows.extend(
+            (KIND_GATE, op.index, target) + inputs + _GATE_TAILS[len(inputs)]
+        )
         return target
 
     def copy_into(self, source: int, target: int) -> int:
@@ -828,6 +952,59 @@ class LaneProgramBuilder:
         """Invert a bit."""
         return self.gate(GateOp.NOT, a)
 
+    def templated(
+        self,
+        synthesize: Callable[["LaneProgramBuilder", BitVector, BitVector],
+                             BitVector],
+        a: BitVector,
+        b: BitVector,
+    ) -> BitVector:
+        """``synthesize(self, a, b)``, stamped from a cached template
+        where that gives the same rows.
+
+        ``synthesize`` must free only bits it allocated itself (the
+        ``free_inputs=False`` arithmetic). On a ``RING`` lane its rows
+        for a given (library, widths) are recorded once per process; a
+        call whose ``K`` allocations fit in the cells free when it starts
+        then puts allocation ``k`` on the ``k``-th of those cells in ring
+        order from the cursor, so the template's fresh bits are relocated
+        there in one array op. Other calls, including a majority-library
+        call before the shared zero cell exists, run gate by gate. A
+        recording that passes the ring size is cut off there: such a call
+        never fits.
+        """
+        allocator = self._allocator
+        if allocator.policy is not AllocationPolicy.RING:
+            return synthesize(self, a, b)
+        template = _template(
+            synthesize, self.library, a.width, b.width, allocator.capacity
+        )
+        if template is None:
+            return synthesize(self, a, b)
+        zero = self._zero_bit
+        inputs = a.addresses + b.addresses
+        if template.uses_zero:
+            if zero is None:
+                return synthesize(self, a, b)
+            inputs += (zero,)
+        if not all(map(allocator.is_live, inputs)):
+            return synthesize(self, a, b)
+        run = allocator.ring_run(template.fresh)
+        if run is None:
+            return synthesize(self, a, b)
+        lookup = np.concatenate((
+            np.array(a.addresses + b.addresses + (-1 if zero is None else zero,),
+                     dtype=np.int64),
+            run,
+            _UNUSED,
+        ))
+        rows = template.rows.copy()
+        rows[:, 2:6] = lookup[template.slots]
+        self._flush()
+        self._chunks.append(rows)
+        allocator.claim_run(run, run[template.live].tolist())
+        return BitVector(lookup[template.result].tolist())
+
     # -- lifetime management ---------------------------------------------
 
     def free(self, address: int) -> None:
@@ -844,8 +1021,201 @@ class LaneProgramBuilder:
 
     # -- finalization -----------------------------------------------------
 
+    def _flush(self) -> None:
+        if self._rows:
+            self._chunks.append(
+                np.array(self._rows, dtype=np.int64).reshape(-1, 9)
+            )
+            self._rows = []
+
+    def _table(self) -> np.ndarray:
+        self._flush()
+        if not self._chunks:
+            return np.zeros((0, 9), dtype=np.int64)
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0]
+
     def finish(self, name: Optional[str] = None) -> LaneProgram:
         """Freeze the builder into an immutable :class:`LaneProgram`."""
+        return LaneProgram._from_rows(
+            name or self.name,
+            self._table(),
+            tuple(self._tag_ids),
+            self._allocator.high_water_mark,
+            self._inputs,
+            self._outputs,
+        )
+
+
+#: The lookup entry a template's unused input slot (``-1``) indexes.
+_UNUSED = np.array([-1], dtype=np.int64)
+
+
+class _Template:
+    """One synthesis call's rows with addresses as slot ids.
+
+    Slots ``0..wa-1`` are ``a``'s bits, ``wa..wa+wb-1`` ``b``'s, then the
+    shared zero cell, then the call's ``fresh`` allocations in order.
+    """
+
+    __slots__ = ("rows", "slots", "fresh", "live", "result", "uses_zero")
+
+    def __init__(
+        self, rows: np.ndarray, inputs: int, fresh: int, live: List[int],
+        result: BitVector,
+    ) -> None:
+        self.rows = rows
+        self.slots = rows[:, 2:6]
+        self.fresh = fresh
+        self.live = np.array(live, dtype=np.int64)  # fresh indexes kept
+        self.result = np.array(result.addresses, dtype=np.int64)
+        self.uses_zero = bool((self.slots == inputs - 1).any())
+
+
+class _FreshAllocator(BitAllocator):
+    """Hands out ids ``0, 1, 2, …`` and never reuses one; past
+    ``capacity`` ids it raises ``MemoryError``."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity, AllocationPolicy.RING)
+
+    def alloc(self) -> int:
+        address = self._next_fresh
+        if address == self._capacity:
+            raise MemoryError(f"more than {address} bits")
+        self._next_fresh = address + 1
+        self._live.add(address)
+        return address
+
+
+class _Recorder(LaneProgramBuilder):
+    """A builder whose allocation ``k`` gets id ``k`` and which never
+    stamps, so its rows are a template's slot ids."""
+
+    def __init__(self, library: GateLibrary, capacity: int) -> None:
+        super().__init__(library)
+        self._allocator = _FreshAllocator(capacity)
+
+    def templated(self, synthesize, a, b):
+        return synthesize(self, a, b)
+
+
+#: (synthesize, library, width_a, width_b) -> its recorded template.
+_TEMPLATES: Dict[tuple, _Template] = {}
+#: The same keys -> the largest allocation budget a recording overran.
+_OVERSIZED: Dict[tuple, int] = {}
+
+
+def _template(
+    synthesize: Callable,
+    library: GateLibrary,
+    width_a: int,
+    width_b: int,
+    budget: int,
+) -> Optional[_Template]:
+    """The recorded template of ``synthesize`` at these widths, or
+    ``None`` when its call makes more than ``budget`` allocations (the
+    ring size: such a call can never fit, so its recording is cut off
+    at ``budget`` rather than finished, and not repeated)."""
+    key = (synthesize, library, width_a, width_b)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        if _OVERSIZED.get(key, 0) >= budget:
+            return None
+        inputs = width_a + width_b + 1
+        recorder = _Recorder(library, capacity=inputs + budget)
+        slots = recorder.allocator.alloc_many(inputs)
+        recorder._zero_bit = slots[-1]
+        try:
+            result = synthesize(
+                recorder,
+                BitVector(slots[:width_a]),
+                BitVector(slots[width_a:-1]),
+            )
+        except MemoryError:
+            _OVERSIZED[key] = budget
+            return None
+        rows = recorder._table()
+        allocator = recorder.allocator
+        if not all(map(allocator.is_live, slots)) or (
+            (rows[:, 0] == KIND_READ) | (rows[:, 6] >= SRC_OPERAND)
+        ).any():
+            raise ValueError(
+                f"{synthesize.__name__} frees or reads out caller-owned "
+                "bits; it cannot be stamped"
+            )
+        fresh = allocator.high_water_mark - inputs
+        live = [
+            k for k in range(fresh) if allocator.is_live(inputs + k)
+        ]
+        template = _TEMPLATES[key] = _Template(
+            rows, inputs, fresh, live, result
+        )
+    return template
+
+
+class _ObjectBuilder(LaneProgramBuilder):
+    """The per-gate builder over instruction objects: every call runs gate
+    by gate, and :meth:`finish` hands the objects to the public
+    :class:`LaneProgram` constructor. The oracle of the row builder and
+    its templates (tests only)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._instructions: List[Instruction] = []
+
+    def input_vector(self, operand: str, width: int) -> BitVector:
+        if operand in self._inputs:
+            raise ValueError(f"operand {operand!r} already declared")
+        addresses = self._allocator.alloc_many(width)
+        for index, address in enumerate(addresses):
+            self._instructions.append(
+                WriteInstr(address, OperandBit(operand, index))
+            )
+        self._inputs[operand] = tuple(addresses)
+        return BitVector(addresses)
+
+    def receive_vector(self, tag: str, width: int) -> BitVector:
+        addresses = self._allocator.alloc_many(width)
+        for index, address in enumerate(addresses):
+            self._instructions.append(
+                WriteInstr(address, ExternalBit(tag, index))
+            )
+        return BitVector(addresses)
+
+    def const_bit(self, value: int) -> int:
+        address = self._allocator.alloc()
+        self._instructions.append(WriteInstr(address, ConstBit(value)))
+        return address
+
+    def send_vector(self, vector: BitVector, tag: str) -> None:
+        for index, address in enumerate(vector):
+            self._instructions.append(ReadInstr(address, tag=tag, index=index))
+
+    def gate(self, op: GateOp, *inputs: int) -> int:
+        if not self._native[op.index]:
+            raise ValueError(
+                f"{op.name} is not native to the {self.library.name!r} library"
+            )
+        output = self._allocator.alloc()
+        self._instructions.append(Gate(op, tuple(inputs), output))
+        return output
+
+    def gate_into(self, op: GateOp, target: int, *inputs: int) -> int:
+        if not self._native[op.index]:
+            raise ValueError(
+                f"{op.name} is not native to the {self.library.name!r} library"
+            )
+        if not self._allocator.is_live(target):
+            raise ValueError(f"target bit {target} is not allocated")
+        self._instructions.append(Gate(op, tuple(inputs), target))
+        return target
+
+    def templated(self, synthesize, a, b):
+        return synthesize(self, a, b)
+
+    def finish(self, name: Optional[str] = None) -> LaneProgram:
         return LaneProgram(
             name=name or self.name,
             instructions=self._instructions,

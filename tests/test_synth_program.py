@@ -64,11 +64,6 @@ class TestCounting:
         # 2 loads + 1 gate + 1 read-out.
         assert program.sequential_ops == 4
 
-    def test_write_addresses_with_presets(self):
-        program = _and_program()
-        assert program.write_addresses() == [0, 1, 2]
-        assert program.write_addresses(include_presets=True) == [0, 1, 2, 2]
-
     def test_totals(self):
         program = _and_program()
         assert program.total_writes == 3
