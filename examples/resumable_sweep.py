@@ -12,6 +12,10 @@ Pass a persistent directory (default: a temp dir) to keep the cache
 across invocations — re-running the script then costs only the cache
 probes. The same store is what `repro-endurance table3 --jobs 4
 --cache-dir DIR` and friends use.
+
+Progress comes from a `TextReporter` sink on the telemetry bus, the
+same `[engine]` lines the CLI prints for engine-routed runs (here on
+stdout).
 """
 
 import sys
@@ -25,7 +29,8 @@ from repro import (
 )
 from repro.balance.config import all_configurations
 from repro.core.sweep import configuration_grid
-from repro.engine import ExperimentEngine, JobSpec, ResultStore, TextReporter
+from repro.engine import ExperimentEngine, JobSpec, ResultStore
+from repro.telemetry import TextReporter, get_telemetry
 
 ITERATIONS = 1_000
 
@@ -39,6 +44,7 @@ def main() -> None:
     store = ResultStore(cache_dir)
 
     print(f"result store: {cache_dir} ({len(store)} cached entries)\n")
+    reporter = get_telemetry().add_sink(TextReporter(sys.stdout))
 
     # --- an "interrupted" run: only part of the grid completes ---------
     specs = [
@@ -53,9 +59,7 @@ def main() -> None:
     ]
     survivors = max(len(store), 6)
     print(f"pass 1: pretend the run was killed after {survivors} jobs")
-    ExperimentEngine(store=store, hooks=TextReporter(sys.stdout)).run(
-        specs[:survivors]
-    )
+    ExperimentEngine(store=store).run(specs[:survivors])
 
     # --- resume: the full grid re-simulates only the misses ------------
     print("\npass 2: full grid resumes from the store")
@@ -64,8 +68,8 @@ def main() -> None:
         workload,
         iterations=ITERATIONS,
         cache_dir=cache_dir,
-        hooks=TextReporter(sys.stdout),
     )
+    get_telemetry().remove_sink(reporter)
 
     best = max(entries, key=lambda e: e.improvement)
     print(f"\n{len(store)} entries cached; "

@@ -75,13 +75,14 @@ from repro.telemetry import (
     JsonlSink,
     LoggingSink,
     ProgressSink,
+    TextReporter,
     TraceSchemaError,
     format_stats,
     get_telemetry,
     iter_trace,
     summarize_trace,
 )
-from repro.telemetry.reporter import say
+from repro.telemetry.reporter import say, warn
 from repro.workloads.multiply import ParallelMultiplication
 from repro.workloads.registry import (
     UnknownWorkloadError,
@@ -121,22 +122,23 @@ def _make_simulator(args) -> EnduranceSimulator:
     return EnduranceSimulator(arch, settings=_make_settings(args))
 
 
+def _engine_routed(args) -> bool:
+    """Whether the flags route this command's simulations through the engine."""
+    return getattr(args, "jobs", 1) > 1 or bool(getattr(args, "cache_dir", None))
+
+
 def _engine_kwargs(args) -> dict:
     """Engine routing options for commands that grew --jobs/--cache-dir."""
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
-    hooks = None
-    if jobs > 1 or cache_dir:
-        from repro.engine import TextReporter
-
-        hooks = TextReporter()
-    return {"jobs": jobs, "cache_dir": cache_dir, "hooks": hooks}
+    return {
+        "jobs": getattr(args, "jobs", 1),
+        "cache_dir": getattr(args, "cache_dir", None),
+    }
 
 
 def _run_one(args, sim, workload, config, iterations, track_reads=True):
     """One simulation, routed through the engine when flags ask for it."""
     settings = sim.settings.replace(track_reads=track_reads)
-    if getattr(args, "jobs", 1) > 1 or getattr(args, "cache_dir", None):
+    if _engine_routed(args):
         from repro.engine import run_simulation
 
         return run_simulation(
@@ -952,7 +954,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_telemetry(args) -> list:
-    """Attach the sinks the telemetry flags ask for; returns them."""
+    """Attach the sinks the telemetry flags ask for; returns them.
+
+    An engine-routed run (``--jobs > 1`` or ``--cache-dir``) also gets a
+    :class:`TextReporter`, attached last so each ``[engine]`` line
+    follows the flag sinks' lines for the same event. ``fleet`` drives
+    its engine batches silently.
+    """
     tele = get_telemetry()
     sinks = []
     if getattr(args, "log_level", None):
@@ -963,6 +971,8 @@ def _configure_telemetry(args) -> list:
         sinks.append(JsonlSink(args.trace))
     if getattr(args, "progress", False):
         sinks.append(ProgressSink())
+    if _engine_routed(args) and args.command != "fleet":
+        sinks.append(TextReporter())
     tele.sinks.extend(sinks)
     return sinks
 
@@ -980,7 +990,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             # Pre-dispatch verification failures (e.g. RPR019: a horizon
             # past float64's exact integers) are user errors, not bugs —
             # render the report, not a traceback.
-            print(error.report.render_text(), file=sys.stderr)
+            warn(error.report.render_text())
             return 1
     finally:
         if sinks:

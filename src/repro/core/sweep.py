@@ -56,7 +56,6 @@ def simulate_configs(
     track_reads: Optional[bool] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    hooks=None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[BalanceConfig, SimulationResult]:
     """Simulate a list of configurations once each, in the given order.
@@ -122,7 +121,6 @@ def simulate_configs(
     engine = ExperimentEngine(
         store=ResultStore(cache_dir) if cache_dir else None,
         jobs=jobs,
-        hooks=hooks,
     )
     outcomes = require_ok(engine.run(specs))
     return {
@@ -139,7 +137,6 @@ def configuration_grid(
     track_reads: Optional[bool] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    hooks=None,
     settings: Optional[SimulationSettings] = None,
 ) -> List[GridEntry]:
     """Simulate a workload under every balance configuration.
@@ -152,8 +149,6 @@ def configuration_grid(
             pool via :mod:`repro.engine`.
         cache_dir: Engine result store; completed cells are reused across
             runs and an interrupted grid resumes from them.
-        hooks: Engine progress hooks (e.g.
-            :class:`repro.engine.TextReporter`).
         settings: Simulation settings for every cell.
 
     Returns:
@@ -172,7 +167,6 @@ def configuration_grid(
         track_reads=track_reads,
         jobs=jobs,
         cache_dir=cache_dir,
-        hooks=hooks,
         settings=settings,
     )
     baseline = results[baseline_config]
@@ -202,7 +196,6 @@ def remap_frequency_sweep(
     base_config: Optional[BalanceConfig] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    hooks=None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[int, float]:
     """Lifetime improvement versus recompile interval (Section 5).
@@ -221,7 +214,6 @@ def remap_frequency_sweep(
             re-mapping-sensitive software configuration).
         jobs: Worker processes for the engine-routed path.
         cache_dir: Engine result store (reuse/resume across runs).
-        hooks: Engine progress hooks.
         settings: Simulation settings for every point.
 
     Returns:
@@ -246,7 +238,6 @@ def remap_frequency_sweep(
         track_reads=False,
         jobs=jobs,
         cache_dir=cache_dir,
-        hooks=hooks,
         settings=settings,
     )
     baseline = results[baseline_config]

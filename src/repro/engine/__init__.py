@@ -10,8 +10,12 @@ content-addressed jobs:
   JSON sidecar, atomic writes), which doubles as the checkpoint an
   interrupted grid resumes from;
 * :class:`ExperimentEngine` — serial or process-pool execution with
-  bounded retries, per-job timeouts, and failure containment;
-* :class:`EngineHooks` / :class:`TextReporter` — progress and metrics.
+  bounded retries, per-job timeouts, and failure containment.
+
+The engine reports each batch only as events on the telemetry bus
+(``batch_start`` / ``job_start`` / ``job_end`` / ``batch_end``, see
+:mod:`repro.telemetry`); attach a sink such as
+:class:`repro.telemetry.TextReporter` to watch it.
 
 `repro.core.sweep` routes its grids through this layer (``jobs=`` /
 ``cache_dir=``), as do the ``table3`` / ``fig17`` / ``heatmap`` /
@@ -19,7 +23,6 @@ content-addressed jobs:
 """
 
 from repro.core.settings import SimulationSettings
-from repro.engine.hooks import BatchMetrics, EngineHooks, TextReporter
 from repro.engine.runner import (
     EngineError,
     ExperimentEngine,
@@ -32,9 +35,7 @@ from repro.engine.spec import SPEC_VERSION, JobSpec
 from repro.engine.store import ResultStore
 
 __all__ = [
-    "BatchMetrics",
     "EngineError",
-    "EngineHooks",
     "ExperimentEngine",
     "JobOutcome",
     "JobStatus",
@@ -42,7 +43,6 @@ __all__ = [
     "ResultStore",
     "SPEC_VERSION",
     "SimulationSettings",
-    "TextReporter",
     "execute_spec",
     "require_ok",
     "run_simulation",
@@ -56,7 +56,6 @@ def run_simulation(
     iterations,
     jobs=1,
     cache_dir=None,
-    hooks=None,
     settings=None,
 ):
     """Resolve one simulation through the engine (cache-aware).
@@ -80,7 +79,6 @@ def run_simulation(
     engine = ExperimentEngine(
         store=ResultStore(cache_dir) if cache_dir else None,
         jobs=jobs,
-        hooks=hooks,
     )
     outcome = require_ok([engine.run_one(spec)])[0]
     return outcome.result

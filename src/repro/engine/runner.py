@@ -7,7 +7,8 @@ simulating in-process (``jobs <= 1``), or simulating on a
 bounded retries is recorded with its traceback and the rest of the batch
 proceeds. Because every completed job lands in the store before its
 outcome is reported, an interrupted batch is a checkpoint: re-running the
-same specs re-simulates only the jobs that had not finished.
+same specs re-simulates only the jobs that had not finished. The engine
+reports a batch only as events on the telemetry bus.
 
 Each job runs on a **fresh** :class:`EnduranceSimulator` seeded from its
 spec, and the simulator draws a fresh RNG stream per run, so results are
@@ -31,10 +32,9 @@ import numpy as np
 
 from repro.core.io import LoadedResult, restore_result, result_metadata
 from repro.core.simulator import EnduranceSimulator, SimulationResult
-from repro.engine.hooks import BatchMetrics, EngineHooks
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
-from repro.telemetry import get_telemetry
+from repro.telemetry import Telemetry, get_telemetry, set_telemetry
 from repro.verify import verify_spec
 
 
@@ -75,18 +75,21 @@ class JobOutcome:
         return self.status is not JobStatus.FAILED
 
 
+def _error_reason(error: Optional[str]) -> str:
+    """The last line of a failure's traceback: the exception itself."""
+    tail = (error or "").strip().splitlines()
+    return tail[-1] if tail else "unknown error"
+
+
 class EngineError(RuntimeError):
     """Raised by callers that require every job of a batch to succeed."""
 
     def __init__(self, outcomes: Sequence[JobOutcome]) -> None:
         self.failures = [o for o in outcomes if not o.ok]
-        lines = []
-        for outcome in self.failures:
-            tail = (outcome.error or "").strip().splitlines()
-            lines.append(
-                f"  {outcome.spec.label}: "
-                f"{tail[-1] if tail else 'unknown error'}"
-            )
+        lines = [
+            f"  {outcome.spec.label}: {_error_reason(outcome.error)}"
+            for outcome in self.failures
+        ]
         super().__init__(
             f"{len(self.failures)} job(s) failed:\n" + "\n".join(lines)
         )
@@ -101,6 +104,18 @@ def execute_spec(spec: JobSpec) -> SimulationResult:
     """Run one spec on a fresh simulator configured from its settings."""
     simulator = EnduranceSimulator(spec.architecture, settings=spec.settings)
     return simulator.run(spec.workload, spec.config, spec.iterations)
+
+
+def _fresh_worker_telemetry() -> None:
+    """Pool initializer: start the worker on an empty telemetry registry.
+
+    A forked worker inherits the parent's registry — its counters and its
+    sinks. Replacing it (never closing the inherited sinks, which share
+    the parent's file descriptors) keeps the parent's progress lines and
+    trace to the parent, and makes the snapshot a worker embeds in a
+    manifest describe only that worker's runs.
+    """
+    set_telemetry(Telemetry())
 
 
 def _pool_worker(
@@ -132,6 +147,18 @@ def _pool_worker(
 
 
 @dataclass
+class _BatchMetrics:
+    """Per-batch tallies behind the ``batch_end`` event."""
+
+    completed: int = 0
+    cached: int = 0
+    failed: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    busy_s: float = 0.0  #: summed wall time of the jobs simulated
+
+
+@dataclass
 class _PendingJob:
     """Book-keeping for one in-flight pool job."""
 
@@ -154,7 +181,6 @@ class ExperimentEngine:
             in-process simulation cannot be interrupted). A timed-out
             job is cancelled if it has not started; a running job's
             result is abandoned. Timeouts consume retries.
-        hooks: Progress/metrics callbacks.
         verify: Statically check each spec (:func:`repro.verify.verify_spec`)
             before dispatch; specs with verification errors fail fast
             with the rendered report instead of being simulated.
@@ -167,7 +193,6 @@ class ExperimentEngine:
         retries: int = 1,
         backoff_s: float = 0.5,
         timeout_s: Optional[float] = None,
-        hooks: Optional[EngineHooks] = None,
         verify: bool = True,
     ) -> None:
         if jobs < 0:
@@ -179,7 +204,6 @@ class ExperimentEngine:
         self.retries = retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.hooks = hooks or EngineHooks()
         self.verify = verify
 
     # -- public API -----------------------------------------------------
@@ -197,7 +221,7 @@ class ExperimentEngine:
         """
         specs = list(specs)
         start = time.perf_counter()
-        metrics = BatchMetrics()
+        metrics = _BatchMetrics()
         outcomes: Dict[int, JobOutcome] = {}
 
         # Deduplicate by content hash; the first occurrence leads.
@@ -209,7 +233,6 @@ class ExperimentEngine:
                 followers[index] = leaders[digest]
             else:
                 leaders[digest] = index
-        metrics.total = len(leaders)
 
         # Cache probe.
         to_run: List[int] = []
@@ -223,11 +246,10 @@ class ExperimentEngine:
             else:
                 to_run.append(index)
         tele = get_telemetry()
-        tele.count("engine.jobs", metrics.total)
+        tele.count("engine.jobs", len(leaders))
         tele.count("engine.cache_hits", metrics.cached)
         tele.count("engine.cache_misses", len(to_run))
-        tele.emit("batch_start", total=metrics.total, cached=metrics.cached)
-        self.hooks.on_batch_start(metrics.total, metrics.cached)
+        tele.emit("batch_start", total=len(leaders), cached=metrics.cached)
         for index in outcomes:
             self._job_end(outcomes[index])
 
@@ -240,7 +262,12 @@ class ExperimentEngine:
             else:
                 self._run_pool(specs, to_run, outcomes, metrics)
 
-        metrics.wall_s = time.perf_counter() - start
+        wall = time.perf_counter() - start
+        # Busy fraction of the workers' wall clock (the serial path
+        # reports its own). Times stay unrounded: sinks print them.
+        utilization = (
+            metrics.busy_s / (max(self.jobs, 1) * wall) if wall > 0 else 0.0
+        )
         tele.emit(
             "batch_end",
             completed=metrics.completed,
@@ -248,10 +275,9 @@ class ExperimentEngine:
             failed=metrics.failed,
             retries=metrics.retries,
             timeouts=metrics.timeouts,
-            wall_s=round(metrics.wall_s, 6),
-            utilization=round(metrics.worker_utilization(self.jobs), 4),
+            wall_s=wall,
+            utilization=round(utilization, 4),
         )
-        self.hooks.on_batch_end(metrics)
         for index, leader in followers.items():
             lead = outcomes[leader]
             outcomes[index] = JobOutcome(
@@ -271,14 +297,14 @@ class ExperimentEngine:
         specs: Sequence[JobSpec],
         to_run: Sequence[int],
         outcomes: Dict[int, JobOutcome],
-        metrics: BatchMetrics,
+        metrics: _BatchMetrics,
     ) -> List[int]:
         """Reject specs whose static checks report errors, before dispatch.
 
         A spec whose workload cannot even *build* is not rejected here:
         it falls through to normal execution so the failure carries the
-        original traceback (which retries, hooks, and telemetry then see
-        exactly as before).
+        original traceback (which retries and telemetry then see exactly
+        as before).
         """
         tele = get_telemetry()
         survivors: List[int] = []
@@ -311,28 +337,35 @@ class ExperimentEngine:
     # -- shared life-cycle reporting ------------------------------------
 
     def _job_start(self, spec: JobSpec, attempt: int) -> None:
-        """Report one (re)submission on the event bus and to the hooks."""
+        """Report one (re)submission on the event bus."""
         get_telemetry().emit("job_start", label=spec.label, attempt=attempt)
-        self.hooks.on_job_start(spec)
 
     def _job_end(self, outcome: JobOutcome, queue_s: float = 0.0) -> None:
-        """Report one resolution on the event bus and to the hooks."""
+        """Report one resolution on the event bus.
+
+        ``wall_s`` stays unrounded, since sinks print it; a failed job
+        also carries ``error``, its traceback's last line.
+        """
         tele = get_telemetry()
+        extra = {}
         if outcome.status is JobStatus.FAILED:
             tele.count("engine.failures")
+            extra["error"] = _error_reason(outcome.error)
         elif outcome.status is JobStatus.COMPLETED:
             tele.count("engine.completed")
         tele.emit(
             "job_end",
             label=outcome.spec.label,
             status=outcome.status.value,
-            wall_s=round(outcome.wall_s, 6),
+            wall_s=outcome.wall_s,
             attempts=outcome.attempts,
             queue_s=round(queue_s, 6),
+            **extra,
         )
-        self.hooks.on_job_end(outcome)
 
-    def _job_retry(self, spec: JobSpec, attempt: int, metrics: BatchMetrics) -> None:
+    def _job_retry(
+        self, spec: JobSpec, attempt: int, metrics: _BatchMetrics
+    ) -> None:
         """Count one retry and put it on the event bus."""
         metrics.retries += 1
         tele = get_telemetry()
@@ -346,7 +379,7 @@ class ExperimentEngine:
         specs: Sequence[JobSpec],
         to_run: Sequence[int],
         outcomes: Dict[int, JobOutcome],
-        metrics: BatchMetrics,
+        metrics: _BatchMetrics,
     ) -> None:
         for index in to_run:
             spec = specs[index]
@@ -373,7 +406,7 @@ class ExperimentEngine:
                     attempts=attempt,
                 )
                 metrics.completed += 1
-                metrics.job_wall_s.append(wall)
+                metrics.busy_s += wall
                 break
             else:
                 outcomes[index] = JobOutcome(
@@ -392,11 +425,13 @@ class ExperimentEngine:
         specs: Sequence[JobSpec],
         to_run: Sequence[int],
         outcomes: Dict[int, JobOutcome],
-        metrics: BatchMetrics,
+        metrics: _BatchMetrics,
     ) -> None:
         store_root = str(self.store.root) if self.store is not None else None
         abandoned_running = False
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pool = ProcessPoolExecutor(
+            max_workers=self.jobs, initializer=_fresh_worker_telemetry
+        )
         pending: Dict[Future, _PendingJob] = {}
 
         def submit(index: int, attempts: int) -> None:
@@ -461,7 +496,7 @@ class ExperimentEngine:
                         attempts=job.attempts,
                     )
                     metrics.completed += 1
-                    metrics.job_wall_s.append(wall)
+                    metrics.busy_s += wall
                     queue_s = (
                         time.perf_counter() - job.submitted_at
                     ) - wall

@@ -8,7 +8,8 @@ A dependency-free, process-local telemetry layer:
   every instrumentation point shares.
 * Sinks — :class:`LoggingSink` (stdlib-``logging`` bridge),
   :class:`JsonlSink` (JSONL trace writer), :class:`CaptureSink`
-  (in-memory, for tests), :class:`ProgressSink` (compact stderr lines).
+  (in-memory, for tests), :class:`ProgressSink` (compact stderr lines),
+  :class:`TextReporter` (an engine batch's ``[engine]`` lines).
 * :mod:`~repro.telemetry.stats` — trace schema validation and the
   summary behind the ``repro stats`` subcommand.
 * :mod:`~repro.telemetry.reporter` — the one sanctioned console-output
@@ -18,9 +19,11 @@ Instrumented layers: ``EnduranceSimulator.run`` (mapping-compile /
 kernel / wear-aware phases, write-read totals, epochs/s),
 ``repro.core.kernel`` (chunk and GEMM counts), ``ExperimentEngine``
 (per-job durations, retries, timeouts, cache hit/miss, worker
-utilization), and the sweep drivers (grid progress). The CLI exposes it
-via ``--log-level``, ``--trace FILE``, and ``--progress`` on every
-simulation-backed subcommand.
+utilization), and the sweep drivers (grid progress). The bus is the
+only way to observe an engine batch; engine pool workers start on a
+fresh registry, so their sinks and counters are their own. The CLI
+exposes it via ``--log-level``, ``--trace FILE``, and ``--progress`` on
+every simulation-backed subcommand.
 
 With no sink attached the event bus short-circuits, so instrumentation
 stays resident in hot layers at negligible cost (benchmark E31 pins the
@@ -39,6 +42,7 @@ from repro.telemetry.sinks import (
     LoggingSink,
     ProgressSink,
     Sink,
+    TextReporter,
 )
 from repro.telemetry.stats import (
     EVENT_FIELDS,
@@ -59,6 +63,7 @@ __all__ = [
     "ProgressSink",
     "Sink",
     "Telemetry",
+    "TextReporter",
     "TraceSchemaError",
     "capture",
     "format_stats",

@@ -5,8 +5,9 @@ Telemetry` bus as a plain dict (``{"ts": ..., "event": ..., **fields}``)
 and does exactly one thing with it: bridge it to stdlib ``logging``
 (:class:`LoggingSink`), append it to a JSONL trace file
 (:class:`JsonlSink`), keep it in memory for assertions
-(:class:`CaptureSink`), or render a compact progress line on stderr
-(:class:`ProgressSink`). Sinks must never raise into the hot path and
+(:class:`CaptureSink`), render a compact progress line on stderr
+(:class:`ProgressSink`), or render an engine batch's ``[engine]`` lines
+(:class:`TextReporter`). Sinks must never raise into the hot path and
 must tolerate records they do not understand — unknown events are a
 forward-compatibility feature, not an error.
 """
@@ -105,7 +106,7 @@ class JsonlSink(Sink):
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             if self._fh is None:
-                self._fh = open(self.path, "w", encoding="utf-8")
+                self._fh = open(self.path, "w", encoding="utf-8", buffering=1)
             self._fh.write(line + "\n")
 
     def close(self) -> None:
@@ -164,3 +165,68 @@ class ProgressSink(Sink):
             )
         if line is not None:
             say(line, stream=self.stream, flush=True)
+
+
+class TextReporter(Sink):
+    """Render an engine batch as ``[engine]`` lines on stderr.
+
+    Reads the :class:`~repro.engine.ExperimentEngine` events: a census
+    line on ``batch_start`` (which also resets the counts), one line per
+    simulated or failed ``job_end`` (cache hits are in the census), and
+    a summary line on ``batch_end``. The CLI attaches it, after the
+    flag-driven sinks, to every engine-routed run (``--jobs > 1`` or
+    ``--cache-dir``).
+
+    Args:
+        stream: Target stream (default stderr, keeping stdout artifacts
+            clean for redirection).
+    """
+
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
+        self.stream = stream if stream is not None else sys.stderr
+        self._total = 0
+        self._seen = 0
+        self._simulated = 0
+        self._busy_s = 0.0
+
+    def handle(self, record: Dict) -> None:
+        """Format the engine's batch and job events; drop the rest."""
+        event = record.get("event")
+        status = record.get("status")
+        if event == "batch_start":
+            self._total = record.get("total", 0)
+            self._seen = record.get("cached", 0)
+            self._simulated = 0
+            self._busy_s = 0.0
+            line = (
+                f"[engine] {self._total} job(s): {self._seen} cached, "
+                f"{self._total - self._seen} to simulate"
+            )
+        elif event == "job_end" and status != "cached":
+            self._seen += 1
+            progress = f"[engine] {self._seen}/{self._total}"
+            if status == "failed":
+                line = (
+                    f"{progress} FAILED {record.get('label')}: "
+                    f"{record.get('error', 'unknown error')}"
+                )
+            else:
+                wall_s = record.get("wall_s", 0.0)
+                self._simulated += 1
+                self._busy_s += wall_s
+                line = f"{progress} done {record.get('label')} ({wall_s:.2f}s)"
+        elif event == "batch_end":
+            wall_s = record.get("wall_s", 0.0)
+            resolved = record.get("completed", 0) + record.get("cached", 0)
+            rate = resolved / wall_s if wall_s > 0 else 0.0
+            mean = self._busy_s / self._simulated if self._simulated else 0.0
+            line = (
+                f"[engine] batch done in {wall_s:.2f}s: "
+                f"{record.get('completed')} simulated, "
+                f"{record.get('cached')} cached, "
+                f"{record.get('failed')} failed "
+                f"({rate:.2f} cells/s, mean job {mean:.2f}s)"
+            )
+        else:
+            return
+        say(line, stream=self.stream, flush=True)

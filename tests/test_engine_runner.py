@@ -1,22 +1,38 @@
 """ExperimentEngine behaviour: caching, retries, failure containment."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.balance.config import BalanceConfig, all_configurations
+from repro.core.sweep import (
+    configuration_grid,
+    remap_frequency_sweep,
+    simulate_configs,
+)
 from repro.engine import (
     EngineError,
-    EngineHooks,
     ExperimentEngine,
     JobSpec,
     JobStatus,
     ResultStore,
     require_ok,
+    run_simulation,
 )
-from repro.telemetry import Telemetry, capture, set_telemetry
+from repro.telemetry import (
+    CaptureSink,
+    Telemetry,
+    capture,
+    get_telemetry,
+    set_telemetry,
+)
 from repro.workloads.base import Workload
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -32,26 +48,26 @@ def fresh_telemetry():
         set_telemetry(previous)
 
 
-class CountingHooks(EngineHooks):
-    """Records every engine callback for assertions."""
+class BatchCapture(CaptureSink):
+    """Captures a batch's bus events; reads its census and its tallies."""
 
-    def __init__(self):
-        self.batch_starts = []
-        self.job_starts = 0
-        self.outcomes = []
-        self.metrics = None
+    @property
+    def batch_starts(self):
+        return [(r["total"], r["cached"]) for r in self.of("batch_start")]
 
-    def on_batch_start(self, total, cached):
-        self.batch_starts.append((total, cached))
+    @property
+    def batch_end(self):
+        (end,) = self.of("batch_end")
+        return end
 
-    def on_job_start(self, spec):
-        self.job_starts += 1
 
-    def on_job_end(self, outcome):
-        self.outcomes.append(outcome)
-
-    def on_batch_end(self, metrics):
-        self.metrics = metrics
+def run_captured(engine, specs):
+    """Run one batch with a :class:`BatchCapture` on the bus."""
+    sink = get_telemetry().add_sink(BatchCapture())
+    try:
+        return engine.run(specs), sink
+    finally:
+        get_telemetry().remove_sink(sink)
 
 
 class FlakyWorkload(Workload):
@@ -107,11 +123,10 @@ class TestCaching:
         cold = ExperimentEngine(store=store).run(specs)
         assert [o.status for o in cold] == [JobStatus.COMPLETED] * 4
 
-        hooks = CountingHooks()
-        warm = ExperimentEngine(store=store, hooks=hooks).run(specs)
+        warm, batch = run_captured(ExperimentEngine(store=store), specs)
         assert [o.status for o in warm] == [JobStatus.CACHED] * 4
-        assert hooks.batch_starts == [(4, 4)]
-        assert hooks.metrics.completed == 0
+        assert batch.batch_starts == [(4, 4)]
+        assert batch.batch_end["completed"] == 0
 
     def test_cached_counters_match_fresh(self, tiny_arch, tmp_path):
         specs = make_specs(tiny_arch, [BalanceConfig.from_label("RaxRa")])
@@ -133,28 +148,25 @@ class TestCaching:
         ExperimentEngine(store=store).run(specs[:6])
         assert len(store) == 6
 
-        hooks = CountingHooks()
-        resumed = ExperimentEngine(store=store, hooks=hooks).run(specs)
-        assert hooks.batch_starts == [(18, 6)]
-        assert hooks.metrics.cached == 6
-        assert hooks.metrics.completed == 12
+        resumed, batch = run_captured(ExperimentEngine(store=store), specs)
+        assert batch.batch_starts == [(18, 6)]
+        assert batch.batch_end["cached"] == 6
+        assert batch.batch_end["completed"] == 12
         assert all(o.ok for o in resumed)
 
     def test_engine_without_store_always_simulates(self, tiny_arch):
         specs = make_specs(tiny_arch, all_configurations()[:2])
-        hooks = CountingHooks()
-        outcomes = ExperimentEngine(hooks=hooks).run(specs)
+        outcomes, batch = run_captured(ExperimentEngine(), specs)
         assert [o.status for o in outcomes] == [JobStatus.COMPLETED] * 2
-        assert hooks.metrics.cached == 0
+        assert batch.batch_end["cached"] == 0
 
 
 class TestDeduplication:
     def test_identical_specs_simulated_once(self, tiny_arch):
         spec = make_specs(tiny_arch, [BalanceConfig()])[0]
-        hooks = CountingHooks()
-        outcomes = ExperimentEngine(hooks=hooks).run([spec, spec, spec])
-        assert hooks.batch_starts == [(1, 0)]
-        assert hooks.metrics.completed == 1
+        outcomes, batch = run_captured(ExperimentEngine(), [spec, spec, spec])
+        assert batch.batch_starts == [(1, 0)]
+        assert batch.batch_end["completed"] == 1
         assert len(outcomes) == 3
         assert all(o.ok for o in outcomes)
         assert outcomes[1].result is outcomes[0].result
@@ -249,6 +261,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="retries"):
             ExperimentEngine(retries=-1)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ExperimentEngine,
+            run_simulation,
+            simulate_configs,
+            configuration_grid,
+            remap_frequency_sweep,
+        ],
+    )
+    def test_hooks_parameter_is_gone(self, entry):
+        # The telemetry bus is the one way to observe a batch.
+        with pytest.raises(TypeError, match="hooks"):
+            entry(**{"hooks": None})
+
 
 class TestFailureTelemetry:
     """Failures leave a full audit trail: outcome fields, counters, events."""
@@ -274,6 +301,9 @@ class TestFailureTelemetry:
         assert end["status"] == "failed"
         assert end["attempts"] == 3
         assert end["label"] == bad.label
+        # The failure's reason rides on the event: the traceback's last line.
+        assert end["error"] == outcome.error.strip().splitlines()[-1]
+        assert end["error"].startswith("MemoryError: lane capacity")
 
     def test_transient_failure_trail_ends_in_success(
         self, tiny_arch, tmp_path, fresh_telemetry
@@ -301,7 +331,9 @@ class TestFailureTelemetry:
         (end,) = sink.of("job_end")
         assert end["status"] == "completed"
         assert end["attempts"] == 2
-        assert end["wall_s"] >= 0
+        assert "error" not in end
+        # Unrounded, so a sink printing it rounds exactly once.
+        assert end["wall_s"] == outcome.wall_s
 
     def test_batch_events_cover_census_and_metrics(
         self, tiny_arch, tmp_path, fresh_telemetry
@@ -363,3 +395,49 @@ class TestFailureTelemetry:
             ExperimentEngine().run(specs)
         for record in sink.records:
             validate_record(record)
+
+
+class TestPoolWorkerTelemetry:
+    """Pool workers start on a fresh registry, not the parent's."""
+
+    def test_worker_manifest_holds_only_its_own_counters(
+        self, tiny_arch, tmp_path, fresh_telemetry
+    ):
+        fresh_telemetry.count("engine.jobs", 99)  # parent-side history
+        store = ResultStore(tmp_path)
+        specs = make_specs(tiny_arch, all_configurations()[:3])
+        outcomes = ExperimentEngine(store=store, jobs=2).run(specs)
+        assert all(o.status is JobStatus.COMPLETED for o in outcomes)
+        manifests = dict(store.iter_manifests())
+        assert len(manifests) == 3
+        for manifest in manifests.values():
+            counters = manifest["telemetry"]["counters"]
+            assert counters["sim.runs"] >= 1
+            assert not [name for name in counters if name.startswith("engine.")]
+
+    def test_worker_progress_stays_out_of_stderr(self, tmp_path):
+        """Under ``--progress --jobs 2`` only the parent prints."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "--rows", "256",
+                "--cols", "64", "fig17", "--workload", "mult",
+                "--iterations", "30", "--jobs", "2", "--cache-dir",
+                str(tmp_path / "store"), "--progress",
+            ],
+            capture_output=True, text=True, env=env, timeout=300,
+            check=True,
+        )
+        lines = done.stderr.splitlines()
+        assert lines[0] == "[engine] 18 job(s): 0 cached, 18 to simulate"
+        assert sum(line.startswith("[job] completed") for line in lines) == 18
+        # The parent compiles the mapping for pre-dispatch verification;
+        # the runs themselves happen in the workers.
+        assert "[phase] mapping_compile" in done.stderr
+        assert not [
+            line for line in lines
+            if line.startswith(("[sim]", "[phase] kernel"))
+        ]

@@ -58,10 +58,9 @@ VERIFY_ALL = {
 }
 
 ENGINE_ALL = {
-    "BatchMetrics", "EngineError", "EngineHooks", "ExperimentEngine",
-    "JobOutcome", "JobStatus", "JobSpec", "ResultStore", "SPEC_VERSION",
-    "SimulationSettings", "TextReporter", "execute_spec", "require_ok",
-    "run_simulation",
+    "EngineError", "ExperimentEngine", "JobOutcome", "JobStatus", "JobSpec",
+    "ResultStore", "SPEC_VERSION", "SimulationSettings", "execute_spec",
+    "require_ok", "run_simulation",
 }
 
 FLEET_ALL = {
@@ -101,7 +100,8 @@ TRACE_ALL = {
 TELEMETRY_ALL = {
     "CaptureSink", "EVENT_FIELDS", "JsonlSink", "KNOWN_COUNTERS",
     "LoggingSink",
-    "ProgressSink", "Sink", "Telemetry", "TraceSchemaError", "capture",
+    "ProgressSink", "Sink", "Telemetry", "TextReporter", "TraceSchemaError",
+    "capture",
     "format_stats", "get_telemetry", "iter_trace", "set_telemetry",
     "summarize_trace", "validate_record",
 }

@@ -15,6 +15,7 @@ from repro.telemetry import (
     LoggingSink,
     ProgressSink,
     Telemetry,
+    TextReporter,
     TraceSchemaError,
     capture,
     format_stats,
@@ -156,6 +157,16 @@ class TestSinks:
         (record,) = list(iter_trace(str(path)))
         assert "object" in record["payload"]
 
+    def test_jsonl_record_is_on_disk_before_close(self, tele, tmp_path):
+        # Line-buffered: a run killed mid-batch keeps every whole record.
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(str(path))
+        sink.handle({"ts": 0.0, "event": "phase", "name": "p", "seconds": 0.1})
+        try:
+            assert path.read_text(encoding="utf-8").count("\n") == 1
+        finally:
+            sink.close()
+
     def test_logging_sink_bridges_to_stdlib(self, tele, caplog):
         tele.add_sink(LoggingSink(level=logging.INFO))
         with caplog.at_level(logging.INFO, logger="repro.telemetry"):
@@ -173,6 +184,68 @@ class TestSinks:
         assert "[phase] kernel" in text
         assert "[grid] 3/18 RaxRa" in text
         assert "unknown_event" not in text
+
+
+class TestTextReporter:
+    """The engine's ``[engine]`` lines, rendered from its bus events."""
+
+    def lines(self, tele, *events):
+        stream = io.StringIO()
+        tele.add_sink(TextReporter(stream=stream))
+        for event, fields in events:
+            tele.emit(event, **fields)
+        return stream.getvalue().splitlines()
+
+    def test_renders_a_batch(self, tele):
+        lines = self.lines(
+            tele,
+            ("batch_start", {"total": 4, "cached": 1}),
+            ("job_end", {"label": "a", "status": "cached", "wall_s": 0.0}),
+            ("job_start", {"label": "b", "attempt": 1}),
+            ("job_end", {"label": "b", "status": "completed", "wall_s": 1.0}),
+            ("job_end", {"label": "c", "status": "completed", "wall_s": 2.0}),
+            ("job_end", {"label": "d", "status": "failed", "wall_s": 0.0,
+                         "error": "MemoryError: full"}),
+            ("batch_end", {"completed": 2, "cached": 1, "failed": 1,
+                           "wall_s": 4.0}),
+            ("counters", {"counters": {}}),
+        )
+        assert lines == [
+            "[engine] 4 job(s): 1 cached, 3 to simulate",
+            "[engine] 2/4 done b (1.00s)",
+            "[engine] 3/4 done c (2.00s)",
+            "[engine] 4/4 FAILED d: MemoryError: full",
+            "[engine] batch done in 4.00s: 2 simulated, 1 cached, 1 failed "
+            "(0.75 cells/s, mean job 1.50s)",
+        ]
+
+    def test_batch_start_resets_the_counts(self, tele):
+        lines = self.lines(
+            tele,
+            ("batch_start", {"total": 2, "cached": 0}),
+            ("job_end", {"label": "a", "status": "completed", "wall_s": 3.0}),
+            ("batch_end", {"completed": 1, "cached": 0, "failed": 0,
+                           "wall_s": 3.0}),
+            ("batch_start", {"total": 1, "cached": 0}),
+            ("job_end", {"label": "b", "status": "completed", "wall_s": 1.0}),
+            ("batch_end", {"completed": 1, "cached": 0, "failed": 0,
+                           "wall_s": 0.0}),
+        )
+        assert lines[-2:] == [
+            "[engine] 1/1 done b (1.00s)",
+            "[engine] batch done in 0.00s: 1 simulated, 0 cached, 0 failed "
+            "(0.00 cells/s, mean job 1.00s)",
+        ]
+
+    def test_times_are_rounded_once(self, tele):
+        # 0.0049999 would print as 0.01 if it were rounded to 6 places
+        # before being formatted to 2.
+        (line,) = self.lines(
+            tele,
+            ("job_end", {"label": "a", "status": "completed",
+                         "wall_s": 0.0049999}),
+        )
+        assert line.endswith("(0.00s)")
 
 
 class TestTraceSchema:
