@@ -14,11 +14,17 @@ to give every array its first-failure threshold:
    through the cohort's tabulated survival function.
 
 The two must agree in distribution: per (cohort, technology), the
-two-sample KS statistic stays below its 1% critical value. The payload
-also carries the end-to-end ``fleet-year`` ``wall_s`` medians measured
-with ``perfbench/run.py`` against the commit before the sampler (see
-``docs/performance.md``), so the trajectory keeps the whole-campaign
-figure beside the layer figure measured here.
+two-sample KS statistic stays below its 1% critical value.
+
+It also times the sampler's uniforms alone: one ``default_rng`` per
+array (``Population._budget_rng``, the oracle) against the vectorized
+``_budget_uniforms``, which must return the same values bit for bit.
+
+The payload also carries the end-to-end ``fleet-year`` ``wall_s``
+medians measured with ``perfbench/run.py`` for both changes, each
+against its parent commit (see ``docs/performance.md``), so the
+trajectory keeps the whole-campaign figures beside the layer figures
+measured here.
 """
 
 import json
@@ -34,16 +40,22 @@ from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.fleet import CohortSpec, Population, PopulationSpec
 from repro.fleet import thresholds as thresholds_module
+from repro.fleet.population import _budget_uniforms
 
 N_ARRAYS = 2048
 SIGMA = 0.3
 SEED = 1
 COHORTS = ("add", "conv")
 
-#: ``perfbench/run.py --workload fleet-year --seconds 20`` ``wall_s``
-#: medians over 10 pairs run in alternating order (seeds 121-130) on a
-#: 2-core container: the commit before the sampler, and the sampler.
-PERFBENCH_FLEET_YEAR_WALL_S = {"parent": 3.81, "change": 0.52}
+#: ``perfbench/run.py --workload fleet-year`` ``wall_s`` medians over
+#: 10 pairs run in alternating order on a 2-core container, each change
+#: against its parent commit: the inverse-survival sampler
+#: (``--seconds 20``, seeds 121-130) and the vectorized budget streams
+#: with scalar interleaving (``--seconds 30``, seeds 521-530).
+PERFBENCH_FLEET_YEAR_WALL_S = {
+    "order_statistic": {"parent": 3.81, "change": 0.52},
+    "vector_streams": {"parent": 0.45, "change": 0.25},
+}
 
 
 def _population() -> Population:
@@ -112,8 +124,22 @@ def test_bench_e38_fleet_thresholds(record, results_dir):
             n = int(members.sum())
             critical[key] = round(1.628 * math.sqrt(2.0 / n), 4)
     speedup = oracle_s / sampler_s
-    parent = PERFBENCH_FLEET_YEAR_WALL_S["parent"]
-    change = PERFBENCH_FLEET_YEAR_WALL_S["change"]
+
+    # The sampler's uniforms: a generator per array against one pass.
+    arrays = np.arange(N_ARRAYS)
+    start = time.perf_counter()
+    per_array = np.stack(
+        [Population._budget_rng(array, SEED).random(1) for array in arrays]
+    )
+    per_array_s = time.perf_counter() - start
+    start = time.perf_counter()
+    vectorized = _budget_uniforms(SEED, arrays, 1)
+    vectorized_s = time.perf_counter() - start
+    streams_identical = bool(
+        np.array_equal(per_array.view(np.uint64), vectorized.view(np.uint64))
+    )
+    streams_speedup = per_array_s / vectorized_s
+
     payload = {
         "experiment": "E38_fleet_thresholds",
         "fleet": {
@@ -137,9 +163,24 @@ def test_bench_e38_fleet_thresholds(record, results_dir):
         "speedup": round(speedup, 2),
         "ks_statistic": ks,
         "ks_critical_1pct": critical,
+        "budget_streams": {
+            "per_array_generators": {
+                "seconds": round(per_array_s, 5),
+                "arrays_per_second": round(N_ARRAYS / per_array_s, 1),
+            },
+            "vectorized": {
+                "seconds": round(vectorized_s, 5),
+                "arrays_per_second": round(N_ARRAYS / vectorized_s, 1),
+            },
+            "speedup": round(streams_speedup, 2),
+            "bit_identical": streams_identical,
+        },
         "perfbench_fleet_year_wall": {
-            "parent": {"seconds": parent},
-            "change": {"seconds": change},
+            change: {
+                side: {"seconds": seconds}
+                for side, seconds in pair.items()
+            }
+            for change, pair in PERFBENCH_FLEET_YEAR_WALL_S.items()
         },
     }
     (results_dir / "BENCH_E38.json").write_text(
@@ -153,11 +194,17 @@ def test_bench_e38_fleet_thresholds(record, results_dir):
         f"  inverse survival     {sampler_s:8.3f} s  ({speedup:.1f}x)",
         "  KS vs oracle (1% critical): "
         + ", ".join(f"{k} {ks[k]:.3f} ({critical[k]:.3f})" for k in ks),
-        f"  perfbench fleet-year wall_s median: {parent:.2f} s -> "
-        f"{change:.2f} s",
+        f"  budget uniforms      {per_array_s:8.4f} s per-array generators, "
+        f"{vectorized_s:.4f} s vectorized ({streams_speedup:.1f}x, "
+        f"bit-identical: {streams_identical})",
+    ] + [
+        f"  perfbench fleet-year wall_s median ({change}): "
+        f"{pair['parent']:.2f} s -> {pair['change']:.2f} s"
+        for change, pair in PERFBENCH_FLEET_YEAR_WALL_S.items()
     ]
     record("E38_fleet_thresholds", "\n".join(lines))
 
     for key in ks:
         assert ks[key] < critical[key], (key, ks[key], critical[key])
     assert speedup > 5, f"sampler only {speedup:.1f}x faster than per-cell"
+    assert streams_identical, "vectorized budget uniforms differ"

@@ -65,6 +65,7 @@ from repro.core.sweep import (
     technology_sweep,
 )
 from repro.devices.technology import MRAM, PCM, RRAM, technology_by_name
+from repro.engine import EngineError
 from repro.gates.library import NAND_LIBRARY
 from repro.synth.analysis import (
     conventional_multiplication_counts,
@@ -991,6 +992,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             # past float64's exact integers) are user errors, not bugs —
             # render the report, not a traceback.
             warn(error.report.render_text())
+            return 1
+        except EngineError as error:
+            # A job that exhausted its retries: its reason on one line
+            # (the engine's FAILED line has already named it).
+            warn("error: " + " ".join(str(error).split()))
             return 1
     finally:
         if sinks:

@@ -234,10 +234,13 @@ class ExperimentEngine:
             else:
                 leaders[digest] = index
 
-        # Cache probe.
+        # Cache probe. ResultStore defines __len__ (a glob over every
+        # sidecar), so test for a store by identity, never truthiness.
         to_run: List[int] = []
         for digest, index in leaders.items():
-            cached = self.store.load(digest) if self.store else None
+            cached = (
+                self.store.load(digest) if self.store is not None else None
+            )
             if cached is not None:
                 outcomes[index] = JobOutcome(
                     spec=specs[index], status=JobStatus.CACHED, result=cached

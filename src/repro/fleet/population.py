@@ -28,6 +28,7 @@ independent of visitation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -131,6 +132,9 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.n_arrays < 1:
             raise ValueError("n_arrays must be positive")
+        if self.n_arrays > 2**32:
+            # Budget streams key each array by one 32-bit entropy word.
+            raise ValueError("n_arrays must be at most 2**32")
         if not self.technology_mix:
             raise ValueError("technology_mix must not be empty")
         for name, weight in self.technology_mix:
@@ -192,17 +196,24 @@ def interleaved_assignment(weights: Sequence[float], total: int) -> np.ndarray:
     to the target, so e.g. an 8-array 50/50 fleet alternates rather than
     splitting into two blocks.
     """
-    counts = np.asarray(proportional_counts(weights, total), dtype=int)
+    counts = proportional_counts(weights, total)
     weights = np.asarray(weights, dtype=float)
-    share = weights / weights.sum()
-    assigned = np.zeros(len(counts), dtype=int)
-    out = np.empty(total, dtype=int)
-    for slot in range(total):
-        deficit = share * (slot + 1) - assigned
-        deficit[assigned >= counts] = -np.inf  # category exhausted
-        out[slot] = int(np.argmax(deficit))
-        assigned[out[slot]] += 1
-    return out
+    # Python floats carry the same float64 arithmetic as a numpy row,
+    # without a numpy call per slot.
+    share = (weights / weights.sum()).tolist()
+    categories = range(len(counts))
+    assigned = [0] * len(counts)
+    out = []
+    for slot in range(1, total + 1):
+        best, best_deficit = 0, -math.inf
+        for category in categories:
+            if assigned[category] < counts[category]:  # else exhausted
+                deficit = share[category] * slot - assigned[category]
+                if deficit > best_deficit:  # the first maximum wins
+                    best, best_deficit = category, deficit
+        out.append(best)
+        assigned[best] += 1
+    return np.array(out, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -354,12 +365,7 @@ class Population:
             else:
                 # One uniform per cell set from the array's stream; sets
                 # with equal rate multisets share one survival table.
-                uniforms = np.stack(
-                    [
-                        self._budget_rng(array, seed).random(len(cell_sets))
-                        for array in members
-                    ]
-                )
+                uniforms = _budget_uniforms(seed, members, len(cell_sets))
                 shared = {}
                 for index, cells in enumerate(np.sort(cell_sets, axis=1)):
                     entry = shared.setdefault(cells.tobytes(), (cells, []))
@@ -379,3 +385,178 @@ class Population:
     def _budget_rng(array: int, seed: int) -> np.random.Generator:
         """The array's budget stream, independent of visitation order."""
         return np.random.default_rng([seed, BUDGET_STREAM, int(array)])
+
+
+# ----------------------------------------------------------------------
+# Budget streams for many arrays at once
+# ----------------------------------------------------------------------
+#
+# ``default_rng([seed, BUDGET_STREAM, array])`` is a SeedSequence over
+# the entropy words, seeding a PCG64 generator. Constructing one per
+# array costs about 24 us, which made it most of ``fleet.thresholds``.
+# ``_budget_uniforms`` replays the same arithmetic over numpy uint64
+# lanes, one lane per array; ``Population._budget_rng`` stays the
+# oracle, and every call checks its first row against it.
+
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_SHIFT16, _SHIFT32 = _U64(16), _U64(32)
+# SeedSequence's hash and mix constants (pool of four uint32 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = _U64(0xCA01F9DD), _U64(0x4973F715)
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = (2549297995355413924 << 64) | 4865540595714422341
+_MOD128 = 1 << 128
+# Draws per block of lanes (about 256 KiB per uint64 temporary).
+_BLOCK_DRAWS = 1 << 15
+
+
+def _uint32_words(value: int) -> List[int]:
+    """``value`` as little-endian 32-bit words, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+def _split128(values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """128-bit Python ints as (high, low) uint64 rows."""
+    high = np.array([v >> 64 for v in values], dtype=np.uint64)
+    low = np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], dtype=np.uint64)
+    return high, low
+
+
+def _mul128(a, b):
+    """``a * b mod 2**128`` over (high, low) uint64 lanes.
+
+    The low words' full product is assembled from 32-bit limbs; numpy
+    array arithmetic wraps modulo ``2**64`` without warnings.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0 = a_lo >> _SHIFT32, a_lo & _MASK32
+    b1, b0 = b_lo >> _SHIFT32, b_lo & _MASK32
+    cross_ab, cross_ba = a0 * b1, a1 * b0
+    middle = (
+        ((a0 * b0) >> _SHIFT32) + (cross_ab & _MASK32) + (cross_ba & _MASK32)
+    )
+    carry = (
+        a1 * b1 + (cross_ab >> _SHIFT32) + (cross_ba >> _SHIFT32)
+        + (middle >> _SHIFT32)
+    )
+    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _add128(a, b):
+    """``a + b mod 2**128`` over (high, low) uint64 lanes."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]).astype(np.uint64), low
+
+
+def _budget_uniforms(seed: int, arrays: Sequence[int], n: int) -> np.ndarray:
+    """``n`` budget-stream uniforms per array, without a generator each.
+
+    Returns exactly ``np.stack([Population._budget_rng(a, seed).random(n)
+    for a in arrays])`` as a ``(len(arrays), n)`` float64 array, for
+    array indices below ``2**32`` (one entropy word each).
+
+    Raises:
+        ValueError: A negative seed (as ``default_rng``), or an array
+            index outside ``[0, 2**32)``.
+        RuntimeError: numpy's default generator no longer matches this
+            arithmetic (checked against the first array's stream).
+    """
+    seed = int(seed)
+    seed_words = _uint32_words(seed)
+    lanes = np.asarray(arrays, dtype=np.int64).reshape(-1, 1)
+    if lanes.min() < 0 or lanes.max() > 0xFFFFFFFF:
+        raise ValueError("budget-stream array indices must be in [0, 2**32)")
+    lanes = lanes.astype(np.uint64)
+
+    # SeedSequence: hash the entropy words into the pool, then mix
+    # every pool word into every other. The hash multiplier advances
+    # identically on every lane, so it stays a Python int.
+    entropy = [
+        np.full_like(lanes, word)
+        for word in seed_words + [BUDGET_STREAM]
+    ] + [lanes]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ _U64(hash_const)
+        hash_const = (hash_const * _MULT_A) & 0xFFFFFFFF
+        value = (value * _U64(hash_const)) & _MASK32
+        return value ^ (value >> _SHIFT16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _SHIFT16)
+
+    padded = entropy + [np.zeros_like(lanes)] * _POOL_SIZE
+    pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in entropy[_POOL_SIZE:]:
+        for target in range(_POOL_SIZE):
+            pool[target] = mix(pool[target], hashmix(word))
+
+    # generate_state(4, uint64): eight hashed uint32 words, paired
+    # little-endian into (initstate high, low, initseq high, low).
+    hash_const = _INIT_B
+    state = []
+    for index in range(2 * _POOL_SIZE):
+        value = pool[index % _POOL_SIZE] ^ _U64(hash_const)
+        hash_const = (hash_const * _MULT_B) & 0xFFFFFFFF
+        value = (value * _U64(hash_const)) & _MASK32
+        state.append(value ^ (value >> _SHIFT16))
+    words = [state[2 * i] | (state[2 * i + 1] << _SHIFT32) for i in range(4)]
+
+    # PCG64 srandom: inc = 2 * initseq + 1 and s_0 = (inc + initstate) *
+    # M + inc. Draw k then reads s_k = M**(k+1) * t + G(k+1) * inc with
+    # t = inc + initstate and G(j) = M**0 + ... + M**(j-1): all draws
+    # of a block of lanes in one pass, over per-draw constants.
+    inc = (
+        (words[2] << _U64(1)) | (words[3] >> _U64(63)),
+        (words[3] << _U64(1)) | _U64(1),
+    )
+    start = _add128(inc, (words[0], words[1]))
+    powers, sums = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(n):
+        total = (total + power) % _MOD128
+        power = power * _PCG_MULT % _MOD128
+        powers.append(power)
+        sums.append(total)
+    powers, sums = _split128(powers), _split128(sums)
+    uniforms = np.empty((len(lanes), n))
+    # Row blocks keep the 128-bit temporaries cache-sized.
+    step = max(1, _BLOCK_DRAWS // max(n, 1))
+    for first in range(0, len(lanes), step):
+        rows = slice(first, first + step)
+        high, low = _add128(
+            _mul128((start[0][rows], start[1][rows]), powers),
+            _mul128((inc[0][rows], inc[1][rows]), sums),
+        )
+        # XSL-RR output, then random()'s 53-bit conversion.
+        folded = high ^ low
+        rotation = high >> _U64(58)
+        output = (folded >> rotation) | (
+            folded << ((_U64(64) - rotation) & _U64(63))
+        )
+        uniforms[rows] = (output >> _U64(11)).astype(np.float64) * 2.0**-53
+
+    expected = Population._budget_rng(int(lanes[0, 0]), seed).random(n)
+    if uniforms[0].tobytes() != expected.tobytes():
+        raise RuntimeError(
+            "vectorized budget streams disagree with "
+            f"np.random.default_rng under numpy {np.__version__}"
+        )
+    return uniforms

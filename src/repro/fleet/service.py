@@ -277,19 +277,23 @@ class FleetService:
         """Per-array iteration capacity per virtual day.
 
         An iteration costs ``ops_per_iteration * op_latency_s`` seconds
-        of array time; capacity is the duty-cycled day divided by that.
+        of array time; capacity is the duty-cycled day divided by that,
+        computed once per (cohort, technology) pair.
         """
-        capacities = np.empty(self.population.n_arrays, dtype=float)
-        for array in range(self.population.n_arrays):
-            cohort = int(self.population.cohort_index[array])
-            latency = (
-                ops_per_iteration[cohort]
-                * self.population.technology_of(array).op_latency_s
-            )
-            capacities[array] = capacity_iterations(
-                latency, self.spec.duty_cycle
-            )
-        return capacities
+        population = self.population
+        table = np.array(
+            [
+                [
+                    capacity_iterations(
+                        ops * technology.op_latency_s, self.spec.duty_cycle
+                    )
+                    for technology in population.technologies
+                ]
+                for ops in ops_per_iteration
+            ],
+            dtype=float,
+        )
+        return table[population.cohort_index, population.technology_index]
 
     # -- phase 2: the day loop ------------------------------------------
 

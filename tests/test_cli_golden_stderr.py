@@ -7,7 +7,8 @@ digest. The cases cover a cold and a warm serial ``fig17 --cache-dir``
 run with and without ``--progress`` (whose ``[job]`` line comes before
 the ``[engine]`` line of the same job), a ``fleet --cache-dir`` run
 (which prints no engine lines), and an engine batch whose one job
-exhausts its retries (the ``FAILED`` line).
+exhausts its retries (the ``FAILED`` line, then one error line and
+exit status 1).
 
 Regenerate a golden file only when a change to the CLI's output is
 intended, and say so in the change's notes.
@@ -21,7 +22,6 @@ import pytest
 
 from repro import cli
 from repro.core import simulator
-from repro.engine import EngineError
 from repro.telemetry import Telemetry, set_telemetry
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,12 +97,13 @@ def test_fleet_prints_no_engine_lines(run_cli, tmp_path):
 
 def test_failed_job_line(run_cli, tmp_path, capsys):
     # A 32-bit multiply cannot fit a 64-column array's lanes: every
-    # attempt fails the same way, so the job exhausts its retries.
-    with pytest.raises(EngineError):
-        run_cli(
-            "--rows", "64", "--cols", "64", "heatmap", "--workload", "mult",
-            "--iterations", "10", "--cache-dir", str(tmp_path),
-        )
+    # attempt fails the same way, so the job exhausts its retries, and
+    # the CLI exits 1 with one error line instead of a traceback.
+    status = cli.main([
+        "--rows", "64", "--cols", "64", "heatmap", "--workload", "mult",
+        "--iterations", "10", "--cache-dir", str(tmp_path),
+    ])
+    assert status == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == _golden("heatmap_failed.stderr")

@@ -154,6 +154,28 @@ class TestCaching:
         assert batch.batch_end["completed"] == 12
         assert all(o.ok for o in resumed)
 
+    def test_cache_probe_never_sizes_the_store(
+        self, tiny_arch, tmp_path, monkeypatch
+    ):
+        """The probe tests for a store by identity, not truthiness:
+        ``len(store)`` globs every sidecar, and an empty store is falsy."""
+        specs = make_specs(tiny_arch, all_configurations()[:3])
+        store = ResultStore(tmp_path)
+        ExperimentEngine(store=store).run(specs[:2])
+
+        def refuse(self):
+            raise AssertionError("cache probe sized the store")
+
+        monkeypatch.setattr(ResultStore, "__len__", refuse)
+        outcomes, batch = run_captured(ExperimentEngine(store=store), specs)
+        assert [o.status for o in outcomes] == [
+            JobStatus.CACHED,
+            JobStatus.CACHED,
+            JobStatus.COMPLETED,
+        ]
+        assert batch.batch_starts == [(3, 2)]
+        assert batch.batch_end["cached"] == 2
+
     def test_engine_without_store_always_simulates(self, tiny_arch):
         specs = make_specs(tiny_arch, all_configurations()[:2])
         outcomes, batch = run_captured(ExperimentEngine(), specs)

@@ -4,6 +4,10 @@ With endurance variation the thresholds are inverse-survival draws
 (:mod:`repro.fleet.thresholds`); their one slow oracle is the per-cell
 Monte Carlo of :func:`repro.core.failure.failure_timeline` over a
 :class:`LognormalEndurance`, pinned here distributionally.
+
+The set-up fast paths are pinned bit for bit to their oracles:
+``_budget_uniforms`` to one ``Population._budget_rng`` generator per
+array, and ``interleaved_assignment`` to the per-slot numpy loop below.
 """
 
 import math
@@ -11,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
@@ -26,6 +32,8 @@ from repro.fleet import (
     interleaved_assignment,
     proportional_counts,
 )
+from repro.fleet import population as population_module
+from repro.fleet.population import _budget_uniforms
 from repro.fleet.thresholds import (
     TABLE_MEMO_SIZE,
     FirstFailureQuantile,
@@ -72,6 +80,115 @@ class TestApportionment:
         assignment = interleaved_assignment(weights, 41)
         counts = np.bincount(assignment, minlength=3).tolist()
         assert counts == proportional_counts(weights, 41)
+
+
+def interleaved_assignment_oracle(weights, total):
+    """The per-slot numpy loop ``interleaved_assignment`` replaced."""
+    counts = np.asarray(proportional_counts(weights, total), dtype=int)
+    weights = np.asarray(weights, dtype=float)
+    share = weights / weights.sum()
+    assigned = np.zeros(len(counts), dtype=int)
+    out = np.empty(total, dtype=int)
+    for slot in range(total):
+        deficit = share * (slot + 1) - assigned
+        deficit[assigned >= counts] = -np.inf  # category exhausted
+        out[slot] = int(np.argmax(deficit))
+        assigned[out[slot]] += 1
+    return out
+
+
+class TestInterleavingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.integers(1, 7),
+                st.floats(0.01, 100.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        total=st.integers(1, 3000),
+    )
+    @example(weights=[1, 1], total=2048)
+    @example(weights=[0.3, 0.3, 0.4], total=3000)
+    @example(weights=[1, 2, 3, 4, 5, 6], total=7)
+    def test_equals_numpy_loop(self, weights, total):
+        fast = interleaved_assignment(weights, total)
+        oracle = interleaved_assignment_oracle(weights, total)
+        assert fast.dtype == oracle.dtype
+        assert np.array_equal(fast, oracle)
+
+
+def budget_stream_oracle(seed, arrays, n):
+    """One ``default_rng`` per array: what ``_budget_uniforms`` replays."""
+    return np.stack(
+        [Population._budget_rng(a, seed).random(n) for a in arrays]
+    )
+
+
+class TestBudgetUniforms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]),
+        arrays=st.lists(
+            st.one_of(
+                st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        n=st.sampled_from([1, 2, 128]),
+    )
+    def test_equals_default_rng_stack(self, seed, arrays, n):
+        fast = _budget_uniforms(seed, arrays, n)
+        oracle = budget_stream_oracle(seed, arrays, n)
+        assert fast.shape == oracle.shape == (len(arrays), n)
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast.view(np.uint64), oracle.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "arrays, n",
+        [
+            (np.arange(2048), 5),
+            # 1,024 draws a lane: several row blocks, the last partial.
+            (np.arange(1000, 0, -3), 1024),
+        ],
+    )
+    def test_equals_default_rng_stack_over_a_fleet(self, arrays, n):
+        for seed in (1, 7, 2**40 + 3):
+            fast = _budget_uniforms(seed, arrays, n)
+            oracle = budget_stream_oracle(seed, arrays, n)
+            assert np.array_equal(fast.view(np.uint64), oracle.view(np.uint64))
+
+    def test_negative_seed_rejected_like_default_rng(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, BUDGET_STREAM, 0])
+        with pytest.raises(ValueError):
+            _budget_uniforms(-1, [0], 1)
+
+    @pytest.mark.parametrize("array", [-1, 2**32])
+    def test_array_index_outside_one_word_rejected(self, array):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _budget_uniforms(0, [0, array], 1)
+
+    def test_population_over_one_word_of_arrays_rejected(self):
+        with pytest.raises(ValueError, match="n_arrays"):
+            PopulationSpec(n_arrays=2**32 + 1)
+
+    def test_mismatch_with_default_rng_raises(self, monkeypatch):
+        # A stream that is not PCG64 under SeedSequence: the vector path
+        # must refuse rather than silently draw different thresholds.
+        def other_stream(array, seed):
+            return np.random.Generator(
+                np.random.MT19937([seed, BUDGET_STREAM, int(array)])
+            )
+
+        monkeypatch.setattr(
+            Population, "_budget_rng", staticmethod(other_stream)
+        )
+        with pytest.raises(RuntimeError, match=np.__version__):
+            _budget_uniforms(1, [0, 1], 2)
 
 
 class TestSpecs:
@@ -339,6 +456,24 @@ class TestThresholdDistribution:
                 repacking=repacking
             ).death_thresholds(results, seed=1, required_offsets=footprints)
             assert np.all(np.isfinite(thresholds) & (thresholds > 0))
+
+    @pytest.mark.parametrize("repacking", [False, True])
+    def test_equal_to_per_array_generators(
+        self, mixed_cohorts, monkeypatch, repacking
+    ):
+        results, footprints = mixed_cohorts
+        population = mixed_population(repacking=repacking)
+        fast = population.death_thresholds(
+            results, seed=11, required_offsets=footprints
+        )
+        monkeypatch.setattr(
+            population_module, "_budget_uniforms", budget_stream_oracle
+        )
+        oracle = population.death_thresholds(
+            results, seed=11, required_offsets=footprints
+        )
+        assert population.n_arrays == 2048
+        assert np.array_equal(fast.view(np.uint64), oracle.view(np.uint64))
 
     def test_draws_depend_on_seed_not_call(self, mixed_cohorts):
         results, _ = mixed_cohorts

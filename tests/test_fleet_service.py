@@ -359,6 +359,32 @@ class TestDispatchAndCapacity:
 
         assert death_spread("least_worn") < death_spread("even")
 
+    def test_capacities_equal_per_array_expressions(self):
+        # One capacity per (cohort, technology) pair, gathered per
+        # array, equals the scalar expression evaluated array by array.
+        spec = small_fleet_spec(
+            population=PopulationSpec(
+                n_arrays=11,
+                technology_mix=(("MRAM", 2.0), ("PCM", 1.0), ("RRAM", 1.0)),
+                cohorts=(CohortSpec("add"), CohortSpec("conv", weight=2.0)),
+            ),
+            duty_cycle=0.7,
+        )
+        service = FleetService(spec)
+        ops = [1234.5, 98.25]
+        population = service.population
+        expected = [
+            capacity_iterations(
+                ops[int(population.cohort_index[array])]
+                * population.technology_of(array).op_latency_s,
+                spec.duty_cycle,
+            )
+            for array in range(population.n_arrays)
+        ]
+        capacities = service._capacities(ops)
+        assert capacities.dtype == np.float64
+        assert capacities.tolist() == expected
+
     def test_capacity_pressure_drops_requests(self):
         spec = one_array_spec(duty_cycle=1e-6, days=2)
         report = FleetService(spec).run()
