@@ -4,17 +4,32 @@ Long-horizon sweeps are worth caching: this module saves a
 :class:`~repro.core.simulator.SimulationResult`'s counters and metadata to
 a single ``.npz`` file and restores them into a summary object that
 supports every downstream analysis (distributions, lifetimes, failure
-timelines) without re-simulation. It also seals the JSON records that
-a run resumes or reports from (fleet checkpoints, store manifests), so a
-damaged file reads as absent instead of as different data.
+timelines) without re-simulation.
+
+Counters are stored **lane-packed**: wear lands only on the lanes that
+run a program, so each counter matrix is kept as the sorted indices of
+its lanes with a nonzero count (``<name>_lanes``) and the block of just
+those lanes (``<name>_block``, shape ``(lane size, len(lanes))``), in
+the narrowest of ``uint8``/``uint16``/``uint32`` that holds it exactly,
+else float64. Restoring scatters the block back into a float64 matrix of
+zeros, so every restored matrix equals the saved one bit for bit. The
+same arrays are the engine's in-memory transport between processes.
+
+The module also seals the JSON records that a run resumes or reports
+from (fleet checkpoints, store manifests), so a damaged file reads as
+absent instead of as different data.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import lzma
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +40,34 @@ from repro.balance.config import BalanceConfig
 from repro.core.simulator import SimulationResult
 from repro.core.writedist import WriteDistribution
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: Integer block dtypes, narrowest first, with the largest count each holds.
+_NARROW_DTYPES = tuple(
+    (np.dtype(dtype), np.iinfo(dtype).max)
+    for dtype in (np.uint8, np.uint16, np.uint32)
+)
+#: The counter matrices a result packs, in storage order.
+_COUNTERS = ("write", "read")
+#: Every dtype a stored block may have.
+_BLOCK_DTYPES = tuple(dtype for dtype, _ in _NARROW_DTYPES) + (
+    np.dtype(np.float64),
+)
+
+#: What reading a damaged ``.npz`` raises besides ``ValueError``: a
+#: broken container (bad CRC, truncation, a flag or compression method
+#: the ``zipfile`` module refuses, an encryption bit), a mangled ``.npy``
+#: header, or a lost array.
+_DAMAGED = (
+    zipfile.BadZipFile,
+    EOFError,
+    KeyError,
+    NotImplementedError,
+    RuntimeError,
+    tokenize.TokenError,
+    zlib.error,
+    lzma.LZMAError,
+)
 
 #: The key :func:`dump_sealed` stores a record's content digest under.
 _SEAL_KEY = "sha256"
@@ -91,6 +133,109 @@ def result_metadata(result: SimulationResult) -> dict:
     }
 
 
+def _pack(
+    counts: np.ndarray, orientation: Orientation
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lanes, block)``: one counter matrix in its lane-packed form.
+
+    ``lanes`` are the sorted indices of the lanes holding a nonzero
+    count (columns on column-parallel arrays, rows on row-parallel
+    ones); ``block`` is those lanes side by side, shape
+    ``(lane size, len(lanes))``, cast to the narrowest unsigned integer
+    dtype that reproduces it exactly, else float64.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    column = orientation is Orientation.COLUMN_PARALLEL
+    lanes = np.flatnonzero(counts.any(axis=0 if column else 1))
+    if len(lanes) == counts.shape[1 if column else 0]:
+        block = counts  # every lane written: nothing to gather
+    else:
+        block = counts.take(lanes, axis=1 if column else 0)
+    if not column:
+        block = block.T
+    if not block.size:
+        return lanes, block.astype(np.uint8)
+    low, high = block.min(), block.max()
+    for dtype, limit in _NARROW_DTYPES:
+        if low >= 0 and high <= limit:  # NaN fails both comparisons
+            narrow = block.astype(dtype)
+            # A value that does not survive the narrowest cast that fits
+            # its range is not an integer, and survives no wider one.
+            return lanes, narrow if np.array_equal(narrow, block) else block
+    return lanes, block
+
+
+def _unpack(
+    lanes: np.ndarray,
+    block: np.ndarray,
+    shape: Tuple[int, int],
+    orientation: Orientation,
+) -> np.ndarray:
+    """The float64 counter matrix :func:`_pack` packed.
+
+    Raises:
+        ValueError: if the arrays are not a packing of a ``shape``
+            matrix: lanes not sorted, unique and in range, a block of
+            the wrong shape, or a dtype :func:`_pack` never writes.
+    """
+    column = orientation is Orientation.COLUMN_PARALLEL
+    n_lanes, lane_size = shape[::-1] if column else shape
+    if lanes.ndim != 1 or lanes.dtype.kind not in "iu":
+        raise ValueError(
+            f"lane indices must be a 1-D integer array, got "
+            f"{lanes.dtype} of shape {lanes.shape}"
+        )
+    if len(lanes) and (
+        lanes[0] < 0
+        or lanes[-1] >= n_lanes
+        or (lanes[1:] <= lanes[:-1]).any()
+    ):
+        raise ValueError(
+            f"lane indices must be sorted, unique and below {n_lanes}"
+        )
+    if block.dtype not in _BLOCK_DTYPES:
+        raise ValueError(f"unsupported counter block dtype {block.dtype}")
+    if block.shape != (lane_size, len(lanes)):
+        raise ValueError(
+            f"counter block shape {block.shape} does not match "
+            f"{len(lanes)} lanes of {lane_size}"
+        )
+    counts = np.zeros(shape)
+    by_lane = counts if column else counts.T
+    # Written lanes come in runs (each program holds a lane range): one
+    # slice copy per run is several times faster than a strided scatter.
+    bounds = [0, *(np.flatnonzero(np.diff(lanes) != 1) + 1).tolist()]
+    for start, stop in zip(bounds, bounds[1:] + [len(lanes)]):
+        if start < stop:
+            first = int(lanes[start])
+            by_lane[:, first : first + stop - start] = block[:, start:stop]
+    return counts
+
+
+def encode_result(
+    result: SimulationResult,
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(metadata, arrays)``: one result as it is stored and shipped.
+
+    ``arrays`` holds the lane-packed ``write_lanes``/``write_block``
+    always, and ``read_lanes``/``read_block`` only when some read was
+    counted: an untracked read distribution (all zeros) carries no
+    information. ``metadata`` is :func:`result_metadata` plus the
+    ``counters`` packed, so a payload that lost an array reads as
+    damaged rather than as untracked reads. :func:`restore_result`
+    inverts it. Works on any result-like object.
+    """
+    orientation = result.architecture.orientation
+    arrays, packed = {}, []
+    for name in _COUNTERS:
+        counts = getattr(result.state, f"{name}_counts")
+        lanes, block = _pack(counts, orientation)
+        if name == "write" or len(lanes):
+            arrays[f"{name}_lanes"], arrays[f"{name}_block"] = lanes, block
+            packed.append(name)
+    return dict(result_metadata(result), counters=packed), arrays
+
+
 def save_result(
     result: SimulationResult, path: str, compress: bool = True
 ) -> None:
@@ -99,21 +244,17 @@ def save_result(
     The workload mapping itself (programs, schedule) is not serialized;
     the per-iteration latency and per-iteration write/read totals it
     determines are stored instead, which is what every lifetime analysis
-    consumes.
+    consumes. The counters are lane-packed (:func:`encode_result`).
 
     Args:
-        compress: Deflate the counter arrays (smallest files, for export
+        compress: Deflate the archive (smallest files, for export
             artifacts). The engine's result store passes ``False``: its
             entries are a throughput-critical cache, and zlib costs more
             wall clock than the bytes are worth there.
     """
     writer = np.savez_compressed if compress else np.savez
-    arrays = {"write_counts": result.state.write_counts}
-    # An untracked read distribution is a matrix of zeros; storing it
-    # raw would double every entry for no information.
-    if result.state.read_counts.any():
-        arrays["read_counts"] = result.state.read_counts
-    writer(path, metadata=json.dumps(result_metadata(result)), **arrays)
+    metadata, arrays = encode_result(result)
+    writer(path, metadata=json.dumps(metadata), **arrays)
 
 
 @dataclass
@@ -162,18 +303,19 @@ class LoadedResult:
 
 
 def restore_result(
-    metadata: dict,
-    write_counts: np.ndarray,
-    read_counts: Optional[np.ndarray] = None,
+    metadata: dict, arrays: Mapping[str, np.ndarray]
 ) -> LoadedResult:
-    """Rebuild a :class:`LoadedResult` from its metadata block and counters.
+    """Rebuild a :class:`LoadedResult` from :func:`encode_result` output.
 
-    The inverse of (:func:`result_metadata`, the counter arrays); also the
-    experiment engine's in-memory transport between worker processes.
-    ``read_counts=None`` means "reads were not tracked" (all zeros).
+    Also the experiment engine's in-memory transport between worker
+    processes. ``arrays`` may be an open ``.npz`` archive: it is read
+    only after the version check. Reads not among the metadata's
+    ``counters`` were not tracked (all zeros).
 
     Raises:
-        ValueError: if the metadata was written by an incompatible version.
+        ValueError: if the metadata was written by an incompatible
+            version, or the arrays are not a packing of the counters
+            it names.
     """
     version = metadata.get("format_version")
     if version != _FORMAT_VERSION:
@@ -193,8 +335,19 @@ def restore_result(
             architecture,
             orientation=Orientation(metadata["orientation"]),
         )
+    packed = metadata.get("counters")
+    if packed not in (["write"], ["write", "read"]):
+        raise ValueError(f"unsupported counter list {packed!r}")
+    shape = (architecture.geometry.rows, architecture.geometry.cols)
+    counts = {"read": None}
+    for name in packed:
+        lanes = arrays.get(f"{name}_lanes")
+        block = arrays.get(f"{name}_block")
+        if lanes is None or block is None:
+            raise ValueError(f"missing {name} counters")
+        counts[name] = _unpack(lanes, block, shape, architecture.orientation)
     state = ArrayState.from_counts(
-        architecture.geometry, write_counts, read_counts
+        architecture.geometry, counts["write"], counts["read"]
     )
     return LoadedResult(
         workload_name=metadata["workload_name"],
@@ -215,15 +368,18 @@ def load_result(path: str) -> LoadedResult:
     """Restore a result saved with :func:`save_result`.
 
     Raises:
-        ValueError: if the file was written by an incompatible version.
+        OSError: if ``path`` cannot be read.
+        ValueError: if the file was written by an incompatible version
+            (a version 1 file holds dense counters) or is damaged: not
+            an archive the ``zipfile`` module reads back intact, or
+            without the metadata and packed counters it should hold.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(str(archive["metadata"]))
-        write_counts = archive["write_counts"]
-        read_counts = (
-            archive["read_counts"] if "read_counts" in archive.files else None
-        )
-    return restore_result(metadata, write_counts, read_counts)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            metadata = json.loads(str(archive["metadata"]))
+            return restore_result(metadata, archive)
+    except _DAMAGED as exc:
+        raise ValueError(f"damaged result file {path}: {exc!r}") from exc
 
 
 def save_distributions_csv(

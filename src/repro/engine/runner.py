@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.io import LoadedResult, restore_result, result_metadata
+from repro.core.io import LoadedResult, encode_result, restore_result
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
@@ -120,14 +120,15 @@ def _fresh_worker_telemetry() -> None:
 
 def _pool_worker(
     spec: JobSpec, store_root: Optional[str]
-) -> Tuple[float, Optional[Tuple[dict, np.ndarray, Optional[np.ndarray]]]]:
+) -> Tuple[float, Optional[Tuple[dict, Dict[str, np.ndarray]]]]:
     """Simulate ``spec``; persist to the store or ship counters back.
 
     Returns ``(wall_s, payload)`` where ``payload`` is ``None`` when the
     result was saved to the store (the parent reloads it from disk) and
-    otherwise the ``(metadata, write_counts, read_counts)`` triple —
-    with ``read_counts=None`` when reads were untracked, so a matrix of
-    zeros never crosses the process pipe.
+    otherwise the ``(metadata, arrays)`` pair the store would have
+    written (:func:`encode_result`: lane-packed counters, no read block
+    when reads were untracked), so the pipe carries what the disk does
+    and the parent decodes both through :func:`restore_result`.
     """
     start = time.perf_counter()
     result = execute_spec(spec)
@@ -135,12 +136,7 @@ def _pool_worker(
     if store_root is not None:
         ResultStore(store_root).save(spec, result, wall_s=wall)
         return wall, None
-    read_counts = result.state.read_counts
-    return wall, (
-        result_metadata(result),
-        result.state.write_counts,
-        read_counts if read_counts.any() else None,
-    )
+    return wall, encode_result(result)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Disk-backed, content-addressed storage for simulation results.
 
 Each completed job is stored under its spec's content hash as an
-uncompressed ``.npz`` (the counter arrays plus result metadata, via
-:mod:`repro.core.io`) next to a JSON sidecar recording the spec identity
-and timing. Entries are written atomically (temp file + rename, array
-payload before sidecar), so a store left behind by a killed run contains
-only complete entries — re-running the batch resumes from them. Every
-temp file carries the writing process's pid, so concurrent saves of one
-key never share a temp file.
+undeflated ``.npz`` (the lane-packed counters plus result metadata, via
+:mod:`repro.core.io`: each counter matrix as the indices of its written
+lanes and those lanes' block in the narrowest exact integer dtype) next
+to a JSON sidecar recording the spec identity and timing. An entry of an
+older format version (version 1 kept dense float64 matrices) reads as a
+miss and is re-simulated and overwritten.
+
+Entries are written atomically (temp file + rename, array payload before
+sidecar), so a store left behind by a killed run contains only complete
+entries — re-running the batch resumes from them. Every temp file
+carries the writing process's pid, so concurrent saves of one key never
+share a temp file.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import zipfile
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
@@ -71,9 +75,10 @@ class ResultStore:
     Args:
         root: Directory to keep entries in (created if missing). Entries
             shard into two-character subdirectories to keep listings flat.
-            Payloads are stored raw: the store is a throughput-critical
-            cache and a raw ``.npz`` loads several times faster than a
-            deflated one.
+            Payloads hold only the lanes a run wrote, in the narrowest
+            integer dtype that keeps them exact, and are not deflated:
+            the store is a throughput-critical cache, and zlib costs
+            more wall clock than the bytes are worth there.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -118,7 +123,7 @@ class ResultStore:
             return None
         try:
             return load_result(str(self.path_for(key)))
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        except (OSError, ValueError):  # load_result's damaged-file types
             return None
 
     def save(

@@ -155,8 +155,8 @@ class _CampaignState:
     def to_json(self) -> Dict:
         return {
             "day": int(self.day),
-            "cumulative": [float(x) for x in self.cumulative],
-            "death_day": [int(d) for d in self.death_day],
+            "cumulative": self.cumulative.tolist(),
+            "death_day": self.death_day.tolist(),
             "served": int(self.served),
             "dropped": int(self.dropped),
             "traffic_state": self.traffic_state.to_json(),
@@ -214,6 +214,12 @@ class FleetService:
         self.checkpoint_every = checkpoint_every
         self.jobs = jobs
         self.population = Population.build(spec.population)
+        # Cohort membership is fixed for the campaign; the day loop
+        # indexes by it every cohort-day.
+        self._members = tuple(
+            self.population.arrays_in_cohort(index)
+            for index in range(len(spec.population.cohorts))
+        )
         self.architecture = default_architecture(spec.rows, spec.cols)
 
     # -- phase 1: cohort calibration ------------------------------------
@@ -340,7 +346,7 @@ class FleetService:
             cohort_requests = int(per_cohort[index])
             if cohort_requests == 0:
                 continue
-            members = self.population.arrays_in_cohort(index)
+            members = self._members[index]
             alive = members[state.death_day[members] < 0]
             if len(alive) == 0:
                 state.dropped += cohort_requests
@@ -503,7 +509,7 @@ class FleetService:
         weights = self.spec.population.cohort_weights
         demand = 0.0
         for index, cohort in enumerate(self.spec.population.cohorts):
-            members = self.population.arrays_in_cohort(index)
+            members = self._members[index]
             if len(members) == 0:
                 continue
             mean_capacity = float(capacities[members].mean())

@@ -1,15 +1,20 @@
-"""Damaged fleet checkpoints and store manifests read as absent.
+"""Damaged fleet checkpoints, store manifests and store payloads read
+as absent.
 
-A real checkpoint and a real manifest are truncated or have one byte
-replaced. Every damaged file must read as absent, or, when the damage
-left the recorded content intact (it hit only the name of the digest
-key), as exactly what was written: never as different data, never as a
-crash. ``CheckpointManager.latest()`` then falls back to the
-next-newest checkpoint.
+A real checkpoint, a real manifest and a real lane-packed result payload
+are truncated or have one byte replaced. Every damaged file must read as
+absent, or, when the damage left the recorded content intact (it hit
+only the name of the digest key, or a field of the payload's zip
+container that reading does not depend on), as exactly what was
+written: never as different data, never as a crash.
+``CheckpointManager.latest()`` then falls back to the next-newest
+checkpoint.
 """
 
+import shutil
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +97,29 @@ def manifest(tmp_path_factory):
     return spec, store.manifest_for(spec).read_bytes(), loaded
 
 
+@pytest.fixture(scope="module")
+def payload(tmp_path_factory):
+    """A real store entry with tracked reads: the store, spec, raw payload
+    bytes and the saved counters."""
+    arch = default_architecture(64, 64)
+    spec = JobSpec(
+        workload=ParallelMultiplication(bits=8),
+        architecture=arch,
+        config=BalanceConfig.from_label("RaxRa"),
+        iterations=50,
+        seed=3,
+        track_reads=True,
+    )
+    result = EnduranceSimulator(arch, settings=spec.settings).run(
+        spec.workload, spec.config, spec.iterations
+    )
+    store = ResultStore(tmp_path_factory.mktemp("store"))
+    store.save(spec, result, wall_s=0.5)
+    counters = (result.state.write_counts, result.state.read_counts)
+    assert all(counts.any() for counts in counters)
+    return store, spec, store.path_for(spec).read_bytes(), counters
+
+
 class TestDamagedCheckpoint:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -154,3 +182,27 @@ class TestDamagedManifest:
         assert store.load_manifest("ab" * 32) is None
         assert list(store.iter_manifests()) == []
 
+
+class TestDamagedPayload:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reads_as_miss_or_as_saved(self, payload, data):
+        store, spec, raw, counters = payload
+        bad, truncated = data.draw(damaged(raw))
+        with tempfile.TemporaryDirectory() as root:
+            copy = ResultStore(root)
+            path = copy.path_for(spec)
+            path.parent.mkdir(parents=True)
+            shutil.copyfile(store.sidecar_for(spec), copy.sidecar_for(spec))
+            path.write_bytes(bad)
+            loaded = copy.load(spec)
+            if truncated:
+                assert loaded is None
+            if loaded is not None:
+                restored = (
+                    loaded.state.write_counts,
+                    loaded.state.read_counts,
+                )
+                for ours, theirs in zip(restored, counters):
+                    assert ours.dtype == np.float64
+                    assert np.array_equal(ours, theirs)

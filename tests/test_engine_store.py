@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.io import restore_result, result_metadata
+from repro.core.io import encode_result, restore_result
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
 from repro.engine.store import blas_implementation
@@ -70,29 +70,37 @@ class TestRoundTrip:
         assert loaded.max_writes_per_iteration == result.max_writes_per_iteration
 
     def test_in_memory_transport_matches_disk(self, tmp_path, spec, result):
-        """restore_result over raw arrays equals the save/load path."""
-        shipped = restore_result(
-            result_metadata(result),
-            result.state.write_counts,
-            result.state.read_counts,
-        )
+        """The pool's packed payload decodes to what the store loads."""
+        shipped = restore_result(*encode_result(result))
         store = ResultStore(tmp_path)
         store.save(spec, result)
         loaded = store.load(spec)
-        assert np.array_equal(
-            shipped.state.write_counts, loaded.state.write_counts
-        )
+        for name in ("write_counts", "read_counts"):
+            ours = getattr(shipped.state, name)
+            theirs = getattr(loaded.state, name)
+            assert np.array_equal(ours, theirs)
+            assert np.array_equal(ours, getattr(result.state, name))
+            assert ours.dtype == theirs.dtype == np.float64
         assert shipped.iteration_latency_s == loaded.iteration_latency_s
 
+    def test_pool_payload_is_the_packed_arrays(self, spec, result):
+        """``--jobs N`` without a store ships the store's encoding."""
+        from repro.engine.runner import _pool_worker
+
+        _, (metadata, arrays) = _pool_worker(spec, None)
+        expected_metadata, expected = encode_result(result)
+        assert metadata == expected_metadata
+        assert metadata["counters"] == ["write", "read"]
+        assert arrays.keys() == expected.keys()
+        for key, array in expected.items():
+            assert arrays[key].dtype == array.dtype
+            assert np.array_equal(arrays[key], array)
+
     def test_restore_rejects_alien_version(self, result):
-        metadata = result_metadata(result)
+        metadata, arrays = encode_result(result)
         metadata["format_version"] = 999
         with pytest.raises(ValueError, match="unsupported result format"):
-            restore_result(
-                metadata,
-                result.state.write_counts,
-                result.state.read_counts,
-            )
+            restore_result(metadata, arrays)
 
 
 class TestStoreSemantics:

@@ -290,6 +290,45 @@ class TestCheckpointResume:
         assert report.content_hash() == FleetService(spec).run().content_hash()
 
 
+class TestCheckpointEncoding:
+    def test_state_json_equals_the_per_element_form(self, tmp_path):
+        # The arrays are encoded with tolist(); the values, and so the
+        # checkpoint bytes, are those of the element-by-element form.
+        from repro.fleet.service import _CampaignState
+        from repro.fleet.traffic import TrafficState, traffic_rng
+
+        state = _CampaignState(
+            day=7,
+            cumulative=np.array(
+                [0.0, 1.0 / 3.0, 2.0**52 + 1.0, 60001.75, 1e-300, 123456.789]
+            ),
+            death_day=np.array([-1, 3, -1, 2**40, 0, 7], dtype=np.int64),
+            served=10**12,
+            dropped=5,
+            traffic_state=TrafficState(),
+            rng=traffic_rng(11),
+        )
+        encoded = state.to_json()
+        reference = dict(
+            encoded,
+            cumulative=[float(x) for x in state.cumulative],
+            death_day=[int(d) for d in state.death_day],
+        )
+        for key in ("cumulative", "death_day"):
+            assert encoded[key] == reference[key]
+            assert [type(v) for v in encoded[key]] == [
+                type(v) for v in reference[key]
+            ]
+        ours = CheckpointManager(tmp_path / "ours", "c" * 64)
+        theirs = CheckpointManager(tmp_path / "theirs", "c" * 64)
+        ours.save(7, encoded)
+        theirs.save(7, reference)
+        assert ours.path_for(7).read_bytes() == theirs.path_for(7).read_bytes()
+        restored = _CampaignState.from_json(ours.load(7))
+        assert np.array_equal(restored.cumulative, state.cumulative)
+        assert np.array_equal(restored.death_day, state.death_day)
+
+
 class TestSpecIdentity:
     def test_execution_knobs_excluded_from_hash(self):
         # Pinned before the kernel knobs were removed (they never
@@ -384,6 +423,50 @@ class TestDispatchAndCapacity:
         capacities = service._capacities(ops)
         assert capacities.dtype == np.float64
         assert capacities.tolist() == expected
+
+    def test_day_loop_reuses_cohort_membership(self, monkeypatch):
+        # Membership is fixed for a campaign: the day loop and the
+        # report's demand estimate index by arrays computed once, not by
+        # a scan over the population per cohort-day.
+        from repro.fleet.population import Population
+
+        calls = []
+        scan = Population.arrays_in_cohort
+
+        def spy(population, cohort):
+            calls.append(cohort)
+            return scan(population, cohort)
+
+        monkeypatch.setattr(Population, "arrays_in_cohort", spy)
+        advance = FleetService._advance_day_serial
+        demand = FleetService._demand_arrays
+        during = []
+
+        def watched(method):
+            def wrapper(*args, **kwargs):
+                before = len(calls)
+                value = method(*args, **kwargs)
+                during.append(len(calls) - before)
+                return value
+
+            return wrapper
+
+        monkeypatch.setattr(
+            FleetService, "_advance_day_serial", watched(advance)
+        )
+        monkeypatch.setattr(FleetService, "_demand_arrays", watched(demand))
+        spec = small_fleet_spec(
+            population=PopulationSpec(
+                n_arrays=6,
+                technology_mix=(("PCM", 1.0),),
+                cohorts=(CohortSpec("add"), CohortSpec("conv")),
+                endurance_sigma=0.5,
+            ),
+        )
+        report = FleetService(spec).run()
+        assert report.days_simulated == spec.days
+        assert len(during) == spec.days + 1
+        assert sum(during) == 0
 
     def test_capacity_pressure_drops_requests(self):
         spec = one_array_spec(duty_cycle=1e-6, days=2)
