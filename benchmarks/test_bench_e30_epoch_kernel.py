@@ -20,8 +20,21 @@ timing-free identity check (``test_bench_e30_epoch_kernel_identity``)
 runs the same equivalence on both layouts at a CI-sized horizon, plus a
 trace-like layout — three programs on 4 of 1,024 lanes under
 ``trace-sweep``'s ``StxSt``, ``RaxRa`` and ``BsxBs`` — whose every GEMM
-runs lane-compact, over only the lanes its set touches. Beyond
-the plain-text artifact this benchmark writes a machine-readable
+runs lane-compact, over only the lanes its set touches.
+
+A third row times the kernel's fast-forward branch, taken automatically
+on every configuration periodic on both axes: on ``Bs x Bs`` at
+``recompile_interval=1`` the per-lane wear delta repeats with period
+``lcm(lane period, between period)``, so a 1M-iteration 8-bit ``mult``
+horizon (256x64) collapses to one weighted GEMM over one period block.
+It must be bit-identical to the oracle and at least 100x faster, its
+counters must conserve the closed-form total (iterations x writes per
+iteration, the Bitlet-style litmus the fleet's capacity model uses),
+and a second run must serve every workspace from the process scratch
+pool (hits, no fresh allocations). The identity check covers this
+layout too, at 5,000 iterations.
+
+Beyond the plain-text artifact this benchmark writes a machine-readable
 ``BENCH_E30.json`` (configuration, iterations/second on each path,
 speedup, GEMMs per run) so downstream tooling can track the ratio over
 time.
@@ -35,7 +48,8 @@ import numpy as np
 from conftest import bench_iterations
 from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
-from repro.core.kernel import epoch_lengths
+from repro.core.kernel import epoch_lengths, fastforward_period
+from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.telemetry import Telemetry, set_telemetry
@@ -46,6 +60,14 @@ from repro.workloads.multiply import ParallelMultiplication
 #: Floored like E29: the speedup is an asymptotic claim about per-epoch
 #: overhead, and a toy horizon would mostly time simulator setup.
 MIN_ITERATIONS = 20_000
+
+#: The fast-forward row's horizon: its 100x claim is about collapsing
+#: a long horizon, and a short one would mostly time set-up.
+FASTFORWARD_ITERATIONS = 1_000_000
+#: The fast-forward row's layout: 8-bit ``mult`` on 256x64, ``BsxBs``
+#: recompiled every iteration.
+FASTFORWARD_ARCH = default_architecture(256, 64)
+FASTFORWARD_CONFIG = BalanceConfig.from_label("BsxBs", recompile_interval=1)
 
 
 def _iterations() -> int:
@@ -114,6 +136,70 @@ def test_bench_e30_epoch_kernel_identity():
         )
         # Three program sets x (writes, reads), every one compact.
         assert batched_gemms == compact == 3 * 2, label
+    fast, *_ = _run(
+        5_000, ParallelMultiplication(bits=8), oracle=False,
+        arch=FASTFORWARD_ARCH, config=FASTFORWARD_CONFIG,
+    )
+    slow, *_ = _run(
+        5_000, ParallelMultiplication(bits=8), oracle=True,
+        arch=FASTFORWARD_ARCH, config=FASTFORWARD_CONFIG,
+    )
+    _assert_identical(fast, slow, 5_000)
+
+
+def _fastforward_row():
+    """The fast-forward row: timings, conservation and the warm pool."""
+    iterations = max(
+        bench_iterations(FASTFORWARD_ITERATIONS), FASTFORWARD_ITERATIONS
+    )
+    workload = ParallelMultiplication(bits=8)
+    fast, fast_s, *_ = _run(
+        iterations, workload, oracle=False, arch=FASTFORWARD_ARCH,
+        config=FASTFORWARD_CONFIG,
+    )
+    slow, slow_s, *_ = _run(
+        iterations, workload, oracle=True, arch=FASTFORWARD_ARCH,
+        config=FASTFORWARD_CONFIG,
+    )
+    _assert_identical(fast, slow, iterations)
+    mapping = workload.build(FASTFORWARD_ARCH)
+    predicted = float(mapping.writes_per_iteration * iterations)
+    assert fast.state.total_writes == predicted
+
+    # The second run on the same shapes reuses every pooled workspace.
+    _run(20_000, workload, oracle=False, arch=FASTFORWARD_ARCH,
+         config=FASTFORWARD_CONFIG)
+    hits, misses = POOL.hits, POOL.misses
+    _run(20_000, workload, oracle=False, arch=FASTFORWARD_ARCH,
+         config=FASTFORWARD_CONFIG)
+    assert POOL.hits > hits, "second run should serve scratch from the pool"
+    assert POOL.misses == misses, "second run allocated scratch"
+    return iterations, {
+        "workload": "mult-8b",
+        "config": "BsxBs",
+        "recompile_interval": 1,
+        "iterations": iterations,
+        "architecture": {
+            "rows": FASTFORWARD_ARCH.geometry.rows,
+            "cols": FASTFORWARD_ARCH.geometry.cols,
+        },
+        "period": fastforward_period(
+            FASTFORWARD_CONFIG,
+            FASTFORWARD_ARCH.lane_size,
+            FASTFORWARD_ARCH.lane_count,
+        ),
+        "epoch_kernel": {
+            "seconds": round(slow_s, 4),
+            "iterations_per_second": round(iterations / slow_s, 1),
+        },
+        "batched_kernel": {
+            "seconds": round(fast_s, 4),
+            "iterations_per_second": round(iterations / fast_s, 1),
+        },
+        "speedup": round(slow_s / fast_s, 2),
+        "throughput_model_writes": predicted,
+        "warm_pool_hits": POOL.hits - hits,
+    }
 
 
 def test_bench_e30_epoch_kernel_speedup(record, results_dir):
@@ -144,6 +230,8 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
             "kernel_gemms": gemms,
         }
 
+    ff_iterations, fastforward = _fastforward_row()
+
     mult = rows["mult-32b"]
     payload = {
         "experiment": "E30_epoch_kernel",
@@ -159,6 +247,7 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
         "seed": 7,
         **mult,
         "conv": {"workload": "conv", **rows["conv"]},
+        "fastforward": fastforward,
         "bit_identical": True,
     }
     (results_dir / "BENCH_E30.json").write_text(
@@ -181,7 +270,22 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
             f"{row['kernel_gemms']} GEMMs)",
             f"    speedup          {row['speedup']:8.1f}x",
         ]
-    lines.append("  results bit-identical: yes")
+    oracle_s = fastforward["epoch_kernel"]["seconds"]
+    kernel_s = fastforward["batched_kernel"]["seconds"]
+    lines += [
+        f"  fast-forward: mult-8b BsxBs interval=1 ({ff_iterations} "
+        f"iterations, 256x64, period {fastforward['period']} epochs)",
+        f"    per-epoch oracle {oracle_s:8.2f} s  "
+        f"({ff_iterations / oracle_s:10.0f} iter/s)",
+        f"    fast-forward     {kernel_s:8.4f} s  "
+        f"({ff_iterations / kernel_s:10.0f} iter/s)",
+        f"    speedup          {fastforward['speedup']:8.0f}x",
+        f"    conserves {fastforward['throughput_model_writes']:.0f} writes "
+        "(iterations x writes/iteration, exact)",
+        f"    warm pool rerun: {fastforward['warm_pool_hits']} pooled-buffer "
+        "hits, no allocations",
+        "  results bit-identical: yes",
+    ]
     record("E30_epoch_kernel", "\n".join(lines))
 
     for name, row in rows.items():
@@ -190,3 +294,7 @@ def test_bench_e30_epoch_kernel_speedup(record, results_dir):
             f"the per-epoch oracle ({row['batched_kernel']['seconds']:.2f}s "
             f"vs {row['epoch_kernel']['seconds']:.2f}s)"
         )
+    assert fastforward["speedup"] >= 100.0, (
+        f"fast-forward only {fastforward['speedup']:.1f}x faster than the "
+        f"per-epoch oracle ({kernel_s:.4f}s vs {oracle_s:.2f}s)"
+    )

@@ -1,27 +1,133 @@
-"""Per-cell array state: read/write counters and failure marks.
+"""Per-cell array state: read and write counters.
 
 The paper's simulator "is instruction-level accurate, and each write to
 each memory cell is counted" (Section 4). :class:`ArrayState` holds those
-counters as numpy matrices in physical ``(row, col)`` coordinates, plus a
-failure mask for the Section 3.3 analysis.
+counters as numpy matrices in physical ``(row, col)`` coordinates.
+
+A state has two forms. While a run accumulates, its counters are
+float64 matrices, the type BLAS multiplies in. Every count is an integer
+and every partial sum stays below 2^53 (RPR019), so the float64 sums are
+exact. When the run ends, :meth:`ArrayState.finish` narrows them once
+into the **packed** form that results hold, ship between processes and
+store (:mod:`repro.core.io`): per counter, the sorted indices of the
+lanes that may hold a count (columns on a column-parallel array, rows
+on a row-parallel one) and the block of just those lanes, shape
+``(lane size, len(lanes))``, in the narrowest unsigned integer dtype
+that holds every count exactly. A count that does not survive the cast
+is a defect and raises :class:`InexactCountError`.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.array.geometry import ArrayGeometry, Orientation
 
+#: Counter dtypes, narrowest first, with the largest count each holds.
+COUNT_DTYPES = tuple(
+    (np.dtype(dtype), np.iinfo(dtype).max)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+)
+
+#: One packed counter matrix: ``(lanes, block)``.
+Packed = Tuple[np.ndarray, np.ndarray]
+
+
+class InexactCountError(ValueError):
+    """A counter value that no unsigned integer dtype holds exactly:
+    negative, fractional, or not a number."""
+
+
+def _narrow(block: np.ndarray) -> np.ndarray:
+    """``block`` cast to the narrowest dtype of :data:`COUNT_DTYPES`
+    whose cast reproduces every value (``np.array_equal``).
+
+    Raises:
+        InexactCountError: if no such dtype exists.
+    """
+    if not block.size:
+        return block.astype(np.uint8)
+    low, high = block.min(), block.max()
+    if low >= 0:  # NaN fails every comparison
+        for dtype, limit in COUNT_DTYPES:
+            if high <= limit:
+                narrow = block.astype(dtype)
+                # A value that does not survive the narrowest cast that
+                # fits its range is not an integer, and survives no
+                # wider one.
+                if np.array_equal(narrow, block):
+                    return narrow
+                break
+    raise InexactCountError(
+        f"counts in [{low}, {high}] are not all exact non-negative "
+        "integers"
+    )
+
+
+def pack_counts(
+    counts: np.ndarray,
+    orientation: Orientation,
+    lanes: Optional[np.ndarray] = None,
+) -> Packed:
+    """``(lanes, block)``: one ``rows x cols`` counter matrix packed.
+
+    ``lanes`` are sorted, distinct lane indices outside which every
+    count is zero; ``None`` finds the lanes holding a nonzero count. A
+    block covering every lane is cast straight from the matrix, without
+    a gather.
+
+    Raises:
+        InexactCountError: if a count is not an exact non-negative
+            integer.
+    """
+    by_lane = counts if orientation is Orientation.COLUMN_PARALLEL else counts.T
+    if lanes is None:
+        lanes = np.flatnonzero(by_lane.any(axis=0))
+    if len(lanes) == by_lane.shape[1]:
+        return lanes, _narrow(by_lane)
+    return lanes, _narrow(by_lane[:, lanes])
+
+
+def _dense(
+    lanes: np.ndarray,
+    block: np.ndarray,
+    shape: Tuple[int, int],
+    orientation: Orientation,
+) -> np.ndarray:
+    """The ``shape`` counter matrix that ``(lanes, block)`` packs, in
+    the block's dtype: the block itself (transposed on a row-parallel
+    array) when it covers every lane, else scattered into zeros."""
+    column = orientation is Orientation.COLUMN_PARALLEL
+    if len(lanes) == (shape[1] if column else shape[0]):
+        return block if column else block.T
+    counts = np.zeros(shape, dtype=block.dtype)
+    by_lane = counts if column else counts.T
+    # Written lanes come in runs (each program holds a lane range): one
+    # slice copy per run is several times faster than a strided scatter.
+    bounds = [0, *(np.flatnonzero(np.diff(lanes) != 1) + 1).tolist()]
+    for start, stop in zip(bounds, bounds[1:] + [len(lanes)]):
+        if start < stop:
+            first = int(lanes[start])
+            by_lane[:, first : first + stop - start] = block[:, start:stop]
+    return counts
+
 
 class ArrayState:
-    """Mutable per-cell counters for one PIM array.
+    """Per-cell counters for one PIM array.
 
     Attributes:
         geometry: The array dimensions.
-        write_counts: ``rows x cols`` accumulated cell writes (float64 so
-            epoch-extrapolated fractional counts stay exact in expectation).
+        write_counts: ``rows x cols`` accumulated cell writes.
         read_counts: ``rows x cols`` accumulated cell reads.
-        failed: Boolean mask of permanently failed cells.
+        packed: ``None`` while the state accumulates (float64 counters
+            the ``add_*``/``record_*`` methods update); on a finished
+            state, the :func:`pack_counts` form of each counter the run
+            tracked (``"write"``, and ``"read"`` when reads were
+            counted), from whose blocks the read-only integer
+            ``write_counts``/``read_counts`` are built on first use.
     """
 
     def __init__(self, geometry: ArrayGeometry) -> None:
@@ -29,7 +135,7 @@ class ArrayState:
         shape = (geometry.rows, geometry.cols)
         self.write_counts = np.zeros(shape, dtype=np.float64)
         self.read_counts = np.zeros(shape, dtype=np.float64)
-        self.failed = np.zeros(shape, dtype=bool)
+        self.packed: Optional[Dict[str, Packed]] = None
 
     def _scratch_buffer(self) -> np.ndarray:
         """The process pool's full-array float64 workspace.
@@ -53,17 +159,13 @@ class ArrayState:
         write_counts: np.ndarray,
         read_counts: "np.ndarray | None" = None,
     ) -> "ArrayState":
-        """Adopt existing counter matrices without zero-fill-and-copy.
+        """An accumulating state over existing counter matrices.
 
-        The restore hot path: deserialized counters are taken by reference
-        (coerced to contiguous float64 only if needed), so rebuilding a
-        state costs nothing beyond coercion. ``read_counts=None`` means
-        "reads were not tracked" and yields zeros.
-
-        The zero planes (untracked reads, the failure mask) are
-        *read-only broadcast views*: restored states feed analyses, not
-        further simulation, and faulting in fresh zero pages for every
-        cache hit is the dominant cost of a warm-store load on slow VMs.
+        The matrices are taken by reference (coerced to contiguous
+        float64 only if needed), so a pooled workspace accumulates in
+        place. ``read_counts=None`` means "reads are not tracked": the
+        read plane is a read-only broadcast zero plane that costs no
+        memory, and any add into it raises.
         """
         shape = (geometry.rows, geometry.cols)
         write_counts = np.ascontiguousarray(write_counts, dtype=np.float64)
@@ -80,8 +182,87 @@ class ArrayState:
         state.geometry = geometry
         state.write_counts = write_counts
         state.read_counts = read_counts
-        state.failed = np.broadcast_to(np.bool_(False), shape)
+        state.packed = None
         return state
+
+    @classmethod
+    def from_packed(
+        cls,
+        geometry: ArrayGeometry,
+        orientation: Orientation,
+        write: Packed,
+        read: Optional[Packed] = None,
+    ) -> "ArrayState":
+        """A finished state over packed counters (:func:`pack_counts`).
+
+        The blocks are adopted, not copied, and made read-only.
+        ``read=None`` means reads were not counted.
+        """
+        packed = {"write": write}
+        if read is not None:
+            packed["read"] = read
+        for _, block in packed.values():
+            block.flags.writeable = False
+        state = cls.__new__(cls)
+        state.geometry = geometry
+        state.orientation = orientation
+        state.packed = packed
+        return state
+
+    # A finished state builds each counter matrix from its block on
+    # first use; an accumulating state assigns both attributes, which
+    # shadow these descriptors.
+    @cached_property
+    def write_counts(self) -> np.ndarray:
+        """A finished state's writes as a read-only ``rows x cols``
+        matrix: its block itself when the block covers every lane."""
+        return self._unpacked("write")
+
+    @cached_property
+    def read_counts(self) -> np.ndarray:
+        """A finished state's reads, as :attr:`write_counts`; a
+        broadcast zero plane, which costs no memory, when reads were
+        not counted."""
+        return self._unpacked("read")
+
+    def _unpacked(self, name: str) -> np.ndarray:
+        shape = (self.geometry.rows, self.geometry.cols)
+        if name not in self.packed:
+            return np.broadcast_to(np.uint8(0), shape)
+        counts = _dense(*self.packed[name], shape, self.orientation)
+        counts.flags.writeable = False
+        return counts
+
+    def finish(
+        self,
+        orientation: Orientation,
+        lanes: Optional[np.ndarray] = None,
+        track_reads: bool = True,
+    ) -> "ArrayState":
+        """This accumulated state's counters as a finished, packed state.
+
+        The counters are narrowed once into new arrays, so the
+        accumulator (often a pooled workspace) can be reused at once.
+
+        Args:
+            orientation: Lane orientation, which picks the lane axis.
+            lanes: Sorted, distinct lanes outside which every counter is
+                zero (the lanes the kernel added to); ``None`` scans
+                each matrix for its nonzero lanes.
+            track_reads: Pack the read counters too. Packed reads that
+                cover no lane are dropped, as if untracked.
+
+        Raises:
+            InexactCountError: if a count is not an exact non-negative
+                integer.
+        """
+        write = pack_counts(self.write_counts, orientation, lanes)
+        read = None
+        if track_reads:
+            read = pack_counts(self.read_counts, orientation, lanes)
+            if not len(read[0]):
+                read = None
+        return ArrayState.from_packed(self.geometry, orientation, write, read)
 
     # -- single-cell events (exact replay path) -------------------------
 
@@ -268,9 +449,3 @@ class ArrayState:
         if orientation is Orientation.COLUMN_PARALLEL:
             return counts
         return counts.T
-
-    def reset(self) -> None:
-        """Zero all counters and clear failures."""
-        self.write_counts[:] = 0.0
-        self.read_counts[:] = 0.0
-        self.failed[:] = False

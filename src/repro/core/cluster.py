@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+import numpy as np
+
 from repro.array.architecture import PIMArchitecture
+from repro.array.state import ArrayState, pack_counts
 from repro.balance.config import BalanceConfig
 from repro.core.lifetime import LifetimeEstimate, lifetime_from_result
 from repro.core.settings import SimulationSettings
@@ -213,13 +216,24 @@ class PartitionedDotProduct:
             array = simulator(index)
             as_aggregator = array.run(aggregator, config, share)
             as_slice = array.run(slice_workload, config, iterations - share)
-            as_aggregator.state.write_counts += as_slice.state.write_counts
+            # Finished counters are narrow integers: sum them wide, so
+            # no cell wraps, then pack the total again.
+            total = np.add(
+                as_aggregator.state.write_counts,
+                as_slice.state.write_counts,
+                dtype=np.uint64,
+            )
+            state = ArrayState.from_packed(
+                architecture.geometry,
+                architecture.orientation,
+                pack_counts(total, architecture.orientation),
+            )
             combined = SimulationResult(
                 workload_name=self.name,
                 config=config,
                 architecture=architecture,
                 iterations=iterations,
-                state=as_aggregator.state,
+                state=state,
                 mapping=as_aggregator.mapping,
                 epochs=as_aggregator.epochs + as_slice.epochs,
             )

@@ -6,14 +6,17 @@ a single ``.npz`` file and restores them into a summary object that
 supports every downstream analysis (distributions, lifetimes, failure
 timelines) without re-simulation.
 
-Counters are stored **lane-packed**: wear lands only on the lanes that
-run a program, so each counter matrix is kept as the sorted indices of
-its lanes with a nonzero count (``<name>_lanes``) and the block of just
-those lanes (``<name>_block``, shape ``(lane size, len(lanes))``), in
-the narrowest of ``uint8``/``uint16``/``uint32`` that holds it exactly,
-else float64. Restoring scatters the block back into a float64 matrix of
-zeros, so every restored matrix equals the saved one bit for bit. The
-same arrays are the engine's in-memory transport between processes.
+Counters are stored in the **packed** form a finished result already
+holds (:meth:`repro.array.state.ArrayState.finish`): wear lands only on
+the lanes that run a program, so each counter matrix is kept as the
+sorted indices of the lanes that may hold a count (``<name>_lanes``)
+and the block of just those lanes (``<name>_block``, shape
+``(lane size, len(lanes))``) in the narrowest unsigned integer dtype
+that holds it exactly. Saving writes the result's own arrays, without
+a second pack, and restoring adopts the stored block: a block that
+covers every lane is the restored matrix itself, and a partial one is
+scattered into zeros of its own dtype. The same arrays are the
+engine's in-memory transport between processes.
 
 The module also seals the JSON records that a run resumes or reports
 from (fleet checkpoints, store manifests), so a damaged file reads as
@@ -35,24 +38,15 @@ import numpy as np
 
 from repro.array.architecture import PIMArchitecture, default_architecture
 from repro.array.geometry import Orientation
-from repro.array.state import ArrayState
+from repro.array.state import COUNT_DTYPES, ArrayState
 from repro.balance.config import BalanceConfig
 from repro.core.simulator import SimulationResult
 from repro.core.writedist import WriteDistribution
 
 _FORMAT_VERSION = 2
 
-#: Integer block dtypes, narrowest first, with the largest count each holds.
-_NARROW_DTYPES = tuple(
-    (np.dtype(dtype), np.iinfo(dtype).max)
-    for dtype in (np.uint8, np.uint16, np.uint32)
-)
-#: The counter matrices a result packs, in storage order.
-_COUNTERS = ("write", "read")
 #: Every dtype a stored block may have.
-_BLOCK_DTYPES = tuple(dtype for dtype, _ in _NARROW_DTYPES) + (
-    np.dtype(np.float64),
-)
+_BLOCK_DTYPES = tuple(dtype for dtype, _ in COUNT_DTYPES)
 
 #: What reading a damaged ``.npz`` raises besides ``ValueError``: a
 #: broken container (bad CRC, truncation, a flag or compression method
@@ -133,50 +127,22 @@ def result_metadata(result: SimulationResult) -> dict:
     }
 
 
-def _pack(
-    counts: np.ndarray, orientation: Orientation
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(lanes, block)``: one counter matrix in its lane-packed form.
-
-    ``lanes`` are the sorted indices of the lanes holding a nonzero
-    count (columns on column-parallel arrays, rows on row-parallel
-    ones); ``block`` is those lanes side by side, shape
-    ``(lane size, len(lanes))``, cast to the narrowest unsigned integer
-    dtype that reproduces it exactly, else float64.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    column = orientation is Orientation.COLUMN_PARALLEL
-    lanes = np.flatnonzero(counts.any(axis=0 if column else 1))
-    if len(lanes) == counts.shape[1 if column else 0]:
-        block = counts  # every lane written: nothing to gather
-    else:
-        block = counts.take(lanes, axis=1 if column else 0)
-    if not column:
-        block = block.T
-    if not block.size:
-        return lanes, block.astype(np.uint8)
-    low, high = block.min(), block.max()
-    for dtype, limit in _NARROW_DTYPES:
-        if low >= 0 and high <= limit:  # NaN fails both comparisons
-            narrow = block.astype(dtype)
-            # A value that does not survive the narrowest cast that fits
-            # its range is not an integer, and survives no wider one.
-            return lanes, narrow if np.array_equal(narrow, block) else block
-    return lanes, block
-
-
-def _unpack(
+def _check_packed(
     lanes: np.ndarray,
     block: np.ndarray,
     shape: Tuple[int, int],
     orientation: Orientation,
-) -> np.ndarray:
-    """The float64 counter matrix :func:`_pack` packed.
+) -> None:
+    """Check that ``(lanes, block)``, read from outside, packs a
+    ``shape`` counter matrix.
 
     Raises:
-        ValueError: if the arrays are not a packing of a ``shape``
-            matrix: lanes not sorted, unique and in range, a block of
-            the wrong shape, or a dtype :func:`_pack` never writes.
+        ValueError: if lanes are not sorted, unique and in range, the
+            block has the wrong shape, or its dtype is not one of
+            :data:`~repro.array.state.COUNT_DTYPES` (float64 blocks of
+            entries written before results held integer counters
+            included: they read as damaged, so the store re-simulates
+            them).
     """
     column = orientation is Orientation.COLUMN_PARALLEL
     n_lanes, lane_size = shape[::-1] if column else shape
@@ -200,16 +166,6 @@ def _unpack(
             f"counter block shape {block.shape} does not match "
             f"{len(lanes)} lanes of {lane_size}"
         )
-    counts = np.zeros(shape)
-    by_lane = counts if column else counts.T
-    # Written lanes come in runs (each program holds a lane range): one
-    # slice copy per run is several times faster than a strided scatter.
-    bounds = [0, *(np.flatnonzero(np.diff(lanes) != 1) + 1).tolist()]
-    for start, stop in zip(bounds, bounds[1:] + [len(lanes)]):
-        if start < stop:
-            first = int(lanes[start])
-            by_lane[:, first : first + stop - start] = block[:, start:stop]
-    return counts
 
 
 def encode_result(
@@ -217,23 +173,19 @@ def encode_result(
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
     """``(metadata, arrays)``: one result as it is stored and shipped.
 
-    ``arrays`` holds the lane-packed ``write_lanes``/``write_block``
-    always, and ``read_lanes``/``read_block`` only when some read was
-    counted: an untracked read distribution (all zeros) carries no
-    information. ``metadata`` is :func:`result_metadata` plus the
+    ``arrays`` holds the result's own packed counters
+    (``ArrayState.packed``), not copies: ``write_lanes``/``write_block``
+    always, and ``read_lanes``/``read_block`` only when reads were
+    counted. ``metadata`` is :func:`result_metadata` plus the
     ``counters`` packed, so a payload that lost an array reads as
     damaged rather than as untracked reads. :func:`restore_result`
-    inverts it. Works on any result-like object.
+    inverts it. Works on any result-like object with a finished state.
     """
-    orientation = result.architecture.orientation
-    arrays, packed = {}, []
-    for name in _COUNTERS:
-        counts = getattr(result.state, f"{name}_counts")
-        lanes, block = _pack(counts, orientation)
-        if name == "write" or len(lanes):
-            arrays[f"{name}_lanes"], arrays[f"{name}_block"] = lanes, block
-            packed.append(name)
-    return dict(result_metadata(result), counters=packed), arrays
+    packed = result.state.packed
+    arrays = {}
+    for name, (lanes, block) in packed.items():
+        arrays[f"{name}_lanes"], arrays[f"{name}_block"] = lanes, block
+    return dict(result_metadata(result), counters=list(packed)), arrays
 
 
 def save_result(
@@ -309,7 +261,8 @@ def restore_result(
 
     Also the experiment engine's in-memory transport between worker
     processes. ``arrays`` may be an open ``.npz`` archive: it is read
-    only after the version check. Reads not among the metadata's
+    only after the version check. The restored state adopts the blocks
+    (:meth:`ArrayState.from_packed`). Reads not among the metadata's
     ``counters`` were not tracked (all zeros).
 
     Raises:
@@ -338,16 +291,22 @@ def restore_result(
     packed = metadata.get("counters")
     if packed not in (["write"], ["write", "read"]):
         raise ValueError(f"unsupported counter list {packed!r}")
-    shape = (architecture.geometry.rows, architecture.geometry.cols)
+    geometry = architecture.geometry
     counts = {"read": None}
     for name in packed:
         lanes = arrays.get(f"{name}_lanes")
         block = arrays.get(f"{name}_block")
         if lanes is None or block is None:
             raise ValueError(f"missing {name} counters")
-        counts[name] = _unpack(lanes, block, shape, architecture.orientation)
-    state = ArrayState.from_counts(
-        architecture.geometry, counts["write"], counts["read"]
+        _check_packed(
+            lanes,
+            block,
+            (geometry.rows, geometry.cols),
+            architecture.orientation,
+        )
+        counts[name] = (lanes, block)
+    state = ArrayState.from_packed(
+        geometry, architecture.orientation, counts["write"], counts["read"]
     )
     return LoadedResult(
         workload_name=metadata["workload_name"],

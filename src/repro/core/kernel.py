@@ -66,7 +66,10 @@ product and adds it into just their counters. The distinct lanes come
 from a boolean mark, not a sort; a set wider than the cutoff skips even
 that, since each epoch alone puts it on as many lanes as it has. Every
 other set pays the full-width GEMM. The sums are the same, so the
-result is too.
+result is too. Either way the kernel knows which lanes it adds to —
+every lane when a reference set runs, else the lanes its sets' weights
+land on — and reports them through ``written``, so a finished run packs
+just those lanes without scanning the counters for them.
 
 Everything stays **exact**: profiles, epoch lengths, multiplicities and
 lane weights are integer-valued float64, and every partial sum is
@@ -303,6 +306,7 @@ class _Accumulator:
         groups: Dict[int, Tuple[LaneProgram, List[int]]],
         remappers: Optional[Dict[int, HardwareRemapper]],
         track_reads: bool,
+        written: np.ndarray,
     ) -> None:
         self.lane_size = architecture.lane_size
         self.lane_count = architecture.lane_count
@@ -353,6 +357,11 @@ class _Accumulator:
         }
         if self.reference is not None and unassigned.size:
             self.lanes[_UNASSIGNED] = unassigned
+        #: Lanes the run adds counts to: all of them when the reference
+        #: set's GEMV lands on every lane, else marked by :meth:`weights`.
+        self.written = written
+        if self.reference is not None:
+            written[:] = True
 
     def lane_writes(self, key: int) -> float:
         """Writes one iteration deposits on each of the program's lanes."""
@@ -415,6 +424,8 @@ class _Accumulator:
         # are distinct, so scattered columns never collide.
         rows = np.arange(len(between_maps))[:, None]
         weights[rows, columns] = values
+        if self.reference is None:
+            self.written[assigned if touched is None else touched] = True
         return weights, touched
 
     def _touched(self, assigned: np.ndarray) -> Optional[np.ndarray]:
@@ -490,6 +501,7 @@ def run_batched_epochs(
     remappers: Optional[Dict[int, HardwareRemapper]] = None,
     lane_loads: Optional[np.ndarray] = None,
     track_reads: bool = True,
+    written: Optional[np.ndarray] = None,
 ) -> int:
     """Accumulate a whole run into ``state``, folding periodic axes.
 
@@ -507,6 +519,10 @@ def run_batched_epochs(
         lane_loads: Per-logical-lane writes/iteration, required when the
             between strategy is wear-aware.
         track_reads: Also accumulate the read distribution.
+        written: A boolean mask over the lanes; the run sets it at every
+            lane it adds counts to (each lane outside stays zero), so
+            finishing the run packs those lanes without scanning for
+            them.
 
     Returns:
         The number of logical epochs the run covers, however few were
@@ -516,8 +532,10 @@ def run_batched_epochs(
         raise ValueError("hardware re-mapping requires remappers")
     if config.between is StrategyKind.WEAR_AWARE and lane_loads is None:
         raise ValueError("wear-aware between-lane mapping requires lane_loads")
+    if written is None:
+        written = np.zeros(architecture.lane_count, dtype=bool)
     accumulator = _Accumulator(
-        architecture, config, state, groups, remappers, track_reads
+        architecture, config, state, groups, remappers, track_reads, written
     )
     lengths = epoch_lengths(config, iterations)
     total_epochs = int(lengths.size)

@@ -1,9 +1,10 @@
 """The process-wide scratch-buffer pool for the hot simulation paths.
 
-The epoch kernel (chunked GEMM and fast-forward, E30/E34), the
+The epoch kernel (chunked GEMM and fast-forward, E30), the
 compiled SWAR evaluator (uint64 bitplanes, E32), and
 :meth:`ArrayState.add_lane_profiles` all need per-chunk or per-batch
-workspaces of a few recurring shapes. They take them from
+workspaces of a few recurring shapes, and every simulation accumulates
+its counters in a float64 workspace per geometry. They take them from
 :data:`POOL`, one :class:`BufferPool` shared by the whole process, so a
 grid of runs on the same geometry allocates each workspace once, and a
 retained result holds no scratch (``docs/performance.md`` has the peak

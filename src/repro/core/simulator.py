@@ -42,6 +42,7 @@ from repro.core.kernel import (
     make_epoch_maps,
     run_batched_epochs,
 )
+from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.writedist import WriteDistribution
 from repro.telemetry import get_telemetry
@@ -99,7 +100,8 @@ class SimulationResult:
         config: The balance configuration simulated.
         architecture: Target architecture.
         iterations: Iterations simulated.
-        state: Accumulated per-cell counters.
+        state: The run's finished per-cell counters: exact unsigned
+            integers in packed form (:meth:`ArrayState.finish`).
         mapping: The workload mapping (schedule, utilization, programs).
     """
 
@@ -153,7 +155,7 @@ class SimulationResult:
 
 @dataclass
 class _PreparedRun:
-    """A verified run's inputs: mapping, fresh counters and streams."""
+    """A verified run's inputs: mapping, zeroed counters and streams."""
 
     architecture: PIMArchitecture
     mapping: WorkloadMapping
@@ -162,17 +164,31 @@ class _PreparedRun:
     groups: Dict[int, Tuple[object, List[int]]]
     remappers: Optional[Dict[int, HardwareRemapper]]
     lane_loads: Optional[np.ndarray]
+    track_reads: bool
 
     def result(
-        self, config: BalanceConfig, iterations: int, epochs: int
+        self,
+        config: BalanceConfig,
+        iterations: int,
+        epochs: int,
+        lanes: Optional[np.ndarray] = None,
     ) -> SimulationResult:
-        """Wrap the accumulated counters as a :class:`SimulationResult`."""
+        """Wrap the accumulated counters as a :class:`SimulationResult`,
+        narrowed to their packed integer form (:meth:`ArrayState.finish`;
+        ``lanes`` as there).
+
+        Raises:
+            repro.array.state.InexactCountError: if a count is not an
+                exact non-negative integer.
+        """
         return SimulationResult(
             workload_name=self.mapping.workload_name,
             config=config,
             architecture=self.architecture,
             iterations=iterations,
-            state=self.state,
+            state=self.state.finish(
+                self.architecture.orientation, lanes, self.track_reads
+            ),
             mapping=self.mapping,
             epochs=epochs,
         )
@@ -229,6 +245,7 @@ class EnduranceSimulator:
         start = time.perf_counter()
         run = self._prepare(workload, config, iterations, effective)
         path = kernel_path(config)
+        written = np.zeros(self.architecture.lane_count, dtype=bool)
         with tele.timed_phase("kernel", kernel=path):
             epochs = run_batched_epochs(
                 self.architecture,
@@ -240,6 +257,7 @@ class EnduranceSimulator:
                 remappers=run.remappers,
                 lane_loads=run.lane_loads,
                 track_reads=effective.track_reads,
+                written=written,
             )
 
         elapsed = time.perf_counter() - start
@@ -263,7 +281,7 @@ class EnduranceSimulator:
                 writes=float(run.state.write_counts.sum()),
                 reads=float(run.state.read_counts.sum()),
             )
-        return run.result(config, iterations, epochs)
+        return run.result(config, iterations, epochs, np.flatnonzero(written))
 
     # ------------------------------------------------------------------
     # Internals
@@ -276,7 +294,15 @@ class EnduranceSimulator:
         iterations: int,
         settings: SimulationSettings,
     ) -> "_PreparedRun":
-        """Validate, map and verify a run; set up its state and streams."""
+        """Validate, map and verify a run; set up its state and streams.
+
+        The counters accumulate in float64, the type BLAS multiplies in,
+        in the process pool's per-geometry workspaces, zeroed here:
+        :meth:`_PreparedRun.result` narrows them into the result's own
+        arrays, so no run keeps a workspace and a grid of runs allocates
+        it once. Reads untracked, the read plane is a broadcast zero
+        plane.
+        """
         if iterations <= 0:
             raise ValueError("iterations must be positive")
         if config.within is StrategyKind.WEAR_AWARE:
@@ -302,14 +328,23 @@ class EnduranceSimulator:
             if config.between is StrategyKind.WEAR_AWARE
             else None
         )
+        geometry = architecture.geometry
+        shape = (geometry.rows, geometry.cols)
         return _PreparedRun(
             architecture=architecture,
             mapping=mapping,
-            state=ArrayState(architecture.geometry),
+            state=ArrayState.from_counts(
+                geometry,
+                POOL.get("state.writes", shape, zero=True),
+                POOL.get("state.reads", shape, zero=True)
+                if settings.track_reads
+                else None,
+            ),
             rng=np.random.default_rng(settings.seed),
             groups=groups,
             remappers=remappers,
             lane_loads=lane_loads,
+            track_reads=settings.track_reads,
         )
 
     def _run_epoch_loop(
@@ -327,8 +362,10 @@ class EnduranceSimulator:
         :func:`make_epoch_maps` one epoch at a time (consuming the random
         stream exactly as the kernel's chunked draws do), wear-aware
         assignments are resolved against the full state, and each epoch
-        lands as outer products. ``rng`` overrides the stream seeded
-        from ``settings.seed``, so a test can inspect what is left of it.
+        lands as outer products into a fresh (unpooled) float64 state,
+        packed at the end by scanning for its written lanes. ``rng``
+        overrides the stream seeded from ``settings.seed``, so a test
+        can inspect what is left of it.
         """
         settings = settings if settings is not None else self.settings
         run = self._prepare(workload, config, iterations, settings)
@@ -336,7 +373,8 @@ class EnduranceSimulator:
             run.rng = rng
         architecture = self.architecture
         orientation = architecture.orientation
-        state = run.state
+        # A fresh state: the oracle shares no workspace with the kernel.
+        state = run.state = ArrayState(architecture.geometry)
         lengths = epoch_lengths(config, iterations)
         for epoch, length in enumerate(lengths.tolist()):
             within_maps, between_maps = make_epoch_maps(

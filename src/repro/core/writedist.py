@@ -26,6 +26,12 @@ _ASCII_RAMP = " .:-=+*#%@"
 class WriteDistribution:
     """Accumulated per-cell write counts with analysis helpers.
 
+    Unsigned integer counts (a finished result's, see
+    :class:`~repro.array.state.ArrayState`) are kept as they are, not
+    copied to float64: every statistic reduces them with exact integer
+    partial sums (all below 2^53), so it equals the float64 figure bit
+    for bit. Other counts are taken as float64.
+
     Args:
         counts: ``rows x cols`` accumulated write counts.
         iterations: Number of workload iterations the counts cover.
@@ -40,12 +46,14 @@ class WriteDistribution:
         orientation: Orientation = Orientation.COLUMN_PARALLEL,
         label: str = "",
     ) -> None:
-        counts = np.asarray(counts, dtype=np.float64)
+        counts = np.asarray(counts)
+        if counts.dtype.kind != "u":
+            counts = counts.astype(np.float64, copy=False)
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-D matrix")
         if iterations <= 0:
             raise ValueError("iterations must be positive")
-        if np.any(counts < 0):
+        if counts.dtype.kind != "u" and np.any(counts < 0):
             raise ValueError("write counts cannot be negative")
         self.counts = counts
         self.iterations = int(iterations)
@@ -116,7 +124,7 @@ class WriteDistribution:
         "1: maximum utilization")."""
         peak = self.max
         if peak == 0:
-            return np.zeros_like(self.counts)
+            return np.zeros(self.counts.shape)
         return self.counts / peak
 
     def lane_matrix(self) -> np.ndarray:

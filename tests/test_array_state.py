@@ -75,7 +75,7 @@ class TestLaneProfiles:
             )
 
 
-class TestViewsAndReset:
+class TestViews:
     def test_lane_view_orientation(self):
         state = ArrayState(ArrayGeometry(2, 3))
         state.write_counts[0, 2] = 5.0
@@ -88,11 +88,3 @@ class TestViewsAndReset:
         state = ArrayState(ArrayGeometry(2, 3))
         with pytest.raises(ValueError):
             state.lane_view(np.zeros((3, 3)), Orientation.COLUMN_PARALLEL)
-
-    def test_reset(self):
-        state = ArrayState(ArrayGeometry(2, 2))
-        state.record_write(0, 0, Orientation.COLUMN_PARALLEL)
-        state.failed[0, 0] = True
-        state.reset()
-        assert state.total_writes == 0
-        assert not state.failed.any()

@@ -7,6 +7,8 @@ import pytest
 
 from repro.balance.config import BalanceConfig
 from repro.core.cluster import PartitionedDotProduct
+from repro.core.settings import SimulationSettings
+from repro.core.simulator import EnduranceSimulator
 from repro.gates.library import NAND_LIBRARY
 
 
@@ -77,6 +79,36 @@ class TestClusterRuns:
         )
         total = lambda r: sum(x.state.total_writes for x in r.results)
         assert total(rotated) == pytest.approx(total(fixed))
+
+    def test_rotated_shares_sum_without_wrapping(self, small_arch, cluster):
+        # Each share's counters fit uint16, their sum passes 65,535 at
+        # some cell: the combined counts must equal the float64 sum.
+        iterations = 2800
+        share = iterations // cluster.n_arrays
+        rotated = cluster.run(
+            small_arch, BalanceConfig(), iterations=iterations,
+            rotate_aggregator=True, seed=3,
+        )
+        for index, result in enumerate(rotated.results):
+            simulator = EnduranceSimulator(
+                small_arch, SimulationSettings(seed=3 + index,
+                                               track_reads=False)
+            )
+            shares = (
+                simulator.run(cluster.aggregator_workload(),
+                              BalanceConfig(), share),
+                simulator.run(cluster.slice_workload(), BalanceConfig(),
+                              iterations - share),
+            )
+            assert all(
+                part.state.write_counts.dtype == np.uint16 for part in shares
+            )
+            expected = sum(
+                part.state.write_counts.astype(np.float64) for part in shares
+            )
+            assert expected.max() > 65535
+            assert result.state.write_counts.dtype == np.uint32
+            assert np.array_equal(result.state.write_counts, expected)
 
     def test_rotation_requires_divisible_iterations(self, small_arch, cluster):
         with pytest.raises(ValueError, match="divisible"):

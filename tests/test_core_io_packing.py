@@ -1,9 +1,11 @@
-"""The lane-packed result format: exact round trips, validation, v1 misses.
+"""The packed result format: exact round trips, validation, v1 misses.
 
-The oracle is the dense in-memory counter matrix: whatever lanes hold
-counts and whatever values they hold (up to 2^53 - 1, or non-integer),
-every path back — the saved file, the deflated export and the engine's
-in-memory transport — must give a float64 matrix equal to it.
+The oracle is the dense float64 counter matrix a run accumulates:
+whatever lanes hold counts and whatever exact integer counts they hold
+(up to 2^53 - 1), the finished state and every path back — the saved
+file, the deflated export and the engine's in-memory transport — must
+give an unsigned integer matrix equal to it. A count that is not an
+exact non-negative integer raises :class:`InexactCountError`.
 """
 
 import json
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.array.architecture import default_architecture
 from repro.array.geometry import Orientation
-from repro.array.state import ArrayState
+from repro.array.state import ArrayState, InexactCountError
 from repro.balance.config import BalanceConfig
 from repro.core.io import (
     LoadedResult,
@@ -30,8 +32,8 @@ from repro.core.simulator import EnduranceSimulator
 from repro.engine import ExperimentEngine, JobSpec, JobStatus, ResultStore
 from repro.workloads.multiply import ParallelMultiplication
 
-#: Counts at both sides of every integer block dtype's limit, the
-#: largest exactly countable value, and non-integers.
+#: Counts at both sides of every integer block dtype's limit and the
+#: largest exactly countable value.
 EDGE_VALUES = (
     1.0,
     2.0,
@@ -42,37 +44,37 @@ EDGE_VALUES = (
     2.0**32 - 1,
     2.0**32,
     2.0**53 - 1,
-    0.5,
-    1234.25,
 )
+
+#: Values no counter may hold.
+INEXACT_VALUES = (0.5, 1234.25, -1.0, np.nan, np.inf)
 
 
 def narrowest(block):
-    """The dtype the format promises for ``block`` (a float64 array)."""
-    if block.size == 0:
-        return np.uint8
-    if np.array_equal(block, np.floor(block)) and block.min() >= 0:
-        for dtype in (np.uint8, np.uint16, np.uint32):
-            if block.max() <= np.iinfo(dtype).max:
-                return dtype
-    return np.float64
+    """The dtype the format promises for ``block`` (exact integers)."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if block.size == 0 or block.max() <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
 
 def result_of(write_counts, read_counts, orientation):
-    """A result-like object over the given dense counters."""
+    """A result-like object over the given dense counters, finished by
+    scanning them for their written lanes."""
     rows, cols = write_counts.shape
     architecture = default_architecture(rows, cols)
     if architecture.orientation is not orientation:
         architecture = replace(architecture, orientation=orientation)
+    state = ArrayState.from_counts(
+        architecture.geometry, write_counts, read_counts
+    )
     return LoadedResult(
         workload_name="probe",
         config=BalanceConfig.from_label("RaxBs"),
         architecture=architecture,
         iterations=7,
         epochs=1,
-        state=ArrayState.from_counts(
-            architecture.geometry, write_counts, read_counts
-        ),
+        state=state.finish(orientation, track_reads=read_counts is not None),
         iteration_latency_s=1.5e-6,
         lane_utilization=0.25,
     )
@@ -113,7 +115,7 @@ def assert_restored(loaded, write_counts, read_counts):
         (loaded.state.write_counts, write_counts),
         (loaded.state.read_counts, read_counts),
     ):
-        assert restored.dtype == np.float64
+        assert restored.dtype.kind == "u"
         assert restored.shape == original.shape
         assert np.array_equal(restored, original)
 
@@ -137,6 +139,7 @@ class TestRoundTrip:
             cols = min(drawn.shape[1], read_counts.shape[1])
             read_counts[:rows, :cols] = drawn[:rows, :cols]
         result = result_of(write_counts, read_counts, orientation)
+        assert_restored(result, write_counts, read_counts)
 
         metadata, arrays = encode_result(result)
         assert metadata == dict(
@@ -163,6 +166,8 @@ class TestRoundTrip:
             )
             assert block.dtype == narrowest(dense)
             assert np.array_equal(block, dense)
+            # The payload is the result's own packed arrays.
+            assert block is result.state.packed[name][1]
 
         assert_restored(
             restore_result(metadata, arrays), write_counts, read_counts
@@ -191,6 +196,32 @@ class TestRoundTrip:
         loaded = restore_result(*encode_result(result))
         assert not loaded.state.read_counts.any()
         assert loaded.state.read_counts.shape == (4, 6)
+        # A broadcast zero plane, which holds no memory.
+        assert loaded.state.read_counts.strides == (0, 0)
+
+    def test_restored_counters_are_the_blocks_read_only(self):
+        counts = np.full((4, 6), 300.0)
+        loaded = restore_result(
+            *encode_result(result_of(counts, None, Orientation.ROW_PARALLEL))
+        )
+        block = loaded.state.packed["write"][1]
+        assert block.dtype == np.uint16
+        assert np.shares_memory(loaded.state.write_counts, block)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.state.write_counts += 1
+
+
+class TestInexactCounts:
+    @pytest.mark.parametrize("value", INEXACT_VALUES)
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_finishing_raises_the_typed_error(self, value, orientation):
+        counts = np.zeros((4, 6))
+        counts[1, 2] = value
+        with pytest.raises(InexactCountError):
+            result_of(counts, None, orientation)
+        with pytest.raises(InexactCountError):
+            result_of(np.zeros((4, 6)), counts, orientation)
+        assert issubclass(InexactCountError, ValueError)
 
 
 def packed_probe():
@@ -227,9 +258,11 @@ class TestValidation:
             np.ones((6, 2), dtype=np.uint8),
             np.ones((4, 2), dtype=np.int64),
             np.ones((4, 2), dtype=np.float32),
+            np.ones((4, 2), dtype=np.float64),
             np.ones((4, 2), dtype=">u2"),
         ],
-        ids=["lane-count", "lane-size", "int64", "float32", "big-endian"],
+        ids=["lane-count", "lane-size", "int64", "float32", "float64",
+             "big-endian"],
     )
     def test_bad_blocks_are_rejected(self, block):
         metadata, arrays = packed_probe()

@@ -204,5 +204,5 @@ class TestDamagedPayload:
                     loaded.state.read_counts,
                 )
                 for ours, theirs in zip(restored, counters):
-                    assert ours.dtype == np.float64
+                    assert ours.dtype == theirs.dtype
                     assert np.array_equal(ours, theirs)

@@ -79,8 +79,9 @@ class TestRoundTrip:
             ours = getattr(shipped.state, name)
             theirs = getattr(loaded.state, name)
             assert np.array_equal(ours, theirs)
-            assert np.array_equal(ours, getattr(result.state, name))
-            assert ours.dtype == theirs.dtype == np.float64
+            original = getattr(result.state, name)
+            assert np.array_equal(ours, original)
+            assert ours.dtype == theirs.dtype == original.dtype
         assert shipped.iteration_latency_s == loaded.iteration_latency_s
 
     def test_pool_payload_is_the_packed_arrays(self, spec, result):
