@@ -425,7 +425,13 @@ class ArrayState:
 
     @property
     def max_writes(self) -> float:
-        """The hottest cell's write count — the denominator of Eq. 4."""
+        """The hottest cell's write count — the denominator of Eq. 4.
+
+        A finished state reads its packed block: every lane outside it
+        is zero, so no dense matrix is built.
+        """
+        if self.packed is not None:
+            return float(self.packed["write"][1].max(initial=0))
         return float(self.write_counts.max())
 
     @property

@@ -18,9 +18,11 @@ covers every lane is the restored matrix itself, and a partial one is
 scattered into zeros of its own dtype. The same arrays are the
 engine's in-memory transport between processes.
 
-The module also seals the JSON records that a run resumes or reports
-from (fleet checkpoints, store manifests), so a damaged file reads as
-absent instead of as different data.
+The module also seals the records that a run resumes or reports from,
+so a damaged file reads as absent instead of as different data: JSON
+records (store manifests) through :func:`dump_sealed`/:func:`load_sealed`,
+and records that carry arrays beside their JSON metadata (fleet
+checkpoints) through :func:`dump_sealed_arrays`/:func:`load_sealed_arrays`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import lzma
+import math
 import tokenize
 import zipfile
 import zlib
@@ -101,6 +104,122 @@ def load_sealed(text: str) -> Optional[dict]:
     if seal is None or seal == _digest(json.dumps(record, sort_keys=True)):
         return record
     return None
+
+
+#: The first bytes of every :func:`dump_sealed_arrays` record; the
+#: digest follows on the same line.
+_ARRAYS_MAGIC = b"repro-sealed-arrays 1 "
+
+#: The dtypes a sealed array may have, by their ``dtype.str``: booleans
+#: and plain numbers in either byte order, never objects.
+_ARRAY_DTYPES = {
+    dtype.str: dtype
+    for name in (
+        "bool", "int8", "int16", "int32", "int64", "uint8", "uint16",
+        "uint32", "uint64", "float32", "float64",
+    )
+    for dtype in (np.dtype(name), np.dtype(name).newbyteorder())
+}
+
+
+def dump_sealed_arrays(
+    metadata: dict, arrays: Mapping[str, np.ndarray]
+) -> bytes:
+    """``metadata`` and ``arrays`` as one binary record under one digest.
+
+    The record is a seal line (:data:`_ARRAYS_MAGIC` and the hex SHA-256
+    of everything after the line), a one-line JSON header holding
+    ``metadata`` and each array's name, dtype and shape, and then each
+    array's raw C-order bytes in header order. The digest covers the
+    header text and the array bytes, so no byte of the record after the
+    magic can change without the record reading as damaged.
+    ``metadata`` must be JSON-native.
+
+    Raises:
+        ValueError: if an array's dtype is not a boolean or plain
+            numeric one, which :func:`load_sealed_arrays` would refuse.
+    """
+    arrays = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
+    for name, a in arrays.items():
+        if a.dtype.str not in _ARRAY_DTYPES:
+            raise ValueError(f"cannot seal {name!r} of dtype {a.dtype}")
+    layout = [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()]
+    header = json.dumps({"arrays": layout, "metadata": metadata})
+    body = b"".join(
+        [header.encode("ascii"), b"\n"]
+        + [a.tobytes() for a in arrays.values()]
+    )
+    seal = hashlib.sha256(body).hexdigest().encode("ascii")
+    return b"".join([_ARRAYS_MAGIC, seal, b"\n", body])
+
+
+def _sealed_layout(layout) -> Optional[List[Tuple[str, np.dtype, tuple]]]:
+    """A header's ``arrays`` list as ``(name, dtype, shape)``, or
+    ``None`` if it is not one :func:`dump_sealed_arrays` writes."""
+    if not isinstance(layout, list):
+        return None
+    out = []
+    for entry in layout:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            return None
+        name, dtype, shape = entry
+        if not (
+            isinstance(name, str)
+            and isinstance(dtype, str)
+            and dtype in _ARRAY_DTYPES
+            and isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)
+        ):
+            return None
+        out.append((name, _ARRAY_DTYPES[dtype], tuple(shape)))
+    if len({name for name, _, _ in out}) != len(out):
+        return None
+    return out
+
+
+def load_sealed_arrays(
+    data: bytes,
+) -> Optional[Tuple[dict, Dict[str, np.ndarray]]]:
+    """The ``(metadata, arrays)`` :func:`dump_sealed_arrays` wrote, or
+    ``None`` if ``data`` is damaged.
+
+    The digest is checked before anything is parsed, so a truncated or
+    altered record reads as ``None``; so does a record whose digest
+    holds but whose header or array bytes do not describe each other.
+    The arrays are read-only views of ``data``.
+    """
+    seal, newline, body = data.partition(b"\n")
+    if (
+        not newline
+        or not seal.startswith(_ARRAYS_MAGIC)
+        or seal[len(_ARRAYS_MAGIC):]
+        != hashlib.sha256(body).hexdigest().encode("ascii")
+    ):
+        return None
+    text, newline, blob = body.partition(b"\n")
+    try:
+        header = json.loads(text)
+    except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep
+        return None
+    if not isinstance(header, dict) or not isinstance(
+        header.get("metadata"), dict
+    ):
+        return None
+    layout = _sealed_layout(header.get("arrays"))
+    if not newline or layout is None:
+        return None
+    arrays, offset = {}, 0
+    for name, dtype, shape in layout:
+        size = dtype.itemsize * math.prod(shape)
+        if size > len(blob) - offset:
+            return None
+        arrays[name] = np.frombuffer(
+            blob, dtype, size // dtype.itemsize, offset
+        ).reshape(shape)
+        offset += size
+    if offset != len(blob):
+        return None
+    return header["metadata"], arrays
 
 
 def result_metadata(result: SimulationResult) -> dict:

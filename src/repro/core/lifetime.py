@@ -73,10 +73,19 @@ def lifetime_from_result(
             endurance variation interacts with the wear pattern.
     """
     tech = technology or result.architecture.technology
-    per_iteration = result.state.write_counts / result.iterations
     if endurance_model is None:
         endurance_model = UniformEndurance(tech.endurance_writes)
-    iterations = endurance_model.iterations_to_first_failure(per_iteration)
+    if type(endurance_model) is UniformEndurance:
+        # Uniform endurance reads only the hottest cell's rate; dividing
+        # by the iterations is monotone, so the peak of the rate matrix
+        # is the peak count's rate, without building the matrix.
+        iterations = endurance_model.iterations_at_peak(
+            result.max_writes_per_iteration
+        )
+    else:
+        iterations = endurance_model.iterations_to_first_failure(
+            result.state.write_counts / result.iterations
+        )
     latency = result.iteration_latency_s
     return LifetimeEstimate(
         iterations_to_failure=iterations,

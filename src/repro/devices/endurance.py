@@ -95,7 +95,12 @@ class UniformEndurance(EnduranceModel):
         budgets: Optional[np.ndarray] = None,
     ) -> float:
         writes = np.asarray(per_iteration_writes, dtype=float)
-        peak = float(writes.max(initial=0.0))
+        return self.iterations_at_peak(float(writes.max(initial=0.0)))
+
+    def iterations_at_peak(self, peak: float) -> float:
+        """Iterations to first failure when the hottest cell takes
+        ``peak`` writes per iteration: all this model needs of a write
+        matrix (infinite when nothing is written)."""
         if peak == 0.0:
             return float("inf")
         return self.endurance_writes / peak

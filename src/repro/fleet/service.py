@@ -152,11 +152,13 @@ class _CampaignState:
     traffic_state: TrafficState
     rng: np.random.Generator
 
-    def to_json(self) -> Dict:
+    def to_checkpoint(self) -> Dict:
+        """The checkpoint state: the per-array vectors as arrays (stored
+        as raw bytes), everything else JSON-native."""
         return {
             "day": int(self.day),
-            "cumulative": self.cumulative.tolist(),
-            "death_day": self.death_day.tolist(),
+            "cumulative": self.cumulative,
+            "death_day": self.death_day,
             "served": int(self.served),
             "dropped": int(self.dropped),
             "traffic_state": self.traffic_state.to_json(),
@@ -164,10 +166,12 @@ class _CampaignState:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict) -> "_CampaignState":
+    def from_checkpoint(cls, payload: Dict) -> "_CampaignState":
+        """Rebuild the state :meth:`to_checkpoint` saved; the vectors are
+        copied, as the day loop updates them in place."""
         return cls(
             day=int(payload["day"]),
-            cumulative=np.array(payload["cumulative"], dtype=float),
+            cumulative=np.array(payload["cumulative"], dtype=np.float64),
             death_day=np.array(payload["death_day"], dtype=np.int64),
             served=int(payload["served"]),
             dropped=int(payload["dropped"]),
@@ -422,7 +426,7 @@ class FleetService:
             latest = self.checkpoints.latest()
             if latest is not None:
                 resumed_from, payload = latest
-                state = _CampaignState.from_json(payload)
+                state = _CampaignState.from_checkpoint(payload)
         if state is None:
             state = _CampaignState(
                 day=0,
@@ -466,7 +470,7 @@ class FleetService:
                 )
                 at_stop = stop_after_day is not None and state.day == last_day
                 if self.checkpoints is not None and (at_boundary or at_stop):
-                    self.checkpoints.save(state.day, state.to_json())
+                    self.checkpoints.save(state.day, state.to_checkpoint())
                     checkpoints_written += 1
                     tele.count("fleet.checkpoints")
                     tele.emit("fleet_checkpoint", day=state.day)

@@ -1,6 +1,6 @@
 """Versioned artifact schema validation (checkpoints, manifests, traces).
 
-The repo persists three kinds of JSON artifacts that later runs (and
+The repo persists three kinds of artifacts that later runs (and
 humans) consume: fleet checkpoint files
 (:mod:`repro.fleet.checkpoint`), per-run store manifests
 (:meth:`repro.engine.store.ResultStore._write_manifest`), and JSONL
@@ -9,9 +9,11 @@ shape; silently drifting from it turns into "resume quietly starts
 over" or "stats renders nothing" bugs. This pass validates an artifact
 against its schema and reports every violation as ``RPR017``.
 
-* :func:`check_checkpoint` — envelope (``version`` /
-  ``campaign_hash`` / ``day`` / ``state``), the campaign-state keys,
-  and the per-array vector length agreement.
+* :func:`check_checkpoint` — a decoded checkpoint's envelope
+  (``version`` / ``campaign_hash`` / ``day`` / ``state``), the
+  campaign-state keys, and the per-array vectors' dtypes, ranks and
+  lengths. :class:`~repro.fleet.checkpoint.CheckpointManager` runs it
+  on every checkpoint it reads.
 * :func:`check_manifest` — the required provenance keys every run
   manifest carries.
 * :func:`check_trace` — per-line JSONL schema validation, wrapping
@@ -28,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Union
 
+import numpy as np
+
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 
 __all__ = [
@@ -39,7 +43,7 @@ __all__ = [
 ]
 
 #: Keys every checkpointed campaign state carries
-#: (:meth:`repro.fleet.service._CampaignState.to_json`).
+#: (:meth:`repro.fleet.service._CampaignState.to_checkpoint`).
 CHECKPOINT_STATE_KEYS = frozenset(
     {
         "day",
@@ -77,98 +81,81 @@ def _missing(payload: Dict, required: frozenset) -> List[str]:
 
 
 def check_checkpoint(payload) -> List[Diagnostic]:
-    """RPR017: validate one fleet checkpoint payload.
+    """RPR017: validate one decoded fleet checkpoint payload.
 
     Checks the versioned envelope (``version`` must equal the current
     :data:`repro.fleet.checkpoint.CHECKPOINT_VERSION`, ``campaign_hash``
     a string, ``day`` a non-negative int), the campaign-state keys
-    (:data:`CHECKPOINT_STATE_KEYS`), and that the per-array vectors
-    agree in length — a truncated ``cumulative`` would scatter-resume
-    garbage.
+    (:data:`CHECKPOINT_STATE_KEYS`), and the per-array vectors:
+    ``cumulative`` a 1-D float64 array and ``death_day`` a 1-D int64
+    array of the same length — a truncated ``cumulative`` would
+    scatter-resume garbage.
     """
     from repro.fleet.checkpoint import CHECKPOINT_VERSION
 
     place = "checkpoint"
-    if not isinstance(payload, dict):
-        return [
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                f"checkpoint payload is {type(payload).__name__}, "
-                "not a JSON object",
-                Location(place=place),
-            )
-        ]
     diagnostics: List[Diagnostic] = []
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
+
+    def error(message: str, where: str = place, **extra) -> None:
         diagnostics.append(
             Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                f"checkpoint version {version!r} != current "
-                f"CHECKPOINT_VERSION {CHECKPOINT_VERSION}",
-                Location(place=place),
-                hint="stale-version checkpoints are ignored on resume",
+                "RPR017", Severity.ERROR, message, Location(place=where),
+                **extra,
             )
         )
-    if not isinstance(payload.get("campaign_hash"), str):
-        diagnostics.append(
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                "checkpoint 'campaign_hash' is missing or not a string",
-                Location(place=place),
-            )
-        )
-    day = payload.get("day")
-    if not isinstance(day, int) or isinstance(day, bool) or day < 0:
-        diagnostics.append(
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                f"checkpoint 'day' {day!r} is not a non-negative integer",
-                Location(place=place),
-            )
-        )
-    state = payload.get("state")
-    if not isinstance(state, dict):
-        diagnostics.append(
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                "checkpoint 'state' is missing or not an object",
-                Location(place=place),
-            )
+
+    if not isinstance(payload, dict):
+        error(
+            f"checkpoint payload is {type(payload).__name__}, "
+            "not a JSON object"
         )
         return diagnostics
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        error(
+            f"checkpoint version {version!r} != current "
+            f"CHECKPOINT_VERSION {CHECKPOINT_VERSION}",
+            hint="stale-version checkpoints are ignored on resume",
+        )
+    if not isinstance(payload.get("campaign_hash"), str):
+        error("checkpoint 'campaign_hash' is missing or not a string")
+    day = payload.get("day")
+    if not isinstance(day, int) or isinstance(day, bool) or day < 0:
+        error(f"checkpoint 'day' {day!r} is not a non-negative integer")
+    state = payload.get("state")
+    if not isinstance(state, dict):
+        error("checkpoint 'state' is missing or not an object")
+        return diagnostics
+    where = f"{place} state"
     missing = _missing(state, CHECKPOINT_STATE_KEYS)
     if missing:
-        diagnostics.append(
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                "checkpoint state missing required key(s): "
-                + ", ".join(missing),
-                Location(place=f"{place} state"),
-            )
+        error(
+            "checkpoint state missing required key(s): " + ", ".join(missing),
+            where,
         )
-    cumulative = state.get("cumulative")
-    death_day = state.get("death_day")
-    if (
-        isinstance(cumulative, list)
-        and isinstance(death_day, list)
-        and len(cumulative) != len(death_day)
-    ):
-        diagnostics.append(
-            Diagnostic(
-                "RPR017",
-                Severity.ERROR,
-                f"checkpoint per-array vectors disagree: "
-                f"{len(cumulative)} cumulative vs {len(death_day)} "
-                "death_day entries",
-                Location(place=f"{place} state"),
+    vectors = {}
+    for key, dtype in (("cumulative", np.float64), ("death_day", np.int64)):
+        vector = state.get(key)
+        if vector is None:
+            continue
+        if (
+            not isinstance(vector, np.ndarray)
+            or vector.dtype != dtype
+            or vector.ndim != 1
+        ):
+            error(
+                f"checkpoint {key!r} is not a 1-D "
+                f"{np.dtype(dtype).name} array",
+                where,
             )
+        else:
+            vectors[key] = len(vector)
+    if len(vectors) == 2 and len(set(vectors.values())) == 2:
+        error(
+            f"checkpoint per-array vectors disagree: "
+            f"{vectors['cumulative']} cumulative vs "
+            f"{vectors['death_day']} death_day entries",
+            where,
         )
     return diagnostics
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.io import load_result, save_result, save_distributions_csv
+from repro.core.io import (
+    dump_sealed_arrays,
+    load_result,
+    load_sealed_arrays,
+    save_distributions_csv,
+    save_result,
+)
 from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
@@ -87,6 +93,81 @@ class TestRoundTrip:
         np.savez_compressed(path, metadata=json.dumps(metadata), **arrays)
         with pytest.raises(ValueError, match="unsupported"):
             load_result(path)
+
+
+def reseal(header: bytes, blob: bytes) -> bytes:
+    """A record with a valid digest over an arbitrary header and body."""
+    import hashlib
+
+    body = header + b"\n" + blob
+    seal = hashlib.sha256(body).hexdigest().encode()
+    return b"repro-sealed-arrays 1 " + seal + b"\n" + body
+
+
+class TestSealedArrays:
+    def test_round_trip(self):
+        arrays = {
+            "f": np.array([0.1, -0.0, 2.0**60, np.inf]),
+            "i": np.array([[-1, 2**62], [3, 4]], dtype=np.int64),
+            "u": np.arange(5, dtype=np.uint8),
+            "empty": np.zeros((0, 3), dtype=np.int32),
+            "strided": np.arange(10.0)[::2],
+        }
+        metadata = {"day": 3, "big": 2**100, "text": "é\n"}
+        loaded_metadata, loaded = load_sealed_arrays(
+            dump_sealed_arrays(metadata, arrays)
+        )
+        assert loaded_metadata == metadata
+        assert list(loaded) == list(arrays)
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].shape == array.shape
+            assert loaded[name].tobytes() == array.tobytes()
+            assert not loaded[name].flags.writeable
+
+    def test_object_arrays_are_refused(self):
+        with pytest.raises(ValueError, match="cannot seal"):
+            dump_sealed_arrays({}, {"o": np.array([1, "x"], dtype=object)})
+
+    @pytest.mark.parametrize(
+        "header, blob",
+        [
+            (b'{"arrays": [], "metadata": {}}', b"x"),  # bytes left over
+            (b'{"arrays": [["a", "<f8", [2]]], "metadata": {}}', b"\0" * 8),
+            (b'{"arrays": [["a", "|O", [1]]], "metadata": {}}', b"\0" * 8),
+            (b'{"arrays": [["a", "<f8", [-1]]], "metadata": {}}', b""),
+            (b'{"arrays": [["a", "<f8", [1.0]]], "metadata": {}}', b"\0" * 8),
+            (  # 2**70 elements
+                b'{"arrays": [["a", "<f8", [1180591620717411303424]]], '
+                b'"metadata": {}}',
+                b"",
+            ),
+            (
+                b'{"arrays": [["a", "|u1", [1]], ["a", "|u1", [1]]], '
+                b'"metadata": {}}',
+                b"\0\0",
+            ),
+            (b'{"arrays": {}, "metadata": {}}', b""),
+            (b'{"arrays": [["a"]], "metadata": {}}', b""),
+            (b'{"arrays": [], "metadata": []}', b""),
+            (b"[]", b""),
+            (b"\xff", b""),
+            (b"[" * 100000, b""),
+        ],
+    )
+    def test_sealed_but_inconsistent_reads_as_none(self, header, blob):
+        assert load_sealed_arrays(reseal(header, blob)) is None
+
+    def test_resealed_valid_record_reads(self):
+        # The inconsistent records above differ from a readable one only
+        # in their header.
+        loaded = load_sealed_arrays(
+            reseal(
+                b'{"arrays": [["a", "<f8", [1]]], "metadata": {}}',
+                np.array([2.5]).tobytes(),
+            )
+        )
+        assert loaded[0] == {} and loaded[1]["a"].tolist() == [2.5]
 
 
 class TestCsvExport:

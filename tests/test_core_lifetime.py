@@ -1,9 +1,11 @@
 """Tests for repro.core.lifetime: Equations 1, 2 and 4."""
 
+import numpy as np
 import pytest
 
-from repro.array.geometry import ArrayGeometry
-from repro.balance.config import BalanceConfig
+from repro.array.geometry import ArrayGeometry, Orientation
+from repro.array.state import ArrayState
+from repro.balance.config import BalanceConfig, all_configurations
 from repro.core.lifetime import (
     array_write_budget,
     eq1_operations_until_total_failure,
@@ -13,7 +15,7 @@ from repro.core.lifetime import (
 )
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
-from repro.devices.endurance import LognormalEndurance
+from repro.devices.endurance import LognormalEndurance, UniformEndurance
 from repro.devices.technology import MRAM, RRAM
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -98,6 +100,52 @@ class TestEquation4:
             ),
         )
         assert varied.iterations_to_failure < uniform.iterations_to_failure
+
+
+class TestUniformLifetimeFromThePeak:
+    """Under uniform endurance, Eq. 4 reads the peak count's rate; the
+    dense rate matrix through ``iterations_to_first_failure`` is the
+    oracle, and the two agree bit for bit."""
+
+    @pytest.mark.parametrize("orientation", ["column", "row"])
+    @pytest.mark.parametrize("lanes", [None, 5])
+    def test_equals_the_dense_rate_matrix(
+        self, small_arch, row_parallel_arch, orientation, lanes
+    ):
+        arch = small_arch if orientation == "column" else row_parallel_arch
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=3))
+        workload = ParallelMultiplication(bits=4, lanes=lanes)
+        for config in all_configurations(recompile_interval=7):
+            result = sim.run(workload, config, iterations=23)
+            counts = result.state.write_counts
+            if lanes is not None:
+                assert len(result.state.packed["write"][0]) < 128
+            assert result.state.max_writes == float(counts.max())
+            dense = UniformEndurance(
+                arch.technology.endurance_writes
+            ).iterations_to_first_failure(counts / result.iterations)
+            estimate = lifetime_from_result(result)
+            assert estimate.iterations_to_failure == dense, config.label
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize(
+        "lanes, hot",
+        [((), None), ((1, 2, 6), (3, 2)), ((0, 7), (0, 0)), ((5,), (7, 0))],
+    )
+    def test_max_writes_reads_the_whole_block(self, orientation, lanes, hot):
+        # The hottest cell anywhere in the block, the last lane or row
+        # included; nothing written reads 0 and lives forever.
+        block = np.ones((8, len(lanes)), dtype=np.uint16)
+        if hot is not None:
+            block[hot] = 9
+        state = ArrayState.from_packed(
+            ArrayGeometry(8, 8),
+            orientation,
+            (np.array(lanes, dtype=np.int64), block),
+        )
+        assert state.max_writes == float(state.write_counts.max())
+        assert state.max_writes == (9.0 if hot else 1.0 if lanes else 0.0)
+        assert UniformEndurance(1e8).iterations_at_peak(0.0) == float("inf")
 
 
 class TestImprovement:

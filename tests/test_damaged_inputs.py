@@ -4,11 +4,12 @@ as absent.
 A real checkpoint, a real manifest and a real lane-packed result payload
 are truncated or have one byte replaced. Every damaged file must read as
 absent, or, when the damage left the recorded content intact (it hit
-only the name of the digest key, or a field of the payload's zip
-container that reading does not depend on), as exactly what was
-written: never as different data, never as a crash.
-``CheckpointManager.latest()`` then falls back to the next-newest
-checkpoint.
+only the name of the manifest's digest key, or a field of the payload's
+zip container that reading does not depend on), as exactly what was
+written: never as different data, never as a crash. A checkpoint's
+digest covers all of it, so a damaged checkpoint always reads as
+absent, and ``CheckpointManager.latest()`` falls back to the
+next-newest checkpoint.
 """
 
 import shutil
@@ -23,7 +24,9 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
+from repro.core.io import dump_sealed_arrays
 from repro.fleet import (
+    CHECKPOINT_VERSION,
     CheckpointManager,
     CohortSpec,
     FleetService,
@@ -120,36 +123,89 @@ def payload(tmp_path_factory):
     return store, spec, store.path_for(spec).read_bytes(), counters
 
 
+def same_state(a, b) -> bool:
+    """Two checkpoint states are equal, arrays bit for bit."""
+    return a.keys() == b.keys() and all(
+        a[key].dtype == b[key].dtype and a[key].tobytes() == b[key].tobytes()
+        if isinstance(a[key], np.ndarray)
+        else a[key] == b[key]
+        for key in a
+    )
+
+
 class TestDamagedCheckpoint:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_reads_as_absent_and_latest_falls_back(self, checkpoints, data):
+        # The digest covers every byte after the magic, and the magic
+        # and the digest are compared whole, so every damaged
+        # checkpoint reads as absent.
         campaign, files = checkpoints
-        newest, state = files[4]
-        bad, truncated = data.draw(damaged(newest))
+        newest, _ = files[4]
+        bad, _ = data.draw(damaged(newest))
         with tempfile.TemporaryDirectory() as directory:
             manager = CheckpointManager(directory, campaign)
             manager.path_for(2).write_bytes(files[2][0])
             manager.path_for(4).write_bytes(bad)
-            loaded = manager.load(4)
-            if truncated:
-                assert loaded is None
-            assert loaded is None or loaded == state
-            if loaded is None:
-                assert manager.latest() == (2, files[2][1])
-            else:
-                assert manager.latest() == (4, state)
+            assert manager.load(4) is None
+            day, state = manager.latest()
+            assert day == 2 and same_state(state, files[2][1])
 
-    @pytest.mark.parametrize("state", ["[1]", "1", "null", '"x"'])
+    def test_every_truncation_and_byte_flip_reads_as_absent(
+        self, checkpoints, tmp_path
+    ):
+        # Exhaustive over the metadata (the seal line and the JSON
+        # header) and a stride of the array bytes.
+        campaign, files = checkpoints
+        raw = files[4][0]
+        header = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        manager = CheckpointManager(tmp_path, campaign)
+        for index in [*range(header), *range(header, len(raw), 7)]:
+            for bad in (
+                raw[:index],
+                raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1:],
+            ):
+                manager.path_for(4).write_bytes(bad)
+                assert manager.load(4) is None, index
+
+    @pytest.mark.parametrize("state", [[1], 1, None, "x"])
     def test_non_object_state_reads_as_absent(self, tmp_path, state):
+        # A record sealed intact but without the checkpoint schema
+        # (RPR017) reads as absent too.
         manager = CheckpointManager(tmp_path, "c" * 64)
-        manager.path_for(1).write_text(
-            '{"campaign_hash": "' + "c" * 64 + '", "day": 1, '
-            '"state": ' + state + ', "version": 1}',
-            encoding="utf-8",
+        manager.path_for(1).write_bytes(
+            dump_sealed_arrays(
+                {
+                    "campaign_hash": "c" * 64,
+                    "day": 1,
+                    "state": state,
+                    "version": CHECKPOINT_VERSION,
+                },
+                {},
+            )
         )
         assert manager.load(1) is None
         assert manager.latest() is None
+
+    @pytest.mark.parametrize(
+        "key, vector",
+        [
+            ("cumulative", np.zeros(4, dtype=np.float32)),
+            ("death_day", np.zeros(3, dtype=np.int64)),
+        ],
+    )
+    def test_off_schema_vector_reads_as_absent(
+        self, checkpoints, tmp_path, key, vector
+    ):
+        # Sealed intact, but not a checkpoint (RPR017): the reader runs
+        # the schema and falls back.
+        campaign, files = checkpoints
+        state = dict(files[4][1], **{key: vector})
+        manager = CheckpointManager(tmp_path, campaign)
+        manager.path_for(2).write_bytes(files[2][0])
+        manager.save(4, state)
+        assert manager.load(4) is None
+        assert manager.latest()[0] == 2
 
 
 class TestDamagedManifest:

@@ -4,6 +4,8 @@ and dispatch policies."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.failure import failure_timeline
 from repro.devices.endurance import UniformEndurance
@@ -241,12 +243,13 @@ class TestCheckpointResume:
         assert report.runtime["resumed_from_day"] is None
 
 
-    def test_checkpoint_from_before_the_knob_removal_resumes(self, tmp_path):
+    def test_checkpoint_from_before_the_knob_removal_restarts(self, tmp_path):
         # Written verbatim by a paused run of this spec built with
         # kernel="epoch", chunk_size=64, fastforward=True, before those
-        # knobs were removed. They never entered the campaign hash, so
-        # the checkpoint is found and resumes to the straight run's
-        # report, pinned from the same release.
+        # knobs were removed. It is a version 1 (JSON) checkpoint, so it
+        # is not read, under its own name or under a current one: the
+        # campaign restarts from day 0 and still reaches the straight
+        # run's report, pinned from the same release.
         spec = small_fleet_spec(
             traffic=TrafficSpec(model="poisson", rate=6e4), days=10
         )
@@ -254,7 +257,7 @@ class TestCheckpointResume:
             "f493a9181f1aaec2d3479842b5556f7d1ddbcb03418bb5565645004a6476b0b3"
         )
         assert spec.content_hash == campaign
-        (tmp_path / "fleet-f493a9181f1a-day000004.json").write_text(
+        old = (
             '{"campaign_hash": "' + campaign + '", "day": 4, "state": '
             '{"cumulative": [60001.75, 60001.75, 60001.75, 60001.75], '
             '"day": 4, "death_day": [-1, -1, -1, -1], "dropped": 0, '
@@ -262,15 +265,38 @@ class TestCheckpointResume:
             '"state": {"inc": 180057942716375760114678310360467455973, '
             '"state": 327102480610105737419010852224278321496}, '
             '"uinteger": 0}, "served": 240007, '
-            '"traffic_state": {"state": 0}}, "version": 1}',
-            encoding="utf-8",
+            '"traffic_state": {"state": 0}}, "version": 1}'
         )
+        (tmp_path / "fleet-f493a9181f1a-day000004.json").write_text(old)
+        manager = CheckpointManager(tmp_path / "renamed", campaign)
+        manager.path_for(4).write_text(old)
+        for directory in (tmp_path, tmp_path / "renamed"):
+            assert CheckpointManager(directory, campaign).latest() is None
+            report = FleetService(spec, checkpoint_dir=directory).run()
+            assert report.runtime["resumed_from_day"] is None
+            assert report.n_deaths == 4
+            assert report.content_hash() == (
+                "23f206443f4697af6c0c2f6034d931970ad7b4365b89b8edcce8f7678fe2b59c"
+            )
+
+    def test_checkpoint_resumes_from_its_own_day(self, tmp_path):
+        # A current checkpoint is read, not skipped: the resumed run
+        # starts from the saved day, with the saved vectors.
+        spec = small_fleet_spec()
+        FleetService(
+            spec, checkpoint_dir=tmp_path, checkpoint_every=3
+        ).run(stop_after_day=3)
+        manager = CheckpointManager(tmp_path, spec.content_hash)
+        assert manager.path_for(3).suffix == ".ckpt"
+        day, state = manager.latest()
+        assert day == state["day"] == 3
+        assert state["cumulative"].dtype == np.float64
+        assert state["cumulative"].shape == (4,)
+        assert state["death_day"].dtype == np.int64
+        assert state["cumulative"].sum() > 0
         report = FleetService(spec, checkpoint_dir=tmp_path).run()
-        assert report.runtime["resumed_from_day"] == 4
-        assert report.n_deaths == 4
-        assert report.content_hash() == (
-            "23f206443f4697af6c0c2f6034d931970ad7b4365b89b8edcce8f7678fe2b59c"
-        )
+        assert report.runtime["resumed_from_day"] == 3
+        assert report.content_hash() == FleetService(spec).run().content_hash()
 
     def test_version_one_checkpoint_is_ignored(self, tmp_path):
         # fleet_version 2 marks the move to inverse-survival thresholds:
@@ -290,43 +316,84 @@ class TestCheckpointResume:
         assert report.content_hash() == FleetService(spec).run().content_hash()
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestCheckpointEncoding:
-    def test_state_json_equals_the_per_element_form(self, tmp_path):
-        # The arrays are encoded with tolist(); the values, and so the
-        # checkpoint bytes, are those of the element-by-element form.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cumulative=st.lists(
+            st.one_of(
+                finite_floats,
+                st.floats(0, 2.0**60),
+                st.sampled_from([0.0, 1.0 / 3.0, 2.0**52 + 1.0, 1e-300]),
+            ),
+            min_size=0,
+            max_size=40,
+        ),
+        data=st.data(),
+        served=st.integers(0, 10**15),
+        dropped=st.integers(0, 10**15),
+        traffic=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(0, 7),
+    )
+    def test_state_round_trips_bit_for_bit(
+        self, tmp_path_factory, cumulative, data, served, dropped, traffic,
+        seed, draws,
+    ):
         from repro.fleet.service import _CampaignState
         from repro.fleet.traffic import TrafficState, traffic_rng
 
+        death_day = data.draw(
+            st.lists(
+                st.one_of(st.just(-1), st.integers(-1, 2**62)),
+                min_size=len(cumulative),
+                max_size=len(cumulative),
+            )
+        )
+        rng = traffic_rng(seed)
+        # Mid-stream, with a buffered 32-bit half (has_uint32) on odd
+        # draw counts.
+        rng.random(draws)
+        rng.integers(0, 2**32, size=draws % 2, dtype=np.uint32)
         state = _CampaignState(
-            day=7,
-            cumulative=np.array(
-                [0.0, 1.0 / 3.0, 2.0**52 + 1.0, 60001.75, 1e-300, 123456.789]
-            ),
-            death_day=np.array([-1, 3, -1, 2**40, 0, 7], dtype=np.int64),
-            served=10**12,
-            dropped=5,
-            traffic_state=TrafficState(),
-            rng=traffic_rng(11),
+            day=len(cumulative),
+            cumulative=np.array(cumulative, dtype=np.float64),
+            death_day=np.array(death_day, dtype=np.int64),
+            served=served,
+            dropped=dropped,
+            traffic_state=TrafficState(traffic),
+            rng=rng,
         )
-        encoded = state.to_json()
-        reference = dict(
-            encoded,
-            cumulative=[float(x) for x in state.cumulative],
-            death_day=[int(d) for d in state.death_day],
+        manager = CheckpointManager(
+            tmp_path_factory.mktemp("ckpt"), "c" * 64
         )
-        for key in ("cumulative", "death_day"):
-            assert encoded[key] == reference[key]
-            assert [type(v) for v in encoded[key]] == [
-                type(v) for v in reference[key]
-            ]
-        ours = CheckpointManager(tmp_path / "ours", "c" * 64)
-        theirs = CheckpointManager(tmp_path / "theirs", "c" * 64)
-        ours.save(7, encoded)
-        theirs.save(7, reference)
-        assert ours.path_for(7).read_bytes() == theirs.path_for(7).read_bytes()
-        restored = _CampaignState.from_json(ours.load(7))
-        assert np.array_equal(restored.cumulative, state.cumulative)
-        assert np.array_equal(restored.death_day, state.death_day)
+        manager.save(state.day, state.to_checkpoint())
+        restored = _CampaignState.from_checkpoint(manager.load(state.day))
+        assert restored.day == state.day
+        assert (
+            restored.cumulative.tobytes() == state.cumulative.tobytes()
+        )
+        assert restored.cumulative.dtype == np.float64
+        assert restored.death_day.tobytes() == state.death_day.tobytes()
+        assert restored.death_day.dtype == np.int64
+        assert restored.cumulative.flags.writeable
+        assert restored.death_day.flags.writeable
+        assert (restored.served, restored.dropped) == (served, dropped)
+        assert restored.traffic_state == state.traffic_state
+
+        def next_draws(generator):
+            return b"".join(
+                draws.tobytes()
+                for draws in (
+                    generator.integers(0, 2**32, size=3, dtype=np.uint32),
+                    generator.random(5),
+                    generator.poisson(4e6, size=2),
+                )
+            )
+
+        assert next_draws(restored.rng) == next_draws(state.rng)
 
 
 class TestSpecIdentity:

@@ -571,13 +571,13 @@ class TestRPR019Horizon:
 class TestRPR017Schemas:
     def _checkpoint(self, **overrides):
         payload = {
-            "version": 1,
+            "version": 2,
             "campaign_hash": "cafe",
             "day": 3,
             "state": {
                 "day": 3,
-                "cumulative": [1.0, 2.0],
-                "death_day": [-1, -1],
+                "cumulative": np.array([1.0, 2.0]),
+                "death_day": np.array([-1, -1], dtype=np.int64),
                 "served": 10,
                 "dropped": 0,
                 "traffic_state": None,
@@ -604,10 +604,27 @@ class TestRPR017Schemas:
 
     def test_vector_length_disagreement(self):
         broken = self._checkpoint()
-        broken["state"]["death_day"] = [-1]
+        broken["state"]["death_day"] = np.array([-1], dtype=np.int64)
         (d,) = check_checkpoint(broken)
         assert d.code == "RPR017"
         assert "disagree" in d.message
+
+    @pytest.mark.parametrize(
+        "key, vector",
+        [
+            ("cumulative", [1.0, 2.0]),
+            ("cumulative", np.array([1, 2])),
+            ("cumulative", np.zeros((1, 2))),
+            ("death_day", np.array([-1.0, -1.0])),
+            ("death_day", np.array([-1, -1], dtype=np.int32)),
+        ],
+    )
+    def test_vector_not_a_1d_array_of_its_dtype(self, key, vector):
+        broken = self._checkpoint()
+        broken["state"][key] = vector
+        (d,) = check_checkpoint(broken)
+        assert d.code == "RPR017"
+        assert key in d.message and "1-D" in d.message
 
     def test_manifest_missing_keys(self):
         (d,) = check_manifest({"content_hash": "cafe"})
