@@ -994,7 +994,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             warn(error.report.render_text())
             return 1
         except EngineError as error:
-            # A job that exhausted its retries: its reason on one line
+            # A job that failed: its reason on one line
             # (the engine's FAILED line has already named it).
             warn("error: " + " ".join(str(error).split()))
             return 1

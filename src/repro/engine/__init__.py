@@ -9,8 +9,8 @@ content-addressed jobs:
 * :class:`ResultStore` — a disk cache of completed jobs (``.npz`` +
   JSON sidecar, atomic writes), which doubles as the checkpoint an
   interrupted grid resumes from;
-* :class:`ExperimentEngine` — serial or process-pool execution with
-  bounded retries, per-job timeouts, and failure containment.
+* :class:`ExperimentEngine` — serial or process-pool execution that
+  runs each job once, with failure containment.
 
 The engine reports each batch only as events on the telemetry bus
 (``batch_start`` / ``job_start`` / ``job_end`` / ``batch_end``, see
@@ -67,7 +67,7 @@ def run_simulation(
     which tracks reads).
 
     Raises:
-        EngineError: if the job fails after its retries.
+        EngineError: if the job fails.
     """
     spec = JobSpec.from_settings(
         workload,

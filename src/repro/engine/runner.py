@@ -1,14 +1,16 @@
-"""The experiment engine: cached, parallel, fault-tolerant job execution.
+"""The experiment engine: cached, parallel, failure-contained job execution.
 
 :class:`ExperimentEngine` takes a batch of :class:`~repro.engine.spec.JobSpec`
 and resolves each one by (in order): answering from the result store,
 simulating in-process (``jobs <= 1``), or simulating on a
-``ProcessPoolExecutor``. Failures are contained — a job that exhausts its
-bounded retries is recorded with its traceback and the rest of the batch
-proceeds. Because every completed job lands in the store before its
-outcome is reported, an interrupted batch is a checkpoint: re-running the
-same specs re-simulates only the jobs that had not finished. The engine
-reports a batch only as events on the telemetry bus.
+``ProcessPoolExecutor``. Every job that is not cached runs exactly once:
+it is deterministic, so a failure would only repeat. Failures are
+contained — a failed job (its worker dying included) is recorded with
+its traceback and the rest of the batch proceeds. Because every
+completed job lands in the store before its outcome is reported, an
+interrupted batch is a checkpoint: re-running the same specs
+re-simulates only the jobs that had not finished. The engine reports a
+batch only as events on the telemetry bus.
 
 Each job runs on a **fresh** :class:`EnduranceSimulator` seeded from its
 spec, and the simulator draws a fresh RNG stream per run, so results are
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -43,7 +45,7 @@ class JobStatus(Enum):
 
     COMPLETED = "completed"  #: simulated this run
     CACHED = "cached"  #: answered from the result store
-    FAILED = "failed"  #: retries exhausted (or timed out)
+    FAILED = "failed"  #: rejected by verification, raised, or worker died
 
 
 @dataclass
@@ -57,9 +59,8 @@ class JobOutcome:
             runs yield full :class:`SimulationResult` objects; pool and
             cache paths yield :class:`LoadedResult` with identical
             counters and metadata.
-        error: Formatted traceback of the last failure, if any.
+        error: Formatted traceback of the failure, if any.
         wall_s: Simulation wall-clock (0 for cache hits).
-        attempts: Simulation attempts made (0 for cache hits).
     """
 
     spec: JobSpec
@@ -67,7 +68,6 @@ class JobOutcome:
     result: Optional[Union[SimulationResult, LoadedResult]] = None
     error: Optional[str] = None
     wall_s: float = 0.0
-    attempts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -149,8 +149,6 @@ class _BatchMetrics:
     completed: int = 0
     cached: int = 0
     failed: int = 0
-    retries: int = 0
-    timeouts: int = 0
     busy_s: float = 0.0  #: summed wall time of the jobs simulated
 
 
@@ -160,47 +158,32 @@ class _PendingJob:
 
     index: int
     spec: JobSpec
-    attempts: int
     submitted_at: float = field(default_factory=time.perf_counter)
 
 
 class ExperimentEngine:
-    """Resolves job batches with caching, parallelism, and retries.
+    """Resolves job batches with caching, parallelism, and containment.
+
+    Every spec is statically checked (:func:`repro.verify.verify_spec`)
+    before dispatch; specs with verification errors fail fast with the
+    rendered report instead of being simulated. Every other job that the
+    store cannot answer runs once.
 
     Args:
         store: Optional result store; when set, completed jobs persist
             there and matching jobs are answered without simulating.
         jobs: Worker processes. ``<= 1`` runs in-process (no pool).
-        retries: Re-attempts after a job's first failure.
-        backoff_s: Base sleep before retry ``n`` (grows as ``2**(n-1)``).
-        timeout_s: Per-job wall-clock limit, **pool mode only** (an
-            in-process simulation cannot be interrupted). A timed-out
-            job is cancelled if it has not started; a running job's
-            result is abandoned. Timeouts consume retries.
-        verify: Statically check each spec (:func:`repro.verify.verify_spec`)
-            before dispatch; specs with verification errors fail fast
-            with the rendered report instead of being simulated.
     """
 
     def __init__(
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        retries: int = 1,
-        backoff_s: float = 0.5,
-        timeout_s: Optional[float] = None,
-        verify: bool = True,
     ) -> None:
         if jobs < 0:
             raise ValueError("jobs must be non-negative")
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
         self.store = store
         self.jobs = jobs
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
-        self.verify = verify
 
     # -- public API -----------------------------------------------------
 
@@ -252,9 +235,7 @@ class ExperimentEngine:
         for index in outcomes:
             self._job_end(outcomes[index])
 
-        if self.verify:
-            to_run = self._verify_specs(specs, to_run, outcomes, metrics)
-
+        to_run = self._verify_specs(specs, to_run, outcomes, metrics)
         if to_run:
             if self.jobs <= 1:
                 self._run_serial(specs, to_run, outcomes, metrics)
@@ -272,8 +253,6 @@ class ExperimentEngine:
             completed=metrics.completed,
             cached=metrics.cached,
             failed=metrics.failed,
-            retries=metrics.retries,
-            timeouts=metrics.timeouts,
             wall_s=wall,
             utilization=round(utilization, 4),
         )
@@ -284,8 +263,6 @@ class ExperimentEngine:
                 status=lead.status,
                 result=lead.result,
                 error=lead.error,
-                wall_s=0.0,
-                attempts=0,
             )
         return [outcomes[index] for index in range(len(specs))]
 
@@ -302,8 +279,7 @@ class ExperimentEngine:
 
         A spec whose workload cannot even *build* is not rejected here:
         it falls through to normal execution so the failure carries the
-        original traceback (which retries and telemetry then see exactly
-        as before).
+        original traceback.
         """
         tele = get_telemetry()
         survivors: List[int] = []
@@ -324,20 +300,16 @@ class ExperimentEngine:
                 errors=len(report.errors),
                 codes=sorted({d.code for d in report.errors}),
             )
-            outcomes[index] = JobOutcome(
-                spec=spec,
-                status=JobStatus.FAILED,
-                error="verification failed:\n" + report.render_text(),
+            self._fail(
+                index,
+                spec,
+                "verification failed:\n" + report.render_text(),
+                outcomes,
+                metrics,
             )
-            metrics.failed += 1
-            self._job_end(outcomes[index])
         return survivors
 
     # -- shared life-cycle reporting ------------------------------------
-
-    def _job_start(self, spec: JobSpec, attempt: int) -> None:
-        """Report one (re)submission on the event bus."""
-        get_telemetry().emit("job_start", label=spec.label, attempt=attempt)
 
     def _job_end(self, outcome: JobOutcome, queue_s: float = 0.0) -> None:
         """Report one resolution on the event bus.
@@ -357,19 +329,42 @@ class ExperimentEngine:
             label=outcome.spec.label,
             status=outcome.status.value,
             wall_s=outcome.wall_s,
-            attempts=outcome.attempts,
             queue_s=round(queue_s, 6),
             **extra,
         )
 
-    def _job_retry(
-        self, spec: JobSpec, attempt: int, metrics: _BatchMetrics
+    def _fail(
+        self,
+        index: int,
+        spec: JobSpec,
+        error: str,
+        outcomes: Dict[int, JobOutcome],
+        metrics: _BatchMetrics,
     ) -> None:
-        """Count one retry and put it on the event bus."""
-        metrics.retries += 1
-        tele = get_telemetry()
-        tele.count("engine.retries")
-        tele.emit("job_retry", label=spec.label, attempt=attempt)
+        """Record one job's failure and report it."""
+        outcomes[index] = JobOutcome(
+            spec=spec, status=JobStatus.FAILED, error=error
+        )
+        metrics.failed += 1
+        self._job_end(outcomes[index])
+
+    def _complete(
+        self,
+        index: int,
+        spec: JobSpec,
+        result: Union[SimulationResult, LoadedResult],
+        wall: float,
+        outcomes: Dict[int, JobOutcome],
+        metrics: _BatchMetrics,
+        queue_s: float = 0.0,
+    ) -> None:
+        """Record one job's simulated result and report it."""
+        outcomes[index] = JobOutcome(
+            spec=spec, status=JobStatus.COMPLETED, result=result, wall_s=wall
+        )
+        metrics.completed += 1
+        metrics.busy_s += wall
+        self._job_end(outcomes[index], queue_s)
 
     # -- serial path ----------------------------------------------------
 
@@ -382,40 +377,19 @@ class ExperimentEngine:
     ) -> None:
         for index in to_run:
             spec = specs[index]
-            error = None
-            for attempt in range(1, self.retries + 2):
-                self._job_start(spec, attempt)
-                start = time.perf_counter()
-                try:
-                    result = execute_spec(spec)
-                except Exception:
-                    error = traceback.format_exc()
-                    if attempt <= self.retries:
-                        self._job_retry(spec, attempt, metrics)
-                        time.sleep(self.backoff_s * 2 ** (attempt - 1))
-                    continue
-                wall = time.perf_counter() - start
-                if self.store is not None:
-                    self.store.save(spec, result, wall_s=wall)
-                outcomes[index] = JobOutcome(
-                    spec=spec,
-                    status=JobStatus.COMPLETED,
-                    result=result,
-                    wall_s=wall,
-                    attempts=attempt,
+            get_telemetry().emit("job_start", label=spec.label)
+            start = time.perf_counter()
+            try:
+                result = execute_spec(spec)
+            except Exception:
+                self._fail(
+                    index, spec, traceback.format_exc(), outcomes, metrics
                 )
-                metrics.completed += 1
-                metrics.busy_s += wall
-                break
-            else:
-                outcomes[index] = JobOutcome(
-                    spec=spec,
-                    status=JobStatus.FAILED,
-                    error=error,
-                    attempts=self.retries + 1,
-                )
-                metrics.failed += 1
-            self._job_end(outcomes[index])
+                continue
+            wall = time.perf_counter() - start
+            if self.store is not None:
+                self.store.save(spec, result, wall_s=wall)
+            self._complete(index, spec, result, wall, outcomes, metrics)
 
     # -- pool path ------------------------------------------------------
 
@@ -426,106 +400,71 @@ class ExperimentEngine:
         outcomes: Dict[int, JobOutcome],
         metrics: _BatchMetrics,
     ) -> None:
+        """Fan the jobs out to a process pool.
+
+        Whatever a job's future raises — the job's own exception, or
+        ``BrokenProcessPool`` when a worker died and took the pool (and
+        every job still pending on it) down — becomes that job's
+        ``FAILED`` outcome; nothing escapes.
+        """
         store_root = str(self.store.root) if self.store is not None else None
-        abandoned_running = False
+        pending: Dict[Future, _PendingJob] = {}
         pool = ProcessPoolExecutor(
             max_workers=self.jobs, initializer=_fresh_worker_telemetry
         )
-        pending: Dict[Future, _PendingJob] = {}
-
-        def submit(index: int, attempts: int) -> None:
-            spec = specs[index]
-            self._job_start(spec, attempts)
-            future = pool.submit(_pool_worker, spec, store_root)
-            pending[future] = _PendingJob(index, spec, attempts)
-
-        def resolve_failure(job: _PendingJob, error: str) -> bool:
-            """Retry if budget remains; otherwise record the failure."""
-            if job.attempts <= self.retries:
-                self._job_retry(job.spec, job.attempts, metrics)
-                time.sleep(self.backoff_s * 2 ** (job.attempts - 1))
-                submit(job.index, job.attempts + 1)
-                return False
-            outcomes[job.index] = JobOutcome(
-                spec=job.spec,
-                status=JobStatus.FAILED,
-                error=error,
-                attempts=job.attempts,
-            )
-            metrics.failed += 1
-            self._job_end(outcomes[job.index])
-            return True
-
         try:
             for index in to_run:
-                submit(index, attempts=1)
-            while pending:
-                poll = 0.1 if self.timeout_s is not None else None
-                done, _ = wait(
-                    set(pending), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    job = pending.pop(future)
-                    try:
-                        wall, payload = future.result()
-                    except Exception as exc:
-                        error = "".join(
-                            traceback.format_exception(
-                                type(exc), exc, exc.__traceback__
-                            )
-                        )
-                        resolve_failure(job, error)
-                        continue
-                    if payload is None:
-                        result = self.store.load(job.spec)
-                        if result is None:  # store vanished under us
-                            resolve_failure(
-                                job,
-                                "result store entry missing after save "
-                                f"({job.spec.label})",
-                            )
-                            continue
-                    else:
-                        result = restore_result(*payload)
-                    outcomes[job.index] = JobOutcome(
-                        spec=job.spec,
-                        status=JobStatus.COMPLETED,
-                        result=result,
-                        wall_s=wall,
-                        attempts=job.attempts,
+                spec = specs[index]
+                get_telemetry().emit("job_start", label=spec.label)
+                try:
+                    future = pool.submit(_pool_worker, spec, store_root)
+                except Exception:  # the pool broke before this submit
+                    self._fail(
+                        index, spec, traceback.format_exc(), outcomes, metrics
                     )
-                    metrics.completed += 1
-                    metrics.busy_s += wall
-                    queue_s = (
-                        time.perf_counter() - job.submitted_at
-                    ) - wall
-                    self._job_end(outcomes[job.index], max(queue_s, 0.0))
-                if self.timeout_s is None:
                     continue
-                now = time.perf_counter()
-                for future, job in list(pending.items()):
-                    if now - job.submitted_at <= self.timeout_s:
+                pending[future] = _PendingJob(index, spec)
+            for future in as_completed(pending):
+                job = pending[future]
+                try:
+                    wall, payload = future.result()
+                except Exception:
+                    self._fail(
+                        job.index,
+                        job.spec,
+                        traceback.format_exc(),
+                        outcomes,
+                        metrics,
+                    )
+                    continue
+                if payload is None:
+                    result = self.store.load(job.spec)
+                    if result is None:  # store vanished under us
+                        self._fail(
+                            job.index,
+                            job.spec,
+                            "result store entry missing after save "
+                            f"({job.spec.label})",
+                            outcomes,
+                            metrics,
+                        )
                         continue
-                    if not future.cancel():
-                        abandoned_running = True
-                    del pending[future]
-                    metrics.timeouts += 1
-                    tele = get_telemetry()
-                    tele.count("engine.timeouts")
-                    tele.emit(
-                        "job_timeout",
-                        label=job.spec.label,
-                        timeout_s=self.timeout_s,
-                        attempt=job.attempts,
-                    )
-                    resolve_failure(
-                        job,
-                        f"TimeoutError: job exceeded {self.timeout_s}s "
-                        f"({job.spec.label})",
-                    )
+                else:
+                    result = restore_result(*payload)
+                queue_s = (time.perf_counter() - job.submitted_at) - wall
+                self._complete(
+                    job.index,
+                    job.spec,
+                    result,
+                    wall,
+                    outcomes,
+                    metrics,
+                    max(queue_s, 0.0),
+                )
         finally:
-            # A worker stuck past its timeout would block a clean join.
-            pool.shutdown(wait=not abandoned_running, cancel_futures=True)
+            # An interrupted batch drops its queued jobs instead of
+            # running them out.
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def require_ok(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:

@@ -151,11 +151,3 @@ class CheckpointManager:
             if state is not None:
                 return day, state
         return None
-
-    def clear(self) -> int:
-        """Delete this campaign's checkpoints; returns count removed."""
-        removed = 0
-        for day in self.days():
-            self.path_for(day).unlink(missing_ok=True)
-            removed += 1
-        return removed

@@ -372,19 +372,18 @@ class FleetService:
         return day_served
 
     def run(
-        self,
-        stop_after_day: Optional[int] = None,
-        resume: bool = True,
+        self, stop_after_day: Optional[int] = None
     ) -> Optional[FleetReport]:
         """Run (or resume) the campaign.
+
+        A service with a ``checkpoint_dir`` continues from the latest
+        readable checkpoint of its campaign, if one exists.
 
         Args:
             stop_after_day: Pause after completing this virtual day —
                 a checkpoint is written (checkpointing must be enabled)
                 and ``None`` is returned. Simulates a mid-campaign kill
                 at a checkpoint boundary.
-            resume: Continue from the latest matching checkpoint if one
-                exists; ``False`` starts over.
 
         Returns:
             The final :class:`FleetReport`, or ``None`` when paused
@@ -422,7 +421,7 @@ class FleetService:
 
         state = None
         resumed_from = None
-        if resume and self.checkpoints is not None:
+        if self.checkpoints is not None:
             latest = self.checkpoints.latest()
             if latest is not None:
                 resumed_from, payload = latest

@@ -18,10 +18,10 @@ A dependency-free, process-local telemetry layer:
 Instrumented layers: ``EnduranceSimulator.run`` (mapping-compile /
 kernel / wear-aware phases, write-read totals, epochs/s),
 ``repro.core.kernel`` (chunk and GEMM counts), ``ExperimentEngine``
-(per-job durations, retries, timeouts, cache hit/miss, worker
-utilization), and the sweep drivers (grid progress). The bus is the
-only way to observe an engine batch; engine pool workers start on a
-fresh registry, so their sinks and counters are their own. The CLI
+(per-job durations, failures, cache hit/miss, worker utilization), and
+the sweep drivers (grid progress). The bus is the only way to observe
+an engine batch; engine pool workers start on a fresh registry, so
+their sinks and counters are their own. The CLI
 exposes it via ``--log-level``, ``--trace FILE``, and ``--progress`` on
 every simulation-backed subcommand.
 

@@ -9,8 +9,9 @@ fields, and known events missing their required fields are
 into a nonzero exit (the CI trace gate relies on this).
 
 :func:`summarize_trace` folds a trace into one aggregate view — event
-census, per-phase timing, per-job outcomes, cache hit/miss, retry and
-timeout counts — and :func:`format_stats` renders it for a terminal.
+census, per-phase timing, per-job outcomes, cache hit/miss, fleet days,
+counters, verifier diagnostics and simulations — and
+:func:`format_stats` renders it for a terminal.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ EVENT_FIELDS: Dict[str, frozenset] = {
     ),
     "batch_start": frozenset({"total", "cached"}),
     "batch_end": frozenset({"completed", "cached", "failed", "wall_s"}),
-    "job_start": frozenset({"label", "attempt"}),
-    "job_end": frozenset({"label", "status", "wall_s", "attempts"}),
-    "job_retry": frozenset({"label", "attempt"}),
-    "job_timeout": frozenset({"label", "timeout_s"}),
+    "job_start": frozenset({"label"}),
+    "job_end": frozenset({"label", "status", "wall_s"}),
     "job_rejected": frozenset({"label", "errors", "codes"}),
     "verify_report": frozenset({"codes", "errors", "warnings", "total"}),
     "grid_progress": frozenset({"done", "total", "label"}),
@@ -57,8 +56,6 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "engine.failures",
         "engine.jobs",
         "engine.rejected",
-        "engine.retries",
-        "engine.timeouts",
         "eval.batches",
         "eval.draws",
         "fastforward.epochs_collapsed",
@@ -150,9 +147,9 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
     Returns:
         A JSON-able dict with keys ``records``, ``span_s``, ``events``
         (event -> count), ``phases`` (name -> calls/total_s/mean_s),
-        ``jobs`` (status -> count, plus ``attempts`` and ``wall_s``
-        totals), ``cache`` (hits/misses), ``retries``, ``timeouts``,
-        ``fleet`` (virtual days, checkpoints), ``counters`` (the merged
+        ``jobs`` (status -> count, plus the ``wall_s`` total),
+        ``cache`` (hits/misses), ``fleet`` (virtual days, checkpoints),
+        ``counters`` (the merged
         telemetry counter snapshots from ``counters`` events, last write
         wins per key),
         ``diagnostics`` (verifier code -> occurrence count, folded from
@@ -167,12 +164,9 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
     events: Dict[str, int] = {}
     phases: Dict[str, List[float]] = {}
     jobs: Dict[str, int] = {}
-    job_attempts = 0
     job_wall_s = 0.0
     cache_hits = 0
     cache_misses = 0
-    retries = 0
-    timeouts = 0
     fleet_days = 0
     fleet_checkpoints = 0
     counters: Dict[str, Union[int, float]] = {}
@@ -198,16 +192,11 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
         elif event == "job_end":
             status = str(record["status"])
             jobs[status] = jobs.get(status, 0) + 1
-            job_attempts += int(record["attempts"])
             job_wall_s += float(record["wall_s"])
             if status == "cached":
                 cache_hits += 1
             else:
                 cache_misses += 1
-        elif event == "job_retry":
-            retries += 1
-        elif event == "job_timeout":
-            timeouts += 1
         elif event == "fleet_day":
             fleet_days += 1
         elif event == "fleet_checkpoint":
@@ -242,12 +231,9 @@ def summarize_trace(records: Union[str, Iterable[Dict]]) -> Dict:
         },
         "jobs": {
             "by_status": dict(sorted(jobs.items())),
-            "attempts": job_attempts,
             "wall_s": round(job_wall_s, 6),
         },
         "cache": {"hits": cache_hits, "misses": cache_misses},
-        "retries": retries,
-        "timeouts": timeouts,
         "fleet": {
             "days": fleet_days,
             "checkpoints": fleet_checkpoints,
@@ -288,15 +274,11 @@ def format_stats(summary: Dict) -> str:
         for status, count in jobs.items():
             lines.append(f"  {status:<16} {count}")
         lines.append(
-            f"  attempts {summary['jobs']['attempts']}, "
-            f"simulated wall {summary['jobs']['wall_s']:.2f}s"
+            f"  simulated wall {summary['jobs']['wall_s']:.2f}s"
         )
         lines.append(
             f"cache: {summary['cache']['hits']} hit(s), "
             f"{summary['cache']['misses']} miss(es)"
-        )
-        lines.append(
-            f"retries: {summary['retries']}, timeouts: {summary['timeouts']}"
         )
     fleet = summary.get("fleet", {})
     if fleet.get("days"):

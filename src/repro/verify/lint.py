@@ -14,6 +14,9 @@ linter knows about, and that used to be enforced only by convention:
 * every counter/gauge name passed to ``Telemetry.count``/``gauge``
   appears in the documented registry
   :data:`repro.telemetry.stats.KNOWN_COUNTERS`;
+* conversely, every name the file ``telemetry/stats.py`` declares in
+  those two literals is emitted (or counted) by some module of the
+  tree, so a removed event leaves no dead vocabulary behind;
 * every ``__all__`` entry names something actually defined (or
   imported) at module top level, with no duplicates.
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Set, Tuple, Union
 
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 
@@ -108,23 +111,47 @@ def _top_level_names(tree: ast.Module) -> List[str]:
     return names
 
 
-def _find_codes_dict(tree: ast.Module) -> Optional[ast.Dict]:
-    """The ``CODES = {...}`` literal of the diagnostics module, if any."""
+def _top_level_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
+    """The value assigned to ``name`` at module top level, if any."""
     for node in tree.body:
-        target = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target, value = node.targets[0], node.value
         elif isinstance(node, ast.AnnAssign):
             target, value = node.target, node.value
         else:
             continue
-        if (
-            isinstance(target, ast.Name)
-            and target.id == "CODES"
-            and isinstance(value, ast.Dict)
-        ):
+        if isinstance(target, ast.Name) and target.id == name:
             return value
     return None
+
+
+def _find_codes_dict(tree: ast.Module) -> Optional[ast.Dict]:
+    """The ``CODES = {...}`` literal of the diagnostics module, if any."""
+    value = _top_level_value(tree, "CODES")
+    return value if isinstance(value, ast.Dict) else None
+
+
+def _declared_names(tree: ast.Module, name: str) -> List[Tuple[str, int]]:
+    """``(entry, line)`` for each string literal a vocabulary declares.
+
+    Reads a dict literal's keys (``EVENT_FIELDS``) or a set literal's
+    elements, bare or wrapped as ``frozenset({...})``
+    (``KNOWN_COUNTERS``).
+    """
+    value = _top_level_value(tree, name)
+    if isinstance(value, ast.Call) and value.args:
+        value = value.args[0]
+    if isinstance(value, ast.Dict):
+        elements = value.keys
+    elif isinstance(value, ast.Set):
+        elements = value.elts
+    else:
+        return []
+    return [
+        (entry, element.lineno)
+        for element in elements
+        if (entry := _literal_str(element)) is not None
+    ]
 
 
 def _check_registry(
@@ -186,8 +213,13 @@ def _check_module(
     known_codes: frozenset,
     known_events: frozenset,
     known_counters: frozenset,
+    used: Set[Tuple[str, str]],
 ) -> List[Diagnostic]:
-    """All per-module checks: calls with literal names, ``__all__``."""
+    """All per-module checks: calls with literal names, ``__all__``.
+
+    Adds each literal telemetry name the module uses to ``used``, as
+    ``("emit", name)`` or ``("count", name)`` (gauges included).
+    """
     diagnostics: List[Diagnostic] = []
 
     def finding(message: str, line: int, hint: Optional[str] = None):
@@ -226,6 +258,10 @@ def _check_module(
             name = _literal_str(node.args[0]) if node.args else None
             if name is None:
                 continue
+            if func.attr == "emit":
+                used.add(("emit", name))
+            elif func.attr in ("count", "gauge"):
+                used.add(("count", name))
             if func.attr == "emit" and name not in known_events:
                 finding(
                     f"telemetry event {name!r} is not declared in "
@@ -309,6 +345,8 @@ def self_lint(
     known_events = frozenset(EVENT_FIELDS)
     known_counters = frozenset(KNOWN_COUNTERS)
     diagnostics: List[Diagnostic] = []
+    used: Set[Tuple[str, str]] = set()
+    declared: List[Tuple[str, str, str]] = []
     for path, label in _iter_sources(root):
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -324,9 +362,33 @@ def self_lint(
             continue
         if path.name == "diagnostics.py" and path.parent.name == "verify":
             diagnostics.extend(_check_registry(tree, label))
+        if path.name == "stats.py" and path.parent.name == "telemetry":
+            for registry, kind in (
+                ("EVENT_FIELDS", "emit"),
+                ("KNOWN_COUNTERS", "count"),
+            ):
+                declared.extend(
+                    (kind, name, f"{label}:{line}")
+                    for name, line in _declared_names(tree, registry)
+                )
         diagnostics.extend(
             _check_module(
-                tree, label, known_codes, known_events, known_counters
+                tree, label, known_codes, known_events, known_counters, used
+            )
+        )
+    for kind, name, place in declared:
+        if (kind, name) in used:
+            continue
+        what, done = (
+            ("event", "emitted") if kind == "emit" else ("counter", "counted")
+        )
+        diagnostics.append(
+            Diagnostic(
+                "RPR018",
+                Severity.ERROR,
+                f"telemetry {what} {name!r} is declared but never {done}",
+                Location(place=place),
+                hint="delete the unused entry, or use it with a literal name",
             )
         )
     return diagnostics

@@ -1,4 +1,4 @@
-"""ExperimentEngine behaviour: caching, retries, failure containment."""
+"""ExperimentEngine behaviour: caching, single attempts, failure containment."""
 
 import multiprocessing
 import os
@@ -33,7 +33,6 @@ from repro.telemetry import (
     get_telemetry,
     set_telemetry,
 )
-from repro.workloads.base import Workload
 from repro.workloads.multiply import ParallelMultiplication
 
 
@@ -68,38 +67,6 @@ def run_captured(engine, specs):
         return engine.run(specs), sink
     finally:
         get_telemetry().remove_sink(sink)
-
-
-class FlakyWorkload(Workload):
-    """Fails on the first build, succeeds afterwards (marker on disk)."""
-
-    name = "flaky"
-
-    def __init__(self, marker):
-        self.marker = str(marker)
-        self.inner = ParallelMultiplication(bits=8)
-
-    def build(self, architecture):
-        import os
-
-        if not os.path.exists(self.marker):
-            with open(self.marker, "w", encoding="utf-8") as fh:
-                fh.write("tried")
-            raise RuntimeError("transient failure, try again")
-        return self.inner.build(architecture)
-
-
-class SleepyWorkload(Workload):
-    """Blocks long enough to trip any sub-second timeout."""
-
-    name = "sleepy"
-
-    def __init__(self, seconds=2.0):
-        self.seconds = seconds
-
-    def build(self, architecture):
-        time.sleep(self.seconds)
-        raise AssertionError("should have timed out first")
 
 
 def make_specs(arch, configs, iterations=150, seed=7, bits=8):
@@ -200,26 +167,39 @@ class TestFailureContainment:
         # failure, while the 8-bit jobs around it succeed.
         good = make_specs(tiny_arch, [BalanceConfig()], bits=8)
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
-        outcomes = ExperimentEngine(retries=0).run(good + bad)
+        outcomes = ExperimentEngine().run(good + bad)
         assert outcomes[0].status is JobStatus.COMPLETED
         assert outcomes[1].status is JobStatus.FAILED
         assert outcomes[1].result is None
         assert "lane capacity" in outcomes[1].error
-        assert outcomes[1].attempts == 1
+
+    def test_deterministic_failure_runs_once_without_sleeping(
+        self, tiny_arch, monkeypatch
+    ):
+        # A job fails the same way every time, so it is never re-run
+        # and never waited on.
+        def refuse(seconds):
+            raise AssertionError(f"engine slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", refuse)
+        bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
+        with capture() as sink:
+            (outcome,) = ExperimentEngine().run(bad)
+        assert outcome.status is JobStatus.FAILED
+        assert len(sink.of("job_start")) == 1
 
     def test_failed_job_in_pool_mode(self, tiny_arch, tmp_path):
         good = make_specs(tiny_arch, [BalanceConfig()], bits=8)
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
-        outcomes = ExperimentEngine(
-            store=ResultStore(tmp_path), jobs=2, retries=0, backoff_s=0.0
-        ).run(good + bad)
+        engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=2)
+        outcomes = engine.run(good + bad)
         assert outcomes[0].status is JobStatus.COMPLETED
         assert outcomes[1].status is JobStatus.FAILED
         assert "lane capacity" in outcomes[1].error
 
     def test_require_ok_raises_engine_error(self, tiny_arch):
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
-        outcomes = ExperimentEngine(retries=0).run(bad)
+        outcomes = ExperimentEngine().run(bad)
         with pytest.raises(EngineError, match="1 job\\(s\\) failed"):
             require_ok(outcomes)
 
@@ -229,59 +209,42 @@ class TestFailureContainment:
         assert require_ok(outcomes) == outcomes
 
 
-class TestRetries:
-    def test_transient_failure_retried_to_success(self, tiny_arch, tmp_path):
-        flaky = FlakyWorkload(tmp_path / "marker")
-        spec = JobSpec(
-            workload=flaky,
-            architecture=tiny_arch,
-            config=BalanceConfig(),
-            iterations=50,
-        )
-        # verify=False: pre-dispatch verification would probe the build
-        # and absorb the single transient failure this test stages.
-        outcome = ExperimentEngine(
-            retries=1, backoff_s=0.0, verify=False
-        ).run_one(spec)
-        assert outcome.status is JobStatus.COMPLETED
-        assert outcome.attempts == 2
-
-    def test_retries_are_bounded(self, tiny_arch):
-        bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)[0]
-        outcome = ExperimentEngine(retries=2, backoff_s=0.0).run_one(bad)
-        assert outcome.status is JobStatus.FAILED
-        assert outcome.attempts == 3
-
-
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="test workload classes pickle by reference (fork only)",
+    reason="the patched worker function reaches workers only by fork",
 )
-class TestTimeout:
-    def test_slow_job_times_out_without_sinking_batch(self, tiny_arch):
-        quick = make_specs(tiny_arch, [BalanceConfig()])[0]
-        slow = JobSpec(
-            workload=SleepyWorkload(seconds=2.0),
-            architecture=tiny_arch,
-            config=BalanceConfig(),
-            iterations=50,
-        )
-        outcomes = ExperimentEngine(
-            jobs=2, retries=0, timeout_s=0.4, backoff_s=0.0
-        ).run([quick, slow])
-        assert outcomes[0].status is JobStatus.COMPLETED
-        assert outcomes[1].status is JobStatus.FAILED
-        assert "timed out" in outcomes[1].error or "exceeded" in outcomes[1].error
+class TestWorkerDeath:
+    @pytest.mark.parametrize(
+        "start_delay_s", [0.0, 0.3], ids=["burst", "slow-submits"]
+    )
+    def test_dead_worker_fails_its_jobs_without_raising(
+        self, tiny_arch, monkeypatch, fresh_telemetry, start_delay_s
+    ):
+        # Patched before the pool forks, so only the workers exit.
+        def die(spec):
+            os._exit(3)
+
+        class SlowStarts(CaptureSink):
+            """A sink slow on ``job_start``: at 0.3 s the pool breaks
+            between two submits, so the later submits themselves raise."""
+
+            def handle(self, record):
+                if record["event"] == "job_start":
+                    time.sleep(start_delay_s)
+
+        monkeypatch.setattr("repro.engine.runner.execute_spec", die)
+        fresh_telemetry.add_sink(SlowStarts())
+        specs = make_specs(tiny_arch, all_configurations()[:3])
+        outcomes = ExperimentEngine(jobs=2).run(specs)
+        assert [o.status for o in outcomes] == [JobStatus.FAILED] * 3
+        for outcome in outcomes:
+            assert "BrokenProcessPool" in outcome.error
 
 
 class TestValidation:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             ExperimentEngine(jobs=-1)
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            ExperimentEngine(retries=-1)
 
     @pytest.mark.parametrize(
         "entry",
@@ -307,55 +270,20 @@ class TestFailureTelemetry:
     ):
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)[0]
         with capture() as sink:
-            outcome = ExperimentEngine(retries=2, backoff_s=0.0).run_one(bad)
+            outcome = ExperimentEngine().run_one(bad)
 
         assert outcome.status is JobStatus.FAILED
         assert outcome.result is None
-        assert outcome.attempts == 3
         assert "lane capacity" in outcome.error
 
-        assert fresh_telemetry.counters["engine.retries"] == 2
         assert fresh_telemetry.counters["engine.failures"] == 1
 
-        retry_events = sink.of("job_retry")
-        assert [e["attempt"] for e in retry_events] == [1, 2]
         (end,) = sink.of("job_end")
         assert end["status"] == "failed"
-        assert end["attempts"] == 3
         assert end["label"] == bad.label
         # The failure's reason rides on the event: the traceback's last line.
         assert end["error"] == outcome.error.strip().splitlines()[-1]
         assert end["error"].startswith("MemoryError: lane capacity")
-
-    def test_transient_failure_trail_ends_in_success(
-        self, tiny_arch, tmp_path, fresh_telemetry
-    ):
-        flaky = FlakyWorkload(tmp_path / "marker")
-        spec = JobSpec(
-            workload=flaky,
-            architecture=tiny_arch,
-            config=BalanceConfig(),
-            iterations=50,
-        )
-        with capture() as sink:
-            # verify=False: pre-dispatch verification would probe the
-            # build and absorb the single transient failure staged here.
-            outcome = ExperimentEngine(
-                retries=1, backoff_s=0.0, verify=False
-            ).run_one(spec)
-
-        assert outcome.status is JobStatus.COMPLETED
-        assert outcome.attempts == 2
-        assert fresh_telemetry.counters["engine.retries"] == 1
-        assert "engine.failures" not in fresh_telemetry.counters
-        starts = sink.of("job_start")
-        assert [e["attempt"] for e in starts] == [1, 2]
-        (end,) = sink.of("job_end")
-        assert end["status"] == "completed"
-        assert end["attempts"] == 2
-        assert "error" not in end
-        # Unrounded, so a sink printing it rounds exactly once.
-        assert end["wall_s"] == outcome.wall_s
 
     def test_batch_events_cover_census_and_metrics(
         self, tiny_arch, tmp_path, fresh_telemetry
@@ -383,30 +311,6 @@ class TestFailureTelemetry:
         ]
         assert len(cached_ends) == 1
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="test workload classes pickle by reference (fork only)",
-    )
-    def test_timeout_counted_and_emitted(self, tiny_arch, fresh_telemetry):
-        slow = JobSpec(
-            workload=SleepyWorkload(seconds=2.0),
-            architecture=tiny_arch,
-            config=BalanceConfig(),
-            iterations=50,
-        )
-        with capture() as sink:
-            outcomes = ExperimentEngine(
-                jobs=2, retries=0, timeout_s=0.4, backoff_s=0.0
-            ).run([slow])
-
-        assert outcomes[0].status is JobStatus.FAILED
-        assert fresh_telemetry.counters["engine.timeouts"] == 1
-        (timeout,) = sink.of("job_timeout")
-        assert timeout["timeout_s"] == 0.4
-        assert timeout["label"] == slow.label
-        (end,) = sink.of("job_end")
-        assert end["status"] == "failed"
-
     def test_job_end_events_round_trip_through_trace_schema(
         self, tiny_arch, fresh_telemetry
     ):
@@ -414,9 +318,14 @@ class TestFailureTelemetry:
 
         specs = make_specs(tiny_arch, [BalanceConfig()])
         with capture() as sink:
-            ExperimentEngine().run(specs)
+            (outcome,) = ExperimentEngine().run(specs)
         for record in sink.records:
             validate_record(record)
+        (end,) = sink.of("job_end")
+        assert end["status"] == "completed"
+        assert "error" not in end
+        # Unrounded, so a sink printing it rounds exactly once.
+        assert end["wall_s"] == outcome.wall_s
 
 
 class TestPoolWorkerTelemetry:

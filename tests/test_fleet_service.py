@@ -208,16 +208,6 @@ class TestCheckpointResume:
         assert resumed.content_hash() == uninterrupted.content_hash()
         assert resumed.runtime["resumed_from_day"] == 5
 
-    def test_resume_false_starts_over_to_the_same_report(self, tmp_path):
-        spec = small_fleet_spec()
-        FleetService(
-            spec, checkpoint_dir=tmp_path, checkpoint_every=3
-        ).run(stop_after_day=3)
-        fresh = FleetService(spec, checkpoint_dir=tmp_path).run(resume=False)
-        straight = FleetService(spec).run()
-        assert fresh.content_hash() == straight.content_hash()
-        assert fresh.runtime["resumed_from_day"] is None
-
     def test_checkpoint_cadence_writes_expected_files(self, tmp_path):
         spec = small_fleet_spec(days=9)
         service = FleetService(

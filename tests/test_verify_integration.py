@@ -255,20 +255,6 @@ class TestEngineHook:
         (outcome,) = ExperimentEngine().run([spec])
         assert outcome.status is JobStatus.COMPLETED
 
-    def test_verify_false_skips_the_gate(self, tiny_arch):
-        spec = JobSpec(
-            workload=BrokenSchedule(),
-            architecture=tiny_arch,
-            config=BalanceConfig.from_label("StxSt"),
-            iterations=5,
-            seed=3,
-        )
-        (outcome,) = ExperimentEngine(verify=False).run([spec])
-        # Pre-dispatch gating is off, so the defect is only caught by the
-        # simulator's own auto-verify — after dispatch, burning retries.
-        assert outcome.status is JobStatus.FAILED
-        assert not outcome.error.startswith("verification failed")
-        assert outcome.attempts >= 2
 
 
 class TestVerifyCLI:

@@ -103,6 +103,30 @@ class TestReceiverConservatism:
         ) == []
 
 
+class TestDeclaredVocabularyIsUsed:
+    """The vocabulary declared in a tree's ``telemetry/stats.py`` must
+    each be emitted or counted by some module of the same tree."""
+
+    def test_declared_but_never_emitted_event(self, tmp_path):
+        telemetry_dir = tmp_path / "pkg" / "telemetry"
+        telemetry_dir.mkdir(parents=True)
+        (telemetry_dir / "stats.py").write_text(
+            "EVENT_FIELDS = {\n"
+            '    "fleet_start": frozenset(),\n'
+            '    "job_retry": frozenset({"label"}),\n'
+            "}\n"
+            'KNOWN_COUNTERS: frozenset = frozenset({"fleet.days"})\n'
+        )
+        (tmp_path / "pkg" / "mod.py").write_text(
+            'tele.emit("fleet_start", arrays=2, days=1, cohorts=1)\n'
+            'tele.count("fleet.days")\n'
+        )
+        (d,) = self_lint(tmp_path / "pkg")
+        assert d.code == "RPR018"
+        assert "'job_retry' is declared but never emitted" in d.message
+        assert d.location.place == "pkg/telemetry/stats.py:3"
+
+
 class TestDunderAllEdgeCases:
     def test_duplicate_entry(self, tmp_path):
         (d,) = lint_source(
