@@ -197,6 +197,19 @@ class TestFailureContainment:
         assert outcomes[1].status is JobStatus.FAILED
         assert "lane capacity" in outcomes[1].error
 
+    def test_failed_pool_job_is_submitted_once(
+        self, tiny_arch, tmp_path, fresh_telemetry
+    ):
+        good = make_specs(tiny_arch, [BalanceConfig()], bits=8)
+        bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
+        engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=2)
+        with capture() as sink:
+            outcomes = engine.run(good + bad)
+        assert outcomes[1].status is JobStatus.FAILED
+        starts = [e["label"] for e in sink.of("job_start")]
+        assert starts.count(bad[0].label) == 1
+        assert fresh_telemetry.counters["engine.failures"] == 1
+
     def test_require_ok_raises_engine_error(self, tiny_arch):
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
         outcomes = ExperimentEngine().run(bad)
@@ -260,6 +273,15 @@ class TestValidation:
         # The telemetry bus is the one way to observe a batch.
         with pytest.raises(TypeError, match="hooks"):
             entry(**{"hooks": None})
+
+    @pytest.mark.parametrize(
+        "option", ["retries", "backoff_s", "timeout_s", "verify"]
+    )
+    def test_single_attempt_options_are_gone(self, option):
+        # Every job runs once and is always verified before dispatch,
+        # so the engine takes only a store and a worker count.
+        with pytest.raises(TypeError, match=option):
+            ExperimentEngine(**{option: None})
 
 
 class TestFailureTelemetry:

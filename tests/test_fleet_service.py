@@ -208,6 +208,12 @@ class TestCheckpointResume:
         assert resumed.content_hash() == uninterrupted.content_hash()
         assert resumed.runtime["resumed_from_day"] == 5
 
+    def test_resume_parameter_is_gone(self, tmp_path):
+        # A service with a checkpoint_dir always resumes.
+        service = FleetService(small_fleet_spec(), checkpoint_dir=tmp_path)
+        with pytest.raises(TypeError, match="resume"):
+            service.run(resume=False)
+
     def test_checkpoint_cadence_writes_expected_files(self, tmp_path):
         spec = small_fleet_spec(days=9)
         service = FleetService(

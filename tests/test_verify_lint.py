@@ -126,6 +126,25 @@ class TestDeclaredVocabularyIsUsed:
         assert "'job_retry' is declared but never emitted" in d.message
         assert d.location.place == "pkg/telemetry/stats.py:3"
 
+    def test_declared_but_never_counted_counter(self, tmp_path):
+        telemetry_dir = tmp_path / "pkg" / "telemetry"
+        telemetry_dir.mkdir(parents=True)
+        (telemetry_dir / "stats.py").write_text(
+            'EVENT_FIELDS = {"fleet_start": frozenset()}\n'
+            "KNOWN_COUNTERS: frozenset = frozenset({\n"
+            '    "fleet.days",\n'
+            '    "engine.retries",\n'
+            "})\n"
+        )
+        (tmp_path / "pkg" / "mod.py").write_text(
+            'tele.emit("fleet_start", arrays=2, days=1, cohorts=1)\n'
+            'tele.gauge("fleet.days", 1)\n'
+        )
+        (d,) = self_lint(tmp_path / "pkg")
+        assert d.code == "RPR018"
+        assert "'engine.retries' is declared but never counted" in d.message
+        assert d.location.place == "pkg/telemetry/stats.py:4"
+
 
 class TestDunderAllEdgeCases:
     def test_duplicate_entry(self, tmp_path):
