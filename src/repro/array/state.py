@@ -20,7 +20,7 @@ is a defect and raises :class:`InexactCountError`.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,15 +41,16 @@ class InexactCountError(ValueError):
     negative, fractional, or not a number."""
 
 
-def _narrow(block: np.ndarray) -> np.ndarray:
+def _narrow(block: np.ndarray) -> Tuple[np.ndarray, float]:
     """``block`` cast to the narrowest dtype of :data:`COUNT_DTYPES`
-    whose cast reproduces every value (``np.array_equal``).
+    whose cast reproduces every value (``np.array_equal``), and its
+    largest value (0 for an empty block).
 
     Raises:
         InexactCountError: if no such dtype exists.
     """
     if not block.size:
-        return block.astype(np.uint8)
+        return block.astype(np.uint8), 0.0
     low, high = block.min(), block.max()
     if low >= 0:  # NaN fails every comparison
         for dtype, limit in COUNT_DTYPES:
@@ -59,7 +60,7 @@ def _narrow(block: np.ndarray) -> np.ndarray:
                 # fits its range is not an integer, and survives no
                 # wider one.
                 if np.array_equal(narrow, block):
-                    return narrow
+                    return narrow, float(high)
                 break
     raise InexactCountError(
         f"counts in [{low}, {high}] are not all exact non-negative "
@@ -83,12 +84,23 @@ def pack_counts(
         InexactCountError: if a count is not an exact non-negative
             integer.
     """
+    packed, _ = _pack(counts, orientation, lanes)
+    return packed
+
+
+def _pack(
+    counts: np.ndarray,
+    orientation: Orientation,
+    lanes: Optional[np.ndarray],
+) -> Tuple[Packed, float]:
+    """:func:`pack_counts` and the largest count."""
     by_lane = counts if orientation is Orientation.COLUMN_PARALLEL else counts.T
     if lanes is None:
         lanes = np.flatnonzero(by_lane.any(axis=0))
-    if len(lanes) == by_lane.shape[1]:
-        return lanes, _narrow(by_lane)
-    return lanes, _narrow(by_lane[:, lanes])
+    if len(lanes) != by_lane.shape[1]:
+        by_lane = by_lane[:, lanes]
+    block, peak = _narrow(by_lane)
+    return (lanes, block), peak
 
 
 def _dense(
@@ -107,12 +119,21 @@ def _dense(
     by_lane = counts if column else counts.T
     # Written lanes come in runs (each program holds a lane range): one
     # slice copy per run is several times faster than a strided scatter.
-    bounds = [0, *(np.flatnonzero(np.diff(lanes) != 1) + 1).tolist()]
-    for start, stop in zip(bounds, bounds[1:] + [len(lanes)]):
-        if start < stop:
-            first = int(lanes[start])
-            by_lane[:, first : first + stop - start] = block[:, start:stop]
+    for start, stop in lane_runs(lanes):
+        first = int(lanes[start])
+        by_lane[:, first : first + stop - start] = block[:, start:stop]
     return counts
+
+
+def lane_runs(lanes: np.ndarray) -> List[Tuple[int, int]]:
+    """``(start, stop)`` positions in sorted, distinct ``lanes`` of each
+    run of consecutive lanes (none for no lanes)."""
+    bounds = [0, *(np.flatnonzero(np.diff(lanes) != 1) + 1).tolist()]
+    return [
+        (start, stop)
+        for start, stop in zip(bounds, bounds[1:] + [len(lanes)])
+        if start < stop
+    ]
 
 
 class ArrayState:
@@ -196,7 +217,8 @@ class ArrayState:
         """A finished state over packed counters (:func:`pack_counts`).
 
         The blocks are adopted, not copied, and made read-only.
-        ``read=None`` means reads were not counted.
+        ``read=None`` means reads were not counted. The write block's
+        peak is reduced once, on the first :attr:`max_writes`.
         """
         packed = {"write": write}
         if read is not None:
@@ -207,6 +229,7 @@ class ArrayState:
         state.geometry = geometry
         state.orientation = orientation
         state.packed = packed
+        state._peak = None
         return state
 
     # A finished state builds each counter matrix from its block on
@@ -256,13 +279,16 @@ class ArrayState:
             InexactCountError: if a count is not an exact non-negative
                 integer.
         """
-        write = pack_counts(self.write_counts, orientation, lanes)
+        write, peak = _pack(self.write_counts, orientation, lanes)
         read = None
         if track_reads:
             read = pack_counts(self.read_counts, orientation, lanes)
             if not len(read[0]):
                 read = None
-        return ArrayState.from_packed(self.geometry, orientation, write, read)
+        state = ArrayState.from_packed(self.geometry, orientation, write, read)
+        # The narrowing pass already found the peak.
+        state._peak = peak
+        return state
 
     # -- single-cell events (exact replay path) -------------------------
 
@@ -427,12 +453,16 @@ class ArrayState:
     def max_writes(self) -> float:
         """The hottest cell's write count — the denominator of Eq. 4.
 
-        A finished state reads its packed block: every lane outside it
-        is zero, so no dense matrix is built.
+        A finished state's counters never change, so its peak is found
+        once — by the narrowing pass of :meth:`finish`, or from the
+        packed block on first use (every lane outside it is zero, so no
+        dense matrix is built) — and kept.
         """
-        if self.packed is not None:
-            return float(self.packed["write"][1].max(initial=0))
-        return float(self.write_counts.max())
+        if self.packed is None:
+            return float(self.write_counts.max())
+        if self._peak is None:
+            self._peak = float(self.packed["write"][1].max(initial=0))
+        return self._peak
 
     @property
     def total_writes(self) -> float:

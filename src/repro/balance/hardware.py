@@ -201,12 +201,15 @@ class HardwareRemapper:
         Row ``e`` equals ``profile(lengths[e], within_maps[e])``. The
         per-length domain-count cache is shared with :meth:`profile`, so
         a chunk of equal-length epochs costs one domain computation plus
-        one advanced-indexing scatter for the whole chunk.
+        one advanced-indexing scatter for the whole chunk; each distinct
+        length's row scatters straight into its epochs (broadcast when
+        every epoch has that length), with no gathered copy per epoch.
 
         Args:
             lengths: Per-epoch iteration counts, shape ``(E,)``.
             within_maps: Per-epoch initial logical-to-physical maps,
-                shape ``(E, lane_size)`` (identity rows if omitted).
+                shape ``(E, lane_size)``, of any integer dtype (identity
+                rows if omitted).
             reads: Also build the read rows; without it the second
                 result is ``None`` and no read counts are computed.
 
@@ -227,18 +230,28 @@ class HardwareRemapper:
             domain = self._domain_profiles(int(length), reads)
             for table, row in zip(tables, domain):
                 table[i] = row
-        profiles = [table[inverse] for table in tables]
-        if within_maps is not None:
-            within_maps = np.asarray(within_maps, dtype=np.int64)
-            if within_maps.shape != (count, n):
-                raise ValueError(
-                    f"within_maps must have shape {(count, n)}, "
-                    f"got {within_maps.shape}"
-                )
-            rows = np.arange(count)[:, None]
-            for i, domain_rows in enumerate(profiles):
-                profiles[i] = np.empty((count, n))
-                profiles[i][rows, within_maps] = domain_rows
+        if within_maps is None:
+            profiles = [table[inverse] for table in tables]
+            return profiles[0], profiles[1] if reads else None
+        within_maps = np.asarray(within_maps)
+        if within_maps.shape != (count, n):
+            raise ValueError(
+                f"within_maps must have shape {(count, n)}, "
+                f"got {within_maps.shape}"
+            )
+        profiles = [np.empty((count, n)) for _ in tables]
+        for i in range(unique.size):
+            epochs = np.flatnonzero(inverse == i)
+            first, last = epochs[0], epochs[-1] + 1
+            # Equal lengths come in runs (whole epochs, then a short
+            # last one): a run's maps are a view, not a gather.
+            maps = (
+                within_maps[first:last]
+                if last - first == epochs.size
+                else within_maps[epochs]
+            )
+            for profile, table in zip(profiles, tables):
+                profile[epochs[:, None], maps] = table[i]
         return profiles[0], profiles[1] if reads else None
 
     @property

@@ -41,6 +41,17 @@ Three cases follow.
 * **Neither axis periodic** (``Ra x Ra``, ``Ra x Wa``): one GEMM per
   chunk over every epoch.
 
+Every run seeds its stream from the settings seed, so a grid's ``Ra``
+cells draw the same uniform blocks. The kernel ranks each block once
+per process (**ranked-block memo**): a least-recently-used table of
+:data:`MAPS_MEMO_SIZE` entries keyed on the full PCG64 state, the
+chunk's epoch count and the random segments' widths holds each
+segment's argsort read-only in the narrowest unsigned dtype, plus the
+generator state the draw leaves, which a hit installs — so the stream
+moves on exactly as after a draw. Other bit generators bypass it, and
+so does the oracle: :func:`make_epoch_maps` (and
+:func:`~repro.balance.software.make_permutations`) always draw afresh.
+
 On every branch, GEMMs are paid only where the between-lane map
 matters (**complement accumulation**). The lanes split into one set per
 program plus the set no program occupies, whose profile is zero. Each
@@ -90,6 +101,7 @@ accumulation still defers to the GEMM).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -209,7 +221,9 @@ def make_epoch_maps(
     the chunk is generated in one call or epoch by epoch, so results are
     independent of chunking. ``with_between=False`` skips building the
     between maps but still draws their uniforms, so the stream is
-    consumed the same either way.
+    consumed the same either way. Every call draws and ranks afresh;
+    the kernel's own chunks go through the ranked-block memo
+    (:data:`MAPS_MEMO_SIZE`) instead.
 
     Returns:
         ``(within_maps, between_maps)`` of shapes ``(count, lane_size)``
@@ -217,33 +231,162 @@ def make_epoch_maps(
         skipped, and for the stateful wear-aware strategy, which the
         caller must resolve in epoch order against accumulated wear.
     """
-    within_random = within is StrategyKind.RANDOM
-    between_random = between is StrategyKind.RANDOM
-    draws = None
-    if within_random or between_random:
+    return _epoch_maps(
+        within, between, lane_size, lane_count, count, rng,
+        epoch_start=epoch_start, with_between=with_between,
+        rank=_draw_ranked,
+    )
+
+
+def _epoch_maps(
+    within: StrategyKind,
+    between: StrategyKind,
+    lane_size: int,
+    lane_count: int,
+    count: int,
+    rng: "np.random.Generator | None",
+    *,
+    epoch_start: int,
+    with_between: bool,
+    rank,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`make_epoch_maps`, ranking the random segments through
+    ``rank(rng, count, widths, wanted)`` (:func:`_draw_ranked` or
+    :func:`_memo_ranked`)."""
+    sides = (
+        (within, lane_size, True),
+        (between, lane_count,
+         with_between and between is not StrategyKind.WEAR_AWARE),
+    )
+    random = [
+        (size, wanted)
+        for kind, size, wanted in sides
+        if kind is StrategyKind.RANDOM
+    ]
+    ranked = iter(())
+    if random:
         if rng is None:
             raise ValueError("random shuffling requires an rng")
-        width = lane_size * within_random + lane_count * between_random
-        draws = rng.random((count, width))
-    if within_random:
-        within_maps = np.argsort(draws[:, :lane_size], axis=1).astype(
-            np.int64, copy=False
+        widths, wanted = zip(*random)
+        ranked = iter(rank(rng, count, widths, wanted))
+    maps: List[Optional[np.ndarray]] = []
+    for kind, size, wanted in sides:
+        if kind is StrategyKind.RANDOM:
+            maps.append(next(ranked))
+        elif wanted:
+            maps.append(
+                make_permutations(kind, size, count, epoch_start=epoch_start)
+            )
+        else:
+            maps.append(None)
+    return maps[0], maps[1]
+
+
+def _draw_ranked(
+    rng: np.random.Generator,
+    count: int,
+    widths: Tuple[int, ...],
+    wanted: Tuple[bool, ...],
+) -> List[Optional[np.ndarray]]:
+    """Draw one ``(count, sum(widths))`` uniform block and argsort each
+    wanted segment along its rows (``None`` for the others)."""
+    draws = rng.random((count, sum(widths)))
+    ranked: List[Optional[np.ndarray]] = []
+    start = 0
+    for width, want in zip(widths, wanted):
+        ranked.append(
+            np.argsort(draws[:, start : start + width], axis=1).astype(
+                np.int64, copy=False
+            )
+            if want
+            else None
         )
+        start += width
+    return ranked
+
+
+#: Ranked random blocks one process keeps, least recently used dropped
+#: first. Every run seeds its stream from the same settings seed, so a
+#: grid's ``Ra`` cells draw the same few blocks (three distinct
+#: segments over the 18 paper configurations); an entry holds at most
+#: two ``CHUNK_EPOCHS x width`` maps in the narrowest unsigned dtype
+#: (4 MiB at the paper's 1,024-wide lanes).
+MAPS_MEMO_SIZE = 8
+
+#: ``(PCG64 state, inc, has_uint32, uinteger, count, widths) ->
+#: [end state, maps]``; see :func:`_memo_ranked`.
+_MAPS_MEMO: "OrderedDict[tuple, list]" = OrderedDict()
+
+
+def _memo_ranked(
+    rng: np.random.Generator,
+    count: int,
+    widths: Tuple[int, ...],
+    wanted: Tuple[bool, ...],
+) -> List[Optional[np.ndarray]]:
+    """:func:`_draw_ranked` through the process-wide ranked-block memo.
+
+    The block is a pure function of the generator's state and its
+    shape, so the key is the full PCG64 state plus ``count`` and the
+    segment ``widths``. Which side a segment serves does not enter it,
+    so ``RaxSt``'s within maps and ``StxRa``'s between maps share an
+    entry on a square array. A hit sets ``rng`` to the state the draw
+    would have left, so the stream moves on exactly as after a draw.
+    A wanted segment the entry lacks (it was first made without it) is
+    ranked by drawing the block again: ``rng`` is at the entry's start
+    state, by its key. The maps are read-only and held in the narrowest
+    unsigned dtype their width needs. Other bit generators bypass the
+    memo.
+    """
+    generator = rng.bit_generator
+    if type(generator) is not np.random.PCG64:
+        return _draw_ranked(rng, count, widths, wanted)
+    start = generator.state
+    key = (
+        start["state"]["state"],
+        start["state"]["inc"],
+        start["has_uint32"],
+        start["uinteger"],
+        count,
+        widths,
+    )
+    tele = get_telemetry()
+    entry = _MAPS_MEMO.get(key)
+    if entry is None:
+        entry = _MAPS_MEMO[key] = [None, [None] * len(widths)]
+        while len(_MAPS_MEMO) > MAPS_MEMO_SIZE:
+            _MAPS_MEMO.popitem(last=False)
     else:
-        within_maps = make_permutations(
-            within, lane_size, count, epoch_start=epoch_start
-        )
-    if between is StrategyKind.WEAR_AWARE or not with_between:
-        between_maps: Optional[np.ndarray] = None
-    elif between_random:
-        between_maps = np.argsort(draws[:, -lane_count:], axis=1).astype(
-            np.int64, copy=False
-        )
+        _MAPS_MEMO.move_to_end(key)
+    missing = tuple(
+        want and ranks is None for want, ranks in zip(wanted, entry[1])
+    )
+    if entry[0] is not None and not any(missing):
+        tele.count("kernel.maps_memo_hits")
+        generator.state = entry[0]
     else:
-        between_maps = make_permutations(
-            between, lane_count, count, epoch_start=epoch_start
-        )
-    return within_maps, between_maps
+        tele.count("kernel.maps_memo_misses")
+        drawn = _compact(_draw_ranked(rng, count, widths, missing))
+        entry[1] = [
+            ranks if ranks is not None else new
+            for ranks, new in zip(entry[1], drawn)
+        ]
+        entry[0] = generator.state
+    return [
+        ranks if want else None for ranks, want in zip(entry[1], wanted)
+    ]
+
+
+def _compact(ranked: List[Optional[np.ndarray]]) -> List[Optional[np.ndarray]]:
+    """Each rank matrix read-only in the narrowest unsigned dtype that
+    holds its largest index (``uint16`` at 1,024-wide lanes)."""
+    compact: List[Optional[np.ndarray]] = []
+    for ranks in ranked:
+        if ranks is not None:
+            ranks = ranks.astype(np.min_scalar_type(ranks.shape[1] - 1))
+            ranks.flags.writeable = False
+        compact.append(ranks)
+    return compact
 
 
 def _fold(rows: np.ndarray, period: int) -> np.ndarray:
@@ -629,7 +772,7 @@ def _run_chunks(
         count = min(CHUNK_EPOCHS, total_epochs - start)
         tele.count("kernel.chunks")
         chunk_lengths = lengths[start : start + count]
-        within_maps, between_maps = make_epoch_maps(
+        within_maps, between_maps = _epoch_maps(
             config.within,
             config.between,
             acc.lane_size,
@@ -638,6 +781,7 @@ def _run_chunks(
             rng,
             epoch_start=start,
             with_between=bool(acc.lanes),
+            rank=_memo_ranked,
         )
         if wear is not None:
             # The one genuinely sequential piece: each epoch's assignment

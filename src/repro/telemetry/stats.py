@@ -69,6 +69,8 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "kernel.chunks",
         "kernel.compact_gemms",
         "kernel.gemms",
+        "kernel.maps_memo_hits",
+        "kernel.maps_memo_misses",
         "mapping.memo_hits",
         "mapping.memo_misses",
         "pool.hits",

@@ -297,6 +297,21 @@ class TestProfileMany:
             assert np.array_equal(many_w[e], one_w)
             assert np.array_equal(many_r[e], one_r)
 
+    @pytest.mark.parametrize("lengths", [[7] * 5, [7] * 5 + [3], [3, 7, 7]])
+    def test_compact_read_only_maps_in_runs(self, lengths):
+        # The kernel's memoized maps: uint16 and read-only, scattered run
+        # by run (one run broadcasts a single row to every epoch).
+        remapper = HardwareRemapper(_program(), 16, True)
+        rng = np.random.default_rng(8)
+        maps = np.stack([rng.permutation(16) for _ in lengths])
+        compact = maps.astype(np.uint16)
+        compact.flags.writeable = False
+        many_w, many_r = remapper.profile_many(np.array(lengths), compact)
+        for e, length in enumerate(lengths):
+            one_w, one_r = remapper.profile(length, maps[e])
+            assert np.array_equal(many_w[e], one_w)
+            assert np.array_equal(many_r[e], one_r)
+
     def test_identity_maps_when_omitted(self):
         remapper = HardwareRemapper(_program(), 16, False)
         many_w, many_r = remapper.profile_many(np.array([5, 9]))

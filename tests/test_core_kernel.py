@@ -324,7 +324,7 @@ class TestLaneLayouts:
         sim = EnduranceSimulator(ARCH)
         run = sim._prepare(workload, config, 100, SimulationSettings(seed=5))
         with mock.patch.object(
-            kernel, "make_epoch_maps", wraps=kernel.make_epoch_maps
+            kernel, "_epoch_maps", wraps=kernel._epoch_maps
         ) as maps:
             kernel.run_batched_epochs(
                 ARCH, config, run.state, run.rng, run.groups, 100,

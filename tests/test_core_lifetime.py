@@ -148,6 +148,57 @@ class TestUniformLifetimeFromThePeak:
         assert UniformEndurance(1e8).iterations_at_peak(0.0) == float("inf")
 
 
+class TestPeakKeptOnceFinished:
+    """A finished state's counters never change: ``max_writes`` is
+    found once — by :meth:`ArrayState.finish`'s narrowing pass, or on
+    first use of a restored state — and always equals
+    ``write_counts.max()``."""
+
+    class _NoReduction(np.ndarray):
+        def max(self, *args, **kwargs):
+            raise AssertionError("the packed block was reduced again")
+
+    def _forbid_reduction(self, state):
+        lanes, block = state.packed["write"]
+        state.packed["write"] = (lanes, block.view(self._NoReduction))
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    def test_finish_keeps_the_narrowing_peak(self, small_arch, lanes):
+        sim = EnduranceSimulator(small_arch, settings=SimulationSettings(seed=3))
+        workload = ParallelMultiplication(bits=4, lanes=lanes)
+        for config in all_configurations(recompile_interval=7):
+            state = sim.run(workload, config, iterations=23).state
+            expected = float(state.write_counts.max())
+            self._forbid_reduction(state)
+            assert state.max_writes == expected, config.label
+            assert state.max_writes == expected
+
+    def test_restored_state_reduces_once(self, tmp_path, small_arch):
+        from repro.core.io import load_result, save_result
+
+        sim = EnduranceSimulator(small_arch, settings=SimulationSettings(seed=3))
+        result = sim.run(
+            ParallelMultiplication(bits=4, lanes=5),
+            BalanceConfig.from_label("RaxRa", recompile_interval=7),
+            iterations=23,
+        )
+        path = str(tmp_path / "result.npz")
+        save_result(result, path)
+        state = load_result(path).state
+        expected = float(state.write_counts.max())
+        assert expected == result.state.max_writes > 0
+        assert state.max_writes == expected
+        self._forbid_reduction(state)
+        assert state.max_writes == expected
+
+    def test_empty_block_reads_zero(self):
+        state = ArrayState(ArrayGeometry(4, 4)).finish(
+            Orientation.COLUMN_PARALLEL, np.array([], dtype=np.int64)
+        )
+        self._forbid_reduction(state)
+        assert state.max_writes == 0.0 == float(state.write_counts.max())
+
+
 class TestImprovement:
     def test_improvement_vs_self_is_one(self, small_arch):
         sim = EnduranceSimulator(

@@ -11,6 +11,7 @@ from repro.array.executor import replay_assignment
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.software import StrategyKind
+from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import (
     MAPPING_MEMO_SIZE,
@@ -22,6 +23,7 @@ from repro.telemetry import Telemetry, set_telemetry
 from repro.workloads.base import Workload
 from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
+from repro.workloads.registry import get_workload
 from repro.workloads.trace import TraceWorkload, gemv_trace_lines
 from repro.workloads.vectoradd import VectorAdd
 
@@ -336,6 +338,97 @@ class TestMappingMemo:
         assert fresh.counters["mapping.memo_misses"] == 1
         assert fresh.counters["mapping.memo_hits"] == 2
         assert fresh.phases["mapping_compile"][1] == 1
+
+
+class TestPooledPlaneZeroing:
+    """Each run zeroes only the lanes the last finished run on its
+    pooled counter planes wrote; a plane whose last run raised, or that
+    is new, is zeroed whole. A run after any other equals the same run
+    on a fresh plane."""
+
+    @staticmethod
+    def _gemv():
+        return TraceWorkload.from_text("\n".join(gemv_trace_lines(4, 4)))
+
+    @staticmethod
+    def _assert_same_counts(a, b):
+        for name in ("write_counts", "read_counts"):
+            assert np.array_equal(
+                getattr(a.state, name), getattr(b.state, name)
+            ), name
+
+    @pytest.mark.parametrize("label", ["StxSt", "RaxRa", "BsxBs"])
+    def test_gemv_after_conv_equals_a_fresh_plane(self, label):
+        arch = default_architecture()
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=2))
+        config = BalanceConfig.from_label(label)
+        gemv = self._gemv()
+        sim.run(get_workload("conv"), config, 300)
+        after = sim.run(gemv, config, 300)
+        # The conv run wrote every lane; the GEMV writes a few.
+        assert len(after.state.packed["write"][0]) < arch.lane_count
+        POOL.clear()
+        fresh = sim.run(gemv, config, 300)
+        self._assert_same_counts(after, fresh)
+        self._assert_same_counts(after, sim._run_epoch_loop(gemv, config, 300))
+
+    @pytest.mark.parametrize("label", ["StxSt", "RaxRa"])
+    def test_runs_over_a_few_lanes_in_turn(self, small_arch, label):
+        # Each run clears only its predecessor's few lanes, which the
+        # next, wider run writes over again.
+        sim = EnduranceSimulator(small_arch, settings=SimulationSettings(seed=2))
+        config = BalanceConfig.from_label(label, recompile_interval=7)
+        workloads = [
+            ParallelMultiplication(bits=4, lanes=lanes)
+            for lanes in (3, 10, 2, 20)
+        ]
+        # The oracle's set-up zeroes the planes too: run it afterwards.
+        results = [sim.run(workload, config, 30) for workload in workloads]
+        for workload, result in zip(workloads, results):
+            self._assert_same_counts(
+                result, sim._run_epoch_loop(workload, config, 30)
+            )
+
+    def test_run_that_raised_leaves_the_plane_dirty(
+        self, small_arch, monkeypatch
+    ):
+        import repro.core.simulator as simulator
+
+        # The last finished run wrote 3 lanes; the run after the crash
+        # writes 10, so a crash trusted as clean would show.
+        sim = EnduranceSimulator(small_arch)
+        workload = ParallelMultiplication(bits=4, lanes=10)
+        config = BalanceConfig()
+        expected = sim._run_epoch_loop(workload, config, 50)
+        sim.run(ParallelMultiplication(bits=4, lanes=3), config, 50)
+
+        def crash(architecture, config, state, *args, **kwargs):
+            state.write_counts[...] = 7
+            state.read_counts[...] = 7
+            raise RuntimeError("kernel died part-way")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "run_batched_epochs", crash)
+            with pytest.raises(RuntimeError):
+                sim.run(workload, config, 50)
+        self._assert_same_counts(sim.run(workload, config, 50), expected)
+
+    def test_orientation_change_on_one_shape(self, tiny_arch):
+        # A column-parallel run's lanes are columns; a row-parallel run
+        # on the same pooled planes must not read them as rows.
+        from repro.array.architecture import CRAM_ROW
+
+        row_arch = CRAM_ROW.resized(64, 64)
+        config = BalanceConfig()
+        EnduranceSimulator(tiny_arch).run(
+            ParallelMultiplication(bits=4, lanes=5), config, 40
+        )
+        row_sim = EnduranceSimulator(row_arch)
+        workload = ParallelMultiplication(bits=4, lanes=10)
+        after = row_sim.run(workload, config, 40)
+        self._assert_same_counts(
+            after, row_sim._run_epoch_loop(workload, config, 40)
+        )
 
 
 class TestResultSurface:
