@@ -327,7 +327,7 @@ def cmd_report(args) -> None:
 
 
 def cmd_export(args) -> None:
-    """Run one configuration and save its artifacts (npz + csv + pgm)."""
+    """Run one configuration and save its artifacts (result + csv + pgm)."""
     import os
 
     from repro.core.io import save_result
@@ -340,11 +340,11 @@ def cmd_export(args) -> None:
     stem = os.path.join(
         args.out, f"{workload.name}-{config.label}-{args.iterations}"
     )
-    save_result(result, stem + ".npz")
+    save_result(result, stem + ".result")
     dist = result.write_distribution
     dist.to_csv(stem + ".csv")
     dist.to_pgm(stem + ".pgm")
-    say(f"saved {stem}.npz / .csv / .pgm")
+    say(f"saved {stem}.result / .csv / .pgm")
     say(dist.summary())
 
 
@@ -756,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("export", help="run once and save npz/csv/pgm artifacts")
+    p = sub.add_parser("export", help="run once and save result/csv/pgm artifacts")
     p.add_argument("--workload", default="mult", help=workload_help)
     p.add_argument("--config", default="StxSt")
     p.add_argument("--iterations", type=int, default=2000)

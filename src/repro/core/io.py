@@ -1,10 +1,22 @@
-"""Persistence for simulation results.
+"""Persistence for simulation results, and the one record codec.
 
-Long-horizon sweeps are worth caching: this module saves a
-:class:`~repro.core.simulator.SimulationResult`'s counters and metadata to
-a single ``.npz`` file and restores them into a summary object that
-supports every downstream analysis (distributions, lifetimes, failure
-timelines) without re-simulation.
+Every file repro writes and reads back is one **sealed record**
+(:func:`dump_sealed_arrays`/:func:`load_sealed_arrays`): a seal line
+holding the SHA-256 of the rest, a one-line JSON header (the record's
+metadata and its arrays' names, dtypes and shapes) and the arrays' raw
+bytes. A truncated, altered or foreign file reads as ``None`` rather
+than as different data. :func:`write_atomic` puts every record on disk
+(temp file in the same directory, then rename), so a killed writer
+leaves the old file or the new one, never a torn one. Result payloads,
+store sidecars and manifests (:mod:`repro.engine.store`), CLI exports
+and fleet checkpoints (:mod:`repro.fleet.checkpoint`) all take this
+path.
+
+Long-horizon sweeps are worth caching: :func:`save_result` writes a
+:class:`~repro.core.simulator.SimulationResult`'s counters and metadata
+as one sealed record, and :func:`load_result` restores them into a
+summary object that supports every downstream analysis (distributions,
+lifetimes, failure timelines) without re-simulation.
 
 Counters are stored in the **packed** form a finished result already
 holds (:meth:`repro.array.state.ArrayState.finish`): wear lands only on
@@ -17,25 +29,17 @@ a second pack, and restoring adopts the stored block: a block that
 covers every lane is the restored matrix itself, and a partial one is
 scattered into zeros of its own dtype. The same arrays are the
 engine's in-memory transport between processes.
-
-The module also seals the records that a run resumes or reports from,
-so a damaged file reads as absent instead of as different data: JSON
-records (store manifests) through :func:`dump_sealed`/:func:`load_sealed`,
-and records that carry arrays beside their JSON metadata (fleet
-checkpoints) through :func:`dump_sealed_arrays`/:func:`load_sealed_arrays`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import lzma
 import math
-import tokenize
-import zipfile
-import zlib
+import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,59 +55,22 @@ _FORMAT_VERSION = 2
 #: Every dtype a stored block may have.
 _BLOCK_DTYPES = tuple(dtype for dtype, _ in COUNT_DTYPES)
 
-#: What reading a damaged ``.npz`` raises besides ``ValueError``: a
-#: broken container (bad CRC, truncation, a flag or compression method
-#: the ``zipfile`` module refuses, an encryption bit), a mangled ``.npy``
-#: header, or a lost array.
-_DAMAGED = (
-    zipfile.BadZipFile,
-    EOFError,
-    KeyError,
-    NotImplementedError,
-    RuntimeError,
-    tokenize.TokenError,
-    zlib.error,
-    lzma.LZMAError,
-)
 
-#: The key :func:`dump_sealed` stores a record's content digest under.
-_SEAL_KEY = "sha256"
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Replace ``path``'s contents with ``data`` in one rename.
 
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def dump_sealed(record: dict) -> str:
-    """``record`` as one-line JSON text, plus a SHA-256 digest of it.
-
-    The digest covers the record's canonical text (``json.dumps`` with
-    sorted keys), which is also the text written, so sealing costs one
-    serialization. ``record`` must be a non-empty, JSON-native object
-    (string keys) without a ``"sha256"`` key, so that
-    :func:`load_sealed` recomputes the same digest from the parsed text.
+    The bytes go to a temp file in ``path``'s directory whose name
+    carries the writing process's pid, so concurrent writers of one
+    path never share a temp file, and :func:`os.replace` swaps it in.
+    The temp file is removed whether or not the write succeeds.
     """
-    text = json.dumps(record, sort_keys=True)
-    return f'{text[:-1]}, "{_SEAL_KEY}": "{_digest(text)}"}}'
-
-
-def load_sealed(text: str) -> Optional[dict]:
-    """The record :func:`dump_sealed` wrote, or ``None`` if it is damaged.
-
-    ``None`` means the text is not JSON, not a JSON object, or does not
-    match its digest. An object without a digest (written before records
-    were sealed) is returned as it is.
-    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        record = json.loads(text)
-    except ValueError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    seal = record.pop(_SEAL_KEY, None)
-    if seal is None or seal == _digest(json.dumps(record, sort_keys=True)):
-        return record
-    return None
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 #: The first bytes of every :func:`dump_sealed_arrays` record; the
@@ -307,25 +274,16 @@ def encode_result(
     return dict(result_metadata(result), counters=list(packed)), arrays
 
 
-def save_result(
-    result: SimulationResult, path: str, compress: bool = True
-) -> None:
-    """Save a simulation result's counters and metadata to ``path``.
+def save_result(result: SimulationResult, path: Union[str, Path]) -> None:
+    """Atomically save a simulation result's counters and metadata to
+    ``path`` as one sealed record (:func:`encode_result`'s pair).
 
     The workload mapping itself (programs, schedule) is not serialized;
     the per-iteration latency and per-iteration write/read totals it
     determines are stored instead, which is what every lifetime analysis
     consumes. The counters are lane-packed (:func:`encode_result`).
-
-    Args:
-        compress: Deflate the archive (smallest files, for export
-            artifacts). The engine's result store passes ``False``: its
-            entries are a throughput-critical cache, and zlib costs more
-            wall clock than the bytes are worth there.
     """
-    writer = np.savez_compressed if compress else np.savez
-    metadata, arrays = encode_result(result)
-    writer(path, metadata=json.dumps(metadata), **arrays)
+    write_atomic(path, dump_sealed_arrays(*encode_result(result)))
 
 
 @dataclass
@@ -379,8 +337,7 @@ def restore_result(
     """Rebuild a :class:`LoadedResult` from :func:`encode_result` output.
 
     Also the experiment engine's in-memory transport between worker
-    processes. ``arrays`` may be an open ``.npz`` archive: it is read
-    only after the version check. The restored state adopts the blocks
+    processes. The restored state adopts the blocks
     (:meth:`ArrayState.from_packed`). Reads not among the metadata's
     ``counters`` were not tracked (all zeros).
 
@@ -442,22 +399,22 @@ def restore_result(
     )
 
 
-def load_result(path: str) -> LoadedResult:
+def load_result(path: Union[str, Path]) -> LoadedResult:
     """Restore a result saved with :func:`save_result`.
+
+    The arrays are read-only views of the file's bytes.
 
     Raises:
         OSError: if ``path`` cannot be read.
-        ValueError: if the file was written by an incompatible version
-            (a version 1 file holds dense counters) or is damaged: not
-            an archive the ``zipfile`` module reads back intact, or
-            without the metadata and packed counters it should hold.
+        ValueError: if the file is damaged or is not a sealed record
+            (:func:`load_sealed_arrays`), or is a sealed record that is
+            not a result of this format version, or does not hold the
+            packed counters its metadata names.
     """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            metadata = json.loads(str(archive["metadata"]))
-            return restore_result(metadata, archive)
-    except _DAMAGED as exc:
-        raise ValueError(f"damaged result file {path}: {exc!r}") from exc
+    record = load_sealed_arrays(Path(path).read_bytes())
+    if record is None:
+        raise ValueError(f"damaged or foreign result file {path}")
+    return restore_result(*record)
 
 
 def save_distributions_csv(

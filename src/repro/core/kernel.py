@@ -48,8 +48,10 @@ per process (**ranked-block memo**): a least-recently-used table of
 chunk's epoch count and the random segments' widths holds each
 segment's argsort read-only in the narrowest unsigned dtype, plus the
 generator state the draw leaves, which a hit installs — so the stream
-moves on exactly as after a draw. Other bit generators bypass it, and
-so does the oracle: :func:`make_epoch_maps` (and
+moves on exactly as after a draw. Only a run's first
+:data:`MAPS_MEMO_RUN_CHUNKS` chunks insert entries, so a long run does
+not evict the blocks a later run replays. Other bit generators bypass
+the memo, and so does the oracle: :func:`make_epoch_maps` (and
 :func:`~repro.balance.software.make_permutations`) always draw afresh.
 
 On every branch, GEMMs are paid only where the between-lane map
@@ -102,6 +104,7 @@ accumulation still defers to the GEMM).
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -313,6 +316,12 @@ def _draw_ranked(
 #: (4 MiB at the paper's 1,024-wide lanes).
 MAPS_MEMO_SIZE = 8
 
+#: Chunks of one run that may insert a memo entry. A run longer than
+#: this still looks its later chunks up, but ranks their misses without
+#: keeping them, so it cannot evict the first chunks that a later run
+#: on the same seed replays (its own or another's).
+MAPS_MEMO_RUN_CHUNKS = MAPS_MEMO_SIZE // 2
+
 #: ``(PCG64 state, inc, has_uint32, uinteger, count, widths) ->
 #: [end state, maps]``; see :func:`_memo_ranked`.
 _MAPS_MEMO: "OrderedDict[tuple, list]" = OrderedDict()
@@ -323,6 +332,7 @@ def _memo_ranked(
     count: int,
     widths: Tuple[int, ...],
     wanted: Tuple[bool, ...],
+    insert: bool = True,
 ) -> List[Optional[np.ndarray]]:
     """:func:`_draw_ranked` through the process-wide ranked-block memo.
 
@@ -335,8 +345,9 @@ def _memo_ranked(
     A wanted segment the entry lacks (it was first made without it) is
     ranked by drawing the block again: ``rng`` is at the entry's start
     state, by its key. The maps are read-only and held in the narrowest
-    unsigned dtype their width needs. Other bit generators bypass the
-    memo.
+    unsigned dtype their width needs. With ``insert=False`` a block
+    that has no entry is drawn through :func:`_draw_ranked` and not
+    kept. Other bit generators bypass the memo.
     """
     generator = rng.bit_generator
     if type(generator) is not np.random.PCG64:
@@ -352,6 +363,9 @@ def _memo_ranked(
     )
     tele = get_telemetry()
     entry = _MAPS_MEMO.get(key)
+    if entry is None and not insert:
+        tele.count("kernel.maps_memo_misses")
+        return _draw_ranked(rng, count, widths, wanted)
     if entry is None:
         entry = _MAPS_MEMO[key] = [None, [None] * len(widths)]
         while len(_MAPS_MEMO) > MAPS_MEMO_SIZE:
@@ -781,7 +795,10 @@ def _run_chunks(
             rng,
             epoch_start=start,
             with_between=bool(acc.lanes),
-            rank=_memo_ranked,
+            rank=partial(
+                _memo_ranked,
+                insert=start < MAPS_MEMO_RUN_CHUNKS * CHUNK_EPOCHS,
+            ),
         )
         if wear is not None:
             # The one genuinely sequential piece: each epoch's assignment

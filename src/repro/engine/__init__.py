@@ -6,9 +6,10 @@ content-addressed jobs:
 
 * :class:`JobSpec` — one simulation, hashed over everything that
   determines its outcome;
-* :class:`ResultStore` — a disk cache of completed jobs (``.npz`` +
-  JSON sidecar, atomic writes), which doubles as the checkpoint an
-  interrupted grid resumes from;
+* :class:`ResultStore` — a disk cache of completed jobs (a payload, a
+  sidecar and a manifest per job, each one sealed record written
+  atomically, see :mod:`repro.core.io`), which doubles as the checkpoint
+  an interrupted grid resumes from;
 * :class:`ExperimentEngine` — serial or process-pool execution that
   runs each job once, with failure containment.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.array.architecture import PIMArchitecture
@@ -109,9 +110,13 @@ class JobSpec:
             "track_reads": self.track_reads,
         }
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
-        """SHA-256 over the canonical identity (hex, 64 chars)."""
+        """SHA-256 over the canonical identity (hex, 64 chars).
+
+        Computed once per spec: the spec is frozen, so its identity
+        cannot change.
+        """
         canonical = json.dumps(self.identity(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

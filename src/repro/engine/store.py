@@ -1,24 +1,32 @@
 """Disk-backed, content-addressed storage for simulation results.
 
-Each completed job is stored under its spec's content hash as an
-undeflated ``.npz`` (the lane-packed counters plus result metadata, via
-:mod:`repro.core.io`: each counter matrix as the indices of its written
-lanes and those lanes' block in the narrowest exact integer dtype) next
-to a JSON sidecar recording the spec identity and timing. An entry of an
-older format version (version 1 kept dense float64 matrices) reads as a
-miss and is re-simulated and overwritten.
+Each completed job is stored under its spec's content hash as three
+sealed records (:func:`repro.core.io.dump_sealed_arrays`), side by side
+in a two-character shard directory:
 
-Entries are written atomically (temp file + rename, array payload before
-sidecar), so a store left behind by a killed run contains only complete
-entries — re-running the batch resumes from them. Every temp file
-carries the writing process's pid, so concurrent saves of one key never
-share a temp file.
+* ``<hash>.result`` — the payload, :func:`repro.core.io.save_result`'s
+  record: the lane-packed counters (each counter matrix as the indices
+  of its written lanes and those lanes' block in the narrowest exact
+  integer dtype) plus result metadata;
+* ``<hash>.spec`` — the sidecar: the spec identity and wall time;
+* ``<hash>.manifest`` — the run manifest: provenance and the producing
+  process's telemetry snapshot.
+
+A payload or sidecar that is damaged, foreign or of another format
+version (version 1 kept dense float64 matrices) reads as a miss and is
+re-simulated and overwritten; a damaged or off-schema manifest reads as
+absent. Entries written as ``.npz`` payloads and JSON sidecars by
+earlier releases are not read at all: they are misses too.
+
+Every file is written through :func:`repro.core.io.write_atomic` (a
+per-process temp file, then a rename), payload first and sidecar
+second, so a store left behind by a killed run contains only complete
+entries — re-running the batch resumes from them — and concurrent saves
+of one key never share a temp file.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -27,15 +35,32 @@ import numpy as np
 
 from repro.core.io import (
     LoadedResult,
-    dump_sealed,
+    dump_sealed_arrays,
     load_result,
-    load_sealed,
+    load_sealed_arrays,
     save_result,
+    write_atomic,
 )
 from repro.core.scratch import flush_pool_counters
 from repro.core.simulator import SimulationResult
 from repro.engine.spec import JobSpec
 from repro.telemetry import get_telemetry
+from repro.verify.schemas import check_manifest
+
+#: The suffixes of an entry's payload, sidecar and manifest.
+_PAYLOAD, _SIDECAR, _MANIFEST = ".result", ".spec", ".manifest"
+
+
+def _read_record(path: Path) -> Optional[dict]:
+    """The metadata of the array-free sealed record at ``path``, or
+    ``None`` if it is missing, unreadable, damaged or carries arrays."""
+    try:
+        record = load_sealed_arrays(path.read_bytes())
+    except OSError:
+        return None
+    if record is None or record[1]:
+        return None
+    return record[0]
 
 
 def blas_implementation() -> str:
@@ -76,9 +101,7 @@ class ResultStore:
         root: Directory to keep entries in (created if missing). Entries
             shard into two-character subdirectories to keep listings flat.
             Payloads hold only the lanes a run wrote, in the narrowest
-            integer dtype that keeps them exact, and are not deflated:
-            the store is a throughput-critical cache, and zlib costs
-            more wall clock than the bytes are worth there.
+            integer dtype that keeps them exact.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -87,24 +110,21 @@ class ResultStore:
 
     # -- paths ----------------------------------------------------------
 
-    @staticmethod
-    def _hash_of(key: Union[JobSpec, str]) -> str:
-        return key.content_hash if isinstance(key, JobSpec) else str(key)
+    def _entry(self, key: Union[JobSpec, str], suffix: str) -> Path:
+        digest = key.content_hash if isinstance(key, JobSpec) else str(key)
+        return self.root / digest[:2] / f"{digest}{suffix}"
 
     def path_for(self, key: Union[JobSpec, str]) -> Path:
-        """Where the ``.npz`` payload for ``key`` lives."""
-        digest = self._hash_of(key)
-        return self.root / digest[:2] / f"{digest}.npz"
+        """Where the ``.result`` payload for ``key`` lives."""
+        return self._entry(key, _PAYLOAD)
 
     def sidecar_for(self, key: Union[JobSpec, str]) -> Path:
-        """Where the JSON sidecar for ``key`` lives."""
-        digest = self._hash_of(key)
-        return self.root / digest[:2] / f"{digest}.json"
+        """Where the ``.spec`` sidecar for ``key`` lives."""
+        return self._entry(key, _SIDECAR)
 
     def manifest_for(self, key: Union[JobSpec, str]) -> Path:
-        """Where the per-run manifest for ``key`` lives."""
-        digest = self._hash_of(key)
-        return self.root / digest[:2] / f"{digest}.manifest.json"
+        """Where the per-run ``.manifest`` for ``key`` lives."""
+        return self._entry(key, _MANIFEST)
 
     # -- operations -----------------------------------------------------
 
@@ -115,14 +135,17 @@ class ResultStore:
     def load(self, key: Union[JobSpec, str]) -> Optional[LoadedResult]:
         """Return the cached result, or ``None`` on a miss.
 
-        Incomplete or unreadable entries (e.g. from an interrupted save or
-        an older format version) count as misses; the caller re-simulates
-        and overwrites them.
+        Incomplete entries (e.g. from an interrupted save), and entries
+        whose sidecar does not name ``key`` or whose payload is damaged
+        or of another format version, count as misses; the caller
+        re-simulates and overwrites them.
         """
-        if not self.contains(key):
+        path = self.path_for(key)
+        sidecar = _read_record(self.sidecar_for(key))
+        if sidecar is None or sidecar.get("content_hash") != path.stem:
             return None
         try:
-            return load_result(str(self.path_for(key)))
+            return load_result(path)
         except (OSError, ValueError):  # load_result's damaged-file types
             return None
 
@@ -135,27 +158,18 @@ class ResultStore:
         """Atomically persist ``result`` under ``spec``'s hash."""
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp.npz"
-        try:
-            save_result(result, str(tmp), compress=False)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        save_result(result, path)
         record = {
             "spec": spec.identity(),
             "content_hash": spec.content_hash,
             "wall_s": wall_s,
         }
-        _write_text(
-            self.sidecar_for(spec),
-            json.dumps(record, indent=2, sort_keys=True),
-        )
+        write_atomic(self.sidecar_for(spec), dump_sealed_arrays(record, {}))
         self._write_manifest(spec, wall_s)
         return path
 
     def _write_manifest(self, spec: JobSpec, wall_s: Optional[float]) -> None:
-        """Write the run manifest next to the entry (atomic, best-effort).
+        """Write the run manifest next to the entry (atomic).
 
         The manifest records how the result was produced — spec hash,
         seed, numpy/BLAS provenance, wall
@@ -176,38 +190,31 @@ class ResultStore:
             "wall_s": wall_s,
             "telemetry": get_telemetry().snapshot(),
         }
-        _write_text(self.manifest_for(spec), dump_sealed(manifest))
+        write_atomic(self.manifest_for(spec), dump_sealed_arrays(manifest, {}))
 
     def load_manifest(self, key: Union[JobSpec, str]) -> Optional[dict]:
         """The per-run manifest for ``key``, or ``None`` when absent.
 
-        A manifest that is unreadable, not a JSON object, or does not
-        match its digest (:func:`repro.core.io.load_sealed`) reads as
-        absent.
+        A manifest that is unreadable, damaged, not a sealed record
+        without arrays, or off the manifest schema
+        (:func:`repro.verify.check_manifest`, RPR017) reads as absent.
         """
-        try:
-            return load_sealed(
-                self.manifest_for(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):  # unreadable, or not UTF-8
-            return None
+        return _checked_manifest(self.manifest_for(key))
 
     def iter_manifests(self) -> Iterator[Tuple[str, dict]]:
         """Stream ``(content_hash, manifest)`` for every run manifest.
 
         Walks the whole store — including shard sub-stores created with
         :meth:`shard` — in sorted path order, so aggregation over the
-        stream is deterministic. Unreadable manifests are skipped: the
-        stream is an observability surface, not a correctness one.
-        This is the primitive fleet-scale consumers aggregate from.
+        stream is deterministic. Manifests :meth:`load_manifest` reads
+        as absent are skipped: the stream is an observability surface,
+        not a correctness one. This is the primitive fleet-scale
+        consumers aggregate from.
         """
-        for path in sorted(self.root.rglob("*.manifest.json")):
-            try:
-                manifest = load_sealed(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
+        for path in sorted(self.root.rglob(f"*{_MANIFEST}")):
+            manifest = _checked_manifest(path)
             if manifest is not None:
-                yield path.name[: -len(".manifest.json")], manifest
+                yield path.stem, manifest
 
     # -- sharding -------------------------------------------------------
 
@@ -229,10 +236,8 @@ class ResultStore:
 
     def hashes(self) -> Iterator[str]:
         """Content hashes of every complete entry."""
-        for sidecar in sorted(self.root.glob("*/*.json")):
-            if sidecar.name.endswith(".manifest.json"):
-                continue
-            if sidecar.with_suffix(".npz").exists():
+        for sidecar in sorted(self.root.glob(f"*/*{_SIDECAR}")):
+            if sidecar.with_suffix(_PAYLOAD).exists():
                 yield sidecar.stem
 
     def __len__(self) -> int:
@@ -249,12 +254,9 @@ class ResultStore:
         return removed
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Atomically write ``text`` to ``path`` via a per-process temp file."""
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+def _checked_manifest(path: Path) -> Optional[dict]:
+    """The manifest at ``path`` if it reads and passes RPR017."""
+    manifest = _read_record(path)
+    if manifest is None or check_manifest(manifest):
+        return None
+    return manifest

@@ -1,7 +1,8 @@
 """Checkpointed fleet-campaign state (kill-safe, resume-deterministic).
 
-A checkpoint is one binary file capturing everything the day loop needs
-to continue. The per-array vectors — cumulative iterations (float64)
+A checkpoint is one sealed record, the format of every file repro
+writes and reads back, capturing everything the day loop needs to
+continue. The per-array vectors — cumulative iterations (float64)
 and death days (int64) — are stored as raw arrays; the last completed
 day, the traffic totals, the arrival-process state and the traffic
 generator's full PCG64 state are JSON metadata in the same file
@@ -11,11 +12,13 @@ reads as absent rather than resuming from damaged state. A file that
 decodes but does not have the checkpoint schema
 (:func:`repro.verify.check_checkpoint`, RPR017) reads as absent too.
 
-Writes are atomic (temp file + rename), so a campaign killed mid-write
-leaves only complete checkpoints behind; resuming from the latest one
-replays the remaining days bit-identically (the arrays keep their exact
-bytes, JSON carries the arbitrary-precision RNG integers exactly, and
-the RNG state restores the arrival stream in place).
+Writes go through :func:`repro.core.io.write_atomic` (a per-process
+temp file, then a rename, the temp file removed even when the write
+fails), so a campaign killed mid-write leaves only complete checkpoints
+behind; resuming from the latest one replays the remaining days
+bit-identically (the arrays keep their exact bytes, JSON carries the
+arbitrary-precision RNG integers exactly, and the RNG state restores
+the arrival stream in place).
 
 File names carry the campaign's spec hash —
 ``fleet-<hash12>-day<N>.ckpt`` — so checkpoints from different campaigns
@@ -27,14 +30,13 @@ under them restarts from day 0.
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.io import dump_sealed_arrays, load_sealed_arrays
+from repro.core.io import dump_sealed_arrays, load_sealed_arrays, write_atomic
 from repro.verify.schemas import check_checkpoint
 
 #: Bumped whenever the checkpoint payload shape changes; a mismatch is
@@ -95,9 +97,7 @@ class CheckpointManager:
             },
         }
         path = self.path_for(day)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_bytes(dump_sealed_arrays(payload, arrays))
-        os.replace(tmp, path)
+        write_atomic(path, dump_sealed_arrays(payload, arrays))
         return path
 
     def load(self, day: int) -> Optional[Dict]:

@@ -91,7 +91,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "saved" in out
         files = {p.suffix for p in tmp_path.iterdir()}
-        assert files == {".npz", ".csv", ".pgm"}
+        assert files == {".result", ".csv", ".pgm"}
 
     def test_switching(self, capsys):
         main([
@@ -266,7 +266,7 @@ class TestEngineFlags:
         cold = capsys.readouterr()
         assert "RaxBs+Hw" in cold.out
         assert "18 to simulate" in cold.err
-        assert any(tmp_path.rglob("*.npz"))
+        assert len(list(tmp_path.rglob("*.result"))) == 18
 
         assert main(argv) == 0
         warm = capsys.readouterr()

@@ -189,8 +189,8 @@ def test_store_pipe_and_export_keep_the_packed_form(
             settings=settings,
         )
         store.save(spec, result)
-        export = str(tmp_path / f"export-{index}.npz")
-        save_result(result, export, compress=True)
+        export = str(tmp_path / f"export-{index}.result")
+        save_result(result, export)
         metadata, arrays = encode_result(result)
         for name, (lanes, block) in result.state.packed.items():
             # The payload is the result's own arrays, not a second pack.

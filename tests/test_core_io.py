@@ -1,4 +1,7 @@
-"""Tests for repro.core.io: result persistence."""
+"""Tests for repro.core.io: result persistence and the sealed record."""
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ import pytest
 from repro.balance.config import BalanceConfig
 from repro.core.io import (
     dump_sealed_arrays,
+    encode_result,
     load_result,
     load_sealed_arrays,
     save_distributions_csv,
     save_result,
+    write_atomic,
 )
 from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
@@ -29,7 +34,7 @@ def result(small_arch):
 
 class TestRoundTrip:
     def test_counters_survive(self, result, tmp_path):
-        path = str(tmp_path / "run.npz")
+        path = str(tmp_path / "run.result")
         save_result(result, path)
         loaded = load_result(path)
         for name in ("write_counts", "read_counts"):
@@ -40,7 +45,7 @@ class TestRoundTrip:
             assert np.array_equal(restored, original)
 
     def test_metadata_survives(self, result, tmp_path):
-        path = str(tmp_path / "run.npz")
+        path = str(tmp_path / "run.result")
         save_result(result, path)
         loaded = load_result(path)
         assert loaded.workload_name == result.workload_name
@@ -57,7 +62,7 @@ class TestRoundTrip:
         )
 
     def test_lifetime_computable_from_loaded(self, result, tmp_path):
-        path = str(tmp_path / "run.npz")
+        path = str(tmp_path / "run.result")
         save_result(result, path)
         loaded = load_result(path)
         original = lifetime_from_result(result)
@@ -70,29 +75,105 @@ class TestRoundTrip:
         )
 
     def test_distributions_from_loaded(self, result, tmp_path):
-        path = str(tmp_path / "run.npz")
+        path = str(tmp_path / "run.result")
         save_result(result, path)
         loaded = load_result(path)
         assert loaded.write_distribution.max == result.write_distribution.max
         assert "RaxSt+Hw" in loaded.write_distribution.label
 
-    def test_version_check(self, result, tmp_path):
-        import json
-
-        path = str(tmp_path / "run.npz")
+    def test_file_is_the_sealed_encoded_result(self, result, tmp_path):
+        path = tmp_path / "run.result"
         save_result(result, path)
-        # Corrupt the version field.
-        with np.load(path) as archive:
-            metadata = json.loads(str(archive["metadata"]))
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name != "metadata"
-            }
+        metadata, arrays = encode_result(result)
+        loaded_metadata, loaded = load_sealed_arrays(path.read_bytes())
+        assert loaded_metadata == metadata
+        assert loaded.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].tobytes() == array.tobytes()
+
+    def test_version_check(self, result, tmp_path):
+        path = tmp_path / "run.result"
+        metadata, arrays = encode_result(result)
         metadata["format_version"] = 99
-        np.savez_compressed(path, metadata=json.dumps(metadata), **arrays)
+        path.write_bytes(dump_sealed_arrays(metadata, arrays))
         with pytest.raises(ValueError, match="unsupported"):
             load_result(path)
+
+
+class TestDamagedResultFile:
+    @pytest.fixture
+    def raw(self, result, tmp_path):
+        path = tmp_path / "run.result"
+        save_result(result, path)
+        return path.read_bytes()
+
+    def test_every_truncation_and_bit_flip_raises_value_error(
+        self, raw, tmp_path
+    ):
+        # Exhaustive over the seal line and the header, and a stride of
+        # the array bytes (about 68 kB of them).
+        header = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        path = tmp_path / "bad.result"
+        for index in [*range(header), *range(header, len(raw), 101)]:
+            for bad in (
+                raw[:index],
+                raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1:],
+            ):
+                path.write_bytes(bad)
+                with pytest.raises(ValueError):
+                    load_result(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"PK\x03\x04 a zip archive",
+            b'{"metadata": "{}"}',
+            dump_sealed_arrays({}, {}),
+            dump_sealed_arrays({"content_hash": "ab" * 32}, {}),
+            dump_sealed_arrays(
+                {"version": 2, "day": 1}, {"cumulative": np.zeros(3)}
+            ),
+        ],
+        ids=["empty", "zip", "json", "empty-record", "manifest", "checkpoint"],
+    )
+    def test_foreign_file_raises_value_error(self, tmp_path, data):
+        path = tmp_path / "foreign.result"
+        path.write_bytes(data)
+        with pytest.raises(ValueError):
+            load_result(path)
+
+    def test_legacy_npz_export_raises_value_error(self, result, tmp_path):
+        metadata, arrays = encode_result(result)
+        path = tmp_path / "run.npz"
+        np.savez(path, metadata=json.dumps(metadata), **arrays)
+        with pytest.raises(ValueError, match="damaged or foreign"):
+            load_result(path)
+
+
+class TestWriteAtomic:
+    def test_replaces_the_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "record"
+        write_atomic(path, b"old")
+        write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["record"]
+
+    def test_failed_replace_leaves_the_old_file_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "record"
+        write_atomic(path, b"old")
+
+        def broken(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError, match="disk gone"):
+            write_atomic(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["record"]
 
 
 def reseal(header: bytes, blob: bytes) -> bytes:

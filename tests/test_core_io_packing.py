@@ -3,7 +3,7 @@
 The oracle is the dense float64 counter matrix a run accumulates:
 whatever lanes hold counts and whatever exact integer counts they hold
 (up to 2^53 - 1), the finished state and every path back — the saved
-file, the deflated export and the engine's in-memory transport — must
+sealed record and the engine's in-memory transport — must
 give an unsigned integer matrix equal to it. A count that is not an
 exact non-negative integer raises :class:`InexactCountError`.
 """
@@ -22,8 +22,10 @@ from repro.array.state import ArrayState, InexactCountError
 from repro.balance.config import BalanceConfig
 from repro.core.io import (
     LoadedResult,
+    dump_sealed_arrays,
     encode_result,
     load_result,
+    load_sealed_arrays,
     restore_result,
     result_metadata,
     save_result,
@@ -125,10 +127,9 @@ class TestRoundTrip:
     @given(
         writes=counters(),
         reads=st.one_of(st.none(), counters()),
-        compress=st.booleans(),
     )
     def test_every_path_restores_the_dense_matrix(
-        self, tmp_path_factory, writes, reads, compress
+        self, tmp_path_factory, writes, reads
     ):
         write_counts, orientation = writes
         # Reads share the writes' shape: draw them, then fit them.
@@ -172,8 +173,8 @@ class TestRoundTrip:
         assert_restored(
             restore_result(metadata, arrays), write_counts, read_counts
         )
-        path = str(tmp_path_factory.mktemp("packed") / "result.npz")
-        save_result(result, path, compress=compress)
+        path = str(tmp_path_factory.mktemp("packed") / "run.result")
+        save_result(result, path)
         assert_restored(load_result(path), write_counts, read_counts)
 
     @pytest.mark.parametrize("orientation", list(Orientation))
@@ -295,32 +296,20 @@ class TestVersionOneEntry:
             track_reads=True,
         )
 
-    def test_dense_entry_is_a_miss_then_replaced(self, tmp_path, job):
-        result = EnduranceSimulator(
+    @pytest.fixture
+    def result(self, job):
+        return EnduranceSimulator(
             job.architecture, settings=job.settings
         ).run(job.workload, job.config, job.iterations)
-        store = ResultStore(tmp_path)
-        store.save(job, result)
-        # A version 1 entry: dense float64 matrices under their own names.
-        path = store.path_for(job)
-        np.savez(
-            path,
-            metadata=json.dumps(
-                dict(result_metadata(result), format_version=1)
-            ),
-            write_counts=result.state.write_counts,
-            read_counts=result.state.read_counts,
-        )
-        with pytest.raises(ValueError, match="unsupported result format 1"):
-            load_result(str(path))
-        assert store.contains(job)
-        assert store.load(job) is None
 
+    def assert_resimulated(self, store, job, result):
         outcome = ExperimentEngine(store=store).run_one(job)
         assert outcome.status is JobStatus.COMPLETED  # re-simulated
-        with np.load(path) as archive:
-            assert json.loads(str(archive["metadata"]))["format_version"] == 2
-            assert "write_counts" not in archive.files
+        metadata, arrays = load_sealed_arrays(
+            store.path_for(job).read_bytes()
+        )
+        assert metadata["format_version"] == 2
+        assert "write_counts" not in arrays
         loaded = store.load(job)
         assert_restored(
             loaded, result.state.write_counts, result.state.read_counts
@@ -328,3 +317,41 @@ class TestVersionOneEntry:
         assert ExperimentEngine(store=store).run_one(job).status is (
             JobStatus.CACHED
         )
+
+    def test_dense_entry_is_a_miss_then_replaced(self, tmp_path, job, result):
+        store = ResultStore(tmp_path)
+        store.save(job, result)
+        # A version 1 entry: dense float64 matrices under their own names.
+        path = store.path_for(job)
+        path.write_bytes(
+            dump_sealed_arrays(
+                dict(result_metadata(result), format_version=1),
+                {
+                    "write_counts": result.state.write_counts,
+                    "read_counts": result.state.read_counts,
+                },
+            )
+        )
+        with pytest.raises(ValueError, match="unsupported result format 1"):
+            load_result(path)
+        assert store.contains(job)
+        assert store.load(job) is None
+        self.assert_resimulated(store, job, result)
+
+    def test_npz_entry_is_a_miss_then_replaced(self, tmp_path, job, result):
+        # Entries of releases that wrote an .npz payload and a JSON
+        # sidecar are not read: the job is re-simulated beside them.
+        store = ResultStore(tmp_path)
+        digest = job.content_hash
+        shard = tmp_path / digest[:2]
+        shard.mkdir()
+        metadata, arrays = encode_result(result)
+        np.savez(shard / f"{digest}.npz", metadata=json.dumps(metadata),
+                 **arrays)
+        (shard / f"{digest}.json").write_text(
+            json.dumps({"content_hash": digest, "spec": job.identity()})
+        )
+        assert not store.contains(job)
+        assert store.load(job) is None
+        assert len(store) == 0
+        self.assert_resimulated(store, job, result)

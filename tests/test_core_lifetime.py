@@ -182,7 +182,7 @@ class TestPeakKeptOnceFinished:
             BalanceConfig.from_label("RaxRa", recompile_interval=7),
             iterations=23,
         )
-        path = str(tmp_path / "result.npz")
+        path = str(tmp_path / "run.result")
         save_result(result, path)
         state = load_result(path).state
         expected = float(state.write_counts.max())

@@ -114,7 +114,7 @@ class TestFigureRenderings:
         result = sim.run(
             ParallelMultiplication(bits=8), BalanceConfig(), iterations=50
         )
-        path = str(tmp_path / "r.npz")
+        path = str(tmp_path / "r.result")
         save_result(result, path)
         text = format_full_report(load_result(path))
         assert "Eq. 4 lifetime" in text

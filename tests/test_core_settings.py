@@ -10,6 +10,7 @@ from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.cli import _make_settings, build_parser
 from repro.core.accuracy import measure_fault_accuracy
+from repro.core.io import save_result
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import simulate_configs
@@ -31,7 +32,7 @@ _REMOVED_KWARGS = {
     "track_reads": ("EnduranceSimulator", "run", "run_simulation"),
     "evaluator": ("measure_fault_accuracy", "measure_switching"),
     "method": ("replay_assignment",),
-    "compress": ("ResultStore",),
+    "compress": ("ResultStore", "save_result"),
 }
 
 
@@ -86,8 +87,9 @@ class TestDeprecationWarning:
         self, tiny_arch, tmp_path, knob
     ):
         # The kernel knobs, the per-field settings aliases, the backend
-        # switches and the store's compression switch are gone: each
-        # entry point that took one now rejects it.
+        # switches and the compression switches of the store and of
+        # save_result are gone: each entry point that took one now
+        # rejects it.
         sim = EnduranceSimulator(tiny_arch)
         workload = ParallelMultiplication(bits=8)
         program = ParallelMultiplication(bits=4).build_program(tiny_arch)
@@ -114,6 +116,11 @@ class TestDeprecationWarning:
                 tiny_arch, {0: program}, ArrayState(tiny_arch.geometry), **kw
             ),
             "ResultStore": lambda **kw: ResultStore(tmp_path, **kw),
+            "save_result": lambda **kw: save_result(
+                sim.run(workload, BalanceConfig(), iterations=5),
+                str(tmp_path / "run.result"),
+                **kw,
+            ),
         }
         for name in _REMOVED_KWARGS[knob]:
             with pytest.raises(TypeError, match=knob):

@@ -1,17 +1,15 @@
-"""Damaged fleet checkpoints, store manifests and store payloads read
-as absent.
+"""Damaged fleet checkpoints and store files read as absent.
 
-A real checkpoint, a real manifest and a real lane-packed result payload
-are truncated or have one byte replaced. Every damaged file must read as
-absent, or, when the damage left the recorded content intact (it hit
-only the name of the manifest's digest key, or a field of the payload's
-zip container that reading does not depend on), as exactly what was
-written: never as different data, never as a crash. A checkpoint's
-digest covers all of it, so a damaged checkpoint always reads as
-absent, and ``CheckpointManager.latest()`` falls back to the
-next-newest checkpoint.
+A real checkpoint and a real store entry's payload, sidecar and manifest
+are truncated or have one byte replaced. Every file is one sealed
+record whose digest covers all of it, so every damaged file reads as
+absent — a damaged payload or sidecar as a cache miss — never as
+different data and never as a crash, and ``CheckpointManager.latest()``
+falls back to the next-newest checkpoint. A failed write leaves no
+temp file behind.
 """
 
+import os
 import shutil
 import tempfile
 
@@ -24,7 +22,7 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
-from repro.core.io import dump_sealed_arrays
+from repro.core.io import dump_sealed_arrays, load_sealed_arrays
 from repro.fleet import (
     CHECKPOINT_VERSION,
     CheckpointManager,
@@ -208,29 +206,42 @@ class TestDamagedCheckpoint:
         assert manager.latest()[0] == 2
 
 
+def every_truncation_and_bit_flip(raw: bytes, stride: int):
+    """Every proper prefix and one-bit flip of ``raw`` over its seal line
+    and header, and over a stride of the bytes after them."""
+    header = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    for index in [*range(header), *range(header, len(raw), stride)]:
+        yield raw[:index]
+        yield raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1:]
+
+
 class TestDamagedManifest:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_reads_as_absent(self, manifest, data):
-        spec, raw, original = manifest
-        bad, truncated = data.draw(damaged(raw))
+        spec, raw, _ = manifest
+        bad, _ = data.draw(damaged(raw))
         with tempfile.TemporaryDirectory() as root:
             store = ResultStore(root)
             path = store.manifest_for(spec)
             path.parent.mkdir(parents=True)
             path.write_bytes(bad)
-            loaded = store.load_manifest(spec)
-            if truncated:
-                assert loaded is None
-            assert loaded is None or all(
-                key in loaded and loaded[key] == value
-                for key, value in original.items()
-            )
-            streamed = [entry for _, entry in store.iter_manifests()]
-            assert streamed == ([] if loaded is None else [loaded])
+            assert store.load_manifest(spec) is None
+            assert list(store.iter_manifests()) == []
 
-    @pytest.mark.parametrize("text", ["[1]", "1", "null", '"x"'])
-    def test_non_object_manifest_reads_as_absent(self, tmp_path, text):
+    def test_every_truncation_and_byte_flip_reads_as_absent(
+        self, manifest, tmp_path
+    ):
+        spec, raw, _ = manifest
+        store = ResultStore(tmp_path)
+        path = store.manifest_for(spec)
+        path.parent.mkdir(parents=True)
+        for bad in every_truncation_and_bit_flip(raw, 7):
+            path.write_bytes(bad)
+            assert store.load_manifest(spec) is None
+
+    @pytest.mark.parametrize("text", ["[1]", "1", "null", '"x"', "{}"])
+    def test_non_record_manifest_reads_as_absent(self, tmp_path, text):
         store = ResultStore(tmp_path)
         path = store.manifest_for("ab" * 32)
         path.parent.mkdir(parents=True)
@@ -238,27 +249,100 @@ class TestDamagedManifest:
         assert store.load_manifest("ab" * 32) is None
         assert list(store.iter_manifests()) == []
 
+    def test_off_schema_manifest_is_not_counted_by_the_fleet(
+        self, manifest, tmp_path
+    ):
+        # A sealed manifest without ``content_hash`` (RPR017) reads as
+        # absent, so a campaign's manifest census skips it.
+        spec, _, original = manifest
+        fleet = FleetSpec(
+            population=PopulationSpec(
+                n_arrays=2,
+                technology_mix=(("PCM", 1.0),),
+                cohorts=(CohortSpec("add"),),
+            ),
+            traffic=TrafficSpec(model="deterministic", rate=100.0),
+            days=2,
+            rows=128,
+            cols=128,
+            cohort_iterations=50,
+        )
+        store = ResultStore(tmp_path)
+        counted = FleetService(fleet, store=store).run().runtime["manifests"]
+        path = store.manifest_for(spec)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stray = {k: v for k, v in original.items() if k != "content_hash"}
+        path.write_bytes(dump_sealed_arrays(stray, {}))
+        assert store.load_manifest(spec) is None
+        again = FleetService(fleet, store=store).run().runtime["manifests"]
+        assert again == counted
+
 
 class TestDamagedPayload:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_reads_as_miss_or_as_saved(self, payload, data):
-        store, spec, raw, counters = payload
-        bad, truncated = data.draw(damaged(raw))
+    def test_reads_as_miss(self, payload, data):
+        store, spec, raw, _ = payload
+        bad, _ = data.draw(damaged(raw))
         with tempfile.TemporaryDirectory() as root:
             copy = ResultStore(root)
             path = copy.path_for(spec)
             path.parent.mkdir(parents=True)
             shutil.copyfile(store.sidecar_for(spec), copy.sidecar_for(spec))
             path.write_bytes(bad)
-            loaded = copy.load(spec)
-            if truncated:
-                assert loaded is None
-            if loaded is not None:
-                restored = (
-                    loaded.state.write_counts,
-                    loaded.state.read_counts,
-                )
-                for ours, theirs in zip(restored, counters):
-                    assert ours.dtype == theirs.dtype
-                    assert np.array_equal(ours, theirs)
+            assert copy.load(spec) is None
+
+    def test_every_truncation_and_byte_flip_reads_as_miss(
+        self, payload, tmp_path
+    ):
+        store, spec, raw, counters = payload
+        copy = ResultStore(tmp_path)
+        path = copy.path_for(spec)
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(store.sidecar_for(spec), copy.sidecar_for(spec))
+        for bad in every_truncation_and_bit_flip(raw, 41):
+            path.write_bytes(bad)
+            assert copy.load(spec) is None
+        path.write_bytes(raw)
+        loaded = copy.load(spec)
+        restored = (loaded.state.write_counts, loaded.state.read_counts)
+        for ours, theirs in zip(restored, counters):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+
+class TestDamagedSidecar:
+    def test_every_truncation_and_byte_flip_reads_as_miss(
+        self, payload, tmp_path
+    ):
+        store, spec, _, _ = payload
+        raw = store.sidecar_for(spec).read_bytes()
+        copy = ResultStore(tmp_path)
+        path = copy.sidecar_for(spec)
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(store.path_for(spec), copy.path_for(spec))
+        for bad in every_truncation_and_bit_flip(raw, 1):
+            path.write_bytes(bad)
+            assert copy.load(spec) is None
+        path.write_bytes(raw)
+        assert copy.load(spec) is not None
+
+
+class TestFailedCheckpointWrite:
+    def test_leaves_no_temp_file(self, checkpoints, tmp_path, monkeypatch):
+        campaign, files = checkpoints
+        manager = CheckpointManager(tmp_path, campaign)
+
+        def broken(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError, match="disk gone"):
+            manager.save(4, files[4][1])
+        assert list(tmp_path.iterdir()) == []
+        assert manager.latest() is None
+
+    def test_checkpoint_is_a_sealed_record(self, checkpoints):
+        _, files = checkpoints
+        for raw, _ in files.values():
+            assert dump_sealed_arrays(*load_sealed_arrays(raw)) == raw

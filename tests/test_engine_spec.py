@@ -1,5 +1,7 @@
 """JobSpec content hashing: stability and sensitivity."""
 
+import pickle
+
 import pytest
 
 from repro.balance.config import BalanceConfig
@@ -42,6 +44,26 @@ class TestHashStability:
         assert spec(tiny_arch).content_hash == (
             "47a20fab50226eec0b1e88f5c9ffce4688446033b028edeb3983a17534bf6275"
         )
+
+    def test_hash_is_computed_once_per_spec(self, tiny_arch, monkeypatch):
+        job = spec(tiny_arch)
+        calls = []
+        identity = JobSpec.identity
+        monkeypatch.setattr(
+            JobSpec, "identity", lambda self: calls.append(1) or identity(self)
+        )
+        assert job.content_hash == job.content_hash == spec(
+            tiny_arch
+        ).content_hash
+        assert len(calls) == 2  # once for each of the two specs
+
+    def test_pickled_spec_keeps_its_hash(self, tiny_arch):
+        expected = spec(tiny_arch).content_hash
+        cold, warm = spec(tiny_arch), spec(tiny_arch)
+        warm.content_hash  # cached before pickling
+        for job in (cold, warm):
+            copy = pickle.loads(pickle.dumps(job))
+            assert copy.content_hash == expected
 
 
 class TestHashSensitivity:

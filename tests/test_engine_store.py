@@ -1,13 +1,18 @@
 """ResultStore round-trips: the engine's transport format must be exact."""
 
-import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
-from repro.core.io import encode_result, restore_result
+from repro.core.io import (
+    dump_sealed_arrays,
+    encode_result,
+    load_sealed_arrays,
+    restore_result,
+)
 from repro.core.simulator import EnduranceSimulator
 from repro.engine import JobSpec, ResultStore
 from repro.engine.store import blas_implementation
@@ -120,7 +125,10 @@ class TestStoreSemantics:
     def test_sidecar_records_identity_and_timing(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
         store.save(spec, result, wall_s=1.25)
-        record = json.loads(store.sidecar_for(spec).read_text())
+        record, arrays = load_sealed_arrays(
+            store.sidecar_for(spec).read_bytes()
+        )
+        assert arrays == {}
         assert record["content_hash"] == spec.content_hash
         assert record["wall_s"] == 1.25
         assert record["spec"] == spec.identity()
@@ -136,17 +144,71 @@ class TestStoreSemantics:
     def test_corrupt_payload_is_a_miss(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
         store.save(spec, result)
-        store.path_for(spec).write_bytes(b"not an npz")
+        store.path_for(spec).write_bytes(b"not a sealed record")
         assert store.load(spec) is None
 
     def test_truncated_payload_is_a_miss(self, tmp_path, spec, result):
-        # A zip prefix with a destroyed central directory raises
-        # zipfile.BadZipFile, not ValueError — it must still read as a miss.
         store = ResultStore(tmp_path)
         store.save(spec, result)
         path = store.path_for(spec)
         path.write_bytes(path.read_bytes()[:100])
         assert store.load(spec) is None
+
+    def test_sidecar_of_another_key_is_a_miss(self, tmp_path, spec, result):
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        other = "ab" * 32
+        store.sidecar_for(other).parent.mkdir(exist_ok=True)
+        store.sidecar_for(other).write_bytes(
+            store.sidecar_for(spec).read_bytes()
+        )
+        store.path_for(other).write_bytes(store.path_for(spec).read_bytes())
+        assert store.contains(other)
+        assert store.load(other) is None
+
+    def test_every_file_is_a_sealed_record(self, tmp_path, spec, result):
+        # Payload, sidecar and manifest decode through the one codec and
+        # re-encode to the same bytes.
+        store = ResultStore(tmp_path)
+        store.save(spec, result, wall_s=0.5)
+        paths = (
+            store.path_for(spec),
+            store.sidecar_for(spec),
+            store.manifest_for(spec),
+        )
+        assert [path.suffix for path in paths] == [
+            ".result", ".spec", ".manifest"
+        ]
+        for path in paths:
+            raw = path.read_bytes()
+            assert dump_sealed_arrays(*load_sealed_arrays(raw)) == raw
+        metadata, arrays = encode_result(result)
+        loaded_metadata, loaded = load_sealed_arrays(paths[0].read_bytes())
+        assert loaded_metadata == metadata
+        assert {k: v.tobytes() for k, v in loaded.items()} == {
+            k: v.tobytes() for k, v in arrays.items()
+        }
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_write_leaves_no_temp_file(
+        self, tmp_path, spec, result, monkeypatch, failing
+    ):
+        # The payload, the sidecar or the manifest fails to land.
+        replace, calls = os.replace, []
+
+        def flaky(src, dst):
+            calls.append(dst)
+            if len(calls) == failing:
+                raise OSError("disk gone")
+            replace(src, dst)
+
+        store = ResultStore(tmp_path)
+        monkeypatch.setattr(os, "replace", flaky)
+        with pytest.raises(OSError, match="disk gone"):
+            store.save(spec, result)
+        assert [p for p in tmp_path.rglob("*") if "tmp" in p.name] == []
+        # The entry is complete once its sidecar has landed.
+        assert (store.load(spec) is not None) == (failing == 3)
 
     def test_clear(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
@@ -230,21 +292,21 @@ class TestManifestReadApi:
     def test_manifest_with_retired_backend_key_still_checks(
         self, tmp_path, spec, result
     ):
-        """Manifests from releases that recorded the array backend keep
-        loading and keep passing the RPR017 schema check."""
+        """Manifests that record the retired array backend keep passing
+        the RPR017 schema check, and keep loading once written sealed."""
         store = ResultStore(tmp_path)
         store.save(spec, result)
         old = {**store.load_manifest(spec), "backend": "numpy"}
-        store.manifest_for(spec).write_text(json.dumps(old))
-        assert store.load_manifest(spec) == old
         assert check_manifest(old) == []
+        store.manifest_for(spec).write_bytes(dump_sealed_arrays(old, {}))
+        assert store.load_manifest(spec) == old
 
     def test_manifest_with_retired_kernel_keys_still_checks(
         self, tmp_path, spec, result
     ):
-        """Manifests written while the kernel knobs existed carry
-        ``kernel``/``chunk_size``/``fastforward``; they keep loading,
-        keep passing RPR017, and their entries stay cache hits."""
+        """Manifests that carry the retired ``kernel``/``chunk_size``/
+        ``fastforward`` keys keep passing RPR017 and keep loading once
+        written sealed, and their entries stay cache hits."""
         store = ResultStore(tmp_path)
         store.save(spec, result)
         assert not {"kernel", "chunk_size", "fastforward"} & set(
@@ -256,11 +318,40 @@ class TestManifestReadApi:
             "chunk_size": 64,
             "fastforward": False,
         }
-        store.manifest_for(spec).write_text(json.dumps(old))
-        assert store.load_manifest(spec) == old
         assert check_manifest(old) == []
+        store.manifest_for(spec).write_bytes(dump_sealed_arrays(old, {}))
+        assert store.load_manifest(spec) == old
         assert dict(store.iter_manifests())[spec.content_hash] == old
         assert store.load(spec) is not None
+
+    @pytest.mark.parametrize("drop", ["content_hash", "seed", "telemetry"])
+    def test_off_schema_manifest_reads_as_absent(
+        self, tmp_path, spec, result, drop
+    ):
+        # Sealed intact, but missing a required key (RPR017).
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        manifest = store.load_manifest(spec)
+        del manifest[drop]
+        assert check_manifest(manifest)
+        store.manifest_for(spec).write_bytes(
+            dump_sealed_arrays(manifest, {})
+        )
+        assert store.load_manifest(spec) is None
+        assert list(store.iter_manifests()) == []
+        assert store.load(spec) is not None  # the result itself still hits
+
+    def test_manifest_with_arrays_reads_as_absent(
+        self, tmp_path, spec, result
+    ):
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        store.manifest_for(spec).write_bytes(
+            dump_sealed_arrays(
+                store.load_manifest(spec), {"x": np.zeros(1)}
+            )
+        )
+        assert store.load_manifest(spec) is None
 
     def test_load_manifest_missing_is_none(self, tmp_path, spec):
         store = ResultStore(tmp_path)

@@ -133,7 +133,7 @@ class TestTutorialFlow:
     def test_step5_persistence(self, arch, tmp_path):
         sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=42))
         result = sim.run(FusedMultiplyAdd(), BalanceConfig(), iterations=50)
-        path = str(tmp_path / "fma.npz")
+        path = str(tmp_path / "fma.result")
         save_result(result, path)
         restored = load_result(path)
         assert restored.write_distribution.max == result.write_distribution.max
