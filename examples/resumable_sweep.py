@@ -10,8 +10,8 @@ Run:
 
 Pass a persistent directory (default: a temp dir) to keep the cache
 across invocations — re-running the script then costs only the cache
-probes. The same store is what `repro-endurance table3 --jobs 4
---cache-dir DIR` and friends use.
+probes. The same store is what `repro-endurance table3 --cache-dir DIR`
+and friends use.
 
 Progress comes from a `TextReporter` sink on the telemetry bus, the
 same `[engine]` lines the CLI prints for engine-routed runs (here on

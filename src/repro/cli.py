@@ -8,7 +8,7 @@ Examples::
     repro-endurance heatmap --workload conv --config RaxRa+Hw --iterations 5000
     repro-endurance fig17 --workload dot --iterations 10000
     repro-endurance table3 --iterations 10000
-    repro-endurance table3 --iterations 10000 --jobs 4 --cache-dir .cache
+    repro-endurance table3 --iterations 10000 --cache-dir .cache
     repro-endurance lifetime --technology RRAM
     repro-endurance fig11b
     repro-endurance report --workload dot --config RaxBs+Hw
@@ -23,7 +23,7 @@ Examples::
     repro-endurance stats trace.jsonl
 
 Every simulation-backed subcommand accepts the settings flag
-(``--seed``), the engine flags (``--jobs`` / ``--cache-dir``), and the
+(``--seed``), the engine flag (``--cache-dir``), and the
 telemetry flags (``--log-level`` / ``--trace FILE`` / ``--progress``) —
 both before and after the subcommand name.
 """
@@ -124,16 +124,9 @@ def _make_simulator(args) -> EnduranceSimulator:
 
 
 def _engine_routed(args) -> bool:
-    """Whether the flags route this command's simulations through the engine."""
-    return getattr(args, "jobs", 1) > 1 or bool(getattr(args, "cache_dir", None))
-
-
-def _engine_kwargs(args) -> dict:
-    """Engine routing options for commands that grew --jobs/--cache-dir."""
-    return {
-        "jobs": getattr(args, "jobs", 1),
-        "cache_dir": getattr(args, "cache_dir", None),
-    }
+    """Whether ``--cache-dir`` routes this command's simulations through
+    the engine."""
+    return bool(getattr(args, "cache_dir", None))
 
 
 def _run_one(args, sim, workload, config, iterations, track_reads=True):
@@ -144,16 +137,12 @@ def _run_one(args, sim, workload, config, iterations, track_reads=True):
 
         return run_simulation(
             workload, config, sim.architecture, iterations,
-            settings=settings, **_engine_kwargs(args),
+            settings=settings, cache_dir=args.cache_dir,
         )
     return sim.run(workload, config, iterations, settings=settings)
 
 
 def _add_engine_flags(parser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the experiment engine (default 1)",
-    )
     parser.add_argument(
         "--cache-dir", default=None,
         help="experiment-engine result store; completed cells are "
@@ -239,7 +228,7 @@ def cmd_fig17(args) -> None:
     sim = _make_simulator(args)
     workload = _make_workload(args.workload)
     entries = configuration_grid(
-        sim, workload, iterations=args.iterations, **_engine_kwargs(args)
+        sim, workload, iterations=args.iterations, cache_dir=args.cache_dir
     )
     say(format_fig17(entries, workload.name))
     say(format_heatmap_stats([e.result.write_distribution for e in entries]))
@@ -248,12 +237,12 @@ def cmd_fig17(args) -> None:
 def cmd_table3(args) -> None:
     """Table 3: utilization and best lifetime improvement per benchmark."""
     sim = _make_simulator(args)
-    engine_kwargs = _engine_kwargs(args)
     summaries = []
     for name in ("mult", "conv", "dot"):
         workload = _make_workload(name)
         entries = configuration_grid(
-            sim, workload, iterations=args.iterations, **engine_kwargs
+            sim, workload, iterations=args.iterations,
+            cache_dir=args.cache_dir,
         )
         best = best_improvement(entries)
         summaries.append(
@@ -309,7 +298,7 @@ def cmd_remap_sweep(args) -> None:
         _make_workload(args.workload),
         intervals=tuple(args.intervals),
         iterations=args.iterations,
-        **_engine_kwargs(args),
+        cache_dir=args.cache_dir,
     )
     say(format_remap_frequency(improvements))
 
@@ -452,7 +441,6 @@ def cmd_fleet(args) -> int:
         store=ResultStore(cache_dir) if cache_dir else None,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
-        jobs=getattr(args, "jobs", 1),
     )
     report = service.run(stop_after_day=args.stop_after_day)
     if report is None:
@@ -957,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_telemetry(args) -> list:
     """Attach the sinks the telemetry flags ask for; returns them.
 
-    An engine-routed run (``--jobs > 1`` or ``--cache-dir``) also gets a
+    An engine-routed run (one given ``--cache-dir``) also gets a
     :class:`TextReporter`, attached last so each ``[engine]`` line
     follows the flag sinks' lines for the same event. ``fleet`` drives
     its engine batches silently.

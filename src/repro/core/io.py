@@ -257,7 +257,7 @@ def _check_packed(
 def encode_result(
     result: SimulationResult,
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """``(metadata, arrays)``: one result as it is stored and shipped.
+    """``(metadata, arrays)``: one result as it is stored.
 
     ``arrays`` holds the result's own packed counters
     (``ArrayState.packed``), not copies: ``write_lanes``/``write_block``
@@ -336,10 +336,9 @@ def restore_result(
 ) -> LoadedResult:
     """Rebuild a :class:`LoadedResult` from :func:`encode_result` output.
 
-    Also the experiment engine's in-memory transport between worker
-    processes. The restored state adopts the blocks
-    (:meth:`ArrayState.from_packed`). Reads not among the metadata's
-    ``counters`` were not tracked (all zeros).
+    The restored state adopts the blocks (:meth:`ArrayState.from_packed`).
+    Reads not among the metadata's ``counters`` were not tracked (all
+    zeros).
 
     Raises:
         ValueError: if the metadata was written by an incompatible

@@ -54,7 +54,6 @@ def simulate_configs(
     configs: Sequence[BalanceConfig],
     iterations: int,
     track_reads: Optional[bool] = None,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[BalanceConfig, SimulationResult]:
@@ -62,13 +61,13 @@ def simulate_configs(
 
     The shared backbone of :func:`configuration_grid` and
     :func:`remap_frequency_sweep` (both list their baseline first).
-    Duplicate configurations are simulated once. With ``jobs > 1`` or a
-    ``cache_dir``, the batch routes through :mod:`repro.engine` —
-    parallel workers, disk-cached results, resumable after interruption —
-    and is bit-identical to the in-process path because every job runs on
-    a fresh simulator carrying the same settings, drawing a fresh RNG
-    stream. Either path builds the workload once per process: cells
-    share the mapping through :func:`repro.core.simulator.mapping_for`.
+    Duplicate configurations are simulated once. With a ``cache_dir``,
+    the batch routes through :mod:`repro.engine` — disk-cached results,
+    resumable after interruption — and is bit-identical to the in-process
+    path because every job runs on a fresh simulator carrying the same
+    settings, drawing a fresh RNG stream. Either path builds the workload
+    once per process: cells share the mapping through
+    :func:`repro.core.simulator.mapping_for`.
 
     Args:
         settings: Simulation settings for every cell; defaults to the
@@ -86,7 +85,7 @@ def simulate_configs(
         base = base.replace(track_reads=track_reads)
     ordered = list(dict.fromkeys(configs))
     tele = get_telemetry()
-    if jobs <= 1 and cache_dir is None:
+    if cache_dir is None:
         results: Dict[BalanceConfig, SimulationResult] = {}
         for done, config in enumerate(ordered, start=1):
             results[config] = simulator.run(
@@ -119,8 +118,7 @@ def simulate_configs(
         for config in ordered
     ]
     engine = ExperimentEngine(
-        store=ResultStore(cache_dir) if cache_dir else None,
-        jobs=jobs,
+        store=ResultStore(cache_dir) if cache_dir else None
     )
     outcomes = require_ok(engine.run(specs))
     return {
@@ -135,7 +133,6 @@ def configuration_grid(
     iterations: int = 100_000,
     configs: Optional[Sequence[BalanceConfig]] = None,
     track_reads: Optional[bool] = None,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> List[GridEntry]:
@@ -145,10 +142,9 @@ def configuration_grid(
     is always included (and simulated first) even if ``configs`` omits it.
 
     Args:
-        jobs: Worker processes; ``> 1`` fans the grid out over a process
-            pool via :mod:`repro.engine`.
-        cache_dir: Engine result store; completed cells are reused across
-            runs and an interrupted grid resumes from them.
+        cache_dir: Engine result store (:mod:`repro.engine`); completed
+            cells are reused across runs and an interrupted grid resumes
+            from them.
         settings: Simulation settings for every cell.
 
     Returns:
@@ -165,7 +161,6 @@ def configuration_grid(
         [baseline_config] + config_list,
         iterations,
         track_reads=track_reads,
-        jobs=jobs,
         cache_dir=cache_dir,
         settings=settings,
     )
@@ -194,7 +189,6 @@ def remap_frequency_sweep(
     intervals: Sequence[int] = (10_000, 1_000, 500, 100, 50, 10),
     iterations: int = 100_000,
     base_config: Optional[BalanceConfig] = None,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     settings: Optional[SimulationSettings] = None,
 ) -> Dict[int, float]:
@@ -212,7 +206,6 @@ def remap_frequency_sweep(
         iterations: Total iterations per run.
         base_config: Strategy pair to sweep (default Ra x Ra, the most
             re-mapping-sensitive software configuration).
-        jobs: Worker processes for the engine-routed path.
         cache_dir: Engine result store (reuse/resume across runs).
         settings: Simulation settings for every point.
 
@@ -236,7 +229,6 @@ def remap_frequency_sweep(
         [baseline_config] + list(swept.values()),
         iterations,
         track_reads=False,
-        jobs=jobs,
         cache_dir=cache_dir,
         settings=settings,
     )

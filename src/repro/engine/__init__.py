@@ -1,4 +1,4 @@
-"""Experiment orchestration: declarative, cached, parallel, resumable.
+"""Experiment orchestration: declarative, cached, resumable.
 
 The evaluation is a grid — benchmarks x 18 balance configurations x
 sweeps — and this package turns its ad-hoc loops into batches of
@@ -10,17 +10,17 @@ content-addressed jobs:
   sidecar and a manifest per job, each one sealed record written
   atomically, see :mod:`repro.core.io`), which doubles as the checkpoint
   an interrupted grid resumes from;
-* :class:`ExperimentEngine` — serial or process-pool execution that
-  runs each job once, with failure containment.
+* :class:`ExperimentEngine` — in-process execution that runs each job
+  once, with failure containment.
 
 The engine reports each batch only as events on the telemetry bus
 (``batch_start`` / ``job_start`` / ``job_end`` / ``batch_end``, see
 :mod:`repro.telemetry`); attach a sink such as
 :class:`repro.telemetry.TextReporter` to watch it.
 
-`repro.core.sweep` routes its grids through this layer (``jobs=`` /
-``cache_dir=``), as do the ``table3`` / ``fig17`` / ``heatmap`` /
-``remap-sweep`` CLI commands (``--jobs`` / ``--cache-dir``).
+`repro.core.sweep` routes its grids through this layer when given a
+``cache_dir=``, as do the ``table3`` / ``fig17`` / ``heatmap`` /
+``remap-sweep`` CLI commands when given ``--cache-dir``.
 """
 
 from repro.core.settings import SimulationSettings
@@ -55,7 +55,6 @@ def run_simulation(
     config,
     architecture,
     iterations,
-    jobs=1,
     cache_dir=None,
     settings=None,
 ):
@@ -78,8 +77,7 @@ def run_simulation(
         settings=settings,
     )
     engine = ExperimentEngine(
-        store=ResultStore(cache_dir) if cache_dir else None,
-        jobs=jobs,
+        store=ResultStore(cache_dir) if cache_dir else None
     )
     outcome = require_ok([engine.run_one(spec)])[0]
     return outcome.result

@@ -1,42 +1,38 @@
-"""The experiment engine: cached, parallel, failure-contained job execution.
+"""The experiment engine: cached, failure-contained job execution.
 
 :class:`ExperimentEngine` takes a batch of :class:`~repro.engine.spec.JobSpec`
-and resolves each one by (in order): answering from the result store,
-simulating in-process (``jobs <= 1``), or simulating on a
-``ProcessPoolExecutor``. Every job that is not cached runs exactly once:
-it is deterministic, so a failure would only repeat. Failures are
-contained — a failed job (its worker dying included) is recorded with
-its traceback and the rest of the batch proceeds. Because every
-completed job lands in the store before its outcome is reported, an
-interrupted batch is a checkpoint: re-running the same specs
-re-simulates only the jobs that had not finished. The engine reports a
-batch only as events on the telemetry bus.
+and resolves each one, in the caller's process, by answering it from the
+result store or else simulating it. Every job that is not cached runs
+exactly once: it is deterministic, so a failure would only repeat.
+Failures are contained — a failed job is recorded with its traceback and
+the rest of the batch proceeds. Because every completed job lands in the
+store before its outcome is reported, an interrupted batch is a
+checkpoint: re-running the same specs re-simulates only the jobs that
+had not finished. The engine reports a batch only as events on the
+telemetry bus.
 
 Each job runs on a **fresh** :class:`EnduranceSimulator` seeded from its
 spec, and the simulator draws a fresh RNG stream per run, so results are
-bit-identical regardless of worker count or execution order. What jobs
-share within one process is only immutable, content-keyed work: the
-built mapping (:func:`repro.core.simulator.mapping_for`) and its
-programs' verification findings, which pre-dispatch verification and
-the in-process run reuse instead of rebuilding.
+bit-identical regardless of execution order. What jobs share is only
+immutable, content-keyed work: the built mapping
+(:func:`repro.core.simulator.mapping_for`) and its programs'
+verification findings, which pre-dispatch verification and the run
+reuse instead of rebuilding.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.core.io import LoadedResult, encode_result, restore_result
+from repro.core.io import LoadedResult
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
-from repro.telemetry import Telemetry, get_telemetry, set_telemetry
+from repro.telemetry import get_telemetry
 from repro.verify import verify_spec
 
 
@@ -45,7 +41,7 @@ class JobStatus(Enum):
 
     COMPLETED = "completed"  #: simulated this run
     CACHED = "cached"  #: answered from the result store
-    FAILED = "failed"  #: rejected by verification, raised, or worker died
+    FAILED = "failed"  #: rejected by verification, or raised
 
 
 @dataclass
@@ -55,10 +51,10 @@ class JobOutcome:
     Attributes:
         spec: The job.
         status: How it resolved.
-        result: The simulation result (``None`` when failed). In-process
-            runs yield full :class:`SimulationResult` objects; pool and
-            cache paths yield :class:`LoadedResult` with identical
-            counters and metadata.
+        result: The simulation result (``None`` when failed). Simulated
+            jobs yield full :class:`SimulationResult` objects; cache hits
+            yield :class:`LoadedResult` with identical counters and
+            metadata.
         error: Formatted traceback of the failure, if any.
         wall_s: Simulation wall-clock (0 for cache hits).
     """
@@ -95,51 +91,10 @@ class EngineError(RuntimeError):
         )
 
 
-# ----------------------------------------------------------------------
-# Worker-side execution (top level so it pickles for the process pool)
-# ----------------------------------------------------------------------
-
-
 def execute_spec(spec: JobSpec) -> SimulationResult:
     """Run one spec on a fresh simulator configured from its settings."""
     simulator = EnduranceSimulator(spec.architecture, settings=spec.settings)
     return simulator.run(spec.workload, spec.config, spec.iterations)
-
-
-def _fresh_worker_telemetry() -> None:
-    """Pool initializer: start the worker on an empty telemetry registry.
-
-    A forked worker inherits the parent's registry — its counters and its
-    sinks. Replacing it (never closing the inherited sinks, which share
-    the parent's file descriptors) keeps the parent's progress lines and
-    trace to the parent, and makes the snapshot a worker embeds in a
-    manifest describe only that worker's runs.
-    """
-    set_telemetry(Telemetry())
-
-
-def _pool_worker(
-    spec: JobSpec, store_root: Optional[str]
-) -> Tuple[float, Optional[Tuple[dict, Dict[str, np.ndarray]]]]:
-    """Simulate ``spec``; persist to the store or ship counters back.
-
-    Returns ``(wall_s, payload)`` where ``payload`` is ``None`` when the
-    result was saved to the store (the parent reloads it from disk) and
-    otherwise the ``(metadata, arrays)`` pair the store would have
-    written (:func:`encode_result`: lane-packed counters, no read block
-    when reads were untracked), so the pipe carries what the disk does
-    and the parent decodes both through :func:`restore_result`.
-    """
-    start = time.perf_counter()
-    result = execute_spec(spec)
-    wall = time.perf_counter() - start
-    if store_root is not None:
-        ResultStore(store_root).save(spec, result, wall_s=wall)
-        return wall, None
-    return wall, encode_result(result)
-
-
-# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -152,17 +107,8 @@ class _BatchMetrics:
     busy_s: float = 0.0  #: summed wall time of the jobs simulated
 
 
-@dataclass
-class _PendingJob:
-    """Book-keeping for one in-flight pool job."""
-
-    index: int
-    spec: JobSpec
-    submitted_at: float = field(default_factory=time.perf_counter)
-
-
 class ExperimentEngine:
-    """Resolves job batches with caching, parallelism, and containment.
+    """Resolves job batches with caching and failure containment.
 
     Every spec is statically checked (:func:`repro.verify.verify_spec`)
     before dispatch; specs with verification errors fail fast with the
@@ -172,18 +118,10 @@ class ExperimentEngine:
     Args:
         store: Optional result store; when set, completed jobs persist
             there and matching jobs are answered without simulating.
-        jobs: Worker processes. ``<= 1`` runs in-process (no pool).
     """
 
-    def __init__(
-        self,
-        store: Optional[ResultStore] = None,
-        jobs: int = 1,
-    ) -> None:
-        if jobs < 0:
-            raise ValueError("jobs must be non-negative")
+    def __init__(self, store: Optional[ResultStore] = None) -> None:
         self.store = store
-        self.jobs = jobs
 
     # -- public API -----------------------------------------------------
 
@@ -213,8 +151,8 @@ class ExperimentEngine:
             else:
                 leaders[digest] = index
 
-        # Cache probe. ResultStore defines __len__ (a glob over every
-        # sidecar), so test for a store by identity, never truthiness.
+        # Cache probe. ResultStore defines __len__ (a read of every
+        # entry), so test for a store by identity, never truthiness.
         to_run: List[int] = []
         for digest, index in leaders.items():
             cached = (
@@ -236,18 +174,12 @@ class ExperimentEngine:
             self._job_end(outcomes[index])
 
         to_run = self._verify_specs(specs, to_run, outcomes, metrics)
-        if to_run:
-            if self.jobs <= 1:
-                self._run_serial(specs, to_run, outcomes, metrics)
-            else:
-                self._run_pool(specs, to_run, outcomes, metrics)
+        self._simulate(specs, to_run, outcomes, metrics)
 
         wall = time.perf_counter() - start
-        # Busy fraction of the workers' wall clock (the serial path
-        # reports its own). Times stay unrounded: sinks print them.
-        utilization = (
-            metrics.busy_s / (max(self.jobs, 1) * wall) if wall > 0 else 0.0
-        )
+        # Busy fraction of the batch's wall clock. Times stay unrounded:
+        # sinks print them.
+        utilization = metrics.busy_s / wall if wall > 0 else 0.0
         tele.emit(
             "batch_end",
             completed=metrics.completed,
@@ -311,7 +243,7 @@ class ExperimentEngine:
 
     # -- shared life-cycle reporting ------------------------------------
 
-    def _job_end(self, outcome: JobOutcome, queue_s: float = 0.0) -> None:
+    def _job_end(self, outcome: JobOutcome) -> None:
         """Report one resolution on the event bus.
 
         ``wall_s`` stays unrounded, since sinks print it; a failed job
@@ -329,7 +261,6 @@ class ExperimentEngine:
             label=outcome.spec.label,
             status=outcome.status.value,
             wall_s=outcome.wall_s,
-            queue_s=round(queue_s, 6),
             **extra,
         )
 
@@ -348,27 +279,9 @@ class ExperimentEngine:
         metrics.failed += 1
         self._job_end(outcomes[index])
 
-    def _complete(
-        self,
-        index: int,
-        spec: JobSpec,
-        result: Union[SimulationResult, LoadedResult],
-        wall: float,
-        outcomes: Dict[int, JobOutcome],
-        metrics: _BatchMetrics,
-        queue_s: float = 0.0,
-    ) -> None:
-        """Record one job's simulated result and report it."""
-        outcomes[index] = JobOutcome(
-            spec=spec, status=JobStatus.COMPLETED, result=result, wall_s=wall
-        )
-        metrics.completed += 1
-        metrics.busy_s += wall
-        self._job_end(outcomes[index], queue_s)
+    # -- simulation -----------------------------------------------------
 
-    # -- serial path ----------------------------------------------------
-
-    def _run_serial(
+    def _simulate(
         self,
         specs: Sequence[JobSpec],
         to_run: Sequence[int],
@@ -389,82 +302,15 @@ class ExperimentEngine:
             wall = time.perf_counter() - start
             if self.store is not None:
                 self.store.save(spec, result, wall_s=wall)
-            self._complete(index, spec, result, wall, outcomes, metrics)
-
-    # -- pool path ------------------------------------------------------
-
-    def _run_pool(
-        self,
-        specs: Sequence[JobSpec],
-        to_run: Sequence[int],
-        outcomes: Dict[int, JobOutcome],
-        metrics: _BatchMetrics,
-    ) -> None:
-        """Fan the jobs out to a process pool.
-
-        Whatever a job's future raises — the job's own exception, or
-        ``BrokenProcessPool`` when a worker died and took the pool (and
-        every job still pending on it) down — becomes that job's
-        ``FAILED`` outcome; nothing escapes.
-        """
-        store_root = str(self.store.root) if self.store is not None else None
-        pending: Dict[Future, _PendingJob] = {}
-        pool = ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_fresh_worker_telemetry
-        )
-        try:
-            for index in to_run:
-                spec = specs[index]
-                get_telemetry().emit("job_start", label=spec.label)
-                try:
-                    future = pool.submit(_pool_worker, spec, store_root)
-                except Exception:  # the pool broke before this submit
-                    self._fail(
-                        index, spec, traceback.format_exc(), outcomes, metrics
-                    )
-                    continue
-                pending[future] = _PendingJob(index, spec)
-            for future in as_completed(pending):
-                job = pending[future]
-                try:
-                    wall, payload = future.result()
-                except Exception:
-                    self._fail(
-                        job.index,
-                        job.spec,
-                        traceback.format_exc(),
-                        outcomes,
-                        metrics,
-                    )
-                    continue
-                if payload is None:
-                    result = self.store.load(job.spec)
-                    if result is None:  # store vanished under us
-                        self._fail(
-                            job.index,
-                            job.spec,
-                            "result store entry missing after save "
-                            f"({job.spec.label})",
-                            outcomes,
-                            metrics,
-                        )
-                        continue
-                else:
-                    result = restore_result(*payload)
-                queue_s = (time.perf_counter() - job.submitted_at) - wall
-                self._complete(
-                    job.index,
-                    job.spec,
-                    result,
-                    wall,
-                    outcomes,
-                    metrics,
-                    max(queue_s, 0.0),
-                )
-        finally:
-            # An interrupted batch drops its queued jobs instead of
-            # running them out.
-            pool.shutdown(wait=True, cancel_futures=True)
+            outcomes[index] = JobOutcome(
+                spec=spec,
+                status=JobStatus.COMPLETED,
+                result=result,
+                wall_s=wall,
+            )
+            metrics.completed += 1
+            metrics.busy_s += wall
+            self._job_end(outcomes[index])
 
 
 def require_ok(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:

@@ -128,10 +128,6 @@ class ResultStore:
 
     # -- operations -----------------------------------------------------
 
-    def contains(self, key: Union[JobSpec, str]) -> bool:
-        """Whether a complete entry (payload and sidecar) exists."""
-        return self.path_for(key).exists() and self.sidecar_for(key).exists()
-
     def load(self, key: Union[JobSpec, str]) -> Optional[LoadedResult]:
         """Return the cached result, or ``None`` on a miss.
 
@@ -172,11 +168,9 @@ class ResultStore:
         """Write the run manifest next to the entry (atomic).
 
         The manifest records how the result was produced — spec hash,
-        seed, numpy/BLAS provenance, wall
-        time — plus a snapshot of the producing process's telemetry
-        aggregates. In pool mode that is the worker's own registry, so
-        the snapshot describes (at least) exactly the runs that worker
-        performed.
+        seed, numpy/BLAS provenance, wall time — plus a snapshot of the
+        producing process's telemetry aggregates, which cover every run
+        that process performed up to this one.
         """
         flush_pool_counters()  # pool.* current before the snapshot
         manifest = {
@@ -235,23 +229,28 @@ class ResultStore:
     # -- introspection --------------------------------------------------
 
     def hashes(self) -> Iterator[str]:
-        """Content hashes of every complete entry."""
+        """Content hashes of every entry :meth:`load` answers, sorted.
+
+        Damaged, foreign and incomplete entries are not counted, so
+        ``len(store)`` is the number of jobs the store would answer.
+        Each payload is read and unsealed, so this is a full scan.
+        """
         for sidecar in sorted(self.root.glob(f"*/*{_SIDECAR}")):
-            if sidecar.with_suffix(_PAYLOAD).exists():
+            if self.load(sidecar.stem) is not None:
                 yield sidecar.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.hashes())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        for digest in list(self.hashes()):
-            self.path_for(digest).unlink(missing_ok=True)
-            self.sidecar_for(digest).unlink(missing_ok=True)
-            self.manifest_for(digest).unlink(missing_ok=True)
-            removed += 1
-        return removed
+        """Delete every entry's files, readable or not; returns the
+        number of entries removed."""
+        removed = set()
+        for suffix in (_PAYLOAD, _SIDECAR, _MANIFEST):
+            for path in self.root.glob(f"*/*{suffix}"):
+                path.unlink(missing_ok=True)
+                removed.add(path.stem)
+        return len(removed)
 
 
 def _checked_manifest(path: Path) -> Optional[dict]:

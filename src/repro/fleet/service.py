@@ -195,7 +195,6 @@ class FleetService:
             virtual days (0 = only at explicit stops). Not part of the
             campaign identity: any checkpoint cadence resumes to the
             same final report.
-        jobs: Worker processes for cohort calibration (engine pool).
     """
 
     def __init__(
@@ -204,7 +203,6 @@ class FleetService:
         store: Optional[ResultStore] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 0,
-        jobs: int = 1,
     ) -> None:
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
@@ -216,7 +214,6 @@ class FleetService:
             else None
         )
         self.checkpoint_every = checkpoint_every
-        self.jobs = jobs
         self.population = Population.build(spec.population)
         # Cohort membership is fixed for the campaign; the day loop
         # indexes by it every cohort-day.
@@ -262,7 +259,7 @@ class FleetService:
                 if self.store is not None
                 else None
             )
-            engine = ExperimentEngine(store=shard, jobs=self.jobs)
+            engine = ExperimentEngine(store=shard)
             outcome = require_ok([engine.run_one(spec)])[0]
             results.append(outcome.result)
             statuses.append(outcome.status.value)
@@ -572,7 +569,6 @@ def run_campaign(
     store: Optional[Union[str, ResultStore]] = None,
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 0,
-    jobs: int = 1,
 ) -> FleetReport:
     """One-call campaign runner (the CLI entry point's workhorse)."""
     if isinstance(store, str):
@@ -582,7 +578,6 @@ def run_campaign(
         store=store,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        jobs=jobs,
     )
     report = service.run()
     assert report is not None  # run() without stop_after_day completes

@@ -18,12 +18,12 @@ A dependency-free, process-local telemetry layer:
 Instrumented layers: ``EnduranceSimulator.run`` (mapping-compile /
 kernel / wear-aware phases, write-read totals, epochs/s),
 ``repro.core.kernel`` (chunk and GEMM counts), ``ExperimentEngine``
-(per-job durations, failures, cache hit/miss, worker utilization), and
-the sweep drivers (grid progress). The bus is the only way to observe
-an engine batch; engine pool workers start on a fresh registry, so
-their sinks and counters are their own. The CLI
-exposes it via ``--log-level``, ``--trace FILE``, and ``--progress`` on
-every simulation-backed subcommand.
+(per-job durations, failures, cache hit/miss, busy fraction), and the
+sweep drivers (grid progress). The bus is the only way to observe an
+engine batch, which runs in the caller's process, so its jobs' phases
+and counters land in the caller's registry. The CLI exposes it via
+``--log-level``, ``--trace FILE``, and ``--progress`` on every
+simulation-backed subcommand.
 
 With no sink attached the event bus short-circuits, so instrumentation
 stays resident in hot layers at negligible cost (benchmark E31 pins the

@@ -10,9 +10,9 @@ permanently; aggregates keep accumulating either way and are exported
 by :meth:`Telemetry.snapshot` (which run manifests embed).
 
 The module-level registry (:func:`get_telemetry`) is process-local by
-design: each engine pool worker starts on a fresh one and accumulates
-its own counters, and the snapshot a worker writes into a result
-manifest describes exactly that worker's runs.
+design: the snapshot a run manifest embeds describes the runs of the
+process that wrote it, and two processes sharing one result store each
+keep their own counters.
 
 Usage::
 
@@ -193,8 +193,7 @@ def set_telemetry(telemetry: Telemetry) -> Telemetry:
     """Swap the process-local registry; returns the previous one.
 
     Benchmarks use this to measure instrumentation cost against a stub;
-    tests use it for isolation; the engine's pool workers use it to start
-    on an empty registry instead of the one they inherit.
+    tests use it for isolation.
     """
     global _TELEMETRY
     previous = _TELEMETRY

@@ -89,8 +89,7 @@ class JsonlSink(Sink):
     The file is opened lazily on the first record and written line-
     buffered, one JSON object per line, so a trace of an interrupted run
     contains only complete records. Thread-safe; multiple processes must
-    use distinct paths (the engine's pool workers each run their own
-    process-local telemetry).
+    use distinct paths (each runs its own process-local telemetry).
 
     Args:
         path: Trace file path; truncated at first write.
@@ -174,7 +173,7 @@ class TextReporter(Sink):
     line on ``batch_start`` (which also resets the counts), one line per
     simulated or failed ``job_end`` (cache hits are in the census), and
     a summary line on ``batch_end``. The CLI attaches it, after the
-    flag-driven sinks, to every engine-routed run (``--jobs > 1`` or
+    flag-driven sinks, to every engine-routed run (one given
     ``--cache-dir``).
 
     Args:

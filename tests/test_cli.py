@@ -240,18 +240,12 @@ class TestFleetCommand:
 
 
 class TestEngineFlags:
-    """--jobs / --cache-dir route grid commands through repro.engine."""
+    """--cache-dir routes grid commands through repro.engine."""
 
     def test_engine_flags_registered(self):
         parser = build_parser()
-        for argv in (
-            ["heatmap", "--jobs", "2", "--cache-dir", "x"],
-            ["fig17", "--jobs", "2", "--cache-dir", "x"],
-            ["table3", "--jobs", "2", "--cache-dir", "x"],
-            ["remap-sweep", "--jobs", "2", "--cache-dir", "x"],
-        ):
-            args = parser.parse_args(argv)
-            assert args.jobs == 2
+        for command in ("heatmap", "fig17", "table3", "remap-sweep"):
+            args = parser.parse_args([command, "--cache-dir", "x"])
             assert args.cache_dir == "x"
 
     def test_fig17_with_cache_populates_store_and_reruns_warm(
@@ -273,11 +267,11 @@ class TestEngineFlags:
         assert "18 cached, 0 to simulate" in warm.err
         assert cold.out == warm.out
 
-    def test_heatmap_with_jobs_and_cache(self, capsys, tmp_path):
+    def test_heatmap_with_cache(self, capsys, tmp_path):
         main([
             "--rows", "256", "--cols", "128",
             "heatmap", "--workload", "mult", "--config", "RaxSt",
-            "--iterations", "50", "--jobs", "2",
+            "--iterations", "50",
             "--cache-dir", str(tmp_path),
         ])
         captured = capsys.readouterr()
@@ -328,11 +322,10 @@ class TestFlagAudit:
         parser = build_parser()
         args = parser.parse_args([
             command,
-            "--jobs", "2", "--cache-dir", "x",
+            "--cache-dir", "x",
             "--seed", "9",
             "--log-level", "info", "--trace", "t.jsonl", "--progress",
         ])
-        assert args.jobs == 2
         assert args.cache_dir == "x"
         assert args.seed == 9
         assert args.log_level == "info"
@@ -360,6 +353,15 @@ class TestFlagAudit:
         with pytest.raises(SystemExit):
             parser.parse_args(["heatmap", *flag])
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SIM_SUBCOMMANDS)
+    def test_jobs_flag_is_rejected(self, command, capsys):
+        # Every job runs in the CLI's own process: there is no worker
+        # count, so the flag is an argparse usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestFastForwardFlag:

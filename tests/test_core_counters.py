@@ -6,8 +6,8 @@ unpooled state. Across all 18 configurations, both orientations, and
 reads tracked and not, a finished result's unsigned integer counters
 must equal it, its packed lanes must be exactly the lanes holding a
 count, every analysis must give the same figures from either form, and
-the store, the pool payload and the export must bring the counters
-back unchanged.
+the store, the encoded in-memory pair and the export must bring the
+counters back unchanged.
 """
 
 from dataclasses import replace

@@ -3,8 +3,8 @@
 The oracle is the dense float64 counter matrix a run accumulates:
 whatever lanes hold counts and whatever exact integer counts they hold
 (up to 2^53 - 1), the finished state and every path back — the saved
-sealed record and the engine's in-memory transport — must
-give an unsigned integer matrix equal to it. A count that is not an
+sealed record and the encoded in-memory pair — must give an unsigned
+integer matrix equal to it. A count that is not an
 exact non-negative integer raises :class:`InexactCountError`.
 """
 
@@ -334,8 +334,8 @@ class TestVersionOneEntry:
         )
         with pytest.raises(ValueError, match="unsupported result format 1"):
             load_result(path)
-        assert store.contains(job)
         assert store.load(job) is None
+        assert len(store) == 0
         self.assert_resimulated(store, job, result)
 
     def test_npz_entry_is_a_miss_then_replaced(self, tmp_path, job, result):
@@ -351,7 +351,6 @@ class TestVersionOneEntry:
         (shard / f"{digest}.json").write_text(
             json.dumps({"content_hash": digest, "spec": job.identity()})
         )
-        assert not store.contains(job)
         assert store.load(job) is None
         assert len(store) == 0
         self.assert_resimulated(store, job, result)

@@ -1,5 +1,7 @@
 """Tests for repro.core.sweep."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.balance.config import BalanceConfig, all_configurations
@@ -12,6 +14,8 @@ from repro.core.sweep import (
     technology_sweep,
 )
 from repro.devices.technology import MRAM, PCM, RRAM
+from repro.workloads.convolution import Convolution
+from repro.workloads.dotproduct import DotProduct
 from repro.workloads.multiply import ParallelMultiplication
 
 
@@ -58,6 +62,46 @@ class TestConfigurationGrid:
     def test_best_improvement_empty_rejected(self):
         with pytest.raises(ValueError):
             best_improvement([])
+
+
+class TestImprovementCeiling:
+    """No configuration beats the static run's peak-to-mean ratio.
+
+    Balancing moves writes; it never removes any. So every
+    configuration's total is at least ``iterations x
+    writes_per_iteration``, which the static run writes, and its peak is
+    at least that total spread evenly over all cells. Its improvement
+    over ``StxSt`` is therefore at most the static peak over the static
+    mean. Both sides are integer counts, so the bound is checked exactly.
+    """
+
+    ITERATIONS = 1000
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ParallelMultiplication(bits=8),
+            Convolution(bits=4),
+            DotProduct(n_elements=64, bits=8),
+        ],
+        ids=["mult", "conv", "dot"],
+    )
+    def test_every_configuration_is_under_the_ceiling(self, sim, workload):
+        entries = configuration_grid(sim, workload, iterations=self.ITERATIONS)
+        assert len(entries) == 18
+        (static,) = [e for e in entries if e.config.is_static]
+        counts = static.result.state.write_counts
+        static_peak = int(counts.max())
+        ceiling = Fraction(static_peak * counts.size, int(counts.sum()))
+        for entry in entries:
+            writes = entry.result.state.write_counts
+            minimum = (
+                self.ITERATIONS * entry.result.mapping.writes_per_iteration
+            )
+            assert int(writes.sum()) >= minimum, entry.label
+            improvement = Fraction(static_peak, int(writes.max()))
+            assert entry.improvement == pytest.approx(float(improvement))
+            assert improvement <= ceiling, (entry.label, float(ceiling))
 
 
 class TestRemapFrequencySweep:

@@ -25,22 +25,21 @@ def fresh_sim(arch, seed=7):
 
 
 class TestGridDeterminism:
-    def test_parallel_grid_matches_serial_bit_exactly(
+    def test_engine_grid_matches_in_process_bit_exactly(
         self, tiny_arch, workload, tmp_path
     ):
-        """jobs=4 through the engine == the in-process loop, per config."""
+        """The engine (a cold store) == the in-process loop, per config."""
         serial = configuration_grid(
             fresh_sim(tiny_arch), workload, iterations=150
         )
-        parallel = configuration_grid(
+        routed = configuration_grid(
             fresh_sim(tiny_arch),
             workload,
             iterations=150,
-            jobs=4,
             cache_dir=str(tmp_path),
         )
-        assert [e.label for e in serial] == [e.label for e in parallel]
-        for ours, theirs in zip(serial, parallel):
+        assert [e.label for e in serial] == [e.label for e in routed]
+        for ours, theirs in zip(serial, routed):
             assert np.array_equal(
                 ours.result.state.write_counts,
                 theirs.result.state.write_counts,
@@ -54,7 +53,7 @@ class TestGridDeterminism:
     def test_cached_rerun_matches_first_run(self, tiny_arch, workload, tmp_path):
         first = configuration_grid(
             fresh_sim(tiny_arch), workload, iterations=150,
-            jobs=2, cache_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
         )
         rerun = configuration_grid(
             fresh_sim(tiny_arch), workload, iterations=150,
@@ -87,7 +86,7 @@ class TestRemapSweepViaEngine:
         routed = remap_frequency_sweep(
             fresh_sim(tiny_arch), workload,
             intervals=(100, 25), iterations=400,
-            jobs=2, cache_dir=str(tmp_path),
+            cache_dir=str(tmp_path),
         )
         assert serial == routed
 

@@ -1,16 +1,10 @@
 """ExperimentEngine behaviour: caching, single attempts, failure containment."""
 
-import multiprocessing
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.core.sweep import (
     configuration_grid,
@@ -26,6 +20,7 @@ from repro.engine import (
     require_ok,
     run_simulation,
 )
+from repro.fleet.service import FleetService, run_campaign
 from repro.telemetry import (
     CaptureSink,
     Telemetry,
@@ -125,7 +120,7 @@ class TestCaching:
         self, tiny_arch, tmp_path, monkeypatch
     ):
         """The probe tests for a store by identity, not truthiness:
-        ``len(store)`` globs every sidecar, and an empty store is falsy."""
+        ``len(store)`` reads every entry, and an empty store is falsy."""
         specs = make_specs(tiny_arch, all_configurations()[:3])
         store = ResultStore(tmp_path)
         ExperimentEngine(store=store).run(specs[:2])
@@ -188,28 +183,6 @@ class TestFailureContainment:
         assert outcome.status is JobStatus.FAILED
         assert len(sink.of("job_start")) == 1
 
-    def test_failed_job_in_pool_mode(self, tiny_arch, tmp_path):
-        good = make_specs(tiny_arch, [BalanceConfig()], bits=8)
-        bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
-        engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=2)
-        outcomes = engine.run(good + bad)
-        assert outcomes[0].status is JobStatus.COMPLETED
-        assert outcomes[1].status is JobStatus.FAILED
-        assert "lane capacity" in outcomes[1].error
-
-    def test_failed_pool_job_is_submitted_once(
-        self, tiny_arch, tmp_path, fresh_telemetry
-    ):
-        good = make_specs(tiny_arch, [BalanceConfig()], bits=8)
-        bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
-        engine = ExperimentEngine(store=ResultStore(tmp_path), jobs=2)
-        with capture() as sink:
-            outcomes = engine.run(good + bad)
-        assert outcomes[1].status is JobStatus.FAILED
-        starts = [e["label"] for e in sink.of("job_start")]
-        assert starts.count(bad[0].label) == 1
-        assert fresh_telemetry.counters["engine.failures"] == 1
-
     def test_require_ok_raises_engine_error(self, tiny_arch):
         bad = make_specs(tiny_arch, [BalanceConfig()], bits=32)
         outcomes = ExperimentEngine().run(bad)
@@ -222,43 +195,7 @@ class TestFailureContainment:
         assert require_ok(outcomes) == outcomes
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched worker function reaches workers only by fork",
-)
-class TestWorkerDeath:
-    @pytest.mark.parametrize(
-        "start_delay_s", [0.0, 0.3], ids=["burst", "slow-submits"]
-    )
-    def test_dead_worker_fails_its_jobs_without_raising(
-        self, tiny_arch, monkeypatch, fresh_telemetry, start_delay_s
-    ):
-        # Patched before the pool forks, so only the workers exit.
-        def die(spec):
-            os._exit(3)
-
-        class SlowStarts(CaptureSink):
-            """A sink slow on ``job_start``: at 0.3 s the pool breaks
-            between two submits, so the later submits themselves raise."""
-
-            def handle(self, record):
-                if record["event"] == "job_start":
-                    time.sleep(start_delay_s)
-
-        monkeypatch.setattr("repro.engine.runner.execute_spec", die)
-        fresh_telemetry.add_sink(SlowStarts())
-        specs = make_specs(tiny_arch, all_configurations()[:3])
-        outcomes = ExperimentEngine(jobs=2).run(specs)
-        assert [o.status for o in outcomes] == [JobStatus.FAILED] * 3
-        for outcome in outcomes:
-            assert "BrokenProcessPool" in outcome.error
-
-
 class TestValidation:
-    def test_negative_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            ExperimentEngine(jobs=-1)
-
     @pytest.mark.parametrize(
         "entry",
         [
@@ -279,9 +216,27 @@ class TestValidation:
     )
     def test_single_attempt_options_are_gone(self, option):
         # Every job runs once and is always verified before dispatch,
-        # so the engine takes only a store and a worker count.
+        # so the engine takes only a store.
         with pytest.raises(TypeError, match=option):
             ExperimentEngine(**{option: None})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ExperimentEngine,
+            run_simulation,
+            simulate_configs,
+            configuration_grid,
+            remap_frequency_sweep,
+            FleetService,
+            run_campaign,
+        ],
+    )
+    def test_jobs_option_is_gone(self, entry):
+        # Every job runs in the caller's process: there is no worker
+        # count to choose.
+        with pytest.raises(TypeError, match="jobs"):
+            entry(**{"jobs": 2})
 
 
 class TestFailureTelemetry:
@@ -348,49 +303,3 @@ class TestFailureTelemetry:
         assert "error" not in end
         # Unrounded, so a sink printing it rounds exactly once.
         assert end["wall_s"] == outcome.wall_s
-
-
-class TestPoolWorkerTelemetry:
-    """Pool workers start on a fresh registry, not the parent's."""
-
-    def test_worker_manifest_holds_only_its_own_counters(
-        self, tiny_arch, tmp_path, fresh_telemetry
-    ):
-        fresh_telemetry.count("engine.jobs", 99)  # parent-side history
-        store = ResultStore(tmp_path)
-        specs = make_specs(tiny_arch, all_configurations()[:3])
-        outcomes = ExperimentEngine(store=store, jobs=2).run(specs)
-        assert all(o.status is JobStatus.COMPLETED for o in outcomes)
-        manifests = dict(store.iter_manifests())
-        assert len(manifests) == 3
-        for manifest in manifests.values():
-            counters = manifest["telemetry"]["counters"]
-            assert counters["sim.runs"] >= 1
-            assert not [name for name in counters if name.startswith("engine.")]
-
-    def test_worker_progress_stays_out_of_stderr(self, tmp_path):
-        """Under ``--progress --jobs 2`` only the parent prints."""
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
-        }
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "--rows", "256",
-                "--cols", "64", "fig17", "--workload", "mult",
-                "--iterations", "30", "--jobs", "2", "--cache-dir",
-                str(tmp_path / "store"), "--progress",
-            ],
-            capture_output=True, text=True, env=env, timeout=300,
-            check=True,
-        )
-        lines = done.stderr.splitlines()
-        assert lines[0] == "[engine] 18 job(s): 0 cached, 18 to simulate"
-        assert sum(line.startswith("[job] completed") for line in lines) == 18
-        # The parent compiles the mapping for pre-dispatch verification;
-        # the runs themselves happen in the workers.
-        assert "[phase] mapping_compile" in done.stderr
-        assert not [
-            line for line in lines
-            if line.startswith(("[sim]", "[phase] kernel"))
-        ]

@@ -1,4 +1,4 @@
-"""ResultStore round-trips: the engine's transport format must be exact."""
+"""ResultStore round-trips: the engine's stored format must be exact."""
 
 import multiprocessing
 import os
@@ -75,7 +75,7 @@ class TestRoundTrip:
         assert loaded.max_writes_per_iteration == result.max_writes_per_iteration
 
     def test_in_memory_transport_matches_disk(self, tmp_path, spec, result):
-        """The pool's packed payload decodes to what the store loads."""
+        """The encoded in-memory pair decodes to what the store loads."""
         shipped = restore_result(*encode_result(result))
         store = ResultStore(tmp_path)
         store.save(spec, result)
@@ -89,19 +89,6 @@ class TestRoundTrip:
             assert ours.dtype == theirs.dtype == original.dtype
         assert shipped.iteration_latency_s == loaded.iteration_latency_s
 
-    def test_pool_payload_is_the_packed_arrays(self, spec, result):
-        """``--jobs N`` without a store ships the store's encoding."""
-        from repro.engine.runner import _pool_worker
-
-        _, (metadata, arrays) = _pool_worker(spec, None)
-        expected_metadata, expected = encode_result(result)
-        assert metadata == expected_metadata
-        assert metadata["counters"] == ["write", "read"]
-        assert arrays.keys() == expected.keys()
-        for key, array in expected.items():
-            assert arrays[key].dtype == array.dtype
-            assert np.array_equal(arrays[key], array)
-
     def test_restore_rejects_alien_version(self, result):
         metadata, arrays = encode_result(result)
         metadata["format_version"] = 999
@@ -113,12 +100,12 @@ class TestStoreSemantics:
     def test_miss_returns_none(self, tmp_path, spec):
         store = ResultStore(tmp_path)
         assert store.load(spec) is None
-        assert not store.contains(spec)
+        assert len(store) == 0
 
     def test_contains_after_save(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
         store.save(spec, result, wall_s=1.25)
-        assert store.contains(spec)
+        assert store.load(spec) is not None
         assert len(store) == 1
         assert list(store.hashes()) == [spec.content_hash]
 
@@ -138,8 +125,8 @@ class TestStoreSemantics:
         store = ResultStore(tmp_path)
         store.save(spec, result)
         store.sidecar_for(spec).unlink()
-        assert not store.contains(spec)
         assert store.load(spec) is None
+        assert len(store) == 0
 
     def test_corrupt_payload_is_a_miss(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
@@ -155,16 +142,49 @@ class TestStoreSemantics:
         assert store.load(spec) is None
 
     def test_sidecar_of_another_key_is_a_miss(self, tmp_path, spec, result):
-        store = ResultStore(tmp_path)
-        store.save(spec, result)
+        # Both files are intact, but the sidecar names another key.
+        source = ResultStore(tmp_path / "source")
+        source.save(spec, result)
+        store = ResultStore(tmp_path / "store")
         other = "ab" * 32
-        store.sidecar_for(other).parent.mkdir(exist_ok=True)
+        store.sidecar_for(other).parent.mkdir()
         store.sidecar_for(other).write_bytes(
-            store.sidecar_for(spec).read_bytes()
+            source.sidecar_for(spec).read_bytes()
         )
-        store.path_for(other).write_bytes(store.path_for(spec).read_bytes())
-        assert store.contains(other)
+        store.path_for(other).write_bytes(source.path_for(spec).read_bytes())
         assert store.load(other) is None
+        assert len(store) == 0
+        assert list(store.hashes()) == []
+
+    def test_count_is_the_keys_load_answers(self, tmp_path, spec, result):
+        # One intact entry beside one of each kind load refuses.
+        store = ResultStore(tmp_path)
+        specs = [
+            JobSpec(
+                workload=spec.workload,
+                architecture=spec.architecture,
+                config=spec.config,
+                iterations=spec.iterations,
+                seed=seed,
+            )
+            for seed in range(5)
+        ]
+        for job in specs:
+            store.save(job, result)
+        intact, corrupt, truncated, unsidecared, foreign = specs
+        store.path_for(corrupt).write_bytes(b"not a sealed record")
+        raw = store.path_for(truncated).read_bytes()
+        store.path_for(truncated).write_bytes(raw[: len(raw) // 2])
+        store.sidecar_for(unsidecared).unlink()
+        store.sidecar_for(foreign).write_bytes(
+            store.sidecar_for(intact).read_bytes()
+        )
+        answered = [
+            job.content_hash for job in specs if store.load(job) is not None
+        ]
+        assert answered == [intact.content_hash]
+        assert len(store) == len(answered)
+        assert list(store.hashes()) == answered
 
     def test_every_file_is_a_sealed_record(self, tmp_path, spec, result):
         # Payload, sidecar and manifest decode through the one codec and
@@ -216,6 +236,21 @@ class TestStoreSemantics:
         assert store.clear() == 1
         assert len(store) == 0
         assert store.load(spec) is None
+
+    def test_clear_removes_entries_load_refuses(self, tmp_path, spec, result):
+        # A damaged payload and a lone foreign sidecar are not counted,
+        # but clearing the store still deletes their files.
+        store = ResultStore(tmp_path)
+        store.save(spec, result)
+        store.path_for(spec).write_bytes(b"not a sealed record")
+        other = "ab" * 32
+        store.sidecar_for(other).parent.mkdir()
+        store.sidecar_for(other).write_bytes(
+            store.sidecar_for(spec).read_bytes()
+        )
+        assert len(store) == 0
+        assert store.clear() == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_no_temp_files_left_behind(self, tmp_path, spec, result):
         store = ResultStore(tmp_path)
@@ -394,9 +429,9 @@ class TestSharding:
         store = ResultStore(tmp_path)
         shard = store.shard("mult-StxSt")
         shard.save(spec, result)
-        assert shard.contains(spec)
-        assert not store.contains(spec)  # parent hashes() stays clean
-        assert len(store) == 0
+        assert shard.load(spec) is not None
+        assert store.load(spec) is None
+        assert len(store) == 0  # parent hashes() stays clean
         assert shard.root == store.root / "shards" / "mult-StxSt"
 
     def test_parent_iter_manifests_covers_shards(self, tmp_path, spec, result):

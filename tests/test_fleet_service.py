@@ -127,10 +127,10 @@ class TestDegenerateClosedFormPin:
         assert a.content_hash() == b.content_hash()
         assert a.to_json()["report_hash"] == b.to_json()["report_hash"]
 
-    def test_report_hash_ignores_runtime(self):
+    def test_report_hash_ignores_runtime(self, tmp_path):
+        # A store-backed calibration differs only in its runtime section.
         a = FleetService(one_array_spec()).run()
-        b = FleetService(one_array_spec(), jobs=1).run()
-        assert a.runtime["wall_s"] != b.runtime["wall_s"] or True
+        b = FleetService(one_array_spec(), store=ResultStore(tmp_path)).run()
         assert a.content_hash() == b.content_hash()
 
 
