@@ -2,15 +2,16 @@
 
 Not a paper figure — an infrastructure benchmark for the
 ``repro.engine`` orchestration subsystem. It runs the Fig. 17b grid
-(18 balance configurations, 3x3 convolution) three ways:
+(18 balance configurations, 3x3 convolution) three ways, every one
+through the engine (``configuration_grid`` runs every cell as a job):
 
-1. serial, in-process (the original ``configuration_grid`` path);
-2. through the engine with a cold result store (populates the cache);
-3. through the engine again with the store warm (all 18 jobs cached).
+1. with no store (nothing persists);
+2. with a cold result store (populates the cache);
+3. with the store warm (all 18 jobs cached).
 
-The warm pass must be at least 2x faster than the serial pass — that is
-the engine's value proposition on re-runs, killed-and-resumed sweeps
-and figure regeneration — and bit-identical to it.
+The warm pass must be at least 2x faster than the storeless pass —
+that is the store's value proposition on re-runs, killed-and-resumed
+sweeps and figure regeneration — and bit-identical to it.
 
 The grid is ``conv``, not the 32-bit multiplication: the multiplication
 runs one program on every lane, so its periodic configurations
@@ -18,8 +19,8 @@ fast-forward and its whole grid simulates in about the time a warm
 store takes to load, which benchmarks the disk instead of the engine.
 ``conv``'s configurations with a random or wear-aware axis still pay
 for every epoch. The mapping is built before any pass is timed (every
-pass shares it through the process's mapping memo), so the serial pass
-times simulation, not the one-time lowering. The horizon is floored at
+pass shares it through the process's mapping memo), so the storeless
+pass times simulation, not the one-time lowering. The horizon is floored at
 20,000 iterations (like E11's remap floor); at the paper's 100,000
 iterations the cache margin only widens.
 """
@@ -58,29 +59,30 @@ def test_bench_e29_engine_cache_speedup(record, tmp_path_factory):
     cache_dir = str(tmp_path_factory.mktemp("engine-store"))
     mapping_for(WORKLOAD, default_architecture())
 
-    serial, serial_s = _grid()
+    storeless, storeless_s = _grid()
     cold, cold_s = _grid(cache_dir=cache_dir)
     warm, warm_s = _grid(cache_dir=cache_dir)
 
-    for ours, theirs in zip(serial, warm):
+    for ours, theirs in zip(storeless, warm):
         assert ours.label == theirs.label
         assert np.array_equal(
             ours.result.state.write_counts, theirs.result.state.write_counts
         ), ours.label
         assert ours.improvement == theirs.improvement
 
-    speedup = serial_s / warm_s
+    speedup = storeless_s / warm_s
     lines = [
         "E29 experiment engine, 18-config convolution grid "
         f"({_iterations()} iterations)",
-        f"  serial in-process      {serial_s:8.2f} s",
+        f"  engine, no store       {storeless_s:8.2f} s",
         f"  engine, cold store     {cold_s:8.2f} s",
-        f"  engine, warm store     {warm_s:8.2f} s  ({speedup:.1f}x vs serial)",
-        "  warm results bit-identical to serial: yes",
+        f"  engine, warm store     {warm_s:8.2f} s  "
+        f"({speedup:.1f}x vs no store)",
+        "  warm results bit-identical to no store: yes",
     ]
     record("E29_engine", "\n".join(lines))
 
     assert speedup >= 2.0, (
-        f"warm-cache grid only {speedup:.2f}x faster than serial "
-        f"({warm_s:.2f}s vs {serial_s:.2f}s)"
+        f"warm-cache grid only {speedup:.2f}x faster than no store "
+        f"({warm_s:.2f}s vs {storeless_s:.2f}s)"
     )

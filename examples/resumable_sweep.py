@@ -14,8 +14,8 @@ probes. The same store is what `repro-endurance table3 --cache-dir DIR`
 and friends use.
 
 Progress comes from a `TextReporter` sink on the telemetry bus, the
-same `[engine]` lines the CLI prints for engine-routed runs (here on
-stdout).
+same `[engine]` lines the CLI prints for runs given `--cache-dir` (here
+on stdout).
 """
 
 import sys

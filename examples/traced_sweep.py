@@ -3,7 +3,7 @@
 Attaches a `JsonlSink` to the process-local telemetry registry, runs a
 small recompile-frequency sweep (Section 5), then reads the trace back
 with the same machinery `repro-endurance stats` uses: every simulation,
-phase timing, and grid-progress record lands in the file, and
+phase timing, and engine job and batch record lands in the file, and
 `summarize_trace` folds them into one aggregate view.
 
 Run:

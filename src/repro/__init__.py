@@ -85,7 +85,6 @@ from repro.verify import (
     verify_mapping,
     verify_network,
     verify_program,
-    verify_spec,
 )
 
 __version__ = "1.0.0"
@@ -165,5 +164,4 @@ __all__ = [
     "verify_mapping",
     "verify_network",
     "verify_program",
-    "verify_spec",
 ]

@@ -65,7 +65,7 @@ from repro.core.sweep import (
     technology_sweep,
 )
 from repro.devices.technology import MRAM, PCM, RRAM, technology_by_name
-from repro.engine import EngineError
+from repro.engine import EngineError, run_simulation
 from repro.gates.library import NAND_LIBRARY
 from repro.synth.analysis import (
     conventional_multiplication_counts,
@@ -123,23 +123,14 @@ def _make_simulator(args) -> EnduranceSimulator:
     return EnduranceSimulator(arch, settings=_make_settings(args))
 
 
-def _engine_routed(args) -> bool:
-    """Whether ``--cache-dir`` routes this command's simulations through
-    the engine."""
-    return bool(getattr(args, "cache_dir", None))
-
-
 def _run_one(args, sim, workload, config, iterations, track_reads=True):
-    """One simulation, routed through the engine when flags ask for it."""
-    settings = sim.settings.replace(track_reads=track_reads)
-    if _engine_routed(args):
-        from repro.engine import run_simulation
-
-        return run_simulation(
-            workload, config, sim.architecture, iterations,
-            settings=settings, cache_dir=args.cache_dir,
-        )
-    return sim.run(workload, config, iterations, settings=settings)
+    """One simulation as an engine job, in ``--cache-dir``'s store if
+    given."""
+    return run_simulation(
+        workload, config, sim.architecture, iterations,
+        settings=sim.settings.replace(track_reads=track_reads),
+        cache_dir=getattr(args, "cache_dir", None),
+    )
 
 
 def _add_engine_flags(parser) -> None:
@@ -945,10 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_telemetry(args) -> list:
     """Attach the sinks the telemetry flags ask for; returns them.
 
-    An engine-routed run (one given ``--cache-dir``) also gets a
-    :class:`TextReporter`, attached last so each ``[engine]`` line
-    follows the flag sinks' lines for the same event. ``fleet`` drives
-    its engine batches silently.
+    A run given ``--cache-dir`` also gets a :class:`TextReporter`,
+    attached last so each ``[engine]`` line follows the flag sinks'
+    lines for the same event. ``fleet`` drives its engine batches
+    silently.
     """
     tele = get_telemetry()
     sinks = []
@@ -960,7 +951,7 @@ def _configure_telemetry(args) -> list:
         sinks.append(JsonlSink(args.trace))
     if getattr(args, "progress", False):
         sinks.append(ProgressSink())
-    if _engine_routed(args) and args.command != "fleet":
+    if getattr(args, "cache_dir", None) and args.command != "fleet":
         sinks.append(TextReporter())
     tele.sinks.extend(sinks)
     return sinks
@@ -976,14 +967,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             status = args.func(args)
         except VerificationError as error:
-            # Pre-dispatch verification failures (e.g. RPR019: a horizon
-            # past float64's exact integers) are user errors, not bugs —
+            # Verification failures outside an engine job (a trace that
+            # does not lower, a fleet spec) are user errors, not bugs —
             # render the report, not a traceback.
             warn(error.report.render_text())
             return 1
         except EngineError as error:
-            # A job that failed: its reason on one line
-            # (the engine's FAILED line has already named it).
+            # A job that failed, a rejected one with its diagnostics:
+            # its reason on one line (with --cache-dir, the engine's
+            # FAILED line has already named it).
             warn("error: " + " ".join(str(error).split()))
             return 1
     finally:

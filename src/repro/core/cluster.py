@@ -233,9 +233,11 @@ class PartitionedDotProduct:
                 config=config,
                 architecture=architecture,
                 iterations=iterations,
-                state=state,
-                mapping=as_aggregator.mapping,
                 epochs=as_aggregator.epochs + as_slice.epochs,
+                state=state,
+                iteration_latency_s=as_aggregator.iteration_latency_s,
+                lane_utilization=as_aggregator.lane_utilization,
+                mapping=as_aggregator.mapping,
             )
             results.append(combined)
         return ClusterResult(results=results, rotated=True)

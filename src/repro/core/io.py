@@ -15,8 +15,9 @@ path.
 Long-horizon sweeps are worth caching: :func:`save_result` writes a
 :class:`~repro.core.simulator.SimulationResult`'s counters and metadata
 as one sealed record, and :func:`load_result` restores them into a
-summary object that supports every downstream analysis (distributions,
-lifetimes, failure timelines) without re-simulation.
+:class:`~repro.core.simulator.SimulationResult` without its mapping,
+which supports every downstream analysis (distributions, lifetimes,
+failure timelines) without re-simulation.
 
 Counters are stored in the **packed** form a finished result already
 holds (:meth:`repro.array.state.ArrayState.finish`): wear lands only on
@@ -27,8 +28,7 @@ and the block of just those lanes (``<name>_block``, shape
 that holds it exactly. Saving writes the result's own arrays, without
 a second pack, and restoring adopts the stored block: a block that
 covers every lane is the restored matrix itself, and a partial one is
-scattered into zeros of its own dtype. The same arrays are the
-engine's in-memory transport between processes.
+scattered into zeros of its own dtype.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.array.architecture import PIMArchitecture, default_architecture
+from repro.array.architecture import default_architecture
 from repro.array.geometry import Orientation
 from repro.array.state import COUNT_DTYPES, ArrayState
 from repro.balance.config import BalanceConfig
@@ -192,9 +191,8 @@ def load_sealed_arrays(
 def result_metadata(result: SimulationResult) -> dict:
     """The JSON-able metadata block describing one result.
 
-    Everything a :class:`LoadedResult` needs besides the counter arrays.
-    Works on any result-like object (:class:`SimulationResult` or an
-    already-restored :class:`LoadedResult`).
+    Everything a restored :class:`SimulationResult` needs besides the
+    counter arrays.
     """
     return {
         "format_version": _FORMAT_VERSION,
@@ -265,7 +263,7 @@ def encode_result(
     counted. ``metadata`` is :func:`result_metadata` plus the
     ``counters`` packed, so a payload that lost an array reads as
     damaged rather than as untracked reads. :func:`restore_result`
-    inverts it. Works on any result-like object with a finished state.
+    inverts it.
     """
     packed = result.state.packed
     arrays = {}
@@ -286,55 +284,11 @@ def save_result(result: SimulationResult, path: Union[str, Path]) -> None:
     write_atomic(path, dump_sealed_arrays(*encode_result(result)))
 
 
-@dataclass
-class LoadedResult:
-    """A restored simulation result (counters plus summary metadata).
-
-    Mirrors the :class:`SimulationResult` surface that analyses consume:
-    ``state``, ``iterations``, ``architecture``, ``config``,
-    ``iteration_latency_s``, ``max_writes_per_iteration`` and the
-    distribution properties.
-    """
-
-    workload_name: str
-    config: BalanceConfig
-    architecture: PIMArchitecture
-    iterations: int
-    epochs: int
-    state: ArrayState
-    iteration_latency_s: float
-    lane_utilization: float
-
-    @property
-    def max_writes_per_iteration(self) -> float:
-        """Hottest cell's write rate (Eq. 4 denominator)."""
-        return self.state.max_writes / self.iterations
-
-    @property
-    def write_distribution(self) -> WriteDistribution:
-        """The restored write distribution."""
-        return WriteDistribution(
-            self.state.write_counts,
-            self.iterations,
-            self.architecture.orientation,
-            label=f"{self.workload_name} {self.config.label}",
-        )
-
-    @property
-    def read_distribution(self) -> WriteDistribution:
-        """The restored read distribution."""
-        return WriteDistribution(
-            self.state.read_counts,
-            self.iterations,
-            self.architecture.orientation,
-            label=f"{self.workload_name} {self.config.label} (reads)",
-        )
-
-
 def restore_result(
     metadata: dict, arrays: Mapping[str, np.ndarray]
-) -> LoadedResult:
-    """Rebuild a :class:`LoadedResult` from :func:`encode_result` output.
+) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` from :func:`encode_result`
+    output; its ``mapping`` is ``None``.
 
     The restored state adopts the blocks (:meth:`ArrayState.from_packed`).
     Reads not among the metadata's ``counters`` were not tracked (all
@@ -383,7 +337,7 @@ def restore_result(
     state = ArrayState.from_packed(
         geometry, architecture.orientation, counts["write"], counts["read"]
     )
-    return LoadedResult(
+    return SimulationResult(
         workload_name=metadata["workload_name"],
         config=BalanceConfig.from_label(
             metadata["config_label"],
@@ -398,7 +352,7 @@ def restore_result(
     )
 
 
-def load_result(path: Union[str, Path]) -> LoadedResult:
+def load_result(path: Union[str, Path]) -> SimulationResult:
     """Restore a result saved with :func:`save_result`.
 
     The arrays are read-only views of the file's bytes.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -155,25 +155,35 @@ def _note_written(
 
 @dataclass
 class SimulationResult:
-    """Everything one simulation run produced.
+    """Everything one simulation run produced, simulated or restored.
 
     Attributes:
         workload_name: Benchmark label.
         config: The balance configuration simulated.
         architecture: Target architecture.
         iterations: Iterations simulated.
+        epochs: Software-remapping epochs the run spanned.
         state: The run's finished per-cell counters: exact unsigned
             integers in packed form (:meth:`ArrayState.finish`).
-        mapping: The workload mapping (schedule, utilization, programs).
+        iteration_latency_s: One iteration's latency (3 ns per
+            sequential op, Section 4).
+        lane_utilization: Average lane utilization (Table 3), from the
+            mapping's schedule.
+        mapping: The workload mapping (schedule, utilization, programs);
+            ``None`` on a result restored from disk
+            (:func:`repro.core.io.restore_result`), which stores only
+            what the mapping determines.
     """
 
     workload_name: str
     config: BalanceConfig
     architecture: PIMArchitecture
     iterations: int
+    epochs: int
     state: ArrayState
-    mapping: WorkloadMapping
-    epochs: int = field(default=1)
+    iteration_latency_s: float
+    lane_utilization: float
+    mapping: Optional[WorkloadMapping] = None
 
     @property
     def write_distribution(self) -> WriteDistribution:
@@ -199,20 +209,6 @@ class SimulationResult:
     def max_writes_per_iteration(self) -> float:
         """Hottest cell's write rate — the paper's Eq. 4 denominator."""
         return self.state.max_writes / self.iterations
-
-    @property
-    def iteration_latency_s(self) -> float:
-        """One iteration's latency (3 ns per sequential op, Section 4)."""
-        return self.mapping.iteration_latency_s
-
-    @property
-    def lane_utilization(self) -> float:
-        """Average lane utilization (Table 3), from the mapping's schedule.
-
-        Exposed directly so results restored from disk (which carry no
-        mapping object) present the same surface.
-        """
-        return self.mapping.lane_utilization
 
 
 @dataclass
@@ -248,11 +244,13 @@ class _PreparedRun:
             config=config,
             architecture=self.architecture,
             iterations=iterations,
+            epochs=epochs,
             state=self.state.finish(
                 self.architecture.orientation, lanes, self.track_reads
             ),
+            iteration_latency_s=self.mapping.iteration_latency_s,
+            lane_utilization=self.mapping.lane_utilization,
             mapping=self.mapping,
-            epochs=epochs,
         )
 
 

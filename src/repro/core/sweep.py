@@ -24,7 +24,6 @@ from repro.core.lifetime import (
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.devices.technology import Technology
-from repro.telemetry import get_telemetry
 from repro.workloads.base import Workload
 
 
@@ -32,9 +31,8 @@ from repro.workloads.base import Workload
 class GridEntry:
     """One cell of a configuration grid.
 
-    ``result`` is a full :class:`SimulationResult` on the in-process path
-    and a store-restored result (same counters and metadata surface) when
-    the grid ran through the experiment engine.
+    ``result`` carries no ``mapping`` when the cell was restored from an
+    engine result store.
     """
 
     config: BalanceConfig
@@ -60,21 +58,22 @@ def simulate_configs(
     """Simulate a list of configurations once each, in the given order.
 
     The shared backbone of :func:`configuration_grid` and
-    :func:`remap_frequency_sweep` (both list their baseline first).
-    Duplicate configurations are simulated once. With a ``cache_dir``,
-    the batch routes through :mod:`repro.engine` — disk-cached results,
-    resumable after interruption — and is bit-identical to the in-process
-    path because every job runs on a fresh simulator carrying the same
-    settings, drawing a fresh RNG stream. Either path builds the workload
-    once per process: cells share the mapping through
+    :func:`remap_frequency_sweep` (both list their baseline first). The
+    batch runs as :mod:`repro.engine` jobs, each on a fresh simulator
+    carrying the same settings and drawing a fresh RNG stream; duplicate
+    configurations are simulated once. A ``cache_dir`` gives the engine
+    a result store: cells already there are restored instead of
+    simulated (without their ``mapping``), so an interrupted batch
+    resumes. Cells share the workload's mapping through
     :func:`repro.core.simulator.mapping_for`.
 
     Args:
+        cache_dir: Engine result store; without one nothing persists.
         settings: Simulation settings for every cell; defaults to the
             simulator's own (``track_reads`` below still applies).
 
     Raises:
-        repro.engine.EngineError: if any engine-routed job fails.
+        repro.engine.EngineError: if any job fails.
     """
     base = settings if settings is not None else simulator.settings
     if track_reads is None:
@@ -84,21 +83,6 @@ def simulate_configs(
     if base.track_reads != track_reads:
         base = base.replace(track_reads=track_reads)
     ordered = list(dict.fromkeys(configs))
-    tele = get_telemetry()
-    if cache_dir is None:
-        results: Dict[BalanceConfig, SimulationResult] = {}
-        for done, config in enumerate(ordered, start=1):
-            results[config] = simulator.run(
-                workload, config, iterations, settings=base
-            )
-            tele.emit(
-                "grid_progress",
-                done=done,
-                total=len(ordered),
-                label=config.label,
-                workload=workload.name,
-            )
-        return results
     # Imported lazily: repro.engine depends on this package.
     from repro.engine import (
         ExperimentEngine,

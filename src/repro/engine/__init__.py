@@ -18,9 +18,8 @@ The engine reports each batch only as events on the telemetry bus
 :mod:`repro.telemetry`); attach a sink such as
 :class:`repro.telemetry.TextReporter` to watch it.
 
-`repro.core.sweep` routes its grids through this layer when given a
-``cache_dir=``, as do the ``table3`` / ``fig17`` / ``heatmap`` /
-``remap-sweep`` CLI commands when given ``--cache-dir``.
+Every `repro.core.sweep` grid and every CLI simulation runs through
+this layer; a ``cache_dir=`` (``--cache-dir``) only adds the store.
 """
 
 from repro.core.settings import SimulationSettings
@@ -61,7 +60,8 @@ def run_simulation(
     """Resolve one simulation through the engine (cache-aware).
 
     The single-run counterpart of the sweep entry points: builds the spec,
-    consults/populates ``cache_dir`` when given, and returns the result.
+    consults/populates ``cache_dir`` when given, and returns the result
+    (without its ``mapping`` when the store answered).
     Execution knobs come from ``settings`` (a
     :class:`repro.SimulationSettings`, default ``SimulationSettings()``,
     which tracks reads).

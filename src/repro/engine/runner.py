@@ -16,8 +16,9 @@ spec, and the simulator draws a fresh RNG stream per run, so results are
 bit-identical regardless of execution order. What jobs share is only
 immutable, content-keyed work: the built mapping
 (:func:`repro.core.simulator.mapping_for`) and its programs'
-verification findings, which pre-dispatch verification and the run
-reuse instead of rebuilding.
+verification findings, which later jobs reuse instead of rebuilding.
+The simulator's own static check is the engine's only verification
+gate: a job it refuses fails as rejected, with its diagnostics.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ import time
 import traceback
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.io import LoadedResult
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
 from repro.telemetry import get_telemetry
-from repro.verify import verify_spec
+from repro.verify import VerificationError
 
 
 class JobStatus(Enum):
@@ -51,17 +51,18 @@ class JobOutcome:
     Attributes:
         spec: The job.
         status: How it resolved.
-        result: The simulation result (``None`` when failed). Simulated
-            jobs yield full :class:`SimulationResult` objects; cache hits
-            yield :class:`LoadedResult` with identical counters and
-            metadata.
-        error: Formatted traceback of the failure, if any.
+        result: The simulation result (``None`` when failed). A cache
+            hit's result carries no ``mapping``
+            (:func:`repro.core.io.restore_result`).
+        error: Formatted traceback of the failure, if any; for a job
+            verification rejected, ``verification failed:`` and the
+            rendered report.
         wall_s: Simulation wall-clock (0 for cache hits).
     """
 
     spec: JobSpec
     status: JobStatus
-    result: Optional[Union[SimulationResult, LoadedResult]] = None
+    result: Optional[SimulationResult] = None
     error: Optional[str] = None
     wall_s: float = 0.0
 
@@ -71,10 +72,18 @@ class JobOutcome:
         return self.status is not JobStatus.FAILED
 
 
+#: The first line of a rejected job's error.
+_REJECTED = "verification failed:"
+
+
 def _error_reason(error: Optional[str]) -> str:
-    """The last line of a failure's traceback: the exception itself."""
-    tail = (error or "").strip().splitlines()
-    return tail[-1] if tail else "unknown error"
+    """A failure in one line: a rejection's diagnostics, or else the
+    last line of the traceback, the exception itself."""
+    lines = (error or "").strip().splitlines()
+    if lines and lines[0] == _REJECTED:
+        # The rendered report, without its summary line.
+        return "; ".join(lines[1:-1])
+    return lines[-1] if lines else "unknown error"
 
 
 class EngineError(RuntimeError):
@@ -110,10 +119,10 @@ class _BatchMetrics:
 class ExperimentEngine:
     """Resolves job batches with caching and failure containment.
 
-    Every spec is statically checked (:func:`repro.verify.verify_spec`)
-    before dispatch; specs with verification errors fail fast with the
-    rendered report instead of being simulated. Every other job that the
-    store cannot answer runs once.
+    Every job that the store cannot answer runs once. The simulator
+    statically checks it (``EnduranceSimulator._verify``) before any
+    kernel work; a job with verification errors is rejected, failing
+    with the rendered report instead of being simulated.
 
     Args:
         store: Optional result store; when set, completed jobs persist
@@ -173,7 +182,6 @@ class ExperimentEngine:
         for index in outcomes:
             self._job_end(outcomes[index])
 
-        to_run = self._verify_specs(specs, to_run, outcomes, metrics)
         self._simulate(specs, to_run, outcomes, metrics)
 
         wall = time.perf_counter() - start
@@ -198,56 +206,13 @@ class ExperimentEngine:
             )
         return [outcomes[index] for index in range(len(specs))]
 
-    # -- pre-dispatch verification --------------------------------------
-
-    def _verify_specs(
-        self,
-        specs: Sequence[JobSpec],
-        to_run: Sequence[int],
-        outcomes: Dict[int, JobOutcome],
-        metrics: _BatchMetrics,
-    ) -> List[int]:
-        """Reject specs whose static checks report errors, before dispatch.
-
-        A spec whose workload cannot even *build* is not rejected here:
-        it falls through to normal execution so the failure carries the
-        original traceback.
-        """
-        tele = get_telemetry()
-        survivors: List[int] = []
-        for index in to_run:
-            spec = specs[index]
-            try:
-                report = verify_spec(spec)
-            except Exception:
-                survivors.append(index)
-                continue
-            if not report.errors:
-                survivors.append(index)
-                continue
-            tele.count("engine.rejected")
-            tele.emit(
-                "job_rejected",
-                label=spec.label,
-                errors=len(report.errors),
-                codes=sorted({d.code for d in report.errors}),
-            )
-            self._fail(
-                index,
-                spec,
-                "verification failed:\n" + report.render_text(),
-                outcomes,
-                metrics,
-            )
-        return survivors
-
     # -- shared life-cycle reporting ------------------------------------
 
     def _job_end(self, outcome: JobOutcome) -> None:
         """Report one resolution on the event bus.
 
         ``wall_s`` stays unrounded, since sinks print it; a failed job
-        also carries ``error``, its traceback's last line.
+        also carries ``error``, its one-line reason.
         """
         tele = get_telemetry()
         extra = {}
@@ -288,12 +253,30 @@ class ExperimentEngine:
         outcomes: Dict[int, JobOutcome],
         metrics: _BatchMetrics,
     ) -> None:
+        tele = get_telemetry()
         for index in to_run:
             spec = specs[index]
-            get_telemetry().emit("job_start", label=spec.label)
+            tele.emit("job_start", label=spec.label)
             start = time.perf_counter()
             try:
                 result = execute_spec(spec)
+            except VerificationError as error:
+                errors = error.report.errors
+                tele.count("engine.rejected")
+                tele.emit(
+                    "job_rejected",
+                    label=spec.label,
+                    errors=len(errors),
+                    codes=sorted({d.code for d in errors}),
+                )
+                self._fail(
+                    index,
+                    spec,
+                    f"{_REJECTED}\n{error.report.render_text()}",
+                    outcomes,
+                    metrics,
+                )
+                continue
             except Exception:
                 self._fail(
                     index, spec, traceback.format_exc(), outcomes, metrics

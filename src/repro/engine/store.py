@@ -34,7 +34,6 @@ from typing import Iterator, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.io import (
-    LoadedResult,
     dump_sealed_arrays,
     load_result,
     load_sealed_arrays,
@@ -128,8 +127,9 @@ class ResultStore:
 
     # -- operations -----------------------------------------------------
 
-    def load(self, key: Union[JobSpec, str]) -> Optional[LoadedResult]:
-        """Return the cached result, or ``None`` on a miss.
+    def load(self, key: Union[JobSpec, str]) -> Optional[SimulationResult]:
+        """Return the cached result (without its mapping), or ``None`` on
+        a miss.
 
         Incomplete entries (e.g. from an interrupted save), and entries
         whose sidecar does not name ``key`` or whose payload is damaged

@@ -18,9 +18,9 @@ A dependency-free, process-local telemetry layer:
 Instrumented layers: ``EnduranceSimulator.run`` (mapping-compile /
 kernel / wear-aware phases, write-read totals, epochs/s),
 ``repro.core.kernel`` (chunk and GEMM counts), ``ExperimentEngine``
-(per-job durations, failures, cache hit/miss, busy fraction), and the
-sweep drivers (grid progress). The bus is the only way to observe an
-engine batch, which runs in the caller's process, so its jobs' phases
+(per-job durations, failures, cache hit/miss, busy fraction), which
+every sweep and CLI simulation runs through. The bus is the only way
+to observe an engine batch, which runs in the caller's process, so its jobs' phases
 and counters land in the caller's registry. The CLI exposes it via
 ``--log-level``, ``--trace FILE``, and ``--progress`` on every
 simulation-backed subcommand.

@@ -119,9 +119,9 @@ class JsonlSink(Sink):
 class ProgressSink(Sink):
     """Render selected events as one-line progress messages on stderr.
 
-    The CLI attaches this for ``--progress``: phase completions, engine
-    job resolutions, and grid progress become compact human-readable
-    lines without touching stdout artifacts.
+    The CLI attaches this for ``--progress``: phase completions,
+    simulations, and engine job and batch resolutions become compact
+    human-readable lines without touching stdout artifacts.
 
     Args:
         stream: Target stream (default stderr).
@@ -138,11 +138,6 @@ class ProgressSink(Sink):
             line = (
                 f"[phase] {record.get('name')} "
                 f"{record.get('seconds', 0.0):.3f}s"
-            )
-        elif event == "grid_progress":
-            line = (
-                f"[grid] {record.get('done')}/{record.get('total')} "
-                f"{record.get('label')}"
             )
         elif event == "job_end":
             line = (
@@ -173,8 +168,7 @@ class TextReporter(Sink):
     line on ``batch_start`` (which also resets the counts), one line per
     simulated or failed ``job_end`` (cache hits are in the census), and
     a summary line on ``batch_end``. The CLI attaches it, after the
-    flag-driven sinks, to every engine-routed run (one given
-    ``--cache-dir``).
+    flag-driven sinks, to every run given ``--cache-dir``.
 
     Args:
         stream: Target stream (default stderr, keeping stdout artifacts

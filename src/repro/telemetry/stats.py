@@ -33,7 +33,6 @@ EVENT_FIELDS: Dict[str, frozenset] = {
     "job_end": frozenset({"label", "status", "wall_s"}),
     "job_rejected": frozenset({"label", "errors", "codes"}),
     "verify_report": frozenset({"codes", "errors", "warnings", "total"}),
-    "grid_progress": frozenset({"done", "total", "label"}),
     "fleet_start": frozenset({"arrays", "days", "cohorts"}),
     "fleet_day": frozenset({"day", "alive", "served"}),
     "fleet_checkpoint": frozenset({"day"}),

@@ -8,8 +8,8 @@ stream-discipline pass (:mod:`~repro.verify.streams`), versioned artifact schema
 (:mod:`~repro.verify.schemas`), and an AST self-lint over the repo's
 own invariants (:mod:`~repro.verify.lint`). Findings carry stable
 ``RPR0xx`` codes and render as text or JSON; the ``repro-endurance
-verify`` CLI subcommand and the simulator/engine/fleet pre-dispatch
-hooks are built on these entry points.
+verify`` CLI subcommand and the simulator's and fleet's pre-run
+gates are built on these entry points.
 """
 
 from repro.verify.api import (
@@ -20,7 +20,6 @@ from repro.verify.api import (
     verify_network,
     verify_program,
     verify_self,
-    verify_spec,
 )
 from repro.verify.dataflow import (
     check_bounds,
@@ -81,5 +80,4 @@ __all__ = [
     "verify_network",
     "verify_program",
     "verify_self",
-    "verify_spec",
 ]

@@ -6,9 +6,12 @@ Callers pick the surface that matches what they hold:
 * :func:`verify_mapping` — a built :class:`WorkloadMapping` (plus,
   optionally, the balance configuration it will run under);
 * :func:`verify_network` — interconnected programs exchanging tagged
-  read-out streams;
-* :func:`verify_spec` — a declarative engine :class:`JobSpec`, checked
-  before any simulation is dispatched.
+  read-out streams.
+
+An engine job is checked as its mapping:
+``verify_mapping(mapping_for(workload, architecture), config,
+functional=False, iterations=..., track_reads=...)``, which the
+simulator runs before every simulation.
 
 ``functional=False`` relaxes the value-semantics codes (RPR001, RPR002,
 RPR004) to warnings: wear simulations never execute gate values, so a
@@ -48,7 +51,6 @@ __all__ = [
     "verify_program",
     "verify_mapping",
     "verify_network",
-    "verify_spec",
     "verify_fleet_spec",
     "verify_self",
 ]
@@ -376,30 +378,6 @@ def verify_network(
             else:
                 produced[tag] = width
     return _finish(diagnostics)
-
-
-def verify_spec(spec) -> VerifyReport:
-    """Statically check a declarative engine job before dispatch.
-
-    Duck-typed over anything exposing ``workload``, ``architecture``,
-    and (optionally) ``config`` — in practice a
-    :class:`~repro.engine.spec.JobSpec`. Gets the workload mapping
-    from :func:`~repro.core.simulator.mapping_for` (so the job that
-    later simulates the spec in this process reuses it) and runs
-    :func:`verify_mapping` in wear-only mode, since the engine simulates
-    wear rather than values.
-    """
-    # Imported lazily: repro.core.simulator depends on this package.
-    from repro.core.simulator import mapping_for
-
-    mapping = mapping_for(spec.workload, spec.architecture)
-    return verify_mapping(
-        mapping,
-        getattr(spec, "config", None),
-        functional=False,
-        iterations=getattr(spec, "iterations", None),
-        track_reads=getattr(spec, "track_reads", False),
-    )
 
 
 #: Memo for :func:`verify_fleet_spec`, keyed on the facts the passes

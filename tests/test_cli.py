@@ -387,18 +387,42 @@ class TestFastForwardFlag:
             + "\n\n" + oracle.summary() + "\n"
         )
 
-    def test_ineligible_config_refused_cleanly(self, capsys):
+    @pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+    def test_ineligible_config_refused_cleanly(self, capsys, tmp_path, store):
         # A horizon whose writes reach 2^53 cannot be counted exactly in
-        # float64: refused with RPR019 before anything runs.
+        # float64: refused with RPR019 before anything runs, with or
+        # without a store, its diagnostic on the one failure line.
+        cache = ["--cache-dir", str(tmp_path)] if store else []
         status = main([
             "--rows", "256", "--cols", "64",
             "heatmap", "--workload", "mult", "--config", "RaxRa",
-            "--iterations", str(2**53),
+            "--iterations", str(2**53), *cache,
         ])
         captured = capsys.readouterr()
         assert status == 1
-        assert "RPR019" in captured.err
+        assert captured.out == ""
+        (failure,) = [
+            line for line in captured.err.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert failure.startswith("error: 1 job(s) failed: ")
+        assert ": RPR019 error: " in failure
+        assert "(hint: shorten the horizon" in failure
         assert "Traceback" not in captured.err
+
+    def test_failed_storeless_job_is_one_error_line(self, capsys):
+        # 32-bit multiply does not fit a 64-bit lane: the job fails, and
+        # without --cache-dir the failure is its one line, no traceback.
+        status = main([
+            "--rows", "64", "--cols", "64",
+            "heatmap", "--workload", "mult", "--iterations", "10",
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == (
+            "error: 1 job(s) failed: multiplication-32b StxSt x10 seed=0: "
+            "MemoryError: lane capacity 63 exhausted (63 bits live)\n"
+        )
 
 
 class TestTelemetryFlags:
@@ -449,11 +473,12 @@ class TestTelemetryFlags:
             for line in out.splitlines() if line.startswith("  ")
         }
         assert rows["mapping_compile"] == "1"  # the phase's call count
-        # Each of the 18 cells asks for the mapping twice (pre-dispatch
-        # verification, then the run); only the first builds it.
+        # Each of the 18 cells asks for the mapping once, in its run;
+        # only the first builds it, and each run verifies once.
         assert rows["mapping.memo_misses"] == "1"
-        assert rows["mapping.memo_hits"] == "35"
-        assert int(rows["verify.program_memo_hits"]) >= 35
+        assert rows["mapping.memo_hits"] == "17"
+        assert rows["verify.runs"] == "18"
+        assert int(rows["verify.program_memo_hits"]) >= 17
 
     def test_traced_fleet_reports_threshold_layer(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -29,8 +29,8 @@ from repro.core.kernel import (
 )
 from repro.core.lifetime import lifetime_from_result
 from repro.core.settings import SimulationSettings
-from repro.core.simulator import EnduranceSimulator
-from repro.verify import verify_spec
+from repro.core.simulator import EnduranceSimulator, mapping_for
+from repro.verify import verify_mapping
 from repro.workloads.multiply import ParallelMultiplication
 
 ARCH = default_architecture(64, 16)
@@ -206,17 +206,14 @@ class TestRefusal:
         assert result.state.write_counts.sum() > 0
         _assert_identical(result, _oracle(ARCH, config, 10))
 
-    def test_verify_spec_clean_on_eligible(self):
-        from repro.engine import JobSpec
-
+    def test_job_verify_clean_on_eligible(self):
+        # An engine job's static check, as the simulator runs it.
+        mapping = mapping_for(ParallelMultiplication(bits=8), ARCH)
         for label in ("BsxBs", "RaxRa"):
-            spec = JobSpec(
-                workload=ParallelMultiplication(bits=8),
-                architecture=ARCH,
-                config=BalanceConfig.from_label(label),
-                iterations=10,
+            report = verify_mapping(
+                mapping, BalanceConfig.from_label(label),
+                functional=False, iterations=10,
             )
-            report = verify_spec(spec)
             assert not report.errors
             assert "RPR011" not in report.codes()
 

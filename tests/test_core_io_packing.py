@@ -9,7 +9,7 @@ exact non-negative integer raises :class:`InexactCountError`.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from repro.array.geometry import Orientation
 from repro.array.state import ArrayState, InexactCountError
 from repro.balance.config import BalanceConfig
 from repro.core.io import (
-    LoadedResult,
     dump_sealed_arrays,
     encode_result,
     load_result,
@@ -30,7 +29,9 @@ from repro.core.io import (
     result_metadata,
     save_result,
 )
-from repro.core.simulator import EnduranceSimulator
+from repro.core.lifetime import lifetime_from_result
+from repro.core.simulator import EnduranceSimulator, SimulationResult
+from repro.core.sweep import configuration_grid
 from repro.engine import ExperimentEngine, JobSpec, JobStatus, ResultStore
 from repro.workloads.multiply import ParallelMultiplication
 
@@ -61,7 +62,7 @@ def narrowest(block):
 
 
 def result_of(write_counts, read_counts, orientation):
-    """A result-like object over the given dense counters, finished by
+    """A mapping-free result over the given dense counters, finished by
     scanning them for their written lanes."""
     rows, cols = write_counts.shape
     architecture = default_architecture(rows, cols)
@@ -70,7 +71,7 @@ def result_of(write_counts, read_counts, orientation):
     state = ArrayState.from_counts(
         architecture.geometry, write_counts, read_counts
     )
-    return LoadedResult(
+    return SimulationResult(
         workload_name="probe",
         config=BalanceConfig.from_label("RaxBs"),
         architecture=architecture,
@@ -354,3 +355,45 @@ class TestVersionOneEntry:
         assert store.load(job) is None
         assert len(store) == 0
         self.assert_resimulated(store, job, result)
+
+
+class TestOneResultType:
+    """A store hit is the simulated run's :class:`SimulationResult`
+    without its mapping: every other field, its lifetime and its
+    improvement over the baseline are bit-equal."""
+
+    @pytest.mark.parametrize("label", ["StxSt", "RaxRa+Hw", "BsxBs"])
+    def test_store_hit_equals_the_simulated_run(
+        self, tiny_arch, tmp_path, label
+    ):
+        def grid():
+            (entry,) = configuration_grid(
+                EnduranceSimulator(tiny_arch),
+                ParallelMultiplication(bits=8),
+                iterations=40,
+                configs=[BalanceConfig.from_label(label)],
+                track_reads=True,
+                cache_dir=str(tmp_path),
+            )
+            return entry
+
+        simulated, restored = grid(), grid()
+        assert type(restored.result) is SimulationResult
+        assert simulated.result.mapping is not None
+        assert restored.result.mapping is None  # answered by the store
+        for field in fields(SimulationResult):
+            ours, theirs = (
+                getattr(entry.result, field.name)
+                for entry in (simulated, restored)
+            )
+            if field.name == "state":
+                for name in ("write_counts", "read_counts"):
+                    a, b = getattr(ours, name), getattr(theirs, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+            elif field.name != "mapping":
+                assert ours == theirs, field.name
+        assert lifetime_from_result(restored.result) == lifetime_from_result(
+            simulated.result
+        )
+        assert restored.lifetime == simulated.lifetime
+        assert restored.improvement == simulated.improvement

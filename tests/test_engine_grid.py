@@ -1,9 +1,10 @@
-"""Engine-routed sweeps must be bit-identical to the serial paths."""
+"""Engine sweeps, stored or not, must be bit-identical to direct runs."""
 
 import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig
+from repro.core.lifetime import lifetime_from_result, lifetime_improvement
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import (
@@ -28,8 +29,9 @@ class TestGridDeterminism:
     def test_engine_grid_matches_in_process_bit_exactly(
         self, tiny_arch, workload, tmp_path
     ):
-        """The engine (a cold store) == the in-process loop, per config."""
-        serial = configuration_grid(
+        """The engine, with no store or a cold one, == direct simulator
+        runs in this process, per config."""
+        storeless = configuration_grid(
             fresh_sim(tiny_arch), workload, iterations=150
         )
         routed = configuration_grid(
@@ -38,17 +40,26 @@ class TestGridDeterminism:
             iterations=150,
             cache_dir=str(tmp_path),
         )
-        assert [e.label for e in serial] == [e.label for e in routed]
-        for ours, theirs in zip(serial, routed):
-            assert np.array_equal(
-                ours.result.state.write_counts,
-                theirs.result.state.write_counts,
-            ), ours.label
-            assert ours.improvement == theirs.improvement
-            assert (
-                ours.lifetime.iterations_to_failure
-                == theirs.lifetime.iterations_to_failure
+        writes_only = SimulationSettings(seed=7, track_reads=False)
+        direct = {
+            entry.config: fresh_sim(tiny_arch).run(
+                workload, entry.config, 150, settings=writes_only
             )
+            for entry in storeless
+        }
+        baseline = direct[BalanceConfig()]
+        assert [e.label for e in storeless] == [e.label for e in routed]
+        for ours, theirs in zip(storeless, routed):
+            oracle = direct[ours.config]
+            for entry in (ours, theirs):
+                assert np.array_equal(
+                    entry.result.state.write_counts,
+                    oracle.state.write_counts,
+                ), entry.label
+                assert entry.improvement == lifetime_improvement(
+                    oracle, baseline
+                )
+                assert entry.lifetime == lifetime_from_result(oracle)
 
     def test_cached_rerun_matches_first_run(self, tiny_arch, workload, tmp_path):
         first = configuration_grid(
@@ -98,13 +109,16 @@ class TestSimulateConfigs:
         results = simulate_configs(sim, workload, configs, iterations=100)
         assert len(results) == 1
 
-    def test_engine_failures_surface_as_engine_error(self, tiny_arch, tmp_path):
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_engine_failures_surface_as_engine_error(
+        self, tiny_arch, tmp_path, stored
+    ):
         doomed = ParallelMultiplication(bits=32)  # cannot fit a 63-bit lane
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="MemoryError: lane capacity"):
             simulate_configs(
                 fresh_sim(tiny_arch),
                 doomed,
                 [BalanceConfig()],
                 iterations=50,
-                cache_dir=str(tmp_path),
+                cache_dir=str(tmp_path) if stored else None,
             )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.balance.config import BalanceConfig, all_configurations
+from repro.core.simulator import EnduranceSimulator
 from repro.core.sweep import (
     configuration_grid,
     remap_frequency_sweep,
@@ -303,3 +304,76 @@ class TestFailureTelemetry:
         assert "error" not in end
         # Unrounded, so a sink printing it rounds exactly once.
         assert end["wall_s"] == outcome.wall_s
+
+
+class TestVerifiedOnce:
+    """The simulator's gate is the only static check: ``verify.runs``
+    equals the number of jobs simulated, on every route."""
+
+    CONFIGS = [BalanceConfig.from_label(c) for c in ("RaxRa", "BsxBs+Hw")]
+
+    def test_storeless_grid(self, tiny_arch, fresh_telemetry):
+        configuration_grid(
+            EnduranceSimulator(tiny_arch),
+            ParallelMultiplication(bits=8),
+            iterations=40,
+            configs=self.CONFIGS,
+        )
+        # The static baseline is simulated first, so three jobs ran.
+        assert fresh_telemetry.counters["engine.completed"] == 3
+        assert fresh_telemetry.counters["verify.runs"] == 3
+
+    def test_cold_then_warm_store_grid(
+        self, tiny_arch, tmp_path, fresh_telemetry
+    ):
+        def grid():
+            configuration_grid(
+                EnduranceSimulator(tiny_arch),
+                ParallelMultiplication(bits=8),
+                iterations=40,
+                configs=self.CONFIGS,
+                cache_dir=str(tmp_path),
+            )
+
+        grid()
+        assert fresh_telemetry.counters["verify.runs"] == 3
+        grid()  # all cache hits: nothing simulates, nothing verifies
+        assert fresh_telemetry.counters["engine.cache_hits"] == 3
+        assert fresh_telemetry.counters["verify.runs"] == 3
+
+    def test_direct_engine_run(self, tiny_arch, fresh_telemetry):
+        specs = make_specs(tiny_arch, all_configurations()[:4])
+        outcomes = ExperimentEngine().run(specs + specs[:1])  # one repeat
+        assert all(o.ok for o in outcomes)
+        assert fresh_telemetry.counters["verify.runs"] == 4
+
+    def test_rejected_spec_counts_once_and_names_its_code(
+        self, tiny_arch, fresh_telemetry
+    ):
+        good = make_specs(tiny_arch, [BalanceConfig()])[0]
+        refused = make_specs(tiny_arch, [BalanceConfig()], iterations=2**53)[0]
+        with capture() as sink:
+            outcomes = ExperimentEngine().run([refused, good])
+        assert [o.status for o in outcomes] == [
+            JobStatus.FAILED,
+            JobStatus.COMPLETED,
+        ]
+        assert fresh_telemetry.counters["verify.runs"] == 2
+        assert fresh_telemetry.counters["engine.rejected"] == 1
+        error = outcomes[0].error
+        assert error.startswith("verification failed:\nRPR019 error: ")
+        (rejected,) = sink.of("job_rejected")
+        assert rejected["codes"] == ["RPR019"]
+        # A job_start, then the rejection, then its job_end.
+        events = [
+            r["event"] for r in sink.records
+            if r.get("label") == refused.label
+        ]
+        assert events == ["job_start", "job_rejected", "job_end"]
+        # The one-line reason is the diagnostic, message and hint, not
+        # the report's summary line.
+        (end, _) = sink.of("job_end")
+        assert end["error"] == error.splitlines()[1]
+        assert "(hint: shorten the horizon" in end["error"]
+        with pytest.raises(EngineError, match="RPR019 error: "):
+            require_ok(outcomes)

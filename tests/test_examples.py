@@ -99,4 +99,4 @@ class TestExamples:
 
         summary = summarize_trace(str(trace))
         assert summary["events"]["simulation"] == 3
-        assert summary["events"]["grid_progress"] == 3
+        assert summary["events"]["job_end"] == 3

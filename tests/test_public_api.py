@@ -42,7 +42,7 @@ REPRO_ALL = {
     "Telemetry", "get_telemetry",
     # verify
     "Diagnostic", "Severity", "VerificationError", "VerifyReport",
-    "verify_mapping", "verify_network", "verify_program", "verify_spec",
+    "verify_mapping", "verify_network", "verify_program",
 }
 
 VERIFY_ALL = {
@@ -54,7 +54,6 @@ VERIFY_ALL = {
     "check_schedule", "check_stream_keys", "check_streams", "check_trace",
     "derive_stream_keys", "self_lint", "verify_fleet_spec",
     "verify_mapping", "verify_network", "verify_program", "verify_self",
-    "verify_spec",
 }
 
 ENGINE_ALL = {

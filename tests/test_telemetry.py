@@ -178,11 +178,17 @@ class TestSinks:
         stream = io.StringIO()
         tele.add_sink(ProgressSink(stream=stream))
         tele.emit("phase", name="kernel", seconds=0.5)
+        tele.emit("job_end", label="RaxRa", status="completed", wall_s=0.25)
+        tele.emit(
+            "batch_end", completed=1, cached=0, failed=0, wall_s=0.5
+        )
         tele.emit("grid_progress", done=3, total=18, label="RaxRa")
         tele.emit("unknown_event", x=1)
         text = stream.getvalue()
         assert "[phase] kernel" in text
-        assert "[grid] 3/18 RaxRa" in text
+        assert "[job] completed RaxRa (0.25s)" in text
+        assert "[batch] 1 simulated, 0 cached, 0 failed in 0.50s" in text
+        assert "[grid]" not in text
         assert "unknown_event" not in text
 
 

@@ -46,6 +46,17 @@ from repro.workloads.base import Phase
 from repro.workloads.vectoradd import VectorAdd
 
 
+def _rejected_codes(error):
+    """The diagnostic codes in an engine job's error: none for a job
+    that did not fail, else the rendered report of a rejected one."""
+    if error is None:
+        return []
+    header, *diagnostics, summary = error.splitlines()
+    assert header == "verification failed:"
+    assert summary.startswith("verify: ")
+    return [line.split()[0] for line in diagnostics]
+
+
 def program(instructions, footprint, inputs=None, outputs=None, name="g"):
     return LaneProgram(name, instructions, footprint, inputs or {}, outputs or {})
 
@@ -494,8 +505,8 @@ class TestRPR019Horizon:
 
     def test_simulator_and_engine_refuse_before_running(self, tiny_arch):
         from repro.core.simulator import EnduranceSimulator
-        from repro.engine import JobSpec
-        from repro.verify import VerificationError, verify_spec
+        from repro.engine import ExperimentEngine, JobSpec, JobStatus
+        from repro.verify import VerificationError
         from repro.workloads.multiply import ParallelMultiplication
 
         workload = ParallelMultiplication(bits=8)
@@ -507,7 +518,9 @@ class TestRPR019Horizon:
             workload=workload, architecture=tiny_arch, config=config,
             iterations=2**53,
         )
-        assert verify_spec(spec).codes() == ["RPR019"]
+        (outcome,) = ExperimentEngine().run([spec])
+        assert outcome.status is JobStatus.FAILED
+        assert _rejected_codes(outcome.error) == ["RPR019"]
 
 
     def test_tracked_reads_bound_the_horizon_too(self):
@@ -518,8 +531,8 @@ class TestRPR019Horizon:
         from repro.array.architecture import PINATUBO
         from repro.core.settings import SimulationSettings
         from repro.core.simulator import EnduranceSimulator, mapping_for
-        from repro.engine import JobSpec
-        from repro.verify import VerificationError, verify_mapping, verify_spec
+        from repro.engine import ExperimentEngine, JobSpec
+        from repro.verify import VerificationError, verify_mapping
         from repro.workloads.multiply import ParallelMultiplication
 
         arch = PINATUBO.resized(64, 16)
@@ -565,7 +578,8 @@ class TestRPR019Horizon:
                 workload=workload, architecture=arch, config=config,
                 iterations=horizon, track_reads=track_reads,
             )
-            assert verify_spec(spec).codes() == expected
+            (outcome,) = ExperimentEngine().run([spec])
+            assert _rejected_codes(outcome.error) == expected
 
 
 class TestRPR017Schemas:

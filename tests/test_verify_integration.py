@@ -2,8 +2,8 @@
 
 The tentpole contract: the same static passes run (a) standalone via
 ``verify_mapping``, (b) automatically inside ``EnduranceSimulator.run``
-(raising :class:`VerificationError`), (c) before engine dispatch (bad
-specs fail without consuming a worker), and (d) behind the
+(raising :class:`VerificationError`), (c) through it, in every engine
+job (a bad spec fails as rejected, with its diagnostics), and (d) behind the
 ``repro-endurance verify`` subcommand with conventional exit codes.
 """
 
@@ -17,7 +17,13 @@ from repro.array.architecture import default_architecture
 from repro.balance.config import BalanceConfig, all_configurations
 from repro.cli import main
 from repro.core.simulator import EnduranceSimulator, mapping_for
-from repro.engine import ExperimentEngine, JobSpec, JobStatus
+from repro.engine import (
+    EngineError,
+    ExperimentEngine,
+    JobSpec,
+    JobStatus,
+    require_ok,
+)
 from repro.gates.library import MINIMAL_LIBRARY, NAND_LIBRARY
 from repro.gates.ops import GateOp
 from repro.synth.bits import BitVector
@@ -28,8 +34,8 @@ from repro.synth.program import (
     ReadInstr,
     WriteInstr,
 )
-from repro.telemetry import Telemetry, set_telemetry
-from repro.verify import VerificationError, verify_mapping, verify_spec
+from repro.telemetry import Telemetry, capture, set_telemetry
+from repro.verify import VerificationError, verify_mapping
 from repro.workloads.base import Phase, Workload, WorkloadMapping
 from repro.workloads.registry import available_workloads, get_workload
 from repro.workloads.multiply import ParallelMultiplication
@@ -233,7 +239,7 @@ class TestEngineHook:
         assert "verification failed" in outcome.error
         assert "RPR008" in outcome.error
 
-    def test_verify_spec_reports_instead_of_raising(self, tiny_arch):
+    def test_rejection_reports_instead_of_raising(self, tiny_arch):
         spec = JobSpec(
             workload=BrokenSchedule(),
             architecture=tiny_arch,
@@ -241,8 +247,22 @@ class TestEngineHook:
             iterations=5,
             seed=3,
         )
-        report = verify_spec(spec)
-        assert "RPR008" in report.codes()
+        fresh = Telemetry()
+        previous = set_telemetry(fresh)
+        try:
+            with capture() as sink:
+                (outcome,) = ExperimentEngine().run([spec])
+        finally:
+            set_telemetry(previous)
+        assert outcome.status is JobStatus.FAILED
+        assert outcome.error.startswith("verification failed:\nRPR008 error:")
+        (rejected,) = sink.of("job_rejected")
+        assert rejected["codes"] == ["RPR008"]
+        assert fresh.counters["engine.rejected"] == 1
+        assert fresh.counters["verify.runs"] == 1
+        # The failure's one-line reason is the diagnostic itself.
+        with pytest.raises(EngineError, match=r": RPR008 error: "):
+            require_ok([outcome])
 
     def test_good_specs_unaffected(self, tiny_arch):
         spec = JobSpec(
