@@ -15,6 +15,12 @@ on a row-parallel one) and the block of just those lanes, shape
 ``(lane size, len(lanes))``, in the narrowest unsigned integer dtype
 that holds every count exactly. A count that does not survive the cast
 is a defect and raises :class:`InexactCountError`.
+
+Counts that every lane shares (one program on all of them) accumulate
+as a per-offset **column** beside the plane
+(:meth:`ArrayState.add_every_lane`). A run that adds nothing else
+finishes without touching its plane: its packed block is a read-only
+broadcast of the narrowed column over every lane.
 """
 
 from __future__ import annotations
@@ -143,6 +149,11 @@ class ArrayState:
         geometry: The array dimensions.
         write_counts: ``rows x cols`` accumulated cell writes.
         read_counts: ``rows x cols`` accumulated cell reads.
+        columns: On an accumulating state, per kind (``"write"``,
+            ``"read"``), the per-offset counts :meth:`add_every_lane`
+            gave every lane, kept apart from the plane: an accumulating
+            state's counts are its plane plus its column on every lane,
+            and only :meth:`finish` combines them.
         packed: ``None`` while the state accumulates (float64 counters
             the ``add_*``/``record_*`` methods update); on a finished
             state, the :func:`pack_counts` form of each counter the run
@@ -156,6 +167,7 @@ class ArrayState:
         shape = (geometry.rows, geometry.cols)
         self.write_counts = np.zeros(shape, dtype=np.float64)
         self.read_counts = np.zeros(shape, dtype=np.float64)
+        self.columns: Dict[str, np.ndarray] = {}
         self.packed: Optional[Dict[str, Packed]] = None
 
     def _scratch_buffer(self) -> np.ndarray:
@@ -203,6 +215,7 @@ class ArrayState:
         state.geometry = geometry
         state.write_counts = write_counts
         state.read_counts = read_counts
+        state.columns = {}
         state.packed = None
         return state
 
@@ -265,13 +278,19 @@ class ArrayState:
         """This accumulated state's counters as a finished, packed state.
 
         The counters are narrowed once into new arrays, so the
-        accumulator (often a pooled workspace) can be reused at once.
+        accumulator (often a pooled workspace) can be reused at once; it
+        is left as it was. A kind with a nonzero column
+        (:meth:`add_every_lane`) holds a count on every lane: when its
+        plane was written on no lane, its block is a read-only
+        broadcast of the narrowed column, so only the column is checked
+        and cast; otherwise the column is added to the plane in the
+        pool's scratch workspace, and that sum is narrowed.
 
         Args:
             orientation: Lane orientation, which picks the lane axis.
-            lanes: Sorted, distinct lanes outside which every counter is
-                zero (the lanes the kernel added to); ``None`` scans
-                each matrix for its nonzero lanes.
+            lanes: Sorted, distinct lanes outside which every plane
+                counter is zero (the lanes the kernel's products wrote);
+                ``None`` scans each plane for its nonzero lanes.
             track_reads: Pack the read counters too. Packed reads that
                 cover no lane are dropped, as if untracked.
 
@@ -279,16 +298,40 @@ class ArrayState:
             InexactCountError: if a count is not an exact non-negative
                 integer.
         """
-        write, peak = _pack(self.write_counts, orientation, lanes)
+        write, peak = self._finished("write", orientation, lanes)
         read = None
         if track_reads:
-            read = pack_counts(self.read_counts, orientation, lanes)
+            read, _ = self._finished("read", orientation, lanes)
             if not len(read[0]):
                 read = None
         state = ArrayState.from_packed(self.geometry, orientation, write, read)
         # The narrowing pass already found the peak.
         state._peak = peak
         return state
+
+    def _finished(
+        self,
+        kind: str,
+        orientation: Orientation,
+        lanes: Optional[np.ndarray],
+    ) -> Tuple[Packed, float]:
+        """One kind's :func:`_pack`, its column added on every lane."""
+        plane = self._target(kind)
+        column = self.columns.get(kind)
+        if column is None or not column.any():
+            return _pack(plane, orientation, lanes)
+        every = np.arange(self.geometry.lane_count(orientation))
+        if lanes is not None and not len(lanes):
+            narrow, peak = _narrow(column)
+            block = np.broadcast_to(narrow[:, None], (len(column), len(every)))
+            return (every, block), peak
+        merged = self._scratch_buffer()
+        np.add(
+            self.lane_view(plane, orientation),
+            column[:, None],
+            out=self.lane_view(merged, orientation),
+        )
+        return _pack(merged, orientation, every)
 
     # -- single-cell events (exact replay path) -------------------------
 
@@ -354,8 +397,9 @@ class ArrayState:
     ) -> None:
         """Add the same per-offset counts to every lane.
 
-        :meth:`add_lane_profile` with an all-ones lane weight, as one
-        broadcast add instead of an outer product.
+        :meth:`add_lane_profile` with an all-ones lane weight, kept as
+        ``kind``'s column (:attr:`columns`) instead of broadcast into
+        the plane; :meth:`finish` combines the two.
         """
         offset_counts = np.asarray(offset_counts, dtype=np.float64)
         if offset_counts.shape != (self.geometry.lane_size(orientation),):
@@ -363,8 +407,13 @@ class ArrayState:
                 f"offset_counts length {offset_counts.shape} != lane size "
                 f"{self.geometry.lane_size(orientation)}"
             )
-        target = self.lane_view(self._target(kind), orientation)
-        target += offset_counts[:, None]
+        if not self._target(kind).flags.writeable:
+            raise ValueError(f"{kind} counts are not tracked on this state")
+        column = self.columns.get(kind)
+        if column is None:
+            self.columns[kind] = offset_counts.copy()
+        else:
+            column += offset_counts
 
     def add_lane_profiles(
         self,

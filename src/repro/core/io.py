@@ -152,19 +152,24 @@ def load_sealed_arrays(
     The digest is checked before anything is parsed, so a truncated or
     altered record reads as ``None``; so does a record whose digest
     holds but whose header or array bytes do not describe each other.
-    The arrays are read-only views of ``data``.
+    The arrays are read-only views of ``data``: the payload is hashed
+    and viewed in place, never copied.
     """
-    seal, newline, body = data.partition(b"\n")
+    view = memoryview(data).toreadonly()
+    seal_end = data.find(b"\n")
+    body = seal_end + 1
     if (
-        not newline
-        or not seal.startswith(_ARRAYS_MAGIC)
-        or seal[len(_ARRAYS_MAGIC):]
-        != hashlib.sha256(body).hexdigest().encode("ascii")
+        seal_end < 0
+        or not data.startswith(_ARRAYS_MAGIC)
+        or data[len(_ARRAYS_MAGIC):seal_end]
+        != hashlib.sha256(view[body:]).hexdigest().encode("ascii")
     ):
         return None
-    text, newline, blob = body.partition(b"\n")
+    text_end = data.find(b"\n", body)
+    if text_end < 0:
+        return None
     try:
-        header = json.loads(text)
+        header = json.loads(data[body:text_end])
     except (ValueError, RecursionError):  # not JSON, not UTF-8, too deep
         return None
     if not isinstance(header, dict) or not isinstance(
@@ -172,18 +177,18 @@ def load_sealed_arrays(
     ):
         return None
     layout = _sealed_layout(header.get("arrays"))
-    if not newline or layout is None:
+    if layout is None:
         return None
-    arrays, offset = {}, 0
+    arrays, offset = {}, text_end + 1
     for name, dtype, shape in layout:
         size = dtype.itemsize * math.prod(shape)
-        if size > len(blob) - offset:
+        if size > len(data) - offset:
             return None
         arrays[name] = np.frombuffer(
-            blob, dtype, size // dtype.itemsize, offset
+            view, dtype, size // dtype.itemsize, offset
         ).reshape(shape)
         offset += size
-    if offset != len(blob):
+    if offset != len(data):
         return None
     return header["metadata"], arrays
 

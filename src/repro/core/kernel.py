@@ -63,9 +63,12 @@ largest set,
 
 ``sum_g P_g.T @ W_g = outer(P_r.T @ v, 1) + sum_{g != r} (P_g - P_r).T @ W_g``.
 
-The reference set costs one GEMV and a broadcast add; every other set
-pays a signed GEMM. When one program runs on every lane (``mult``) no
-GEMM runs and no between map is built — its uniforms are still drawn,
+The reference set costs one GEMV, whose per-offset column the state
+keeps apart from its counter plane (:meth:`ArrayState.add_every_lane`);
+every other set pays a signed GEMM into the plane. When one program runs
+on every lane (``mult``) no GEMM runs, no between map is built and the
+plane is never written: the finished block is a broadcast of the
+column. Its uniforms are still drawn,
 so the random stream moves on exactly as before. When the unassigned
 set is the largest (trace workloads) ``P_r`` is zero and each program
 pays its own plain GEMM, as without the rule.
@@ -79,10 +82,12 @@ product and adds it into just their counters. The distinct lanes come
 from a boolean mark, not a sort; a set wider than the cutoff skips even
 that, since each epoch alone puts it on as many lanes as it has. Every
 other set pays the full-width GEMM. The sums are the same, so the
-result is too. Either way the kernel knows which lanes it adds to —
-every lane when a reference set runs, else the lanes its sets' weights
-land on — and reports them through ``written``, so a finished run packs
-just those lanes without scanning the counters for them.
+result is too. Either way the kernel knows which lanes of the plane its
+GEMMs write — the lanes its sets' weights land on — and reports them
+through ``written``, so a finished run packs just those lanes (every
+lane when the reference column is nonzero) without scanning the
+counters for them, and the next run on the pooled plane clears just
+those.
 
 Everything stays **exact**: profiles, epoch lengths, multiplicities and
 lane weights are integer-valued float64, and every partial sum is
@@ -437,10 +442,11 @@ class _Accumulator:
 
     ``sum_g P_g.T @ W_g = outer(P_r.T @ v, 1) + sum_{g != r} (P_g - P_r).T @ W_g``
 
-    (the unassigned set's ``P`` is zero), so ``r`` costs one GEMV and
-    only the other sets pay a GEMM — none at all when one program runs
-    on every lane. When the unassigned set is the largest, ``P_r`` is
-    zero and every program set pays its own plain GEMM.
+    (the unassigned set's ``P`` is zero), so ``r`` costs one GEMV, kept
+    as the state's column (:meth:`ArrayState.add_every_lane`), and only
+    the other sets pay a GEMM — none at all when one program runs on
+    every lane. When the unassigned set is the largest, ``P_r`` is zero
+    and every program set pays its own plain GEMM.
 
     A set pays only for the lanes it touches. When its between maps
     land on at most ``lane_count // COMPACT_DIVISOR`` distinct lanes in
@@ -460,7 +466,7 @@ class _Accumulator:
         architecture: PIMArchitecture,
         config: BalanceConfig,
         state: ArrayState,
-        groups: Dict[int, Tuple[LaneProgram, List[int]]],
+        groups: Dict[int, Tuple[LaneProgram, np.ndarray]],
         remappers: Optional[Dict[int, HardwareRemapper]],
         track_reads: bool,
         written: np.ndarray,
@@ -514,11 +520,9 @@ class _Accumulator:
         }
         if self.reference is not None and unassigned.size:
             self.lanes[_UNASSIGNED] = unassigned
-        #: Lanes the run adds counts to: all of them when the reference
-        #: set's GEMV lands on every lane, else marked by :meth:`weights`.
+        #: Lanes of the plane the GEMMs write, marked by :meth:`weights`;
+        #: the reference set's column is kept apart from the plane.
         self.written = written
-        if self.reference is not None:
-            written[:] = True
 
     def lane_writes(self, key: int) -> float:
         """Writes one iteration deposits on each of the program's lanes."""
@@ -581,8 +585,7 @@ class _Accumulator:
         # are distinct, so scattered columns never collide.
         rows = np.arange(len(between_maps))[:, None]
         weights[rows, columns] = values
-        if self.reference is None:
-            self.written[assigned if touched is None else touched] = True
+        self.written[assigned if touched is None else touched] = True
         return weights, touched
 
     def _touched(self, assigned: np.ndarray) -> Optional[np.ndarray]:
@@ -609,7 +612,11 @@ class _Accumulator:
         if self.reference is not None:
             reference = rows(self.reference, "kernel.profile")
             count = len(reference[0])
-            column = np.broadcast_to(values, (count, 1))[:, 0]
+            # Contiguous: a scalar broadcast has stride 0, which the
+            # product below would take off BLAS.
+            column = np.ascontiguousarray(
+                np.broadcast_to(values, (count, 1))[:, 0]
+            )
             for profile, kind in zip(reference, ("write", "read")):
                 if profile is not None:
                     self.state.add_every_lane(
@@ -652,7 +659,7 @@ def run_batched_epochs(
     config: BalanceConfig,
     state: ArrayState,
     rng: np.random.Generator,
-    groups: Dict[int, Tuple[LaneProgram, List[int]]],
+    groups: Dict[int, Tuple[LaneProgram, np.ndarray]],
     iterations: int,
     *,
     remappers: Optional[Dict[int, HardwareRemapper]] = None,
@@ -677,9 +684,11 @@ def run_batched_epochs(
             between strategy is wear-aware.
         track_reads: Also accumulate the read distribution.
         written: A boolean mask over the lanes; the run sets it at every
-            lane it adds counts to (each lane outside stays zero), so
-            finishing the run packs those lanes without scanning for
-            them.
+            lane of the state's plane its GEMMs write (each lane outside
+            stays zero), so finishing the run packs those lanes without
+            scanning for them. The reference set's column
+            (:meth:`ArrayState.add_every_lane`) is not in the plane and
+            marks nothing.
 
     Returns:
         The number of logical epochs the run covers, however few were

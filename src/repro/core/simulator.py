@@ -27,7 +27,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -142,7 +142,9 @@ def _note_written(
     track_reads: bool,
 ) -> None:
     """Record that a finished run on the pooled planes of ``state``
-    wrote only ``lanes`` (along ``orientation``'s lane axis)."""
+    wrote only ``lanes`` of them (along ``orientation``'s lane axis);
+    the state's columns (:meth:`ArrayState.add_every_lane`) never
+    reach the planes."""
     shape = state.write_counts.shape
     planes = [("state.writes", state.write_counts)]
     if track_reads:
@@ -219,7 +221,7 @@ class _PreparedRun:
     mapping: WorkloadMapping
     state: ArrayState
     rng: np.random.Generator
-    groups: Dict[int, Tuple[object, List[int]]]
+    groups: Dict[int, Tuple[object, np.ndarray]]
     remappers: Optional[Dict[int, HardwareRemapper]]
     lane_loads: Optional[np.ndarray]
     track_reads: bool
@@ -233,7 +235,7 @@ class _PreparedRun:
     ) -> SimulationResult:
         """Wrap the accumulated counters as a :class:`SimulationResult`,
         narrowed to their packed integer form (:meth:`ArrayState.finish`;
-        ``lanes`` as there).
+        ``lanes``, the lanes of the planes the run wrote, as there).
 
         Raises:
             repro.array.state.InexactCountError: if a count is not an
@@ -325,6 +327,12 @@ class EnduranceSimulator:
         tele.count("sim.iterations", iterations)
         tele.count("sim.epochs", epochs)
         tele.gauge("sim.epochs_per_s", epochs / elapsed if elapsed > 0 else 0.0)
+        lanes = np.flatnonzero(written)
+        result = run.result(config, iterations, epochs, lanes)
+        _note_written(
+            run.state, self.architecture.orientation, lanes,
+            effective.track_reads,
+        )
         if tele.enabled:
             # Full-array reductions are only worth paying for when the
             # event is actually going somewhere.
@@ -338,15 +346,9 @@ class EnduranceSimulator:
                 seed=effective.seed,
                 seconds=round(elapsed, 6),
                 epochs_per_s=round(epochs / elapsed, 2) if elapsed > 0 else 0.0,
-                writes=float(run.state.write_counts.sum()),
-                reads=float(run.state.read_counts.sum()),
+                writes=result.state.total_writes,
+                reads=result.state.total_reads,
             )
-        lanes = np.flatnonzero(written)
-        result = run.result(config, iterations, epochs, lanes)
-        _note_written(
-            run.state, self.architecture.orientation, lanes,
-            effective.track_reads,
-        )
         return result
 
     # ------------------------------------------------------------------
@@ -381,7 +383,7 @@ class EnduranceSimulator:
         architecture = self.architecture
         mapping = mapping_for(workload, architecture)
         self._verify(mapping, config, iterations, settings.track_reads)
-        groups = self._groups(mapping)
+        groups = mapping.roles
         remappers = None
         if config.hardware:
             remappers = {
@@ -391,7 +393,7 @@ class EnduranceSimulator:
                 for key, (program, _) in groups.items()
             }
         lane_loads = (
-            self._lane_loads(mapping)
+            mapping.lane_loads()
             if config.between is StrategyKind.WEAR_AWARE
             else None
         )
@@ -519,21 +521,3 @@ class EnduranceSimulator:
             )
         if report.errors:
             raise VerificationError(report)
-
-    def _lane_loads(self, mapping: WorkloadMapping) -> np.ndarray:
-        """Per-logical-lane writes per iteration (the Wa sorting signal)."""
-        lane_count = self.architecture.lane_count
-        include = self.architecture.presets_output
-        loads = np.zeros(lane_count)
-        for lane, program in mapping.assignment.items():
-            loads[lane] = program.write_counts(include_presets=include).sum()
-        return loads
-
-    @staticmethod
-    def _groups(mapping: WorkloadMapping) -> Dict[int, Tuple[object, List[int]]]:
-        """Lanes grouped by canonical program object."""
-        groups: Dict[int, Tuple[object, List[int]]] = {}
-        for lane, program in mapping.assignment.items():
-            entry = groups.setdefault(id(program), (program, []))
-            entry[1].append(lane)
-        return groups

@@ -231,15 +231,8 @@ def verify_mapping(
         diagnostics = _relax_functional(diagnostics)
     diagnostics.extend(check_schedule(mapping))
     # Per-lane writes per iteration: the Wa sorting signal and, summed,
-    # the horizon bound's rate. One profile sum per distinct program.
-    include = architecture.presets_output
-    program_writes = {
-        id(program): program.write_counts(include_presets=include).sum()
-        for program in mapping.distinct_programs()
-    }
-    lane_loads = np.zeros(architecture.lane_count)
-    for lane, program in mapping.assignment.items():
-        lane_loads[lane] = program_writes[id(program)]
+    # the horizon bound's rate.
+    lane_loads = mapping.lane_loads()
     if config is not None:
         diagnostics.extend(
             check_config(

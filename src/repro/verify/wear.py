@@ -271,22 +271,25 @@ def check_schedule(mapping) -> List[Diagnostic]:
         )
     extra = architecture.writes_per_gate - 1
     budget = mapping.sequential_ops
-    for lane, program in sorted(mapping.assignment.items()):
+    # One representative lane per mapping is enough: the lowest.
+    offending = None
+    for program, lanes in mapping.roles.values():
         lane_ops = program.sequential_ops + program.gate_count * extra
-        if lane_ops > budget:
-            diagnostics.append(
-                Diagnostic(
-                    "RPR008",
-                    Severity.ERROR,
-                    f"lane {lane} performs {lane_ops} ops but the "
-                    f"schedule has only {budget} sequential slots",
-                    Location(
-                        program.name, place=f"lane {lane}"
-                    ),
-                    hint="a lane cannot do more work than there is time",
-                )
+        lane = int(lanes.min())
+        if lane_ops > budget and (offending is None or lane < offending[0]):
+            offending = (lane, program, lane_ops)
+    if offending is not None:
+        lane, program, lane_ops = offending
+        diagnostics.append(
+            Diagnostic(
+                "RPR008",
+                Severity.ERROR,
+                f"lane {lane} performs {lane_ops} ops but the "
+                f"schedule has only {budget} sequential slots",
+                Location(program.name, place=f"lane {lane}"),
+                hint="a lane cannot do more work than there is time",
             )
-            break  # one representative lane per mapping is enough
+        )
     lane_count = architecture.lane_count
     for phase in mapping.phases:
         if phase.active_lanes > lane_count:

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.array.architecture import PIMArchitecture
 from repro.synth.program import LaneProgram
@@ -48,6 +51,10 @@ class Phase:
 class WorkloadMapping:
     """One workload iteration mapped onto a concrete architecture.
 
+    The assignment must not change once the mapping is built:
+    :attr:`roles`, which every per-program question reads, is derived
+    from it once, on first use.
+
     Attributes:
         workload_name: Source workload label.
         architecture: The target architecture.
@@ -60,6 +67,21 @@ class WorkloadMapping:
     architecture: PIMArchitecture
     assignment: Dict[int, LaneProgram]
     phases: List[Phase]
+
+    @cached_property
+    def roles(self) -> Dict[int, Tuple[LaneProgram, np.ndarray]]:
+        """``id(program) -> (program, lanes)``: each canonical program
+        and its logical lanes (read-only int64, in assignment order),
+        the programs in the order they first appear."""
+        groups: Dict[int, Tuple[LaneProgram, List[int]]] = {}
+        for lane, program in self.assignment.items():
+            groups.setdefault(id(program), (program, []))[1].append(lane)
+        roles = {}
+        for key, (program, lanes) in groups.items():
+            lanes = np.array(lanes, dtype=np.int64)
+            lanes.flags.writeable = False
+            roles[key] = (program, lanes)
+        return roles
 
     @property
     def sequential_ops(self) -> int:
@@ -91,24 +113,28 @@ class WorkloadMapping:
         weighted = sum(phase.steps * phase.active_lanes for phase in self.phases)
         return weighted / (total_steps * lane_count)
 
+    def lane_loads(self) -> np.ndarray:
+        """Per-logical-lane writes per iteration (with the
+        architecture's presets), zero on unassigned lanes: the wear-aware
+        sorting signal."""
+        include = self.architecture.presets_output
+        loads = np.zeros(self.architecture.lane_count)
+        for program, lanes in self.roles.values():
+            loads[lanes] = program.write_counts(include_presets=include).sum()
+        return loads
+
     @property
     def writes_per_iteration(self) -> float:
         """Total cell writes per iteration (with the architecture's presets)."""
-        include = self.architecture.presets_output
-        return float(
-            sum(
-                program.write_counts(include_presets=include).sum()
-                for program in self.assignment.values()
-            )
-        )
+        return float(self.lane_loads().sum())
 
     @property
     def reads_per_iteration(self) -> float:
         """Total cell reads per iteration."""
         return float(
             sum(
-                program.read_counts().sum()
-                for program in self.assignment.values()
+                int(program.read_counts().sum()) * len(lanes)
+                for program, lanes in self.roles.values()
             )
         )
 
@@ -122,8 +148,9 @@ class WorkloadMapping:
         extra = self.architecture.writes_per_gate - 1
         return float(
             sum(
-                program.sequential_ops + program.gate_count * extra
-                for program in self.assignment.values()
+                (program.sequential_ops + program.gate_count * extra)
+                * len(lanes)
+                for program, lanes in self.roles.values()
             )
         )
 
@@ -157,7 +184,9 @@ class WorkloadMapping:
             )
         slots = self.architecture.writes_per_gate
         budget = self.sequential_ops
-        for lane, program in self.assignment.items():
+        # Roles come in first-appearance order, so the first offending
+        # role's first lane is the first offending lane.
+        for program, lanes in self.roles.values():
             lane_ops = (
                 program.sequential_ops
                 - program.gate_count
@@ -165,8 +194,8 @@ class WorkloadMapping:
             )
             if lane_ops > budget:
                 raise ValueError(
-                    f"lane {lane} performs {lane_ops} ops but the schedule "
-                    f"has only {budget} sequential slots"
+                    f"lane {lanes[0]} performs {lane_ops} ops but the "
+                    f"schedule has only {budget} sequential slots"
                 )
 
     def operation_costs(self, energy_model=None):
@@ -187,10 +216,7 @@ class WorkloadMapping:
 
     def distinct_programs(self) -> List[LaneProgram]:
         """The canonical program objects, one per lane role."""
-        seen: Dict[int, LaneProgram] = {}
-        for program in self.assignment.values():
-            seen.setdefault(id(program), program)
-        return list(seen.values())
+        return [program for program, _ in self.roles.values()]
 
 
 class Workload(ABC):

@@ -2,7 +2,7 @@
 
 The oracle is the float64 accumulator a run fills, which every result
 held before runs were narrowed at the end: the kernel run into a fresh,
-unpooled state. Across all 18 configurations, both orientations, and
+unpooled state, with the column every lane shares added to its plane. Across all 18 configurations, both orientations, and
 reads tracked and not, a finished result's unsigned integer counters
 must equal it, its packed lanes must be exactly the lanes holding a
 count, every analysis must give the same figures from either form, and
@@ -52,7 +52,10 @@ ITERATIONS = 60
 
 
 def float64_oracle(arch, workload, config, settings):
-    """The run's float64 accumulator: the kernel on a fresh state."""
+    """The run's float64 accumulator: the kernel on a fresh state, with
+    the column every lane shares (kept apart from the plane until the
+    run finishes) added to every lane here, in float64, so the oracle
+    never goes through the packing it checks."""
     simulator = EnduranceSimulator(arch, settings)
     run = simulator._prepare(workload, config, ITERATIONS, settings)
     state = ArrayState(arch.geometry)
@@ -61,6 +64,10 @@ def float64_oracle(arch, workload, config, settings):
         remappers=run.remappers, lane_loads=run.lane_loads,
         track_reads=settings.track_reads,
     )
+    for kind, column in state.columns.items():
+        plane = state.write_counts if kind == "write" else state.read_counts
+        state.lane_view(plane, arch.orientation)[...] += column[:, None]
+    state.columns = {}
     return state
 
 
@@ -168,6 +175,32 @@ def test_fleet_thresholds_equal_the_float64_path(arch, repacking):
     ours = population.death_thresholds([result], 7, offsets)
     theirs = population.death_thresholds([wide], 7, offsets)
     assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("track_reads", [True, False],
+                         ids=["reads", "no-reads"])
+@pytest.mark.parametrize("arch", list(ARCHES.values()), ids=list(ARCHES))
+def test_one_program_finishes_as_one_column(arch, track_reads):
+    # One program on every lane: the kernel never writes the plane, so
+    # each finished block is a read-only view of one column, and its
+    # counts are the per-epoch oracle's.
+    settings = SimulationSettings(seed=11, track_reads=track_reads)
+    simulator = EnduranceSimulator(arch, settings)
+    workload = WORKLOADS["every-lane"]
+    names = ["write", "read"] if track_reads else ["write"]
+    for config in CONFIGS:
+        result = simulator.run(workload, config, ITERATIONS)
+        oracle = simulator._run_epoch_loop(workload, config, ITERATIONS)
+        assert list(result.state.packed) == names
+        for name in names:
+            lanes, block = result.state.packed[name]
+            assert np.array_equal(lanes, np.arange(arch.lane_count))
+            assert block.strides[1] == 0, (config.label, name)
+            assert not block.flags.writeable
+            counts = f"{name}_counts"
+            assert np.array_equal(
+                getattr(result.state, counts), getattr(oracle.state, counts)
+            ), (config.label, name)
 
 
 @pytest.mark.parametrize("track_reads", [True, False],

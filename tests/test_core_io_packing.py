@@ -213,6 +213,42 @@ class TestRoundTrip:
             loaded.state.write_counts += 1
 
 
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_broadcast_block_round_trips(self, tmp_path, orientation):
+        # One program on every lane: the finished blocks are broadcasts
+        # of one column, which every path brings back as equal counts.
+        architecture = default_architecture(32, 32)
+        if architecture.orientation is not orientation:
+            architecture = replace(architecture, orientation=orientation)
+        job = JobSpec(
+            workload=ParallelMultiplication(bits=4),
+            architecture=architecture,
+            config=BalanceConfig.from_label("RaxRa+Hw"),
+            iterations=40,
+            seed=2,
+            track_reads=True,
+        )
+        result = EnduranceSimulator(
+            architecture, settings=job.settings
+        ).run(job.workload, job.config, job.iterations)
+        write_counts = result.state.write_counts
+        read_counts = result.state.read_counts
+        for name in ("write", "read"):
+            assert result.state.packed[name][1].strides[1] == 0, name
+
+        metadata, arrays = encode_result(result)
+        assert metadata["counters"] == ["write", "read"]
+        assert_restored(
+            restore_result(metadata, arrays), write_counts, read_counts
+        )
+        path = str(tmp_path / "run.result")
+        save_result(result, path)
+        assert_restored(load_result(path), write_counts, read_counts)
+        store = ResultStore(tmp_path / "store")
+        store.save(job, result)
+        assert_restored(store.load(job), write_counts, read_counts)
+
+
 class TestInexactCounts:
     @pytest.mark.parametrize("value", INEXACT_VALUES)
     @pytest.mark.parametrize("orientation", list(Orientation))

@@ -333,9 +333,13 @@ class TestLaneLayouts:
         assert maps.call_count >= 1
         for call in maps.call_args_list:
             assert call.kwargs["with_between"] is False
-        # The kernel accumulated into the pooled workspace, which the
-        # oracle's set-up zeroes again.
-        kernel_counts = run.state.write_counts.copy()
+        # The kernel kept every lane's counts as the state's column and
+        # never wrote the pooled plane; finishing copies them out before
+        # the oracle's set-up zeroes the plane again.
+        assert not run.state.write_counts.any()
+        kernel_counts = run.state.finish(
+            ARCH.orientation, track_reads=False
+        ).write_counts
         oracle_rng = np.random.default_rng(5)
         oracle = sim._run_epoch_loop(workload, config, 100, rng=oracle_rng)
         assert run.rng.random() == oracle_rng.random()

@@ -413,6 +413,27 @@ class TestPooledPlaneZeroing:
                 sim.run(workload, config, 50)
         self._assert_same_counts(sim.run(workload, config, 50), expected)
 
+    @pytest.mark.parametrize("label", ["StxSt", "RaxRa", "BsxBs"])
+    def test_one_program_leaves_the_planes_clean(self, label):
+        import repro.core.simulator as simulator
+
+        # mult runs one program on every lane: its counts stay one
+        # column, so it records no plane lanes, and the conv run after
+        # it, which clears nothing, equals a run on a fresh plane.
+        arch = default_architecture()
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=2))
+        config = BalanceConfig.from_label(label)
+        conv = get_workload("conv")
+        sim.run(conv, config, 300)
+        sim.run(get_workload("mult"), config, 300)
+        shape = (arch.geometry.rows, arch.geometry.cols)
+        for slot in ("state.writes", "state.reads"):
+            _, _, lanes = simulator._WRITTEN_LANES[(slot, shape)]
+            assert not len(lanes), slot
+        after = sim.run(conv, config, 300)
+        POOL.clear()
+        self._assert_same_counts(after, sim.run(conv, config, 300))
+
     def test_orientation_change_on_one_shape(self, tiny_arch):
         # A column-parallel run's lanes are columns; a row-parallel run
         # on the same pooled planes must not read them as rows.

@@ -1,8 +1,10 @@
 """Every shipped workload's phase schedule must match its programs."""
 
+import numpy as np
 import pytest
 
 from repro.array.architecture import PINATUBO, default_architecture
+from repro.verify import check_schedule
 from repro.workloads.base import Phase, WorkloadMapping
 from repro.workloads.bnn import BinaryNeuron
 from repro.workloads.convolution import Convolution
@@ -77,3 +79,82 @@ class TestValidatorCatchesDrift:
         with pytest.raises(ValueError):
             slightly_off.validate_schedule(tolerance=0.0)
         slightly_off.validate_schedule(tolerance=0.01)
+
+
+class TestLaneRoles:
+    """The per-role table answers every per-program question as the
+    per-lane loops over the assignment did."""
+
+    @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+    def test_roles_answer_as_the_lane_loop(self, workload):
+        mapping = workload.build(default_architecture(256, 256))
+        include = mapping.architecture.presets_output
+        extra = mapping.architecture.writes_per_gate - 1
+        programs = list(mapping.assignment.values())
+        assert mapping.roles is mapping.roles  # built once
+        assert sorted(
+            lane for _, lanes in mapping.roles.values() for lane in lanes
+        ) == sorted(mapping.assignment)
+        for key, (program, lanes) in mapping.roles.items():
+            assert key == id(program)
+            assert not lanes.flags.writeable
+            assert all(mapping.assignment[lane] is program for lane in lanes)
+        assert mapping.distinct_programs() == list(
+            {id(p): p for p in programs}.values()
+        )
+        assert mapping.writes_per_iteration == float(
+            sum(p.write_counts(include_presets=include).sum() for p in programs)
+        )
+        assert mapping.reads_per_iteration == float(
+            sum(p.read_counts().sum() for p in programs)
+        )
+        assert mapping.lane_work() == float(
+            sum(p.sequential_ops + p.gate_count * extra for p in programs)
+        )
+        loads = np.zeros(mapping.architecture.lane_count)
+        for lane, program in mapping.assignment.items():
+            loads[lane] = program.write_counts(include_presets=include).sum()
+        assert np.array_equal(mapping.lane_loads(), loads)
+
+    def test_overcommitted_lane_reports_as_before(self):
+        # Roles of different lengths in a shuffled assignment order,
+        # under a budget only the longer roles overrun: the validator
+        # names the first offending lane in assignment order, the
+        # diagnostic the lowest.
+        mapping = DotProduct(n_elements=64, bits=8).build(
+            default_architecture(256, 256)
+        )
+        slots = mapping.architecture.writes_per_gate
+
+        def lane_ops(program):
+            return program.sequential_ops + program.gate_count * (slots - 1)
+
+        ops = sorted({lane_ops(p) for p in mapping.distinct_programs()})
+        assert len(ops) > 2
+        budget = ops[len(ops) // 2]
+        items = list(mapping.assignment.items())
+        order = items[1::2] + items[::2][::-1]
+        broken = WorkloadMapping(
+            workload_name=mapping.workload_name,
+            architecture=mapping.architecture,
+            assignment=dict(order),
+            phases=[Phase("squeezed", budget, 0)],
+        )
+        first = next(
+            lane for lane, program in order if lane_ops(program) > budget
+        )
+        lowest = min(
+            lane for lane, program in order if lane_ops(program) > budget
+        )
+        assert first != lowest
+        with pytest.raises(ValueError, match=f"^lane {first} performs"):
+            broken.validate_schedule(tolerance=1.0)
+        (diagnostic,) = [
+            d for d in check_schedule(broken) if "sequential" in d.message
+        ]
+        assert diagnostic.message == (
+            f"lane {lowest} performs "
+            f"{lane_ops(broken.assignment[lowest])} ops but the schedule "
+            f"has only {budget} sequential slots"
+        )
+        assert diagnostic.location.place == f"lane {lowest}"
