@@ -5,11 +5,14 @@ each memory cell is counted" (Section 4). :class:`ArrayState` holds those
 counters as numpy matrices in physical ``(row, col)`` coordinates.
 
 A state has two forms. While a run accumulates, its counters are
-float64 matrices, the type BLAS multiplies in. Every count is an integer
-and every partial sum stays below 2^53 (RPR019), so the float64 sums are
-exact. When the run ends, :meth:`ArrayState.finish` narrows them once
-into the **packed** form that results hold, ship between processes and
-store (:mod:`repro.core.io`): per counter, the sorted indices of the
+floating-point matrices, which BLAS multiplies: float32 when the run's
+per-cell bound proves every partial sum stays within 2^24
+(:func:`repro.core.kernel.accumulation_dtype`), else float64, whose
+partial sums RPR019 keeps below 2^53. Every count is an integer, so
+either way the sums are exact. When the run ends,
+:meth:`ArrayState.finish` narrows them once into the **packed** form
+that results hold, ship between processes and store
+(:mod:`repro.core.io`): per counter, the sorted indices of the
 lanes that may hold a count (columns on a column-parallel array, rows
 on a row-parallel one) and the block of just those lanes, shape
 ``(lane size, len(lanes))``, in the narrowest unsigned integer dtype
@@ -49,8 +52,10 @@ class InexactCountError(ValueError):
 
 def _narrow(block: np.ndarray) -> Tuple[np.ndarray, float]:
     """``block`` cast to the narrowest dtype of :data:`COUNT_DTYPES`
-    whose cast reproduces every value (``np.array_equal``), and its
-    largest value (0 for an empty block).
+    whose cast reproduces every value, and its largest value (0 for an
+    empty block). The cast is compared back in the block's own dtype,
+    cast in the ufunc's buffered chunks: a float32 block is compared
+    in float32, and no comparison makes a full-size temporary.
 
     Raises:
         InexactCountError: if no such dtype exists.
@@ -64,8 +69,14 @@ def _narrow(block: np.ndarray) -> Tuple[np.ndarray, float]:
                 narrow = block.astype(dtype)
                 # A value that does not survive the narrowest cast that
                 # fits its range is not an integer, and survives no
-                # wider one.
-                if np.array_equal(narrow, block):
+                # wider one. A fractional value is below 2^52 (2^23 in
+                # float32), so its floor casts back exactly and differs.
+                same = np.equal(
+                    narrow, block,
+                    signature=(block.dtype, block.dtype, np.bool_),
+                    casting="unsafe",
+                )
+                if same.all():
                     return narrow, float(high)
                 break
     raise InexactCountError(
@@ -154,8 +165,9 @@ class ArrayState:
             gave every lane, kept apart from the plane: an accumulating
             state's counts are its plane plus its column on every lane,
             and only :meth:`finish` combines them.
-        packed: ``None`` while the state accumulates (float64 counters
-            the ``add_*``/``record_*`` methods update); on a finished
+        packed: ``None`` while the state accumulates (floating-point
+            counters, float64 on a new state, that the
+            ``add_*``/``record_*`` methods update); on a finished
             state, the :func:`pack_counts` form of each counter the run
             tracked (``"write"``, and ``"read"`` when reads were
             counted), from whose blocks the read-only integer
@@ -170,19 +182,25 @@ class ArrayState:
         self.columns: Dict[str, np.ndarray] = {}
         self.packed: Optional[Dict[str, Packed]] = None
 
+    @property
+    def dtype(self) -> np.dtype:
+        """An accumulating state's counter dtype (float32 or float64)."""
+        return self.write_counts.dtype
+
     def _scratch_buffer(self) -> np.ndarray:
-        """The process pool's full-array float64 workspace.
+        """The process pool's full-array workspace in :attr:`dtype`.
 
         Bulk accumulation lands products here before adding them into the
         counters, so repeated calls stop allocating a rows x cols
         temporary (8 MB at the paper's 1024 x 1024) per call. One slot
-        serves every state of a geometry, so retained results hold no
-        scratch; callers consume it before the next request.
+        serves every state of a geometry and dtype, so retained results
+        hold no scratch; callers consume it before the next request.
         """
         from repro.core.scratch import POOL  # repro.core imports this module
 
         return POOL.get(
-            "state.scratch", (self.geometry.rows, self.geometry.cols)
+            "state.scratch", (self.geometry.rows, self.geometry.cols),
+            self.dtype,
         )
 
     @classmethod
@@ -195,17 +213,23 @@ class ArrayState:
         """An accumulating state over existing counter matrices.
 
         The matrices are taken by reference (coerced to contiguous
-        float64 only if needed), so a pooled workspace accumulates in
-        place. ``read_counts=None`` means "reads are not tracked": the
-        read plane is a read-only broadcast zero plane that costs no
+        float64 only if needed; a float32 write plane is kept, and the
+        read plane takes its dtype), so a pooled workspace accumulates
+        in place. ``read_counts=None`` means "reads are not tracked":
+        the read plane is a read-only broadcast zero plane that costs no
         memory, and any add into it raises.
         """
         shape = (geometry.rows, geometry.cols)
-        write_counts = np.ascontiguousarray(write_counts, dtype=np.float64)
+        dtype = (
+            np.float32
+            if np.asarray(write_counts).dtype == np.float32
+            else np.float64
+        )
+        write_counts = np.ascontiguousarray(write_counts, dtype=dtype)
         if read_counts is None:
-            read_counts = np.broadcast_to(np.float64(0.0), shape)
+            read_counts = np.broadcast_to(dtype(0), shape)
         else:
-            read_counts = np.ascontiguousarray(read_counts, dtype=np.float64)
+            read_counts = np.ascontiguousarray(read_counts, dtype=dtype)
         if write_counts.shape != shape or read_counts.shape != shape:
             raise ValueError(
                 f"counter shape {write_counts.shape}/{read_counts.shape} "
@@ -368,8 +392,8 @@ class ArrayState:
             orientation: Lane orientation.
             kind: ``"write"`` or ``"read"``.
         """
-        offset_counts = np.asarray(offset_counts, dtype=np.float64)
-        lane_weights = np.asarray(lane_weights, dtype=np.float64)
+        offset_counts = np.asarray(offset_counts, dtype=self.dtype)
+        lane_weights = np.asarray(lane_weights, dtype=self.dtype)
         if offset_counts.shape != (self.geometry.lane_size(orientation),):
             raise ValueError(
                 f"offset_counts length {offset_counts.shape} != lane size "
@@ -401,7 +425,7 @@ class ArrayState:
         ``kind``'s column (:attr:`columns`) instead of broadcast into
         the plane; :meth:`finish` combines the two.
         """
-        offset_counts = np.asarray(offset_counts, dtype=np.float64)
+        offset_counts = np.asarray(offset_counts, dtype=self.dtype)
         if offset_counts.shape != (self.geometry.lane_size(orientation),):
             raise ValueError(
                 f"offset_counts length {offset_counts.shape} != lane size "
@@ -431,9 +455,11 @@ class ArrayState:
         ``sum_e outer(offset_profiles[e], lane_weights[e])``
 
         is exactly ``offset_profiles.T @ lane_weights`` — a single
-        matrix product instead of ``E`` outer products. All inputs are
-        integer-valued float64, so the reduction is exact in any order
-        and the result is bit-identical to the per-epoch loop.
+        matrix product instead of ``E`` outer products, in the state's
+        :attr:`dtype`. All inputs are integers that dtype holds, and the
+        run's bound keeps every partial sum in its exact range, so the
+        reduction is exact in any order and the result is bit-identical
+        to the per-epoch loop.
 
         With ``lanes`` given, column ``j`` of ``lane_weights`` stands
         for physical lane ``lanes[j]`` and every other lane's weight is
@@ -451,8 +477,8 @@ class ArrayState:
             lanes: Distinct physical lanes the weight columns stand
                 for; ``None`` means every lane, in order.
         """
-        offset_profiles = np.asarray(offset_profiles, dtype=np.float64)
-        lane_weights = np.asarray(lane_weights, dtype=np.float64)
+        offset_profiles = np.asarray(offset_profiles, dtype=self.dtype)
+        lane_weights = np.asarray(lane_weights, dtype=self.dtype)
         if (
             offset_profiles.ndim != 2
             or lane_weights.ndim != 2

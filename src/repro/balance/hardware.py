@@ -195,8 +195,9 @@ class HardwareRemapper:
         lengths: np.ndarray,
         within_maps: "np.ndarray | None" = None,
         reads: bool = True,
+        dtype=np.float64,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Batched :meth:`profile`: one epoch per row.
+        """Batched :meth:`profile`: one epoch per row, in ``dtype``.
 
         Row ``e`` equals ``profile(lengths[e], within_maps[e])``. The
         per-length domain-count cache is shared with :meth:`profile`, so
@@ -212,10 +213,12 @@ class HardwareRemapper:
                 rows if omitted).
             reads: Also build the read rows; without it the second
                 result is ``None`` and no read counts are computed.
+            dtype: The rows' float dtype (a simulation's accumulation
+                dtype); the caller makes sure it holds every count.
 
         Returns:
-            Two ``(E, lane_size)`` float arrays in physical offsets (the
-            second ``None`` when ``reads`` is false).
+            Two ``(E, lane_size)`` ``dtype`` arrays in physical offsets
+            (the second ``None`` when ``reads`` is false).
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1:
@@ -225,7 +228,7 @@ class HardwareRemapper:
         n = self.lane_size
         count = lengths.size
         unique, inverse = np.unique(lengths, return_inverse=True)
-        tables = [np.empty((unique.size, n)) for _ in range(1 + reads)]
+        tables = [np.empty((unique.size, n), dtype) for _ in range(1 + reads)]
         for i, length in enumerate(unique):
             domain = self._domain_profiles(int(length), reads)
             for table, row in zip(tables, domain):
@@ -239,7 +242,7 @@ class HardwareRemapper:
                 f"within_maps must have shape {(count, n)}, "
                 f"got {within_maps.shape}"
             )
-        profiles = [np.empty((count, n)) for _ in tables]
+        profiles = [np.empty((count, n), dtype) for _ in tables]
         for i in range(unique.size):
             epochs = np.flatnonzero(inverse == i)
             first, last = epochs[0], epochs[-1] + 1
@@ -253,6 +256,20 @@ class HardwareRemapper:
             for profile, table in zip(profiles, tables):
                 profile[epochs[:, None], maps] = table[i]
         return profiles[0], profiles[1] if reads else None
+
+    def peak_counts(
+        self, iterations: int, reads: bool = True
+    ) -> Tuple[float, Optional[float]]:
+        """The largest write count, and read count when ``reads``, that
+        one physical offset takes over an epoch of ``iterations`` runs.
+
+        A within map only moves the domain counts to other offsets, so
+        this bounds every epoch of that length, whatever its map.
+        """
+        writes, domain_reads = self._domain_profiles(iterations, reads)
+        return float(writes.max()), (
+            None if domain_reads is None else float(domain_reads.max())
+        )
 
     @property
     def writes_per_iteration(self) -> float:

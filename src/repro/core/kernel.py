@@ -90,16 +90,24 @@ counters for them, and the next run on the pooled plane clears just
 those.
 
 Everything stays **exact**: profiles, epoch lengths, multiplicities and
-lane weights are integer-valued float64, and every partial sum is
-bounded by the run's total of its kind, which ``verify_mapping`` keeps
-below 2^53 (RPR019; reads too when they are tracked). For a signed
-GEMM the bound takes one more step: at a cell of physical lane ``l``,
-the terms' magnitudes sum to what ``l`` accrues while running ``g``
-plus what a reference lane accrues over those same epochs on other
-lanes — two lanes' run totals, together at most the run's total. So
-each reduction equals the sequential per-epoch sum bit for bit, in any
-order; ``EnduranceSimulator._run_epoch_loop`` is the slow oracle the
-tests pin this kernel to. The stateful ``Wa``
+lane weights are integers, held in the run's **accumulation dtype**
+(:func:`accumulation_dtype`), and every partial sum has a bound that
+dtype holds exactly. At a cell ``(l, o)`` of physical lane ``l``, a
+signed GEMM term is what ``l`` accrues at ``o`` while running ``g``
+plus what a reference lane accrues at ``o`` over those same epochs, so
+the terms' magnitudes — summed over every set, since ``l`` is in one
+set per epoch — are at most twice ``B``, an a-priori bound on any one
+cell's count over the run (:func:`cell_bounds`). Every GEMM partial
+sum, plane entry, fold and merge is therefore bounded by ``2B``, and
+every lane weight by the iteration count. A run whose ``2B`` and
+iterations fit in 2^24 for every tracked kind accumulates in float32,
+which halves the GEMM and plane traffic; any other run accumulates in
+float64, whose partial sums are bounded by the run's total of their
+kind, which ``verify_mapping`` keeps below 2^53 (RPR019; reads too when
+they are tracked). So each reduction equals the sequential per-epoch
+sum bit for bit, in any order; ``EnduranceSimulator._run_epoch_loop``
+(in float64) is the slow oracle the tests pin this kernel to. The
+stateful ``Wa``
 between-lane strategy is the one part that must observe epoch order; it
 keeps an O(lane_count)-per-epoch incremental wear vector (per-lane
 totals are invariant under within-lane permutation, so cell-level
@@ -207,6 +215,86 @@ def epoch_lengths(config: BalanceConfig, iterations: int) -> np.ndarray:
     if remainder:
         lengths[-1] = remainder
     return lengths
+
+
+#: float32's 24-bit significand holds every integer up to 2^24 exactly.
+FLOAT32_EXACT_LIMIT = 2**24
+
+
+def cell_bounds(
+    architecture: PIMArchitecture,
+    config: BalanceConfig,
+    groups: Dict[int, Tuple[LaneProgram, np.ndarray]],
+    remappers: Optional[Dict[int, HardwareRemapper]],
+    iterations: int,
+    track_reads: bool,
+) -> Dict[str, int]:
+    """Per tracked kind (``"write"``, plus ``"read"`` when
+    ``track_reads``), an a-priori bound ``B`` on any one physical
+    cell's count over the run.
+
+    Without hardware re-mapping a cell takes at most the largest entry
+    of any program's per-iteration profile each iteration: ``B`` is
+    ``iterations`` times that. Under hardware re-mapping an epoch of
+    length ``L`` puts at most the largest of the remappers' domain
+    counts for ``L`` on a cell (:meth:`HardwareRemapper.peak_counts`):
+    ``B`` sums that over the run's epochs, which have at most two
+    lengths. The arguments are as :func:`run_batched_epochs` takes them.
+    """
+    kinds = ("write", "read") if track_reads else ("write",)
+    if not config.hardware:
+        peaks = {kind: 0 for kind in kinds}
+        for program, _ in groups.values():
+            profiles = {"write": program.write_profile(
+                include_presets=architecture.presets_output
+            )}
+            if track_reads:
+                profiles["read"] = program.read_profile()
+            for kind, profile in profiles.items():
+                peaks[kind] = max(peaks[kind], int(profile.max(initial=0)))
+        return {kind: iterations * peak for kind, peak in peaks.items()}
+    if not config.needs_recompilation:
+        runs = {iterations: 1}
+    else:
+        full, remainder = divmod(iterations, config.recompile_interval)
+        runs = {config.recompile_interval: full}
+        if remainder:
+            runs[remainder] = 1
+    bounds = {kind: 0 for kind in kinds}
+    for length, epochs in runs.items():
+        if not epochs:
+            continue
+        peaks = [
+            remappers[key].peak_counts(length, track_reads) for key in groups
+        ]
+        for index, kind in enumerate(kinds):
+            peak = max((int(p[index]) for p in peaks), default=0)
+            bounds[kind] += epochs * peak
+    return bounds
+
+
+def accumulation_dtype(
+    architecture: PIMArchitecture,
+    config: BalanceConfig,
+    groups: Dict[int, Tuple[LaneProgram, np.ndarray]],
+    remappers: Optional[Dict[int, HardwareRemapper]],
+    iterations: int,
+    track_reads: bool,
+) -> np.dtype:
+    """The dtype a run's counters, profiles and lane weights take.
+
+    float32 when its bound proves every partial sum exact there — ``2B
+    <= 2^24`` for every tracked kind (:func:`cell_bounds`) and
+    ``iterations <= 2^24`` — else float64 (see the module docstring).
+    """
+    if iterations <= FLOAT32_EXACT_LIMIT and all(
+        2 * bound <= FLOAT32_EXACT_LIMIT
+        for bound in cell_bounds(
+            architecture, config, groups, remappers, iterations, track_reads
+        ).values()
+    ):
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 def make_epoch_maps(
@@ -458,7 +546,8 @@ class _Accumulator:
     per-iteration profile scattered through a within map, and the epoch
     length rides on the lane weight. The hardware remapper's profile
     rows already carry the epoch length, so their lane weights are bare
-    multiplicities.
+    multiplicities. Every row, weight and product is in the state's
+    accumulation dtype (:attr:`dtype`).
     """
 
     def __init__(
@@ -475,6 +564,7 @@ class _Accumulator:
         self.lane_count = architecture.lane_count
         self.orientation = architecture.orientation
         self.state = state
+        self.dtype = state.dtype
         self.hardware = config.hardware
         self.remappers = remappers
         self.track_reads = track_reads
@@ -493,11 +583,17 @@ class _Accumulator:
                     f"program {program.name!r} needs {program.footprint} "
                     f"bits, lane has {self.lane_size}"
                 )
-            self.writes[key] = program.write_profile(
-                self.lane_size, include_presets=architecture.presets_output
+            self.writes[key] = np.asarray(
+                program.write_profile(
+                    self.lane_size,
+                    include_presets=architecture.presets_output,
+                ),
+                dtype=self.dtype,
             )
             if track_reads:
-                self.reads[key] = program.read_profile(self.lane_size)
+                self.reads[key] = np.asarray(
+                    program.read_profile(self.lane_size), dtype=self.dtype
+                )
         assigned = np.zeros(self.lane_count, dtype=bool)
         for lanes in self.programs.values():
             assigned[lanes] = True
@@ -541,16 +637,17 @@ class _Accumulator:
         hardware re-mapping they live in the pooled ``slot``."""
         if self.hardware:
             return self.remappers[key].profile_many(
-                lengths, within_maps, reads=self.track_reads
+                lengths, within_maps, reads=self.track_reads,
+                dtype=self.dtype,
             )
         # Pooled scratch: the scatter covers every column of every row
         # (within_maps rows are permutations), so no zero-fill is needed.
         rows = np.arange(len(within_maps))[:, None]
-        writes = POOL.get(slot + "_writes", within_maps.shape)
+        writes = POOL.get(slot + "_writes", within_maps.shape, self.dtype)
         writes[rows, within_maps] = self.writes[key]
         reads = None
         if self.track_reads:
-            reads = POOL.get(slot + "_reads", within_maps.shape)
+            reads = POOL.get(slot + "_reads", within_maps.shape, self.dtype)
             reads[rows, within_maps] = self.reads[key]
         return writes, reads
 
@@ -558,7 +655,7 @@ class _Accumulator:
         """The per-epoch factor a lane weight carries (see class doc)."""
         if self.hardware:
             return 1.0
-        return lengths.astype(np.float64)[:, None]
+        return lengths.astype(self.dtype)[:, None]
 
     def weights(
         self, key: object, between_maps: np.ndarray, values
@@ -572,12 +669,13 @@ class _Accumulator:
             weights = POOL.get(
                 "kernel.lane_weights",
                 (len(between_maps), self.lane_count),
+                self.dtype,
                 zero=True,
             )
             columns = assigned
         else:
             # Fresh, not pooled: the width varies from set to set.
-            weights = np.zeros((len(between_maps), touched.size))
+            weights = np.zeros((len(between_maps), touched.size), self.dtype)
             column_of = np.empty(self.lane_count, dtype=np.intp)
             column_of[touched] = np.arange(touched.size)
             columns = column_of[assigned]
@@ -615,7 +713,7 @@ class _Accumulator:
             # Contiguous: a scalar broadcast has stride 0, which the
             # product below would take off BLAS.
             column = np.ascontiguousarray(
-                np.broadcast_to(values, (count, 1))[:, 0]
+                np.broadcast_to(values, (count, 1))[:, 0], dtype=self.dtype
             )
             for profile, kind in zip(reference, ("write", "read")):
                 if profile is not None:
@@ -719,6 +817,10 @@ def run_batched_epochs(
         tele.count("fastforward.epochs_collapsed", total_epochs - materialized)
     tele.count("kernel.gemms", accumulator.gemms)
     tele.count("kernel.compact_gemms", accumulator.compact_gemms)
+    if accumulator.dtype == np.float32:
+        tele.count("kernel.float32_runs")
+    else:
+        tele.count("kernel.float64_runs")
     return total_epochs
 
 
@@ -728,8 +830,9 @@ def _fastforward(
     """Both axes periodic: one period block plus the remainder epoch.
 
     Epoch ``e`` (mod ``period``) occurs ``q`` times, plus once more for
-    the first ``r`` phase positions — integer multiplicities, exact in
-    float64. Returns the number of epochs materialized.
+    the first ``r`` phase positions — integer multiplicities, at most
+    the iteration count, so exact in the accumulation dtype. Returns the
+    number of epochs materialized.
     """
     if config.needs_recompilation:
         interval = config.recompile_interval
@@ -741,7 +844,7 @@ def _fastforward(
     block = min(period, full_epochs)
     multiplicity = q + (np.arange(block, dtype=np.int64) < r)
     for count, epoch_start, length, repeats in (
-        (block, 0, interval, multiplicity.astype(np.float64)[:, None]),
+        (block, 0, interval, multiplicity.astype(acc.dtype)[:, None]),
         (1 if remainder else 0, full_epochs, remainder, 1.0),
     ):
         if not count:

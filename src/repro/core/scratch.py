@@ -4,7 +4,8 @@ The epoch kernel (chunked GEMM and fast-forward, E30), the
 compiled SWAR evaluator (uint64 bitplanes, E32), and
 :meth:`ArrayState.add_lane_profiles` all need per-chunk or per-batch
 workspaces of a few recurring shapes, and every simulation accumulates
-its counters in a float64 workspace per geometry. They take them from
+its counters in a workspace per geometry and accumulation dtype
+(float32 or float64). They take them from
 :data:`POOL`, one :class:`BufferPool` shared by the whole process, so a
 grid of runs on the same geometry allocates each workspace once, and a
 retained result holds no scratch (``docs/performance.md`` has the peak

@@ -39,6 +39,7 @@ from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper, remapper_for
 from repro.balance.software import StrategyKind, wear_aware_permutation
 from repro.core.kernel import (
+    accumulation_dtype,
     epoch_lengths,
     kernel_path,
     make_epoch_maps,
@@ -93,11 +94,11 @@ def mapping_for(
     return mapping
 
 
-#: Per pooled counter plane, keyed on ``(slot, shape)``: a weak
-#: reference to the plane, and the orientation and lanes of the last
-#: run on it, kept only once that run finished without an error. Every
-#: lane outside them is still zero, so :func:`_zeroed_plane` clears
-#: just these.
+#: Per pooled counter plane, keyed on ``(slot, shape, dtype)`` as
+#: :data:`POOL` keys it: a weak reference to the plane, and the
+#: orientation and lanes of the last run on it, kept only once that run
+#: finished without an error. Every lane outside them is still zero, so
+#: :func:`_zeroed_plane` clears just these.
 _WRITTEN_LANES: Dict[tuple, Tuple[weakref.ref, Orientation, np.ndarray]] = {}
 
 #: A plane whose last run wrote more than ``lane count // ZERO_RUNS_DIVISOR``
@@ -107,8 +108,10 @@ _WRITTEN_LANES: Dict[tuple, Tuple[weakref.ref, Orientation, np.ndarray]] = {}
 ZERO_RUNS_DIVISOR = 32
 
 
-def _zeroed_plane(slot: str, shape: Tuple[int, int]) -> np.ndarray:
-    """The pool's float64 counter plane ``slot``, all zero.
+def _zeroed_plane(
+    slot: str, shape: Tuple[int, int], dtype: np.dtype
+) -> np.ndarray:
+    """The pool's ``dtype`` counter plane ``slot``, all zero.
 
     When the last run on this very plane finished and wrote few runs
     of lanes (a trace cell's programs), only those are cleared;
@@ -117,9 +120,9 @@ def _zeroed_plane(slot: str, shape: Tuple[int, int]) -> np.ndarray:
     :func:`_note_written` records the coming run's lanes, the plane
     counts as wholly dirty.
     """
-    plane = POOL.get(slot, shape)
+    plane = POOL.get(slot, shape, dtype)
     ref, orientation, lanes = _WRITTEN_LANES.pop(
-        (slot, shape), (None, None, None)
+        (slot, shape, plane.dtype.str), (None, None, None)
     )
     if ref is None or ref() is not plane:
         plane[...] = 0
@@ -145,12 +148,11 @@ def _note_written(
     wrote only ``lanes`` of them (along ``orientation``'s lane axis);
     the state's columns (:meth:`ArrayState.add_every_lane`) never
     reach the planes."""
-    shape = state.write_counts.shape
     planes = [("state.writes", state.write_counts)]
     if track_reads:
         planes.append(("state.reads", state.read_counts))
     for slot, plane in planes:
-        _WRITTEN_LANES[(slot, shape)] = (
+        _WRITTEN_LANES[(slot, plane.shape, plane.dtype.str)] = (
             weakref.ref(plane), orientation, lanes
         )
 
@@ -364,13 +366,17 @@ class EnduranceSimulator:
     ) -> "_PreparedRun":
         """Validate, map and verify a run; set up its state and streams.
 
-        The counters accumulate in float64, the type BLAS multiplies in,
-        in the process pool's per-geometry workspaces, zeroed here —
-        after a finished run, only in the lanes that run wrote
-        (:func:`_zeroed_plane`): :meth:`_PreparedRun.result` narrows them
-        into the result's own arrays, so no run keeps a workspace and a
-        grid of runs allocates it once. Reads untracked, the read plane
-        is a broadcast zero plane.
+        The counters accumulate in the run's accumulation dtype, picked
+        here once from its per-cell bound
+        (:func:`repro.core.kernel.accumulation_dtype`): float32 when
+        that proves every partial sum exact there, else float64. They
+        live in the process pool's per-geometry workspaces of that
+        dtype, zeroed here — after a finished run, only in the lanes
+        that run wrote (:func:`_zeroed_plane`):
+        :meth:`_PreparedRun.result` narrows them into the result's own
+        arrays, so no run keeps a workspace and a grid of runs allocates
+        one per dtype. Reads untracked, the read plane is a broadcast
+        zero plane.
         """
         if iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -397,6 +403,10 @@ class EnduranceSimulator:
             if config.between is StrategyKind.WEAR_AWARE
             else None
         )
+        dtype = accumulation_dtype(
+            architecture, config, groups, remappers, iterations,
+            settings.track_reads,
+        )
         geometry = architecture.geometry
         shape = (geometry.rows, geometry.cols)
         return _PreparedRun(
@@ -404,8 +414,8 @@ class EnduranceSimulator:
             mapping=mapping,
             state=ArrayState.from_counts(
                 geometry,
-                _zeroed_plane("state.writes", shape),
-                _zeroed_plane("state.reads", shape)
+                _zeroed_plane("state.writes", shape, dtype),
+                _zeroed_plane("state.reads", shape, dtype)
                 if settings.track_reads
                 else None,
             ),

@@ -510,9 +510,9 @@ class LaneProgram:
     ) -> np.ndarray:
         """:meth:`write_counts` as a cached read-only float64 vector.
 
-        The epoch accumulator consumes one float64 profile per program per
-        epoch; this variant returns the same numbers without the per-call
-        defensive copy and dtype cast. Callers must not mutate the result
+        The epoch accumulator takes one profile per program per run, in
+        its accumulation dtype; this variant returns the same numbers
+        without the per-call defensive copy and dtype cast. Callers must not mutate the result
         (it is marked non-writeable).
         """
         n = self.footprint if size is None else int(size)

@@ -67,6 +67,8 @@ KNOWN_COUNTERS: frozenset = frozenset(
         "fleet.threshold_draws",
         "kernel.chunks",
         "kernel.compact_gemms",
+        "kernel.float32_runs",
+        "kernel.float64_runs",
         "kernel.gemms",
         "kernel.maps_memo_hits",
         "kernel.maps_memo_misses",

@@ -58,8 +58,9 @@ __all__ = [
 #: Codes that assert value semantics rather than wear accounting.
 FUNCTIONAL_CODES = frozenset({"RPR001", "RPR002", "RPR004"})
 
-#: float64 holds every integer below this exactly; the wear counters,
-#: epoch weights and the conservation sum are integer-valued float64.
+#: float64 holds every integer below this exactly; a run its per-cell
+#: bound keeps out of float32 holds its wear counters, epoch weights and
+#: conservation sum as integer-valued float64.
 EXACT_FLOAT_LIMIT = 2**53
 
 

@@ -428,7 +428,7 @@ class TestPooledPlaneZeroing:
         sim.run(get_workload("mult"), config, 300)
         shape = (arch.geometry.rows, arch.geometry.cols)
         for slot in ("state.writes", "state.reads"):
-            _, _, lanes = simulator._WRITTEN_LANES[(slot, shape)]
+            _, _, lanes = simulator._WRITTEN_LANES[(slot, shape, "<f4")]
             assert not len(lanes), slot
         after = sim.run(conv, config, 300)
         POOL.clear()
