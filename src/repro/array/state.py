@@ -29,7 +29,7 @@ broadcast of the narrowed column over every lane.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -153,6 +153,25 @@ def lane_runs(lanes: np.ndarray) -> List[Tuple[int, int]]:
     ]
 
 
+class _Unzeroed:
+    """An accumulating state's plane that still holds an earlier run's
+    counts (:meth:`ArrayState.from_counts`): the call that zeroes it,
+    and the lane-compact products held until it is zeroed or
+    overwritten, as ``(lane view of the plane, lanes, product)``."""
+
+    def __init__(self, plane: np.ndarray, zero: Callable[[], None]) -> None:
+        self.plane = plane
+        self.zero = zero
+        self.adds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def settle(self) -> np.ndarray:
+        """The plane, once zeroed or overwritten, with the held
+        products added into their lanes."""
+        for view, lanes, product in self.adds:
+            view[:, lanes] += product
+        return self.plane
+
+
 class ArrayState:
     """Per-cell counters for one PIM array.
 
@@ -165,8 +184,10 @@ class ArrayState:
             gave every lane, kept apart from the plane: an accumulating
             state's counts are its plane plus its column on every lane,
             and only :meth:`finish` combines them.
+        dtype: An accumulating state's counter dtype (float32 or
+            float64; float64 on a new state).
         packed: ``None`` while the state accumulates (floating-point
-            counters, float64 on a new state, that the
+            counters, in :attr:`dtype`, that the
             ``add_*``/``record_*`` methods update); on a finished
             state, the :func:`pack_counts` form of each counter the run
             tracked (``"write"``, and ``"read"`` when reads were
@@ -179,13 +200,10 @@ class ArrayState:
         shape = (geometry.rows, geometry.cols)
         self.write_counts = np.zeros(shape, dtype=np.float64)
         self.read_counts = np.zeros(shape, dtype=np.float64)
+        self.dtype = np.dtype(np.float64)
         self.columns: Dict[str, np.ndarray] = {}
         self.packed: Optional[Dict[str, Packed]] = None
-
-    @property
-    def dtype(self) -> np.dtype:
-        """An accumulating state's counter dtype (float32 or float64)."""
-        return self.write_counts.dtype
+        self._unzeroed: Dict[str, _Unzeroed] = {}
 
     def _scratch_buffer(self) -> np.ndarray:
         """The process pool's full-array workspace in :attr:`dtype`.
@@ -209,6 +227,7 @@ class ArrayState:
         geometry: ArrayGeometry,
         write_counts: np.ndarray,
         read_counts: "np.ndarray | None" = None,
+        unzeroed: "Dict[str, Callable[[], None]] | None" = None,
     ) -> "ArrayState":
         """An accumulating state over existing counter matrices.
 
@@ -218,6 +237,14 @@ class ArrayState:
         in place. ``read_counts=None`` means "reads are not tracked":
         the read plane is a read-only broadcast zero plane that costs no
         memory, and any add into it raises.
+
+        ``unzeroed`` maps each kind (``"write"``, ``"read"``) whose
+        plane still holds an earlier run's counts to the call that
+        zeroes it, and the zeroing waits. The plane's first full-width
+        product (:meth:`add_lane_profiles`) overwrites it whole, so it
+        needs none; anything else that touches the plane first —
+        reading :attr:`write_counts` or :attr:`read_counts` included —
+        zeroes it first.
         """
         shape = (geometry.rows, geometry.cols)
         dtype = (
@@ -237,10 +264,18 @@ class ArrayState:
             )
         state = cls.__new__(cls)
         state.geometry = geometry
-        state.write_counts = write_counts
-        state.read_counts = read_counts
+        state.dtype = np.dtype(dtype)
         state.columns = {}
         state.packed = None
+        state._unzeroed = {}
+        unzeroed = unzeroed or {}
+        for kind, plane in (("write", write_counts), ("read", read_counts)):
+            if kind in unzeroed:
+                # Left unset, the attribute falls through to the
+                # descriptor below, which zeroes the plane.
+                state._unzeroed[kind] = _Unzeroed(plane, unzeroed[kind])
+            else:
+                setattr(state, f"{kind}_counts", plane)
         return state
 
     @classmethod
@@ -270,8 +305,9 @@ class ArrayState:
         return state
 
     # A finished state builds each counter matrix from its block on
-    # first use; an accumulating state assigns both attributes, which
-    # shadow these descriptors.
+    # first use, and an accumulating state zeroes an unzeroed plane
+    # (see from_counts) on first use; an accumulating state assigns
+    # every other plane, which shadows these descriptors.
     @cached_property
     def write_counts(self) -> np.ndarray:
         """A finished state's writes as a read-only ``rows x cols``
@@ -286,6 +322,10 @@ class ArrayState:
         return self._unpacked("read")
 
     def _unpacked(self, name: str) -> np.ndarray:
+        if self.packed is None:
+            pending = self._unzeroed.pop(name)
+            pending.zero()
+            return pending.settle()
         shape = (self.geometry.rows, self.geometry.cols)
         if name not in self.packed:
             return np.broadcast_to(np.uint8(0), shape)
@@ -431,7 +471,10 @@ class ArrayState:
                 f"offset_counts length {offset_counts.shape} != lane size "
                 f"{self.geometry.lane_size(orientation)}"
             )
-        if not self._target(kind).flags.writeable:
+        if (
+            kind not in self._unzeroed
+            and not self._target(kind).flags.writeable
+        ):
             raise ValueError(f"{kind} counts are not tracked on this state")
         column = self.columns.get(kind)
         if column is None:
@@ -502,15 +545,32 @@ class ArrayState:
                 f"lane_weights width {lane_weights.shape[1]} != "
                 f"{'lane count' if lanes is None else 'len(lanes)'} {width}"
             )
-        target = self._target(kind)
         if lanes is not None:
-            view = self.lane_view(target, orientation)
-            view[:, lanes] += offset_profiles.T @ lane_weights
+            product = offset_profiles.T @ lane_weights
+            pending = self._unzeroed.get(kind)
+            if pending is None:
+                view = self.lane_view(self._target(kind), orientation)
+                view[:, lanes] += product
+            else:
+                # Held until the plane is zeroed or overwritten, so a
+                # full-width product after it can still overwrite it.
+                pending.adds.append(
+                    (self.lane_view(pending.plane, orientation), lanes,
+                     product)
+                )
             return
         if orientation is Orientation.COLUMN_PARALLEL:
             a, b = offset_profiles.T, lane_weights
         else:
             a, b = lane_weights.T, offset_profiles
+        pending = self._unzeroed.pop(kind, None)
+        if pending is not None:
+            # The plane's first full-width product covers it whole:
+            # written straight into it, with no zero-fill, scratch or add.
+            np.matmul(a, b, out=pending.plane)
+            setattr(self, f"{kind}_counts", pending.settle())
+            return
+        target = self._target(kind)
         scratch = self._scratch_buffer()
         np.matmul(a, b, out=scratch)
         target += scratch

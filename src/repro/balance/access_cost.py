@@ -23,6 +23,7 @@ import numpy as np
 from repro.array.geometry import Orientation
 from repro.balance.mapping import BITS_PER_BYTE
 from repro.balance.software import StrategyKind, make_permutation
+from repro.distinct import distinct
 
 
 def bytes_touched(addresses: np.ndarray) -> int:
@@ -30,7 +31,7 @@ def bytes_touched(addresses: np.ndarray) -> int:
     addresses = np.asarray(addresses, dtype=np.int64)
     if addresses.size == 0:
         return 0
-    return int(np.unique(addresses // BITS_PER_BYTE).size)
+    return int(distinct(addresses // BITS_PER_BYTE).size)
 
 
 def variable_access_cost(

@@ -42,6 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.balance.mapping import permute_rows
 from repro.synth.program import KIND_GATE, KIND_READ, KIND_WRITE, LaneProgram
 
 #: Horizons whose domain-count vectors one remapper keeps, least recently
@@ -196,25 +197,35 @@ class HardwareRemapper:
         within_maps: "np.ndarray | None" = None,
         reads: bool = True,
         dtype=np.float64,
+        *,
+        inverse_maps: "np.ndarray | None" = None,
+        out: "Tuple[np.ndarray, Optional[np.ndarray]] | None" = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Batched :meth:`profile`: one epoch per row, in ``dtype``.
 
         Row ``e`` equals ``profile(lengths[e], within_maps[e])``. The
         per-length domain-count cache is shared with :meth:`profile`, so
         a chunk of equal-length epochs costs one domain computation plus
-        one advanced-indexing scatter for the whole chunk; each distinct
-        length's row scatters straight into its epochs (broadcast when
-        every epoch has that length), with no gathered copy per epoch.
+        one pass over the chunk's rows; each distinct length's row goes
+        straight into its epochs' rows, with no copy per epoch.
 
         Args:
             lengths: Per-epoch iteration counts, shape ``(E,)``.
             within_maps: Per-epoch initial logical-to-physical maps,
                 shape ``(E, lane_size)``, of any integer dtype (identity
-                rows if omitted).
+                rows if omitted); each row is scattered through.
             reads: Also build the read rows; without it the second
                 result is ``None`` and no read counts are computed.
             dtype: The rows' float dtype (a simulation's accumulation
                 dtype); the caller makes sure it holds every count.
+            inverse_maps: The within maps' row-wise inverses
+                (:func:`~repro.balance.mapping.invert_rows`): when
+                given, each row is gathered through its inverse
+                (:func:`~repro.balance.mapping.permute_rows`) and
+                ``within_maps`` is not read.
+            out: ``(writes, reads)`` ``(E, lane_size)`` ``dtype`` arrays
+                to fill (``reads`` ``None`` without ``reads``) instead
+                of new ones; used only with within or inverse maps.
 
         Returns:
             Two ``(E, lane_size)`` ``dtype`` arrays in physical offsets
@@ -233,28 +244,36 @@ class HardwareRemapper:
             domain = self._domain_profiles(int(length), reads)
             for table, row in zip(tables, domain):
                 table[i] = row
-        if within_maps is None:
+        if within_maps is None and inverse_maps is None:
             profiles = [table[inverse] for table in tables]
             return profiles[0], profiles[1] if reads else None
-        within_maps = np.asarray(within_maps)
-        if within_maps.shape != (count, n):
+        gather = inverse_maps is not None
+        maps = np.asarray(inverse_maps if gather else within_maps)
+        if maps.shape != (count, n):
             raise ValueError(
-                f"within_maps must have shape {(count, n)}, "
-                f"got {within_maps.shape}"
+                f"{'inverse_maps' if gather else 'within_maps'} must have "
+                f"shape {(count, n)}, got {maps.shape}"
             )
-        profiles = [np.empty((count, n), dtype) for _ in tables]
+        profiles = (
+            [np.empty((count, n), dtype) for _ in tables]
+            if out is None
+            else list(out[: len(tables)])
+        )
         for i in range(unique.size):
             epochs = np.flatnonzero(inverse == i)
             first, last = epochs[0], epochs[-1] + 1
             # Equal lengths come in runs (whole epochs, then a short
-            # last one): a run's maps are a view, not a gather.
-            maps = (
-                within_maps[first:last]
-                if last - first == epochs.size
-                else within_maps[epochs]
-            )
+            # last one): a run's maps and rows are views, not gathers.
+            run = last - first == epochs.size
+            rows = slice(first, last) if run else epochs
             for profile, table in zip(profiles, tables):
-                profile[epochs[:, None], maps] = table[i]
+                target = profile[rows]
+                if gather:
+                    permute_rows(table[i], target, inverses=maps[rows])
+                else:
+                    permute_rows(table[i], target, maps=maps[rows])
+                if not run:
+                    profile[rows] = target
         return profiles[0], profiles[1] if reads else None
 
     def peak_counts(

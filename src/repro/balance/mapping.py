@@ -54,3 +54,35 @@ def invert_permutation(permutation: np.ndarray) -> np.ndarray:
     inverse = np.empty_like(permutation)
     inverse[permutation] = np.arange(permutation.size, dtype=np.int64)
     return inverse
+
+
+def invert_rows(permutations: np.ndarray) -> np.ndarray:
+    """Each row's :func:`invert_permutation`, in the rows' own dtype."""
+    count, size = permutations.shape
+    inverse = np.empty_like(permutations)
+    inverse[np.arange(count)[:, None], permutations] = np.arange(
+        size, dtype=permutations.dtype
+    )
+    return inverse
+
+
+def permute_rows(
+    values: np.ndarray,
+    out: np.ndarray,
+    maps: "np.ndarray | None" = None,
+    inverses: "np.ndarray | None" = None,
+) -> np.ndarray:
+    """``out`` with row ``e`` set to ``values`` moved through map ``e``:
+    ``out[e, maps[e, i]] = values[i]``.
+
+    Given the maps' inverses (:func:`invert_rows`) instead, each row is
+    gathered, ``out[e, j] = values[inverses[e, j]]``: it is written in
+    order rather than scattered into, about three times faster at
+    1,000 x 1,024.
+    """
+    if inverses is not None:
+        # Every index is in range, so "wrap" never wraps; the default
+        # mode buffers the output to check bounds first.
+        return np.take(values, inverses, out=out, mode="wrap")
+    out[np.arange(len(maps))[:, None], maps] = values
+    return out

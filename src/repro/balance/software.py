@@ -132,23 +132,31 @@ def make_permutations(
         epoch_start: Zero-based index of the first epoch.
 
     Returns:
-        A ``(count, size)`` int64 matrix; the Static row is a read-only
-        broadcast view (no per-epoch storage).
+        A ``(count, size)`` int64 matrix. The periodic strategies'
+        matrices are read-only views with no per-epoch storage: the
+        Static row broadcast, and the shifted rows (``Bs``/``B1``) as
+        windows onto one ring of ``step * (count - 1) + size``
+        addresses, each row starting ``step`` further along it.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     if epoch_start < 0:
         raise ValueError("epoch_start must be non-negative")
-    base = np.arange(size, dtype=np.int64)
     if kind is StrategyKind.STATIC:
-        return np.broadcast_to(base, (count, size))
-    epochs = epoch_start + np.arange(count, dtype=np.int64)
-    if kind is StrategyKind.BYTE_SHIFT:
-        offsets = (epochs * BITS_PER_BYTE) % size
-        return (base[None, :] + offsets[:, None]) % size
-    if kind is StrategyKind.BIT_SHIFT:
-        shifts = epochs % size
-        return (base[None, :] + shifts[:, None]) % size
+        return np.broadcast_to(np.arange(size, dtype=np.int64), (count, size))
+    if kind in (StrategyKind.BYTE_SHIFT, StrategyKind.BIT_SHIFT):
+        step = BITS_PER_BYTE if kind is StrategyKind.BYTE_SHIFT else 1
+        # Row e is (a + step * (epoch_start + e)) mod size: the ring's
+        # entries from position step * e on.
+        ring = np.arange(step * max(count - 1, 0) + size, dtype=np.int64)
+        ring += step * epoch_start % size
+        ring %= size
+        return np.lib.stride_tricks.as_strided(
+            ring,
+            shape=(count, size),
+            strides=(step * ring.itemsize, ring.itemsize),
+            writeable=False,
+        )
     if kind is StrategyKind.RANDOM:
         if rng is None:
             raise ValueError("random shuffling requires an rng")

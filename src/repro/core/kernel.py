@@ -54,6 +54,26 @@ not evict the blocks a later run replays. Other bit generators bypass
 the memo, and so does the oracle: :func:`make_epoch_maps` (and
 :func:`~repro.balance.software.make_permutations`) always draw afresh.
 
+The kernel's intermediates are ``epochs x width`` matrices, and it
+**writes each byte once**: writing them, not multiplying them, was
+most of its time.
+
+* **Gathered profile rows.** A memo block used as within maps keeps
+  its row-wise inverse in its entry (:func:`_memo_inverse`: built on
+  first such use, read-only, in the block's dtype), and a profile row
+  is gathered through it (``out[e, j] = profile[inverse[e, j]]``), which
+  writes each row in order — about three times faster at 1,000 x 1,024
+  than scattering the profile through the maps. Other within maps (a
+  periodic axis's few phase rows, or a block the memo did not keep)
+  are still scattered.
+* **Strided periodic maps.** ``Bs``/``B1`` maps are read-only strided
+  views over one ring (:func:`~repro.balance.software.make_permutations`),
+  as ``St``'s are a broadcast, so a chunk's shifted maps cost
+  O(count + size) to build however few rows the fold keeps.
+* **Write-once plane.** A run's first full-width product is written
+  straight into its counter plane, with no zero-fill, scratch or add
+  (:meth:`ArrayState.from_counts`).
+
 On every branch, GEMMs are paid only where the between-lane map
 matters (**complement accumulation**). The lanes split into one set per
 program plus the set no program occupies, whose profile is zero. Each
@@ -127,7 +147,7 @@ from repro.array.architecture import PIMArchitecture
 from repro.array.state import ArrayState
 from repro.balance.config import BalanceConfig
 from repro.balance.hardware import HardwareRemapper
-from repro.balance.mapping import BITS_PER_BYTE
+from repro.balance.mapping import BITS_PER_BYTE, invert_rows, permute_rows
 from repro.balance.software import (
     StrategyKind,
     make_permutations,
@@ -406,7 +426,8 @@ def _draw_ranked(
 #: grid's ``Ra`` cells draw the same few blocks (three distinct
 #: segments over the 18 paper configurations); an entry holds at most
 #: two ``CHUNK_EPOCHS x width`` maps in the narrowest unsigned dtype
-#: (4 MiB at the paper's 1,024-wide lanes).
+#: (4 MiB at the paper's 1,024-wide lanes), plus the inverse of each
+#: one used as within maps (two of the three on the paper grid).
 MAPS_MEMO_SIZE = 8
 
 #: Chunks of one run that may insert a memo entry. A run longer than
@@ -416,7 +437,8 @@ MAPS_MEMO_SIZE = 8
 MAPS_MEMO_RUN_CHUNKS = MAPS_MEMO_SIZE // 2
 
 #: ``(PCG64 state, inc, has_uint32, uinteger, count, widths) ->
-#: [end state, maps]``; see :func:`_memo_ranked`.
+#: [end state, maps, inverses]``; see :func:`_memo_ranked` and
+#: :func:`_memo_inverse`.
 _MAPS_MEMO: "OrderedDict[tuple, list]" = OrderedDict()
 
 
@@ -460,7 +482,9 @@ def _memo_ranked(
         tele.count("kernel.maps_memo_misses")
         return _draw_ranked(rng, count, widths, wanted)
     if entry is None:
-        entry = _MAPS_MEMO[key] = [None, [None] * len(widths)]
+        entry = _MAPS_MEMO[key] = [
+            None, [None] * len(widths), [None] * len(widths)
+        ]
         while len(_MAPS_MEMO) > MAPS_MEMO_SIZE:
             _MAPS_MEMO.popitem(last=False)
     else:
@@ -482,6 +506,25 @@ def _memo_ranked(
     return [
         ranks if want else None for ranks, want in zip(entry[1], wanted)
     ]
+
+
+def _memo_inverse(maps: np.ndarray) -> Optional[np.ndarray]:
+    """The row-wise inverse of ``maps`` when they are a ranked-block memo
+    entry's segment, else ``None`` (a fresh draw, or a subset of rows).
+
+    The first request builds it (:func:`~repro.balance.mapping.invert_rows`)
+    and keeps it in the entry, read-only in the maps' narrow unsigned
+    dtype, so every run that uses the block as within maps gathers its
+    profile rows through one inverse.
+    """
+    for _, segments, inverses in _MAPS_MEMO.values():
+        for index, ranks in enumerate(segments):
+            if ranks is maps:
+                if inverses[index] is None:
+                    inverse = inverses[index] = invert_rows(maps)
+                    inverse.flags.writeable = False
+                return inverses[index]
+    return None
 
 
 def _compact(ranked: List[Optional[np.ndarray]]) -> List[Optional[np.ndarray]]:
@@ -543,10 +586,10 @@ class _Accumulator:
     just their counters; every other set pays the full-width GEMM.
 
     Without hardware re-mapping a profile row is the program's static
-    per-iteration profile scattered through a within map, and the epoch
-    length rides on the lane weight. The hardware remapper's profile
-    rows already carry the epoch length, so their lane weights are bare
-    multiplicities. Every row, weight and product is in the state's
+    per-iteration profile moved through a within map (:meth:`profiles`),
+    and the epoch length rides on the lane weight. The hardware
+    remapper's profile rows already carry the epoch length, so their
+    lane weights are bare multiplicities. Every row, weight and product is in the state's
     accumulation dtype (:attr:`dtype`).
     """
 
@@ -633,23 +676,29 @@ class _Accumulator:
         lengths: np.ndarray,
         slot: str,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(writes, reads)`` profile rows, one per within map; without
-        hardware re-mapping they live in the pooled ``slot``."""
+        """``(writes, reads)`` profile rows in the pooled ``slot``, one
+        per within map: gathered through the maps' inverse when they
+        are a ranked-block memo entry's (:func:`_memo_inverse`), else
+        scattered through the maps."""
+        inverse = _memo_inverse(within_maps)
+        # Pooled scratch: either way every column of every row is
+        # written (within_maps rows are permutations), so no zero-fill.
+        out = (
+            POOL.get(slot + "_writes", within_maps.shape, self.dtype),
+            POOL.get(slot + "_reads", within_maps.shape, self.dtype)
+            if self.track_reads
+            else None,
+        )
         if self.hardware:
             return self.remappers[key].profile_many(
                 lengths, within_maps, reads=self.track_reads,
-                dtype=self.dtype,
+                dtype=self.dtype, inverse_maps=inverse, out=out,
             )
-        # Pooled scratch: the scatter covers every column of every row
-        # (within_maps rows are permutations), so no zero-fill is needed.
-        rows = np.arange(len(within_maps))[:, None]
-        writes = POOL.get(slot + "_writes", within_maps.shape, self.dtype)
-        writes[rows, within_maps] = self.writes[key]
-        reads = None
-        if self.track_reads:
-            reads = POOL.get(slot + "_reads", within_maps.shape, self.dtype)
-            reads[rows, within_maps] = self.reads[key]
-        return writes, reads
+        profiles = (self.writes[key], self.reads.get(key))
+        for rows, profile in zip(out, profiles):
+            if rows is not None:
+                permute_rows(profile, rows, within_maps, inverse)
+        return out
 
     def scale(self, lengths: np.ndarray) -> "np.ndarray | float":
         """The per-epoch factor a lane weight carries (see class doc)."""

@@ -27,7 +27,8 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def mapping_for(
 #: :data:`POOL` keys it: a weak reference to the plane, and the
 #: orientation and lanes of the last run on it, kept only once that run
 #: finished without an error. Every lane outside them is still zero, so
-#: :func:`_zeroed_plane` clears just these.
+#: :func:`_pooled_plane` clears just these.
 _WRITTEN_LANES: Dict[tuple, Tuple[weakref.ref, Orientation, np.ndarray]] = {}
 
 #: A plane whose last run wrote more than ``lane count // ZERO_RUNS_DIVISOR``
@@ -108,34 +109,38 @@ _WRITTEN_LANES: Dict[tuple, Tuple[weakref.ref, Orientation, np.ndarray]] = {}
 ZERO_RUNS_DIVISOR = 32
 
 
-def _zeroed_plane(
+def _pooled_plane(
     slot: str, shape: Tuple[int, int], dtype: np.dtype
-) -> np.ndarray:
-    """The pool's ``dtype`` counter plane ``slot``, all zero.
+) -> Tuple[np.ndarray, Callable[[], None]]:
+    """The pool's ``dtype`` counter plane ``slot`` and the call that
+    zeroes it, which the run's state makes only if its first product
+    does not overwrite the plane (:meth:`ArrayState.from_counts`).
 
     When the last run on this very plane finished and wrote few runs
-    of lanes (a trace cell's programs), only those are cleared;
-    otherwise (a new plane, a run that raised part-way, or lanes
-    scattered by random shuffling) the whole plane is. Until
-    :func:`_note_written` records the coming run's lanes, the plane
-    counts as wholly dirty.
+    of lanes (a trace cell's programs), the call clears only those
+    (none at all after a run that wrote none); otherwise (a new plane,
+    a run that raised part-way, or lanes scattered by random
+    shuffling) it clears the whole plane. Until :func:`_note_written`
+    records the coming run's lanes, the plane counts as wholly dirty.
     """
     plane = POOL.get(slot, shape, dtype)
     ref, orientation, lanes = _WRITTEN_LANES.pop(
         (slot, shape, plane.dtype.str), (None, None, None)
     )
+    whole = partial(plane.fill, 0)
     if ref is None or ref() is not plane:
-        plane[...] = 0
-        return plane
+        return plane, whole
     by_lane = plane if orientation is Orientation.COLUMN_PARALLEL else plane.T
     runs = lane_runs(lanes)
     if len(runs) > by_lane.shape[1] // ZERO_RUNS_DIVISOR:
-        plane[...] = 0
-    else:
+        return plane, whole
+
+    def clear() -> None:
         for start, stop in runs:
             first = int(lanes[start])
             by_lane[:, first : first + stop - start] = 0
-    return plane
+
+    return plane, clear
 
 
 def _note_written(
@@ -371,8 +376,10 @@ class EnduranceSimulator:
         (:func:`repro.core.kernel.accumulation_dtype`): float32 when
         that proves every partial sum exact there, else float64. They
         live in the process pool's per-geometry workspaces of that
-        dtype, zeroed here — after a finished run, only in the lanes
-        that run wrote (:func:`_zeroed_plane`):
+        dtype, handed to the state with the call that zeroes them —
+        after a finished run, only the lanes that run wrote
+        (:func:`_pooled_plane`) — which it skips where its first
+        product overwrites a plane:
         :meth:`_PreparedRun.result` narrows them into the result's own
         arrays, so no run keeps a workspace and a grid of runs allocates
         one per dtype. Reads untracked, the read plane is a broadcast
@@ -409,15 +416,17 @@ class EnduranceSimulator:
         )
         geometry = architecture.geometry
         shape = (geometry.rows, geometry.cols)
+        planes = {"write": _pooled_plane("state.writes", shape, dtype)}
+        if settings.track_reads:
+            planes["read"] = _pooled_plane("state.reads", shape, dtype)
         return _PreparedRun(
             architecture=architecture,
             mapping=mapping,
             state=ArrayState.from_counts(
                 geometry,
-                _zeroed_plane("state.writes", shape, dtype),
-                _zeroed_plane("state.reads", shape, dtype)
-                if settings.track_reads
-                else None,
+                planes["write"][0],
+                planes["read"][0] if settings.track_reads else None,
+                unzeroed={kind: zero for kind, (_, zero) in planes.items()},
             ),
             rng=np.random.default_rng(settings.seed),
             groups=groups,

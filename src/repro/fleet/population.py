@@ -43,6 +43,7 @@ from repro.devices.endurance import (
     UniformEndurance,
 )
 from repro.devices.technology import Technology, technology_by_name
+from repro.distinct import distinct
 from repro.fleet.thresholds import first_failure_quantile
 from repro.workloads.registry import (
     UnknownWorkloadError,
@@ -355,7 +356,7 @@ class Population:
             if self.spec.endurance_sigma == 0:
                 # Deterministic: the closed form once per technology.
                 deaths = np.empty((len(members), len(cell_sets)))
-                for technology in np.unique(techs):
+                for technology in distinct(techs):
                     same = techs == technology
                     model = self.endurance_model_for(members[same][0], seed)
                     times = cell_failure_times(

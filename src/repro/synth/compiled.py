@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.distinct import distinct
 from repro.gates.gate import Gate
 from repro.gates.ops import GateOp
 from repro.synth.program import (
@@ -453,7 +454,7 @@ class CompiledProgram:
                 tagged = tags >= 0
                 if tagged.any():
                     indices = self._read_indices[low:high]
-                    for tag_id in np.unique(tags[tagged]).tolist():
+                    for tag_id in distinct(tags[tagged]).tolist():
                         sel = tags == tag_id
                         readout_planes[self._tag_names[tag_id]][
                             indices[sel]

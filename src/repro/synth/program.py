@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.distinct import distinct
 from repro.gates.gate import Gate
 from repro.gates.library import GateLibrary
 from repro.gates.ops import GateOp
@@ -174,7 +175,7 @@ class ProgramColumns:
 
     def external_tags(self) -> frozenset:
         """Transfer tags consumed by :class:`ExternalBit` writes."""
-        ids = np.unique(self.arg[self.source == SRC_EXTERNAL])
+        ids = distinct(self.arg[self.source == SRC_EXTERNAL])
         return frozenset(self.tags[tag] for tag in ids.tolist())
 
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.distinct import contained, distinct
 from repro.synth.program import (
     KIND_GATE,
     KIND_READ,
@@ -104,7 +105,7 @@ def _dataflow_is_clean(program: LaneProgram) -> bool:
         [a for vector in program.outputs.values() for a in vector],
         dtype=np.int64,
     )
-    if not np.isin(declared, addresses).all():
+    if not contained(declared, addresses).all():
         return False
     if addresses.size:
         first = np.ones(addresses.size, dtype=bool)
@@ -114,14 +115,14 @@ def _dataflow_is_clean(program: LaneProgram) -> bool:
             return False
         if (meaningful[:-1] & is_write[1:] & ~first[1:]).any():
             return False
-        if (meaningful & last & ~np.isin(addresses, declared)).any():
+        if (meaningful & last & ~contained(addresses, declared)).any():
             return False
     tagged = reads & (columns.arg >= 0)
     if tagged.any():
         tags = columns.arg[tagged].astype(np.int64)
         slots = columns.bit[tagged].astype(np.int64)
         span = int(slots.max()) + 1
-        if np.unique(tags * span + slots).size != tags.size:
+        if distinct(tags * span + slots).size != tags.size:
             return False
         top = np.zeros(len(columns.tags), dtype=np.int64)
         np.maximum.at(top, tags, slots + 1)
@@ -334,7 +335,7 @@ def check_level_columns(
     used = inputs >= 0
     read = np.broadcast_to(levels[:, None], inputs.shape)[used] * span
     read = read + inputs[used]
-    if not (written[1:] == written[:-1]).any() and not np.isin(
+    if not (written[1:] == written[:-1]).any() and not contained(
         read, written
     ).any():
         return []

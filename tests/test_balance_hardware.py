@@ -312,6 +312,31 @@ class TestProfileMany:
             assert np.array_equal(many_w[e], one_w)
             assert np.array_equal(many_r[e], one_r)
 
+    @pytest.mark.parametrize("lengths", [[7] * 5 + [3], [7, 3, 7, 0, 12, 3]])
+    def test_gathered_rows_equal_scattered_rows(self, lengths):
+        # Rows gathered through the maps' inverses, in runs or not,
+        # into new arrays or the caller's, equal the scattered rows.
+        from repro.balance.mapping import invert_rows
+
+        remapper = HardwareRemapper(_program(), 16, True)
+        rng = np.random.default_rng(3)
+        lengths = np.array(lengths)
+        maps = np.stack([rng.permutation(16) for _ in lengths])
+        inverses = invert_rows(maps.astype(np.uint16))
+        scattered = remapper.profile_many(lengths, maps)
+        out = (np.full((len(lengths), 16), -1.0),
+               np.full((len(lengths), 16), -1.0))
+        for rows in (
+            remapper.profile_many(lengths, inverse_maps=inverses),
+            remapper.profile_many(lengths, inverse_maps=inverses, out=out),
+        ):
+            for ours, theirs in zip(rows, scattered):
+                assert np.array_equal(ours, theirs)
+        assert all(rows is given for rows, given in zip(
+            remapper.profile_many(lengths, inverse_maps=inverses, out=out),
+            out,
+        ))
+
     def test_identity_maps_when_omitted(self):
         remapper = HardwareRemapper(_program(), 16, False)
         many_w, many_r = remapper.profile_many(np.array([5, 9]))

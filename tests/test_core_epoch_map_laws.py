@@ -6,7 +6,10 @@ in the maps themselves. These checks hold the maps to independent
 facts instead:
 
 * a ``Bs`` row is the identity shifted by eight addresses per epoch,
-  modulo the size, written out here rather than imported;
+  modulo the size, written out here rather than imported, and a
+  ``B1`` row the same shifted by one; the kernel takes both as
+  read-only strided views over one ring, held to the formula here
+  across sizes, chunk starts and chunk lengths;
 * ``Ra`` rows are uniform random permutations: over many epochs every
   (source, destination) pair is about equally frequent, tested with a
   chi-square statistic against a band taken from theory at a nominal
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 import repro.core.kernel as kernel
-from repro.balance.software import StrategyKind
+from repro.balance.software import StrategyKind, make_permutations
 from repro.core.kernel import make_epoch_maps
 
 #: Nominal probability that a correct ``Ra`` draw falls outside the band.
@@ -139,3 +142,56 @@ class TestByteShiftFormula:
             for row, epoch in zip(rows, range(epoch_start, epoch_start + count)):
                 expected = [(a + 8 * epoch) % size for a in range(size)]
                 assert row.tolist() == expected, (size, epoch)
+
+
+#: ``(kind, step)``: the shift strategies and the addresses they move
+#: per epoch.
+SHIFTS = [(StrategyKind.BYTE_SHIFT, 8), (StrategyKind.BIT_SHIFT, 1)]
+
+
+def shift_period(step, size):
+    """Epochs until a shift by ``step`` per epoch repeats on ``size``
+    addresses."""
+    return size // math.gcd(step, size)
+
+
+class TestStridedShiftRows:
+    @pytest.mark.parametrize("size", [13, 20, 1024])
+    @pytest.mark.parametrize("kind,step", SHIFTS, ids=["Bs", "B1"])
+    def test_rows_follow_the_formula(self, kind, step, size):
+        period = shift_period(step, size)
+        starts = [0, 5, size - 1, 3 * period + 2]
+        counts = [0, 1, period, size + 3]
+        for epoch_start in starts:
+            for count in counts:
+                rows = make_permutations(
+                    kind, size, count, epoch_start=epoch_start
+                )
+                assert rows.shape == (count, size)
+                epochs = epoch_start + np.arange(count)[:, None]
+                expected = (np.arange(size)[None, :] + step * epochs) % size
+                assert np.array_equal(rows, expected), (
+                    epoch_start, count
+                )
+
+    @pytest.mark.parametrize("kind,step", SHIFTS, ids=["Bs", "B1"])
+    def test_views_hold_one_small_ring(self, kind, step):
+        # 1,000 epochs on 1,024 addresses: one row's worth plus a step
+        # per further epoch, not a matrix.
+        rows = make_permutations(kind, 1024, 1000, epoch_start=7)
+        # numpy 2 moved byte_bounds out of the top-level namespace.
+        byte_bounds = getattr(np, "byte_bounds", None) or (
+            np.lib.array_utils.byte_bounds
+        )
+        low, high = byte_bounds(rows)
+        assert high - low == (1024 + step * 999) * rows.itemsize
+        assert rows.strides == (step * rows.itemsize, rows.itemsize)
+
+    @pytest.mark.parametrize("kind,step", SHIFTS, ids=["Bs", "B1"])
+    def test_writing_to_a_view_raises(self, kind, step):
+        rows = make_permutations(kind, 20, 6, epoch_start=3)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            rows[...] = 0

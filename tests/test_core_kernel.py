@@ -522,6 +522,121 @@ class TestLaneCompact:
             assert widths <= {WIDE.lane_size, WIDE.lane_count}, label
 
 
+#: Column-parallel arrays whose lane sizes give the memo's uint8 and
+#: uint16 rank blocks.
+GATHER_ARCHS = {
+    "uint8": default_architecture(64, 16),
+    "uint16": default_architecture(300, 16),
+}
+
+
+class TestGatheredProfileRows:
+    """Profile rows gathered through a memo block's inverse equal the
+    rows scattered through its maps, and the per-epoch oracle."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        kernel._MAPS_MEMO.clear()
+        yield
+        kernel._MAPS_MEMO.clear()
+
+    @pytest.mark.parametrize("hardware", [False, True], ids=["St", "Hw"])
+    @pytest.mark.parametrize("dtype", sorted(GATHER_ARCHS))
+    def test_rows_equal_the_scatter(self, dtype, hardware):
+        arch = GATHER_ARCHS[dtype]
+        config = BalanceConfig(
+            within=StrategyKind.RANDOM, hardware=hardware,
+            recompile_interval=7,
+        )
+        sim = EnduranceSimulator(arch)
+        run = sim._prepare(
+            ParallelMultiplication(bits=8), config, 7 * 9 + 3, sim.settings
+        )
+        acc = kernel._Accumulator(
+            arch, config, run.state, run.groups, run.remappers, True,
+            np.zeros(arch.lane_count, dtype=bool),
+        )
+        # Nine whole epochs and a short final one.
+        lengths = np.array([7] * 9 + [3])
+        maps = kernel._memo_ranked(
+            np.random.default_rng(4), lengths.size, (arch.lane_size,), (True,)
+        )[0]
+        assert maps.dtype == np.dtype(dtype)
+        # The entry holds no inverse until the block serves as within maps.
+        (_, _, inverses), = kernel._MAPS_MEMO.values()
+        assert inverses == [None]
+        for key, (program, _) in run.groups.items():
+            gathered = [
+                None if rows is None else rows.copy()
+                for rows in acc.profiles(key, maps, lengths, "test.gather")
+            ]
+            scattered = acc.profiles(
+                key, np.array(maps), lengths, "test.scatter"
+            )
+            inverse = kernel._memo_inverse(maps)
+            assert inverse is not None and inverse.dtype == maps.dtype
+            assert not inverse.flags.writeable
+            for ours, theirs in zip(gathered, scattered):
+                assert np.array_equal(ours, theirs)
+            # Each row held to its epoch's own profile.
+            for e, length in enumerate(lengths.tolist()):
+                if hardware:
+                    writes, reads = run.remappers[key].profile(
+                        length, maps[e]
+                    )
+                else:
+                    writes = np.zeros(arch.lane_size)
+                    reads = np.zeros(arch.lane_size)
+                    writes[maps[e]] = program.write_profile(
+                        arch.lane_size, include_presets=arch.presets_output
+                    )
+                    reads[maps[e]] = program.read_profile(arch.lane_size)
+                assert np.array_equal(gathered[0][e], writes)
+                assert np.array_equal(gathered[1][e], reads)
+
+    @pytest.mark.parametrize(
+        "label", ["RaxSt", "RaxRa", "RaxBs", "RaxSt+Hw", "RaxRa+Hw",
+                  "RaxBs+Hw"],
+    )
+    @pytest.mark.parametrize("dtype", sorted(GATHER_ARCHS))
+    def test_runs_equal_the_oracle(self, dtype, label):
+        arch = GATHER_ARCHS[dtype]
+        config = BalanceConfig.from_label(label, recompile_interval=7)
+        for workload in (ParallelMultiplication(bits=8),
+                         DotProduct(n_elements=16, bits=8)):
+            _assert_identical(*_pair(
+                arch, config, iterations=7 * 9 + 3, workload=workload
+            ))
+        inverses = [
+            inverse
+            for _, _, entry_inverses in kernel._MAPS_MEMO.values()
+            for inverse in entry_inverses
+            if inverse is not None
+        ]
+        assert inverses and all(
+            inverse.dtype == np.dtype(dtype) for inverse in inverses
+        )
+
+    @pytest.mark.parametrize("order", [("RaxSt", "StxRa"),
+                                       ("StxRa", "RaxSt")])
+    def test_one_block_as_within_and_between_maps(self, order):
+        # On a square array one memo entry serves RaxSt's within maps
+        # and StxRa's between maps; its inverse serves only the first.
+        arch = default_architecture(64, 64)
+        for _ in range(2):
+            for label in order:
+                config = BalanceConfig.from_label(label, recompile_interval=7)
+                _assert_identical(*_pair(arch, config, iterations=7 * 9 + 3))
+        assert len(kernel._MAPS_MEMO) == 1
+        (_, segments, inverses), = kernel._MAPS_MEMO.values()
+        assert inverses[0] is not None
+        rows = np.arange(len(segments[0]))[:, None]
+        assert np.array_equal(
+            segments[0][rows, inverses[0]],
+            np.broadcast_to(np.arange(64), segments[0].shape),
+        )
+
+
 class TestBatchedPermutations:
     @pytest.mark.parametrize(
         "kind",

@@ -452,6 +452,123 @@ class TestPooledPlaneZeroing:
         )
 
 
+class TestWriteOncePlane:
+    """A run's first full-width product is written straight into its
+    pooled plane, skipping the plane's zeroing, the scratch and the
+    add; every run on the pooled plane still equals the same run on a
+    fresh plane and the per-epoch loop."""
+
+    @staticmethod
+    def _assert_same_counts(a, b):
+        TestPooledPlaneZeroing._assert_same_counts(a, b)
+
+    def test_a_sequence_on_the_pooled_plane(self, monkeypatch):
+        import repro.core.kernel as kernel
+
+        arch = default_architecture(128, 128)
+        sim = EnduranceSimulator(arch, settings=SimulationSettings(seed=2))
+        gemv = TestPooledPlaneZeroing._gemv()
+        long_run = kernel.CHUNK_EPOCHS + 5
+        runs = [
+            # conv-like: a reference column plus full-width products.
+            (get_workload("conv"), BalanceConfig.from_label("RaxRa"), 300),
+            # trace-like: lane-compact products on a few lanes.
+            (gemv, BalanceConfig.from_label("BsxBs"), 300),
+            # Two chunks, so two full-width products per kind.
+            (DotProduct(n_elements=16, bits=8),
+             BalanceConfig.from_label("RaxRa", recompile_interval=1),
+             long_run),
+        ]
+        POOL.clear()
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            pooled = [sim.run(*run) for run in runs]
+        finally:
+            set_telemetry(previous)
+        assert telemetry.counters["kernel.chunks"] >= 3
+        assert telemetry.counters["kernel.compact_gemms"] > 0
+        for run, result in zip(runs, pooled):
+            POOL.clear()
+            self._assert_same_counts(result, sim.run(*run))
+            self._assert_same_counts(result, sim._run_epoch_loop(*run))
+
+    @staticmethod
+    def _unzeroed_state(shape=(8, 6)):
+        """A float32 state over a plane of stale 7s, and the list its
+        zeroing call appends to."""
+        geometry = default_architecture(*shape).geometry
+        plane = np.full(shape, 7.0, dtype=np.float32)
+        calls = []
+
+        def zero():
+            calls.append(1)
+            plane.fill(0)
+
+        state = ArrayState.from_counts(
+            geometry, plane, None, unzeroed={"write": zero}
+        )
+        return state, plane, calls
+
+    def test_first_full_width_product_skips_zeroing_and_scratch(self):
+        from repro.array.geometry import Orientation
+
+        column = Orientation.COLUMN_PARALLEL
+        rng = np.random.default_rng(0)
+        profiles = [rng.integers(0, 5, (3, 8)).astype(np.float32)
+                    for _ in range(3)]
+        weights = [rng.integers(0, 4, (3, 6)).astype(np.float32)
+                   for _ in range(3)]
+        compact = rng.integers(0, 4, (3, 2)).astype(np.float32)
+        lanes = np.array([1, 4])
+        # The sums written out, in float64.
+        expected = np.zeros((8, 6))
+        expected[:, lanes] += profiles[0].T.astype(float) @ compact
+        state, plane, calls = self._unzeroed_state()
+        POOL.clear()
+        # A lane-compact product first is held, not added, so the
+        # full-width product after it may still overwrite the plane.
+        state.add_lane_profiles(profiles[0], compact, column, "write", lanes)
+        assert (plane == 7).all()
+        state.add_lane_profiles(profiles[1], weights[1], column)
+        expected += profiles[1].T.astype(float) @ weights[1]
+        assert not calls
+        assert ("state.scratch", (8, 6), "<f4") not in POOL._slots
+        assert np.array_equal(state.write_counts, expected)
+        # A second full-width product adds, through the scratch.
+        state.add_lane_profiles(profiles[2], weights[2], column)
+        expected += profiles[2].T.astype(float) @ weights[2]
+        assert np.array_equal(state.write_counts, expected)
+        assert ("state.scratch", (8, 6), "<f4") in POOL._slots
+        assert not calls
+
+    def test_anything_else_zeroes_the_plane_first(self):
+        from repro.array.geometry import Orientation
+
+        column = Orientation.COLUMN_PARALLEL
+        # Reading the counters.
+        state, plane, calls = self._unzeroed_state()
+        assert not state.write_counts.any() and calls == [1]
+        state.add_lane_profiles(np.ones((1, 8)), np.ones((1, 6)), column)
+        assert (plane == 1).all() and calls == [1]
+        # A per-cell write, and a held compact product settled on it.
+        state, plane, calls = self._unzeroed_state()
+        state.add_lane_profiles(
+            np.ones((1, 8)), np.ones((1, 1)), column, "write", np.array([2])
+        )
+        state.record_write(0, 0, column)
+        expected = np.zeros((8, 6))
+        expected[:, 2] = 1
+        expected[0, 0] += 1
+        assert calls == [1] and np.array_equal(plane, expected)
+        # Finishing a run that wrote no plane lane.
+        state, plane, calls = self._unzeroed_state()
+        state.add_every_lane(np.ones(8), column)
+        finished = state.finish(column, np.array([], dtype=np.intp), False)
+        assert calls == [1] and not plane.any()
+        assert (finished.write_counts == 1).all()
+
+
 class TestResultSurface:
     def test_lane_utilization_exposed_on_result(self, sim, workload):
         result = sim.run(workload, BalanceConfig(), iterations=30)

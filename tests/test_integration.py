@@ -150,3 +150,100 @@ class TestLifetimeRealism:
         )
         for a, b in zip(grid1, grid2):
             assert a.improvement == pytest.approx(b.improvement)
+
+
+#: A small paper grid, a trace sweep through a cold store, and fleet
+#: campaigns with and without endurance variation, in one process.
+NUMPY_MA_SCRIPT = """
+import sys
+import tempfile
+from pathlib import Path
+
+from repro import default_architecture
+from repro.balance.config import BalanceConfig
+from repro.core.settings import SimulationSettings
+from repro.core.simulator import EnduranceSimulator
+from repro.core.sweep import configuration_grid
+from repro.engine import ResultStore
+from repro.fleet import (
+    CohortSpec, FleetService, FleetSpec, PopulationSpec, TrafficSpec,
+)
+from repro.workloads.registry import get_workload
+from repro.workloads.trace import TraceWorkload, write_gemv_trace
+
+architecture = default_architecture()
+settings = SimulationSettings(seed=1)
+for name in ("mult", "conv"):
+    configuration_grid(
+        EnduranceSimulator(architecture, settings=settings),
+        get_workload(name), iterations=300,
+    )
+work = Path(tempfile.mkdtemp())
+trace = TraceWorkload.from_file(
+    write_gemv_trace(work / "gemv.trace", rows=4, cols=4)
+)
+configuration_grid(
+    EnduranceSimulator(architecture, settings=settings), trace,
+    iterations=200,
+    configs=[BalanceConfig.from_label(label)
+             for label in ("StxSt", "RaxRa", "BsxBs")],
+    cache_dir=str(work / "store"),
+)
+for sigma in (0.0, 0.3):
+    spec = FleetSpec(
+        population=PopulationSpec(
+            n_arrays=8,
+            technology_mix=(("MRAM", 1.0), ("PCM", 1.0)),
+            cohorts=(CohortSpec("add"), CohortSpec("conv")),
+            endurance_sigma=sigma,
+        ),
+        traffic=TrafficSpec(model="poisson", rate=6e4),
+        days=5, seed=1, rows=128, cols=128, cohort_iterations=200,
+    )
+    FleetService(
+        spec, store=ResultStore(work / f"fleet{sigma}"),
+        checkpoint_dir=str(work / f"ckpt{sigma}"), checkpoint_every=2,
+    ).run()
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestNumpyMaStaysUnimported:
+    """``np.unique``'s and ``np.isin``'s sorting paths import
+    ``numpy.ma`` on first use (numpy 2.x); the simulator's set
+    operations go through :mod:`repro.distinct` instead, so no
+    workload pays that import."""
+
+    def test_grid_trace_sweep_and_fleet(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_MA_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip().splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_helpers_equal_numpy(self, seed):
+        from repro.distinct import contained, distinct
+
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 2, 50):
+            values = rng.integers(-5, 20, size)
+            pool = rng.integers(-5, 20, (size % 7, 3))
+            found = distinct(values)
+            assert found.dtype == values.dtype
+            assert np.array_equal(found, np.unique(values))
+            assert np.array_equal(
+                contained(values, pool), np.isin(values, pool)
+            )
+            assert np.array_equal(
+                contained(pool, values), np.isin(pool, values)
+            )
