@@ -23,145 +23,76 @@ Quickstart::
     days = lifetime_from_result(result).days_to_failure
 """
 
-from repro.array import (
-    ArrayGeometry,
-    ArrayState,
-    Orientation,
-    PIMArchitecture,
-    default_architecture,
-)
-from repro.balance import BalanceConfig, StrategyKind, all_configurations
-from repro.core import (
-    EnduranceSimulator,
-    SimulationSettings,
-    FailureTimeline,
-    failure_timeline,
-    minimum_footprint,
-    LifetimeEstimate,
-    SimulationResult,
-    WriteDistribution,
-    configuration_grid,
-    eq1_operations_until_total_failure,
-    eq2_seconds_until_total_failure,
-    lifetime_from_result,
-    lifetime_improvement,
-    remap_frequency_sweep,
-    technology_sweep,
-)
-from repro.devices import MRAM, PCM, RRAM, Technology, technology_by_name
-from repro.fleet import (
-    CohortSpec,
-    FleetReport,
-    FleetService,
-    FleetSpec,
-    PopulationSpec,
-    SurvivalCurve,
-    TrafficSpec,
-    kaplan_meier,
-    run_campaign,
-)
-from repro.gates import MINIMAL_LIBRARY, NAND_LIBRARY, GateLibrary, GateOp
-from repro.workloads import (
-    BinaryNeuron,
-    ConventionalBaseline,
-    Convolution,
-    DotProduct,
-    MatrixVectorProduct,
-    ParallelMultiplication,
-    TraceWorkload,
-    UnknownWorkloadError,
-    VectorAdd,
-    Workload,
-    available_workloads,
-    get_workload,
-    register,
-)
-from repro.telemetry import Telemetry, get_telemetry
-from repro.verify import (
-    Diagnostic,
-    Severity,
-    VerificationError,
-    VerifyReport,
-    verify_mapping,
-    verify_network,
-    verify_program,
-)
+from repro.lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # array
-    "ArrayGeometry",
-    "ArrayState",
-    "Orientation",
-    "PIMArchitecture",
-    "default_architecture",
-    # balance
-    "BalanceConfig",
-    "StrategyKind",
-    "all_configurations",
-    # core
-    "EnduranceSimulator",
-    "SimulationSettings",
-    "SimulationResult",
-    "WriteDistribution",
-    "LifetimeEstimate",
-    "lifetime_from_result",
-    "lifetime_improvement",
-    "configuration_grid",
-    "remap_frequency_sweep",
-    "technology_sweep",
-    "eq1_operations_until_total_failure",
-    "eq2_seconds_until_total_failure",
-    "FailureTimeline",
-    "failure_timeline",
-    "minimum_footprint",
-    # devices
-    "Technology",
-    "MRAM",
-    "RRAM",
-    "PCM",
-    "technology_by_name",
-    # fleet
-    "CohortSpec",
-    "FleetReport",
-    "FleetService",
-    "FleetSpec",
-    "PopulationSpec",
-    "SurvivalCurve",
-    "TrafficSpec",
-    "kaplan_meier",
-    "run_campaign",
-    # gates
-    "GateOp",
-    "GateLibrary",
-    "NAND_LIBRARY",
-    "MINIMAL_LIBRARY",
-    # workloads
-    "Workload",
-    "ParallelMultiplication",
-    "DotProduct",
-    "Convolution",
-    "ConventionalBaseline",
-    "VectorAdd",
-    "BinaryNeuron",
-    "MatrixVectorProduct",
-    # workload registry + trace frontend
-    "TraceWorkload",
-    "UnknownWorkloadError",
-    "available_workloads",
-    "get_workload",
-    "register",
-    # telemetry
-    "Telemetry",
-    "get_telemetry",
-    # verify
-    "Diagnostic",
-    "Severity",
-    "VerificationError",
-    "VerifyReport",
-    "verify_mapping",
-    "verify_network",
-    "verify_program",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "__version__": "repro",
+        "ArrayGeometry": "repro.array.geometry",
+        "Orientation": "repro.array.geometry",
+        "ArrayState": "repro.array.state",
+        "PIMArchitecture": "repro.array.architecture",
+        "default_architecture": "repro.array.architecture",
+        "BalanceConfig": "repro.balance.config",
+        "all_configurations": "repro.balance.config",
+        "StrategyKind": "repro.balance.software",
+        "EnduranceSimulator": "repro.core.simulator",
+        "SimulationResult": "repro.core.simulator",
+        "SimulationSettings": "repro.core.settings",
+        "WriteDistribution": "repro.core.writedist",
+        "LifetimeEstimate": "repro.core.lifetime",
+        "lifetime_from_result": "repro.core.lifetime",
+        "lifetime_improvement": "repro.core.lifetime",
+        "eq1_operations_until_total_failure": "repro.core.lifetime",
+        "eq2_seconds_until_total_failure": "repro.core.lifetime",
+        "configuration_grid": "repro.core.sweep",
+        "remap_frequency_sweep": "repro.core.sweep",
+        "technology_sweep": "repro.core.sweep",
+        "FailureTimeline": "repro.core.failure",
+        "failure_timeline": "repro.core.failure",
+        "minimum_footprint": "repro.core.failure",
+        "Technology": "repro.devices.technology",
+        "MRAM": "repro.devices.technology",
+        "RRAM": "repro.devices.technology",
+        "PCM": "repro.devices.technology",
+        "technology_by_name": "repro.devices.technology",
+        "CohortSpec": "repro.fleet.population",
+        "PopulationSpec": "repro.fleet.population",
+        "FleetReport": "repro.fleet.report",
+        "FleetService": "repro.fleet.service",
+        "FleetSpec": "repro.fleet.service",
+        "run_campaign": "repro.fleet.service",
+        "SurvivalCurve": "repro.fleet.survival",
+        "kaplan_meier": "repro.fleet.survival",
+        "TrafficSpec": "repro.fleet.traffic",
+        "GateOp": "repro.gates.ops",
+        "GateLibrary": "repro.gates.library",
+        "NAND_LIBRARY": "repro.gates.library",
+        "MINIMAL_LIBRARY": "repro.gates.library",
+        "Workload": "repro.workloads.base",
+        "ParallelMultiplication": "repro.workloads.multiply",
+        "DotProduct": "repro.workloads.dotproduct",
+        "Convolution": "repro.workloads.convolution",
+        "ConventionalBaseline": "repro.workloads.conventional",
+        "VectorAdd": "repro.workloads.vectoradd",
+        "BinaryNeuron": "repro.workloads.bnn",
+        "MatrixVectorProduct": "repro.workloads.matvec",
+        "TraceWorkload": "repro.workloads.trace.lowering",
+        "UnknownWorkloadError": "repro.workloads.registry",
+        "available_workloads": "repro.workloads.registry",
+        "get_workload": "repro.workloads.registry",
+        "register": "repro.workloads.registry",
+        "Telemetry": "repro.telemetry.core",
+        "get_telemetry": "repro.telemetry.core",
+        "Diagnostic": "repro.verify.diagnostics",
+        "Severity": "repro.verify.diagnostics",
+        "VerifyReport": "repro.verify.diagnostics",
+        "VerificationError": "repro.verify.api",
+        "verify_mapping": "repro.verify.api",
+        "verify_network": "repro.verify.api",
+        "verify_program": "repro.verify.api",
+    },
+)

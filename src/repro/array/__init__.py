@@ -8,42 +8,27 @@ each memory cell is counted", Section 4) and failed-cell analysis
 (Section 3.3).
 """
 
-from repro.array.geometry import ArrayGeometry, Orientation
-from repro.array.state import ArrayState
-from repro.array.architecture import (
-    CRAM_COLUMN,
-    CRAM_ROW,
-    MAGIC_RRAM,
-    PINATUBO,
-    LogicStyle,
-    PIMArchitecture,
-    default_architecture,
-)
-from repro.array.executor import accumulate_assignment, replay_assignment
-from repro.array.faults import (
-    LaneSetPlan,
-    expected_usable_fraction,
-    plan_lane_sets,
-    usable_fraction_curve,
-    usable_offsets,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "ArrayGeometry",
-    "Orientation",
-    "ArrayState",
-    "PIMArchitecture",
-    "LogicStyle",
-    "default_architecture",
-    "CRAM_COLUMN",
-    "CRAM_ROW",
-    "PINATUBO",
-    "MAGIC_RRAM",
-    "replay_assignment",
-    "accumulate_assignment",
-    "usable_offsets",
-    "expected_usable_fraction",
-    "usable_fraction_curve",
-    "plan_lane_sets",
-    "LaneSetPlan",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ArrayGeometry": "repro.array.geometry",
+        "Orientation": "repro.array.geometry",
+        "ArrayState": "repro.array.state",
+        "PIMArchitecture": "repro.array.architecture",
+        "LogicStyle": "repro.array.architecture",
+        "default_architecture": "repro.array.architecture",
+        "CRAM_COLUMN": "repro.array.architecture",
+        "CRAM_ROW": "repro.array.architecture",
+        "PINATUBO": "repro.array.architecture",
+        "MAGIC_RRAM": "repro.array.architecture",
+        "replay_assignment": "repro.array.executor",
+        "accumulate_assignment": "repro.array.executor",
+        "usable_offsets": "repro.array.faults",
+        "expected_usable_fraction": "repro.array.faults",
+        "usable_fraction_curve": "repro.array.faults",
+        "plan_lane_sets": "repro.array.faults",
+        "LaneSetPlan": "repro.array.faults",
+    },
+)

@@ -13,38 +13,24 @@ Implements the paper's strategy space (Section 3.2):
   Fig. 6 demonstration of why word-granularity remapping breaks PIM.
 """
 
-from repro.balance.mapping import (
-    byte_shift_permutation,
-    identity_permutation,
-    random_permutation,
-)
-from repro.balance.software import StrategyKind, make_permutation
-from repro.balance.hardware import HardwareRemapper
-from repro.balance.access_aware import (
-    shuffle_copy_gates,
-    shuffle_overhead_percent,
-    table2_rows,
-)
-from repro.balance.nvm_baselines import (
-    StartGapRemapper,
-    TableBasedRemapper,
-    pim_and_after_remap,
-)
-from repro.balance.config import BalanceConfig, all_configurations
+from repro.lazy import attach
 
-__all__ = [
-    "identity_permutation",
-    "random_permutation",
-    "byte_shift_permutation",
-    "StrategyKind",
-    "make_permutation",
-    "HardwareRemapper",
-    "shuffle_copy_gates",
-    "shuffle_overhead_percent",
-    "table2_rows",
-    "StartGapRemapper",
-    "TableBasedRemapper",
-    "pim_and_after_remap",
-    "BalanceConfig",
-    "all_configurations",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "identity_permutation": "repro.balance.mapping",
+        "random_permutation": "repro.balance.mapping",
+        "byte_shift_permutation": "repro.balance.mapping",
+        "StrategyKind": "repro.balance.software",
+        "make_permutation": "repro.balance.software",
+        "HardwareRemapper": "repro.balance.hardware",
+        "shuffle_copy_gates": "repro.balance.access_aware",
+        "shuffle_overhead_percent": "repro.balance.access_aware",
+        "table2_rows": "repro.balance.access_aware",
+        "StartGapRemapper": "repro.balance.nvm_baselines",
+        "TableBasedRemapper": "repro.balance.nvm_baselines",
+        "pim_and_after_remap": "repro.balance.nvm_baselines",
+        "BalanceConfig": "repro.balance.config",
+        "all_configurations": "repro.balance.config",
+    },
+)

@@ -57,7 +57,6 @@ from repro.core.report import (
 )
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, mapping_for
-from repro.verify import VerificationError
 from repro.core.sweep import (
     best_improvement,
     configuration_grid,
@@ -65,32 +64,36 @@ from repro.core.sweep import (
     technology_sweep,
 )
 from repro.devices.technology import MRAM, PCM, RRAM, technology_by_name
-from repro.engine import EngineError, run_simulation
+from repro.engine.runner import EngineError, run_simulation
 from repro.gates.library import NAND_LIBRARY
 from repro.synth.analysis import (
     conventional_multiplication_counts,
     multiplier_counts,
     pim_vs_conventional_write_ratio,
 )
-from repro.telemetry import (
+from repro.synth.bits import LaneCapacityError
+from repro.telemetry.core import get_telemetry
+from repro.telemetry.reporter import say, warn
+from repro.telemetry.sinks import (
     JsonlSink,
     LoggingSink,
     ProgressSink,
     TextReporter,
+)
+from repro.telemetry.stats import (
     TraceSchemaError,
     format_stats,
-    get_telemetry,
     iter_trace,
     summarize_trace,
 )
-from repro.telemetry.reporter import say, warn
+from repro.verify.api import VerificationError
 from repro.workloads.multiply import ParallelMultiplication
 from repro.workloads.registry import (
     UnknownWorkloadError,
     available_workloads,
     get_workload,
 )
-from repro.workloads.trace import MAPPING_POLICIES
+from repro.workloads.trace.addressing import MAPPING_POLICIES
 
 _LOG_LEVEL_CHOICES = ("debug", "info", "warning", "error", "critical")
 
@@ -547,7 +550,7 @@ def cmd_verify(args) -> int:
                 if not args.json:
                     say(f"skip {workload_name} x {library_name}: {exc}")
                 continue
-            except MemoryError as exc:
+            except LaneCapacityError as exc:
                 # Lane capacity exhausted: the workload does not fit this
                 # geometry at all — that IS a bounds finding, reported
                 # through the same RPR003 channel the static pass uses.
@@ -977,6 +980,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             # its reason on one line (with --cache-dir, the engine's
             # FAILED line has already named it).
             warn("error: " + " ".join(str(error).split()))
+            return 1
+        except LaneCapacityError as error:
+            # A workload built outside an engine job (fig5, switching,
+            # trace) that does not fit the array's lanes.
+            warn(f"error: {error}")
             return 1
     finally:
         if sinks:

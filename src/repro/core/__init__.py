@@ -19,72 +19,42 @@
   figure.
 """
 
-from repro.core.scratch import BufferPool
-from repro.core.kernel import (
-    PERIODIC_KINDS,
-    fastforward_eligible,
-    fastforward_period,
-    strategy_period,
-)
-from repro.core.writedist import WriteDistribution
-from repro.core.settings import SimulationSettings
-from repro.core.simulator import EnduranceSimulator, SimulationResult
-from repro.core.lifetime import (
-    LifetimeEstimate,
-    array_write_budget,
-    eq1_operations_until_total_failure,
-    eq2_seconds_until_total_failure,
-    lifetime_from_result,
-    lifetime_improvement,
-)
-from repro.core.sweep import (
-    configuration_grid,
-    remap_frequency_sweep,
-    technology_sweep,
-)
-from repro.core.failure import (
-    FailureTimeline,
-    cell_failure_times,
-    failure_timeline,
-    minimum_footprint,
-    offset_death_times,
-)
-from repro.core.system import ArrayFarm, FarmLifetime, lifetime_at_duty_cycle
-from repro.core.switching import SwitchingProfile, measure_switching
-from repro.core.cluster import ClusterResult, PartitionedDotProduct
-from repro.core.accuracy import AccuracyReport, measure_fault_accuracy
+from repro.lazy import attach
 
-__all__ = [
-    "WriteDistribution",
-    "EnduranceSimulator",
-    "SimulationResult",
-    "SimulationSettings",
-    "LifetimeEstimate",
-    "lifetime_from_result",
-    "lifetime_improvement",
-    "array_write_budget",
-    "eq1_operations_until_total_failure",
-    "eq2_seconds_until_total_failure",
-    "configuration_grid",
-    "remap_frequency_sweep",
-    "technology_sweep",
-    "FailureTimeline",
-    "failure_timeline",
-    "cell_failure_times",
-    "offset_death_times",
-    "minimum_footprint",
-    "ArrayFarm",
-    "FarmLifetime",
-    "lifetime_at_duty_cycle",
-    "SwitchingProfile",
-    "measure_switching",
-    "ClusterResult",
-    "PartitionedDotProduct",
-    "AccuracyReport",
-    "measure_fault_accuracy",
-    "BufferPool",
-    "PERIODIC_KINDS",
-    "fastforward_eligible",
-    "fastforward_period",
-    "strategy_period",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "WriteDistribution": "repro.core.writedist",
+        "EnduranceSimulator": "repro.core.simulator",
+        "SimulationResult": "repro.core.simulator",
+        "SimulationSettings": "repro.core.settings",
+        "LifetimeEstimate": "repro.core.lifetime",
+        "lifetime_from_result": "repro.core.lifetime",
+        "lifetime_improvement": "repro.core.lifetime",
+        "array_write_budget": "repro.core.lifetime",
+        "eq1_operations_until_total_failure": "repro.core.lifetime",
+        "eq2_seconds_until_total_failure": "repro.core.lifetime",
+        "configuration_grid": "repro.core.sweep",
+        "remap_frequency_sweep": "repro.core.sweep",
+        "technology_sweep": "repro.core.sweep",
+        "FailureTimeline": "repro.core.failure",
+        "failure_timeline": "repro.core.failure",
+        "cell_failure_times": "repro.core.failure",
+        "offset_death_times": "repro.core.failure",
+        "minimum_footprint": "repro.core.failure",
+        "ArrayFarm": "repro.core.system",
+        "FarmLifetime": "repro.core.system",
+        "lifetime_at_duty_cycle": "repro.core.system",
+        "SwitchingProfile": "repro.core.switching",
+        "measure_switching": "repro.core.switching",
+        "ClusterResult": "repro.core.cluster",
+        "PartitionedDotProduct": "repro.core.cluster",
+        "AccuracyReport": "repro.core.accuracy",
+        "measure_fault_accuracy": "repro.core.accuracy",
+        "BufferPool": "repro.core.scratch",
+        "PERIODIC_KINDS": "repro.core.kernel",
+        "fastforward_eligible": "repro.core.kernel",
+        "fastforward_period": "repro.core.kernel",
+        "strategy_period": "repro.core.kernel",
+    },
+)

@@ -155,7 +155,7 @@ from repro.balance.software import (
 )
 from repro.core.scratch import POOL
 from repro.synth.program import LaneProgram
-from repro.telemetry import get_telemetry
+from repro.telemetry.core import get_telemetry
 
 #: Strategies whose per-epoch permutation is a pure periodic function of
 #: the epoch index. Ra (fresh randomness per epoch) and Wa (wear-state

@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.telemetry import get_telemetry
+from repro.telemetry.core import get_telemetry
 
 
 class BufferPool:

@@ -49,8 +49,8 @@ from repro.core.kernel import (
 from repro.core.scratch import POOL
 from repro.core.settings import SimulationSettings
 from repro.core.writedist import WriteDistribution
-from repro.telemetry import get_telemetry
-from repro.verify import VerificationError, verify_mapping
+from repro.telemetry.core import get_telemetry
+from repro.verify.api import VerificationError, verify_mapping
 from repro.workloads.base import Workload, WorkloadMapping
 
 #: Bound on :func:`mapping_for`'s memo: enough for a grid over a few

@@ -24,6 +24,9 @@ from repro.core.lifetime import (
 from repro.core.settings import SimulationSettings
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.devices.technology import Technology
+from repro.engine.runner import ExperimentEngine, require_ok
+from repro.engine.spec import JobSpec
+from repro.engine.store import ResultStore
 from repro.workloads.base import Workload
 
 
@@ -83,14 +86,6 @@ def simulate_configs(
     if base.track_reads != track_reads:
         base = base.replace(track_reads=track_reads)
     ordered = list(dict.fromkeys(configs))
-    # Imported lazily: repro.engine depends on this package.
-    from repro.engine import (
-        ExperimentEngine,
-        JobSpec,
-        ResultStore,
-        require_ok,
-    )
-
     specs = [
         JobSpec.from_settings(
             workload,

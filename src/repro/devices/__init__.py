@@ -10,33 +10,22 @@ pessimistic assumption) or as a lognormal per-cell distribution
 (:mod:`repro.devices.endurance`).
 """
 
-from repro.devices.technology import (
-    MRAM,
-    PCM,
-    RRAM,
-    RRAM_OPTIMISTIC,
-    TECHNOLOGIES,
-    Technology,
-    technology_by_name,
-)
-from repro.devices.endurance import (
-    EnduranceModel,
-    LognormalEndurance,
-    UniformEndurance,
-)
-from repro.devices.energy import EnergyModel, OperationCosts
+from repro.lazy import attach
 
-__all__ = [
-    "Technology",
-    "MRAM",
-    "RRAM",
-    "RRAM_OPTIMISTIC",
-    "PCM",
-    "TECHNOLOGIES",
-    "technology_by_name",
-    "EnduranceModel",
-    "UniformEndurance",
-    "LognormalEndurance",
-    "EnergyModel",
-    "OperationCosts",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "Technology": "repro.devices.technology",
+        "MRAM": "repro.devices.technology",
+        "RRAM": "repro.devices.technology",
+        "RRAM_OPTIMISTIC": "repro.devices.technology",
+        "PCM": "repro.devices.technology",
+        "TECHNOLOGIES": "repro.devices.technology",
+        "technology_by_name": "repro.devices.technology",
+        "EnduranceModel": "repro.devices.endurance",
+        "UniformEndurance": "repro.devices.endurance",
+        "LognormalEndurance": "repro.devices.endurance",
+        "EnergyModel": "repro.devices.energy",
+        "OperationCosts": "repro.devices.energy",
+    },
+)

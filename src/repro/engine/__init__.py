@@ -22,62 +22,21 @@ Every `repro.core.sweep` grid and every CLI simulation runs through
 this layer; a ``cache_dir=`` (``--cache-dir``) only adds the store.
 """
 
-from repro.core.settings import SimulationSettings
-from repro.engine.runner import (
-    EngineError,
-    ExperimentEngine,
-    JobOutcome,
-    JobStatus,
-    execute_spec,
-    require_ok,
+from repro.lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "EngineError": "repro.engine.runner",
+        "ExperimentEngine": "repro.engine.runner",
+        "JobOutcome": "repro.engine.runner",
+        "JobStatus": "repro.engine.runner",
+        "execute_spec": "repro.engine.runner",
+        "require_ok": "repro.engine.runner",
+        "run_simulation": "repro.engine.runner",
+        "JobSpec": "repro.engine.spec",
+        "SPEC_VERSION": "repro.engine.spec",
+        "ResultStore": "repro.engine.store",
+        "SimulationSettings": "repro.core.settings",
+    },
 )
-from repro.engine.spec import SPEC_VERSION, JobSpec
-from repro.engine.store import ResultStore
-
-__all__ = [
-    "EngineError",
-    "ExperimentEngine",
-    "JobOutcome",
-    "JobStatus",
-    "JobSpec",
-    "ResultStore",
-    "SPEC_VERSION",
-    "SimulationSettings",
-    "execute_spec",
-    "require_ok",
-    "run_simulation",
-]
-
-
-def run_simulation(
-    workload,
-    config,
-    architecture,
-    iterations,
-    cache_dir=None,
-    settings=None,
-):
-    """Resolve one simulation through the engine (cache-aware).
-
-    The single-run counterpart of the sweep entry points: builds the spec,
-    consults/populates ``cache_dir`` when given, and returns the result
-    (without its ``mapping`` when the store answered).
-    Execution knobs come from ``settings`` (a
-    :class:`repro.SimulationSettings`, default ``SimulationSettings()``,
-    which tracks reads).
-
-    Raises:
-        EngineError: if the job fails.
-    """
-    spec = JobSpec.from_settings(
-        workload,
-        architecture,
-        config=config,
-        iterations=iterations,
-        settings=settings,
-    )
-    engine = ExperimentEngine(
-        store=ResultStore(cache_dir) if cache_dir else None
-    )
-    outcome = require_ok([engine.run_one(spec)])[0]
-    return outcome.result

@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.simulator import EnduranceSimulator, SimulationResult
 from repro.engine.spec import JobSpec
 from repro.engine.store import ResultStore
-from repro.telemetry import get_telemetry
-from repro.verify import VerificationError
+from repro.telemetry.core import get_telemetry
+from repro.verify.api import VerificationError
 
 
 class JobStatus(Enum):
@@ -302,3 +302,37 @@ def require_ok(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:
     if any(not outcome.ok for outcome in outcomes):
         raise EngineError(outcomes)
     return list(outcomes)
+
+
+def run_simulation(
+    workload,
+    config,
+    architecture,
+    iterations,
+    cache_dir=None,
+    settings=None,
+):
+    """Resolve one simulation through the engine (cache-aware).
+
+    The single-run counterpart of the sweep entry points: builds the spec,
+    consults/populates ``cache_dir`` when given, and returns the result
+    (without its ``mapping`` when the store answered).
+    Execution knobs come from ``settings`` (a
+    :class:`repro.SimulationSettings`, default ``SimulationSettings()``,
+    which tracks reads).
+
+    Raises:
+        EngineError: if the job fails.
+    """
+    spec = JobSpec.from_settings(
+        workload,
+        architecture,
+        config=config,
+        iterations=iterations,
+        settings=settings,
+    )
+    engine = ExperimentEngine(
+        store=ResultStore(cache_dir) if cache_dir else None
+    )
+    outcome = require_ok([engine.run_one(spec)])[0]
+    return outcome.result

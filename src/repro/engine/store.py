@@ -43,7 +43,7 @@ from repro.core.io import (
 from repro.core.scratch import flush_pool_counters
 from repro.core.simulator import SimulationResult
 from repro.engine.spec import JobSpec
-from repro.telemetry import get_telemetry
+from repro.telemetry.core import get_telemetry
 from repro.verify.schemas import check_manifest
 
 #: The suffixes of an entry's payload, sidecar and manifest.

@@ -9,68 +9,38 @@ replacement rate that implies, and how much capacity headroom an SLO
 demands. See ``docs/fleet.md`` for the model and the checkpoint format.
 """
 
-from repro.fleet.checkpoint import CHECKPOINT_VERSION, CheckpointManager
-from repro.fleet.population import (
-    BUDGET_STREAM,
-    TRAFFIC_STREAM,
-    CohortSpec,
-    Population,
-    PopulationSpec,
-    interleaved_assignment,
-    proportional_counts,
-)
-from repro.fleet.report import FleetReport, format_report
-from repro.fleet.service import (
-    DISPATCH_POLICIES,
-    FleetService,
-    FleetSpec,
-    run_campaign,
-)
-from repro.fleet.survival import (
-    SurvivalCurve,
-    annual_replacement_rate,
-    binomial_tail,
-    canonical_hash,
-    capacity_headroom,
-    kaplan_meier,
-    required_fleet_size,
-)
-from repro.fleet.traffic import (
-    TRAFFIC_MODELS,
-    TrafficSpec,
-    TrafficState,
-    capacity_iterations,
-    draw_day,
-    split_requests,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "BUDGET_STREAM",
-    "CHECKPOINT_VERSION",
-    "CheckpointManager",
-    "CohortSpec",
-    "DISPATCH_POLICIES",
-    "FleetReport",
-    "FleetService",
-    "FleetSpec",
-    "Population",
-    "PopulationSpec",
-    "SurvivalCurve",
-    "TRAFFIC_MODELS",
-    "TRAFFIC_STREAM",
-    "TrafficSpec",
-    "TrafficState",
-    "annual_replacement_rate",
-    "binomial_tail",
-    "canonical_hash",
-    "capacity_headroom",
-    "capacity_iterations",
-    "draw_day",
-    "format_report",
-    "interleaved_assignment",
-    "kaplan_meier",
-    "proportional_counts",
-    "required_fleet_size",
-    "run_campaign",
-    "split_requests",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "BUDGET_STREAM": "repro.fleet.population",
+        "CohortSpec": "repro.fleet.population",
+        "Population": "repro.fleet.population",
+        "PopulationSpec": "repro.fleet.population",
+        "TRAFFIC_STREAM": "repro.fleet.population",
+        "interleaved_assignment": "repro.fleet.population",
+        "proportional_counts": "repro.fleet.population",
+        "CHECKPOINT_VERSION": "repro.fleet.checkpoint",
+        "CheckpointManager": "repro.fleet.checkpoint",
+        "DISPATCH_POLICIES": "repro.fleet.service",
+        "FleetService": "repro.fleet.service",
+        "FleetSpec": "repro.fleet.service",
+        "run_campaign": "repro.fleet.service",
+        "FleetReport": "repro.fleet.report",
+        "format_report": "repro.fleet.report",
+        "SurvivalCurve": "repro.fleet.survival",
+        "annual_replacement_rate": "repro.fleet.survival",
+        "binomial_tail": "repro.fleet.survival",
+        "canonical_hash": "repro.fleet.survival",
+        "capacity_headroom": "repro.fleet.survival",
+        "kaplan_meier": "repro.fleet.survival",
+        "required_fleet_size": "repro.fleet.survival",
+        "TRAFFIC_MODELS": "repro.fleet.traffic",
+        "TrafficSpec": "repro.fleet.traffic",
+        "TrafficState": "repro.fleet.traffic",
+        "capacity_iterations": "repro.fleet.traffic",
+        "draw_day": "repro.fleet.traffic",
+        "split_requests": "repro.fleet.traffic",
+    },
+)

@@ -65,8 +65,8 @@ from repro.fleet.traffic import (
     split_requests,
     traffic_rng,
 )
-from repro.telemetry import get_telemetry
-from repro.verify import VerificationError, verify_fleet_spec
+from repro.telemetry.core import get_telemetry
+from repro.verify.api import VerificationError, verify_fleet_spec
 
 #: The recognized dispatch policies.
 DISPATCH_POLICIES = ("even", "least_worn")

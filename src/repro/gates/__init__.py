@@ -15,32 +15,21 @@ provides:
   Section 3.2 / Table 2).
 """
 
-from repro.gates.ops import (
-    ONE_INPUT_OPS,
-    TWO_INPUT_OPS,
-    GateOp,
-    evaluate_op,
-)
-from repro.gates.gate import Gate
-from repro.gates.library import (
-    MAJ_LIBRARY,
-    MINIMAL_LIBRARY,
-    NAND_LIBRARY,
-    NOR_LIBRARY,
-    GateLibrary,
-    library_by_name,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "GateOp",
-    "evaluate_op",
-    "ONE_INPUT_OPS",
-    "TWO_INPUT_OPS",
-    "Gate",
-    "GateLibrary",
-    "NAND_LIBRARY",
-    "MINIMAL_LIBRARY",
-    "NOR_LIBRARY",
-    "MAJ_LIBRARY",
-    "library_by_name",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "GateOp": "repro.gates.ops",
+        "evaluate_op": "repro.gates.ops",
+        "ONE_INPUT_OPS": "repro.gates.ops",
+        "TWO_INPUT_OPS": "repro.gates.ops",
+        "Gate": "repro.gates.gate",
+        "GateLibrary": "repro.gates.library",
+        "NAND_LIBRARY": "repro.gates.library",
+        "MINIMAL_LIBRARY": "repro.gates.library",
+        "NOR_LIBRARY": "repro.gates.library",
+        "MAJ_LIBRARY": "repro.gates.library",
+        "library_by_name": "repro.gates.library",
+    },
+)

@@ -21,42 +21,29 @@ comparison) into sequences of basic logic gates performed within a lane
   the paper's Section 3.1 arithmetic.
 """
 
-from repro.synth.bits import BitAllocator, BitVector
-from repro.synth.compiled import CompiledProgram, compile_program
-from repro.synth.program import (
-    LaneProgram,
-    LaneProgramBuilder,
-    ReadInstr,
-    WriteInstr,
-)
-from repro.synth.adders import full_adder, half_adder, ripple_carry_add
-from repro.synth.multiplier import multiply
-from repro.synth.comparator import compare_ge
-from repro.synth.analysis import (
-    OperationCounts,
-    adder_counts,
-    conventional_multiplication_counts,
-    multiplier_counts,
-    pim_vs_conventional_write_ratio,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "BitAllocator",
-    "BitVector",
-    "CompiledProgram",
-    "compile_program",
-    "LaneProgram",
-    "LaneProgramBuilder",
-    "WriteInstr",
-    "ReadInstr",
-    "full_adder",
-    "half_adder",
-    "ripple_carry_add",
-    "multiply",
-    "compare_ge",
-    "OperationCounts",
-    "multiplier_counts",
-    "adder_counts",
-    "conventional_multiplication_counts",
-    "pim_vs_conventional_write_ratio",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "BitAllocator": "repro.synth.bits",
+        "BitVector": "repro.synth.bits",
+        "LaneCapacityError": "repro.synth.bits",
+        "CompiledProgram": "repro.synth.compiled",
+        "compile_program": "repro.synth.compiled",
+        "LaneProgram": "repro.synth.program",
+        "LaneProgramBuilder": "repro.synth.program",
+        "WriteInstr": "repro.synth.program",
+        "ReadInstr": "repro.synth.program",
+        "full_adder": "repro.synth.adders",
+        "half_adder": "repro.synth.adders",
+        "ripple_carry_add": "repro.synth.adders",
+        "multiply": "repro.synth.multiplier",
+        "compare_ge": "repro.synth.comparator",
+        "OperationCounts": "repro.synth.analysis",
+        "multiplier_counts": "repro.synth.analysis",
+        "adder_counts": "repro.synth.analysis",
+        "conventional_multiplication_counts": "repro.synth.analysis",
+        "pim_vs_conventional_write_ratio": "repro.synth.analysis",
+    },
+)

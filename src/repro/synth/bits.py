@@ -36,6 +36,12 @@ class AllocationPolicy(Enum):
     RING = "ring"
 
 
+class LaneCapacityError(MemoryError):
+    """A lane ran out of cells: the program does not fit the array's lane
+    height. A :class:`MemoryError`, but of the simulated array, never of
+    the host, so callers can refuse the workload and carry on."""
+
+
 class BitAllocator:
     """Allocates and frees logical bit addresses within a lane.
 
@@ -91,7 +97,7 @@ class BitAllocator:
         """Allocate one logical bit according to the reuse policy.
 
         Raises:
-            MemoryError: if the lane capacity is exhausted. This is the
+            LaneCapacityError: if the lane capacity is exhausted. This is the
                 failure mode of Section 3.3: "the number of available cells
                 can quickly reach a point where even multiplication is not
                 possible due to insufficient space".
@@ -109,7 +115,7 @@ class BitAllocator:
         if self._free:
             return heapq.heappop(self._free)
         if self._capacity is not None and self._next_fresh >= self._capacity:
-            raise MemoryError(
+            raise LaneCapacityError(
                 f"lane capacity {self._capacity} exhausted "
                 f"({len(self._live)} bits live)"
             )
@@ -123,7 +129,7 @@ class BitAllocator:
             if candidate not in self._live:
                 self._cursor = (candidate + 1) % capacity
                 return candidate
-        raise MemoryError(
+        raise LaneCapacityError(
             f"lane capacity {capacity} exhausted ({len(self._live)} bits live)"
         )
 

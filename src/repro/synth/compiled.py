@@ -46,7 +46,7 @@ from repro.synth.program import (
     LaneProgram,
     ProgramColumns,
 )
-from repro.telemetry import get_telemetry
+from repro.telemetry.core import get_telemetry
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 

@@ -23,7 +23,12 @@ from repro.distinct import distinct
 from repro.gates.gate import Gate
 from repro.gates.library import GateLibrary
 from repro.gates.ops import GateOp
-from repro.synth.bits import AllocationPolicy, BitAllocator, BitVector
+from repro.synth.bits import (
+    AllocationPolicy,
+    BitAllocator,
+    BitVector,
+    LaneCapacityError,
+)
 
 
 @dataclass(frozen=True)
@@ -558,9 +563,7 @@ class LaneProgram:
         first use from :attr:`columns` and shared by every caller of the
         batch evaluators and the static checks that need its schedule.
         """
-        from repro.synth.compiled import compile_program
-
-        return compile_program(self)
+        return _compiled.compile_program(self)
 
     def evaluate(
         self,
@@ -1076,7 +1079,7 @@ class _Template:
 
 class _FreshAllocator(BitAllocator):
     """Hands out ids ``0, 1, 2, …`` and never reuses one; past
-    ``capacity`` ids it raises ``MemoryError``."""
+    ``capacity`` ids it raises :class:`LaneCapacityError`."""
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity, AllocationPolicy.RING)
@@ -1084,7 +1087,7 @@ class _FreshAllocator(BitAllocator):
     def alloc(self) -> int:
         address = self._next_fresh
         if address == self._capacity:
-            raise MemoryError(f"more than {address} bits")
+            raise LaneCapacityError(f"more than {address} bits")
         self._next_fresh = address + 1
         self._live.add(address)
         return address
@@ -1134,7 +1137,7 @@ def _template(
                 BitVector(slots[:width_a]),
                 BitVector(slots[width_a:-1]),
             )
-        except MemoryError:
+        except LaneCapacityError:
             _OVERSIZED[key] = budget
             return None
         rows = recorder._table()
@@ -1224,3 +1227,8 @@ class _ObjectBuilder(LaneProgramBuilder):
             inputs=self._inputs,
             outputs=self._outputs,
         )
+
+
+# Last: repro.synth.compiled imports this module's names. Called through
+# the module, so a wrapper installed on ``compile_program`` sees every call.
+import repro.synth.compiled as _compiled  # noqa: E402

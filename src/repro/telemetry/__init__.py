@@ -30,46 +30,27 @@ stays resident in hot layers at negligible cost (benchmark E31 pins the
 overhead at <= 3%).
 """
 
-from repro.telemetry.core import (
-    Telemetry,
-    capture,
-    get_telemetry,
-    set_telemetry,
-)
-from repro.telemetry.sinks import (
-    CaptureSink,
-    JsonlSink,
-    LoggingSink,
-    ProgressSink,
-    Sink,
-    TextReporter,
-)
-from repro.telemetry.stats import (
-    EVENT_FIELDS,
-    KNOWN_COUNTERS,
-    TraceSchemaError,
-    format_stats,
-    iter_trace,
-    summarize_trace,
-    validate_record,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "CaptureSink",
-    "EVENT_FIELDS",
-    "JsonlSink",
-    "KNOWN_COUNTERS",
-    "LoggingSink",
-    "ProgressSink",
-    "Sink",
-    "Telemetry",
-    "TextReporter",
-    "TraceSchemaError",
-    "capture",
-    "format_stats",
-    "get_telemetry",
-    "iter_trace",
-    "set_telemetry",
-    "summarize_trace",
-    "validate_record",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "CaptureSink": "repro.telemetry.sinks",
+        "JsonlSink": "repro.telemetry.sinks",
+        "LoggingSink": "repro.telemetry.sinks",
+        "ProgressSink": "repro.telemetry.sinks",
+        "Sink": "repro.telemetry.sinks",
+        "TextReporter": "repro.telemetry.sinks",
+        "EVENT_FIELDS": "repro.telemetry.stats",
+        "KNOWN_COUNTERS": "repro.telemetry.stats",
+        "TraceSchemaError": "repro.telemetry.stats",
+        "format_stats": "repro.telemetry.stats",
+        "iter_trace": "repro.telemetry.stats",
+        "summarize_trace": "repro.telemetry.stats",
+        "validate_record": "repro.telemetry.stats",
+        "Telemetry": "repro.telemetry.core",
+        "capture": "repro.telemetry.core",
+        "get_telemetry": "repro.telemetry.core",
+        "set_telemetry": "repro.telemetry.core",
+    },
+)

@@ -14,13 +14,14 @@ forward-compatibility feature, not an error.
 
 from __future__ import annotations
 
-import json
-import logging
 import sys
 import threading
-from typing import Dict, List, Optional, TextIO
+from typing import TYPE_CHECKING, Dict, List, Optional, TextIO
 
 from repro.telemetry.reporter import say
+
+if TYPE_CHECKING:
+    import logging
 
 
 class Sink:
@@ -64,12 +65,14 @@ class LoggingSink(Sink):
     def __init__(
         self,
         logger: Optional[logging.Logger] = None,
-        level: int = logging.INFO,
+        level: Optional[int] = None,
     ) -> None:
+        import logging  # imported by the one sink that uses it
+
         self.logger = logger if logger is not None else logging.getLogger(
             "repro.telemetry"
         )
-        self.level = level
+        self.level = logging.INFO if level is None else level
 
     def handle(self, record: Dict) -> None:
         """Log the record as ``event key=value ...``."""
@@ -102,6 +105,8 @@ class JsonlSink(Sink):
 
     def handle(self, record: Dict) -> None:
         """Serialize the record to one JSONL line."""
+        import json
+
         line = json.dumps(record, sort_keys=True, default=str)
         with self._lock:
             if self._fh is None:

@@ -12,72 +12,37 @@ verify`` CLI subcommand and the simulator's and fleet's pre-run
 gates are built on these entry points.
 """
 
-from repro.verify.api import (
-    FUNCTIONAL_CODES,
-    VerificationError,
-    verify_fleet_spec,
-    verify_mapping,
-    verify_network,
-    verify_program,
-    verify_self,
-)
-from repro.verify.dataflow import (
-    check_bounds,
-    check_dataflow,
-    check_level_segments,
-    check_levels,
-)
-from repro.verify.diagnostics import (
-    CODES,
-    Diagnostic,
-    Location,
-    Severity,
-    VerifyReport,
-)
-from repro.verify.lint import self_lint
-from repro.verify.schemas import (
-    check_checkpoint,
-    check_manifest,
-    check_trace,
-)
-from repro.verify.streams import (
-    check_stream_keys,
-    check_streams,
-    derive_stream_keys,
-)
-from repro.verify.wear import (
-    check_config,
-    check_permutation_rows,
-    check_profile_conservation,
-    check_schedule,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "CODES",
-    "Diagnostic",
-    "FUNCTIONAL_CODES",
-    "Location",
-    "Severity",
-    "VerificationError",
-    "VerifyReport",
-    "check_bounds",
-    "check_checkpoint",
-    "check_config",
-    "check_dataflow",
-    "check_level_segments",
-    "check_levels",
-    "check_manifest",
-    "check_permutation_rows",
-    "check_profile_conservation",
-    "check_schedule",
-    "check_stream_keys",
-    "check_streams",
-    "check_trace",
-    "derive_stream_keys",
-    "self_lint",
-    "verify_fleet_spec",
-    "verify_mapping",
-    "verify_network",
-    "verify_program",
-    "verify_self",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "CODES": "repro.verify.diagnostics",
+        "Diagnostic": "repro.verify.diagnostics",
+        "Location": "repro.verify.diagnostics",
+        "Severity": "repro.verify.diagnostics",
+        "VerifyReport": "repro.verify.diagnostics",
+        "FUNCTIONAL_CODES": "repro.verify.api",
+        "VerificationError": "repro.verify.api",
+        "verify_fleet_spec": "repro.verify.api",
+        "verify_mapping": "repro.verify.api",
+        "verify_network": "repro.verify.api",
+        "verify_program": "repro.verify.api",
+        "verify_self": "repro.verify.api",
+        "check_bounds": "repro.verify.dataflow",
+        "check_dataflow": "repro.verify.dataflow",
+        "check_level_segments": "repro.verify.dataflow",
+        "check_levels": "repro.verify.dataflow",
+        "check_checkpoint": "repro.verify.schemas",
+        "check_manifest": "repro.verify.schemas",
+        "check_trace": "repro.verify.schemas",
+        "check_config": "repro.verify.wear",
+        "check_permutation_rows": "repro.verify.wear",
+        "check_profile_conservation": "repro.verify.wear",
+        "check_schedule": "repro.verify.wear",
+        "check_stream_keys": "repro.verify.streams",
+        "check_streams": "repro.verify.streams",
+        "derive_stream_keys": "repro.verify.streams",
+        "self_lint": "repro.verify.lint",
+    },
+)

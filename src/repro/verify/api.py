@@ -29,7 +29,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.synth.program import SRC_EXTERNAL, LaneProgram
-from repro.telemetry import get_telemetry
+from repro.telemetry.core import get_telemetry
 from repro.verify.dataflow import check_bounds, check_dataflow, check_levels
 from repro.verify.diagnostics import (
     Diagnostic,
@@ -37,7 +37,6 @@ from repro.verify.diagnostics import (
     Severity,
     VerifyReport,
 )
-from repro.verify.lint import self_lint
 from repro.verify.streams import check_streams
 from repro.verify.wear import (
     check_config,
@@ -447,4 +446,6 @@ def verify_self(root=None) -> VerifyReport:
         root: Package directory to lint; defaults to the installed
             ``repro`` tree. See :func:`repro.verify.lint.self_lint`.
     """
+    from repro.verify.lint import self_lint
+
     return _finish(list(self_lint(root)))

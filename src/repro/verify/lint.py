@@ -18,7 +18,10 @@ linter knows about, and that used to be enforced only by convention:
   those two literals is emitted (or counted) by some module of the
   tree, so a removed event leaves no dead vocabulary behind;
 * every ``__all__`` entry names something actually defined (or
-  imported) at module top level, with no duplicates.
+  imported) at module top level, with no duplicates;
+* every entry of a package's lazy namespace table (the dict literal
+  handed to :func:`repro.lazy.attach`) names a module of the tree that
+  defines (or imports) that name, with no name listed twice.
 
 :func:`self_lint` walks every module under ``src/repro`` (or a caller-
 supplied root) with :mod:`ast` — no imports of the linted code, so a
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.verify.diagnostics import Diagnostic, Location, Severity
 
@@ -123,6 +126,27 @@ def _top_level_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
         if isinstance(target, ast.Name) and target.id == name:
             return value
     return None
+
+
+def _module_name(label: str) -> str:
+    """``repro/core/sweep.py`` -> ``repro.core.sweep``; a package's
+    ``__init__.py`` names the package."""
+    parts = label[: -len(".py")].split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _lazy_tables(tree: ast.Module) -> Iterator[ast.Call]:
+    """Each top-level ``... = attach(__name__, {...})`` call."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "attach"
+        ):
+            yield node.value
 
 
 def _find_codes_dict(tree: ast.Module) -> Optional[ast.Dict]:
@@ -214,11 +238,15 @@ def _check_module(
     known_events: frozenset,
     known_counters: frozenset,
     used: Set[Tuple[str, str]],
+    lazy: List[Tuple[str, str, str]],
 ) -> List[Diagnostic]:
-    """All per-module checks: calls with literal names, ``__all__``.
+    """All per-module checks: calls with literal names, ``__all__``,
+    the shape of a lazy namespace table.
 
     Adds each literal telemetry name the module uses to ``used``, as
-    ``("emit", name)`` or ``("count", name)`` (gauges included).
+    ``("emit", name)`` or ``("count", name)`` (gauges included), and
+    each lazy table entry to ``lazy`` as ``(name, module, place)``, for
+    :func:`self_lint` to resolve once every module is parsed.
     """
     diagnostics: List[Diagnostic] = []
 
@@ -280,6 +308,27 @@ def _check_module(
                     "add the name to repro.telemetry.stats.KNOWN_COUNTERS "
                     "and document it in docs/observability.md",
                 )
+    # Lazy namespace tables: literal, one entry per name.
+    for call in _lazy_tables(tree):
+        table = call.args[1] if len(call.args) == 2 else None
+        if not isinstance(table, ast.Dict):
+            finding(
+                "attach() table is not a dict literal", call.lineno
+            )
+            continue
+        seen_lazy = set()
+        for key, value in zip(table.keys, table.values):
+            line = getattr(key, "lineno", call.lineno)
+            name, module = _literal_str(key), _literal_str(value)
+            if name is None or module is None:
+                finding(
+                    "lazy table entry is not a string-literal pair", line
+                )
+                continue
+            if name in seen_lazy:
+                finding(f"lazy table lists {name!r} more than once", line)
+            seen_lazy.add(name)
+            lazy.append((name, module, f"{label}:{line}"))
     # __all__ consistency.
     defined = set(_top_level_names(tree))
     for node in tree.body:
@@ -347,6 +396,9 @@ def self_lint(
     diagnostics: List[Diagnostic] = []
     used: Set[Tuple[str, str]] = set()
     declared: List[Tuple[str, str, str]] = []
+    lazy: List[Tuple[str, str, str]] = []
+    #: module name -> the names it binds at top level.
+    bound: Dict[str, Set[str]] = {}
     for path, label in _iter_sources(root):
         try:
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -371,9 +423,32 @@ def self_lint(
                     (kind, name, f"{label}:{line}")
                     for name, line in _declared_names(tree, registry)
                 )
+        bound[_module_name(label)] = set(_top_level_names(tree))
         diagnostics.extend(
             _check_module(
-                tree, label, known_codes, known_events, known_counters, used
+                tree,
+                label,
+                known_codes,
+                known_events,
+                known_counters,
+                used,
+                lazy,
+            )
+        )
+    for name, module, place in lazy:
+        if module not in bound:
+            problem = f"{module!r}, which is not a module of the tree"
+        elif name not in bound[module]:
+            problem = f"{module!r}, which never defines or imports it"
+        else:
+            continue
+        diagnostics.append(
+            Diagnostic(
+                "RPR018",
+                Severity.ERROR,
+                f"lazy table maps {name!r} to {problem}",
+                Location(place=place),
+                hint="point the entry at the module that defines the name",
             )
         )
     for kind, name, place in declared:

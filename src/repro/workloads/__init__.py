@@ -22,64 +22,35 @@ single name-resolution path (``register`` / ``get_workload`` /
 into workloads (:class:`~repro.workloads.trace.TraceWorkload`).
 """
 
-from repro.workloads.base import (
-    Phase,
-    Workload,
-    WorkloadMapping,
-    evaluate_networked,
-    evaluate_networked_batch,
-)
-from repro.workloads.multiply import ParallelMultiplication
-from repro.workloads.dotproduct import DotProduct
-from repro.workloads.convolution import Convolution
-from repro.workloads.conventional import ConventionalBaseline
-from repro.workloads.vectoradd import VectorAdd
-from repro.workloads.bnn import BinaryNeuron
-from repro.workloads.matvec import MatrixVectorProduct
-from repro.workloads.registry import (
-    UnknownWorkloadError,
-    WorkloadEntry,
-    WorkloadRegistrationError,
-    available_workloads,
-    get_workload,
-    get_workload_factory,
-    register,
-    unregister,
-    workload_entries,
-)
-from repro.workloads.trace import (
-    AddressMapping,
-    TraceLoweringError,
-    TraceParseError,
-    TraceWorkload,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "Phase",
-    "Workload",
-    "WorkloadMapping",
-    "evaluate_networked",
-    "evaluate_networked_batch",
-    "ParallelMultiplication",
-    "DotProduct",
-    "Convolution",
-    "ConventionalBaseline",
-    "VectorAdd",
-    "BinaryNeuron",
-    "MatrixVectorProduct",
-    # registry
-    "UnknownWorkloadError",
-    "WorkloadEntry",
-    "WorkloadRegistrationError",
-    "available_workloads",
-    "get_workload",
-    "get_workload_factory",
-    "register",
-    "unregister",
-    "workload_entries",
-    # trace frontend
-    "AddressMapping",
-    "TraceLoweringError",
-    "TraceParseError",
-    "TraceWorkload",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "Phase": "repro.workloads.base",
+        "Workload": "repro.workloads.base",
+        "WorkloadMapping": "repro.workloads.base",
+        "evaluate_networked": "repro.workloads.base",
+        "evaluate_networked_batch": "repro.workloads.base",
+        "ParallelMultiplication": "repro.workloads.multiply",
+        "DotProduct": "repro.workloads.dotproduct",
+        "Convolution": "repro.workloads.convolution",
+        "ConventionalBaseline": "repro.workloads.conventional",
+        "VectorAdd": "repro.workloads.vectoradd",
+        "BinaryNeuron": "repro.workloads.bnn",
+        "MatrixVectorProduct": "repro.workloads.matvec",
+        "UnknownWorkloadError": "repro.workloads.registry",
+        "WorkloadEntry": "repro.workloads.registry",
+        "WorkloadRegistrationError": "repro.workloads.registry",
+        "available_workloads": "repro.workloads.registry",
+        "get_workload": "repro.workloads.registry",
+        "get_workload_factory": "repro.workloads.registry",
+        "register": "repro.workloads.registry",
+        "unregister": "repro.workloads.registry",
+        "workload_entries": "repro.workloads.registry",
+        "AddressMapping": "repro.workloads.trace.addressing",
+        "TraceLoweringError": "repro.workloads.trace.lowering",
+        "TraceWorkload": "repro.workloads.trace.lowering",
+        "TraceParseError": "repro.workloads.trace.parser",
+    },
+)

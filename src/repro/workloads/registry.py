@@ -22,7 +22,6 @@ unless ``replace=True``.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -153,6 +152,8 @@ def workload_entries() -> Tuple[WorkloadEntry, ...]:
 
 def _unknown_message(name: str) -> str:
     """The full unknown-name message: suggestion + provenance listing."""
+    import difflib
+
     matches = difflib.get_close_matches(name, sorted(_REGISTRY), n=1)
     suggestion = f"; did you mean {matches[0]!r}?" if matches else ""
     lines = [f"unknown workload {name!r}{suggestion}"]

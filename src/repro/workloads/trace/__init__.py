@@ -10,50 +10,28 @@ into the simulator, engine, and fleet like any hand-built workload.
 See ``docs/workloads.md`` for the full tour.
 """
 
-from repro.workloads.trace.addressing import (
-    MAPPING_POLICIES,
-    AddressMapping,
-)
-from repro.workloads.trace.fixtures import (
-    GEMV_FIXTURE,
-    fixture_path,
-    gemv_addresses,
-    gemv_trace_lines,
-    load_gemv_fixture,
-    write_gemv_trace,
-)
-from repro.workloads.trace.lowering import (
-    TraceLoweringError,
-    TraceWorkload,
-)
-from repro.workloads.trace.parser import (
-    PIMULATOR_FORMAT,
-    AddressFormat,
-    PhysicalAddress,
-    TraceInstr,
-    TraceOp,
-    TraceParseError,
-    iter_trace,
-    parse_trace,
-)
+from repro.lazy import attach
 
-__all__ = [
-    "AddressFormat",
-    "AddressMapping",
-    "GEMV_FIXTURE",
-    "MAPPING_POLICIES",
-    "PIMULATOR_FORMAT",
-    "PhysicalAddress",
-    "TraceInstr",
-    "TraceLoweringError",
-    "TraceOp",
-    "TraceParseError",
-    "TraceWorkload",
-    "fixture_path",
-    "gemv_addresses",
-    "gemv_trace_lines",
-    "iter_trace",
-    "load_gemv_fixture",
-    "parse_trace",
-    "write_gemv_trace",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "AddressFormat": "repro.workloads.trace.parser",
+        "PIMULATOR_FORMAT": "repro.workloads.trace.parser",
+        "PhysicalAddress": "repro.workloads.trace.parser",
+        "TraceInstr": "repro.workloads.trace.parser",
+        "TraceOp": "repro.workloads.trace.parser",
+        "TraceParseError": "repro.workloads.trace.parser",
+        "iter_trace": "repro.workloads.trace.parser",
+        "parse_trace": "repro.workloads.trace.parser",
+        "AddressMapping": "repro.workloads.trace.addressing",
+        "MAPPING_POLICIES": "repro.workloads.trace.addressing",
+        "GEMV_FIXTURE": "repro.workloads.trace.fixtures",
+        "fixture_path": "repro.workloads.trace.fixtures",
+        "gemv_addresses": "repro.workloads.trace.fixtures",
+        "gemv_trace_lines": "repro.workloads.trace.fixtures",
+        "load_gemv_fixture": "repro.workloads.trace.fixtures",
+        "write_gemv_trace": "repro.workloads.trace.fixtures",
+        "TraceLoweringError": "repro.workloads.trace.lowering",
+        "TraceWorkload": "repro.workloads.trace.lowering",
+    },
+)

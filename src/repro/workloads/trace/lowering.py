@@ -32,9 +32,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.array.architecture import PIMArchitecture
 from repro.gates.library import GateLibrary
 from repro.synth.adders import ripple_carry_add
-from repro.synth.bits import AllocationPolicy, BitVector
+from repro.synth.bits import AllocationPolicy, BitVector, LaneCapacityError
 from repro.synth.multiplier import multiply
 from repro.synth.program import LaneProgram, LaneProgramBuilder
+from repro.verify.api import VerificationError, verify_network
 from repro.workloads.base import Phase, Workload, WorkloadMapping
 from repro.workloads.trace.addressing import MAPPING_POLICIES, AddressMapping
 from repro.workloads.trace.parser import (
@@ -397,8 +398,8 @@ class _Lowering:
                 index: lane.builder.finish()
                 for index, lane in sorted(self.lanes.items())
             }
-        except MemoryError as exc:
-            raise MemoryError(
+        except LaneCapacityError as exc:
+            raise LaneCapacityError(
                 f"trace does not fit the lane capacity "
                 f"({self.capacity}): {exc}"
             ) from None
@@ -620,8 +621,6 @@ class TraceWorkload(Workload):
         not an error for the wear view — only single-pass functional
         evaluation needs acyclicity — so it downgrades to a skip.
         """
-        from repro.verify import VerificationError, verify_network
-
         try:
             order = lowering.evaluation_order()
         except TraceLoweringError:

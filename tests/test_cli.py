@@ -421,7 +421,30 @@ class TestFastForwardFlag:
         assert status == 1
         assert captured.err == (
             "error: 1 job(s) failed: multiplication-32b StxSt x10 seed=0: "
-            "MemoryError: lane capacity 63 exhausted (63 bits live)\n"
+            "repro.synth.bits.LaneCapacityError: lane capacity 63 exhausted "
+            "(63 bits live)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, capacity",
+        [
+            (["--rows", "16", "--cols", "16", "fig5"], 15),
+            (["--rows", "16", "--cols", "16", "switching"], 15),
+            (["--rows", "64", "--cols", "16", "trace",
+              "--iterations", "100"], 63),
+        ],
+    )
+    def test_workload_too_large_for_the_array_is_one_error_line(
+        self, capsys, argv, capacity
+    ):
+        # These commands build the workload outside an engine job; a lane
+        # too short for it is a typed error, rendered like a failed job.
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err == (
+            f"error: lane capacity {capacity} exhausted "
+            f"({capacity} bits live)\n"
         )
 
 

@@ -114,7 +114,7 @@ class TestSimulateConfigs:
         self, tiny_arch, tmp_path, stored
     ):
         doomed = ParallelMultiplication(bits=32)  # cannot fit a 63-bit lane
-        with pytest.raises(EngineError, match="MemoryError: lane capacity"):
+        with pytest.raises(EngineError, match="LaneCapacityError: lane capacity"):
             simulate_configs(
                 fresh_sim(tiny_arch),
                 doomed,

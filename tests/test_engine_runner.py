@@ -261,7 +261,9 @@ class TestFailureTelemetry:
         assert end["label"] == bad.label
         # The failure's reason rides on the event: the traceback's last line.
         assert end["error"] == outcome.error.strip().splitlines()[-1]
-        assert end["error"].startswith("MemoryError: lane capacity")
+        assert end["error"].startswith(
+            "repro.synth.bits.LaneCapacityError: lane capacity"
+        )
 
     def test_batch_events_cover_census_and_metrics(
         self, tiny_arch, tmp_path, fresh_telemetry

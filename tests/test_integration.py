@@ -208,6 +208,109 @@ print("numpy.ma" in sys.modules)
 """
 
 
+#: One run per scenario, each in a fresh interpreter; prints the
+#: modules loaded by its end.
+LOADED_MODULES_SCRIPT = """
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+scenario = sys.argv[1]
+work = Path(tempfile.mkdtemp())
+if scenario == "grid":
+    from repro.array.architecture import default_architecture
+    from repro.core.settings import SimulationSettings
+    from repro.core.simulator import EnduranceSimulator
+    from repro.core.sweep import configuration_grid
+    from repro.workloads.registry import get_workload
+
+    simulator = EnduranceSimulator(
+        default_architecture(), settings=SimulationSettings(seed=1)
+    )
+    for name in ("mult", "conv"):
+        configuration_grid(simulator, get_workload(name), iterations=300)
+elif scenario == "trace":
+    from repro.array.architecture import default_architecture
+    from repro.balance.config import BalanceConfig
+    from repro.core.simulator import EnduranceSimulator
+    from repro.core.sweep import configuration_grid
+    from repro.workloads.trace import TraceWorkload, write_gemv_trace
+
+    trace = TraceWorkload.from_file(
+        write_gemv_trace(work / "gemv.trace", rows=4, cols=4)
+    )
+    configuration_grid(
+        EnduranceSimulator(default_architecture()), trace, iterations=200,
+        configs=[BalanceConfig.from_label(label)
+                 for label in ("StxSt", "RaxRa", "BsxBs")],
+        cache_dir=str(work / "store"),
+    )
+else:
+    from repro.engine import ResultStore
+    from repro.fleet import (
+        CohortSpec, FleetService, FleetSpec, PopulationSpec, TrafficSpec,
+    )
+
+    spec = FleetSpec(
+        population=PopulationSpec(
+            n_arrays=8,
+            technology_mix=(("MRAM", 1.0), ("PCM", 1.0)),
+            cohorts=(CohortSpec("add"), CohortSpec("conv")),
+            endurance_sigma=0.3,
+        ),
+        traffic=TrafficSpec(model="poisson", rate=6e4),
+        days=5, seed=1, rows=128, cols=128, cohort_iterations=200,
+    )
+    FleetService(
+        spec, store=ResultStore(work / "store"),
+        checkpoint_dir=str(work / "ckpt"), checkpoint_every=2,
+    ).run()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestImportsFollowTheRun:
+    """Package namespaces resolve names on first access, so a run loads
+    the layers it uses and no other: a grid no fleet or trace frontend,
+    a fleet no trace frontend, and none of them ``logging`` (only
+    ``LoggingSink`` uses it) or ``difflib`` (only an unknown workload
+    name's suggestion)."""
+
+    SHUNNED = {
+        "grid": ("repro.fleet", "repro.workloads.trace"),
+        "trace": ("repro.fleet",),
+        "fleet": ("repro.workloads.trace",),
+    }
+
+    @pytest.mark.parametrize("scenario", ["grid", "trace", "fleet"])
+    def test_scenario_loads_only_its_layers(self, scenario):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES_SCRIPT, scenario],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded = set(json.loads(result.stdout.strip().splitlines()[-1]))
+        # The run did what it is named for.
+        assert {"repro.core.simulator", "repro.synth.compiled"} <= loaded
+        for package in self.SHUNNED[scenario]:
+            assert not {
+                name for name in loaded
+                if name == package or name.startswith(package + ".")
+            }, package
+        assert "logging" not in loaded
+        assert "difflib" not in loaded
+
+
 class TestNumpyMaStaysUnimported:
     """``np.unique``'s and ``np.isin``'s sorting paths import
     ``numpy.ma`` on first use (numpy 2.x); the simulator's set

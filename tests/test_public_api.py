@@ -148,3 +148,78 @@ class TestCrossExports:
 
         assert repro.Telemetry is repro.telemetry.Telemetry
         assert repro.get_telemetry is repro.telemetry.get_telemetry
+
+
+#: Every package whose namespace is a lazy table.
+PACKAGES = (
+    "repro",
+    "repro.array",
+    "repro.balance",
+    "repro.core",
+    "repro.devices",
+    "repro.engine",
+    "repro.fleet",
+    "repro.gates",
+    "repro.synth",
+    "repro.telemetry",
+    "repro.verify",
+    "repro.workloads",
+    "repro.workloads.trace",
+)
+
+
+def _table(package):
+    """The name -> defining module table a package hands to ``attach``."""
+    import ast
+    from pathlib import Path
+
+    from repro.verify.lint import _lazy_tables
+
+    tree = ast.parse(Path(package.__file__).read_text(encoding="utf-8"))
+    (call,) = _lazy_tables(tree)
+    return ast.literal_eval(call.args[1])
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+class TestLazyNamespaces:
+    def test_every_export_is_its_defining_modules_object(self, package_name):
+        package = importlib.import_module(package_name)
+        table = _table(package)
+        assert list(package.__all__) == list(table)
+        listed = dir(package)
+        for name, module in table.items():
+            defined = getattr(importlib.import_module(module), name)
+            assert getattr(package, name) is defined, name
+            assert name in listed, name
+
+    def test_unknown_name_is_an_attribute_error(self, package_name):
+        package = importlib.import_module(package_name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
+        assert not hasattr(package, "__no_such_dunder__")
+
+
+def test_star_import_and_submodule_access_in_a_fresh_interpreter():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import repro\n"
+        "assert 'repro.core.simulator' not in __import__('sys').modules\n"
+        "assert repro.core.simulator.EnduranceSimulator "
+        "is repro.EnduranceSimulator\n"
+        "namespace = {}\n"
+        "exec('from repro import *', namespace)\n"
+        "assert set(repro.__all__) <= set(namespace)\n"
+        "print('ok')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert result.stdout.strip() == "ok", result.stderr

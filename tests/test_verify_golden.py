@@ -684,6 +684,23 @@ class TestRPR018SelfLint:
         assert d.code == "RPR018"
         assert "phantom" in d.message
 
+    def test_lazy_table_entry_naming_a_missing_attribute(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "mod.py").write_text("def real():\n    pass\n")
+        (pkg / "__init__.py").write_text(
+            "from repro.lazy import attach\n"
+            "\n"
+            "__getattr__, __dir__, __all__ = attach(\n"
+            '    __name__, {"real": "pkg.mod", "phantom": "pkg.mod"}\n'
+            ")\n"
+        )
+        (d,) = self_lint(pkg)
+        assert d.code == "RPR018"
+        assert "'phantom'" in d.message
+        assert "never defines or imports it" in d.message
+        assert d.location.place == "pkg/__init__.py:4"
+
     def test_unregistered_diagnostic_code(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()

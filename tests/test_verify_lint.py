@@ -182,6 +182,55 @@ class TestDunderAllEdgeCases:
         assert "'dumps'" in d.message
 
 
+class TestLazyTables:
+    """A package's ``attach(__name__, {...})`` table is checked against
+    the modules it names, once the whole tree is parsed."""
+
+    def lint_package(self, tmp_path, table):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "mod.py").write_text("def f():\n    pass\n")
+        (pkg / "__init__.py").write_text(
+            "from repro.lazy import attach\n"
+            "\n"
+            f"__getattr__, __dir__, __all__ = attach(__name__, {table})\n"
+        )
+        return self_lint(pkg)
+
+    def test_entry_resolving_to_a_definition_is_clean(self, tmp_path):
+        assert self.lint_package(tmp_path, '{"f": "pkg.mod"}') == []
+
+    def test_entry_naming_a_lazy_export_is_not_a_definition(
+        self, tmp_path
+    ):
+        # "pkg" binds "g" only through its own table: resolving it would
+        # ask the package for itself, forever.
+        (d,) = self.lint_package(tmp_path, '{"f": "pkg.mod", "g": "pkg"}')
+        assert d.message == (
+            "lazy table maps 'g' to 'pkg', which never defines or imports it"
+        )
+
+    def test_missing_module(self, tmp_path):
+        (d,) = self.lint_package(tmp_path, '{"f": "pkg.nowhere"}')
+        assert "'pkg.nowhere', which is not a module of the tree" in (
+            d.message
+        )
+
+    def test_duplicate_name(self, tmp_path):
+        (d,) = self.lint_package(
+            tmp_path, '{"f": "pkg.mod", "f": "pkg.mod"}'
+        )
+        assert "lists 'f' more than once" in d.message
+
+    def test_table_must_be_a_literal(self, tmp_path):
+        (d,) = self.lint_package(tmp_path, "dict(f='pkg.mod')")
+        assert "not a dict literal" in d.message
+
+    def test_entries_must_be_string_literals(self, tmp_path):
+        (d,) = self.lint_package(tmp_path, '{"f": "pkg." + "mod"}')
+        assert "string-literal pair" in d.message
+
+
 class TestNameCollector:
     def test_collects_every_binding_kind(self):
         import ast
